@@ -13,11 +13,15 @@ tolerance failure, 3 resource cap exceeded.
 
 import argparse
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -41,13 +45,9 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_RESOLUTION,
-    Box,
-    ConeCappedCylinder,
-    Cylinder,
-    EllipticCylinder,
-    GappedCylinder,
     Mesh,
-    Sphere,
+    Shape,
+    TriangleMesh,
     load_mesh,
     mass_properties,
     quadrature,
@@ -72,84 +72,81 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_RESOURCE = 3
 
-_SHAPE_FIELDS = {
-    "sphere": (Sphere, {"radius": "length"}),
-    "cylinder": (Cylinder, {"radius": "length", "length": "length"}),
-    "box": (Box, {}),
-    "cone_capped_cylinder": (
-        ConeCappedCylinder,
-        {"radius": "length", "length": "length", "apex_angle": "angle"},
-    ),
-    "elliptic_cylinder": (
-        EllipticCylinder,
-        {"semi_axis_a": "length", "semi_axis_b": "length", "length": "length"},
-    ),
-    "gapped_cylinder": (
-        GappedCylinder,
-        {"radius": "length", "length": "length", "gap_width": "length"},
-    ),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
-def _shape_from_json(doc):
+def _type_name(cls):
+    """JSON name of a shape class: ConeCappedCylinder -> cone_capped_cylinder."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+
+
+_SHAPE_TYPES = {_type_name(cls): cls for cls in Shape}
+
+
+def _mesh_from_file(path, mesh_files):
+    """Load a mesh shape and note its file path and SHA-256 in ``mesh_files``."""
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    spec = Mesh(mesh=load_mesh(path))
+    mesh_files[spec.mesh] = {"path": str(path), "sha256": digest}
+    return spec
+
+
+def _field_from_json(fld, value, mesh_files):
+    if fld.name == "cavities":
+        return tuple(_shape_from_json(c, mesh_files) for c in value)
+    unit = fld.metadata["unit"]
+    if unit is None:
+        return value  # e.g. an axis name or components, canonicalised by the shape
+    if fld.type is tuple:
+        return tuple(parse_vector(value, unit))
+    return parse_quantity(value, unit)
+
+
+def _shape_from_json(doc, mesh_files=None):
     if not isinstance(doc, dict) or "type" not in doc:
         raise ConfigError(f"shape spec must be an object with a 'type': {doc!r}")
+    mesh_files = {} if mesh_files is None else mesh_files
     kind = doc["type"].lower()
     if kind == "mesh":
         if "path" not in doc:
             raise ConfigError("mesh shape needs a 'path'")
-        return Mesh(mesh=load_mesh(doc["path"]))
-    if kind not in _SHAPE_FIELDS:
+        return _mesh_from_file(doc["path"], mesh_files)
+    cls = _SHAPE_TYPES.get(kind)
+    if cls is None:
         raise ConfigError(f"unknown shape type {doc['type']!r}")
-    cls, dims = _SHAPE_FIELDS[kind]
+    flds = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in doc.items():
         if key == "type":
             continue
-        if key == "cavities":
-            kwargs["cavities"] = tuple(_shape_from_json(c) for c in value)
-        elif key == "center":
-            kwargs["center"] = tuple(parse_vector(value, "length"))
-        elif key == "axis":
-            kwargs["axis"] = value if isinstance(value, str) else tuple(float(x) for x in value)
-        elif key == "size":
-            kwargs["size"] = tuple(parse_quantity(v, "length") for v in value)
-        elif key == "gap_count":
-            kwargs["gap_count"] = int(value)
-        elif key in dims:
-            kwargs[key] = parse_quantity(value, dims[key])
-        else:
+        if key not in flds:
             raise ConfigError(f"unknown field {key!r} for shape {kind!r}")
+        kwargs[key] = _field_from_json(flds[key], value, mesh_files)
     try:
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad shape spec: {exc}") from None
 
 
-def _shape_to_json(spec):
-    if isinstance(spec, Mesh):
-        doc = {"type": "mesh", "vertices": len(spec.mesh.vertices),
-               "faces": len(spec.mesh.faces)}
-    else:
-        names = {Sphere: "sphere", Cylinder: "cylinder", Box: "box",
-                 ConeCappedCylinder: "cone_capped_cylinder",
-                 EllipticCylinder: "elliptic_cylinder",
-                 GappedCylinder: "gapped_cylinder"}
-        doc = {"type": names[type(spec)]}
-        for fld in spec.__dataclass_fields__:
-            if fld in ("center", "cavities"):
-                continue
-            val = getattr(spec, fld)
-            doc[fld] = list(val) if isinstance(val, tuple) else val
-    doc["center"] = list(spec.center)
-    if spec.cavities:
-        doc["cavities"] = [_shape_to_json(c) for c in spec.cavities]
+def _shape_to_json(spec, mesh_files=None):
+    doc = {"type": _type_name(type(spec))}
+    for fld in dataclasses.fields(spec):
+        val = getattr(spec, fld.name)
+        if isinstance(val, TriangleMesh):
+            doc.update(vertices=len(val.vertices), faces=len(val.faces),
+                       **(mesh_files or {}).get(val, {}))
+        elif fld.name == "cavities":
+            if val:
+                doc["cavities"] = [_shape_to_json(c, mesh_files) for c in val]
+        else:
+            doc[fld.name] = list(val) if isinstance(val, tuple) else val
     return doc
+
+
+def _first_given(*values):
+    return next(v for v in values if v is not None)
 
 
 def _resolve(args):
@@ -164,10 +161,11 @@ def _resolve(args):
         cfg["mesh"] = args.mesh
     if "shape" in cfg and "mesh" in cfg:
         raise ConfigError("give exactly one shape source (shape or mesh), not both")
+    mesh_files = {}
     if "shape" in cfg:
-        shape = _shape_from_json(cfg["shape"])
+        shape = _shape_from_json(cfg["shape"], mesh_files)
     elif "mesh" in cfg:
-        shape = Mesh(mesh=load_mesh(cfg["mesh"]))
+        shape = _mesh_from_file(cfg["mesh"], mesh_files)
     else:
         raise ConfigError("no shape given (use --shape, --mesh, or a config file)")
 
@@ -189,19 +187,25 @@ def _resolve(args):
             pkw[key] = parse_quantity(pdoc[key], dim)
     params = CslParams(**pkw)
 
-    resolution = getattr(args, "resolution", None) or cfg.get("resolution") or DEFAULT_RESOLUTION
+    resolution = int(_first_given(args.resolution, cfg.get("resolution"), DEFAULT_RESOLUTION))
+    if resolution < 1:
+        raise ConfigError(f"resolution must be at least 1, got {resolution}")
+    tolerance = float(_first_given(args.tolerance, cfg.get("tolerance"), 0.01))
+    if not (tolerance >= 0.0):
+        raise ConfigError(f"tolerance must not be negative, got {tolerance}")
     options = {
-        "resolution": int(resolution),
+        "resolution": resolution,
         "format": getattr(args, "format", None) or cfg.get("format", "json"),
-        "tolerance": float(getattr(args, "tolerance", None) or cfg.get("tolerance", 0.01)),
+        "tolerance": tolerance,
         "config": cfg,
+        "mesh_files": mesh_files,
     }
     return shape, density, params, options
 
 
 def _resolved_config(shape, density, params, options, extra=None):
     doc = {
-        "shape": _shape_to_json(shape),
+        "shape": _shape_to_json(shape, options["mesh_files"]),
         "density": density,
         "params": {
             "collapse_rate": params.collapse_rate,
@@ -392,35 +396,23 @@ def _cmd_validate(args):
     return EXIT_OK if passed else EXIT_TOLERANCE
 
 
-_SWEEP_VARIABLES = ("L", "theta", "N", "e", "R")
+#: sweep variable -> (shape field it sets, dimension of its values)
+_SWEEPS = {
+    "L": ("length", "length"),
+    "theta": ("apex_angle", "angle"),
+    "N": ("gap_count", "dimensionless"),
+    "e": ("semi_axis_b", "dimensionless"),
+    "R": ("radius", "length"),
+}
 
 
 def _sweep_shape(base, variable, value):
-    kw = {f: getattr(base, f) for f in base.__dataclass_fields__}
-    if variable == "L":
-        if "length" not in kw:
-            raise ConfigError(f"cannot sweep L on {type(base).__name__}")
-        kw["length"] = value
-    elif variable == "R":
-        if "radius" not in kw:
-            raise ConfigError(f"cannot sweep R on {type(base).__name__}")
-        kw["radius"] = value
-    elif variable == "theta":
-        if not isinstance(base, ConeCappedCylinder):
-            raise ConfigError("theta sweeps need a cone_capped_cylinder")
-        kw["apex_angle"] = value
-    elif variable == "N":
-        if not isinstance(base, GappedCylinder):
-            raise ConfigError("N sweeps need a gapped_cylinder")
-        kw["gap_count"] = int(value)
-    elif variable == "e":
-        if not isinstance(base, EllipticCylinder):
-            raise ConfigError("e sweeps need an elliptic_cylinder")
-        a = kw["semi_axis_a"]
-        kw["semi_axis_b"] = a * math.sqrt(max(1.0 - value**2, 0.0))
-    else:
-        raise ConfigError(f"unknown sweep variable {variable!r} (use {_SWEEP_VARIABLES})")
-    return type(base)(**kw)
+    name = _SWEEPS[variable][0]
+    if name not in {f.name for f in dataclasses.fields(base)}:
+        raise ConfigError(f"cannot sweep {variable} on {type(base).__name__}")
+    if variable == "e":  # eccentricity at fixed semi-axis a
+        value = base.semi_axis_a * math.sqrt(max(1.0 - value**2, 0.0))
+    return dataclasses.replace(base, **{name: value})
 
 
 def _cmd_sweep(args):
@@ -432,11 +424,9 @@ def _cmd_sweep(args):
         raise ConfigError("sweep needs a variable and values")
     if isinstance(values, str):
         values = values.split(",")
-    dim = {"L": "length", "R": "length", "theta": "angle", "N": "dimensionless",
-           "e": "dimensionless"}.get(variable)
-    if dim is None:
-        raise ConfigError(f"unknown sweep variable {variable!r} (use {_SWEEP_VARIABLES})")
-    values = [parse_quantity(v, dim) for v in values]
+    if variable not in _SWEEPS:
+        raise ConfigError(f"unknown sweep variable {variable!r} (use {tuple(_SWEEPS)})")
+    values = [parse_quantity(v, _SWEEPS[variable][1]) for v in values]
 
     axis = np.asarray(getattr(shape, "axis", (1.0, 0.0, 0.0)), dtype=float)
     columns = ["value", "area", "volume", "s_axis", "s_xx", "s_yy", "s_zz", "srot_axis"]
@@ -557,7 +547,7 @@ def build_parser():
 
     p = subs.add_parser("sweep", help="parameter sweeps of the tensor outputs")
     _add_common(p)
-    p.add_argument("--variable", choices=_SWEEP_VARIABLES)
+    p.add_argument("--variable", choices=tuple(_SWEEPS))
     p.add_argument("--values", help="comma-separated parameter values")
     p.set_defaults(func=_cmd_sweep)
 

@@ -22,7 +22,7 @@ class InvertedOrientation(CslsurfError, ValueError):
 
 
 class ParseError(CslsurfError, ValueError):
-    """Mesh file data does not parse as the declared format."""
+    """File data (a mesh or a grid) does not parse as the declared format."""
 
 
 class ResolutionOverflow(CslsurfError, ValueError):

@@ -44,7 +44,10 @@ def rotation_to_z(axis):
         return np.diag([1.0, -1.0, -1.0])
     v = np.cross(z, a)
     vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+    # 1 + c equals |v|^2 / (1 - c).  Within ~2.6 degrees of -z the sum
+    # 1 + c has lost digits and R would not be orthogonal; the quotient has not
+    denom = float(v @ v) / (1.0 - c) if c < -0.999 else 1.0 + c
+    return np.eye(3) + vx + vx @ vx / denom
 
 
 @dataclass

@@ -5,14 +5,18 @@ so normals carry no tessellation error and the summed weights equal the
 analytic area to rounding.  Resolution only controls how finely the area
 is subdivided.  Cavity walls are first-class boundary patches whose
 normals point out of the material (into the cavity).
+
+Each shape class is the one place its geometry lives; the module-level
+functions here and in the oracles dispatch to its methods.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ellipe
+from scipy.special import chndtr, ellipe, j1, ndtr
 
 from ..errors import (
     CavityOverlap,
@@ -34,7 +38,11 @@ MAX_PATCHES = 2_000_000
 _AXIS_NAMES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
-def _canon_axis(axis):
+# ---------------------------------------------------------------------------
+# fields: each canonicaliser takes (field name, value) and returns the value
+
+
+def _canon_axis(name, axis):
     if isinstance(axis, str):
         try:
             axis = _AXIS_NAMES[axis.lower()]
@@ -46,7 +54,7 @@ def _canon_axis(axis):
     return tuple(unit_vector(v))
 
 
-def _canon_center(center):
+def _canon_center(name, center):
     c = np.asarray(center, dtype=float)
     if c.shape != (3,) or not np.all(np.isfinite(c)):
         raise DegenerateDimension(f"invalid center {center!r}")
@@ -56,336 +64,103 @@ def _canon_center(center):
 def _positive(name, value):
     value = float(value)
     if not (value > 0.0) or not math.isfinite(value):
-        raise DegenerateDimension(f"{name} must be positive and finite, got {value}")
+        raise DegenerateDimension(
+            f"{name.replace('_', ' ')} must be positive and finite, got {value}")
     return value
 
 
-@dataclass(frozen=True)
-class Sphere:
-    radius: float
-    center: tuple = (0.0, 0.0, 0.0)
-    cavities: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _positive("radius", self.radius))
-        object.__setattr__(self, "center", _canon_center(self.center))
-        object.__setattr__(self, "cavities", tuple(self.cavities))
+def _box_sides(name, sides):
+    sides = tuple(_positive("box side", s) for s in sides)
+    if len(sides) != 3:
+        raise DegenerateDimension("box size must have 3 entries")
+    return sides
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    radius: float
-    length: float
-    axis: tuple = (0.0, 0.0, 1.0)
-    center: tuple = (0.0, 0.0, 0.0)
-    cavities: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _positive("radius", self.radius))
-        object.__setattr__(self, "length", _positive("length", self.length))
-        object.__setattr__(self, "axis", _canon_axis(self.axis))
-        object.__setattr__(self, "center", _canon_center(self.center))
-        object.__setattr__(self, "cavities", tuple(self.cavities))
+def _apex_angle(name, value):
+    value = float(value)
+    if not (0.0 < value < math.pi):
+        raise DegenerateDimension(f"apex angle must be in (0, pi), got {value}")
+    return value
 
 
-@dataclass(frozen=True)
-class Box:
-    size: tuple  # (a, b, c), axis-aligned
-    center: tuple = (0.0, 0.0, 0.0)
-    cavities: tuple = ()
-
-    def __post_init__(self):
-        size = tuple(_positive("box side", s) for s in self.size)
-        if len(size) != 3:
-            raise DegenerateDimension("box size must have 3 entries")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "center", _canon_center(self.center))
-        object.__setattr__(self, "cavities", tuple(self.cavities))
+def _count(name, value):
+    value = int(value)
+    if value < 0:
+        raise DegenerateDimension(f"{name.replace('_', ' ')} must be >= 0")
+    return value
 
 
-@dataclass(frozen=True)
-class ConeCappedCylinder:
-    """Cylinder whose two flat faces are replaced by outward cones.
-
-    ``apex_angle`` is the full opening angle of each cone; the flat-face
-    limit is apex_angle -> pi.  The cylindrical section has length
-    ``length``; the cones extend beyond it.
-    """
-
-    radius: float
-    length: float
-    apex_angle: float  # rad, 0 < angle < pi
-    axis: tuple = (0.0, 0.0, 1.0)
-    center: tuple = (0.0, 0.0, 0.0)
-    cavities: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _positive("radius", self.radius))
-        object.__setattr__(self, "length", _positive("length", self.length))
-        ang = float(self.apex_angle)
-        if not (0.0 < ang < math.pi):
-            raise DegenerateDimension(f"apex angle must be in (0, pi), got {ang}")
-        object.__setattr__(self, "apex_angle", ang)
-        object.__setattr__(self, "axis", _canon_axis(self.axis))
-        object.__setattr__(self, "center", _canon_center(self.center))
-        object.__setattr__(self, "cavities", tuple(self.cavities))
-
-    @property
-    def cone_height(self):
-        return self.radius / math.tan(self.apex_angle / 2.0)
+def _triangle_mesh(name, value):
+    if not isinstance(value, TriangleMesh):
+        raise DegenerateDimension("Mesh spec requires a TriangleMesh")
+    return value
 
 
-@dataclass(frozen=True)
-class EllipticCylinder:
-    """Cylinder with elliptic cross section, semi-axes a (x) and b (y)."""
-
-    semi_axis_a: float
-    semi_axis_b: float
-    length: float
-    axis: tuple = (0.0, 0.0, 1.0)
-    center: tuple = (0.0, 0.0, 0.0)
-    cavities: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "semi_axis_a", _positive("semi axis a", self.semi_axis_a))
-        object.__setattr__(self, "semi_axis_b", _positive("semi axis b", self.semi_axis_b))
-        object.__setattr__(self, "length", _positive("length", self.length))
-        object.__setattr__(self, "axis", _canon_axis(self.axis))
-        object.__setattr__(self, "center", _canon_center(self.center))
-        object.__setattr__(self, "cavities", tuple(self.cavities))
+def _field(canon, unit=None, **kw):
+    """A shape field.  ``canon`` canonicalises its value at construction;
+    ``unit`` is the dimension of its quantities (None: not a quantity)."""
+    return field(metadata={"canon": canon, "unit": unit}, **kw)
 
 
-@dataclass(frozen=True)
-class GappedCylinder:
-    """Cylinder of overall span ``length`` cut by evenly spaced gaps.
-
-    ``gap_count`` perpendicular gaps of width ``gap_width`` split the rod
-    into gap_count + 1 equal solid segments; every cut face is a material
-    boundary.
-    """
-
-    radius: float
-    length: float
-    gap_count: int
-    gap_width: float
-    axis: tuple = (0.0, 0.0, 1.0)
-    center: tuple = (0.0, 0.0, 0.0)
-    cavities: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", _positive("radius", self.radius))
-        object.__setattr__(self, "length", _positive("length", self.length))
-        n = int(self.gap_count)
-        if n < 0:
-            raise DegenerateDimension("gap count must be >= 0")
-        object.__setattr__(self, "gap_count", n)
-        w = float(self.gap_width)
-        if n > 0:
-            w = _positive("gap width", w)
-            if n * w >= self.length:
-                raise DegenerateDimension("gaps consume the whole cylinder")
-        object.__setattr__(self, "gap_width", w)
-        object.__setattr__(self, "axis", _canon_axis(self.axis))
-        object.__setattr__(self, "center", _canon_center(self.center))
-        object.__setattr__(self, "cavities", tuple(self.cavities))
-
-    def segments(self):
-        """(segment_length, list of segment center offsets along the axis)."""
-        n = self.gap_count
-        seg = (self.length - n * self.gap_width) / (n + 1)
-        starts = -self.length / 2.0 + np.arange(n + 1) * (seg + self.gap_width)
-        return seg, starts + seg / 2.0
+def _length():
+    return _field(_positive, "length")
 
 
-@dataclass(frozen=True)
-class Mesh:
-    """Shape defined by a watertight triangle mesh."""
-
-    mesh: TriangleMesh
-    center: tuple = (0.0, 0.0, 0.0)
-    cavities: tuple = ()
-
-    def __post_init__(self):
-        if not isinstance(self.mesh, TriangleMesh):
-            raise DegenerateDimension("Mesh spec requires a TriangleMesh")
-        object.__setattr__(self, "center", _canon_center(self.center))
-        object.__setattr__(self, "cavities", tuple(self.cavities))
+def _axis():
+    return _field(_canon_axis, default=(0.0, 0.0, 1.0))
 
 
-ANALYTIC_SHAPES = (Sphere, Cylinder, Box, ConeCappedCylinder, EllipticCylinder, GappedCylinder)
-Shape = (*ANALYTIC_SHAPES, Mesh)
+def _center():
+    return _field(_canon_center, "length", default=(0.0, 0.0, 0.0))
 
 
-def local_frame(spec):
-    """Rotation matrix mapping local coordinates (axis = +z) to world."""
-    axis = getattr(spec, "axis", None)
-    if axis is None:
-        return np.eye(3)
-    return rotation_to_z(axis)
+def _cavities():
+    return _field(lambda name, value: tuple(value), default=())
 
 
 # ---------------------------------------------------------------------------
-# validation
+# exact smoothed factors and form-factor kernels
 
 
-def build_shape(spec):
-    """Validate a shape spec (including cavities) and return it.
+def _interval_factor(x, half, sigma):
+    """Convolution of the indicator of [-half, half] with g_sigma."""
+    return ndtr((x + half) / sigma) - ndtr((x - half) / sigma)
 
-    Numeric invariants are enforced at construction; this adds the
-    geometric cavity checks: cavities must be strictly inside the host
-    material and mutually disjoint.  Idempotent.
+
+def _disc_factor(r, radius, sigma):
+    """Convolution of a 2-D disc indicator with the 2-D Gaussian.
+
+    P(|X + r| <= radius) for X ~ N(0, sigma^2 I2), i.e. the noncentral
+    chi-square CDF with 2 degrees of freedom.
     """
-    if not isinstance(spec, Shape):
-        raise UnsupportedShape(f"not a shape spec: {type(spec).__name__}")
-    if getattr(spec, "_validated", False):
-        return spec
-    if spec.cavities:
-        _check_cavities(spec)
-    object.__setattr__(spec, "_validated", True)
-    return spec
+    return chndtr((radius / sigma) ** 2, 2.0, (r / sigma) ** 2)
 
 
-def _cavity_probe_points(cavity):
-    return quadrature(_bare(cavity), resolution=8).points
+def _ball_factor(d, radius, sigma):
+    """Convolution of a 3-D ball indicator with the 3-D Gaussian (exact)."""
+    d = np.asarray(d, dtype=float)
+    up = (d + radius) / sigma
+    um = (d - radius) / sigma
+    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ndtr(-um) - ndtr(-up) + (sigma / d) * (phi(up) - phi(um))
+    center = ndtr(radius / sigma) - ndtr(-radius / sigma) - 2.0 * (radius / sigma) * phi(radius / sigma)
+    return np.where(d < 1e-9 * sigma, center, out)
 
 
-def _bare(spec):
-    """The same shape spec without its cavities (host material only)."""
-    if not spec.cavities:
-        return spec
-    kw = {f.name: getattr(spec, f.name) for f in spec.__dataclass_fields__.values()}
-    kw["cavities"] = ()
-    return type(spec)(**kw)
+def _sinc(x):
+    return np.sinc(x / np.pi)
 
 
-def _check_cavities(spec):
-    """Cavities must sit strictly inside the host and apart from each other.
-
-    Checks are exact for spherical cavities against hosts with a signed
-    distance (tangency included); other combinations are validated on
-    sampled cavity-surface probes.
-    """
-    host = _bare(spec)
-    probes = []
-    for cav in spec.cavities:
-        if not isinstance(cav, Shape):
-            raise CavityOverlap(f"cavity is not a shape spec: {cav!r}")
-        if cav.cavities:
-            raise CavityOverlap("cavities may not themselves contain cavities")
-        pts = _cavity_probe_points(cav)
-        if not np.all(contains(host, pts)):
-            raise CavityOverlap("cavity surface is not strictly inside the host")
-        try:
-            if np.max(signed_distance(host, pts)) >= 0.0:
-                raise CavityOverlap("cavity touches the host boundary")
-            if isinstance(cav, Sphere):
-                center = np.asarray(cav.center)[None, :]
-                if signed_distance(host, center)[0] + cav.radius >= 0.0:
-                    raise CavityOverlap("cavity touches the host boundary")
-        except UnsupportedShape:
-            pass  # parity test above is the best available for mesh hosts
-        probes.append(pts)
-    for i, cav_i in enumerate(spec.cavities):
-        for j, cav_j in enumerate(spec.cavities):
-            if i >= j:
-                continue
-            if isinstance(cav_i, Sphere) and isinstance(cav_j, Sphere):
-                gap = np.linalg.norm(np.asarray(cav_i.center) - np.asarray(cav_j.center))
-                if gap <= cav_i.radius + cav_j.radius:
-                    raise CavityOverlap(f"cavities {i} and {j} overlap")
-            elif (np.any(contains(_bare(cav_j), probes[i]))
-                  or np.any(contains(_bare(cav_i), probes[j]))):
-                raise CavityOverlap(f"cavities {i} and {j} overlap")
+def _jinc(x):
+    """2 J1(x) / x, continuous through 0."""
+    small = np.abs(x) < 1e-6
+    xs = np.where(small, 1.0, x)
+    return np.where(small, 1.0 - x**2 / 8.0, 2.0 * j1(xs) / xs)
 
 
 # ---------------------------------------------------------------------------
-# point classification
-
-
-def contains(spec, points):
-    """Boolean mask: is there material at each point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = _contains_solid(spec, points)
-    for cav in spec.cavities:
-        inside &= ~_contains_solid(cav, points)
-    return inside
-
-
-def _to_local(spec, points):
-    frame = local_frame(spec)
-    return (points - np.asarray(spec.center)) @ frame
-
-
-def _contains_solid(spec, points):
-    p = _to_local(spec, points)
-    if isinstance(spec, Sphere):
-        return np.linalg.norm(p, axis=1) <= spec.radius
-    if isinstance(spec, Box):
-        half = np.asarray(spec.size) / 2.0
-        return np.all(np.abs(p) <= half, axis=1)
-    if isinstance(spec, Cylinder):
-        r = np.hypot(p[:, 0], p[:, 1])
-        return (r <= spec.radius) & (np.abs(p[:, 2]) <= spec.length / 2.0)
-    if isinstance(spec, EllipticCylinder):
-        q = (p[:, 0] / spec.semi_axis_a) ** 2 + (p[:, 1] / spec.semi_axis_b) ** 2
-        return (q <= 1.0) & (np.abs(p[:, 2]) <= spec.length / 2.0)
-    if isinstance(spec, GappedCylinder):
-        r_ok = np.hypot(p[:, 0], p[:, 1]) <= spec.radius
-        seg, centers = spec.segments()
-        z_ok = np.zeros(len(p), dtype=bool)
-        for zc in centers:
-            z_ok |= np.abs(p[:, 2] - zc) <= seg / 2.0
-        return r_ok & z_ok
-    if isinstance(spec, ConeCappedCylinder):
-        return _sdf_solid(spec, points) <= 0.0
-    if isinstance(spec, Mesh):
-        return spec.mesh.contains(p)
-    raise UnsupportedShape(type(spec).__name__)
-
-
-def signed_distance(spec, points):
-    """Signed distance to the material boundary (negative inside).
-
-    Exact for sphere, box, cylinder, gapped and cone-capped cylinders and
-    compositions with such cavities; unavailable for elliptic cylinders
-    and meshes.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = _sdf_solid(spec, points)
-    for cav in spec.cavities:
-        d = np.maximum(d, -_sdf_solid(cav, points))
-    return d
-
-
-def _sdf_solid(spec, points):
-    p = _to_local(spec, points)
-    if isinstance(spec, Sphere):
-        return np.linalg.norm(p, axis=1) - spec.radius
-    if isinstance(spec, Box):
-        q = np.abs(p) - np.asarray(spec.size) / 2.0
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(q.max(axis=1), 0.0)
-        return outside + inside
-    if isinstance(spec, Cylinder):
-        return _cyl_sdf(p, spec.radius, spec.length / 2.0)
-    if isinstance(spec, GappedCylinder):
-        seg, centers = spec.segments()
-        d = np.full(len(p), np.inf)
-        for zc in centers:
-            q = p.copy()
-            q[:, 2] -= zc
-            d = np.minimum(d, _cyl_sdf(q, spec.radius, seg / 2.0))
-        return d
-    if isinstance(spec, ConeCappedCylinder):
-        half = spec.length / 2.0
-        h = spec.cone_height
-        d = _cyl_sdf(p, spec.radius, half)
-        for sgn in (1.0, -1.0):
-            q = p.copy()
-            q[:, 2] *= sgn
-            d = np.minimum(d, _cone_sdf(q, spec.radius, half, half + h))
-        return d
-    raise UnsupportedShape(f"signed distance not available for {type(spec).__name__}")
+# signed distances in the local frame
 
 
 def _cyl_sdf(p, radius, half_len):
@@ -416,34 +191,8 @@ def _segment_distance(r, z, r0, z0, r1, z1):
     return np.hypot(r - (r0 + t * vr), z - (z0 + t * vz))
 
 
-def bounding_box(spec):
-    """Axis-aligned (min, max) corners of the material."""
-    c = np.asarray(spec.center)
-    if isinstance(spec, Sphere):
-        r = spec.radius
-        return c - r, c + r
-    if isinstance(spec, Box):
-        half = np.asarray(spec.size) / 2.0
-        return c - half, c + half
-    if isinstance(spec, Mesh):
-        lo, hi = spec.mesh.bounding_box()
-        return lo + c, hi + c
-    frame = local_frame(spec)
-    if isinstance(spec, (Cylinder, GappedCylinder)):
-        r, half = spec.radius, spec.length / 2.0
-    elif isinstance(spec, ConeCappedCylinder):
-        r, half = spec.radius, spec.length / 2.0 + spec.cone_height
-    elif isinstance(spec, EllipticCylinder):
-        r, half = max(spec.semi_axis_a, spec.semi_axis_b), spec.length / 2.0
-    else:
-        raise UnsupportedShape(type(spec).__name__)
-    # extent of a world axis over the local-frame cylinder bounding volume
-    ext = np.abs(frame) @ np.array([r, r, half])
-    return c - ext, c + ext
-
-
 # ---------------------------------------------------------------------------
-# quadrature
+# patch families in the local frame
 
 
 def _gl(n, a, b):
@@ -468,6 +217,11 @@ def _counts(resolution):
         "face": max(2, res // 2),
         "ellipse": max(16, 4 * res),
     }
+
+
+def _family(size, build, *args):
+    """A patch family: its patch count, and the deferred call that builds it."""
+    return size, partial(build, *args)
 
 
 def _sphere_patches(R, n_theta, n_phi):
@@ -503,6 +257,14 @@ def _cylinder_lateral(R, z_lo, z_hi, n_len, n_phi):
     pts = np.stack([R * nx, R * ny, zz], axis=1)
     weights = (R * dphi) * np.outer(wz, np.ones(n_phi)).ravel()
     return SurfacePatches(pts, normals, weights)
+
+
+def _cylinder_families(R, z_lo, z_hi, n):
+    """Lateral wall, top and bottom disc of a circular cylinder."""
+    nl, nr, nphi = n["len"], n["rad"], n["phi"]
+    return [_family(nl * nphi, _cylinder_lateral, R, z_lo, z_hi, nl, nphi),
+            _family(nr * nphi, _disc_patches, R, z_hi, +1, nr, nphi),
+            _family(nr * nphi, _disc_patches, R, z_lo, -1, nr, nphi)]
 
 
 def _cone_patches(R, z_base, direction, apex_angle, n_u, n_phi):
@@ -577,138 +339,204 @@ def _elliptic_disc(a, b, z, orient, n_rad, n_t):
     return SurfacePatches(pts, normals, weights)
 
 
-def _solid_patches(spec, counts):
-    """Patches of the bare solid, in its local frame."""
-    if isinstance(spec, Sphere):
-        return _sphere_patches(spec.radius, counts["theta"], counts["phi"])
-    if isinstance(spec, Cylinder):
-        R, half = spec.radius, spec.length / 2.0
-        return SurfacePatches.concatenate([
-            _cylinder_lateral(R, -half, half, counts["len"], counts["phi"]),
-            _disc_patches(R, half, +1, counts["rad"], counts["phi"]),
-            _disc_patches(R, -half, -1, counts["rad"], counts["phi"]),
-        ])
-    if isinstance(spec, Box):
-        half = np.asarray(spec.size) / 2.0
-        faces = [_rect_patches(ax, sgn, half, counts["face"])
-                 for ax in range(3) for sgn in (+1, -1)]
-        return SurfacePatches.concatenate(faces)
-    if isinstance(spec, ConeCappedCylinder):
-        R, half = spec.radius, spec.length / 2.0
-        return SurfacePatches.concatenate([
-            _cylinder_lateral(R, -half, half, counts["len"], counts["phi"]),
-            _cone_patches(R, half, +1, spec.apex_angle, counts["rad"], counts["phi"]),
-            _cone_patches(R, -half, -1, spec.apex_angle, counts["rad"], counts["phi"]),
-        ])
-    if isinstance(spec, EllipticCylinder):
-        a, b, half = spec.semi_axis_a, spec.semi_axis_b, spec.length / 2.0
-        return SurfacePatches.concatenate([
-            _elliptic_lateral(a, b, -half, half, counts["ellipse"], counts["len"]),
-            _elliptic_disc(a, b, half, +1, counts["rad"], counts["ellipse"]),
-            _elliptic_disc(a, b, -half, -1, counts["rad"], counts["ellipse"]),
-        ])
-    if isinstance(spec, GappedCylinder):
-        R = spec.radius
-        seg, centers = spec.segments()
-        parts = []
-        for zc in centers:
-            parts.append(_cylinder_lateral(R, zc - seg / 2, zc + seg / 2,
-                                           counts["len"], counts["phi"]))
-            parts.append(_disc_patches(R, zc + seg / 2, +1, counts["rad"], counts["phi"]))
-            parts.append(_disc_patches(R, zc - seg / 2, -1, counts["rad"], counts["phi"]))
-        return SurfacePatches.concatenate(parts)
-    if isinstance(spec, Mesh):
-        return spec.mesh.surface_patches()
-    raise UnsupportedShape(type(spec).__name__)
-
-
-def _estimate_patch_count(spec, counts):
-    if isinstance(spec, Sphere):
-        return counts["theta"] * counts["phi"]
-    if isinstance(spec, Cylinder):
-        return (counts["len"] + 2 * counts["rad"]) * counts["phi"]
-    if isinstance(spec, Box):
-        return 6 * counts["face"] ** 2
-    if isinstance(spec, ConeCappedCylinder):
-        return (counts["len"] + 2 * counts["rad"]) * counts["phi"]
-    if isinstance(spec, EllipticCylinder):
-        return (counts["len"] + 2 * counts["rad"]) * counts["ellipse"]
-    if isinstance(spec, GappedCylinder):
-        return (spec.gap_count + 1) * (counts["len"] + 2 * counts["rad"]) * counts["phi"]
-    if isinstance(spec, Mesh):
-        return 3 * len(spec.mesh.faces)
-    return 0
-
-
-def quadrature(spec, resolution=DEFAULT_RESOLUTION, max_patches=MAX_PATCHES):
-    """Surface quadrature of the whole material boundary.
-
-    Covers the outer surface, gap faces, and cavity walls; cavity-wall
-    normals point out of the material.  For meshes the decomposition is
-    the per-facet mid-edge rule and ``resolution`` is ignored.
-    """
-    spec = build_shape(spec)
-    counts = _counts(resolution)
-    total = _estimate_patch_count(spec, counts) + sum(
-        _estimate_patch_count(c, counts) for c in spec.cavities
-    )
-    if total > max_patches:
-        raise ResolutionOverflow(f"{total} patches exceed the cap {max_patches}")
-
-    frame = local_frame(spec)
-    host = _solid_patches(spec, counts).rotated(frame).translated(spec.center)
-    parts = [host]
-    for cav in spec.cavities:
-        cp = _solid_patches(cav, counts).rotated(local_frame(cav))
-        parts.append(cp.translated(cav.center).flipped())
-    return SurfacePatches.concatenate(parts) if len(parts) > 1 else host
-
-
 # ---------------------------------------------------------------------------
-# mass properties
+# shapes
 
 
-def _solid_parts(spec):
-    """List of (volume, area, centroid_world, J_world) for the bare solid.
+class _Solid:
+    """Geometry shared by the shape dataclasses.
 
-    J is the geometric second moment int (r o r) dV about the part's own
-    centroid, expressed in world axes.
+    Methods see the bare solid (cavities are composed by the module-level
+    functions) and points ``p`` in its local frame: center at the origin,
+    axis along +z.  ``_smoothed_unit`` and ``_unit_form_factor`` are None
+    where there is no closed form; callers then filter a raster or take
+    the DFT route.
     """
-    frame = local_frame(spec)
-    center = np.asarray(spec.center)
 
-    def world(V, A, c_local, J_local):
-        c = frame @ np.asarray(c_local) + center
-        J = frame @ np.asarray(J_local) @ frame.T
-        return (V, A, c, J)
+    _smoothed_unit = None
+    _unit_form_factor = None
 
-    if isinstance(spec, Sphere):
-        R = spec.radius
+    def __post_init__(self):
+        for f in fields(self):
+            value = f.metadata["canon"](f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+
+    def _sdf(self, p):
+        raise UnsupportedShape(f"signed distance not available for {type(self).__name__}")
+
+    def _inside(self, p):
+        return self._sdf(p) <= 0.0
+
+    def _bounds(self):
+        """(min, max) corners about the center, in world axes."""
+        ext = np.abs(local_frame(self)) @ self._half_extent()
+        return -ext, ext
+
+
+@dataclass(frozen=True)
+class Sphere(_Solid):
+    radius: float = _length()
+    center: tuple = _center()
+    cavities: tuple = _cavities()
+
+    def _inside(self, p):
+        return np.linalg.norm(p, axis=1) <= self.radius
+
+    def _sdf(self, p):
+        return np.linalg.norm(p, axis=1) - self.radius
+
+    def _half_extent(self):
+        return np.full(3, self.radius)
+
+    def _patch_families(self, n):
+        return [_family(n["theta"] * n["phi"], _sphere_patches,
+                        self.radius, n["theta"], n["phi"])]
+
+    def _parts(self):
+        R = self.radius
         V = 4.0 * np.pi * R**3 / 3.0
-        return [world(V, 4.0 * np.pi * R**2, np.zeros(3), V * R**2 / 5.0 * np.eye(3))]
-    if isinstance(spec, Cylinder):
-        R, L = spec.radius, spec.length
+        return [(V, 4.0 * np.pi * R**2, np.zeros(3), V * R**2 / 5.0 * np.eye(3))]
+
+    def _smoothed_unit(self, p, sigma):
+        return _ball_factor(np.linalg.norm(p, axis=-1), self.radius, sigma)
+
+    def _unit_form_factor(self, k):
+        R = self.radius
+        V = 4.0 * np.pi * R**3 / 3.0
+        u = np.linalg.norm(k, axis=-1) * R
+        small = np.abs(u) < 1e-6
+        us = np.where(small, 1.0, u)
+        g = np.where(small, 1.0 - u**2 / 10.0, 3.0 * (np.sin(us) - us * np.cos(us)) / us**3)
+        return V * g
+
+
+@dataclass(frozen=True)
+class Cylinder(_Solid):
+    radius: float = _length()
+    length: float = _length()
+    axis: tuple = _axis()
+    center: tuple = _center()
+    cavities: tuple = _cavities()
+
+    def _inside(self, p):
+        r = np.hypot(p[:, 0], p[:, 1])
+        return (r <= self.radius) & (np.abs(p[:, 2]) <= self.length / 2.0)
+
+    def _sdf(self, p):
+        return _cyl_sdf(p, self.radius, self.length / 2.0)
+
+    def _half_extent(self):
+        return np.array([self.radius, self.radius, self.length / 2.0])
+
+    def _patch_families(self, n):
+        half = self.length / 2.0
+        return _cylinder_families(self.radius, -half, half, n)
+
+    def _parts(self):
+        R, L = self.radius, self.length
         V = np.pi * R**2 * L
         J = np.diag([V * R**2 / 4.0, V * R**2 / 4.0, V * L**2 / 12.0])
-        return [world(V, 2 * np.pi * R * L + 2 * np.pi * R**2, np.zeros(3), J)]
-    if isinstance(spec, Box):
-        a, b, c = spec.size
+        return [(V, 2 * np.pi * R * L + 2 * np.pi * R**2, np.zeros(3), J)]
+
+    def _smoothed_unit(self, p, sigma):
+        r = np.hypot(p[..., 0], p[..., 1])
+        return (_disc_factor(r, self.radius, sigma)
+                * _interval_factor(p[..., 2], self.length / 2.0, sigma))
+
+    def _unit_form_factor(self, k):
+        R, L = self.radius, self.length
+        kl = k @ local_frame(self)
+        kperp = np.hypot(kl[..., 0], kl[..., 1])
+        return np.pi * R**2 * L * _jinc(kperp * R) * _sinc(kl[..., 2] * L / 2.0)
+
+
+@dataclass(frozen=True)
+class Box(_Solid):
+    size: tuple = _field(_box_sides, "length")  # (a, b, c), axis-aligned
+    center: tuple = _center()
+    cavities: tuple = _cavities()
+
+    def _inside(self, p):
+        return np.all(np.abs(p) <= np.asarray(self.size) / 2.0, axis=1)
+
+    def _sdf(self, p):
+        q = np.abs(p) - np.asarray(self.size) / 2.0
+        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
+        inside = np.minimum(q.max(axis=1), 0.0)
+        return outside + inside
+
+    def _half_extent(self):
+        return np.asarray(self.size) / 2.0
+
+    def _patch_families(self, n):
+        half = np.asarray(self.size) / 2.0
+        return [_family(n["face"] ** 2, _rect_patches, ax, sgn, half, n["face"])
+                for ax in range(3) for sgn in (+1, -1)]
+
+    def _parts(self):
+        a, b, c = self.size
         V = a * b * c
         A = 2.0 * (a * b + b * c + c * a)
         J = np.diag([V * a**2 / 12.0, V * b**2 / 12.0, V * c**2 / 12.0])
-        return [world(V, A, np.zeros(3), J)]
-    if isinstance(spec, EllipticCylinder):
-        a, b, L = spec.semi_axis_a, spec.semi_axis_b, spec.length
-        V = np.pi * a * b * L
-        big, small = max(a, b), min(a, b)
-        perimeter = 4.0 * big * ellipe(1.0 - (small / big) ** 2)
-        A = perimeter * L + 2.0 * np.pi * a * b
-        J = np.diag([V * a**2 / 4.0, V * b**2 / 4.0, V * L**2 / 12.0])
-        return [world(V, A, np.zeros(3), J)]
-    if isinstance(spec, ConeCappedCylinder):
-        R, L = spec.radius, spec.length
-        alpha = spec.apex_angle / 2.0
-        h = spec.cone_height
+        return [(V, A, np.zeros(3), J)]
+
+    def _smoothed_unit(self, p, sigma):
+        out = 1.0
+        for i, side in enumerate(self.size):
+            out = out * _interval_factor(p[..., i], side / 2.0, sigma)
+        return out
+
+    def _unit_form_factor(self, k):
+        a, b, c = self.size
+        return (a * _sinc(k[..., 0] * a / 2.0)
+                * b * _sinc(k[..., 1] * b / 2.0)
+                * c * _sinc(k[..., 2] * c / 2.0))
+
+
+@dataclass(frozen=True)
+class ConeCappedCylinder(_Solid):
+    """Cylinder whose two flat faces are replaced by outward cones.
+
+    ``apex_angle`` is the full opening angle of each cone; the flat-face
+    limit is apex_angle -> pi.  The cylindrical section has length
+    ``length``; the cones extend beyond it.
+    """
+
+    radius: float = _length()
+    length: float = _length()
+    apex_angle: float = _field(_apex_angle, "angle")  # rad, 0 < angle < pi
+    axis: tuple = _axis()
+    center: tuple = _center()
+    cavities: tuple = _cavities()
+
+    @property
+    def cone_height(self):
+        return self.radius / math.tan(self.apex_angle / 2.0)
+
+    def _sdf(self, p):
+        half = self.length / 2.0
+        h = self.cone_height
+        d = _cyl_sdf(p, self.radius, half)
+        for sgn in (1.0, -1.0):
+            q = p.copy()
+            q[:, 2] *= sgn
+            d = np.minimum(d, _cone_sdf(q, self.radius, half, half + h))
+        return d
+
+    def _half_extent(self):
+        return np.array([self.radius, self.radius, self.length / 2.0 + self.cone_height])
+
+    def _patch_families(self, n):
+        R, half, ang = self.radius, self.length / 2.0, self.apex_angle
+        nl, nr, nphi = n["len"], n["rad"], n["phi"]
+        return [_family(nl * nphi, _cylinder_lateral, R, -half, half, nl, nphi),
+                _family(nr * nphi, _cone_patches, R, half, +1, ang, nr, nphi),
+                _family(nr * nphi, _cone_patches, R, -half, -1, ang, nr, nphi)]
+
+    def _parts(self):
+        R, L = self.radius, self.length
+        alpha = self.apex_angle / 2.0
+        h = self.cone_height
         V_cyl = np.pi * R**2 * L
         V_cone = np.pi * R**2 * h / 3.0
         V = V_cyl + 2.0 * V_cone
@@ -722,22 +550,312 @@ def _solid_parts(spec):
             Jc = Jc + V_cone * np.outer([0, 0, zc], [0, 0, zc])
             J = J + Jc
         # J above is about the local origin, which is the centroid by symmetry
-        return [world(V, A, np.zeros(3), J)]
-    if isinstance(spec, GappedCylinder):
-        R = spec.radius
-        seg, centers = spec.segments()
+        return [(V, A, np.zeros(3), J)]
+
+    def _smoothed_unit(self, p, sigma):
+        # erf profile of the signed distance; exact away from the base-rim
+        # and apex neighborhoods
+        sdf = self._sdf(p.reshape(-1, 3))
+        return ndtr(-sdf / sigma).reshape(p.shape[:-1])
+
+
+@dataclass(frozen=True)
+class EllipticCylinder(_Solid):
+    """Cylinder with elliptic cross section, semi-axes a (x) and b (y)."""
+
+    semi_axis_a: float = _length()
+    semi_axis_b: float = _length()
+    length: float = _length()
+    axis: tuple = _axis()
+    center: tuple = _center()
+    cavities: tuple = _cavities()
+
+    def _inside(self, p):
+        q = (p[:, 0] / self.semi_axis_a) ** 2 + (p[:, 1] / self.semi_axis_b) ** 2
+        return (q <= 1.0) & (np.abs(p[:, 2]) <= self.length / 2.0)
+
+    def _half_extent(self):
+        r = max(self.semi_axis_a, self.semi_axis_b)
+        return np.array([r, r, self.length / 2.0])
+
+    def _patch_families(self, n):
+        a, b, half = self.semi_axis_a, self.semi_axis_b, self.length / 2.0
+        nl, nr, ne = n["len"], n["rad"], n["ellipse"]
+        return [_family(ne * nl, _elliptic_lateral, a, b, -half, half, ne, nl),
+                _family(nr * ne, _elliptic_disc, a, b, half, +1, nr, ne),
+                _family(nr * ne, _elliptic_disc, a, b, -half, -1, nr, ne)]
+
+    def _parts(self):
+        a, b, L = self.semi_axis_a, self.semi_axis_b, self.length
+        V = np.pi * a * b * L
+        big, small = max(a, b), min(a, b)
+        perimeter = 4.0 * big * ellipe(1.0 - (small / big) ** 2)
+        A = perimeter * L + 2.0 * np.pi * a * b
+        J = np.diag([V * a**2 / 4.0, V * b**2 / 4.0, V * L**2 / 12.0])
+        return [(V, A, np.zeros(3), J)]
+
+    def _unit_form_factor(self, k):
+        a, b, L = self.semi_axis_a, self.semi_axis_b, self.length
+        kl = k @ local_frame(self)
+        zeta = np.hypot(kl[..., 0] * a, kl[..., 1] * b)
+        return np.pi * a * b * L * _jinc(zeta) * _sinc(kl[..., 2] * L / 2.0)
+
+
+@dataclass(frozen=True)
+class GappedCylinder(_Solid):
+    """Cylinder of overall span ``length`` cut by evenly spaced gaps.
+
+    ``gap_count`` perpendicular gaps of width ``gap_width`` split the rod
+    into gap_count + 1 equal solid segments; every cut face is a material
+    boundary.
+    """
+
+    radius: float = _length()
+    length: float = _length()
+    gap_count: int = _field(_count, "dimensionless")
+    gap_width: float = _field(lambda name, value: float(value), "length")
+    axis: tuple = _axis()
+    center: tuple = _center()
+    cavities: tuple = _cavities()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.gap_count > 0:
+            _positive("gap_width", self.gap_width)
+            if self.gap_count * self.gap_width >= self.length:
+                raise DegenerateDimension("gaps consume the whole cylinder")
+
+    def segments(self):
+        """(segment_length, list of segment center offsets along the axis)."""
+        n = self.gap_count
+        seg = (self.length - n * self.gap_width) / (n + 1)
+        starts = -self.length / 2.0 + np.arange(n + 1) * (seg + self.gap_width)
+        return seg, starts + seg / 2.0
+
+    def _inside(self, p):
+        r_ok = np.hypot(p[:, 0], p[:, 1]) <= self.radius
+        seg, centers = self.segments()
+        z_ok = np.zeros(len(p), dtype=bool)
+        for zc in centers:
+            z_ok |= np.abs(p[:, 2] - zc) <= seg / 2.0
+        return r_ok & z_ok
+
+    def _sdf(self, p):
+        seg, centers = self.segments()
+        d = np.full(len(p), np.inf)
+        for zc in centers:
+            q = p.copy()
+            q[:, 2] -= zc
+            d = np.minimum(d, _cyl_sdf(q, self.radius, seg / 2.0))
+        return d
+
+    def _half_extent(self):
+        return np.array([self.radius, self.radius, self.length / 2.0])
+
+    def _patch_families(self, n):
+        seg, centers = self.segments()
+        return [fam for zc in centers
+                for fam in _cylinder_families(self.radius, zc - seg / 2, zc + seg / 2, n)]
+
+    def _parts(self):
+        R = self.radius
+        seg, centers = self.segments()
         V_seg = np.pi * R**2 * seg
         A_seg = 2.0 * np.pi * R * seg + 2.0 * np.pi * R**2
         J_seg = np.diag([V_seg * R**2 / 4.0, V_seg * R**2 / 4.0, V_seg * seg**2 / 12.0])
-        return [world(V_seg, A_seg, [0.0, 0.0, zc], J_seg) for zc in centers]
-    if isinstance(spec, Mesh):
-        V, first, second = spec.mesh.integral_moments()
+        return [(V_seg, A_seg, [0.0, 0.0, zc], J_seg) for zc in centers]
+
+    def _smoothed_unit(self, p, sigma):
+        r = np.hypot(p[..., 0], p[..., 1])
+        seg, centers = self.segments()
+        axial = 0.0
+        for zc in centers:
+            axial = axial + _interval_factor(p[..., 2] - zc, seg / 2.0, sigma)
+        return _disc_factor(r, self.radius, sigma) * axial
+
+
+@dataclass(frozen=True)
+class Mesh(_Solid):
+    """Shape defined by a watertight triangle mesh."""
+
+    mesh: TriangleMesh = _field(_triangle_mesh)
+    center: tuple = _center()
+    cavities: tuple = _cavities()
+
+    def _inside(self, p):
+        return self.mesh.contains(p)
+
+    def _bounds(self):
+        return self.mesh.bounding_box()
+
+    def _patch_families(self, n):
+        # the per-facet mid-edge rule; resolution does not apply
+        return [_family(3 * len(self.mesh.faces), self.mesh.surface_patches)]
+
+    def _parts(self):
+        V, first, second = self.mesh.integral_moments()
         if V <= 0:
             raise DegenerateDimension("mesh volume is not positive")
         c_local = first / V
         J_local = second - V * np.outer(c_local, c_local)
-        return [world(V, spec.mesh.area(), c_local, J_local)]
-    raise UnsupportedShape(type(spec).__name__)
+        return [(V, self.mesh.area(), c_local, J_local)]
+
+
+ANALYTIC_SHAPES = (Sphere, Cylinder, Box, ConeCappedCylinder, EllipticCylinder, GappedCylinder)
+Shape = (*ANALYTIC_SHAPES, Mesh)
+
+
+def local_frame(spec):
+    """Rotation matrix mapping local coordinates (axis = +z) to world."""
+    axis = getattr(spec, "axis", None)
+    if axis is None:
+        return np.eye(3)
+    return rotation_to_z(axis)
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def build_shape(spec):
+    """Validate a shape spec (including cavities) and return it.
+
+    Numeric invariants are enforced at construction; this adds the
+    geometric cavity checks: cavities must be strictly inside the host
+    material and mutually disjoint.  Idempotent.
+    """
+    if not isinstance(spec, Shape):
+        raise UnsupportedShape(f"not a shape spec: {type(spec).__name__}")
+    if getattr(spec, "_validated", False):
+        return spec
+    if spec.cavities:
+        _check_cavities(spec)
+    object.__setattr__(spec, "_validated", True)
+    return spec
+
+
+def _cavity_probe_points(cavity):
+    return quadrature(_bare(cavity), resolution=8).points
+
+
+def _bare(spec):
+    """The same shape spec without its cavities (host material only)."""
+    if not spec.cavities:
+        return spec
+    return replace(spec, cavities=())
+
+
+def _check_cavities(spec):
+    """Cavities must sit strictly inside the host and apart from each other.
+
+    Checks are exact for spherical cavities against hosts with a signed
+    distance (tangency included); other combinations are validated on
+    sampled cavity-surface probes.
+    """
+    host = _bare(spec)
+    probes = []
+    for cav in spec.cavities:
+        if not isinstance(cav, Shape):
+            raise CavityOverlap(f"cavity is not a shape spec: {cav!r}")
+        if cav.cavities:
+            raise CavityOverlap("cavities may not themselves contain cavities")
+        pts = _cavity_probe_points(cav)
+        if not np.all(contains(host, pts)):
+            raise CavityOverlap("cavity surface is not strictly inside the host")
+        try:
+            if np.max(signed_distance(host, pts)) >= 0.0:
+                raise CavityOverlap("cavity touches the host boundary")
+            if isinstance(cav, Sphere):
+                center = np.asarray(cav.center)[None, :]
+                if signed_distance(host, center)[0] + cav.radius >= 0.0:
+                    raise CavityOverlap("cavity touches the host boundary")
+        except UnsupportedShape:
+            pass  # parity test above is the best available for mesh hosts
+        probes.append(pts)
+    for i, cav_i in enumerate(spec.cavities):
+        for j, cav_j in enumerate(spec.cavities):
+            if i >= j:
+                continue
+            if isinstance(cav_i, Sphere) and isinstance(cav_j, Sphere):
+                gap = np.linalg.norm(np.asarray(cav_i.center) - np.asarray(cav_j.center))
+                if gap <= cav_i.radius + cav_j.radius:
+                    raise CavityOverlap(f"cavities {i} and {j} overlap")
+            elif (np.any(contains(_bare(cav_j), probes[i]))
+                  or np.any(contains(_bare(cav_i), probes[j]))):
+                raise CavityOverlap(f"cavities {i} and {j} overlap")
+
+
+# ---------------------------------------------------------------------------
+# point classification
+
+
+def _to_local(spec, points):
+    frame = local_frame(spec)
+    return (points - np.asarray(spec.center)) @ frame
+
+
+def contains(spec, points):
+    """Boolean mask: is there material at each point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    inside = spec._inside(_to_local(spec, points))
+    for cav in spec.cavities:
+        inside &= ~cav._inside(_to_local(cav, points))
+    return inside
+
+
+def signed_distance(spec, points):
+    """Signed distance to the material boundary (negative inside).
+
+    Available for sphere, box, cylinder, gapped and cone-capped cylinders
+    and compositions with such cavities; unavailable for elliptic
+    cylinders and meshes.  Exact except for the cone-capped cylinder,
+    whose distance is the minimum over its cylinder and cone pieces and
+    so is too small in magnitude inside the body near the seam discs.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    d = spec._sdf(_to_local(spec, points))
+    for cav in spec.cavities:
+        d = np.maximum(d, -cav._sdf(_to_local(cav, points)))
+    return d
+
+
+def bounding_box(spec):
+    """Axis-aligned (min, max) corners of the material."""
+    c = np.asarray(spec.center)
+    lo, hi = spec._bounds()
+    return c + lo, c + hi
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+
+def quadrature(spec, resolution=DEFAULT_RESOLUTION, max_patches=MAX_PATCHES):
+    """Surface quadrature of the whole material boundary.
+
+    Covers the outer surface, gap faces, and cavity walls; cavity-wall
+    normals point out of the material.  For meshes the decomposition is
+    the per-facet mid-edge rule and ``resolution`` is ignored.
+    """
+    spec = build_shape(spec)
+    counts = _counts(resolution)
+    solids = [spec, *spec.cavities]
+    families = [solid._patch_families(counts) for solid in solids]
+    total = sum(size for fams in families for size, _ in fams)
+    if total > max_patches:
+        raise ResolutionOverflow(f"{total} patches exceed the cap {max_patches}")
+
+    host, *cavities = [
+        SurfacePatches.concatenate([build() for _, build in fams])
+        .rotated(local_frame(solid)).translated(solid.center)
+        for solid, fams in zip(solids, families)
+    ]
+    flipped = [c.flipped() for c in cavities]
+    return SurfacePatches.concatenate([host] + flipped) if cavities else host
+
+
+# ---------------------------------------------------------------------------
+# mass properties
 
 
 def mass_properties(spec, density):
@@ -749,7 +867,11 @@ def mass_properties(spec, density):
     if not (density > 0.0):
         raise DegenerateDimension(f"density must be positive, got {density}")
     spec = build_shape(spec)
-    parts = [(+1.0, *p) for p in _solid_parts(spec)]
-    for cav in spec.cavities:
-        parts.extend((-1.0, *p) for p in _solid_parts(cav))
+    parts = []
+    for sign, solid in [(+1.0, spec)] + [(-1.0, cav) for cav in spec.cavities]:
+        # each part's J is its second moment about its own centroid
+        frame, center = local_frame(solid), np.asarray(solid.center)
+        for V, A, c, J in solid._parts():
+            parts.append((sign, V, A, frame @ np.asarray(c) + center,
+                          frame @ np.asarray(J) @ frame.T))
     return compose_mass_properties(parts, density)

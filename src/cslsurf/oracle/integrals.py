@@ -29,19 +29,10 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
-from scipy.special import j1
 
 from ..csl import CslParams
 from ..errors import GridTooLarge, QuadratureNotConverged, ShiftOutOfGrid
-from ..geometry.shapes import (
-    Box,
-    Cylinder,
-    EllipticCylinder,
-    Sphere,
-    _bare,
-    build_shape,
-    local_frame,
-)
+from ..geometry.shapes import _bare, build_shape
 from .voxel import DEFAULT_MAX_VOXELS, VoxelGrid, _grid_geometry
 
 KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e-27
@@ -130,12 +121,10 @@ def form_factor(spec):
     """
     spec = build_shape(spec)
     parts = [(1.0, _bare(spec))] + [(-1.0, c) for c in spec.cavities]
-    fns = []
-    for sign, part in parts:
-        fn = _solid_form_factor(part)
-        if fn is None:
-            return None
-        fns.append((sign, np.asarray(part.center, dtype=float), fn))
+    if any(part._unit_form_factor is None for _, part in parts):
+        return None
+    fns = [(sign, np.asarray(part.center, dtype=float), part._unit_form_factor)
+           for sign, part in parts]
 
     def mu(k):
         k = np.asarray(k, dtype=float)
@@ -146,63 +135,6 @@ def form_factor(spec):
         return out
 
     return mu
-
-
-def _sinc(x):
-    return np.sinc(x / np.pi)
-
-
-def _jinc(x):
-    """2 J1(x) / x, continuous through 0."""
-    small = np.abs(x) < 1e-6
-    xs = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x**2 / 8.0, 2.0 * j1(xs) / xs)
-
-
-def _solid_form_factor(spec):
-    frame = local_frame(spec)
-    if isinstance(spec, Sphere):
-        R = spec.radius
-        V = 4.0 * np.pi * R**3 / 3.0
-
-        def mu(k):
-            u = np.linalg.norm(k, axis=-1) * R
-            small = np.abs(u) < 1e-6
-            us = np.where(small, 1.0, u)
-            g = np.where(small, 1.0 - u**2 / 10.0, 3.0 * (np.sin(us) - us * np.cos(us)) / us**3)
-            return V * g
-
-        return mu
-    if isinstance(spec, Box):
-        a, b, c = spec.size
-
-        def mu(k):
-            return (a * _sinc(k[..., 0] * a / 2.0)
-                    * b * _sinc(k[..., 1] * b / 2.0)
-                    * c * _sinc(k[..., 2] * c / 2.0))
-
-        return mu
-    if isinstance(spec, Cylinder):
-        R, L = spec.radius, spec.length
-        V = np.pi * R**2 * L
-
-        def mu(k):
-            kl = k @ frame  # local frame components
-            kperp = np.hypot(kl[..., 0], kl[..., 1])
-            return V * _jinc(kperp * R) * _sinc(kl[..., 2] * L / 2.0)
-
-        return mu
-    if isinstance(spec, EllipticCylinder):
-        a, b, L = spec.semi_axis_a, spec.semi_axis_b, spec.length
-        V = np.pi * a * b * L
-
-        def mu(k):
-            kl = k @ frame
-            zeta = np.hypot(kl[..., 0] * a, kl[..., 1] * b)
-            return V * _jinc(zeta) * _sinc(kl[..., 2] * L / 2.0)
-
-        return mu
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ isotropic Gaussian of width sigma.  For spheres, boxes, circular and
 gapped cylinders the convolution separates into exact 1-D/2-D factors
 and is evaluated in closed form (erf products and the noncentral
 chi-square disc integral); cone-capped cylinders use the erf profile of
-the exact signed distance; elliptic cylinders and meshes fall back to a
+their signed distance; elliptic cylinders and meshes fall back to a
 supersampled indicator filtered on the grid.
 """
 
@@ -16,15 +16,9 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 from scipy.fft import next_fast_len
-from scipy.special import chndtr, ndtr
 
-from ..errors import GridTooLarge, SpacingTooCoarse, UnsupportedShape
+from ..errors import GridTooLarge, ParseError, SpacingTooCoarse, UnsupportedShape
 from ..geometry.shapes import (
-    Box,
-    ConeCappedCylinder,
-    Cylinder,
-    GappedCylinder,
-    Sphere,
     bounding_box,
     build_shape,
     contains,
@@ -71,9 +65,12 @@ class VoxelGrid:
 
 
 def write_grid(grid: VoxelGrid, path):
-    """Dump as a one-line text header plus raw little-endian float64."""
-    header = "cslgrid 1 {} {} {} {:.17g} {:.17g} {:.17g} {:.17g}\n".format(
-        *grid.dims, grid.spacing, *grid.origin
+    """Dump as a one-line text header plus raw little-endian float64.
+
+    The header is ``cslgrid 2 nx ny nz spacing ox oy oz margin``.
+    """
+    header = "cslgrid 2 {} {} {} {:.17g} {:.17g} {:.17g} {:.17g} {:.17g}\n".format(
+        *grid.dims, grid.spacing, *grid.origin, grid.margin
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -81,82 +78,39 @@ def write_grid(grid: VoxelGrid, path):
 
 
 def read_grid(path):
+    """Read a grid written by :func:`write_grid`.
+
+    Version-1 files carry no margin, so a shift guard on them could not
+    hold; they raise :class:`ParseError`.
+    """
     with open(Path(path), "rb") as fh:
         header = fh.readline().decode("ascii").split()
-        if len(header) != 9 or header[0] != "cslgrid":
-            raise ValueError("not a cslgrid file")
+        if len(header) != 10 or header[:2] != ["cslgrid", "2"]:
+            raise ParseError("not a cslgrid 2 file (version 1 carries no grid margin)")
         nx, ny, nz = (int(x) for x in header[2:5])
         spacing = float(header[5])
         origin = np.array([float(x) for x in header[6:9]])
+        margin = float(header[9])
         data = np.frombuffer(fh.read(8 * nx * ny * nz), dtype="<f8")
-    return VoxelGrid(origin, spacing, data.reshape(nx, ny, nz).copy())
+    return VoxelGrid(origin, spacing, data.reshape(nx, ny, nz).copy(), margin)
 
 
 # ---------------------------------------------------------------------------
-# exact smoothed factors
-
-
-def _interval_factor(x, half, sigma):
-    """Convolution of the indicator of [-half, half] with g_sigma."""
-    return ndtr((x + half) / sigma) - ndtr((x - half) / sigma)
-
-
-def _disc_factor(r, radius, sigma):
-    """Convolution of a 2-D disc indicator with the 2-D Gaussian.
-
-    P(|X + r| <= radius) for X ~ N(0, sigma^2 I2), i.e. the noncentral
-    chi-square CDF with 2 degrees of freedom.
-    """
-    return chndtr((radius / sigma) ** 2, 2.0, (r / sigma) ** 2)
-
-
-def _ball_factor(d, radius, sigma):
-    """Convolution of a 3-D ball indicator with the 3-D Gaussian (exact)."""
-    d = np.asarray(d, dtype=float)
-    up = (d + radius) / sigma
-    um = (d - radius) / sigma
-    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = ndtr(-um) - ndtr(-up) + (sigma / d) * (phi(up) - phi(um))
-    center = ndtr(radius / sigma) - ndtr(-radius / sigma) - 2.0 * (radius / sigma) * phi(radius / sigma)
-    return np.where(d < 1e-9 * sigma, center, out)
+# point evaluation
 
 
 def _part_unit_field(spec, sigma, points, profile):
     """Smoothed indicator (0..1) of a bare solid at the given points."""
-    leading = points.shape[:-1]
     if profile is not None and not profile.is_step:
         # soft skin: profile of the signed distance, smoothed
         sdf = signed_distance(_bare(spec), points.reshape(-1, 3))
-        return profile.smoothed(sdf, sigma).reshape(leading)
-    frame = local_frame(spec)
-    p = (points - np.asarray(spec.center)) @ frame
-    if isinstance(spec, Sphere):
-        return _ball_factor(np.linalg.norm(p, axis=-1), spec.radius, sigma)
-    if isinstance(spec, Box):
-        out = 1.0
-        for i, side in enumerate(spec.size):
-            out = out * _interval_factor(p[..., i], side / 2.0, sigma)
-        return out
-    if isinstance(spec, Cylinder):
-        r = np.hypot(p[..., 0], p[..., 1])
-        return (_disc_factor(r, spec.radius, sigma)
-                * _interval_factor(p[..., 2], spec.length / 2.0, sigma))
-    if isinstance(spec, GappedCylinder):
-        r = np.hypot(p[..., 0], p[..., 1])
-        seg, centers = spec.segments()
-        axial = 0.0
-        for zc in centers:
-            axial = axial + _interval_factor(p[..., 2] - zc, seg / 2.0, sigma)
-        return _disc_factor(r, spec.radius, sigma) * axial
-    if isinstance(spec, ConeCappedCylinder):
-        # erf profile of the exact signed distance; exact away from the
-        # base-rim and apex neighborhoods
-        sdf = signed_distance(_bare(spec), points.reshape(-1, 3))
-        return ndtr(-sdf / sigma).reshape(leading)
-    raise UnsupportedShape(
-        f"no point evaluator for {type(spec).__name__}; rasterize instead"
-    )
+        return profile.smoothed(sdf, sigma).reshape(points.shape[:-1])
+    if spec._smoothed_unit is None:
+        raise UnsupportedShape(
+            f"no point evaluator for {type(spec).__name__}; rasterize instead"
+        )
+    p = (points - np.asarray(spec.center)) @ local_frame(spec)
+    return spec._smoothed_unit(p, sigma)
 
 
 def smoothed_density(spec, density, sigma, points, profile=None):
@@ -242,10 +196,8 @@ def _needs_grid_filter(spec, profile):
                 return True
             except UnsupportedShape:
                 return False
-        return isinstance(s, (Sphere, Box, Cylinder, GappedCylinder, ConeCappedCylinder))
-    if not pointwise(spec):
-        return True
-    return any(not pointwise(c) for c in spec.cavities)
+        return s._smoothed_unit is not None
+    return not all(pointwise(s) for s in (spec, *spec.cavities))
 
 
 def supersampled_fraction(spec, dims, origin, spacing):

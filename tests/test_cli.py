@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -263,6 +264,41 @@ class TestPlumbing:
     def test_no_shape(self, capsys):
         code, out, err = run(capsys, "rates", "--density", "1000")
         assert code == 1
+
+    def test_zero_tolerance_is_honoured(self, capsys):
+        code, out, err = run(capsys, "validate", "--shape",
+                             '{"type":"sphere","radius":"0.6 um"}',
+                             "--density", "1000", "--tolerance", "0")
+        assert code == 2
+        report = json.loads(out)
+        assert report["results"]["tolerance"] == 0.0
+        assert report["results"]["passed"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ("tensors", "--shape", SPHERE, "--resolution", "0"),
+        ("tensors", "--shape", SPHERE, "--resolution", "-4"),
+        ("validate", "--shape", SPHERE, "--tolerance", "-0.01"),
+    ])
+    def test_out_of_range_resolution_and_tolerance_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must" in err
+
+    def test_mesh_report_records_path_and_hash(self, capsys, tmp_path):
+        path = tmp_path / "cube.stl"
+        path.write_bytes(mesh_to_stl(box_mesh(1e-6, 1e-6, 1e-6)))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        shape_doc = json.dumps({"type": "box", "size": ["3 um", "3 um", "3 um"],
+                                "cavities": [{"type": "mesh", "path": str(path)}]})
+        for argv in (("--mesh", str(path)),
+                     ("--shape", json.dumps({"type": "mesh", "path": str(path)}))):
+            shape = run_json(capsys, "tensors", *argv)["config"]["shape"]
+            assert shape["type"] == "mesh"
+            assert (shape["path"], shape["sha256"]) == (str(path), digest)
+            assert (shape["vertices"], shape["faces"]) == (8, 12)
+        cavity = run_json(capsys, "tensors", "--shape", shape_doc)["config"]["shape"]
+        assert cavity["cavities"][0]["sha256"] == digest
 
     def test_csv_key_value_fallback(self, capsys):
         code, out, err = run(capsys, "tensors", "--shape", SPHERE,

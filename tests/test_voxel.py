@@ -7,7 +7,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from cslsurf.errors import GridTooLarge, SpacingTooCoarse, UnsupportedShape
+from cslsurf.csl import CslParams
+from cslsurf.errors import (
+    GridTooLarge,
+    ParseError,
+    ShiftOutOfGrid,
+    SpacingTooCoarse,
+    UnsupportedShape,
+)
 from cslsurf.geometry import (
     Box,
     ConeCappedCylinder,
@@ -20,6 +27,7 @@ from cslsurf.geometry import (
 )
 from cslsurf.oracle import (
     EdgeProfile,
+    decoherence_function,
     edge_layer_factor,
     rasterize_smoothed_density,
     read_grid,
@@ -150,6 +158,22 @@ class TestRasterize:
         assert back.spacing == grid.spacing
         assert np.array_equal(back.origin, grid.origin)
         assert np.array_equal(back.values, grid.values)
+        assert back.margin == grid.margin
+
+    def test_reread_grid_keeps_shift_guard(self, tmp_path):
+        grid = rasterize_smoothed_density(Sphere(5 * SIGMA), RHO, SIGMA)
+        path = tmp_path / "field.cslgrid"
+        write_grid(grid, path)
+        back = read_grid(path)
+        far = np.array([grid.margin + SIGMA, 0.0, 0.0])
+        with pytest.raises(ShiftOutOfGrid):
+            decoherence_function(back, far, CslParams())
+
+    def test_version_one_grid_rejected(self, tmp_path):
+        path = tmp_path / "old.cslgrid"
+        path.write_bytes(b"cslgrid 1 1 1 1 1e-07 0 0 0\n" + np.zeros(1).tobytes())
+        with pytest.raises(ParseError, match="margin"):
+            read_grid(path)
 
 
 class TestProfiles:
