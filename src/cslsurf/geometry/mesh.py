@@ -6,8 +6,10 @@ repaired by flipping every face; mixed winding is rejected.
 """
 
 import io
+import itertools
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +18,49 @@ from .patches import SurfacePatches
 
 # vertex dedup tolerance, relative to the bounding-box diagonal
 DEDUP_RELATIVE_TOL = 1e-9
+
+
+class _RayFaces(NamedTuple):
+    """Faces as seen by +x rays, face axis first.
+
+    Edge k of a face is opposite its corner k.  ``base`` and ``step`` are
+    its (y, z) start and direction, taken from its lexicographically
+    smaller end; ``sign`` (+-1) turns the edge function into the
+    barycentric weight of corner k; ``owns`` says whether a line exactly
+    on the edge is inside.
+    """
+
+    base: np.ndarray   # (m, 3, 2)
+    step: np.ndarray   # (m, 3, 2)
+    sign: np.ndarray   # (m, 3)
+    owns: np.ndarray   # (m, 3) bool
+    x: np.ndarray      # (m, 3) corner x
+    lo: np.ndarray     # (m, 2) yz bounding box
+    hi: np.ndarray     # (m, 2)
+
+    def take(self, index):
+        return _RayFaces(*(a[index] for a in self))
+
+    def crossings(self, y, z):
+        """(hit, x): does the +x line at (y, z) cross each face, and where.
+
+        ``y`` and ``z`` broadcast against the face axis.  Only elementwise
+        arithmetic, so any two callers get the same bits for the same
+        line and face.
+        """
+        yl, zl = y[..., None], z[..., None]
+        w = self.sign * (self.step[..., 0] * (zl - self.base[..., 1])
+                         - self.step[..., 1] * (yl - self.base[..., 0]))
+        total = w[..., 0] + w[..., 1] + w[..., 2]
+        # the bounding box is the scanline's cull; testing it here too keeps
+        # both callers equal where rounding puts a line just outside the
+        # box on the inner side of all three edges
+        hit = (np.all((w > 0.0) | ((w == 0.0) & self.owns), axis=-1) & (total > 0.0)
+               & (self.lo[..., 0] <= y) & (y <= self.hi[..., 0])
+               & (self.lo[..., 1] <= z) & (z <= self.hi[..., 1]))
+        x = (w[..., 0] * self.x[..., 0] + w[..., 1] * self.x[..., 1]
+             + w[..., 2] * self.x[..., 2]) / np.where(hit, total, 1.0)
+        return hit, x
 
 
 class TriangleMesh:
@@ -143,34 +188,79 @@ class TriangleMesh:
     def translated(self, offset):
         return TriangleMesh(self.vertices + np.asarray(offset, float), self.faces, validate=False)
 
-    def contains(self, points, chunk=4096):
-        """Even-odd ray-parity test.
+    def _ray_faces(self):
+        """Per-face data of the +x ray test; faces parallel to x are left out."""
+        corner = self.vertices[self.faces]                  # (m, corner, xyz)
+        yz = corner[:, :, 1:]
+        e, f = yz[:, 1] - yz[:, 0], yz[:, 2] - yz[:, 0]
+        area = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]        # twice the yz shadow
+        keep = area != 0.0
+        yz, area, x = yz[keep], area[keep], corner[keep, :, 0]
+        # edge k runs from corner k+1 to corner k+2, opposite corner k
+        tail, head = yz[:, [1, 2, 0]], yz[:, [2, 0, 1]]
+        # evaluate each edge from its lexicographically smaller (y, z) end,
+        # so the two faces sharing it get exactly opposite values
+        flip = (head[..., 0] < tail[..., 0]) | (
+            (head[..., 0] == tail[..., 0]) & (head[..., 1] < tail[..., 1]))
+        base = np.where(flip[..., None], head, tail)
+        step = np.where(flip[..., None], tail - head, head - tail)
+        sign = np.where(flip, -1.0, 1.0) * np.sign(area)[:, None]
+        # top-left rule: a line exactly on an edge counts as if moved by an
+        # infinitesimal step toward +y (and a smaller one toward +z)
+        dy, dz = sign * step[..., 0], sign * step[..., 1]
+        owns = (dz < 0.0) | ((dz == 0.0) & (dy > 0.0))
+        return _RayFaces(base, step, sign, owns, x, yz.min(axis=1), yz.max(axis=1))
 
-        The ray direction is a fixed incommensurate unit vector so that
-        rays from symmetric queries do not thread mesh vertices or edges
-        (an axis-aligned ray through an icosphere center would).
+    def contains(self, points, chunk=4096):
+        """Even-odd parity of the crossings of a +x ray from each point.
+
+        A crossing is where the ray's (y, z) line meets a face's shadow
+        on the yz plane, at the x its barycentric weights give.  Each
+        edge is evaluated from its lexicographically smaller (y, z) end,
+        so the two faces sharing it see exactly opposite values, and a
+        line exactly on an edge or a vertex counts as if moved by an
+        infinitesimal step toward +y (then +z), a top-left rule.  A ray
+        that threads an edge or a vertex is thus counted as a ray beside
+        it would be.  :meth:`contains_lattice` classifies a lattice by
+        the same arithmetic, so the two agree in every bit.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        p0, p1, p2 = self.corners()
-        e1 = p1 - p0
-        e2 = p2 - p0
-        d = np.array([0.852394209871, 0.413728902345, 0.319847102937])
-        d /= np.linalg.norm(d)
-        pvec = np.cross(d, e2)                       # (m, 3)
-        det = np.einsum("ij,ij->i", e1, pvec)        # (m,)
-        ok = np.abs(det) > 1e-300
-        inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        faces = self._ray_faces()
         out = np.zeros(len(points), dtype=bool)
         for lo in range(0, len(points), chunk):
-            pts = points[lo:lo + chunk]
-            tvec = pts[:, None, :] - p0[None, :, :]          # (p, m, 3)
-            u = np.einsum("pmj,mj->pm", tvec, pvec) * inv_det
-            qvec = np.cross(tvec, e1[None, :, :])
-            v = np.einsum("pmj,j->pm", qvec, d) * inv_det
-            t = np.einsum("pmj,mj->pm", qvec, e2) * inv_det
-            hit = (ok[None, :] & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0))
-            out[lo:lo + chunk] = np.sum(hit, axis=1) % 2 == 1
+            pts = points[lo:lo + chunk, None, :]
+            hit, x = faces.crossings(pts[..., 1], pts[..., 2])   # (p, m)
+            out[lo:lo + chunk] = np.count_nonzero(hit & (x > pts[..., 0]), axis=1) % 2 == 1
         return out
+
+    def contains_lattice(self, xs, ys, zs):
+        """:meth:`contains` at every point of an ascending lattice.
+
+        Returns a (len(ys), len(zs), len(xs)) mask.  One +x ray per
+        (y, z) line: each face is tested only against the lines in its
+        yz bounding box, each crossing is placed among the ``xs`` by
+        bisection, and a running parity along x classifies every sample.
+        """
+        xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
+        faces = self._ray_faces()
+        # the lines in each face's yz bounding box: ys[j0:j1] x zs[k0:k1]
+        j0, j1 = (np.searchsorted(ys, faces.lo[:, 0], "left"),
+                  np.searchsorted(ys, faces.hi[:, 0], "right"))
+        k0, k1 = (np.searchsorted(zs, faces.lo[:, 1], "left"),
+                  np.searchsorted(zs, faces.hi[:, 1], "right"))
+        nk = k1 - k0
+        lines = (j1 - j0) * nk
+        f = np.repeat(np.arange(len(lines)), lines)
+        o = np.arange(len(f)) - np.repeat(np.cumsum(lines) - lines, lines)
+        j, k = j0[f] + o // nk[f], k0[f] + o % nk[f]
+        hit, x = faces.take(f).crossings(ys[j], zs[k])
+        # the crossing is beyond exactly the samples xs[:i]
+        i = np.searchsorted(xs, x[hit], "left")
+        n = len(xs) + 1
+        events = np.bincount((j[hit] * len(zs) + k[hit]) * n + i,
+                             minlength=len(ys) * len(zs) * n).reshape(len(ys), len(zs), n)
+        beyond = np.cumsum(events[..., :0:-1], axis=-1)[..., ::-1]
+        return (beyond & 1).astype(bool)
 
     def surface_patches(self):
         """Mid-edge three-point rule per facet.
@@ -193,6 +283,35 @@ class TriangleMesh:
 # parsing
 
 
+def _row_index(keys):
+    """Dense index of each row among the distinct rows of ``keys``."""
+    order = np.lexsort(keys.T)
+    step = np.any(np.diff(keys[order], axis=0) != 0.0, axis=1)
+    index = np.empty(len(keys), dtype=np.int64)
+    index[order] = np.concatenate([[0], np.cumsum(step)])
+    return index
+
+
+def _weld_groups(vertices, tol):
+    """Lowest vertex index of each vertex's weld group.
+
+    Vertices closer than ``tol`` on every axis share a cell of side
+    2 tol in at least one of the eight lattices shifted by 0 or tol along
+    each axis; a group is a chain of such shared cells.
+    """
+    cells = [_row_index(np.floor(vertices / (2.0 * tol) + shift))
+             for shift in itertools.product((0.0, 0.5), repeat=3)]
+    group = np.arange(len(vertices))
+    while True:
+        before = group
+        for cell in cells:
+            low = np.full(cell.max() + 1, len(vertices))
+            np.minimum.at(low, cell, group)
+            group = low[cell]
+        if np.array_equal(group, before):
+            return group
+
+
 def _dedup(vertices, faces):
     vertices = np.asarray(vertices, dtype=float)
     faces = np.asarray(faces, dtype=np.int64)
@@ -203,10 +322,9 @@ def _dedup(vertices, faces):
     if diag == 0.0:
         raise ParseError("mesh is degenerate (zero bounding box)")
     tol = DEDUP_RELATIVE_TOL * diag
-    keys = np.round(vertices / tol).astype(np.int64)
-    uniq, index, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    new_vertices = vertices[index]
-    new_faces = inverse[faces]
+    first, group = np.unique(_weld_groups(vertices, tol), return_inverse=True)
+    new_vertices = vertices[first]
+    new_faces = group[faces]
     # drop faces that collapsed during welding
     good = (
         (new_faces[:, 0] != new_faces[:, 1])

@@ -350,11 +350,13 @@ class _Solid:
     functions) and points ``p`` in its local frame: center at the origin,
     axis along +z.  ``_smoothed_unit`` and ``_unit_form_factor`` are None
     where there is no closed form; callers then filter a raster or take
-    the DFT route.
+    the DFT route.  ``_scanline`` classifies a world-axis lattice at once
+    (see ``Mesh``); None means point by point.
     """
 
     _smoothed_unit = None
     _unit_form_factor = None
+    _scanline = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -684,6 +686,10 @@ class Mesh(_Solid):
 
     def _inside(self, p):
         return self.mesh.contains(p)
+
+    def _scanline(self, xs, ys, zs):
+        c = self.center
+        return self.mesh.contains_lattice(xs - c[0], ys - c[1], zs - c[2])
 
     def _bounds(self):
         return self.mesh.bounding_box()

@@ -7,6 +7,16 @@ and is evaluated in closed form (erf products and the noncentral
 chi-square disc integral); cone-capped cylinders use the erf profile of
 their signed distance; elliptic cylinders and meshes fall back to a
 supersampled indicator filtered on the grid.
+
+That indicator is the share of a 4x4x4 subsample lattice per voxel that
+lies in the material.  Meshes fill it by scanline parity: one +x ray per
+(y, z) subsample line, crossed with every face whose yz bounding box holds
+the line, and a running parity along x.  Each edge is evaluated from one
+fixed end, so the faces sharing it see exactly opposite values, and a
+line exactly on an edge or a vertex is counted as if moved by an
+infinitesimal step toward +y (then +z), a top-left rule: it crosses the
+surface there once, as a line beside it would.  The lattice is the same
+for every shape, so the fraction is always a count over 64.
 """
 
 import math
@@ -87,12 +97,18 @@ def read_grid(path):
         header = fh.readline().decode("ascii").split()
         if len(header) != 10 or header[:2] != ["cslgrid", "2"]:
             raise ParseError("not a cslgrid 2 file (version 1 carries no grid margin)")
-        nx, ny, nz = (int(x) for x in header[2:5])
-        spacing = float(header[5])
-        origin = np.array([float(x) for x in header[6:9]])
-        margin = float(header[9])
-        data = np.frombuffer(fh.read(8 * nx * ny * nz), dtype="<f8")
-    return VoxelGrid(origin, spacing, data.reshape(nx, ny, nz).copy(), margin)
+        try:
+            nx, ny, nz = (int(x) for x in header[2:5])
+            spacing, *origin, margin = (float(x) for x in header[5:10])
+        except ValueError as exc:
+            raise ParseError(f"bad cslgrid header: {exc}") from None
+        data = fh.read()
+    if min(nx, ny, nz) < 1 or len(data) != 8 * nx * ny * nz:
+        raise ParseError(
+            f"grid data has {len(data)} bytes; a {nx}x{ny}x{nz} grid needs {8 * nx * ny * nz}"
+        )
+    values = np.frombuffer(data, dtype="<f8").reshape(nx, ny, nz).copy()
+    return VoxelGrid(np.array(origin), spacing, values, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +217,38 @@ def _needs_grid_filter(spec, profile):
 
 
 def supersampled_fraction(spec, dims, origin, spacing):
-    """Per-voxel material fraction from an ss^3 subsample of contains()."""
+    """Per-voxel material fraction: the share of an ss^3 subsample lattice
+    inside the material.
+
+    Meshes classify one voxel row of lattice lines at a time by scanline
+    parity; other solids are tested with contains() one x-plane at a time.
+    Cavities subtract per subsample.
+    """
     ss = _SUPERSAMPLE
     sub = (np.arange(ss) + 0.5) / ss - 0.5
     frac = np.empty(dims)
-    ax_y = origin[1] + spacing * (np.arange(dims[1])[:, None] + sub[None, :]).ravel()
-    ax_z = origin[2] + spacing * (np.arange(dims[2])[:, None] + sub[None, :]).ravel()
+    ax_x, ax_y, ax_z = (origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]).ravel()
+                        for a in range(3))
+    if spec._scanline is not None:
+        for j in range(dims[1]):
+            ys = ax_y[j * ss:(j + 1) * ss]
+            inside = spec._scanline(ax_x, ys, ax_z)               # (y, z, x)
+            if spec.cavities:
+                Y, Z, X = np.meshgrid(ys, ax_z, ax_x, indexing="ij")
+                pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+                for cav in spec.cavities:
+                    inside &= ~contains(cav, pts).reshape(inside.shape)
+            counts = inside.reshape(ss, dims[2], ss, dims[0], ss).sum(axis=(0, 2, 4))
+            frac[:, j, :] = counts.T / ss**3
+        return frac
     Y, Z = np.meshgrid(ax_y, ax_z, indexing="ij")
     pts = np.empty((Y.size, 3))
     pts[:, 1] = Y.ravel()
     pts[:, 2] = Z.ravel()
     for i in range(dims[0]):
         acc = np.zeros(Y.shape)
-        for s in sub:
-            pts[:, 0] = origin[0] + spacing * (i + s)
+        for x in ax_x[i * ss:(i + 1) * ss]:
+            pts[:, 0] = x
             acc += contains(spec, pts).reshape(Y.shape)
         blocks = acc.reshape(dims[1], ss, dims[2], ss)
         frac[i] = blocks.mean(axis=(1, 3)) / ss

@@ -14,6 +14,7 @@ from cslsurf.geometry import (
     mesh_to_obj,
     mesh_to_stl,
 )
+from cslsurf.geometry.mesh import DEDUP_RELATIVE_TOL
 
 
 class TestStl:
@@ -135,6 +136,23 @@ class TestWelding:
         stl = mesh_to_stl(TriangleMesh(soup, faces, validate=False))
         mesh = load_mesh(stl)
         assert len(mesh.vertices) == 8
+
+    def test_copies_straddling_a_rounding_boundary_weld(self):
+        # the soup's copies of corner (0.5, 0.5, 0.5) sit 0.1 tol apart, on
+        # either side of a half-multiple of tol, where rounding to a tol
+        # lattice splits them; the bounding box, and so tol, is unchanged
+        cube = box_mesh(1.0, 1.0, 1.0)
+        soup = np.concatenate(cube.corners())
+        faces = np.arange(36).reshape(3, 12).T
+        tol = DEDUP_RELATIVE_TOL * math.sqrt(3.0)
+        boundary = (math.floor(0.5 / tol) - 2 + 0.5) * tol
+        copies = np.flatnonzero(np.all(soup == 0.5, axis=1))
+        soup[copies, 0] = boundary + np.where(np.arange(len(copies)) % 2, 0.05, -0.05) * tol
+        obj = mesh_to_obj(TriangleMesh(soup, faces, validate=False))
+        mesh = load_mesh(obj.encode(), fmt="obj")
+        assert len(mesh.vertices) == 8
+        assert len(mesh.faces) == 12
+        assert mesh.volume() == pytest.approx(1.0, rel=1e-6)
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ParseError):

@@ -1,0 +1,82 @@
+"""Scanline solid voxelization of meshes against the per-point parity test."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
+
+from cslsurf.geometry import Box, Mesh, Sphere, TriangleMesh, box_mesh, contains, icosphere, mass_properties
+from cslsurf.oracle import rasterize_smoothed_density
+from cslsurf.oracle.voxel import _SUPERSAMPLE, _grid_geometry, supersampled_fraction
+
+SIGMA = 1e-7
+RHO = 2000.0
+
+# derandomized like test_properties; each example classifies ~1e5 points
+SCANLINE_SETTINGS = settings(max_examples=30, deadline=None, database=None,
+                             derandomize=True)
+
+
+def pointwise_fraction(spec, dims, origin, spacing):
+    """Mean of contains() over the same ss^3 subsample lattice, per voxel."""
+    ss = _SUPERSAMPLE
+    sub = (np.arange(ss) + 0.5) / ss - 0.5
+    axes = [origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]).ravel()
+            for a in range(3)]
+    X, Y, Z = np.meshgrid(*axes, indexing="ij")
+    inside = contains(spec, np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
+    blocks = inside.reshape(dims[0], ss, dims[1], ss, dims[2], ss)
+    return blocks.mean(axis=(1, 3, 5))
+
+
+@SCANLINE_SETTINGS
+@given(
+    kind=st.sampled_from(["box", "icosphere"]),
+    sides=st.tuples(*[st.floats(2.0, 5.0)] * 3),
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    shift=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+)
+# grid-centred cube: lattice lines pass exactly through the diagonal edge
+# shared by the two triangles of each x face
+@example(kind="box", sides=(3.0, 3.0, 3.0), quat=(0.0, 0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0))
+def test_scanline_fraction_matches_pointwise(kind, sides, quat, shift):
+    spacing = 1.0
+    base = box_mesh(*sides) if kind == "box" else icosphere(min(sides) / 2, 1)
+    turned = base.vertices @ Rotation.from_quat(quat).as_matrix().T
+    dims, origin = _grid_geometry(Mesh(mesh=TriangleMesh(turned, base.faces)), spacing, spacing)
+    # a sub-cell move of the mesh against its grid
+    spec = Mesh(mesh=TriangleMesh(turned + np.asarray(shift) * spacing, base.faces))
+    got = supersampled_fraction(spec, dims, origin, spacing)
+    assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
+
+
+@pytest.mark.parametrize("side, spacing", [(3.0, 1.0), (8.3 * SIGMA, SIGMA / 2)])
+def test_centred_box_mesh_matches_analytic_box(side, spacing):
+    # lines on the shared diagonals of the x faces must cross them once
+    box = Box((side, side, side))
+    dims, origin = _grid_geometry(box, spacing, 6 * spacing)
+    got = supersampled_fraction(Mesh(mesh=box_mesh(side, side, side)), dims, origin, spacing)
+    assert np.array_equal(got, supersampled_fraction(box, dims, origin, spacing))
+
+
+def test_scanline_fraction_with_cavities_matches_pointwise():
+    spec = Mesh(mesh=icosphere(4.0, 1), cavities=(Sphere(1.5, center=(0.5, 0.0, 0.0)),
+                                                  Mesh(mesh=box_mesh(1.0, 2.0, 1.5),
+                                                       center=(-1.8, 0.2, 0.3))))
+    dims, origin = _grid_geometry(spec, 1.0, 1.0)
+    got = supersampled_fraction(spec, dims, origin, 1.0)
+    assert np.array_equal(got, pointwise_fraction(spec, dims, origin, 1.0))
+
+
+def test_icosphere_1280_raster():
+    R = 10 * SIGMA
+    spec = Mesh(mesh=icosphere(R, 3))
+    assert len(spec.mesh.faces) == 1280
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+    mass = mass_properties(spec, RHO).mass
+    assert abs(grid.values.sum() * grid.cell_volume() - mass) / mass < 1e-3
+    exact = rasterize_smoothed_density(Sphere(R), RHO, SIGMA)
+    assert grid.dims == exact.dims
+    scale = np.max(exact.values)
+    assert np.max(np.abs(grid.values - exact.values)) / scale < 0.02

@@ -176,6 +176,19 @@ class TestRasterize:
             read_grid(path)
 
 
+    @pytest.mark.parametrize("header, values", [
+        (b"cslgrid 2 2 2 2 1e-07 0 0 0 6e-07", 5),
+        (b"cslgrid 2 2 2 2 1e-07 0 0 0 6e-07", 9),
+        (b"cslgrid 2 -1 -1 1 1e-07 0 0 0 6e-07", 1),
+        (b"cslgrid 2 2 2 two 1e-07 0 0 0 6e-07", 8),
+    ], ids=["truncated", "trailing-data", "negative-size", "not-a-number"])
+    def test_malformed_grid_rejected(self, tmp_path, header, values):
+        path = tmp_path / "bad.cslgrid"
+        path.write_bytes(header + b"\n" + np.zeros(values).tobytes())
+        with pytest.raises(ParseError):
+            read_grid(path)
+
+
 class TestProfiles:
     def test_step_factor_closed_form(self):
         got = edge_layer_factor(EdgeProfile.step(), SIGMA)
