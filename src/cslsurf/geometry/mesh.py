@@ -5,6 +5,7 @@ triangles) and consistently wound.  A consistently inward-wound mesh is
 repaired by flipping every face; mixed winding is rejected.
 """
 
+import functools
 import io
 import itertools
 import struct
@@ -18,6 +19,9 @@ from .patches import SurfacePatches
 
 # vertex dedup tolerance, relative to the bounding-box diagonal
 DEDUP_RELATIVE_TOL = 1e-9
+# point-face pairs per chunk of TriangleMesh.contains; a pair takes about 80
+# bytes of temporaries, so a chunk stays near 5 MB whatever the face count
+_CONTAINS_PAIRS = 1 << 16
 
 
 class _RayFaces(NamedTuple):
@@ -188,8 +192,13 @@ class TriangleMesh:
     def translated(self, offset):
         return TriangleMesh(self.vertices + np.asarray(offset, float), self.faces, validate=False)
 
+    @functools.cached_property
     def _ray_faces(self):
-        """Per-face data of the +x ray test; faces parallel to x are left out."""
+        """Per-face data of the +x ray test; faces parallel to x are left out.
+
+        Computed once per mesh: nothing changes ``vertices`` or ``faces``
+        after ``__init__``.
+        """
         corner = self.vertices[self.faces]                  # (m, corner, xyz)
         yz = corner[:, :, 1:]
         e, f = yz[:, 1] - yz[:, 0], yz[:, 2] - yz[:, 0]
@@ -211,7 +220,7 @@ class TriangleMesh:
         owns = (dz < 0.0) | ((dz == 0.0) & (dy > 0.0))
         return _RayFaces(base, step, sign, owns, x, yz.min(axis=1), yz.max(axis=1))
 
-    def contains(self, points, chunk=4096):
+    def contains(self, points):
         """Even-odd parity of the crossings of a +x ray from each point.
 
         A crossing is where the ray's (y, z) line meets a face's shadow
@@ -222,10 +231,12 @@ class TriangleMesh:
         infinitesimal step toward +y (then +z), a top-left rule.  A ray
         that threads an edge or a vertex is thus counted as a ray beside
         it would be.  :meth:`contains_lattice` classifies a lattice by
-        the same arithmetic, so the two agree in every bit.
+        the same arithmetic, so the two agree in every bit.  Points go
+        in chunks sized so that points x faces stays bounded.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        faces = self._ray_faces()
+        faces = self._ray_faces
+        chunk = max(1, _CONTAINS_PAIRS // max(1, len(faces.x)))
         out = np.zeros(len(points), dtype=bool)
         for lo in range(0, len(points), chunk):
             pts = points[lo:lo + chunk, None, :]
@@ -242,7 +253,7 @@ class TriangleMesh:
         bisection, and a running parity along x classifies every sample.
         """
         xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
-        faces = self._ray_faces()
+        faces = self._ray_faces
         # the lines in each face's yz bounding box: ys[j0:j1] x zs[k0:k1]
         j0, j1 = (np.searchsorted(ys, faces.lo[:, 0], "left"),
                   np.searchsorted(ys, faces.hi[:, 0], "right"))

@@ -22,6 +22,18 @@ routes here are mutually independent:
 
 :func:`decoherence_function` evaluates the full (non-quadratic)
 positional dephasing rate from the field autocorrelation.
+
+The gradient route, the DFT route and the decoherence function are all
+Parseval sums over the power spectrum w |F(k)|^2 of a gridded field,
+each with its own mode weight; :func:`_mode_sum` is the one kernel that
+transforms the grid and visits the modes.  The weights are
+
+* s o s for the derivative symbol s(k) = k, or sin(k h)/h for the
+  central stencil, in :func:`gradient_outer_integral`,
+* k o k times the squared separable gain exp(-k^2 sigma^2 / 2) / D(k),
+  D the transform of the supersampled cell average, in the DFT route
+  of :func:`kspace_outer_integral`,
+* 1 - cos(k . delta) in :func:`decoherence_function`.
 """
 
 import math
@@ -42,45 +54,38 @@ KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e
 # spectral mode sums over a grid
 
 
-def _rfft_modes(grid: VoxelGrid):
-    """rfftn power spectrum with Hermitian weights and angular wavenumbers."""
-    n = grid.values.shape
+def _mode_sum(grid: VoxelGrid, weight):
+    """(h^3 / N) times the sum over rfftn modes of the per-plane ``weight``.
+
+    h is the grid spacing and N its number of voxels.  One transform F
+    of the grid values; the modes are then visited one x-plane at a
+    time, so no spectrum-sized temporary sits next to F.
+    ``weight(kx, ky, kz, P)`` gets that plane's angular wavenumber kx,
+    ky as a column, kz as a row and the plane's power P = w_z |F|^2
+    (w_z counts the Hermitian twin of each half-spectrum column), and
+    returns the plane's contribution; the contributions are summed.
+    """
+    n, h = grid.values.shape, grid.spacing
     F = sfft.rfftn(grid.values)
-    kx = 2.0 * np.pi * sfft.fftfreq(n[0], d=grid.spacing)
-    ky = 2.0 * np.pi * sfft.fftfreq(n[1], d=grid.spacing)
-    kz = 2.0 * np.pi * sfft.rfftfreq(n[2], d=grid.spacing)
-    wz = np.ones(len(kz))
-    wz[1:] = 2.0
+    kx = 2.0 * np.pi * sfft.fftfreq(n[0], d=h)
+    ky = 2.0 * np.pi * sfft.fftfreq(n[1], d=h)[:, None]
+    kz = 2.0 * np.pi * sfft.rfftfreq(n[2], d=h)[None, :]
+    wz = np.ones(kz.shape)
+    wz[:, 1:] = 2.0
     if n[2] % 2 == 0:
-        wz[-1] = 1.0
-    return F, kx, ky, kz, wz
-
-
-def _accumulate_outer(grid: VoxelGrid, symbol):
-    """Sum |F|^2 s_i s_j over modes for a per-axis symbol function s(k)."""
-    F, kx, ky, kz, wz = _rfft_modes(grid)
-    n = grid.values.shape
-    sy = symbol(ky)[:, None]
-    sz = symbol(kz)[None, :]
-    acc = np.zeros(6)
+        wz[:, -1] = 1.0
+    total = 0.0
     for i in range(n[0]):
-        P = (F[i].real**2 + F[i].imag**2) * wz
-        sx = symbol(np.array([kx[i]]))[0]
-        py = P * sy
-        acc[0] += sx * sx * P.sum()
-        acc[1] += np.sum(py * sy)
-        acc[2] += np.sum(P * sz * sz)
-        acc[3] += sx * py.sum()
-        acc[4] += sx * np.sum(P * sz)
-        acc[5] += np.sum(py * sz)
-    ntot = n[0] * n[1] * n[2]
-    scale = grid.spacing**3 / ntot
-    K = np.array([
-        [acc[0], acc[3], acc[4]],
-        [acc[3], acc[1], acc[5]],
-        [acc[4], acc[5], acc[2]],
-    ])
-    return scale * K
+        total = total + weight(kx[i], ky, kz, (F[i].real**2 + F[i].imag**2) * wz)
+    return h**3 / grid.values.size * total
+
+
+def _outer(sx, sy, sz, P):
+    """Sum of P s o s over one plane for the per-axis factors s = (sx, sy, sz)."""
+    py, pz = P * sy, P * sz
+    xx, xy, xz = sx * sx * P.sum(), sx * py.sum(), sx * pz.sum()
+    yy, yz, zz = np.sum(py * sy), np.sum(py * sz), np.sum(pz * sz)
+    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
 def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
@@ -99,7 +104,8 @@ def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
         symbol = lambda k: np.sin(k * h) / h
     else:
         raise ValueError(f"unknown method {method!r}")
-    return (2.0 * np.pi) ** 3 * _accumulate_outer(grid, symbol)
+    return (2.0 * np.pi) ** 3 * _mode_sum(
+        grid, lambda kx, ky, kz, P: _outer(symbol(kx), symbol(ky), symbol(kz), P))
 
 
 def surface_formula_outer_integral(surface_tensor, density, sigma):
@@ -226,41 +232,19 @@ def _kspace_fft(spec, density, sigma, spacing, max_voxels):
     frac = supersampled_fraction(spec, dims, origin, spacing)
     grid = VoxelGrid(origin, spacing, density * frac)
 
-    F, kx, ky, kz, wz = _rfft_modes(grid)
     h = spacing
 
-    def dirichlet(k):
-        # transform of the ss-point cell average; no zeros for |k| <= pi/h
+    def gain(k):
+        # Gaussian damping over the transform of the ss-point cell average;
+        # the latter has no zeros for |k| <= pi/h
         num = np.sin(k * h / 2.0)
         den = ss * np.sin(k * h / (2.0 * ss))
-        return np.where(np.abs(k) < 1e-300, 1.0, num / np.where(den == 0, 1.0, den))
+        dirichlet = np.where(np.abs(k) < 1e-300, 1.0, num / np.where(den == 0, 1.0, den))
+        return np.exp(-(k**2) * sigma**2 / 2.0) / dirichlet
 
-    dy = dirichlet(ky)[:, None]
-    dz = dirichlet(kz)[None, :]
-    gy = np.exp(-(ky**2) * sigma**2 / 2.0)[:, None]
-    gz = np.exp(-(kz**2) * sigma**2 / 2.0)[None, :]
-    acc6 = np.zeros(6)
-    n = grid.values.shape
-    for i in range(n[0]):
-        dxi = dirichlet(np.array([kx[i]]))[0]
-        gxi = math.exp(-(kx[i] ** 2) * sigma**2 / 2.0)
-        amp = (gxi * gy * gz) / (dxi * dy * dz)
-        P = (F[i].real**2 + F[i].imag**2) * wz * amp**2
-        py = P * ky[:, None]
-        acc6[0] += kx[i] ** 2 * P.sum()
-        acc6[1] += np.sum(py * ky[:, None])
-        acc6[2] += np.sum(P * kz[None, :] ** 2)
-        acc6[3] += kx[i] * py.sum()
-        acc6[4] += kx[i] * np.sum(P * kz[None, :])
-        acc6[5] += np.sum(py * kz[None, :])
     # |mu_hat|^2 dk = |h^3 F|^2 (2 pi)^3 / (ntot h^3) = (2 pi)^3 (h^3/ntot) |F|^2
-    ntot = n[0] * n[1] * n[2]
-    K = (2.0 * np.pi) ** 3 * (h**3 / ntot) * np.array([
-        [acc6[0], acc6[3], acc6[4]],
-        [acc6[3], acc6[1], acc6[5]],
-        [acc6[4], acc6[5], acc6[2]],
-    ])
-    return K
+    return (2.0 * np.pi) ** 3 * _mode_sum(grid, lambda kx, ky, kz, P: _outer(
+        kx, ky, kz, P * (gain(kx) * gain(ky) * gain(kz)) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +277,8 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spec
     h = grid.spacing
 
     if method == "spectral":
-        F, kx, ky, kz, wz = _rfft_modes(grid)
-        n = grid.values.shape
-        py = ky[:, None] * delta[1]
-        pz = kz[None, :] * delta[2]
-        total = 0.0
-        for i in range(n[0]):
-            P = (F[i].real**2 + F[i].imag**2) * wz
-            total += np.sum(P * (1.0 - np.cos(kx[i] * delta[0] + py + pz)))
-        ntot = n[0] * n[1] * n[2]
-        integral = (h**3 / ntot) * total
+        integral = _mode_sum(grid, lambda kx, ky, kz, P: np.sum(
+            P * (1.0 - np.cos(kx * delta[0] + ky * delta[1] + kz * delta[2]))))
     elif method == "trilinear":
         from scipy import ndimage
 

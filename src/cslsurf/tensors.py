@@ -12,12 +12,16 @@ needs to know about a homogeneous rigid body:
 Both reduce to weighted sums over a :class:`SurfacePatches` quadrature.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NonUnitAxis
 from .geometry.patches import SurfacePatches
 
 PSD_CLAMP_REL = 1e-10
+# eigenvalues closer than this times |trace| span one degenerate eigenspace
+DEGENERATE_REL = 1e-10
 
 
 def surface_tensor(patches: SurfacePatches) -> np.ndarray:
@@ -77,6 +81,26 @@ def is_psd(tensor, rel_tol=PSD_CLAMP_REL):
 
 
 def principal_axes(tensor):
-    """Eigenvalues (ascending) and unit eigenvector columns of a symmetric tensor."""
+    """Eigenvalues (ascending) and unit eigenvector columns of a symmetric tensor.
+
+    The columns are canonical, so that last-bit noise in the tensor cannot
+    rotate or flip them.  Eigenvalues equal within ``DEGENERATE_REL`` of the
+    trace share one eigenspace.  Three equal ones give the identity.  For a
+    pair, the third vector u fixes the plane, and its first column is the
+    projection of x onto that plane (of y when u lies within 45 degrees of
+    x), its second completes a right-handed frame.  Every vector outside a
+    degenerate pair has its largest component positive.
+    """
     vals, vecs = np.linalg.eigh(0.5 * (tensor + tensor.T))
+    tol = DEGENERATE_REL * abs(vals.sum())
+    if vals[2] - vals[0] <= tol:
+        return vals, np.eye(3)
+    vecs = vecs * np.sign(vecs[np.abs(vecs).argmax(axis=0), [0, 1, 2]])
+    if vals[1] - vals[0] <= tol or vals[2] - vals[1] <= tol:
+        single = 2 if vals[1] - vals[0] <= tol else 0
+        u = vecs[:, single]
+        e = np.eye(3)[0 if abs(u[0]) <= math.sqrt(0.5) else 1]
+        a = e - (e @ u) * u
+        a /= np.linalg.norm(a)
+        vecs[:, [(single + 1) % 3, (single + 2) % 3]] = np.stack([a, np.cross(u, a)], axis=1)
     return vals, vecs

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 
 from cslsurf.csl import CslParams, dephasing_matrix, superposition_dephasing_rate
@@ -226,6 +227,17 @@ class TestDecoherenceFunction:
         with pytest.raises(ValueError):
             decoherence_function(self.grid, np.zeros(2), PARAMS)
 
+    def test_small_shift_limit_of_gradient_integral(self):
+        # both sum the same spectrum: 1 - cos(k . delta) <= (k . delta)^2 / 2
+        grid = rasterize_smoothed_density(Box((8 * SIGMA, 10 * SIGMA, 6 * SIGMA)), RHO, SIGMA)
+        d = 0.01 * SIGMA * np.array([1.0, -2.0, 2.0]) / 3.0
+        pref = (PARAMS.collapse_rate * PARAMS.localization_length**3
+                / (math.pi**1.5 * PARAMS.nucleon_mass**2))
+        quad_form = 0.5 * pref * d @ gradient_outer_integral(grid) @ d
+        exact = decoherence_function(grid, d, PARAMS)
+        assert exact <= quad_form
+        assert exact == pytest.approx(quad_form, rel=1e-4, abs=0)
+
     def test_trilinear_matches_at_integer_shifts(self):
         h = self.grid.spacing
         d = np.array([4 * h, 0.0, 0.0])
@@ -240,3 +252,24 @@ class TestDecoherenceFunction:
         a = decoherence_function(self.grid, d, PARAMS)
         b = decoherence_function(self.grid, d, PARAMS, method="trilinear")
         assert b / a > 2.0
+
+
+def test_one_fft_per_oracle_call(monkeypatch):
+    # per-grid FFT counts of the benchmark tracer read scipy.fft.rfftn calls
+    grid = rasterize_smoothed_density(Sphere(4 * SIGMA), RHO, SIGMA)
+    L = 4.3 * SIGMA
+    calls = []
+    rfftn = scipy.fft.rfftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counted)
+    for oracle in (lambda: gradient_outer_integral(grid),
+                   lambda: gradient_outer_integral(grid, method="central"),
+                   lambda: decoherence_function(grid, np.array([0.3 * SIGMA, 0, 0]), PARAMS),
+                   lambda: kspace_outer_integral(Mesh(mesh=box_mesh(L, L, L)), RHO, SIGMA)):
+        calls.clear()
+        oracle()
+        assert len(calls) == 1

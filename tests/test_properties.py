@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from cslsurf.cli import _shape_from_json, _shape_to_json
 from cslsurf.geometry import (
@@ -19,11 +20,14 @@ from cslsurf.geometry import (
     Cylinder,
     EllipticCylinder,
     GappedCylinder,
+    Mesh,
     Sphere,
+    TriangleMesh,
+    box_mesh,
     mass_properties,
     quadrature,
 )
-from cslsurf.tensors import surface_tensor
+from cslsurf.tensors import rotational_surface_tensor, surface_tensor
 
 # a fixed example set keeps the test suite deterministic and near 1.5 s
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None,
@@ -89,3 +93,45 @@ def test_surface_tensor_trace_is_area(spec):
     trace = np.trace(surface_tensor(quadrature(spec)))
     area = mass_properties(spec, 1.0).area
     assert math.isclose(trace, area, rel_tol=1e-10)
+
+
+def _moved(spec, R, t):
+    """The body after x -> R x + t: the axis turns, a box becomes a turned mesh."""
+    def place(c):
+        return tuple(R @ np.asarray(c) + t)
+
+    cavities = tuple(replace(c, center=place(c.center)) for c in spec.cavities)
+    if isinstance(spec, Box):
+        box = box_mesh(*spec.size)
+        return Mesh(mesh=TriangleMesh(box.vertices @ R.T, box.faces),
+                    center=place(spec.center), cavities=cavities)
+    moved = replace(spec, center=place(spec.center), cavities=cavities)
+    if hasattr(spec, "axis"):
+        moved = replace(moved, axis=tuple(R @ np.asarray(spec.axis)))
+    return moved
+
+
+def _tensors(spec):
+    """S, S_rot about the centroid, and the scale area x (largest lever arm)^2."""
+    patches = quadrature(spec)
+    centroid = mass_properties(spec, 1.0).centroid
+    S = surface_tensor(patches)
+    arm2 = np.max(np.sum((patches.points - centroid) ** 2, axis=1))
+    return S, rotational_surface_tensor(patches, centroid), np.trace(S) * arm2
+
+
+@PROPERTY_SETTINGS
+@given(
+    # an elliptic cross-section keeps its in-plane frame from the axis alone,
+    # which a rotation about another direction does not carry along
+    analytic_shapes().filter(lambda spec: not isinstance(spec, EllipticCylinder)),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    _offset,
+)
+def test_tensors_covariant_under_rigid_motion(spec, quat, offset):
+    R = Rotation.from_quat(quat).as_matrix()
+    S, S_rot, scale = _tensors(spec)
+    t = np.asarray(offset) * math.sqrt(np.trace(S))
+    S_moved, S_rot_moved, _ = _tensors(_moved(spec, R, t))
+    assert np.allclose(S_moved, R @ S @ R.T, rtol=0, atol=1e-10 * np.trace(S))
+    assert np.allclose(S_rot_moved, R @ S_rot @ R.T, rtol=0, atol=1e-10 * scale)

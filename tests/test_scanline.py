@@ -1,5 +1,7 @@
 """Scanline solid voxelization of meshes against the per-point parity test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -80,3 +82,18 @@ def test_icosphere_1280_raster():
     assert grid.dims == exact.dims
     scale = np.max(exact.values)
     assert np.max(np.abs(grid.values - exact.values)) / scale < 0.02
+
+
+def test_contains_memory_bounded_for_many_faces():
+    # one (points, faces, 3) chunk of 4096 points would take 0.5 GB per array
+    mesh = icosphere(1.0, 4)
+    assert len(mesh.faces) == 5120
+    points = np.random.default_rng(3).uniform(-1.1, 1.1, size=(4096, 3))
+    tracemalloc.start()
+    try:
+        mask = mesh.contains(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(mask, [mesh.contains(p)[0] for p in points])

@@ -194,3 +194,25 @@ class TestHelpers:
         vals, vecs = principal_axes(surface_tensor(p))
         assert np.all(np.diff(vals) >= 0)
         assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("which", ["inertia", "rotational"])
+    def test_degenerate_principal_axes_reproducible(self, which):
+        # two equal moments: eigh alone rotates or flips the pair on 1-ulp noise
+        spec = Cylinder(1.0, 5.0, axis=(0.4, 0.3, -1.0))
+        if which == "inertia":
+            t = mass_properties(spec, 1.0).inertia
+        else:
+            t = rotational_surface_tensor(quadrature(spec), np.zeros(3))
+        vals, vecs = principal_axes(t)
+        assert np.allclose(t @ vecs, vecs * vals, rtol=0, atol=1e-12 * np.trace(t))
+        assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+        assert np.linalg.det(vecs) == pytest.approx(1.0)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            ulp = rng.choice([-1.0, 1.0], size=(3, 3)) * np.inf
+            _, noisy = principal_axes(np.nextafter(t, ulp))
+            assert np.allclose(noisy, vecs, rtol=0, atol=1e-9)
+
+    def test_isotropic_principal_axes_are_world_axes(self):
+        vals, vecs = principal_axes(surface_tensor(quadrature(Sphere(1.0))))
+        assert np.array_equal(vecs, np.eye(3))
