@@ -53,6 +53,7 @@ from .geometry import (
     quadrature,
 )
 from .oracle import (
+    DEFAULT_MAX_VOXELS,
     decoherence_function,
     gradient_outer_integral,
     kspace_outer_integral,
@@ -203,8 +204,10 @@ def _resolve(args):
     return shape, density, params, options
 
 
-def _resolved_config(shape, density, params, options, extra=None):
-    doc = {
+def _report(command, shape, density, params, options, results, extra=None):
+    """The report: package version, command, fully resolved config
+    (plus the command's ``extra`` settings) and results."""
+    config = {
         "shape": _shape_to_json(shape, options["mesh_files"]),
         "density": density,
         "params": {
@@ -214,10 +217,9 @@ def _resolved_config(shape, density, params, options, extra=None):
             "hbar": params.hbar,
         },
         "resolution": options["resolution"],
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return doc
+    return {"version": __version__, "command": command, "config": config, "results": results}
 
 
 def _jsonify(obj):
@@ -303,13 +305,7 @@ def _cmd_tensors(args):
         mp = mass_properties(shape, density)
         results["mass"] = mp.mass
         results["inertia"] = mp.inertia
-    report = {
-        "version": __version__,
-        "command": "tensors",
-        "config": _resolved_config(shape, density, params, options),
-        "results": results,
-    }
-    _emit(report, options, args.out)
+    _emit(_report("tensors", shape, density, params, options, results), options, args.out)
     return EXIT_OK
 
 
@@ -333,13 +329,8 @@ def _cmd_rates(args):
         "area": props.area,
         "volume": props.volume,
     }
-    report = {
-        "version": __version__,
-        "command": "rates",
-        "config": _resolved_config(shape, density, params, options,
-                                   {"inertia_convention": args.inertia_convention}),
-        "results": results,
-    }
+    report = _report("rates", shape, density, params, options, results,
+                     {"inertia_convention": args.inertia_convention})
     _emit(report, options, args.out)
     return EXIT_OK
 
@@ -381,13 +372,8 @@ def _cmd_validate(args):
         "grid_spacing": grid.spacing,
         "passed": passed,
     }
-    report = {
-        "version": __version__,
-        "command": "validate",
-        "config": _resolved_config(shape, density, params, options,
-                                   {"spacing": grid.spacing, "padding": grid.margin}),
-        "results": results,
-    }
+    report = _report("validate", shape, density, params, options, results,
+                     {"spacing": grid.spacing, "padding": grid.margin})
     table = {
         "columns": ["pair", "relative_error", "tolerance", "passed"],
         "rows": [[k, v, tol, v <= tol] for k, v in pairs.items()],
@@ -452,14 +438,10 @@ def _cmd_sweep(args):
                 total_heating_rate(mass, params),
             ]
         rows.append(row)
-    report = {
-        "version": __version__,
-        "command": "sweep",
-        "config": _resolved_config(shape, density, params, options,
-                                   {"sweep": {"variable": variable, "values": values}}),
-        "results": {"columns": columns, "rows": rows},
-    }
-    _emit(report, options, args.out, table={"columns": columns, "rows": rows})
+    table = {"columns": columns, "rows": rows}
+    report = _report("sweep", shape, density, params, options, table,
+                     {"sweep": {"variable": variable, "values": values}})
+    _emit(report, options, args.out, table=table)
     return EXIT_OK
 
 
@@ -494,13 +476,8 @@ def _cmd_dephasing(args):
         results["quadratic_vs_exact_relative"] = (
             abs(rate - exact) / exact if exact else 0.0
         )
-    report = {
-        "version": __version__,
-        "command": "dephasing",
-        "config": _resolved_config(shape, density, params, options,
-                                   {"delta": list(delta)}),
-        "results": results,
-    }
+    report = _report("dephasing", shape, density, params, options, results,
+                     {"delta": list(delta)})
     _emit(report, options, args.out)
     return EXIT_OK
 
@@ -542,7 +519,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--spacing", help="voxel spacing (default sigma/2)")
     p.add_argument("--padding", help="grid padding (default 6 sigma)")
-    p.add_argument("--max-voxels", type=int, default=512**3)
+    p.add_argument("--max-voxels", type=int, default=DEFAULT_MAX_VOXELS)
     p.set_defaults(func=_cmd_validate)
 
     p = subs.add_parser("sweep", help="parameter sweeps of the tensor outputs")
@@ -556,7 +533,7 @@ def build_parser():
     p.add_argument("--delta", help="separation vector, e.g. '1e-9 m,0,0'")
     p.add_argument("--exact", action="store_true",
                    help="also evaluate the full decoherence function on a grid")
-    p.add_argument("--max-voxels", type=int, default=512**3)
+    p.add_argument("--max-voxels", type=int, default=DEFAULT_MAX_VOXELS)
     p.set_defaults(func=_cmd_dephasing)
     return parser
 

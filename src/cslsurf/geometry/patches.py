@@ -24,14 +24,6 @@ def unit_vector(v):
     return v / n
 
 
-def require_unit(v, tol=1e-12):
-    """Validate that ``v`` is unit length within ``tol`` and return it."""
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > tol:
-        raise NonUnitAxis(f"axis {v} is not unit length")
-    return v
-
-
 def rotation_to_z(axis):
     """Rotation matrix R with R @ (0,0,1) == axis (unit)."""
     a = unit_vector(axis)

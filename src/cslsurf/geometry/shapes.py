@@ -348,23 +348,35 @@ class _Solid:
 
     Methods see the bare solid (cavities are composed by the module-level
     functions) and points ``p`` in its local frame: center at the origin,
-    axis along +z.  ``_smoothed_unit`` and ``_unit_form_factor`` are None
-    where there is no closed form; callers then filter a raster or take
-    the DFT route.  ``_scanline`` classifies a world-axis lattice at once
-    (see ``Mesh``); None means point by point.
+    axis along +z.  The hooks ``_sdf`` (signed distance),
+    ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator) and
+    ``_unit_form_factor`` are None where the shape has none; the oracles
+    then take the next path of their rule (``oracle.voxel._unit_field``,
+    the DFT route of the k-space integral).  ``_scanline`` classifies a
+    world-axis lattice; ``Mesh`` overrides it with scanline parity.
     """
 
+    _sdf = None
     _smoothed_unit = None
     _unit_form_factor = None
-    _scanline = None
 
     def __post_init__(self):
         for f in fields(self):
             value = f.metadata["canon"](f.name, getattr(self, f.name))
             object.__setattr__(self, f.name, value)
 
-    def _sdf(self, p):
-        raise UnsupportedShape(f"signed distance not available for {type(self).__name__}")
+    def _scanline(self, xs, ys, zs):
+        """(len(ys), len(zs), len(xs)) mask of the solid, cavities left
+        out, on the lattice of ascending world axes, from :func:`contains`
+        on one line of constant y at a time."""
+        bare = _bare(self)
+        Z, X = np.meshgrid(zs, xs, indexing="ij")
+        pts = np.stack([X.ravel(), np.empty(X.size), Z.ravel()], axis=1)
+        out = np.empty((len(ys), *X.shape), dtype=bool)
+        for m, y in enumerate(ys):
+            pts[:, 1] = y
+            out[m] = contains(bare, pts).reshape(X.shape)
+        return out
 
     def _inside(self, p):
         return self._sdf(p) <= 0.0
@@ -553,12 +565,6 @@ class ConeCappedCylinder(_Solid):
             J = J + Jc
         # J above is about the local origin, which is the centroid by symmetry
         return [(V, A, np.zeros(3), J)]
-
-    def _smoothed_unit(self, p, sigma):
-        # erf profile of the signed distance; exact away from the base-rim
-        # and apex neighborhoods
-        sdf = self._sdf(p.reshape(-1, 3))
-        return ndtr(-sdf / sigma).reshape(p.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -818,6 +824,9 @@ def signed_distance(spec, points):
     whose distance is the minimum over its cylinder and cone pieces and
     so is too small in magnitude inside the body near the seam discs.
     """
+    for solid in (spec, *spec.cavities):
+        if solid._sdf is None:
+            raise UnsupportedShape(f"signed distance not available for {type(solid).__name__}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = spec._sdf(_to_local(spec, points))
     for cav in spec.cavities:

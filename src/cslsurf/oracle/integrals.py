@@ -43,9 +43,16 @@ from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
 from ..csl import CslParams
-from ..errors import GridTooLarge, QuadratureNotConverged, ShiftOutOfGrid
+from ..errors import QuadratureNotConverged, ShiftOutOfGrid
 from ..geometry.shapes import _bare, build_shape
-from .voxel import DEFAULT_MAX_VOXELS, VoxelGrid, _grid_geometry
+from .voxel import (
+    _SUPERSAMPLE,
+    DEFAULT_MAX_VOXELS,
+    DEFAULT_PADDING_SIGMA,
+    VoxelGrid,
+    _grid_geometry,
+    supersampled_fraction,
+)
 
 KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e-27
 
@@ -221,18 +228,10 @@ def _kspace_fft(spec, density, sigma, spacing, max_voxels):
     raw (unsmoothed) indicator and applies the Gaussian damping exactly
     in k-space.
     """
-    from .voxel import _SUPERSAMPLE, supersampled_fraction
-
-    spacing = sigma / 2.0 if spacing is None else float(spacing)
-    padding = 6.0 * sigma
-    dims, origin = _grid_geometry(spec, spacing, padding)
-    if dims[0] * dims[1] * dims[2] > max_voxels:
-        raise GridTooLarge(f"{dims} voxels exceed cap {max_voxels}")
+    h = sigma / 2.0 if spacing is None else float(spacing)
+    dims, origin = _grid_geometry(spec, h, DEFAULT_PADDING_SIGMA * sigma, max_voxels)
     ss = _SUPERSAMPLE
-    frac = supersampled_fraction(spec, dims, origin, spacing)
-    grid = VoxelGrid(origin, spacing, density * frac)
-
-    h = spacing
+    grid = VoxelGrid(origin, h, density * supersampled_fraction(spec, dims, origin, h))
 
     def gain(k):
         # Gaussian damping over the transform of the ss-point cell average;

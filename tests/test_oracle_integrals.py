@@ -15,7 +15,7 @@ import scipy.fft
 from scipy.integrate import quad
 
 from cslsurf.csl import CslParams, dephasing_matrix, superposition_dephasing_rate
-from cslsurf.errors import QuadratureNotConverged, ShiftOutOfGrid
+from cslsurf.errors import GridTooLarge, QuadratureNotConverged, ShiftOutOfGrid
 from cslsurf.geometry import Box, Cylinder, Mesh, Sphere, box_mesh, quadrature
 from cslsurf.oracle import (
     decoherence_function,
@@ -143,6 +143,11 @@ class TestKspaceIntegral:
         assert form_factor(Mesh(mesh=box_mesh(L, L, L))) is None
         fallback = kspace_outer_integral(Mesh(mesh=box_mesh(L, L, L)), RHO, SIGMA)
         assert rel_err(fallback, analytic) < 0.025
+
+    def test_fft_fallback_voxel_cap(self):
+        spec = Mesh(mesh=box_mesh(8.3 * SIGMA, 8.3 * SIGMA, 8.3 * SIGMA))
+        with pytest.raises(GridTooLarge):
+            kspace_outer_integral(spec, RHO, SIGMA, max_voxels=1000)
 
     def test_non_convergence_raises(self):
         with pytest.raises(QuadratureNotConverged):

@@ -8,7 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from cslsurf.geometry import Box, Mesh, Sphere, TriangleMesh, box_mesh, contains, icosphere, mass_properties
+from cslsurf.geometry import (
+    Box,
+    Mesh,
+    Sphere,
+    TriangleMesh,
+    box_mesh,
+    build_shape,
+    contains,
+    icosphere,
+    mass_properties,
+)
 from cslsurf.oracle import rasterize_smoothed_density
 from cslsurf.oracle.voxel import _SUPERSAMPLE, _grid_geometry, supersampled_fraction
 
@@ -62,13 +72,32 @@ def test_centred_box_mesh_matches_analytic_box(side, spacing):
     assert np.array_equal(got, supersampled_fraction(box, dims, origin, spacing))
 
 
-def test_scanline_fraction_with_cavities_matches_pointwise():
-    spec = Mesh(mesh=icosphere(4.0, 1), cavities=(Sphere(1.5, center=(0.5, 0.0, 0.0)),
-                                                  Mesh(mesh=box_mesh(1.0, 2.0, 1.5),
-                                                       center=(-1.8, 0.2, 0.3))))
+@pytest.mark.parametrize("spec", [
+    Mesh(mesh=icosphere(4.0, 1), cavities=(Sphere(1.5, center=(0.5, 0.0, 0.0)),
+                                           Mesh(mesh=box_mesh(1.0, 2.0, 1.5),
+                                                center=(-1.8, 0.2, 0.3)))),
+    Box((7.0, 6.0, 6.5), center=(0.2, -0.1, 0.0),
+        cavities=(Mesh(mesh=icosphere(1.5, 1), center=(1.1, 0.3, -0.2)),
+                  Sphere(1.0, center=(-2.0, 0.0, 0.4)))),
+], ids=["mesh-host", "box-host"])
+def test_scanline_fraction_with_cavities_matches_pointwise(spec):
     dims, origin = _grid_geometry(spec, 1.0, 1.0)
     got = supersampled_fraction(spec, dims, origin, 1.0)
     assert np.array_equal(got, pointwise_fraction(spec, dims, origin, 1.0))
+
+
+def test_mesh_cavity_fills_by_scanline(monkeypatch):
+    # per-point parity tests every face for every subsample; the fill must not use it
+    spec = build_shape(Box((12 * SIGMA,) * 3,
+                           cavities=(Mesh(mesh=icosphere(4 * SIGMA, 1)),)))
+
+    def no_point_queries(self, points):
+        raise AssertionError("TriangleMesh.contains called by the fill")
+
+    monkeypatch.setattr(TriangleMesh, "contains", no_point_queries)
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+    mass = mass_properties(spec, RHO).mass
+    assert abs(grid.values.sum() * grid.cell_volume() - mass) / mass < 1e-3
 
 
 def test_icosphere_1280_raster():

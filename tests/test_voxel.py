@@ -24,6 +24,7 @@ from cslsurf.geometry import (
     Mesh,
     Sphere,
     box_mesh,
+    signed_distance,
 )
 from cslsurf.oracle import (
     EdgeProfile,
@@ -87,6 +88,15 @@ class TestPointEvaluator:
         assert abs(v_center) < 1e-8 * RHO
         v_mid = smoothed_density(spec, RHO, SIGMA, np.array([[20 * SIGMA, 0, 0]]))[0]
         assert v_mid == pytest.approx(RHO, rel=1e-6)
+
+    @pytest.mark.parametrize("profile", [None, EdgeProfile.step()], ids=["default", "step"])
+    def test_cone_field_is_step_profile_of_signed_distance(self, profile):
+        spec = ConeCappedCylinder(5 * SIGMA, 10 * SIGMA, math.radians(70),
+                                  axis=(0.3, -0.4, 1.0), center=(SIGMA, 0.5 * SIGMA, 0.0))
+        pts = np.random.default_rng(11).uniform(-18 * SIGMA, 18 * SIGMA, size=(20000, 3))
+        got = smoothed_density(spec, 1.0, SIGMA, pts, profile=profile)
+        expected = EdgeProfile.step().smoothed(signed_distance(spec, pts), SIGMA)
+        assert np.array_equal(got, expected)
 
     def test_mesh_points_unsupported(self):
         spec = Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6))
