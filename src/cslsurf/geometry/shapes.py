@@ -348,12 +348,14 @@ class _Solid:
 
     Methods see the bare solid (cavities are composed by the module-level
     functions) and points ``p`` in its local frame: center at the origin,
-    axis along +z.  The hooks ``_sdf`` (signed distance),
-    ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator) and
-    ``_unit_form_factor`` are None where the shape has none; the oracles
-    then take the next path of their rule (``oracle.voxel._unit_field``,
-    the DFT route of the k-space integral).  ``_scanline`` classifies a
-    world-axis lattice; ``Mesh`` overrides it with scanline parity.
+    axis along +z.  Every shape classifies points with its own ``_inside``
+    (closed form, or ray parity for meshes); none goes through a signed
+    distance.  The hooks ``_sdf`` (signed distance), ``_smoothed_unit``
+    (closed-form Gaussian-smoothed indicator) and ``_unit_form_factor``
+    are None where the shape has none; the oracles then take the next
+    path of their rule (``oracle.voxel._unit_field``, the DFT route of the
+    k-space integral).  ``_scanline`` classifies a world-axis lattice;
+    ``Mesh`` overrides it with scanline parity.
     """
 
     _sdf = None
@@ -377,9 +379,6 @@ class _Solid:
             pts[:, 1] = y
             out[m] = contains(bare, pts).reshape(X.shape)
         return out
-
-    def _inside(self, p):
-        return self._sdf(p) <= 0.0
 
     def _bounds(self):
         """(min, max) corners about the center, in world axes."""
@@ -526,6 +525,15 @@ class ConeCappedCylinder(_Solid):
     @property
     def cone_height(self):
         return self.radius / math.tan(self.apex_angle / 2.0)
+
+    def _inside(self, p):
+        # r <= r(z): R along the cylinder, falling linearly to 0 at each
+        # apex, in the arithmetic of _cone_sdf's inside test, so that it
+        # agrees with the sign of _sdf
+        half, h = self.length / 2.0, self.cone_height
+        r = np.hypot(p[:, 0], p[:, 1])
+        z = np.abs(p[:, 2])
+        return (z <= half + h) & (r <= self.radius * np.minimum(1.0, 1.0 - (z - half) / h))
 
     def _sdf(self, p):
         half = self.length / 2.0

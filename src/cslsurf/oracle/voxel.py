@@ -27,6 +27,7 @@ always a count over 64.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,9 +84,11 @@ def write_grid(grid: VoxelGrid, path):
     header = "cslgrid 2 {} {} {} {:.17g} {:.17g} {:.17g} {:.17g} {:.17g}\n".format(
         *grid.dims, grid.spacing, *grid.origin, grid.margin
     )
+    # a view, not a copy, of the usual C-ordered little-endian float64 grid
+    values = np.ascontiguousarray(grid.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(grid.values.astype("<f8").tobytes(order="C"))
+        fh.write(values)
 
 
 def read_grid(path):
@@ -103,12 +106,15 @@ def read_grid(path):
             spacing, *origin, margin = (float(x) for x in header[5:10])
         except ValueError as exc:
             raise ParseError(f"bad cslgrid header: {exc}") from None
-        data = fh.read()
-    if min(nx, ny, nz) < 1 or len(data) != 8 * nx * ny * nz:
-        raise ParseError(
-            f"grid data has {len(data)} bytes; a {nx}x{ny}x{nz} grid needs {8 * nx * ny * nz}"
-        )
-    values = np.frombuffer(data, dtype="<f8").reshape(nx, ny, nz).copy()
+        # the size is checked before anything is allocated for the data
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if min(nx, ny, nz) < 1 or size != 8 * nx * ny * nz:
+            raise ParseError(
+                f"grid data has {size} bytes; a {nx}x{ny}x{nz} grid needs {8 * nx * ny * nz}"
+            )
+        values = np.empty((nx, ny, nz), dtype="<f8")
+        if fh.readinto(values) != size:
+            raise ParseError("grid data ended early")
     return VoxelGrid(np.array(origin), spacing, values, margin)
 
 

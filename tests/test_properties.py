@@ -9,6 +9,7 @@ import math
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
@@ -27,6 +28,7 @@ from cslsurf.geometry import (
     mass_properties,
     quadrature,
 )
+from cslsurf.oracle.voxel import supersampled_fraction
 from cslsurf.tensors import rotational_surface_tensor, surface_tensor
 
 # a fixed example set keeps the test suite deterministic and near 1.5 s
@@ -39,12 +41,15 @@ _direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.n
 _offset = st.tuples(*[st.floats(-5.0, 5.0)] * 3)
 
 
+KINDS = ("sphere", "cylinder", "box", "cone", "elliptic", "gapped")
+
+
 @st.composite
-def analytic_shapes(draw):
+def analytic_shapes(draw, kinds=KINDS, with_cavity=st.booleans()):
     s = draw(_scale)
     center = tuple(s * c for c in draw(_offset))
     axis = draw(_direction)
-    kind = draw(st.sampled_from(["sphere", "cylinder", "box", "cone", "elliptic", "gapped"]))
+    kind = draw(st.sampled_from(kinds))
     d1, d2, d3 = (s * draw(_unit) for _ in range(3))
     if kind == "sphere":
         spec, inner = Sphere(d1, center=center), d1
@@ -66,7 +71,7 @@ def analytic_shapes(draw):
         spec = GappedCylinder(d1, d2, gaps, width, axis=axis, center=center)
         seg, _ = spec.segments()
         inner = min(d1, seg / 2)
-    if draw(st.booleans()):
+    if draw(with_cavity):
         cavity = Sphere(inner * draw(st.floats(0.1, 0.5)), center=center)
         spec = replace(spec, cavities=(cavity,))
     return spec
@@ -135,3 +140,24 @@ def test_tensors_covariant_under_rigid_motion(spec, quat, offset):
     S_moved, S_rot_moved, _ = _tensors(_moved(spec, R, t))
     assert np.allclose(S_moved, R @ S @ R.T, rtol=0, atol=1e-10 * np.trace(S))
     assert np.allclose(S_rot_moved, R @ S_rot @ R.T, rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(PROPERTY_SETTINGS, max_examples=5)
+@given(data=st.data())
+def test_cavity_subtracts_exactly(kind, data):
+    spec = data.draw(analytic_shapes(kinds=(kind,), with_cavity=st.just(True)))
+    host, cavity = replace(spec, cavities=()), spec.cavities[0]
+    # 12^3 cells of half the cavity radius: the cavity always covers
+    # subsamples, and a large one reaches past the host's boundary
+    n, spacing = 12, cavity.radius / 2
+    origin = np.asarray(cavity.center) - spacing * (n - 1) / 2
+
+    def count(solid):
+        # subsamples inside, per voxel: exact small integers
+        return 64 * supersampled_fraction(solid, (n, n, n), origin, spacing)
+
+    assert np.array_equal(count(spec), count(host) - count(cavity))
+    volume = mass_properties(spec, 1.0).volume
+    parts = mass_properties(host, 1.0).volume - mass_properties(cavity, 1.0).volume
+    assert math.isclose(volume, parts, rel_tol=1e-12)

@@ -191,7 +191,9 @@ class TestRasterize:
         (b"cslgrid 2 2 2 2 1e-07 0 0 0 6e-07", 9),
         (b"cslgrid 2 -1 -1 1 1e-07 0 0 0 6e-07", 1),
         (b"cslgrid 2 2 2 two 1e-07 0 0 0 6e-07", 8),
-    ], ids=["truncated", "trailing-data", "negative-size", "not-a-number"])
+        # 1e15 voxels would take 8 PB: ParseError, not MemoryError
+        (b"cslgrid 2 100000 100000 100000 1e-07 0 0 0 6e-07", 2),
+    ], ids=["truncated", "trailing-data", "negative-size", "not-a-number", "oversized"])
     def test_malformed_grid_rejected(self, tmp_path, header, values):
         path = tmp_path / "bad.cslgrid"
         path.write_bytes(header + b"\n" + np.zeros(values).tobytes())
