@@ -350,6 +350,8 @@ def _cmd_validate(args):
         max_voxels=args.max_voxels,
     )
     grad = gradient_outer_integral(grid)
+    grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
+    del grid  # frees its values and held power spectrum before the k-space route
     kint = kspace_outer_integral(shape, density, sigma, max_voxels=args.max_voxels)
 
     def rel(a, b):
@@ -368,12 +370,11 @@ def _cmd_validate(args):
         "kspace_integral": kint,
         "pairwise_relative_errors": pairs,
         "tolerance": tol,
-        "grid_dims": list(grid.dims),
-        "grid_spacing": grid.spacing,
+        "grid_dims": grid_dims,
+        "grid_spacing": resolved["spacing"],
         "passed": passed,
     }
-    report = _report("validate", shape, density, params, options, results,
-                     {"spacing": grid.spacing, "padding": grid.margin})
+    report = _report("validate", shape, density, params, options, results, resolved)
     table = {
         "columns": ["pair", "relative_error", "tolerance", "passed"],
         "rows": [[k, v, tol, v <= tol] for k, v in pairs.items()],

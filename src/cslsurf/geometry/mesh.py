@@ -19,8 +19,9 @@ from .patches import SurfacePatches
 
 # vertex dedup tolerance, relative to the bounding-box diagonal
 DEDUP_RELATIVE_TOL = 1e-9
-# point-face pairs per chunk of TriangleMesh.contains; a pair takes about 80
-# bytes of temporaries, so a chunk stays near 5 MB whatever the face count
+# point-face pairs per chunk of TriangleMesh.contains (those in a face's y
+# band); a pair takes at most about 80 bytes of temporaries, so a chunk stays
+# near 5 MB whatever the face count
 _CONTAINS_PAIRS = 1 << 16
 
 
@@ -231,18 +232,34 @@ class TriangleMesh:
         infinitesimal step toward +y (then +z), a top-left rule.  A ray
         that threads an edge or a vertex is thus counted as a ray beside
         it would be.  :meth:`contains_lattice` classifies a lattice by
-        the same arithmetic, so the two agree in every bit.  Points go
-        in chunks sized so that points x faces stays bounded.
+        the same arithmetic, so the two agree in every bit.  Each face
+        is tested only against the points in its yz bounding box: the
+        points sorted by y give each face its band, cut to the box in z.
+        Faces go in chunks sized so that the band pairs stay bounded.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         faces = self._ray_faces
-        chunk = max(1, _CONTAINS_PAIRS // max(1, len(faces.x)))
-        out = np.zeros(len(points), dtype=bool)
-        for lo in range(0, len(points), chunk):
-            pts = points[lo:lo + chunk, None, :]
-            hit, x = faces.crossings(pts[..., 1], pts[..., 2])   # (p, m)
-            out[lo:lo + chunk] = np.count_nonzero(hit & (x > pts[..., 0]), axis=1) % 2 == 1
-        return out
+        order = np.argsort(points[:, 1], kind="stable")
+        y = points[order, 1]
+        # the points in each face's y band: order[p0:p1]
+        p0 = np.searchsorted(y, faces.lo[:, 0], "left")
+        band = np.searchsorted(y, faces.hi[:, 0], "right") - p0
+        ends = np.concatenate([[0], np.cumsum(band)])
+        parity = np.zeros(len(points), dtype=np.int64)
+        first = 0
+        while first < len(band):
+            last = max(first + 1, int(np.searchsorted(ends, ends[first] + _CONTAINS_PAIRS,
+                                                      "right")) - 1)
+            f = np.repeat(np.arange(first, last), band[first:last])
+            o = np.arange(len(f)) - np.repeat(ends[first:last] - ends[first], band[first:last])
+            p = order[p0[f] + o]
+            z = points[p, 2]
+            keep = (faces.lo[f, 1] <= z) & (z <= faces.hi[f, 1])
+            f, p = f[keep], p[keep]
+            hit, x = faces.take(f).crossings(points[p, 1], points[p, 2])
+            parity += np.bincount(p[hit & (x > points[p, 0])], minlength=len(points))
+            first = last
+        return parity % 2 == 1
 
     def contains_lattice(self, xs, ys, zs):
         """:meth:`contains` at every point of an ascending lattice.

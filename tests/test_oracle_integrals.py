@@ -260,8 +260,9 @@ class TestDecoherenceFunction:
 
 
 def test_one_fft_per_oracle_call(monkeypatch):
+    # one transform per grid, whatever the number of oracle calls on it; the
     # per-grid FFT counts of the benchmark tracer read scipy.fft.rfftn calls
-    grid = rasterize_smoothed_density(Sphere(4 * SIGMA), RHO, SIGMA)
+    A, B, C = (rasterize_smoothed_density(Sphere(r * SIGMA), RHO, SIGMA) for r in (4, 3, 2))
     L = 4.3 * SIGMA
     calls = []
     rfftn = scipy.fft.rfftn
@@ -270,11 +271,26 @@ def test_one_fft_per_oracle_call(monkeypatch):
         calls.append(1)
         return rfftn(*args, **kwargs)
 
+    def decohere(grid, x=0.3):
+        return decoherence_function(grid, np.array([x * SIGMA, 0, 0]), PARAMS)
+
     monkeypatch.setattr(scipy.fft, "rfftn", counted)
-    for oracle in (lambda: gradient_outer_integral(grid),
-                   lambda: gradient_outer_integral(grid, method="central"),
-                   lambda: decoherence_function(grid, np.array([0.3 * SIGMA, 0, 0]), PARAMS),
-                   lambda: kspace_outer_integral(Mesh(mesh=box_mesh(L, L, L)), RHO, SIGMA)):
-        calls.clear()
-        oracle()
-        assert len(calls) == 1
+    gradient_outer_integral(A)
+    gradient_outer_integral(A, method="central")
+    for x in (0.01, 0.3, 2.0):
+        decohere(A, x)
+    assert len(calls) == 1
+    # A, B, A, B: both spectra are held
+    for grid in (B, A, B):
+        decohere(grid)
+    assert len(calls) == 2
+    # a third grid evicts the least recent one (A), which is then transformed again
+    decohere(C)
+    decohere(B)
+    assert len(calls) == 3
+    decohere(A)
+    assert len(calls) == 4
+    # the DFT route transforms its own grid once per call
+    for expected in (5, 6):
+        kspace_outer_integral(Mesh(mesh=box_mesh(L, L, L)), RHO, SIGMA)
+        assert len(calls) == expected

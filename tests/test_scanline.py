@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from cslsurf.geometry import mesh as mesh_module
 from cslsurf.geometry import (
     Box,
     Mesh,
@@ -126,3 +127,46 @@ def test_contains_memory_bounded_for_many_faces():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert np.array_equal(mask, [mesh.contains(p)[0] for p in points])
+
+
+def unculled_contains(mesh, points):
+    """Parity of the crossings of every face with every point's +x ray."""
+    hit, x = mesh._ray_faces.crossings(points[:, None, 1], points[:, None, 2])
+    return np.count_nonzero(hit & (x > points[:, None, 0]), axis=1) % 2 == 1
+
+
+def probe_points(mesh, seed, n=400):
+    """Random points around the mesh, its vertices and edge midpoints, and
+    random points on the (y, z) lines through its vertices."""
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.bounding_box()
+    pad = 0.1 * (hi - lo)
+    corner = mesh.vertices[mesh.faces]
+    on_lines = mesh.vertices[rng.integers(len(mesh.vertices), size=n)].copy()
+    on_lines[:, 0] = rng.uniform(lo[0] - pad[0], hi[0] + pad[0], size=n)
+    return np.concatenate([rng.uniform(lo - pad, hi + pad, size=(n, 3)), mesh.vertices,
+                           (corner[:, 0] + corner[:, 1]) / 2, on_lines])
+
+
+@SCANLINE_SETTINGS
+@given(
+    kind=st.sampled_from(["box", "icosphere"]),
+    sides=st.tuples(*[st.floats(2.0, 5.0)] * 3),
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="box", sides=(3.0, 3.0, 3.0), quat=(0.0, 0.0, 0.0, 1.0), seed=0)
+def test_contains_cull_matches_unculled(kind, sides, quat, seed):
+    base = box_mesh(*sides) if kind == "box" else icosphere(min(sides) / 2, 2)
+    mesh = TriangleMesh(base.vertices @ Rotation.from_quat(quat).as_matrix().T, base.faces)
+    points = probe_points(mesh, seed)
+    assert np.array_equal(mesh.contains(points), unculled_contains(mesh, points))
+
+
+def test_contains_cull_chunks(monkeypatch):
+    # a few point-face pairs per chunk, and faces whose y band alone exceeds it
+    monkeypatch.setattr(mesh_module, "_CONTAINS_PAIRS", 7)
+    mesh = icosphere(1.0, 1)
+    points = probe_points(mesh, 5, n=200)
+    assert np.array_equal(mesh.contains(points), unculled_contains(mesh, points))
+    assert not mesh.contains(np.empty((0, 3))).size
