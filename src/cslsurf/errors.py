@@ -6,7 +6,7 @@ class CslsurfError(Exception):
 
 
 class DegenerateDimension(CslsurfError, ValueError):
-    """A shape parameter is zero, negative, or otherwise unusable."""
+    """A shape or grid parameter is zero, negative, or otherwise unusable."""
 
 
 class CavityOverlap(CslsurfError, ValueError):

@@ -6,6 +6,14 @@ analytic area to rounding.  Resolution only controls how finely the area
 is subdivided.  Cavity walls are first-class boundary patches whose
 normals point out of the material (into the cavity).
 
+One rule serves every solid of revolution (:func:`_sweep`): each straight
+segment of its (r, z) profile polyline, Gauss-Legendre along the segment
+and a midpoint ring in phi, is swept about the local z axis.  Cylinders,
+gapped cylinders (one profile per segment) and cone-capped cylinders
+declare their polyline; the elliptic cylinder is the unit cylinder under
+the stretch x -> a x, y -> b y.  The sphere keeps its own rule, whose
+points are exactly R times the normals; boxes take one rule per face.
+
 Each shape class is the one place its geometry lives; the module-level
 functions here and in the oracles dispatch to its methods.
 """
@@ -200,11 +208,6 @@ def _gl(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _ring(n_phi):
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    return np.cos(phi), np.sin(phi), 2.0 * np.pi / n_phi
-
-
 def _counts(resolution):
     res = int(resolution)
     if res < 1:
@@ -224,69 +227,53 @@ def _family(size, build, *args):
     return size, partial(build, *args)
 
 
+def _sweep(r0, z0, r1, z1, n_u, n_phi, stretch):
+    """Patches of the surface that the straight (r, z) profile segment from
+    (r0, z0) to (r1, z1) sweeps about the local z axis.
+
+    Gauss-Legendre nodes u along the segment, a midpoint ring in phi.  The
+    material lies left of the segment's direction d = (dr, dz), so the
+    outward normal is (dz, -dr) / |d| and the weight r |d| w_u dphi.  The
+    ``stretch`` (a, b) then maps x -> a x and y -> b y: normals go through
+    M^-T = diag(1/a, 1/b, 1) and are renormalised, and weights gain the
+    area factor a b |M^-T n|.
+    """
+    u, wu = _gl(n_u, 0.0, 1.0)
+    dr, dz = r1 - r0, z1 - z0
+    span = math.hypot(dr, dz)
+    r = r0 + u * dr
+    a, b = stretch
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    cp, sp = np.cos(phi), np.sin(phi)
+    n = np.stack([cp * (dz / span / a), sp * (dz / span / b),
+                  np.full(n_phi, -dr / span)], axis=1)
+    gain = np.linalg.norm(n, axis=1)
+    pts = np.stack([a * np.outer(r, cp).ravel(), b * np.outer(r, sp).ravel(),
+                    np.repeat(z0 + u * dz, n_phi)], axis=1)
+    weights = np.outer(r * span * wu, (a * b * 2.0 * np.pi / n_phi) * gain).ravel()
+    return SurfacePatches(pts, np.tile(n / gain[:, None], (n_u, 1)), weights)
+
+
+def _swept_families(profile, nodes, n_phi, stretch=(1.0, 1.0)):
+    """One family per segment of the (r, z) ``profile`` polyline, swept by
+    :func:`_sweep` with ``nodes`` Gauss-Legendre nodes along each segment
+    and ``n_phi`` around the axis."""
+    return [_family(n_u * n_phi, _sweep, *p, *q, n_u, n_phi, stretch)
+            for p, q, n_u in zip(profile, profile[1:], nodes)]
+
+
 def _sphere_patches(R, n_theta, n_phi):
+    # outside the sweep: its points are exactly R times its normals
     ct, wt = leggauss(n_theta)
     st = np.sqrt(1.0 - ct**2)
-    cp, sp, dphi = _ring(n_phi)
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    cp, sp, dphi = np.cos(phi), np.sin(phi), 2.0 * np.pi / n_phi
     nx = np.outer(st, cp).ravel()
     ny = np.outer(st, sp).ravel()
     nz = np.outer(ct, np.ones(n_phi)).ravel()
     normals = np.stack([nx, ny, nz], axis=1)
     weights = (R**2 * dphi) * np.outer(wt, np.ones(n_phi)).ravel()
     return SurfacePatches(R * normals, normals, weights)
-
-
-def _disc_patches(R, z, orient, n_rad, n_phi):
-    s, ws = _gl(n_rad, 0.0, R)
-    cp, sp, dphi = _ring(n_phi)
-    x = np.outer(s, cp).ravel()
-    y = np.outer(s, sp).ravel()
-    pts = np.stack([x, y, np.full(x.size, z)], axis=1)
-    normals = np.tile([0.0, 0.0, float(orient)], (x.size, 1))
-    weights = dphi * np.outer(ws * s, np.ones(n_phi)).ravel()
-    return SurfacePatches(pts, normals, weights)
-
-
-def _cylinder_lateral(R, z_lo, z_hi, n_len, n_phi):
-    z, wz = _gl(n_len, z_lo, z_hi)
-    cp, sp, dphi = _ring(n_phi)
-    nx = np.outer(np.ones(n_len), cp).ravel()
-    ny = np.outer(np.ones(n_len), sp).ravel()
-    zz = np.outer(z, np.ones(n_phi)).ravel()
-    normals = np.stack([nx, ny, np.zeros_like(nx)], axis=1)
-    pts = np.stack([R * nx, R * ny, zz], axis=1)
-    weights = (R * dphi) * np.outer(wz, np.ones(n_phi)).ravel()
-    return SurfacePatches(pts, normals, weights)
-
-
-def _cylinder_families(R, z_lo, z_hi, n):
-    """Lateral wall, top and bottom disc of a circular cylinder."""
-    nl, nr, nphi = n["len"], n["rad"], n["phi"]
-    return [_family(nl * nphi, _cylinder_lateral, R, z_lo, z_hi, nl, nphi),
-            _family(nr * nphi, _disc_patches, R, z_hi, +1, nr, nphi),
-            _family(nr * nphi, _disc_patches, R, z_lo, -1, nr, nphi)]
-
-
-def _cone_patches(R, z_base, direction, apex_angle, n_u, n_phi):
-    """Lateral cone surface; constant normal tilt sin(theta/2) along the axis."""
-    alpha = apex_angle / 2.0
-    h = R / math.tan(alpha)
-    slant = R / math.sin(alpha)
-    u, wu = _gl(n_u, 0.0, 1.0)
-    cp, sp, dphi = _ring(n_phi)
-    rad = R * (1.0 - u)
-    z = z_base + direction * u * h
-    x = np.outer(rad, cp).ravel()
-    y = np.outer(rad, sp).ravel()
-    zz = np.outer(z, np.ones(n_phi)).ravel()
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    nx = ca * np.outer(np.ones(n_u), cp).ravel()
-    ny = ca * np.outer(np.ones(n_u), sp).ravel()
-    nz = np.full(nx.size, direction * sa)
-    weights = (slant * dphi) * np.outer(wu * rad, np.ones(n_phi)).ravel()
-    return SurfacePatches(
-        np.stack([x, y, zz], axis=1), np.stack([nx, ny, nz], axis=1), weights
-    )
 
 
 def _rect_patches(axis, sign, half, n_face):
@@ -302,40 +289,6 @@ def _rect_patches(axis, sign, half, n_face):
     normals = np.zeros((U.size, 3))
     normals[:, axis] = sign
     weights = np.outer(wu, wv).ravel()
-    return SurfacePatches(pts, normals, weights)
-
-
-def _elliptic_lateral(a, b, z_lo, z_hi, n_t, n_len):
-    t = (np.arange(n_t) + 0.5) * (2.0 * np.pi / n_t)
-    dt = 2.0 * np.pi / n_t
-    z, wz = _gl(n_len, z_lo, z_hi)
-    ct, st = np.cos(t), np.sin(t)
-    arc = np.sqrt((a * st) ** 2 + (b * ct) ** 2)  # |dr/dt|
-    nx, ny = ct / a, st / b
-    nn = np.hypot(nx, ny)
-    nx, ny = nx / nn, ny / nn
-    X = np.outer(np.ones(n_len), a * ct).ravel()
-    Y = np.outer(np.ones(n_len), b * st).ravel()
-    Z = np.outer(z, np.ones(n_t)).ravel()
-    NX = np.outer(np.ones(n_len), nx).ravel()
-    NY = np.outer(np.ones(n_len), ny).ravel()
-    weights = np.outer(wz, arc * dt).ravel()
-    return SurfacePatches(
-        np.stack([X, Y, Z], axis=1),
-        np.stack([NX, NY, np.zeros_like(NX)], axis=1),
-        weights,
-    )
-
-
-def _elliptic_disc(a, b, z, orient, n_rad, n_t):
-    s, ws = _gl(n_rad, 0.0, 1.0)
-    t = (np.arange(n_t) + 0.5) * (2.0 * np.pi / n_t)
-    dt = 2.0 * np.pi / n_t
-    X = a * np.outer(s, np.cos(t)).ravel()
-    Y = b * np.outer(s, np.sin(t)).ravel()
-    pts = np.stack([X, Y, np.full(X.size, z)], axis=1)
-    normals = np.tile([0.0, 0.0, float(orient)], (X.size, 1))
-    weights = (a * b * dt) * np.outer(ws * s, np.ones(n_t)).ravel()
     return SurfacePatches(pts, normals, weights)
 
 
@@ -442,8 +395,9 @@ class Cylinder(_Solid):
         return np.array([self.radius, self.radius, self.length / 2.0])
 
     def _patch_families(self, n):
-        half = self.length / 2.0
-        return _cylinder_families(self.radius, -half, half, n)
+        R, half = self.radius, self.length / 2.0
+        return _swept_families([(0.0, -half), (R, -half), (R, half), (0.0, half)],
+                               (n["rad"], n["len"], n["rad"]), n["phi"])
 
     def _parts(self):
         R, L = self.radius, self.length
@@ -549,11 +503,10 @@ class ConeCappedCylinder(_Solid):
         return np.array([self.radius, self.radius, self.length / 2.0 + self.cone_height])
 
     def _patch_families(self, n):
-        R, half, ang = self.radius, self.length / 2.0, self.apex_angle
-        nl, nr, nphi = n["len"], n["rad"], n["phi"]
-        return [_family(nl * nphi, _cylinder_lateral, R, -half, half, nl, nphi),
-                _family(nr * nphi, _cone_patches, R, half, +1, ang, nr, nphi),
-                _family(nr * nphi, _cone_patches, R, -half, -1, ang, nr, nphi)]
+        # r(z): 0 at each apex, rising linearly to R at the seams z = +-L/2
+        R, half, h = self.radius, self.length / 2.0, self.cone_height
+        return _swept_families([(0.0, -half - h), (R, -half), (R, half), (0.0, half + h)],
+                               (n["rad"], n["len"], n["rad"]), n["phi"])
 
     def _parts(self):
         R, L = self.radius, self.length
@@ -595,11 +548,11 @@ class EllipticCylinder(_Solid):
         return np.array([r, r, self.length / 2.0])
 
     def _patch_families(self, n):
-        a, b, half = self.semi_axis_a, self.semi_axis_b, self.length / 2.0
-        nl, nr, ne = n["len"], n["rad"], n["ellipse"]
-        return [_family(ne * nl, _elliptic_lateral, a, b, -half, half, ne, nl),
-                _family(nr * ne, _elliptic_disc, a, b, half, +1, nr, ne),
-                _family(nr * ne, _elliptic_disc, a, b, -half, -1, nr, ne)]
+        # the unit cylinder, stretched by (a, b)
+        half = self.length / 2.0
+        return _swept_families([(0.0, -half), (1.0, -half), (1.0, half), (0.0, half)],
+                               (n["rad"], n["len"], n["rad"]), n["ellipse"],
+                               stretch=(self.semi_axis_a, self.semi_axis_b))
 
     def _parts(self):
         a, b, L = self.semi_axis_a, self.semi_axis_b, self.length
@@ -669,9 +622,11 @@ class GappedCylinder(_Solid):
         return np.array([self.radius, self.radius, self.length / 2.0])
 
     def _patch_families(self, n):
-        seg, centers = self.segments()
-        return [fam for zc in centers
-                for fam in _cylinder_families(self.radius, zc - seg / 2, zc + seg / 2, n)]
+        # one cylinder profile per solid segment
+        R, (seg, centers) = self.radius, self.segments()
+        return [fam for lo, hi in zip(centers - seg / 2, centers + seg / 2)
+                for fam in _swept_families([(0.0, lo), (R, lo), (R, hi), (0.0, hi)],
+                                           (n["rad"], n["len"], n["rad"]), n["phi"])]
 
     def _parts(self):
         R = self.radius

@@ -55,9 +55,9 @@ from ..geometry.shapes import _bare, build_shape
 from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
-    DEFAULT_PADDING_SIGMA,
     VoxelGrid,
     _grid_geometry,
+    _grid_lengths,
     supersampled_fraction,
 )
 
@@ -261,10 +261,12 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     Uses the analytic form factor on an adaptive radial x angular rule
     when available (sphere, box, circular/elliptic cylinder, and phased
     compositions of these); other shapes go through a Parseval sum over
-    the DFT of the supersampled raw indicator.  Refinement stops when
-    one ladder step changes the tensor by less than ``tol`` (relative,
-    Frobenius) and raises :class:`QuadratureNotConverged` if the node
-    budget runs out first.
+    the DFT of the supersampled raw indicator, on a grid of ``spacing``
+    (default sigma / 2, which it may not exceed) padded by 6 sigma; its
+    grid arguments are checked as for :func:`rasterize_smoothed_density`.
+    Refinement stops when one ladder step changes the tensor by less than
+    ``tol`` (relative, Frobenius) and raises
+    :class:`QuadratureNotConverged` if the node budget runs out first.
     """
     spec = build_shape(spec)
     mu = form_factor(spec)
@@ -292,8 +294,8 @@ def _kspace_fft(spec, density, sigma, spacing, max_voxels):
     raw (unsmoothed) indicator and applies the Gaussian damping exactly
     in k-space.
     """
-    h = sigma / 2.0 if spacing is None else float(spacing)
-    dims, origin = _grid_geometry(spec, h, DEFAULT_PADDING_SIGMA * sigma, max_voxels)
+    h, padding = _grid_lengths(density, sigma, spacing)
+    dims, origin = _grid_geometry(spec, h, padding, max_voxels)
     ss = _SUPERSAMPLE
     grid = VoxelGrid(origin, h, density * supersampled_fraction(spec, dims, origin, h))
 

@@ -35,7 +35,13 @@ import numpy as np
 from scipy import ndimage
 from scipy.fft import next_fast_len
 
-from ..errors import GridTooLarge, ParseError, SpacingTooCoarse, UnsupportedShape
+from ..errors import (
+    DegenerateDimension,
+    GridTooLarge,
+    ParseError,
+    SpacingTooCoarse,
+    UnsupportedShape,
+)
 from ..geometry.shapes import bounding_box, build_shape, local_frame
 from .profiles import EdgeProfile
 
@@ -168,6 +174,25 @@ def smoothed_density(spec, density, sigma, points, profile=None):
 # rasterization
 
 
+def _grid_lengths(density, sigma, spacing=None, padding=None):
+    """Checked (spacing, padding) of a grid of the ``sigma``-smoothed
+    ``density``.  ``spacing`` defaults to sigma / 2 and may not be coarser
+    (:class:`SpacingTooCoarse`); ``padding`` defaults to 6 sigma and may
+    not be below 5.  Any other unusable value, a non-positive or
+    non-finite one included, raises :class:`DegenerateDimension`."""
+    spacing = sigma / 2.0 if spacing is None else float(spacing)
+    padding = DEFAULT_PADDING_SIGMA * sigma if padding is None else float(padding)
+    for name, value in (("density", density), ("sigma", sigma), ("spacing", spacing)):
+        if not (value > 0.0) or not math.isfinite(value):
+            raise DegenerateDimension(f"{name} must be positive and finite, got {value}")
+    if spacing > sigma / 2.0 * (1.0 + 1e-12):
+        raise SpacingTooCoarse(f"spacing {spacing} exceeds sigma/2 = {sigma / 2}")
+    if not (padding >= MIN_PADDING_SIGMA * sigma) or not math.isfinite(padding):
+        raise DegenerateDimension(
+            f"padding must be finite and at least {MIN_PADDING_SIGMA} sigma, got {padding}")
+    return spacing, padding
+
+
 def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     """Dims and origin of the grid over the bounding box plus ``padding``
     on every side; axis sizes are rounded up to FFT-friendly lengths."""
@@ -195,14 +220,7 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
     be coarser.
     """
     spec = build_shape(spec)
-    if not (sigma > 0) or not (density > 0):
-        raise ValueError("sigma and density must be positive")
-    spacing = sigma / 2.0 if spacing is None else float(spacing)
-    if spacing > sigma / 2.0 * (1.0 + 1e-12):
-        raise SpacingTooCoarse(f"spacing {spacing} exceeds sigma/2 = {sigma / 2}")
-    padding = DEFAULT_PADDING_SIGMA * sigma if padding is None else float(padding)
-    if padding < MIN_PADDING_SIGMA * sigma:
-        raise ValueError(f"padding must be at least {MIN_PADDING_SIGMA} sigma")
+    spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     if profile is not None and not profile.is_step:
         padding += profile.support()[1] - profile.support()[0]
 

@@ -285,6 +285,18 @@ class TestPlumbing:
         assert out == ""
         assert "must" in err
 
+    @pytest.mark.parametrize("flag, value, word", [
+        ("--spacing", "0 m", "spacing"),
+        ("--spacing", "-1e-8 m", "spacing"),
+        ("--padding", "1e-8 m", "padding"),
+    ])
+    def test_bad_grid_arguments_rejected(self, capsys, flag, value, word):
+        code, out, err = run(capsys, "validate", "--shape", SPHERE,
+                             "--sigma", "1e-7 m", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and word in err
+
     def test_mesh_report_records_path_and_hash(self, capsys, tmp_path):
         path = tmp_path / "cube.stl"
         path.write_bytes(mesh_to_stl(box_mesh(1e-6, 1e-6, 1e-6)))

@@ -15,7 +15,13 @@ import scipy.fft
 from scipy.integrate import quad
 
 from cslsurf.csl import CslParams, dephasing_matrix, superposition_dephasing_rate
-from cslsurf.errors import GridTooLarge, QuadratureNotConverged, ShiftOutOfGrid
+from cslsurf.errors import (
+    DegenerateDimension,
+    GridTooLarge,
+    QuadratureNotConverged,
+    ShiftOutOfGrid,
+    SpacingTooCoarse,
+)
 from cslsurf.geometry import Box, Cylinder, Mesh, Sphere, box_mesh, quadrature
 from cslsurf.oracle import (
     decoherence_function,
@@ -148,6 +154,22 @@ class TestKspaceIntegral:
         spec = Mesh(mesh=box_mesh(8.3 * SIGMA, 8.3 * SIGMA, 8.3 * SIGMA))
         with pytest.raises(GridTooLarge):
             kspace_outer_integral(spec, RHO, SIGMA, max_voxels=1000)
+
+    @pytest.mark.parametrize("spacing", [0.75, 1.0, 2.0])
+    def test_fft_fallback_spacing_cap(self, spacing):
+        # coarser than sigma/2 the DFT route was 4.5-59% off, silently
+        spec = Mesh(mesh=box_mesh(8 * SIGMA, 8 * SIGMA, 8 * SIGMA))
+        with pytest.raises(SpacingTooCoarse):
+            kspace_outer_integral(spec, RHO, SIGMA, spacing=spacing * SIGMA)
+
+    @pytest.mark.parametrize("density, spacing", [
+        (RHO, 0.0), (RHO, -0.25), (RHO, math.nan), (0.0, None), (-RHO, None),
+    ])
+    def test_fft_fallback_rejects_bad_grid_arguments(self, density, spacing):
+        spec = Mesh(mesh=box_mesh(8 * SIGMA, 8 * SIGMA, 8 * SIGMA))
+        spacing = None if spacing is None else spacing * SIGMA
+        with pytest.raises(DegenerateDimension):
+            kspace_outer_integral(spec, density, SIGMA, spacing=spacing)
 
     def test_non_convergence_raises(self):
         with pytest.raises(QuadratureNotConverged):

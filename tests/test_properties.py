@@ -28,6 +28,7 @@ from cslsurf.geometry import (
     mass_properties,
     quadrature,
 )
+from cslsurf.geometry.shapes import _counts
 from cslsurf.oracle.voxel import supersampled_fraction
 from cslsurf.tensors import rotational_surface_tensor, surface_tensor
 
@@ -161,3 +162,41 @@ def test_cavity_subtracts_exactly(kind, data):
     volume = mass_properties(spec, 1.0).volume
     parts = mass_properties(host, 1.0).volume - mass_properties(cavity, 1.0).volume
     assert math.isclose(volume, parts, rel_tol=1e-12)
+
+
+# the solids whose surface is an (r, z) profile polyline swept about their axis
+SWEPT_KINDS = ("cylinder", "cone", "elliptic", "gapped")
+
+
+@PROPERTY_SETTINGS
+@given(_scale, _unit, _unit, _direction, st.integers(4, 12))
+def test_round_elliptic_cylinder_is_the_cylinder(s, r, length, axis, resolution):
+    R, L = s * r, s * length
+    round_ = quadrature(EllipticCylinder(R, R, L, axis=axis), resolution=resolution)
+    circle = quadrature(Cylinder(R, L, axis=axis), resolution=resolution)
+    assert len(round_) == len(circle)
+    assert np.allclose(round_.points, circle.points, rtol=0, atol=1e-14 * max(R, L))
+    assert np.allclose(round_.normals, circle.normals, rtol=0, atol=1e-14)
+    assert np.allclose(round_.weights, circle.weights, rtol=0,
+                       atol=1e-14 * np.max(circle.weights))
+
+
+@PROPERTY_SETTINGS
+@given(analytic_shapes(kinds=SWEPT_KINDS), st.integers(1, 12))
+def test_closed_surface_normals_sum_to_zero(spec, resolution):
+    patches = quadrature(spec, resolution=resolution)
+    flux = patches.weights @ patches.normals
+    assert np.all(np.abs(flux) <= 1e-13 * patches.total_area)
+
+
+@PROPERTY_SETTINGS
+@given(_scale, _unit, _unit, st.floats(0.3, 2.8), st.integers(1, 12))
+def test_cone_cap_area_is_pi_r_slant(s, r, length, angle, resolution):
+    R = s * r
+    spec = ConeCappedCylinder(R, s * length, angle)
+    bottom, wall, top = spec._patch_families(_counts(resolution))
+    slant = R / math.sin(angle / 2.0)
+    for size, build in (bottom, top):
+        cap = build()
+        assert len(cap) == size
+        assert math.isclose(np.sum(cap.weights), math.pi * R * slant, rel_tol=1e-13)

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 from cslsurf.csl import CslParams
 from cslsurf.errors import (
+    CslsurfError,
     GridTooLarge,
     ParseError,
     ShiftOutOfGrid,
@@ -125,6 +126,17 @@ class TestRasterize:
     def test_padding_floor(self):
         with pytest.raises(ValueError):
             rasterize_smoothed_density(Sphere(5 * SIGMA), RHO, SIGMA, padding=2 * SIGMA)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"spacing": 0.0}, {"spacing": -SIGMA / 4}, {"spacing": math.inf},
+        {"padding": 4.9 * SIGMA}, {"padding": math.nan}, {"padding": math.inf},
+        {"sigma": 0.0}, {"sigma": -SIGMA}, {"density": 0.0}, {"density": math.nan},
+    ])
+    def test_bad_grid_arguments_are_typed_errors(self, kwargs):
+        args = {"density": RHO, "sigma": SIGMA, **kwargs}
+        with pytest.raises(CslsurfError) as info:
+            rasterize_smoothed_density(Sphere(5 * SIGMA), **args)
+        assert isinstance(info.value, ValueError)
 
     def test_grid_matches_point_evaluator(self):
         spec = GappedCylinder(4 * SIGMA, 20 * SIGMA, 2, 2 * SIGMA, axis="x")
