@@ -29,16 +29,17 @@ def rotation_to_z(axis):
     a = unit_vector(axis)
     z = np.array([0.0, 0.0, 1.0])
     c = float(np.dot(z, a))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        # 180 degrees about x
-        return np.diag([1.0, -1.0, -1.0])
     v = np.cross(z, a)
+    v2 = float(v @ v)
+    if v2 < np.finfo(float).tiny:
+        # the axis is +-z, or so near that |v|^2 underflows; -z is 180
+        # degrees about x.  c is no test: it rounds to +-1 for tilts below
+        # about 1e-8 rad, which the frame below keeps
+        return np.eye(3) if c > 0.0 else np.diag([1.0, -1.0, -1.0])
     vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
     # 1 + c equals |v|^2 / (1 - c).  Within ~2.6 degrees of -z the sum
     # 1 + c has lost digits and R would not be orthogonal; the quotient has not
-    denom = float(v @ v) / (1.0 - c) if c < -0.999 else 1.0 + c
+    denom = v2 / (1.0 - c) if c < -0.999 else 1.0 + c
     return np.eye(3) + vx + vx @ vx / denom
 
 

@@ -6,13 +6,17 @@ analytic area to rounding.  Resolution only controls how finely the area
 is subdivided.  Cavity walls are first-class boundary patches whose
 normals point out of the material (into the cavity).
 
-One rule serves every solid of revolution (:func:`_sweep`): each straight
-segment of its (r, z) profile polyline, Gauss-Legendre along the segment
-and a midpoint ring in phi, is swept about the local z axis.  Cylinders,
-gapped cylinders (one profile per segment) and cone-capped cylinders
-declare their polyline; the elliptic cylinder is the unit cylinder under
-the stretch x -> a x, y -> b y.  The sphere keeps its own rule, whose
-points are exactly R times the normals; boxes take one rule per face.
+A solid of revolution is defined by its (r, z) profile polylines alone
+(:class:`_Revolved`).  Its patches sweep each straight segment about the
+local z axis (:func:`_sweep`), its inside test is r <= r(z) on the walls,
+and its bounds, mass properties (Green's theorem in the (r, z) plane) and
+signed distance (the least distance to a segment) come from the same
+segments.  The cone-capped cylinder keeps the least signed distance of
+three pieces, for the reason its ``_sdf`` gives.  The elliptic cylinder
+is the unit cylinder under the stretch x -> a x, y -> b y and has no
+signed distance: one measured in the stretched frame is not a distance.
+The sphere keeps its own rule, whose points are exactly R times the
+normals; boxes take one rule per face.
 
 Each shape class is the one place its geometry lives; the module-level
 functions here and in the oracles dispatch to its methods.
@@ -168,35 +172,45 @@ def _jinc(x):
 
 
 # ---------------------------------------------------------------------------
-# signed distances in the local frame
+# (r, z) profiles of solids of revolution, in the local frame
 
 
-def _cyl_sdf(p, radius, half_len):
-    dr = np.hypot(p[:, 0], p[:, 1]) - radius
-    dz = np.abs(p[:, 2]) - half_len
-    d = np.stack([dr, dz], axis=1)
-    outside = np.linalg.norm(np.maximum(d, 0.0), axis=1)
-    inside = np.minimum(d.max(axis=1), 0.0)
-    return outside + inside
+def _segments(profiles):
+    """(r0, z0, r1, z1) of each straight segment of the ``profiles`` polylines."""
+    return [(*p, *q) for profile in profiles for p, q in zip(profile, profile[1:])]
 
 
-def _cone_sdf(p, radius, z_base, z_apex):
-    """Solid cone (base disc radius ``radius`` at z_base, apex at z_apex > z_base)."""
-    r = np.hypot(p[:, 0], p[:, 1])
+def _profile_inside(profiles, p, stretch=(1.0, 1.0)):
+    """Mask of the points ``p`` with r <= r(z) on a wall (a segment that is
+    not a disc) of the ``profiles``; r^2 = (x/a)^2 + (y/b)^2 under the
+    ``stretch`` (a, b).  The supersampled fill's hot loop: r^2 and z are
+    taken once and compared with r(z)^2 per wall, and the walls OR-ed."""
+    a, b = stretch
+    r2 = (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2
     z = p[:, 2]
-    d_slant = _segment_distance(r, z, radius, z_base, 0.0, z_apex)
-    d_base = _segment_distance(r, z, 0.0, z_base, radius, z_base)
-    dist = np.minimum(d_slant, d_base)
-    h = z_apex - z_base
-    inside = (z >= z_base) & (z <= z_apex) & (r <= radius * (1.0 - (z - z_base) / h))
-    return np.where(inside, -dist, dist)
+    inside = np.zeros(len(p), dtype=bool)
+    for r0, z0, r1, z1 in _segments(profiles):
+        if z0 == z1:
+            continue
+        if r0 == r1:
+            wall = r2 <= r0 * r0
+        else:
+            rz = r0 + (z - z0) * ((r1 - r0) / (z1 - z0))
+            wall = r2 <= rz * rz
+        inside |= wall & (z >= z0) & (z <= z1)
+    return inside
 
 
-def _segment_distance(r, z, r0, z0, r1, z1):
-    vr, vz = r1 - r0, z1 - z0
-    L2 = vr * vr + vz * vz
-    t = np.clip(((r - r0) * vr + (z - z0) * vz) / L2, 0.0, 1.0)
-    return np.hypot(r - (r0 + t * vr), z - (z0 + t * vz))
+def _profile_sdf(profiles, p):
+    """Least distance from ``p`` to a segment of the ``profiles``,
+    negative where :func:`_profile_inside` holds."""
+    r, z = np.hypot(p[:, 0], p[:, 1]), p[:, 2]
+    dist = np.inf
+    for r0, z0, r1, z1 in _segments(profiles):
+        vr, vz = r1 - r0, z1 - z0
+        t = np.clip(((r - r0) * vr + (z - z0) * vz) / (vr * vr + vz * vz), 0.0, 1.0)
+        dist = np.minimum(dist, np.hypot(r - (r0 + t * vr), z - (z0 + t * vz)))
+    return np.where(_profile_inside(profiles, p), -dist, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +268,6 @@ def _sweep(r0, z0, r1, z1, n_u, n_phi, stretch):
     return SurfacePatches(pts, np.tile(n / gain[:, None], (n_u, 1)), weights)
 
 
-def _swept_families(profile, nodes, n_phi, stretch=(1.0, 1.0)):
-    """One family per segment of the (r, z) ``profile`` polyline, swept by
-    :func:`_sweep` with ``nodes`` Gauss-Legendre nodes along each segment
-    and ``n_phi`` around the axis."""
-    return [_family(n_u * n_phi, _sweep, *p, *q, n_u, n_phi, stretch)
-            for p, q, n_u in zip(profile, profile[1:], nodes)]
-
-
 def _sphere_patches(R, n_theta, n_phi):
     # outside the sweep: its points are exactly R times its normals
     ct, wt = leggauss(n_theta)
@@ -303,12 +309,15 @@ class _Solid:
     functions) and points ``p`` in its local frame: center at the origin,
     axis along +z.  Every shape classifies points with its own ``_inside``
     (closed form, or ray parity for meshes); none goes through a signed
-    distance.  The hooks ``_sdf`` (signed distance), ``_smoothed_unit``
-    (closed-form Gaussian-smoothed indicator) and ``_unit_form_factor``
-    are None where the shape has none; the oracles then take the next
-    path of their rule (``oracle.voxel._unit_field``, the DFT route of the
-    k-space integral).  ``_scanline`` classifies a world-axis lattice;
-    ``Mesh`` overrides it with scanline parity.
+    distance.  A solid of revolution has one definition, its (r, z)
+    profile, from which :class:`_Revolved` derives all its geometry.  The
+    hooks ``_sdf`` (signed distance; none for the elliptic cylinder, and
+    the cone-capped cylinder's is not exact, see the module docstring),
+    ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator) and
+    ``_unit_form_factor`` are None where the shape has none; the oracles
+    then take the next path of their rule (``oracle.voxel._unit_field``,
+    the DFT route of the k-space integral).  ``_scanline`` classifies a
+    world-axis lattice; ``Mesh`` overrides it with scanline parity.
     """
 
     _sdf = None
@@ -337,6 +346,55 @@ class _Solid:
         """(min, max) corners about the center, in world axes."""
         ext = np.abs(local_frame(self)) @ self._half_extent()
         return -ext, ext
+
+
+class _Revolved(_Solid):
+    """A solid of revolution, defined by ``_profiles()`` alone: one (r, z)
+    polyline per connected piece, from the axis back to the axis, z
+    non-decreasing, the material on its left.  ``_stretch`` (a, b) maps
+    x -> a x and y -> b y; ``_ring`` names the patch count around the axis.
+    Patches, inside test, bounds, mass properties and signed distance all
+    come from the polylines.
+    """
+
+    _stretch = (1.0, 1.0)
+    _ring = "phi"
+
+    def _inside(self, p):
+        return _profile_inside(self._profiles(), p, self._stretch)
+
+    def _sdf(self, p):
+        return _profile_sdf(self._profiles(), p)
+
+    def _half_extent(self):
+        # x and y both take the larger stretch: the circumscribed cylinder
+        rz = np.concatenate(self._profiles())
+        r = rz[:, 0].max() * max(self._stretch)
+        return np.array([r, r, np.abs(rz[:, 1]).max()])
+
+    def _patch_families(self, n):
+        # a segment that reaches the axis (disc, cone) takes the radial count
+        n_phi, families = n[self._ring], []
+        for r0, z0, r1, z1 in _segments(self._profiles()):
+            n_u = n["rad"] if 0.0 in (r0, r1) else n["len"]
+            families.append(_family(n_u * n_phi, _sweep, r0, z0, r1, z1, n_u, n_phi,
+                                    self._stretch))
+        return families
+
+    def _parts(self):
+        # Green's theorem in the (r, z) plane: V = pi oint r^2 dz,
+        # int z^k dV = pi oint r^2 z^k dz and int x^2 dV = (pi/4) oint r^4 dz.
+        # Each integrand has degree <= 4 along a segment: 3 nodes are exact
+        r0, z0, r1, z1 = np.array(_segments(self._profiles())).T
+        u, w = _gl(3, 0.0, 1.0)
+        r = r0[:, None] + np.outer(r1 - r0, u)
+        z = z0[:, None] + np.outer(z1 - z0, u)
+        dV = np.pi * r**2 * np.outer(z1 - z0, w)
+        V = dV.sum()
+        zc = np.sum(dV * z) / V
+        xx = np.sum(dV * r**2) / 4.0
+        A = np.pi * np.sum((r0 + r1) * np.hypot(r1 - r0, z1 - z0))
+        return [(V, A, [0.0, 0.0, zc], np.diag([xx, xx, np.sum(dV * (z - zc) ** 2)]))]
 
 
 @dataclass(frozen=True)
@@ -377,33 +435,16 @@ class Sphere(_Solid):
 
 
 @dataclass(frozen=True)
-class Cylinder(_Solid):
+class Cylinder(_Revolved):
     radius: float = _length()
     length: float = _length()
     axis: tuple = _axis()
     center: tuple = _center()
     cavities: tuple = _cavities()
 
-    def _inside(self, p):
-        r = np.hypot(p[:, 0], p[:, 1])
-        return (r <= self.radius) & (np.abs(p[:, 2]) <= self.length / 2.0)
-
-    def _sdf(self, p):
-        return _cyl_sdf(p, self.radius, self.length / 2.0)
-
-    def _half_extent(self):
-        return np.array([self.radius, self.radius, self.length / 2.0])
-
-    def _patch_families(self, n):
+    def _profiles(self):
         R, half = self.radius, self.length / 2.0
-        return _swept_families([(0.0, -half), (R, -half), (R, half), (0.0, half)],
-                               (n["rad"], n["len"], n["rad"]), n["phi"])
-
-    def _parts(self):
-        R, L = self.radius, self.length
-        V = np.pi * R**2 * L
-        J = np.diag([V * R**2 / 4.0, V * R**2 / 4.0, V * L**2 / 12.0])
-        return [(V, 2 * np.pi * R * L + 2 * np.pi * R**2, np.zeros(3), J)]
+        return [[(0.0, -half), (R, -half), (R, half), (0.0, half)]]
 
     def _smoothed_unit(self, p, sigma):
         r = np.hypot(p[..., 0], p[..., 1])
@@ -461,7 +502,7 @@ class Box(_Solid):
 
 
 @dataclass(frozen=True)
-class ConeCappedCylinder(_Solid):
+class ConeCappedCylinder(_Revolved):
     """Cylinder whose two flat faces are replaced by outward cones.
 
     ``apex_angle`` is the full opening angle of each cone; the flat-face
@@ -480,56 +521,27 @@ class ConeCappedCylinder(_Solid):
     def cone_height(self):
         return self.radius / math.tan(self.apex_angle / 2.0)
 
-    def _inside(self, p):
-        # r <= r(z): R along the cylinder, falling linearly to 0 at each
-        # apex, in the arithmetic of _cone_sdf's inside test, so that it
-        # agrees with the sign of _sdf
-        half, h = self.length / 2.0, self.cone_height
-        r = np.hypot(p[:, 0], p[:, 1])
-        z = np.abs(p[:, 2])
-        return (z <= half + h) & (r <= self.radius * np.minimum(1.0, 1.0 - (z - half) / h))
-
-    def _sdf(self, p):
-        half = self.length / 2.0
-        h = self.cone_height
-        d = _cyl_sdf(p, self.radius, half)
-        for sgn in (1.0, -1.0):
-            q = p.copy()
-            q[:, 2] *= sgn
-            d = np.minimum(d, _cone_sdf(q, self.radius, half, half + h))
-        return d
-
-    def _half_extent(self):
-        return np.array([self.radius, self.radius, self.length / 2.0 + self.cone_height])
-
-    def _patch_families(self, n):
+    def _profiles(self):
         # r(z): 0 at each apex, rising linearly to R at the seams z = +-L/2
         R, half, h = self.radius, self.length / 2.0, self.cone_height
-        return _swept_families([(0.0, -half - h), (R, -half), (R, half), (0.0, half + h)],
-                               (n["rad"], n["len"], n["rad"]), n["phi"])
+        return [[(0.0, -half - h), (R, -half), (R, half), (0.0, half + h)]]
 
-    def _parts(self):
-        R, L = self.radius, self.length
-        alpha = self.apex_angle / 2.0
-        h = self.cone_height
-        V_cyl = np.pi * R**2 * L
-        V_cone = np.pi * R**2 * h / 3.0
-        V = V_cyl + 2.0 * V_cone
-        A = 2.0 * np.pi * R * L + 2.0 * np.pi * R**2 / math.sin(alpha)
-        J = np.diag([V_cyl * R**2 / 4.0, V_cyl * R**2 / 4.0, V_cyl * L**2 / 12.0])
-        Jc_perp = 3.0 * V_cone * R**2 / 20.0
-        Jc_axial = 3.0 * V_cone * h**2 / 80.0
-        for sgn in (+1.0, -1.0):
-            zc = sgn * (L / 2.0 + h / 4.0)
-            Jc = np.diag([Jc_perp, Jc_perp, Jc_axial])
-            Jc = Jc + V_cone * np.outer([0, 0, zc], [0, 0, zc])
-            J = J + Jc
-        # J above is about the local origin, which is the centroid by symmetry
-        return [(V, A, np.zeros(3), J)]
+    def _sdf(self, p):
+        # The least of the signed distances of three pieces, the cylinder and
+        # the two cones: 0 on the seam discs inside the body.  The sdf-erf
+        # field of the profile's exact distance is no smoothed indicator
+        # either, and would move the benchmark cone's gradient integral from
+        # 0.210 to 0.067 of the DFT route's, out of the band its known
+        # failure is declared in; that waits for the cone's own form factor
+        # (ROADMAP item 4)
+        (apex0, seam0, seam1, apex1), = self._profiles()
+        axis0, axis1 = (0.0, seam0[1]), (0.0, seam1[1])
+        pieces = ([axis0, seam0, seam1, axis1], [apex0, seam0, axis0], [axis1, seam1, apex1])
+        return np.minimum.reduce([_profile_sdf([piece], p) for piece in pieces])
 
 
 @dataclass(frozen=True)
-class EllipticCylinder(_Solid):
+class EllipticCylinder(_Revolved):
     """Cylinder with elliptic cross section, semi-axes a (x) and b (y)."""
 
     semi_axis_a: float = _length()
@@ -539,20 +551,17 @@ class EllipticCylinder(_Solid):
     center: tuple = _center()
     cavities: tuple = _cavities()
 
-    def _inside(self, p):
-        q = (p[:, 0] / self.semi_axis_a) ** 2 + (p[:, 1] / self.semi_axis_b) ** 2
-        return (q <= 1.0) & (np.abs(p[:, 2]) <= self.length / 2.0)
+    _sdf = None
+    _ring = "ellipse"
 
-    def _half_extent(self):
-        r = max(self.semi_axis_a, self.semi_axis_b)
-        return np.array([r, r, self.length / 2.0])
+    @property
+    def _stretch(self):
+        return self.semi_axis_a, self.semi_axis_b
 
-    def _patch_families(self, n):
+    def _profiles(self):
         # the unit cylinder, stretched by (a, b)
         half = self.length / 2.0
-        return _swept_families([(0.0, -half), (1.0, -half), (1.0, half), (0.0, half)],
-                               (n["rad"], n["len"], n["rad"]), n["ellipse"],
-                               stretch=(self.semi_axis_a, self.semi_axis_b))
+        return [[(0.0, -half), (1.0, -half), (1.0, half), (0.0, half)]]
 
     def _parts(self):
         a, b, L = self.semi_axis_a, self.semi_axis_b, self.length
@@ -571,7 +580,7 @@ class EllipticCylinder(_Solid):
 
 
 @dataclass(frozen=True)
-class GappedCylinder(_Solid):
+class GappedCylinder(_Revolved):
     """Cylinder of overall span ``length`` cut by evenly spaced gaps.
 
     ``gap_count`` perpendicular gaps of width ``gap_width`` split the rod
@@ -601,40 +610,11 @@ class GappedCylinder(_Solid):
         starts = -self.length / 2.0 + np.arange(n + 1) * (seg + self.gap_width)
         return seg, starts + seg / 2.0
 
-    def _inside(self, p):
-        r_ok = np.hypot(p[:, 0], p[:, 1]) <= self.radius
-        seg, centers = self.segments()
-        z_ok = np.zeros(len(p), dtype=bool)
-        for zc in centers:
-            z_ok |= np.abs(p[:, 2] - zc) <= seg / 2.0
-        return r_ok & z_ok
-
-    def _sdf(self, p):
-        seg, centers = self.segments()
-        d = np.full(len(p), np.inf)
-        for zc in centers:
-            q = p.copy()
-            q[:, 2] -= zc
-            d = np.minimum(d, _cyl_sdf(q, self.radius, seg / 2.0))
-        return d
-
-    def _half_extent(self):
-        return np.array([self.radius, self.radius, self.length / 2.0])
-
-    def _patch_families(self, n):
+    def _profiles(self):
         # one cylinder profile per solid segment
         R, (seg, centers) = self.radius, self.segments()
-        return [fam for lo, hi in zip(centers - seg / 2, centers + seg / 2)
-                for fam in _swept_families([(0.0, lo), (R, lo), (R, hi), (0.0, hi)],
-                                           (n["rad"], n["len"], n["rad"]), n["phi"])]
-
-    def _parts(self):
-        R = self.radius
-        seg, centers = self.segments()
-        V_seg = np.pi * R**2 * seg
-        A_seg = 2.0 * np.pi * R * seg + 2.0 * np.pi * R**2
-        J_seg = np.diag([V_seg * R**2 / 4.0, V_seg * R**2 / 4.0, V_seg * seg**2 / 12.0])
-        return [(V_seg, A_seg, [0.0, 0.0, zc], J_seg) for zc in centers]
+        return [[(0.0, lo), (R, lo), (R, hi), (0.0, hi)]
+                for lo, hi in zip(centers - seg / 2, centers + seg / 2)]
 
     def _smoothed_unit(self, p, sigma):
         r = np.hypot(p[..., 0], p[..., 1])

@@ -51,7 +51,7 @@ from scipy import fft as sfft
 
 from ..csl import CslParams
 from ..errors import QuadratureNotConverged, ShiftOutOfGrid
-from ..geometry.shapes import _bare, build_shape
+from ..geometry.shapes import _bare, _positive, _sphere_patches, build_shape
 from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
@@ -218,25 +218,13 @@ def form_factor(spec):
 # k-space integral
 
 
-def _spherical_rule(n_r, n_t, n_p, kmax):
-    xr, wr = leggauss(n_r)
-    kr = 0.5 * kmax * (xr + 1.0)
-    wkr = 0.5 * kmax * wr
-    ct, wt = leggauss(n_t)
-    st = np.sqrt(1.0 - ct**2)
-    phi = (np.arange(n_p) + 0.5) * (2.0 * np.pi / n_p)
-    dirs = np.stack([
-        np.outer(st, np.cos(phi)).ravel(),
-        np.outer(st, np.sin(phi)).ravel(),
-        np.outer(ct, np.ones(n_p)).ravel(),
-    ], axis=1)
-    wd = (np.outer(wt, np.ones(n_p)) * (2.0 * np.pi / n_p)).ravel()
-    return kr, wkr, dirs, wd
-
-
 def _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p, radial_chunk=128):
     kmax = KMAX_SIGMA / sigma
-    kr, wkr, dirs, wd = _spherical_rule(n_r, n_t, n_p, kmax)
+    xr, wr = leggauss(n_r)
+    kr, wkr = 0.5 * kmax * (xr + 1.0), 0.5 * kmax * wr
+    # the directions and weights of the unit sphere's surface rule
+    unit = _sphere_patches(1.0, n_t, n_p)
+    dirs, wd = unit.normals, unit.weights
     radial = wkr * kr**4 * np.exp(-((kr * sigma) ** 2))
     per_dir = np.zeros(len(dirs))
     for lo in range(0, n_r, radial_chunk):
@@ -267,7 +255,11 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     Refinement stops when one ladder step changes the tensor by less than
     ``tol`` (relative, Frobenius) and raises
     :class:`QuadratureNotConverged` if the node budget runs out first.
+    ``density`` and ``sigma`` must be positive and finite on either route
+    (:class:`DegenerateDimension`).
     """
+    _positive("density", density)
+    _positive("sigma", sigma)
     spec = build_shape(spec)
     mu = form_factor(spec)
     if mu is None:

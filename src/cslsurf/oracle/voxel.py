@@ -42,7 +42,7 @@ from ..errors import (
     SpacingTooCoarse,
     UnsupportedShape,
 )
-from ..geometry.shapes import bounding_box, build_shape, local_frame
+from ..geometry.shapes import _positive, bounding_box, build_shape, local_frame
 from .profiles import EdgeProfile
 
 #: default zero-field margin around the body, in units of sigma.  Five
@@ -160,7 +160,12 @@ def _density(parts, density, sigma, points):
 
 
 def smoothed_density(spec, density, sigma, points, profile=None):
-    """Pointwise sigma-smoothed density of the body (cavities subtract)."""
+    """Pointwise sigma-smoothed density of the body (cavities subtract).
+
+    ``density`` and ``sigma`` must be positive and finite
+    (:class:`DegenerateDimension`)."""
+    _positive("density", density)
+    _positive("sigma", sigma)
     spec = build_shape(spec)
     parts = [(s, _unit_field(s, profile)) for s in (spec, *spec.cavities)]
     for solid, unit in parts:
@@ -183,8 +188,7 @@ def _grid_lengths(density, sigma, spacing=None, padding=None):
     spacing = sigma / 2.0 if spacing is None else float(spacing)
     padding = DEFAULT_PADDING_SIGMA * sigma if padding is None else float(padding)
     for name, value in (("density", density), ("sigma", sigma), ("spacing", spacing)):
-        if not (value > 0.0) or not math.isfinite(value):
-            raise DegenerateDimension(f"{name} must be positive and finite, got {value}")
+        _positive(name, value)
     if spacing > sigma / 2.0 * (1.0 + 1e-12):
         raise SpacingTooCoarse(f"spacing {spacing} exceeds sigma/2 = {sigma / 2}")
     if not (padding >= MIN_PADDING_SIGMA * sigma) or not math.isfinite(padding):

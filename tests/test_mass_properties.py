@@ -86,15 +86,16 @@ class TestCrossChecks:
         first = 0.5 * np.einsum("i,ij,ij->j", p.weights, p.points**2, p.normals)
         assert np.allclose(first / mp.volume, mp.centroid, atol=1e-10)
 
-    def test_inertia_against_patch_moments(self):
-        # oint x_i^2 x_j n_j dS / 3 = int x_i^2 dV gives the second moment diag
-        spec = ConeCappedCylinder(0.8, 2.0, math.radians(70))
+    @pytest.mark.parametrize("spec", SUITE)
+    def test_inertia_against_patch_moments(self, spec):
+        # (1/5) oint r o r (r . n) dS = int r o r dV, about the centroid
         rho = 2.0
         mp = mass_properties(spec, rho)
         p = quadrature(spec, resolution=48)
         r = p.points - mp.centroid
-        diag = np.einsum("i,ij,ij,ij->j", p.weights, r**2, r, p.normals) / 3.0
-        assert np.allclose(rho * diag, np.diag(mp.second_moment), rtol=1e-6)
+        full = np.einsum("i,ij,ik,il,il->jk", p.weights, r, r, r, p.normals) / 5.0
+        J = mp.second_moment
+        assert np.allclose(rho * full, J, rtol=0, atol=1e-12 * np.abs(J).max())
 
 
 class TestMesh:

@@ -171,6 +171,16 @@ class TestKspaceIntegral:
         with pytest.raises(DegenerateDimension):
             kspace_outer_integral(spec, density, SIGMA, spacing=spacing)
 
+    @pytest.mark.parametrize("density, sigma", [
+        (RHO, -SIGMA), (RHO, 0.0), (RHO, math.nan), (RHO, math.inf),
+        (0.0, SIGMA), (-RHO, SIGMA), (math.nan, SIGMA), (math.inf, SIGMA),
+    ])
+    def test_analytic_ladder_rejects_bad_density_or_sigma(self, density, sigma):
+        # the ladder used to return a negative-trace tensor for sigma < 0,
+        # zero for density 0, and ZeroDivisionError for sigma = 0
+        with pytest.raises(DegenerateDimension):
+            kspace_outer_integral(Sphere(5 * SIGMA), density, sigma)
+
     def test_non_convergence_raises(self):
         with pytest.raises(QuadratureNotConverged):
             kspace_outer_integral(Box((400 * SIGMA, 6 * SIGMA, 6 * SIGMA)),

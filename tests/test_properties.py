@@ -24,6 +24,7 @@ from cslsurf.geometry import (
     Mesh,
     Sphere,
     TriangleMesh,
+    bounding_box,
     box_mesh,
     mass_properties,
     quadrature,
@@ -101,6 +102,15 @@ def test_surface_tensor_trace_is_area(spec):
     assert math.isclose(trace, area, rel_tol=1e-10)
 
 
+@PROPERTY_SETTINGS
+@given(analytic_shapes(), st.integers(1, 12))
+def test_bounding_box_holds_the_surface(spec, resolution):
+    points = quadrature(spec, resolution=resolution).points
+    lo, hi = bounding_box(spec)
+    tol = 1e-12 * (hi - lo)
+    assert np.all(points >= lo - tol) and np.all(points <= hi + tol)
+
+
 def _moved(spec, R, t):
     """The body after x -> R x + t: the axis turns, a box becomes a turned mesh."""
     def place(c):
@@ -134,6 +144,9 @@ def _tensors(spec):
     st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
     _offset,
 )
+# an axis 1e-7 rad from +z, turned a quarter-turn about y: its frame must keep
+# the tilt, which a local frame snapped to the exact one loses
+@example(Cylinder(1e-3, 1e-3, axis=(0.0, 1e-7, 1.0)), (0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 0.0))
 def test_tensors_covariant_under_rigid_motion(spec, quat, offset):
     R = Rotation.from_quat(quat).as_matrix()
     S, S_rot, scale = _tensors(spec)

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from cslsurf.csl import CslParams
 from cslsurf.errors import (
     CslsurfError,
+    DegenerateDimension,
     GridTooLarge,
     ParseError,
     ShiftOutOfGrid,
@@ -98,6 +99,16 @@ class TestPointEvaluator:
         got = smoothed_density(spec, 1.0, SIGMA, pts, profile=profile)
         expected = EdgeProfile.step().smoothed(signed_distance(spec, pts), SIGMA)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("density, sigma", [
+        (RHO, -SIGMA), (RHO, 0.0), (RHO, math.nan), (RHO, math.inf),
+        (0.0, SIGMA), (-RHO, SIGMA), (math.nan, SIGMA), (math.inf, SIGMA),
+    ])
+    def test_bad_density_or_sigma_is_degenerate(self, density, sigma):
+        # sigma < 0 used to give -density inside a box, sigma = 0 NaN on its face
+        spec = Box((4 * SIGMA, 4 * SIGMA, 4 * SIGMA))
+        with pytest.raises(DegenerateDimension):
+            smoothed_density(spec, density, sigma, [[0.0, 0.0, 0.0], [2 * SIGMA, 0.0, 0.0]])
 
     def test_mesh_points_unsupported(self):
         spec = Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6))
