@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDimension, SingularInertia, ValidityWarning
+from .geometry.shapes import _positive
 from .tensors import clamp_psd, principal_axes
 
 #: quadratic (momentum-diffusion) regime is quantitative for |delta| << sigma;
@@ -49,8 +50,7 @@ class CslParams:
 
 def dephasing_prefactor(density, params: CslParams) -> float:
     """c = 2 pi lambda sigma^2 rho^2 / m_N^2, in 1/(s m^4)."""
-    if not (density > 0.0):
-        raise DegenerateDimension(f"density must be positive, got {density}")
+    _positive("density", density)
     lam = params.collapse_rate
     sig = params.localization_length
     return 2.0 * math.pi * lam * sig**2 * density**2 / params.nucleon_mass**2

@@ -15,6 +15,10 @@ segments.  The cone-capped cylinder keeps the least signed distance of
 three pieces, for the reason its ``_sdf`` gives.  The elliptic cylinder
 is the unit cylinder under the stretch x -> a x, y -> b y and has no
 signed distance: one measured in the stretched frame is not a distance.
+Every solid of revolution, the cone included, takes its clearance (the
+unsigned distance that the supersampled fill's narrow band and the
+cavity checks read) from its profile's segments; under the elliptic
+stretch it is a lower bound.
 The sphere keeps its own rule, whose points are exactly R times the
 normals; boxes take one rule per face.
 
@@ -201,15 +205,21 @@ def _profile_inside(profiles, p, stretch=(1.0, 1.0)):
     return inside
 
 
-def _profile_sdf(profiles, p):
-    """Least distance from ``p`` to a segment of the ``profiles``,
-    negative where :func:`_profile_inside` holds."""
+def _profile_distance(profiles, p):
+    """Least distance from ``p`` to a segment of the ``profiles``: the
+    distance to the surface they sweep."""
     r, z = np.hypot(p[:, 0], p[:, 1]), p[:, 2]
     dist = np.inf
     for r0, z0, r1, z1 in _segments(profiles):
         vr, vz = r1 - r0, z1 - z0
         t = np.clip(((r - r0) * vr + (z - z0) * vz) / (vr * vr + vz * vz), 0.0, 1.0)
         dist = np.minimum(dist, np.hypot(r - (r0 + t * vr), z - (z0 + t * vz)))
+    return dist
+
+
+def _profile_sdf(profiles, p):
+    """:func:`_profile_distance`, negative where :func:`_profile_inside` holds."""
+    dist = _profile_distance(profiles, p)
     return np.where(_profile_inside(profiles, p), -dist, dist)
 
 
@@ -316,8 +326,11 @@ class _Solid:
     ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator) and
     ``_unit_form_factor`` are None where the shape has none; the oracles
     then take the next path of their rule (``oracle.voxel._unit_field``,
-    the DFT route of the k-space integral).  ``_scanline`` classifies a
-    world-axis lattice; ``Mesh`` overrides it with scanline parity.
+    the DFT route of the k-space integral).  ``_clearance`` is a lower
+    bound on the distance to the boundary, exact (``|_sdf|``) unless a
+    subclass says otherwise.  ``_scanline`` classifies a world-axis
+    lattice in a narrow band about the boundary; ``Mesh`` overrides it
+    with scanline parity.
     """
 
     _sdf = None
@@ -329,18 +342,41 @@ class _Solid:
             value = f.metadata["canon"](f.name, getattr(self, f.name))
             object.__setattr__(self, f.name, value)
 
+    def _clearance(self, p):
+        return np.abs(self._sdf(p))
+
     def _scanline(self, xs, ys, zs):
         """(len(ys), len(zs), len(xs)) mask of the solid, cavities left
-        out, on the lattice of ascending world axes, from :func:`contains`
-        on one line of constant y at a time."""
-        bare = _bare(self)
-        Z, X = np.meshgrid(zs, xs, indexing="ij")
-        pts = np.stack([X.ravel(), np.empty(X.size), Z.ravel()], axis=1)
-        out = np.empty((len(ys), *X.shape), dtype=bool)
-        for m, y in enumerate(ys):
-            pts[:, 1] = y
-            out[m] = contains(bare, pts).reshape(X.shape)
-        return out
+        out, on the lattice of ascending world axes.  ``ys`` is one voxel
+        row of ss lines, and ``xs`` and ``zs`` hold ss subsamples per voxel.
+
+        A narrow band: a voxel whose center is farther from the boundary
+        (its ``_clearance``) than the reach, its largest center-to-subsample
+        distance, lies on one side of it, and all its subsamples take
+        :func:`contains` at the center.  The reach carries a relative slack
+        of 1e-6 for the rounding of the local frame and of the clearance,
+        some 1e-15 of the body's size.  Only the other voxels' subsamples
+        go through :func:`contains`, gathered from the same axes, so every
+        bit is the one the pointwise test gives at that lattice point.
+        """
+        bare, ss = _bare(self), len(ys)
+        cells = [v.reshape(-1, ss) for v in (xs, ys, zs)]
+        mids = [c.mean(axis=1) for c in cells]
+        reach = math.hypot(*(np.max(np.abs(c - m[:, None])) for c, m in zip(cells, mids)))
+        cx, (cy,), cz = mids
+        Z, X = np.meshgrid(cz, cx, indexing="ij")
+        centers = np.stack([X.ravel(), np.full(X.size, cy), Z.ravel()], axis=1)
+        band = self._clearance(_to_local(self, centers)) <= reach * (1.0 + 1e-6)
+        side = np.zeros(len(centers), dtype=bool)
+        side[~band] = contains(bare, centers[~band])
+        out = np.empty((ss, len(cz), ss, len(cx), ss), dtype=bool)
+        out[...] = side.reshape(1, len(cz), 1, len(cx), 1)
+        kz, kx = (k[:, None] for k in np.divmod(np.flatnonzero(band), len(cx)))
+        a, b, c = np.indices((ss, ss, ss)).reshape(3, -1)
+        zi, xi = kz * ss + b, kx * ss + c
+        pts = np.stack(np.broadcast_arrays(xs[xi], ys[a], zs[zi]), axis=-1)
+        out[a, kz, b, kx, c] = contains(bare, pts.reshape(-1, 3)).reshape(zi.shape)
+        return out.reshape(ss, len(zs), len(xs))
 
     def _bounds(self):
         """(min, max) corners about the center, in world axes."""
@@ -365,6 +401,15 @@ class _Revolved(_Solid):
 
     def _sdf(self, p):
         return _profile_sdf(self._profiles(), p)
+
+    def _clearance(self, p):
+        # exact when round.  Under the stretch (a, b), x -> x s/a, y -> y s/b
+        # with s = min(a, b) lengthens no distance and maps the body onto
+        # the round one of radius s, whose distance is then a lower bound
+        a, b = self._stretch
+        s = min(a, b)
+        profiles = [[(r * s, z) for r, z in profile] for profile in self._profiles()]
+        return _profile_distance(profiles, p * (s / a, s / b, 1.0))
 
     def _half_extent(self):
         # x and y both take the larger stretch: the circumscribed cylinder
@@ -704,8 +749,11 @@ def _check_cavities(spec):
     """Cavities must sit strictly inside the host and apart from each other.
 
     Checks are exact for spherical cavities against hosts with a signed
-    distance (tangency included); other combinations are validated on
-    sampled cavity-surface probes.
+    distance (tangency included): the center must be inside, and farther
+    from the boundary than the radius by the exact ``_clearance``, which
+    for the cone-capped cylinder is its profile's distance, not its
+    ``_sdf``.  Other combinations are validated on sampled cavity-surface
+    probes.
     """
     host = _bare(spec)
     probes = []
@@ -717,15 +765,16 @@ def _check_cavities(spec):
         pts = _cavity_probe_points(cav)
         if not np.all(contains(host, pts)):
             raise CavityOverlap("cavity surface is not strictly inside the host")
-        try:
-            if np.max(signed_distance(host, pts)) >= 0.0:
-                raise CavityOverlap("cavity touches the host boundary")
+        # parity probes above are the best available for hosts without a distance
+        if host._sdf is not None:
             if isinstance(cav, Sphere):
                 center = np.asarray(cav.center)[None, :]
-                if signed_distance(host, center)[0] + cav.radius >= 0.0:
-                    raise CavityOverlap("cavity touches the host boundary")
-        except UnsupportedShape:
-            pass  # parity test above is the best available for mesh hosts
+                touches = (not contains(host, center)[0]
+                           or host._clearance(_to_local(host, center))[0] <= cav.radius)
+            else:
+                touches = np.max(signed_distance(host, pts)) >= 0.0
+            if touches:
+                raise CavityOverlap("cavity touches the host boundary")
         probes.append(pts)
     for i, cav_i in enumerate(spec.cavities):
         for j, cav_j in enumerate(spec.cavities):
@@ -822,8 +871,7 @@ def mass_properties(spec, density):
     Cavities subtract volume and add wall area.  For meshes the moments
     come from exact signed-tetrahedron accumulation over the facets.
     """
-    if not (density > 0.0):
-        raise DegenerateDimension(f"density must be positive, got {density}")
+    _positive("density", density)
     spec = build_shape(spec)
     parts = []
     for sign, solid in [(+1.0, spec)] + [(-1.0, cav) for cav in spec.cavities]:

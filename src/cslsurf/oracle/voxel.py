@@ -14,16 +14,23 @@ and takes no soft edge profile.
 That indicator is the share of a 4x4x4 subsample lattice per voxel that
 lies in the material.  One loop fills it a voxel row of lattice lines at
 a time: the host and then each cavity classify the row through their
-``_scanline`` hook, and each cavity is subtracted.  Analytic solids test
-the points of one line of constant y at a time with ``contains``.  Meshes
-use scanline parity: one +x ray per (y, z) subsample line, crossed with
-every face whose yz bounding box holds the line, and a running parity
-along x.  Each edge is evaluated from one fixed end, so the faces sharing
-it see exactly opposite values, and a line exactly on an edge or a vertex
-is counted as if moved by an infinitesimal step toward +y (then +z), a
-top-left rule: it crosses the surface there once, as a line beside it
-would.  The lattice is the same for every shape, so the fraction is
-always a count over 64.
+``_scanline`` hook, and each cavity is subtracted.  Analytic solids fill
+a narrow band: each voxel's center takes the solid's clearance, a lower
+bound on its distance to the boundary.  A voxel whose clearance exceeds
+the reach, the largest distance from its center to a subsample (3/8 sqrt 3
+spacings, with a relative slack of 1e-6), cannot be cut by the boundary,
+and all its subsamples take ``contains`` at the center.  Only the other
+voxels' subsamples go through ``contains``, gathered from the same axis
+arrays, so each is the lattice point the pointwise test would see and
+the fractions are exactly its fractions.  Meshes use scanline parity:
+one +x ray per (y, z) subsample line, crossed with every face whose yz
+bounding box holds the line, and a running parity along x.  Each edge
+is evaluated from one fixed end, so the faces sharing it see exactly
+opposite values, and a line exactly on an edge or a vertex is counted
+as if moved by an infinitesimal step toward +y (then +z), a top-left
+rule: it crosses the surface there once, as a line beside it would.
+The lattice is the same for every shape, so the fraction is always a
+count over 64.
 """
 
 import math
@@ -254,8 +261,8 @@ def supersampled_fraction(spec, dims, origin, spacing):
 
     One voxel row of lattice lines at a time, the host solid and then
     each cavity classify the row through their ``_scanline`` hook
-    (scanline parity for meshes, ``contains`` otherwise); each cavity
-    subtracts.
+    (scanline parity for meshes, a narrow band about the boundary
+    otherwise); each cavity subtracts.
     """
     ss = _SUPERSAMPLE
     sub = (np.arange(ss) + 0.5) / ss - 0.5

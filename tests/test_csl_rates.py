@@ -61,6 +61,11 @@ class TestPrefactorAndMatrix:
         assert got == pytest.approx(by_hand, rel=1e-14)
         assert got == pytest.approx(PREFACTOR_RHO2000, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_prefactor_rejects_bad_density(self, rho):
+        with pytest.raises(DegenerateDimension):
+            dephasing_prefactor(rho, PARAMS)
+
     def test_zero_tensor_gives_zero_matrix(self):
         dm = dephasing_matrix(np.zeros((3, 3)), 1000.0, PARAMS)
         assert np.array_equal(dm.matrix, np.zeros((3, 3)))

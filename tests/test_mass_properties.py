@@ -148,3 +148,10 @@ class TestCavities:
 
         with pytest.raises(DegenerateDimension):
             mass_properties(Sphere(1.0), 0.0)
+
+    @pytest.mark.parametrize("density", [math.inf, math.nan])
+    def test_density_must_be_finite(self, density):
+        from cslsurf.errors import DegenerateDimension
+
+        with pytest.raises(DegenerateDimension):
+            mass_properties(Sphere(1e-6), density)

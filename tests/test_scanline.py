@@ -1,5 +1,7 @@
-"""Scanline solid voxelization of meshes against the per-point parity test."""
+"""Scanline solid voxelization of meshes against the per-point parity test,
+and the narrow-band fill of analytic solids against the same pointwise test."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,19 +11,23 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from cslsurf.geometry import mesh as mesh_module
+from cslsurf.geometry import shapes
 from cslsurf.geometry import (
     Box,
     Mesh,
     Sphere,
     TriangleMesh,
+    bounding_box,
     box_mesh,
     build_shape,
     contains,
     icosphere,
     mass_properties,
+    quadrature,
 )
 from cslsurf.oracle import rasterize_smoothed_density
 from cslsurf.oracle.voxel import _SUPERSAMPLE, _grid_geometry, supersampled_fraction
+from test_properties import analytic_shapes
 
 SIGMA = 1e-7
 RHO = 2000.0
@@ -170,3 +176,50 @@ def test_contains_cull_chunks(monkeypatch):
     points = probe_points(mesh, 5, n=200)
     assert np.array_equal(mesh.contains(points), unculled_contains(mesh, points))
     assert not mesh.contains(np.empty((0, 3))).size
+
+
+@SCANLINE_SETTINGS
+@given(spec=analytic_shapes(), shift=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+# at spacing 1/4 every subsample coordinate is an odd multiple of 1/32, as
+# are the faces +-49/32 of this box: its faces hold whole subsample planes
+@example(spec=Box((49 / 16,) * 3), shift=(0.0, 0.0, 0.0))
+def test_band_fill_matches_pointwise(spec, shift):
+    lo, hi = bounding_box(spec)
+    spacing = 2.0 ** math.floor(math.log2((hi - lo).max() / 12))
+    dims, origin = _grid_geometry(spec, spacing, 2 * spacing)
+    # a sub-cell move of the grid against the body
+    origin = (np.round(origin / spacing) + np.asarray(shift)) * spacing
+    got = supersampled_fraction(spec, dims, origin, spacing)
+    assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
+
+
+@SCANLINE_SETTINGS
+@given(spec=analytic_shapes(with_cavity=st.just(False)), seed=st.integers(0, 2**32 - 1))
+def test_clearance_is_a_lower_bound(spec, seed):
+    # every quadrature point is on the boundary, so no boundary distance exceeds
+    # the distance to the nearest one
+    surface = quadrature(spec, resolution=8).points
+    lo, hi = bounding_box(spec)
+    pad = 0.2 * (hi - lo)
+    points = np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(300, 3))
+    nearest = np.min(np.linalg.norm(points[:, None] - surface[None], axis=2), axis=1)
+    clearance = spec._clearance(shapes._to_local(spec, points))
+    assert np.all(clearance <= nearest + 1e-12 * np.max(hi - lo))
+
+
+def test_band_keeps_uniform_voxels_out_of_contains(monkeypatch):
+    # a sphere 40 sigma across, 80 voxels: only voxels within the reach of its
+    # surface classify their 64 subsamples, the others their center
+    spec = Sphere(20 * SIGMA)
+    dims, origin = _grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
+    classified = []
+
+    def counting(solid, points):
+        classified.append(len(points))
+        return contains(solid, points)
+
+    monkeypatch.setattr(shapes, "contains", counting)
+    frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
+    assert sum(classified) <= 0.1 * _SUPERSAMPLE**3 * math.prod(dims)
+    volume = frac.sum() * (SIGMA / 2) ** 3
+    assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3

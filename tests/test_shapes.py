@@ -108,6 +108,19 @@ class TestValidation:
         spec = Box((4.0, 4.0, 4.0), cavities=(Sphere(0.4, center=(1.2, 1.2, 1.2)),))
         assert build_shape(spec) is spec
 
+    def test_sphere_cavity_on_cone_seam_is_fine(self):
+        # the seam disc z = L/2 is inside the body, 3 from every wall
+        spec = ConeCappedCylinder(6.0, 12.0, math.pi / 2,
+                                  cavities=(Sphere(1.0, center=(0.0, 0.0, 6.0)),))
+        assert build_shape(spec) is spec
+
+    @pytest.mark.parametrize("center", [(5.0, 0.0, 0.0), (0.0, 5.0, 6.0)],
+                             ids=["wall-tangent", "slant-at-seam"])
+    def test_sphere_cavity_touching_cone_rejected(self, center):
+        with pytest.raises(CavityOverlap):
+            build_shape(ConeCappedCylinder(6.0, 12.0, math.pi / 2,
+                                           cavities=(Sphere(1.0, center=center),)))
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("spec", SHAPE_SUITE[:5] + [SHAPE_SUITE[6]])
