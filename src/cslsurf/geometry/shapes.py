@@ -323,8 +323,10 @@ class _Solid:
     profile, from which :class:`_Revolved` derives all its geometry.  The
     hooks ``_sdf`` (signed distance; none for the elliptic cylinder, and
     the cone-capped cylinder's is not exact, see the module docstring),
-    ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator) and
-    ``_unit_form_factor`` are None where the shape has none; the oracles
+    ``_smoothed_unit(x, y, z, sigma)`` (closed-form Gaussian-smoothed
+    indicator on broadcastable arrays of the local coordinates, so that a
+    factor of one coordinate is taken on that coordinate's array alone)
+    and ``_unit_form_factor`` are None where the shape has none; the oracles
     then take the next path of their rule (``oracle.voxel._unit_field``,
     the DFT route of the k-space integral).  ``_clearance`` is a lower
     bound on the distance to the boundary, exact (``|_sdf|``) unless a
@@ -466,8 +468,9 @@ class Sphere(_Solid):
         V = 4.0 * np.pi * R**3 / 3.0
         return [(V, 4.0 * np.pi * R**2, np.zeros(3), V * R**2 / 5.0 * np.eye(3))]
 
-    def _smoothed_unit(self, p, sigma):
-        return _ball_factor(np.linalg.norm(p, axis=-1), self.radius, sigma)
+    def _smoothed_unit(self, x, y, z, sigma):
+        # the sum order of np.linalg.norm(p, axis=-1), so bit for bit its value
+        return _ball_factor(np.sqrt((x * x + y * y) + z * z), self.radius, sigma)
 
     def _unit_form_factor(self, k):
         R = self.radius
@@ -491,10 +494,9 @@ class Cylinder(_Revolved):
         R, half = self.radius, self.length / 2.0
         return [[(0.0, -half), (R, -half), (R, half), (0.0, half)]]
 
-    def _smoothed_unit(self, p, sigma):
-        r = np.hypot(p[..., 0], p[..., 1])
-        return (_disc_factor(r, self.radius, sigma)
-                * _interval_factor(p[..., 2], self.length / 2.0, sigma))
+    def _smoothed_unit(self, x, y, z, sigma):
+        return (_disc_factor(np.hypot(x, y), self.radius, sigma)
+                * _interval_factor(z, self.length / 2.0, sigma))
 
     def _unit_form_factor(self, k):
         R, L = self.radius, self.length
@@ -533,10 +535,10 @@ class Box(_Solid):
         J = np.diag([V * a**2 / 12.0, V * b**2 / 12.0, V * c**2 / 12.0])
         return [(V, A, np.zeros(3), J)]
 
-    def _smoothed_unit(self, p, sigma):
+    def _smoothed_unit(self, x, y, z, sigma):
         out = 1.0
-        for i, side in enumerate(self.size):
-            out = out * _interval_factor(p[..., i], side / 2.0, sigma)
+        for w, side in zip((x, y, z), self.size):
+            out = out * _interval_factor(w, side / 2.0, sigma)
         return out
 
     def _unit_form_factor(self, k):
@@ -661,13 +663,12 @@ class GappedCylinder(_Revolved):
         return [[(0.0, lo), (R, lo), (R, hi), (0.0, hi)]
                 for lo, hi in zip(centers - seg / 2, centers + seg / 2)]
 
-    def _smoothed_unit(self, p, sigma):
-        r = np.hypot(p[..., 0], p[..., 1])
+    def _smoothed_unit(self, x, y, z, sigma):
         seg, centers = self.segments()
         axial = 0.0
         for zc in centers:
-            axial = axial + _interval_factor(p[..., 2] - zc, seg / 2.0, sigma)
-        return _disc_factor(r, self.radius, sigma) * axial
+            axial = axial + _interval_factor(z - zc, seg / 2.0, sigma)
+        return _disc_factor(np.hypot(x, y), self.radius, sigma) * axial
 
 
 @dataclass(frozen=True)
@@ -793,9 +794,26 @@ def _check_cavities(spec):
 # point classification
 
 
-def _to_local(spec, points):
+def _local_axes(spec, x, y, z):
+    """Local coordinates of the world points (x, y, z), given as
+    broadcastable arrays: coordinate k is sum_j F[j, k] (w_j - c_j), F the
+    ``local_frame`` and c the center.  Terms with F[j, k] = 0 are skipped
+    and F[j, k] = +-1 takes +-(w_j - c_j), so on a named axis each local
+    coordinate keeps the shape of one world axis and equals the matrix
+    product's value; on a tilted one the sum may round differently."""
     frame = local_frame(spec)
-    return (points - np.asarray(spec.center)) @ frame
+    w = [v - c for v, c in zip((x, y, z), spec.center)]
+    axes = []
+    for k in range(3):
+        terms = [w[j] if f == 1.0 else -w[j] if f == -1.0 else f * w[j]
+                 for j, f in enumerate(frame[:, k]) if f != 0.0]
+        axes.append(sum(terms[1:], terms[0]))
+    return axes
+
+
+def _to_local(spec, points):
+    """(n, 3) local coordinates of the (n, 3) world ``points``."""
+    return np.stack(_local_axes(spec, *points.T), axis=1)
 
 
 def contains(spec, points):

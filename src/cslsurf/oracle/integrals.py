@@ -50,7 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
 from ..csl import CslParams
-from ..errors import QuadratureNotConverged, ShiftOutOfGrid
+from ..errors import DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
 from ..geometry.shapes import _bare, _positive, _sphere_patches, build_shape
 from .voxel import (
     _SUPERSAMPLE,
@@ -333,11 +333,16 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spec
     on the grid instead; its linear-interpolation bias inflates F by
     roughly h/|delta| for sub-cell shifts, so it is only meaningful for
     |delta| of at least a few spacings.
+
+    A ``delta`` that is not a 3-vector of numbers raises
+    :class:`DegenerateDimension`; one longer than the grid's margin, or
+    infinite, raises :class:`ShiftOutOfGrid`.
     """
     delta = np.asarray(delta, dtype=float)
-    if delta.shape != (3,):
-        raise ValueError("delta must be a 3-vector")
-    if grid.margin and np.linalg.norm(delta) > grid.margin:
+    if delta.shape != (3,) or np.any(np.isnan(delta)):
+        raise DegenerateDimension(f"delta must be a 3-vector of numbers, got {delta}")
+    # an infinite shift leaves any grid, a margin-less one included
+    if np.any(np.isinf(delta)) or (grid.margin and np.linalg.norm(delta) > grid.margin):
         raise ShiftOutOfGrid(
             f"|delta| = {np.linalg.norm(delta):.3g} exceeds grid margin {grid.margin:.3g}"
         )

@@ -11,12 +11,30 @@ that has none (elliptic cylinders, meshes) is rasterized as a
 supersampled indicator filtered on the grid; it has no point evaluator
 and takes no soft edge profile.
 
-That indicator is the share of a 4x4x4 subsample lattice per voxel that
-lies in the material.  One loop fills it a voxel row of lattice lines at
-a time: the host and then each cavity classify the row through their
-``_scanline`` hook, and each cavity is subtracted.  Analytic solids fill
-a narrow band: each voxel's center takes the solid's clearance, a lower
-bound on its distance to the boundary.  A voxel whose clearance exceeds
+Every field takes the solid's local coordinates as three broadcastable
+arrays, from the rule that ``contains`` and ``signed_distance`` use too
+(``geometry.shapes._local_axes``: a local coordinate sums only the world
+coordinates its frame column does not zero, and takes +-1 as a sign).
+The raster walks the grid one x-plane at a time and passes the plane's x
+as a (1, 1) array, y as (ny, 1) and z as (1, nz); the point evaluator
+passes the columns of its points.  On a named axis (x, y or z) the
+frame holds only 0 and +-1, so each local coordinate is one world axis
+minus the center, and a closed-form factor that reads no more than x
+and one other world axis is taken on ny or nz values per plane, not on
+ny nz: a box's erf factors, a cylinder's axial factor, and its disc
+factor unless its axis is x.  Those are the numbers a matrix product
+gives, and a product of broadcast factors is the product of the same
+factors per voxel, so such grids are bit for bit the point evaluator's
+values.  A tilted axis sums products in a fixed order, which may round
+differently from a matrix product.  The signed-distance path stacks the
+broadcast coordinates into points first.
+
+The supersampled indicator is the share of a 4x4x4 subsample lattice
+per voxel that lies in the material.  One loop fills it a voxel row of
+lattice lines at a time: the host and then each cavity classify the
+row through their ``_scanline`` hook, and each cavity is subtracted.
+Analytic solids fill a narrow band: each voxel's center takes the
+solid's clearance, a lower bound on its distance to the boundary.  A voxel whose clearance exceeds
 the reach, the largest distance from its center to a subsample (3/8 sqrt 3
 spacings, with a relative slack of 1e-6), cannot be cut by the boundary,
 and all its subsamples take ``contains`` at the center.  Only the other
@@ -49,7 +67,7 @@ from ..errors import (
     SpacingTooCoarse,
     UnsupportedShape,
 )
-from ..geometry.shapes import _positive, bounding_box, build_shape, local_frame
+from ..geometry.shapes import _local_axes, _positive, bounding_box, build_shape
 from .profiles import EdgeProfile
 
 #: default zero-field margin around the body, in units of sigma.  Five
@@ -136,32 +154,38 @@ def read_grid(path):
 
 
 def _unit_field(solid, profile):
-    """The rule that picks a solid's smoothed indicator ``f(p, sigma)``.
+    """The rule that picks a solid's smoothed indicator ``f(x, y, z, sigma)``.
 
-    ``p`` are points in the solid's local frame.  The first that applies:
-    the closed form when the edge is a step; the smoothed ``profile`` (the
-    step by default) of the signed distance; otherwise None, and only the
-    filtered raster can serve the solid, which needs a step edge.
+    ``x``, ``y`` and ``z`` are broadcastable arrays of local coordinates
+    (:func:`_local_axes`).  The first that applies: the closed form when
+    the edge is a step; the smoothed ``profile`` (the step by default) of
+    the signed distance; otherwise None, and only the filtered raster can
+    serve the solid, which needs a step edge.
     """
     step = profile is None or profile.is_step
     if step and solid._smoothed_unit is not None:
         return solid._smoothed_unit
     if solid._sdf is not None:
         profile = EdgeProfile.step() if profile is None else profile
-        return lambda p, sigma: profile.smoothed(
-            solid._sdf(p.reshape(-1, 3)), sigma).reshape(p.shape[:-1])
+
+        def field(x, y, z, sigma):
+            p = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+            return profile.smoothed(solid._sdf(p.reshape(-1, 3)), sigma).reshape(p.shape[:-1])
+
+        return field
     if not step:
         raise UnsupportedShape("soft edge profiles need an exact signed distance, "
                                f"which {type(solid).__name__} does not provide")
     return None
 
 
-def _density(parts, density, sigma, points):
-    """Smoothed density at ``points`` from the (solid, field) of the host
-    and then of each cavity, which subtract."""
+def _density(parts, density, sigma, x, y, z):
+    """Smoothed density at the world points (x, y, z) of broadcastable
+    arrays from the (solid, field) of the host and then of each cavity,
+    which subtract."""
     out = None
     for solid, unit in parts:
-        value = unit((points - np.asarray(solid.center)) @ local_frame(solid), sigma)
+        value = unit(*_local_axes(solid, x, y, z), sigma)
         out = value if out is None else out - value
     return density * out
 
@@ -179,7 +203,8 @@ def smoothed_density(spec, density, sigma, points, profile=None):
         if unit is None:
             raise UnsupportedShape(
                 f"no point evaluator for {type(solid).__name__}; rasterize instead")
-    return _density(parts, density, sigma, np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    return _density(parts, density, sigma, points[..., 0], points[..., 1], points[..., 2])
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +254,13 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
     sigma, at least 5) on every side; axis sizes are rounded up to
     FFT-friendly lengths.  ``spacing`` defaults to sigma / 2 and may not
     be coarser.
+
+    A body whose solids all have a field is evaluated one x-plane at a
+    time on the broadcast local axes of the plane (x as (1, 1), y as
+    (ny, 1), z as (1, nz)), so temporaries stay plane-sized and a factor
+    that depends on one world axis is taken once per value of that axis;
+    on named axes the grid is bit for bit :func:`smoothed_density` at its
+    points.  Any other body takes the filtered supersampled indicator.
     """
     spec = build_shape(spec)
     spacing, padding = _grid_lengths(density, sigma, spacing, padding)
@@ -243,15 +275,11 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
             frac, sigma=sigma / spacing, mode="constant", cval=0.0, truncate=8.0)
     else:
         values = np.empty(dims)
-        ax_y = origin[1] + spacing * np.arange(dims[1])
-        ax_z = origin[2] + spacing * np.arange(dims[2])
-        Y, Z = np.meshgrid(ax_y, ax_z, indexing="ij")
-        plane = np.empty((dims[1], dims[2], 3))
-        plane[:, :, 1] = Y
-        plane[:, :, 2] = Z
+        y = (origin[1] + spacing * np.arange(dims[1]))[:, None]
+        z = (origin[2] + spacing * np.arange(dims[2]))[None, :]
         for i in range(dims[0]):
-            plane[:, :, 0] = origin[0] + spacing * i
-            values[i] = _density(parts, density, sigma, plane)
+            x = np.full((1, 1), origin[0] + spacing * i)
+            values[i] = _density(parts, density, sigma, x, y, z)
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 

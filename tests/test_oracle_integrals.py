@@ -264,6 +264,19 @@ class TestDecoherenceFunction:
         with pytest.raises(ValueError):
             decoherence_function(self.grid, np.zeros(2), PARAMS)
 
+    @pytest.mark.parametrize("delta", [np.zeros(2), np.zeros((3, 1)), 0.0,
+                                       [np.nan, 0.0, 0.0], [0.0, 0.0, -np.nan]])
+    def test_unusable_delta_is_degenerate(self, delta):
+        with pytest.raises(DegenerateDimension, match="delta"):
+            decoherence_function(self.grid, delta, PARAMS)
+
+    @pytest.mark.parametrize("margin", [None, 0.0])
+    def test_infinite_delta_leaves_the_grid(self, margin):
+        grid = self.grid if margin is None else VoxelGrid(
+            self.grid.origin, self.grid.spacing, self.grid.values, margin=margin)
+        with pytest.raises(ShiftOutOfGrid):
+            decoherence_function(grid, [0.0, -np.inf, 0.0], PARAMS)
+
     def test_small_shift_limit_of_gradient_integral(self):
         # both sum the same spectrum: 1 - cos(k . delta) <= (k . delta)^2 / 2
         grid = rasterize_smoothed_density(Box((8 * SIGMA, 10 * SIGMA, 6 * SIGMA)), RHO, SIGMA)

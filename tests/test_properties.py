@@ -26,6 +26,7 @@ from cslsurf.geometry import (
     TriangleMesh,
     bounding_box,
     box_mesh,
+    icosphere,
     mass_properties,
     quadrature,
 )
@@ -154,6 +155,25 @@ def test_tensors_covariant_under_rigid_motion(spec, quat, offset):
     S_moved, S_rot_moved, _ = _tensors(_moved(spec, R, t))
     assert np.allclose(S_moved, R @ S @ R.T, rtol=0, atol=1e-10 * np.trace(S))
     assert np.allclose(S_rot_moved, R @ S_rot @ R.T, rtol=0, atol=1e-10 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(("box", "icosphere")),
+    _scale,
+    st.tuples(_unit, _unit, _unit),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+)
+def test_mesh_surface_tensor_turns_with_its_vertices(kind, s, dims, quat):
+    size = tuple(s * d for d in dims)
+    mesh = box_mesh(*size) if kind == "box" else icosphere(size[0], 2)
+    R = Rotation.from_quat(quat).as_matrix()
+    S = surface_tensor(quadrature(Mesh(mesh=mesh)))
+    turned = surface_tensor(quadrature(Mesh(mesh=TriangleMesh(mesh.vertices @ R.T, mesh.faces))))
+    tol = 1e-12 * np.trace(S)
+    assert np.allclose(turned, R @ S @ R.T, rtol=0, atol=tol)
+    if kind == "box":
+        assert np.allclose(S, surface_tensor(quadrature(Box(size))), rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("kind", KINDS)
