@@ -12,6 +12,7 @@ tolerance failure, 3 resource cap exceeded.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -55,11 +56,13 @@ from .geometry import (
 from .oracle import (
     DEFAULT_MAX_VOXELS,
     decoherence_function,
+    form_factor,
     gradient_outer_integral,
     kspace_outer_integral,
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
+from .oracle.voxel import shared_fill
 from .tensors import (
     axial_rotational_strength,
     principal_axes,
@@ -345,14 +348,20 @@ def _cmd_validate(args):
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
-    grid = rasterize_smoothed_density(
-        shape, density, sigma, spacing=spacing, padding=padding,
-        max_voxels=args.max_voxels,
-    )
-    grad = gradient_outer_integral(grid)
-    grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
-    del grid  # frees its values and held power spectrum before the k-space route
-    kint = kspace_outer_integral(shape, density, sigma, max_voxels=args.max_voxels)
+    # a body without a form factor takes the DFT route, which fills the
+    # supersampled indicator that a filtered raster may already have
+    # filled: the scope makes that one fill
+    share = shared_fill(shape) if form_factor(shape) is None else contextlib.nullcontext()
+    with share:
+        grid = rasterize_smoothed_density(
+            shape, density, sigma, spacing=spacing, padding=padding,
+            max_voxels=args.max_voxels,
+        )
+        grad = gradient_outer_integral(grid)
+        grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
+        del grid  # frees its values and held power spectrum before the k-space route
+        kint = kspace_outer_integral(shape, density, sigma, spacing=spacing,
+                                     max_voxels=args.max_voxels)
 
     def rel(a, b):
         return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b)))

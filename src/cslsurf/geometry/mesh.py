@@ -268,6 +268,9 @@ class TriangleMesh:
         (y, z) line: each face is tested only against the lines in its
         yz bounding box, each crossing is placed among the ``xs`` by
         bisection, and a running parity along x classifies every sample.
+        Only parity is read, so the crossing counts are cut to bytes and
+        the parity runs as an XOR scan: exact, as 256 is even and the low
+        bit of an XOR is the parity of the sum.
         """
         xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
         faces = self._ray_faces
@@ -286,8 +289,9 @@ class TriangleMesh:
         i = np.searchsorted(xs, x[hit], "left")
         n = len(xs) + 1
         events = np.bincount((j[hit] * len(zs) + k[hit]) * n + i,
-                             minlength=len(ys) * len(zs) * n).reshape(len(ys), len(zs), n)
-        beyond = np.cumsum(events[..., :0:-1], axis=-1)[..., ::-1]
+                             minlength=len(ys) * len(zs) * n).astype(np.uint8)
+        events = events.reshape(len(ys), len(zs), n)
+        beyond = np.bitwise_xor.accumulate(events[..., :0:-1], axis=-1)[..., ::-1]
         return (beyond & 1).astype(bool)
 
     def surface_patches(self):

@@ -50,15 +50,15 @@ from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
 from ..csl import CslParams
-from ..errors import DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
+from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
 from ..geometry.shapes import _bare, _positive, _sphere_patches, build_shape
 from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
     VoxelGrid,
+    _fraction,
     _grid_geometry,
     _grid_lengths,
-    supersampled_fraction,
 )
 
 KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e-27
@@ -166,7 +166,8 @@ def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
     (discretization error limited by aliasing of the smooth field, far
     below the 0.5 percent budget at sigma/2 spacing).  ``"central"``
     reproduces the classic second-order stencil via its symbol
-    sin(k h)/h; kept for error-budget studies.
+    sin(k h)/h; kept for error-budget studies.  Any other method raises
+    :class:`ConfigError`.
     """
     h = grid.spacing
     if method == "spectral":
@@ -174,7 +175,7 @@ def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
     elif method == "central":
         symbol = lambda k: np.sin(k * h) / h
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigError(f"unknown method {method!r}")
     return (2.0 * np.pi) ** 3 * _mode_sum(
         grid, lambda kx, ky, kz, P: _outer(symbol(kx), symbol(ky), symbol(kz), P))
 
@@ -252,6 +253,9 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     the DFT of the supersampled raw indicator, on a grid of ``spacing``
     (default sigma / 2, which it may not exceed) padded by 6 sigma; its
     grid arguments are checked as for :func:`rasterize_smoothed_density`.
+    Inside a ``shared_fill`` scope for the body
+    (:mod:`cslsurf.oracle.voxel`) that route takes the raster's fill of
+    the same lattice instead of filling again.
     Refinement stops when one ladder step changes the tensor by less than
     ``tol`` (relative, Frobenius) and raises
     :class:`QuadratureNotConverged` if the node budget runs out first.
@@ -284,12 +288,14 @@ def _kspace_fft(spec, density, sigma, spacing, max_voxels):
 
     Independent of the smoothed-field gradient route: it transforms the
     raw (unsmoothed) indicator and applies the Gaussian damping exactly
-    in k-space.
+    in k-space.  The indicator may be the one the filtered raster filled
+    on the same lattice (a ``shared_fill`` scope hands it over); either
+    way the grid is ``density`` times it, so the tensor is the same bits.
     """
     h, padding = _grid_lengths(density, sigma, spacing)
     dims, origin = _grid_geometry(spec, h, padding, max_voxels)
     ss = _SUPERSAMPLE
-    grid = VoxelGrid(origin, h, density * supersampled_fraction(spec, dims, origin, h))
+    grid = VoxelGrid(origin, h, density * _fraction(spec, dims, origin, h))
 
     def gain(k):
         # Gaussian damping over the transform of the ss-point cell average;
@@ -332,7 +338,8 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spec
     1e-3 sigma.  ``method="trilinear"`` interpolates the shifted field
     on the grid instead; its linear-interpolation bias inflates F by
     roughly h/|delta| for sub-cell shifts, so it is only meaningful for
-    |delta| of at least a few spacings.
+    |delta| of at least a few spacings.  Any other method raises
+    :class:`ConfigError`.
 
     A ``delta`` that is not a 3-vector of numbers raises
     :class:`DegenerateDimension`; one longer than the grid's margin, or
@@ -371,5 +378,5 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spec
         shifted = ndimage.shift(grid.values, -delta / h, order=1, mode="constant", cval=0.0)
         integral = h**3 * float(np.sum(grid.values * (grid.values - shifted)))
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigError(f"unknown method {method!r}")
     return pref * (2.0 * np.pi) ** 3 * integral

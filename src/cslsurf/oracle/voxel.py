@@ -49,8 +49,18 @@ as if moved by an infinitesimal step toward +y (then +z), a top-left
 rule: it crosses the surface there once, as a line beside it would.
 The lattice is the same for every shape, so the fraction is always a
 count over 64.
+
+A body that takes both the filtered raster and the DFT route of the
+k-space integral (a mesh, say) has both read its indicator, on the same
+lattice by default.  Inside a :func:`shared_fill` scope for that body
+(``validate`` opens one for a body without a form factor) the first
+fill is kept, read-only, and the next request for the same (dims,
+origin, spacing) takes it instead of filling again.  At most one
+fraction is held, and none once the scope ends.
 """
 
+import contextlib
+import contextvars
 import math
 import os
 from dataclasses import dataclass
@@ -92,7 +102,13 @@ class VoxelGrid:
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
+        self.spacing = _positive("spacing", self.spacing)
+        self.margin = float(self.margin)
         self.values = np.asarray(self.values, dtype=float)
+        if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
+            raise DegenerateDimension(f"origin must be a finite 3-vector, got {self.origin}")
+        if not (0.0 <= self.margin < math.inf):
+            raise DegenerateDimension(f"margin must be finite and not negative, got {self.margin}")
         if self.values.ndim != 3:
             raise ValueError("values must be a 3-D array")
 
@@ -126,7 +142,8 @@ def read_grid(path):
     """Read a grid written by :func:`write_grid`.
 
     Version-1 files carry no margin, so a shift guard on them could not
-    hold; they raise :class:`ParseError`.
+    hold; they raise :class:`ParseError`, as does a header whose spacing,
+    origin or margin :class:`VoxelGrid` rejects.
     """
     with open(Path(path), "rb") as fh:
         header = fh.readline().decode("ascii").split()
@@ -146,7 +163,10 @@ def read_grid(path):
         values = np.empty((nx, ny, nz), dtype="<f8")
         if fh.readinto(values) != size:
             raise ParseError("grid data ended early")
-    return VoxelGrid(np.array(origin), spacing, values, margin)
+    try:
+        return VoxelGrid(np.array(origin), spacing, values, margin)
+    except DegenerateDimension as exc:
+        raise ParseError(f"bad cslgrid header: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +280,8 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
     (ny, 1), z as (1, nz)), so temporaries stay plane-sized and a factor
     that depends on one world axis is taken once per value of that axis;
     on named axes the grid is bit for bit :func:`smoothed_density` at its
-    points.  Any other body takes the filtered supersampled indicator.
+    points.  Any other body takes the filtered supersampled indicator,
+    which a :func:`shared_fill` scope keeps for the DFT route.
     """
     spec = build_shape(spec)
     spacing, padding = _grid_lengths(density, sigma, spacing, padding)
@@ -270,7 +291,7 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     parts = [(s, _unit_field(s, profile)) for s in (spec, *spec.cavities)]
     if any(unit is None for _, unit in parts):
-        frac = supersampled_fraction(spec, dims, origin, spacing)
+        frac = _fraction(spec, dims, origin, spacing)
         values = density * ndimage.gaussian_filter(
             frac, sigma=sigma / spacing, mode="constant", cval=0.0, truncate=8.0)
     else:
@@ -281,6 +302,42 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
             x = np.full((1, 1), origin[0] + spacing * i)
             values[i] = _density(parts, density, sigma, x, y, z)
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
+
+
+#: inside a :func:`shared_fill` scope, {"spec": the body whose fill is
+#: shared, "held": (lattice key, read-only fraction) of its last fill}
+_SHARED_FILL = contextvars.ContextVar("shared_fill", default=None)
+
+
+@contextlib.contextmanager
+def shared_fill(spec):
+    """Scope in which ``spec``'s supersampled indicator is filled once
+    per lattice: the first fill is kept, read-only, and the next request
+    for the same (dims, origin, spacing) takes it.  At most one fraction
+    is held, and none once the scope ends; other bodies fill as usual.
+    """
+    token = _SHARED_FILL.set({"spec": spec})
+    try:
+        yield
+    finally:
+        _SHARED_FILL.reset(token)
+
+
+def _fraction(spec, dims, origin, spacing):
+    """:func:`supersampled_fraction`, shared inside a :func:`shared_fill`
+    scope for ``spec``."""
+    shared = _SHARED_FILL.get()
+    if shared is None or shared["spec"] is not spec:
+        return supersampled_fraction(spec, dims, origin, spacing)
+    key = (tuple(dims), origin.tobytes(), spacing)
+    held = shared.pop("held", (None, None))
+    if held[0] == key:
+        return held[1]
+    del held  # a miss frees the held fraction before it fills
+    frac = supersampled_fraction(spec, dims, origin, spacing)
+    frac.flags.writeable = False
+    shared["held"] = key, frac
+    return frac
 
 
 def supersampled_fraction(spec, dims, origin, spacing):

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from cslsurf.csl import CslParams, dephasing_matrix, superposition_dephasing_rate
 from cslsurf.errors import (
+    ConfigError,
     DegenerateDimension,
     GridTooLarge,
     QuadratureNotConverged,
@@ -80,6 +81,11 @@ class TestGradientIntegral:
         grid = rasterize_smoothed_density(Sphere(6 * SIGMA), RHO, SIGMA)
         with pytest.raises(ValueError):
             gradient_outer_integral(grid, method="mystery")
+
+    def test_unknown_method_is_config_error(self):
+        grid = rasterize_smoothed_density(Sphere(6 * SIGMA), RHO, SIGMA)
+        with pytest.raises(ConfigError, match="unknown method"):
+            gradient_outer_integral(grid, method="foo")
 
 
 class TestKspaceIntegral:
@@ -255,6 +261,10 @@ class TestDecoherenceFunction:
         for x in (14.0, 16.0, 18.0):
             f = decoherence_function(grid, np.array([x * SIGMA, 0, 0]), PARAMS)
             assert f == pytest.approx(f_sat, rel=5e-3, abs=0)
+
+    def test_unknown_method_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown method"):
+            decoherence_function(self.grid, np.array([SIGMA, 0, 0]), PARAMS, method="foo")
 
     def test_shift_out_of_grid(self):
         with pytest.raises(ShiftOutOfGrid):

@@ -223,3 +223,21 @@ def test_band_keeps_uniform_voxels_out_of_contains(monkeypatch):
     assert sum(classified) <= 0.1 * _SUPERSAMPLE**3 * math.prod(dims)
     volume = frac.sum() * (SIGMA / 2) ** 3
     assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3
+
+
+def test_lattice_parity_past_a_byte_of_crossings():
+    # 131 thin boxes side by side in x, and a lattice sample inside the
+    # first and the last: 260 crossings lie between the two, more than a
+    # uint8 count holds, so only parity survives the wrap
+    boxes = [box_mesh(4e-4, 1.0, 1.0, center=(1e-3 * i + 2e-4, 0.0, 0.0)) for i in range(131)]
+    mesh = TriangleMesh(np.concatenate([b.vertices for b in boxes]),
+                        np.concatenate([b.faces + 8 * i for i, b in enumerate(boxes)]))
+    xs = np.array([-0.5, 1e-4, 0.1302, 0.3])
+    ys = np.linspace(-0.6, 0.6, 7)
+    zs = np.linspace(-0.55, 0.65, 5)
+    got = mesh.contains_lattice(xs, ys, zs)
+    Y, Z, X = np.meshgrid(ys, zs, xs, indexing="ij")
+    expected = mesh.contains(np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
+    assert np.array_equal(got.ravel(), expected)
+    in_box = (np.abs(Y) < 0.5) & (np.abs(Z) < 0.5) & ((X == 1e-4) | (X == 0.1302))
+    assert np.array_equal(got, in_box) and in_box.any()

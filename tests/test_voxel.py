@@ -30,6 +30,7 @@ from cslsurf.geometry import (
 )
 from cslsurf.oracle import (
     EdgeProfile,
+    VoxelGrid,
     decoherence_function,
     edge_layer_factor,
     rasterize_smoothed_density,
@@ -222,6 +223,29 @@ class TestRasterize:
         path.write_bytes(header + b"\n" + np.zeros(values).tobytes())
         with pytest.raises(ParseError):
             read_grid(path)
+
+    @pytest.mark.parametrize("geometry", [
+        b"-1e-07 0 0 0 6e-07", b"0 0 0 0 6e-07", b"nan 0 0 0 6e-07",
+        b"1e-07 0 inf 0 6e-07", b"1e-07 0 0 0 -6e-07", b"1e-07 0 0 0 nan",
+    ])
+    def test_unusable_grid_geometry_rejected(self, tmp_path, geometry):
+        path = tmp_path / "bad.cslgrid"
+        path.write_bytes(b"cslgrid 2 2 2 2 " + geometry + b"\n" + np.zeros(8).tobytes())
+        with pytest.raises(ParseError, match="header"):
+            read_grid(path)
+
+    @pytest.mark.parametrize("spacing, origin, margin", [
+        (-SIGMA / 2, np.zeros(3), 0.0), (0.0, np.zeros(3), 0.0),
+        (math.nan, np.zeros(3), 0.0), (math.inf, np.zeros(3), 0.0),
+        (SIGMA / 2, np.zeros(2), 0.0), (SIGMA / 2, [0.0, math.nan, 0.0], 0.0),
+        (SIGMA / 2, [-math.inf, 0.0, 0.0], 0.0), (SIGMA / 2, np.zeros(3), -SIGMA),
+        (SIGMA / 2, np.zeros(3), math.nan), (SIGMA / 2, np.zeros(3), math.inf),
+    ])
+    def test_unusable_grid_geometry_is_degenerate(self, spacing, origin, margin):
+        # a negative spacing would negate both oracles' sums, zero divide by
+        # zero; neither reaches them
+        with pytest.raises(DegenerateDimension):
+            VoxelGrid(origin, spacing, np.ones((4, 4, 4)), margin)
 
 
 class TestProfiles:
