@@ -361,7 +361,7 @@ def _cmd_validate(args):
         grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
         del grid  # frees its values and held power spectrum before the k-space route
         kint = kspace_outer_integral(shape, density, sigma, spacing=spacing,
-                                     max_voxels=args.max_voxels)
+                                     padding=padding, max_voxels=args.max_voxels)
 
     def rel(a, b):
         return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b)))

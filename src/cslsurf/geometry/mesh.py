@@ -266,11 +266,12 @@ class TriangleMesh:
 
         Returns a (len(ys), len(zs), len(xs)) mask.  One +x ray per
         (y, z) line: each face is tested only against the lines in its
-        yz bounding box, each crossing is placed among the ``xs`` by
-        bisection, and a running parity along x classifies every sample.
-        Only parity is read, so the crossing counts are cut to bytes and
-        the parity runs as an XOR scan: exact, as 256 is even and the low
-        bit of an XOR is the parity of the sum.
+        yz bounding box, and each crossing is placed among the ``xs`` by
+        bisection.  A sample is inside when an odd number of crossings
+        lie beyond it, so each line's mask is a few runs of one value,
+        changing where an odd number of crossings fall: the mask is
+        repeated out of those runs, with no pass over the lattice per
+        crossing count.
         """
         xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
         faces = self._ray_faces
@@ -285,14 +286,23 @@ class TriangleMesh:
         o = np.arange(len(f)) - np.repeat(np.cumsum(lines) - lines, lines)
         j, k = j0[f] + o // nk[f], k0[f] + o % nk[f]
         hit, x = faces.take(f).crossings(ys[j], zs[k])
-        # the crossing is beyond exactly the samples xs[:i]
+        # a crossing is beyond exactly the samples xs[:i], so a line's mask
+        # flips at each i that an odd number of its crossings reach
+        nx, nlines = len(xs), len(ys) * len(zs)
         i = np.searchsorted(xs, x[hit], "left")
-        n = len(xs) + 1
-        events = np.bincount((j[hit] * len(zs) + k[hit]) * n + i,
-                             minlength=len(ys) * len(zs) * n).astype(np.uint8)
-        events = events.reshape(len(ys), len(zs), n)
-        beyond = np.bitwise_xor.accumulate(events[..., :0:-1], axis=-1)[..., ::-1]
-        return (beyond & 1).astype(bool)
+        key, count = np.unique((j[hit] * len(zs) + k[hit]) * (nx + 1) + i, return_counts=True)
+        line, at = np.divmod(key[count % 2 == 1], nx + 1)
+        # a line is one run from its first sample and one from each flip (a
+        # flip at 0 or nx leaves an empty run); a run's value is the parity
+        # of the line's flips after its start
+        flips = np.bincount(line, minlength=nlines)
+        owner = np.repeat(np.arange(nlines), flips + 1)
+        passed = np.arange(len(owner)) - (np.cumsum(flips + 1) - flips - 1)[owner]
+        start = owner * nx
+        start[passed > 0] += at
+        value = (flips[owner] - passed) % 2 == 1
+        runs = np.diff(start, append=nlines * nx)
+        return np.repeat(value, runs).reshape(len(ys), len(zs), nx)
 
     def surface_patches(self):
         """Mid-edge three-point rule per facet.

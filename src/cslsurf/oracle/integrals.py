@@ -25,10 +25,12 @@ positional dephasing rate from the field autocorrelation.
 
 The gradient route, the DFT route and the decoherence function are all
 Parseval sums over the power spectrum P = w |F(k)|^2 of a gridded field,
-each with its own mode weight.  :func:`_power` transforms each grid once
-and keeps the spectra of the two most recently used grids, so a scan of
-many oracle calls on one grid pays for one transform; the values of a
-transformed grid are read-only.  The weights are
+each with its own mode weight.  :func:`_power` transforms each value
+content once and keeps the spectra of the two most recently used value
+contents, so a scan of many oracle calls on one grid, or on grids whose
+values are equal bit for bit (a grid and its re-read file), pays for one
+transform; the values of a transformed or matched grid are read-only.
+The weights are
 
 * s o s for the derivative symbol s(k) = k, or sin(k h)/h for the
   central stencil, in :func:`gradient_outer_integral`,
@@ -68,17 +70,33 @@ KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e
 # spectral mode sums over a grid
 
 
-# power spectra of the two most recently transformed value arrays, least
-# recently used first: (weak reference to the values, P).  The lock is
-# reentrant because a weak reference's callback can run in any thread,
-# including one that holds it.
+# power spectra of the two most recently used value contents, least
+# recently used first: ([weak references to the value arrays known to
+# hold those bits], P).  An entry goes when the last of its arrays dies.
+# The lock is reentrant because a weak reference's callback can run in
+# any thread, including one that holds it.
 _SPECTRA = []
 _SPECTRA_LOCK = threading.RLock()
 
 
 def _forget(ref):
     with _SPECTRA_LOCK:
-        _SPECTRA[:] = [entry for entry in _SPECTRA if entry[0] is not ref]
+        for refs, _ in _SPECTRA:
+            refs[:] = [r for r in refs if r is not ref]
+        _SPECTRA[:] = [entry for entry in _SPECTRA if entry[0]]
+
+
+def _same_bits(a, b):
+    """Whether two arrays of one shape and dtype hold the same bits.
+
+    They are compared one x-plane at a time as unsigned integers, so no
+    full-size temporary is built, the first differing plane ends the
+    comparison, and NaNs and signed zeros compare by their bits."""
+    if (a.shape != b.shape or a.dtype != b.dtype
+            or a.dtype.kind not in "biuf" or a.dtype.itemsize not in (1, 2, 4, 8)):
+        return False
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    return all(np.array_equal(p.view(bits), q.view(bits)) for p, q in zip(a, b))
 
 
 def _power(grid: VoxelGrid):
@@ -88,20 +106,33 @@ def _power(grid: VoxelGrid):
     written into F's own buffer, one x-plane at a time in increasing
     order (plane i of P lands on planes <= i of F, already read), and the
     buffer is then shrunk to P's size, so no second spectrum-sized array
-    is ever alive.  The spectra of the two most recently used value
-    arrays are kept, keyed by a weak reference, so a dead array frees its
-    spectrum; a miss evicts before it transforms.  A transformed array is
-    made read-only: an in-place edit raises instead of leaving a stale
-    spectrum, and a new array assigned to ``grid.values`` is transformed
-    afresh.
+    is ever alive.  P depends on the values alone, not on the grid's
+    origin, spacing or margin, so it is kept per value content: the
+    spectra of the two most recently used contents are held, each with
+    weak references to the arrays known to hold its bits.  An array is
+    looked up by identity, then compared bit for bit with one live array
+    of each held spectrum (:func:`_same_bits`); a match joins that
+    spectrum without a transform.  A spectrum is freed when the last of
+    its arrays dies, and a miss evicts before it transforms.  An array
+    that is transformed or joins a spectrum is made read-only: an
+    in-place edit raises instead of leaving a stale spectrum, and a new
+    array assigned to ``grid.values`` is looked up afresh.
     """
     values = grid.values
     with _SPECTRA_LOCK:
-        for ref, P in _SPECTRA:
-            if ref() is values:
-                _forget(ref)
-                _SPECTRA.append((ref, P))
-                return P
+        entry = next((e for e in _SPECTRA if any(ref() is values for ref in e[0])), None)
+        if entry is None:
+            for candidate in list(_SPECTRA):
+                # holding one of its arrays keeps the entry alive while it is compared
+                held = next((a for a in (ref() for ref in candidate[0]) if a is not None), None)
+                if held is not None and _same_bits(held, values):
+                    values.flags.writeable = False
+                    candidate[0].append(weakref.ref(values, _forget))
+                    entry = candidate
+                    break
+        if entry is not None:
+            _SPECTRA[:] = [e for e in _SPECTRA if e is not entry] + [entry]
+            return entry[1]
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
     values.flags.writeable = False
     F = sfft.rfftn(values.astype(float, copy=False))
@@ -119,7 +150,7 @@ def _power(grid: VoxelGrid):
     P = F.view(np.float64)[:n[0] * plane].reshape(n)
     P.flags.writeable = False
     with _SPECTRA_LOCK:
-        _SPECTRA.append((weakref.ref(values, _forget), P))
+        _SPECTRA.append(([weakref.ref(values, _forget)], P))
         del _SPECTRA[:-2]
     return P
 
@@ -244,15 +275,18 @@ _KSPACE_LADDER = (
 
 
 def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
-                          max_voxels=DEFAULT_MAX_VOXELS, max_radial_nodes=4096):
+                          max_voxels=DEFAULT_MAX_VOXELS, max_radial_nodes=4096,
+                          padding=None):
     """int exp(-k^2 sigma^2) |mu_k|^2 (k o k) dk.
 
     Uses the analytic form factor on an adaptive radial x angular rule
     when available (sphere, box, circular/elliptic cylinder, and phased
     compositions of these); other shapes go through a Parseval sum over
     the DFT of the supersampled raw indicator, on a grid of ``spacing``
-    (default sigma / 2, which it may not exceed) padded by 6 sigma; its
-    grid arguments are checked as for :func:`rasterize_smoothed_density`.
+    (default sigma / 2, which it may not exceed) padded by ``padding``
+    (default 6 sigma); its grid arguments are checked as for
+    :func:`rasterize_smoothed_density`.  The analytic rule ignores
+    ``spacing`` and ``padding``.
     Inside a ``shared_fill`` scope for the body
     (:mod:`cslsurf.oracle.voxel`) that route takes the raster's fill of
     the same lattice instead of filling again.
@@ -267,7 +301,7 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     spec = build_shape(spec)
     mu = form_factor(spec)
     if mu is None:
-        return _kspace_fft(spec, density, sigma, spacing, max_voxels)
+        return _kspace_fft(spec, density, sigma, spacing, padding, max_voxels)
     prev = None
     for n_r, n_t, n_p in _KSPACE_LADDER:
         if n_r > max_radial_nodes:
@@ -283,7 +317,7 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     )
 
 
-def _kspace_fft(spec, density, sigma, spacing, max_voxels):
+def _kspace_fft(spec, density, sigma, spacing, padding, max_voxels):
     """DFT route: supersampled indicator, deconvolved cell average.
 
     Independent of the smoothed-field gradient route: it transforms the
@@ -292,7 +326,7 @@ def _kspace_fft(spec, density, sigma, spacing, max_voxels):
     on the same lattice (a ``shared_fill`` scope hands it over); either
     way the grid is ``density`` times it, so the tensor is the same bits.
     """
-    h, padding = _grid_lengths(density, sigma, spacing)
+    h, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, h, padding, max_voxels)
     ss = _SUPERSAMPLE
     grid = VoxelGrid(origin, h, density * _fraction(spec, dims, origin, h))

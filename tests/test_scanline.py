@@ -241,3 +241,15 @@ def test_lattice_parity_past_a_byte_of_crossings():
     assert np.array_equal(got.ravel(), expected)
     in_box = (np.abs(Y) < 0.5) & (np.abs(Z) < 0.5) & ((X == 1e-4) | (X == 0.1302))
     assert np.array_equal(got, in_box) and in_box.any()
+
+
+@pytest.mark.parametrize("xs", [np.linspace(-0.5, 0.5, 9),      # crossings before and beyond all
+                                np.linspace(0.2, 1.5, 6),        # beyond none on the +x side
+                                np.linspace(-1.5, -0.3, 5)])     # beyond all on the +x side
+def test_lattice_clipped_inside_the_mesh(xs):
+    mesh = icosphere(1.0, 2, center=(0.01, -0.02, 0.03))
+    ys, zs = np.linspace(-1.2, 1.2, 11), np.linspace(-1.1, 1.3, 7)
+    got = mesh.contains_lattice(xs, ys, zs)
+    Y, Z, X = np.meshgrid(ys, zs, xs, indexing="ij")
+    expected = mesh.contains(np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
+    assert np.array_equal(got.ravel(), expected) and expected.any()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cslsurf.cli import main
-from cslsurf.geometry import Mesh, box_mesh, load_mesh, mesh_to_stl
+from cslsurf.geometry import Mesh, Sphere, box_mesh, load_mesh, mesh_to_stl
 from cslsurf.oracle import kspace_outer_integral, voxel
 
 SIGMA = 1e-7
@@ -73,6 +73,20 @@ def test_validate_spacing_reaches_the_dft_route(capsys, fills, box_stl):
     assert results["grid_spacing"] == h
     expected = kspace_outer_integral(Mesh(mesh=load_mesh(box_stl)), RHO, SIGMA, spacing=h)
     assert np.array_equal(results["kspace_integral"], expected)
+
+
+def test_validate_padding_reaches_the_dft_route(capsys, fills, box_stl):
+    padding = 7 * SIGMA
+    results = validate(capsys, "--mesh", str(box_stl), "--padding", f"{padding} m")
+    assert len(fills) == 1
+    expected = kspace_outer_integral(Mesh(mesh=load_mesh(box_stl)), RHO, SIGMA, padding=padding)
+    assert np.array_equal(results["kspace_integral"], expected)
+
+
+def test_analytic_ladder_ignores_padding():
+    spec = Sphere(3 * SIGMA)
+    assert np.array_equal(kspace_outer_integral(spec, RHO, SIGMA, padding=7 * SIGMA),
+                          kspace_outer_integral(spec, RHO, SIGMA))
 
 
 def test_other_lattice_refills_and_releases_the_held_one(fills):

@@ -1,7 +1,10 @@
 """The cached power spectrum behind the mode sums and the decoherence function.
 
-Each grid's values are transformed once; the spectra of the two most
-recently used arrays are held, and a transformed array is read-only.
+Each value content is transformed once: the spectra of the two most
+recently used contents are held, an array equal bit for bit to a held
+one (a grid re-read from its file, a copy) takes that spectrum without
+a transform, a spectrum lives until the last of its arrays dies, and an
+array that is transformed or takes a held spectrum is read-only.
 ``decoherence_function`` sums 1 - cos(k . delta) over that spectrum as
 separable phase contractions, checked here against the per-mode sum of
 2 sin^2(k . delta / 2), which has no cancellation at small shifts.
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 
 from cslsurf.csl import CslParams
 from cslsurf.geometry import Box, Sphere
-from cslsurf.oracle import decoherence_function, integrals, rasterize_smoothed_density
+from cslsurf.oracle import (decoherence_function, integrals, rasterize_smoothed_density,
+                            read_grid, write_grid)
 from cslsurf.oracle.voxel import VoxelGrid
 
 SIGMA = 1e-7
@@ -176,3 +180,114 @@ def test_threads_share_the_cache():
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert len(integrals._SPECTRA) <= 2
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(body=st.sampled_from(["sphere", "box"]),
+       delta=st.tuples(*[st.floats(-4.0, 4.0)] * 3))
+def test_copy_gives_the_same_number_property(references, body, delta):
+    grid = references[body].grid
+    copy = VoxelGrid(grid.origin, grid.spacing, grid.values.copy())
+    delta = SIGMA * np.asarray(delta)
+    assert decoherence_function(copy, delta, PARAMS) == decoherence_function(grid, delta, PARAMS)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The rfftn calls made while the test runs."""
+    calls = []
+    rfftn = integrals.sfft.rfftn
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfftn(*args, **kwargs)
+
+    gc.collect()          # no dead array of an earlier test still holds a spectrum
+    monkeypatch.setattr(integrals.sfft, "rfftn", counted)
+    return calls
+
+
+def test_reread_grid_shares_the_spectrum(transforms, tmp_path):
+    grid = _blob(44)
+    write_grid(grid, tmp_path / "blob.cslgrid")
+    reread = read_grid(tmp_path / "blob.cslgrid")
+    assert reread.values is not grid.values
+    first = decoherence_function(grid, DELTA, PARAMS)
+    assert decoherence_function(reread, DELTA, PARAMS) == first
+    assert len(transforms) == 1
+
+
+def test_copy_differing_in_its_last_plane_is_transformed(transforms):
+    grid = _blob(46)
+    values = grid.values.copy()
+    values[-1, 23, 23] += RHO
+    first = decoherence_function(grid, DELTA, PARAMS)
+    got = decoherence_function(VoxelGrid(grid.origin, grid.spacing, values), DELTA, PARAMS)
+    assert len(transforms) == 2
+    assert got != first
+
+
+def test_contents_compare_bit_for_bit(transforms):
+    values = np.zeros((6, 8, 10))
+    values[2, 3, 4], values[5, 7, 9] = 1.0, np.nan
+    signed = values.copy()
+    signed[0, 0, 0] = -0.0
+    for v in (values, values.copy(), signed):
+        integrals._power(VoxelGrid(np.zeros(3), SIGMA / 2, v))
+    # the copy's NaN has the same bits, so it shares; a -0.0 for 0.0 does not
+    assert len(transforms) == 2
+
+
+def test_array_that_takes_a_held_spectrum_is_read_only():
+    grid = _blob(42)
+    decoherence_function(grid, DELTA, PARAMS)
+    copy = grid.values.copy()
+    assert copy.flags.writeable
+    decoherence_function(VoxelGrid(grid.origin, grid.spacing, copy), DELTA, PARAMS)
+    with pytest.raises(ValueError):
+        copy[0, 0, 0] = 1.0
+
+
+def test_spectrum_lives_until_its_last_array_dies():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid = _blob(50)
+        nbytes = grid.values.nbytes
+        decoherence_function(grid, DELTA, PARAMS)
+        copy = VoxelGrid(grid.origin, grid.spacing, grid.values.copy())
+        decoherence_function(copy, DELTA, PARAMS)
+        del grid
+        gc.collect()
+        one_left = tracemalloc.get_traced_memory()[0] - before
+        del copy
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert one_left > 1.4 * nbytes     # the copy's values and the spectrum
+    assert after < 0.05 * nbytes
+
+
+def test_lookup_builds_no_full_size_temporary():
+    grid = _blob(60)
+    nbytes = grid.values.nbytes
+    decoherence_function(grid, DELTA, PARAMS)
+    equal = VoxelGrid(grid.origin, grid.spacing, grid.values.copy())
+    values = grid.values.copy()
+    values[-1, 30, 30] += RHO
+    differs = VoxelGrid(grid.origin, grid.spacing, values)
+    tracemalloc.start()
+    try:
+        integrals._power(equal)
+        hit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        decoherence_function(differs, DELTA, PARAMS)
+        miss_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full-size boolean of the comparison alone would be nbytes / 8
+    assert hit_peak < 0.05 * nbytes
+    # compared through its last plane, then transformed: the cold call's bound
+    assert miss_peak <= 1.1 * nbytes
