@@ -30,17 +30,18 @@ content once and keeps the spectra of the two most recently used value
 contents, so a scan of many oracle calls on one grid, or on grids whose
 values are equal bit for bit (a grid and its re-read file), pays for one
 transform; the values of a transformed or matched grid are read-only.
-The weights are
+Each weight is a short sum of per-axis products, so one kernel,
+:func:`_mode_sum`, reads the spectrum once, contracting its x axis with
+at most three rows of x factors in one matrix product, and each caller
+ends with small contractions over y and z.  The weights are
 
 * s o s for the derivative symbol s(k) = k, or sin(k h)/h for the
   central stencil, in :func:`gradient_outer_integral`,
 * k o k times the squared separable gain exp(-k^2 sigma^2 / 2) / D(k),
   D the transform of the supersampled cell average, in the DFT route
   of :func:`kspace_outer_integral`,
-
-both visited one x-plane at a time by :func:`_mode_sum`, and
-1 - cos(k . delta) in :func:`decoherence_function`, which sums it as
-separable phase contractions over the axes instead of per mode.
+* 1 - cos(k . delta), as -Re of e^{i k . delta} - 1 split by axis, in
+  :func:`decoherence_function`.
 """
 
 import math
@@ -162,32 +163,33 @@ def _wavenumbers(shape, h):
             2.0 * np.pi * sfft.rfftfreq(shape[2], d=h))
 
 
-def _mode_sum(grid: VoxelGrid, weight):
-    """(h^3 / N) times the sum over rfftn modes of the per-plane ``weight``.
+def _mode_sum(grid: VoxelGrid, rows):
+    """(h^3 / N) sum over kx of ``rows`` times the grid's cached spectrum P.
 
-    h is the grid spacing and N its number of voxels.  The modes of the
-    grid's cached power spectrum (:func:`_power`) are visited one x-plane
-    at a time.  ``weight(kx, ky, kz, P)`` gets that plane's angular
-    wavenumber kx, ky as a column, kz as a row and the plane's power
-    P = w_z |F|^2, and returns the plane's contribution; the
-    contributions are summed.
+    h is the grid spacing and N the number of voxels.  The (m, nx) rows
+    of x factors, m <= 3, meet P in one matrix product that reads P once;
+    the (m, ny, nz') result is left to the caller's y and z contractions.
     """
-    h = grid.spacing
     P = _power(grid)
-    kx, ky, kz = _wavenumbers(grid.values.shape, h)
-    ky, kz = ky[:, None], kz[None, :]
-    total = 0.0
-    for i in range(len(kx)):
-        total = total + weight(kx[i], ky, kz, P[i])
-    return h**3 / grid.values.size * total
+    nx, ny, nz = P.shape
+    rows = grid.spacing**3 / grid.values.size * rows
+    return (rows @ P.reshape(nx, ny * nz)).reshape(-1, ny, nz)
 
 
-def _outer(sx, sy, sz, P):
-    """Sum of P s o s over one plane for the per-axis factors s = (sx, sy, sz)."""
-    py, pz = P * sy, P * sz
-    xx, xy, xz = sx * sx * P.sum(), sx * py.sum(), sx * pz.sum()
-    yy, yz, zz = np.sum(py * sy), np.sum(py * sz), np.sum(pz * sz)
+def _outer_sum(grid: VoxelGrid, s, g=(1.0, 1.0, 1.0)):
+    """(h^3 / N) sum over modes of P gx gy gz s o s for per-axis factors s and g."""
+    (sx, sy, sz), (gx, gy, gz) = s, g
+    Q = _mode_sum(grid, gx * np.stack([np.ones_like(sx), sx, sx * sx])) * np.multiply.outer(gy, gz)
+    qy, qz = Q.sum(axis=2), Q.sum(axis=1)
+    xx, xy, xz = qy[2].sum(), qy[1] @ sy, qz[1] @ sz
+    yy, yz, zz = qy[0] @ (sy * sy), sy @ Q[0] @ sz, qz[0] @ (sz * sz)
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+
+
+def _finite(value, what):
+    if not np.all(np.isfinite(value)):  # the report of the overflow or NaN that errstate hid
+        raise DegenerateDimension(f"{what} is not finite: the grid values are not, or overflow")
+    return value
 
 
 def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
@@ -198,17 +200,18 @@ def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
     below the 0.5 percent budget at sigma/2 spacing).  ``"central"``
     reproduces the classic second-order stencil via its symbol
     sin(k h)/h; kept for error-budget studies.  Any other method raises
-    :class:`ConfigError`.
+    :class:`ConfigError`; grid values that are not finite raise
+    :class:`DegenerateDimension`.
     """
     h = grid.spacing
-    if method == "spectral":
-        symbol = lambda k: k
-    elif method == "central":
-        symbol = lambda k: np.sin(k * h) / h
-    else:
+    s = _wavenumbers(grid.values.shape, h)
+    if method == "central":
+        s = [np.sin(k * h) / h for k in s]
+    elif method != "spectral":
         raise ConfigError(f"unknown method {method!r}")
-    return (2.0 * np.pi) ** 3 * _mode_sum(
-        grid, lambda kx, ky, kz, P: _outer(symbol(kx), symbol(ky), symbol(kz), P))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = (2.0 * np.pi) ** 3 * _outer_sum(grid, s)
+    return _finite(G, "the gradient integral")
 
 
 def surface_formula_outer_integral(surface_tensor, density, sigma):
@@ -340,8 +343,8 @@ def _kspace_fft(spec, density, sigma, spacing, padding, max_voxels):
         return np.exp(-(k**2) * sigma**2 / 2.0) / dirichlet
 
     # |mu_hat|^2 dk = |h^3 F|^2 (2 pi)^3 / (ntot h^3) = (2 pi)^3 (h^3/ntot) |F|^2
-    return (2.0 * np.pi) ** 3 * _mode_sum(grid, lambda kx, ky, kz, P: _outer(
-        kx, ky, kz, P * (gain(kx) * gain(ky) * gain(kz)) ** 2))
+    k = _wavenumbers(grid.values.shape, h)
+    return (2.0 * np.pi) ** 3 * _outer_sum(grid, k, [gain(ki) ** 2 for ki in k])
 
 
 # ---------------------------------------------------------------------------
@@ -361,56 +364,53 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spec
 
     The shifted-field correlation is evaluated through the DFT phase
     ramp by default, which is exact for the sigma-smooth field at any
-    sub-cell displacement.  Its mode sum of P (1 - cos(k . delta)) over
-    the grid's cached power spectrum is taken as -Re of the sum of
-    P (e^{i k . delta} - 1), split by axis so that the kz phases enter
-    one matrix product and the ky and kx phases two small contractions;
-    every e^{i theta} - 1 is formed as 2i sin(theta/2) e^{i theta/2}.  So
-    no cos is taken per mode, and no 1 - cos cancels: the result agrees
-    with the per-mode sum of 2 sin^2(k . delta / 2) to rounding at any
-    |delta|, where a per-mode 1 - cos is off by some 1e-11 relative at
-    1e-3 sigma.  ``method="trilinear"`` interpolates the shifted field
-    on the grid instead; its linear-interpolation bias inflates F by
-    roughly h/|delta| for sub-cell shifts, so it is only meaningful for
-    |delta| of at least a few spacings.  Any other method raises
-    :class:`ConfigError`.
+    sub-cell displacement.  Its sum of P (1 - cos(k . delta)) is -Re of
+    the sum of P (e^{i k . delta} - 1), split by axis: the x phases are
+    rows of the one x-axis product of :func:`_mode_sum`, the y and z
+    phases small contractions of its result, and every e^{i theta} - 1
+    is formed as 2i sin(theta/2) e^{i theta/2}.  So no 1 - cos cancels:
+    the result agrees with the per-mode sum of 2 sin^2(k . delta / 2) to
+    rounding at any |delta|, where a per-mode 1 - cos is off by some
+    1e-11 relative at 1e-3 sigma.  ``method="trilinear"`` interpolates
+    the shifted field on the grid instead; its linear-interpolation bias
+    inflates F by roughly h/|delta| for sub-cell shifts, so it is only
+    meaningful for |delta| of at least a few spacings.  Any other method
+    raises :class:`ConfigError`.
 
-    A ``delta`` that is not a 3-vector of numbers raises
-    :class:`DegenerateDimension`; one longer than the grid's margin, or
-    infinite, raises :class:`ShiftOutOfGrid`.
+    A ``delta`` that is not a 3-vector of real numbers (a string, a
+    complex or a NaN included), or grid values that are not finite, raise
+    :class:`DegenerateDimension`; a ``delta`` longer than the grid's
+    margin, or infinite, raises :class:`ShiftOutOfGrid`.
     """
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (3,) or np.any(np.isnan(delta)):
-        raise DegenerateDimension(f"delta must be a 3-vector of numbers, got {delta}")
+    try:
+        d = np.asarray(delta)
+    except ValueError:                  # a ragged sequence
+        d = np.empty(0)
+    if d.dtype.kind not in "iuf" or d.shape != (3,) or np.any(np.isnan(d)):
+        raise DegenerateDimension(f"delta must be a 3-vector of real numbers, got {delta!r}")
+    delta = d.astype(float)
     # an infinite shift leaves any grid, a margin-less one included
     if np.any(np.isinf(delta)) or (grid.margin and np.linalg.norm(delta) > grid.margin):
         raise ShiftOutOfGrid(
-            f"|delta| = {np.linalg.norm(delta):.3g} exceeds grid margin {grid.margin:.3g}"
-        )
-    lam = params.collapse_rate
-    sig = params.localization_length
-    pref = lam * sig**3 / (math.pi**1.5 * params.nucleon_mass**2)
+            f"|delta| = {np.linalg.norm(delta):.3g} exceeds grid margin {grid.margin:.3g}")
+    pref = (params.collapse_rate * params.localization_length**3
+            / (math.pi**1.5 * params.nucleon_mass**2))
     h = grid.spacing
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "spectral":
+            # sum P (1 - cos(a + b + c)) = -Re sum P (e^{i(a+b+c)} - 1), with
+            # e^{i(a+b+c)} - 1 = (e^{ia} - 1) e^{i(b+c)} + (e^{ib} - 1) e^{ic} + (e^{ic} - 1)
+            a, b, c = (k * d for k, d in zip(_wavenumbers(grid.values.shape, h), delta))
+            ea = _expm1i(a)
+            Q = _mode_sum(grid, np.stack([ea.real, ea.imag, np.ones_like(a)]))
+            A, B = Q[0] + 1j * Q[1], Q[2]   # sum over x of P (e^{ia} - 1), and of P
+            total = (np.exp(1j * b) @ A + _expm1i(b) @ B) @ np.exp(1j * c)
+            integral = -(total + B.sum(axis=0) @ _expm1i(c)).real
+        elif method == "trilinear":
+            from scipy import ndimage
 
-    if method == "spectral":
-        # sum P (1 - cos(a + b + c)) = -Re sum P (e^{i(a+b+c)} - 1), with
-        # e^{i(a+b+c)} - 1 = (e^{ia} - 1) e^{ib} e^{ic} + (e^{ib} - 1) e^{ic}
-        # + (e^{ic} - 1): one real (nx ny, nz') x (nz', 3) product over the
-        # kz axis, then two small contractions over ky and kx
-        P = _power(grid)
-        a, b, c = (k * d for k, d in zip(_wavenumbers(grid.values.shape, h), delta))
-        Q = P.reshape(-1, P.shape[2]) @ np.stack(
-            [np.cos(c), np.sin(c), -2.0 * np.sin(c / 2.0) ** 2], axis=1)
-        Q = Q.reshape(P.shape[0], P.shape[1], 3)
-        pz = Q[..., 0] + 1j * Q[..., 1]           # sum_z P e^{ic}, per (x, y)
-        total = (_expm1i(a) @ (pz @ np.exp(1j * b))).real
-        total += (pz.sum(axis=0) @ _expm1i(b)).real + Q[..., 2].sum()
-        integral = -h**3 / grid.values.size * total
-    elif method == "trilinear":
-        from scipy import ndimage
-
-        shifted = ndimage.shift(grid.values, -delta / h, order=1, mode="constant", cval=0.0)
-        integral = h**3 * float(np.sum(grid.values * (grid.values - shifted)))
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    return pref * (2.0 * np.pi) ** 3 * integral
+            shifted = ndimage.shift(grid.values, -delta / h, order=1, mode="constant", cval=0.0)
+            integral = h**3 * float(np.sum(grid.values * (grid.values - shifted)))
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+    return _finite(pref * (2.0 * np.pi) ** 3 * integral, "the decoherence function")

@@ -109,8 +109,9 @@ class VoxelGrid:
             raise DegenerateDimension(f"origin must be a finite 3-vector, got {self.origin}")
         if not (0.0 <= self.margin < math.inf):
             raise DegenerateDimension(f"margin must be finite and not negative, got {self.margin}")
-        if self.values.ndim != 3:
-            raise ValueError("values must be a 3-D array")
+        if self.values.ndim != 3 or self.values.size == 0:
+            raise DegenerateDimension(
+                f"values must be a 3-D array with no empty axis, got shape {self.values.shape}")
 
     @property
     def dims(self):

@@ -280,6 +280,13 @@ class TestDecoherenceFunction:
         with pytest.raises(DegenerateDimension, match="delta"):
             decoherence_function(self.grid, delta, PARAMS)
 
+    @pytest.mark.parametrize("delta", [[1e-8j, 0.0, 0.0], np.array([0.0, 1e-8 + 0j, 0.0]),
+                                       "abc", ["1e-8", "0", "0"], [None, 0.0, 0.0],
+                                       [[0.0, 0.0], [0.0]], [True, False, True]])
+    def test_delta_that_is_not_real_numbers_is_degenerate(self, delta):
+        with pytest.raises(DegenerateDimension, match="delta"):
+            decoherence_function(self.grid, delta, PARAMS)
+
     @pytest.mark.parametrize("margin", [None, 0.0])
     def test_infinite_delta_leaves_the_grid(self, margin):
         grid = self.grid if margin is None else VoxelGrid(
@@ -312,6 +319,22 @@ class TestDecoherenceFunction:
         a = decoherence_function(self.grid, d, PARAMS)
         b = decoherence_function(self.grid, d, PARAMS, method="trilinear")
         assert b / a > 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_grid_values_that_are_not_finite_raise(bad):
+    # 1e300 is finite, but its power overflows
+    values = np.zeros((8, 9, 10))
+    values[3, 4, 5], values[1, 2, 3] = RHO, bad
+    grid = VoxelGrid(np.zeros(3), SIGMA / 2, values, margin=2 * SIGMA)
+    delta = [0.1 * SIGMA, 0.0, 0.0]
+    calls = [lambda: gradient_outer_integral(grid),
+             lambda: gradient_outer_integral(grid, method="central"),
+             lambda: decoherence_function(grid, delta, PARAMS),
+             lambda: decoherence_function(grid, delta, PARAMS, method="trilinear")]
+    for call in calls:
+        with pytest.raises(DegenerateDimension, match="not finite"):
+            call()
 
 
 def test_one_fft_per_oracle_call(monkeypatch):

@@ -7,7 +7,11 @@ a transform, a spectrum lives until the last of its arrays dies, and an
 array that is transformed or takes a held spectrum is read-only.
 ``decoherence_function`` sums 1 - cos(k . delta) over that spectrum as
 separable phase contractions, checked here against the per-mode sum of
-2 sin^2(k . delta / 2), which has no cancellation at small shifts.
+2 sin^2(k . delta / 2), which has no cancellation at small shifts.  The
+gradient integral, the DFT route's weight and the decoherence function
+all go through one x-axis contraction of the spectrum; on small random
+grids, singleton axes included, each is checked against the same sum
+taken mode by mode over numpy's own transform.
 """
 
 import gc
@@ -81,6 +85,36 @@ def test_small_shift_accuracy_property(references, body, direction, log_magnitud
     ref = references[body]
     delta = 10.0**log_magnitude * SIGMA * np.asarray(direction) / np.linalg.norm(direction)
     assert decoherence_function(ref.grid, delta, PARAMS) == pytest.approx(ref(delta), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(shape=st.tuples(*[st.integers(1, 9)] * 3), seed=st.integers(0, 2**32 - 1),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       log_magnitude=st.floats(-3.0, math.log10(4.0)))
+def test_mode_sums_match_dense_per_mode_sums(shape, seed, direction, log_magnitude):
+    """Every sum of the one x-axis kernel against numpy's transform, mode by mode."""
+    h = SIGMA / 2
+    rng = np.random.default_rng(seed)
+    grid = VoxelGrid(np.zeros(3), h, RHO * rng.standard_normal(shape), margin=10 * SIGMA)
+    ref = _Reference(grid)
+    scale = (2 * np.pi) ** 3 * h**3 / grid.values.size
+
+    def dense(s, g=1.0):
+        return scale * np.array([[np.sum(ref.power * g * si * sj) for sj in s] for si in s])
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    central = [np.sin(k * h) / h for k in ref.k]
+    gain = [np.exp(-(k * SIGMA) ** 2) / (1.0 + (k * h) ** 2) for k in ref.k]
+    k1, g1 = [k.ravel() for k in ref.k], [g.ravel() for g in gain]
+    assert close(integrals.gradient_outer_integral(grid), dense(ref.k))
+    assert close(integrals.gradient_outer_integral(grid, "central"), dense(central))
+    assert close((2 * np.pi) ** 3 * integrals._outer_sum(grid, k1, g1),
+                 dense(ref.k, gain[0] * gain[1] * gain[2]))
+    delta = 10.0**log_magnitude * SIGMA * np.asarray(direction) / np.linalg.norm(direction)
+    assert decoherence_function(grid, delta, PARAMS) == pytest.approx(ref(delta), rel=1e-13)
 
 
 def _blob(n=48):

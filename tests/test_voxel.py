@@ -247,6 +247,12 @@ class TestRasterize:
         with pytest.raises(DegenerateDimension):
             VoxelGrid(origin, spacing, np.ones((4, 4, 4)), margin)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 5), (), (0, 4, 4), (4, 4, 0)])
+    def test_values_not_3d_or_with_an_empty_axis_are_degenerate(self, shape):
+        # an empty axis has no spectrum to sum
+        with pytest.raises(DegenerateDimension, match="values"):
+            VoxelGrid(np.zeros(3), SIGMA / 2, np.ones(shape))
+
 
 class TestProfiles:
     def test_step_factor_closed_form(self):
