@@ -15,11 +15,11 @@ comes out exactly.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateDimension, SingularInertia, ValidityWarning
+from .errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
 from .geometry.shapes import _positive
 from .tensors import clamp_psd, principal_axes
 
@@ -43,17 +43,30 @@ class CslParams:
     hbar: float = 1.054571817e-34         # J s
 
     def __post_init__(self):
-        for name in ("collapse_rate", "localization_length", "nucleon_mass", "hbar"):
-            if not (getattr(self, name) > 0.0):
-                raise DegenerateDimension(f"{name} must be positive")
+        for f in fields(self):
+            _positive(f.name, getattr(self, f.name))
+
+
+def _density_squared(density):
+    """rho^2, the one density check of every rate and oracle scaling with it:
+    a density that is not positive and finite, or whose square overflows,
+    raises :class:`DegenerateDimension`."""
+    density = _positive("density", density)
+    try:
+        return density**2
+    except OverflowError:
+        raise DegenerateDimension(f"density {density} is too large to square") from None
 
 
 def dephasing_prefactor(density, params: CslParams) -> float:
-    """c = 2 pi lambda sigma^2 rho^2 / m_N^2, in 1/(s m^4)."""
-    _positive("density", density)
+    """c = 2 pi lambda sigma^2 rho^2 / m_N^2, in 1/(s m^4); a density or c
+    that is not finite raises :class:`DegenerateDimension`."""
     lam = params.collapse_rate
     sig = params.localization_length
-    return 2.0 * math.pi * lam * sig**2 * density**2 / params.nucleon_mass**2
+    c = 2.0 * math.pi * lam * sig**2 * _density_squared(density) / params.nucleon_mass**2
+    if not math.isfinite(c):
+        raise DegenerateDimension(f"the CSL prefactor overflows at density {density}")
+    return c
 
 
 @dataclass
@@ -100,8 +113,8 @@ def angular_dephasing_coefficient(axial_strength, density, params: CslParams) ->
     The dephasing rate of an angular superposition d_phi about the same
     axis is coefficient * d_phi^2; units 1/(s rad^2).
     """
-    if axial_strength < 0.0:
-        raise ValueError(f"axial strength must be >= 0, got {axial_strength}")
+    if not (0.0 <= axial_strength < math.inf):
+        raise DegenerateDimension(f"axial strength must be finite and >= 0, got {axial_strength}")
     return dephasing_prefactor(density, params) * float(axial_strength)
 
 
@@ -112,16 +125,14 @@ def com_heating_rate(total_area, mass, density, params: CslParams) -> float:
     two forms agree identically since M = rho V.  A is the full boundary
     area including cavity walls.
     """
-    if not (mass > 0.0):
-        raise DegenerateDimension(f"mass must be positive, got {mass}")
+    _positive("mass", mass)
     c = dephasing_prefactor(density, params)
     return params.hbar**2 * c * float(total_area) / mass
 
 
 def total_heating_rate(mass, params: CslParams) -> float:
     """Total heating power over all constituents: 3 hbar^2 lambda M / (2 m_N^2 sigma^2)."""
-    if not (mass > 0.0):
-        raise DegenerateDimension(f"mass must be positive, got {mass}")
+    _positive("mass", mass)
     lam = params.collapse_rate
     sig = params.localization_length
     return 1.5 * params.hbar**2 * lam * mass / (params.nucleon_mass**2 * sig**2)
@@ -169,12 +180,10 @@ def rate_report(surface_tensor, rotational_tensor, mass_props, density,
     the mass-weighted second moment (the alternative reading of the
     rotational formula).
     """
-    if inertia_convention == "standard":
-        inert = mass_props.inertia
-    elif inertia_convention == "second_moment":
-        inert = mass_props.second_moment
-    else:
-        raise ValueError(f"unknown inertia convention {inertia_convention!r}")
+    tensors = {"standard": mass_props.inertia, "second_moment": mass_props.second_moment}
+    if inertia_convention not in tensors:
+        raise ConfigError(f"unknown inertia convention {inertia_convention!r}")
+    inert = tensors[inertia_convention]
     dm = dephasing_matrix(surface_tensor, density, params)
     c = dephasing_prefactor(density, params)
     s_rot = clamp_psd(np.asarray(rotational_tensor, dtype=float))

@@ -23,12 +23,15 @@ The sphere keeps its own rule, whose points are exactly R times the
 normals; boxes take one rule per face.
 
 Each shape class is the one place its geometry lives; the module-level
-functions here and in the oracles dispatch to its methods.
+functions here and in the oracles dispatch to its methods.  Each hook
+takes the local coordinates as broadcastable arrays (:func:`_local_axes`);
+only a mesh's ray parity stacks them into points.
 """
 
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -164,6 +167,11 @@ def _ball_factor(d, radius, sigma):
     return np.where(d < 1e-9 * sigma, center, out)
 
 
+def _norm(x, y, z):
+    """|(x, y, z)|, summed in the order of np.linalg.norm and so to its bits."""
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def _sinc(x):
     return np.sinc(x / np.pi)
 
@@ -184,15 +192,14 @@ def _segments(profiles):
     return [(*p, *q) for profile in profiles for p, q in zip(profile, profile[1:])]
 
 
-def _profile_inside(profiles, p, stretch=(1.0, 1.0)):
-    """Mask of the points ``p`` with r <= r(z) on a wall (a segment that is
-    not a disc) of the ``profiles``; r^2 = (x/a)^2 + (y/b)^2 under the
-    ``stretch`` (a, b).  The supersampled fill's hot loop: r^2 and z are
-    taken once and compared with r(z)^2 per wall, and the walls OR-ed."""
+def _profile_inside(profiles, x, y, z, stretch=(1.0, 1.0)):
+    """Mask of the points with r <= r(z) on a wall (a segment that is not
+    a disc) of the ``profiles``; r^2 = (x/a)^2 + (y/b)^2 under the
+    ``stretch`` (a, b).  The supersampled fill's hot loop: r^2 is taken
+    once and compared with r(z)^2 per wall, and the walls OR-ed."""
     a, b = stretch
-    r2 = (p[:, 0] / a) ** 2 + (p[:, 1] / b) ** 2
-    z = p[:, 2]
-    inside = np.zeros(len(p), dtype=bool)
+    r2 = (x / a) ** 2 + (y / b) ** 2
+    inside = False
     for r0, z0, r1, z1 in _segments(profiles):
         if z0 == z1:
             continue
@@ -201,14 +208,14 @@ def _profile_inside(profiles, p, stretch=(1.0, 1.0)):
         else:
             rz = r0 + (z - z0) * ((r1 - r0) / (z1 - z0))
             wall = r2 <= rz * rz
-        inside |= wall & (z >= z0) & (z <= z1)
+        inside = inside | (wall & (z >= z0) & (z <= z1))
     return inside
 
 
-def _profile_distance(profiles, p):
-    """Least distance from ``p`` to a segment of the ``profiles``: the
+def _profile_distance(profiles, x, y, z):
+    """Least distance from the point to a segment of the ``profiles``: the
     distance to the surface they sweep."""
-    r, z = np.hypot(p[:, 0], p[:, 1]), p[:, 2]
+    r = np.hypot(x, y)
     dist = np.inf
     for r0, z0, r1, z1 in _segments(profiles):
         vr, vz = r1 - r0, z1 - z0
@@ -217,10 +224,10 @@ def _profile_distance(profiles, p):
     return dist
 
 
-def _profile_sdf(profiles, p):
+def _profile_sdf(profiles, x, y, z):
     """:func:`_profile_distance`, negative where :func:`_profile_inside` holds."""
-    dist = _profile_distance(profiles, p)
-    return np.where(_profile_inside(profiles, p), -dist, dist)
+    dist = _profile_distance(profiles, x, y, z)
+    return np.where(_profile_inside(profiles, x, y, z), -dist, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +323,17 @@ class _Solid:
     """Geometry shared by the shape dataclasses.
 
     Methods see the bare solid (cavities are composed by the module-level
-    functions) and points ``p`` in its local frame: center at the origin,
-    axis along +z.  Every shape classifies points with its own ``_inside``
-    (closed form, or ray parity for meshes); none goes through a signed
-    distance.  A solid of revolution has one definition, its (r, z)
-    profile, from which :class:`_Revolved` derives all its geometry.  The
-    hooks ``_sdf`` (signed distance; none for the elliptic cylinder, and
-    the cone-capped cylinder's is not exact, see the module docstring),
-    ``_smoothed_unit(x, y, z, sigma)`` (closed-form Gaussian-smoothed
-    indicator on broadcastable arrays of the local coordinates, so that a
-    factor of one coordinate is taken on that coordinate's array alone)
-    and ``_unit_form_factor`` are None where the shape has none; the oracles
+    functions) and its local coordinates as broadcastable arrays ``x, y,
+    z``: center at the origin, axis along +z.  ``_frame``, local to world
+    axes, is built once with the solid (``_axis_frame``) and read-only.
+    Every shape classifies points with its own ``_inside`` (closed form,
+    or ray parity for meshes); none goes through a signed distance.  A
+    solid of revolution has one definition, its (r, z) profile, from
+    which :class:`_Revolved` derives all its geometry.  The hooks ``_sdf``
+    (signed distance; none for the elliptic cylinder, and the cone-capped
+    cylinder's is not exact, see the module docstring), ``_smoothed_unit``
+    (closed-form Gaussian-smoothed indicator) and ``_unit_form_factor``
+    are None where the shape has none; the oracles
     then take the next path of their rule (``oracle.voxel._unit_field``,
     the DFT route of the k-space integral).  ``_clearance`` is a lower
     bound on the distance to the boundary, exact (``|_sdf|``) unless a
@@ -343,14 +350,20 @@ class _Solid:
         for f in fields(self):
             value = f.metadata["canon"](f.name, getattr(self, f.name))
             object.__setattr__(self, f.name, value)
+        object.__setattr__(self, "_frame", self._axis_frame())
+        self._frame.flags.writeable = False
 
-    def _clearance(self, p):
-        return np.abs(self._sdf(p))
+    def _axis_frame(self):
+        return np.eye(3)
+
+    def _clearance(self, x, y, z):
+        return np.abs(self._sdf(x, y, z))
 
     def _scanline(self, xs, ys, zs):
-        """(len(ys), len(zs), len(xs)) mask of the solid, cavities left
-        out, on the lattice of ascending world axes.  ``ys`` is one voxel
-        row of ss lines, and ``xs`` and ``zs`` hold ss subsamples per voxel.
+        """(len(ys), len(zs), len(xs)) mask of the solid, which has no
+        cavities (the fill passes its cavity-free host), on the lattice of
+        ascending world axes.  ``ys`` is one voxel row of ss lines, and
+        ``xs`` and ``zs`` hold ss subsamples per voxel.
 
         A narrow band: a voxel whose center is farther from the boundary
         (its ``_clearance``) than the reach, its largest center-to-subsample
@@ -361,28 +374,28 @@ class _Solid:
         go through :func:`contains`, gathered from the same axes, so every
         bit is the one the pointwise test gives at that lattice point.
         """
-        bare, ss = _bare(self), len(ys)
+        ss = len(ys)
         cells = [v.reshape(-1, ss) for v in (xs, ys, zs)]
         mids = [c.mean(axis=1) for c in cells]
         reach = math.hypot(*(np.max(np.abs(c - m[:, None])) for c, m in zip(cells, mids)))
         cx, (cy,), cz = mids
         Z, X = np.meshgrid(cz, cx, indexing="ij")
         centers = np.stack([X.ravel(), np.full(X.size, cy), Z.ravel()], axis=1)
-        band = self._clearance(_to_local(self, centers)) <= reach * (1.0 + 1e-6)
+        band = self._clearance(*_local_axes(self, *centers.T)) <= reach * (1.0 + 1e-6)
         side = np.zeros(len(centers), dtype=bool)
-        side[~band] = contains(bare, centers[~band])
+        side[~band] = contains(self, centers[~band])
         out = np.empty((ss, len(cz), ss, len(cx), ss), dtype=bool)
         out[...] = side.reshape(1, len(cz), 1, len(cx), 1)
         kz, kx = (k[:, None] for k in np.divmod(np.flatnonzero(band), len(cx)))
         a, b, c = np.indices((ss, ss, ss)).reshape(3, -1)
         zi, xi = kz * ss + b, kx * ss + c
         pts = np.stack(np.broadcast_arrays(xs[xi], ys[a], zs[zi]), axis=-1)
-        out[a, kz, b, kx, c] = contains(bare, pts.reshape(-1, 3)).reshape(zi.shape)
+        out[a, kz, b, kx, c] = contains(self, pts.reshape(-1, 3)).reshape(zi.shape)
         return out.reshape(ss, len(zs), len(xs))
 
     def _bounds(self):
         """(min, max) corners about the center, in world axes."""
-        ext = np.abs(local_frame(self)) @ self._half_extent()
+        ext = np.abs(self._frame) @ self._half_extent()
         return -ext, ext
 
 
@@ -398,20 +411,23 @@ class _Revolved(_Solid):
     _stretch = (1.0, 1.0)
     _ring = "phi"
 
-    def _inside(self, p):
-        return _profile_inside(self._profiles(), p, self._stretch)
+    def _axis_frame(self):
+        return rotation_to_z(self.axis)
 
-    def _sdf(self, p):
-        return _profile_sdf(self._profiles(), p)
+    def _inside(self, x, y, z):
+        return _profile_inside(self._profiles(), x, y, z, self._stretch)
 
-    def _clearance(self, p):
+    def _sdf(self, x, y, z):
+        return _profile_sdf(self._profiles(), x, y, z)
+
+    def _clearance(self, x, y, z):
         # exact when round.  Under the stretch (a, b), x -> x s/a, y -> y s/b
         # with s = min(a, b) lengthens no distance and maps the body onto
         # the round one of radius s, whose distance is then a lower bound
         a, b = self._stretch
         s = min(a, b)
         profiles = [[(r * s, z) for r, z in profile] for profile in self._profiles()]
-        return _profile_distance(profiles, p * (s / a, s / b, 1.0))
+        return _profile_distance(profiles, x * (s / a), y * (s / b), z)
 
     def _half_extent(self):
         # x and y both take the larger stretch: the circumscribed cylinder
@@ -450,11 +466,11 @@ class Sphere(_Solid):
     center: tuple = _center()
     cavities: tuple = _cavities()
 
-    def _inside(self, p):
-        return np.linalg.norm(p, axis=1) <= self.radius
+    def _inside(self, x, y, z):
+        return _norm(x, y, z) <= self.radius
 
-    def _sdf(self, p):
-        return np.linalg.norm(p, axis=1) - self.radius
+    def _sdf(self, x, y, z):
+        return _norm(x, y, z) - self.radius
 
     def _half_extent(self):
         return np.full(3, self.radius)
@@ -469,8 +485,7 @@ class Sphere(_Solid):
         return [(V, 4.0 * np.pi * R**2, np.zeros(3), V * R**2 / 5.0 * np.eye(3))]
 
     def _smoothed_unit(self, x, y, z, sigma):
-        # the sum order of np.linalg.norm(p, axis=-1), so bit for bit its value
-        return _ball_factor(np.sqrt((x * x + y * y) + z * z), self.radius, sigma)
+        return _ball_factor(_norm(x, y, z), self.radius, sigma)
 
     def _unit_form_factor(self, k):
         R = self.radius
@@ -500,7 +515,7 @@ class Cylinder(_Revolved):
 
     def _unit_form_factor(self, k):
         R, L = self.radius, self.length
-        kl = k @ local_frame(self)
+        kl = k @ self._frame
         kperp = np.hypot(kl[..., 0], kl[..., 1])
         return np.pi * R**2 * L * _jinc(kperp * R) * _sinc(kl[..., 2] * L / 2.0)
 
@@ -511,14 +526,14 @@ class Box(_Solid):
     center: tuple = _center()
     cavities: tuple = _cavities()
 
-    def _inside(self, p):
-        return np.all(np.abs(p) <= np.asarray(self.size) / 2.0, axis=1)
+    def _inside(self, x, y, z):
+        hx, hy, hz = np.asarray(self.size) / 2.0
+        return (np.abs(x) <= hx) & (np.abs(y) <= hy) & (np.abs(z) <= hz)
 
-    def _sdf(self, p):
-        q = np.abs(p) - np.asarray(self.size) / 2.0
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(q.max(axis=1), 0.0)
-        return outside + inside
+    def _sdf(self, x, y, z):
+        qx, qy, qz = (np.abs(w) - side / 2.0 for w, side in zip((x, y, z), self.size))
+        outside = _norm(np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0))
+        return outside + np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
 
     def _half_extent(self):
         return np.asarray(self.size) / 2.0
@@ -573,7 +588,7 @@ class ConeCappedCylinder(_Revolved):
         R, half, h = self.radius, self.length / 2.0, self.cone_height
         return [[(0.0, -half - h), (R, -half), (R, half), (0.0, half + h)]]
 
-    def _sdf(self, p):
+    def _sdf(self, x, y, z):
         # The least of the signed distances of three pieces, the cylinder and
         # the two cones: 0 on the seam discs inside the body.  The sdf-erf
         # field of the profile's exact distance is no smoothed indicator
@@ -584,7 +599,7 @@ class ConeCappedCylinder(_Revolved):
         (apex0, seam0, seam1, apex1), = self._profiles()
         axis0, axis1 = (0.0, seam0[1]), (0.0, seam1[1])
         pieces = ([axis0, seam0, seam1, axis1], [apex0, seam0, axis0], [axis1, seam1, apex1])
-        return np.minimum.reduce([_profile_sdf([piece], p) for piece in pieces])
+        return np.minimum.reduce([_profile_sdf([piece], x, y, z) for piece in pieces])
 
 
 @dataclass(frozen=True)
@@ -621,7 +636,7 @@ class EllipticCylinder(_Revolved):
 
     def _unit_form_factor(self, k):
         a, b, L = self.semi_axis_a, self.semi_axis_b, self.length
-        kl = k @ local_frame(self)
+        kl = k @ self._frame
         zeta = np.hypot(kl[..., 0] * a, kl[..., 1] * b)
         return np.pi * a * b * L * _jinc(zeta) * _sinc(kl[..., 2] * L / 2.0)
 
@@ -679,12 +694,12 @@ class Mesh(_Solid):
     center: tuple = _center()
     cavities: tuple = _cavities()
 
-    def _inside(self, p):
-        return self.mesh.contains(p)
+    def _inside(self, x, y, z):
+        p = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+        return self.mesh.contains(p.reshape(-1, 3)).reshape(p.shape[:-1])
 
     def _scanline(self, xs, ys, zs):
-        c = self.center
-        return self.mesh.contains_lattice(xs - c[0], ys - c[1], zs - c[2])
+        return self.mesh.contains_lattice(*_local_axes(self, xs, ys, zs))
 
     def _bounds(self):
         return self.mesh.bounding_box()
@@ -707,11 +722,9 @@ Shape = (*ANALYTIC_SHAPES, Mesh)
 
 
 def local_frame(spec):
-    """Rotation matrix mapping local coordinates (axis = +z) to world."""
-    axis = getattr(spec, "axis", None)
-    if axis is None:
-        return np.eye(3)
-    return rotation_to_z(axis)
+    """The solid's read-only rotation matrix mapping local coordinates
+    (axis = +z) to world, built once with the solid."""
+    return spec._frame
 
 
 # ---------------------------------------------------------------------------
@@ -735,17 +748,6 @@ def build_shape(spec):
     return spec
 
 
-def _cavity_probe_points(cavity):
-    return quadrature(_bare(cavity), resolution=8).points
-
-
-def _bare(spec):
-    """The same shape spec without its cavities (host material only)."""
-    if not spec.cavities:
-        return spec
-    return replace(spec, cavities=())
-
-
 def _check_cavities(spec):
     """Cavities must sit strictly inside the host and apart from each other.
 
@@ -756,38 +758,33 @@ def _check_cavities(spec):
     ``_sdf``.  Other combinations are validated on sampled cavity-surface
     probes.
     """
-    host = _bare(spec)
+    host = replace(spec, cavities=())
     probes = []
     for cav in spec.cavities:
         if not isinstance(cav, Shape):
             raise CavityOverlap(f"cavity is not a shape spec: {cav!r}")
         if cav.cavities:
             raise CavityOverlap("cavities may not themselves contain cavities")
-        pts = _cavity_probe_points(cav)
+        pts = quadrature(cav, resolution=8).points
         if not np.all(contains(host, pts)):
             raise CavityOverlap("cavity surface is not strictly inside the host")
         # parity probes above are the best available for hosts without a distance
         if host._sdf is not None:
             if isinstance(cav, Sphere):
-                center = np.asarray(cav.center)[None, :]
-                touches = (not contains(host, center)[0]
-                           or host._clearance(_to_local(host, center))[0] <= cav.radius)
+                touches = (not contains(host, cav.center)[0]
+                           or host._clearance(*_local_axes(host, *cav.center)) <= cav.radius)
             else:
                 touches = np.max(signed_distance(host, pts)) >= 0.0
             if touches:
                 raise CavityOverlap("cavity touches the host boundary")
         probes.append(pts)
-    for i, cav_i in enumerate(spec.cavities):
-        for j, cav_j in enumerate(spec.cavities):
-            if i >= j:
-                continue
-            if isinstance(cav_i, Sphere) and isinstance(cav_j, Sphere):
-                gap = np.linalg.norm(np.asarray(cav_i.center) - np.asarray(cav_j.center))
-                if gap <= cav_i.radius + cav_j.radius:
-                    raise CavityOverlap(f"cavities {i} and {j} overlap")
-            elif (np.any(contains(_bare(cav_j), probes[i]))
-                  or np.any(contains(_bare(cav_i), probes[j]))):
+    for (i, cav_i), (j, cav_j) in combinations(enumerate(spec.cavities), 2):
+        if isinstance(cav_i, Sphere) and isinstance(cav_j, Sphere):
+            gap = np.linalg.norm(np.asarray(cav_i.center) - np.asarray(cav_j.center))
+            if gap <= cav_i.radius + cav_j.radius:
                 raise CavityOverlap(f"cavities {i} and {j} overlap")
+        elif np.any(contains(cav_j, probes[i])) or np.any(contains(cav_i, probes[j])):
+            raise CavityOverlap(f"cavities {i} and {j} overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -796,32 +793,24 @@ def _check_cavities(spec):
 
 def _local_axes(spec, x, y, z):
     """Local coordinates of the world points (x, y, z), given as
-    broadcastable arrays: coordinate k is sum_j F[j, k] (w_j - c_j), F the
-    ``local_frame`` and c the center.  Terms with F[j, k] = 0 are skipped
-    and F[j, k] = +-1 takes +-(w_j - c_j), so on a named axis each local
-    coordinate keeps the shape of one world axis and equals the matrix
-    product's value; on a tilted one the sum may round differently."""
-    frame = local_frame(spec)
+    broadcastable arrays, as every hook takes them: coordinate k is
+    sum_j F[j, k] (w_j - c_j), F the solid's frame and c the center.
+    Terms with F[j, k] = 0 are skipped and F[j, k] = +-1 takes
+    +-(w_j - c_j), so on a named axis each local coordinate keeps the
+    shape of one world axis and equals the matrix product's value; on a
+    tilted one the sum may round differently."""
     w = [v - c for v, c in zip((x, y, z), spec.center)]
-    axes = []
-    for k in range(3):
-        terms = [w[j] if f == 1.0 else -w[j] if f == -1.0 else f * w[j]
-                 for j, f in enumerate(frame[:, k]) if f != 0.0]
-        axes.append(sum(terms[1:], terms[0]))
-    return axes
-
-
-def _to_local(spec, points):
-    """(n, 3) local coordinates of the (n, 3) world ``points``."""
-    return np.stack(_local_axes(spec, *points.T), axis=1)
+    terms = [[w[j] if f == 1.0 else -w[j] if f == -1.0 else f * w[j]
+              for j, f in enumerate(column) if f != 0.0] for column in spec._frame.T]
+    return [sum(t[1:], t[0]) for t in terms]
 
 
 def contains(spec, points):
     """Boolean mask: is there material at each point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = spec._inside(_to_local(spec, points))
+    axes = np.atleast_2d(np.asarray(points, dtype=float)).T
+    inside = spec._inside(*_local_axes(spec, *axes))
     for cav in spec.cavities:
-        inside &= ~cav._inside(_to_local(cav, points))
+        inside &= ~cav._inside(*_local_axes(cav, *axes))
     return inside
 
 
@@ -837,10 +826,10 @@ def signed_distance(spec, points):
     for solid in (spec, *spec.cavities):
         if solid._sdf is None:
             raise UnsupportedShape(f"signed distance not available for {type(solid).__name__}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = spec._sdf(_to_local(spec, points))
+    axes = np.atleast_2d(np.asarray(points, dtype=float)).T
+    d = spec._sdf(*_local_axes(spec, *axes))
     for cav in spec.cavities:
-        d = np.maximum(d, -cav._sdf(_to_local(cav, points)))
+        d = np.maximum(d, -cav._sdf(*_local_axes(cav, *axes)))
     return d
 
 
@@ -872,11 +861,10 @@ def quadrature(spec, resolution=DEFAULT_RESOLUTION, max_patches=MAX_PATCHES):
 
     host, *cavities = [
         SurfacePatches.concatenate([build() for _, build in fams])
-        .rotated(local_frame(solid)).translated(solid.center)
+        .rotated(solid._frame).translated(solid.center)
         for solid, fams in zip(solids, families)
     ]
-    flipped = [c.flipped() for c in cavities]
-    return SurfacePatches.concatenate([host] + flipped) if cavities else host
+    return SurfacePatches.concatenate([host] + [c.flipped() for c in cavities])
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +882,7 @@ def mass_properties(spec, density):
     parts = []
     for sign, solid in [(+1.0, spec)] + [(-1.0, cav) for cav in spec.cavities]:
         # each part's J is its second moment about its own centroid
-        frame, center = local_frame(solid), np.asarray(solid.center)
+        frame, center = solid._frame, np.asarray(solid.center)
         for V, A, c, J in solid._parts():
             parts.append((sign, V, A, frame @ np.asarray(c) + center,
                           frame @ np.asarray(J) @ frame.T))

@@ -52,9 +52,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
-from ..csl import CslParams
+from ..csl import CslParams, _density_squared
 from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
-from ..geometry.shapes import _bare, _positive, _sphere_patches, build_shape
+from ..geometry.shapes import _positive, _sphere_patches, build_shape
 from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
@@ -188,7 +188,7 @@ def _outer_sum(grid: VoxelGrid, s, g=(1.0, 1.0, 1.0)):
 
 def _finite(value, what):
     if not np.all(np.isfinite(value)):  # the report of the overflow or NaN that errstate hid
-        raise DegenerateDimension(f"{what} is not finite: the grid values are not, or overflow")
+        raise DegenerateDimension(f"{what} is not finite: its inputs are not, or it overflows")
     return value
 
 
@@ -216,8 +216,10 @@ def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
 
 def surface_formula_outer_integral(surface_tensor, density, sigma):
     """Closed-form surface scaling (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) * S."""
-    scale = (2.0 * np.pi) ** 3 * density**2 / (2.0 * math.sqrt(math.pi) * sigma)
-    return scale * np.asarray(surface_tensor, dtype=float)
+    _positive("sigma", sigma)
+    scale = (2.0 * np.pi) ** 3 * _density_squared(density) / (2.0 * math.sqrt(math.pi) * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(scale * np.asarray(surface_tensor, dtype=float), "the surface formula")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ def form_factor(spec):
     analytic parts) enter as phased sums.
     """
     spec = build_shape(spec)
-    parts = [(1.0, _bare(spec))] + [(-1.0, c) for c in spec.cavities]
+    parts = [(1.0, spec)] + [(-1.0, c) for c in spec.cavities]
     if any(part._unit_form_factor is None for _, part in parts):
         return None
     fns = [(sign, np.asarray(part.center, dtype=float), part._unit_form_factor)
@@ -296,20 +298,23 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     Refinement stops when one ladder step changes the tensor by less than
     ``tol`` (relative, Frobenius) and raises
     :class:`QuadratureNotConverged` if the node budget runs out first.
-    ``density`` and ``sigma`` must be positive and finite on either route
-    (:class:`DegenerateDimension`).
+    ``density`` and ``sigma`` must be positive and finite, and so must
+    density^2 and the tensor, on either route (:class:`DegenerateDimension`).
     """
-    _positive("density", density)
+    _density_squared(density)
     _positive("sigma", sigma)
     spec = build_shape(spec)
     mu = form_factor(spec)
     if mu is None:
-        return _kspace_fft(spec, density, sigma, spacing, padding, max_voxels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = _kspace_fft(spec, density, sigma, spacing, padding, max_voxels)
+        return _finite(K, "the k-space tensor")
     prev = None
     for n_r, n_t, n_p in _KSPACE_LADDER:
         if n_r > max_radial_nodes:
             break
-        K = _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = _finite(_kspace_quadrature(mu, density, sigma, n_r, n_t, n_p), "the k-space tensor")
         if prev is not None:
             scale = max(np.linalg.norm(K), 1e-300)
             if np.linalg.norm(K - prev) / scale < tol:

@@ -14,6 +14,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
+from ..errors import DegenerateDimension
+from ..geometry.shapes import _positive
+
 
 def _gauss(x, sigma):
     return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
@@ -35,16 +38,18 @@ class EdgeProfile:
         h = tuple(float(x) for x in self.heights)
         v = tuple(float(x) for x in self.values)
         if len(h) != len(v):
-            raise ValueError("heights and values must have equal length")
+            raise DegenerateDimension("heights and values must have equal length")
         if h:
             if len(h) < 2:
-                raise ValueError("tabulated profile needs at least 2 knots")
+                raise DegenerateDimension("tabulated profile needs at least 2 knots")
+            if not all(map(math.isfinite, h + v)):
+                raise DegenerateDimension("knot heights and values must be finite")
             if np.any(np.diff(h) <= 0):
-                raise ValueError("knot heights must be strictly increasing")
+                raise DegenerateDimension("knot heights must be strictly increasing")
             if np.any(np.diff(v) > 0):
-                raise ValueError("profile must be non-increasing")
+                raise DegenerateDimension("profile must be non-increasing")
             if abs(v[0] - 1.0) > 1e-12 or abs(v[-1]) > 1e-12:
-                raise ValueError("profile must descend from 1 to 0")
+                raise DegenerateDimension("profile must descend from 1 to 0")
         object.__setattr__(self, "heights", h)
         object.__setattr__(self, "values", v)
 
@@ -54,8 +59,7 @@ class EdgeProfile:
 
     @classmethod
     def linear_ramp(cls, width):
-        if not (width > 0):
-            raise ValueError("ramp width must be positive")
+        width = _positive("ramp width", width)
         return cls(heights=(-width / 2.0, width / 2.0), values=(1.0, 0.0))
 
     @property
@@ -114,8 +118,7 @@ def edge_layer_factor(profile: EdgeProfile, sigma, n_nodes=512) -> float:
     1 / (2 sqrt(pi) sigma); softer profiles give strictly smaller values
     and recover the step value as their width vanishes.
     """
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
+    _positive("sigma", sigma)
     lo, hi = profile.support()
     a, b = lo - 10.0 * sigma, hi + 10.0 * sigma
     x, w = leggauss(n_nodes)

@@ -26,8 +26,7 @@ factor unless its axis is x.  Those are the numbers a matrix product
 gives, and a product of broadcast factors is the product of the same
 factors per voxel, so such grids are bit for bit the point evaluator's
 values.  A tilted axis sums products in a fixed order, which may round
-differently from a matrix product.  The signed-distance path stacks the
-broadcast coordinates into points first.
+differently from a matrix product.
 
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material.  One loop fills it a voxel row of
@@ -63,7 +62,7 @@ import contextlib
 import contextvars
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +103,15 @@ class VoxelGrid:
         self.origin = np.asarray(self.origin, dtype=float)
         self.spacing = _positive("spacing", self.spacing)
         self.margin = float(self.margin)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.asarray(self.values)
         if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
             raise DegenerateDimension(f"origin must be a finite 3-vector, got {self.origin}")
         if not (0.0 <= self.margin < math.inf):
             raise DegenerateDimension(f"margin must be finite and not negative, got {self.margin}")
-        if self.values.ndim != 3 or self.values.size == 0:
-            raise DegenerateDimension(
-                f"values must be a 3-D array with no empty axis, got shape {self.values.shape}")
+        if self.values.dtype.kind not in "biuf" or self.values.ndim != 3 or self.values.size == 0:
+            raise DegenerateDimension("values must be a 3-D array of real numbers with no "
+                                      f"empty axis, got {self.values.dtype} {self.values.shape}")
+        self.values = self.values.astype(float, copy=False)
 
     @property
     def dims(self):
@@ -188,12 +188,7 @@ def _unit_field(solid, profile):
         return solid._smoothed_unit
     if solid._sdf is not None:
         profile = EdgeProfile.step() if profile is None else profile
-
-        def field(x, y, z, sigma):
-            p = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-            return profile.smoothed(solid._sdf(p.reshape(-1, 3)), sigma).reshape(p.shape[:-1])
-
-        return field
+        return lambda x, y, z, sigma: profile.smoothed(solid._sdf(x, y, z), sigma)
     if not step:
         raise UnsupportedShape("soft edge profiles need an exact signed distance, "
                                f"which {type(solid).__name__} does not provide")
@@ -345,19 +340,19 @@ def supersampled_fraction(spec, dims, origin, spacing):
     """Per-voxel material fraction: the share of an ss^3 subsample lattice
     inside the material.
 
-    One voxel row of lattice lines at a time, the host solid and then
-    each cavity classify the row through their ``_scanline`` hook
-    (scanline parity for meshes, a narrow band about the boundary
-    otherwise); each cavity subtracts.
+    One voxel row of lattice lines at a time, the host solid (without its
+    cavities, built once per fill) and then each cavity classify the row
+    through their ``_scanline`` hook (scanline parity for meshes, a
+    narrow band about the boundary otherwise); each cavity subtracts.
     """
     ss = _SUPERSAMPLE
     sub = (np.arange(ss) + 0.5) / ss - 0.5
-    frac = np.empty(dims)
+    frac, host = np.empty(dims), replace(spec, cavities=())
     ax_x, ax_y, ax_z = (origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]).ravel()
                         for a in range(3))
     for j in range(dims[1]):
         ys = ax_y[j * ss:(j + 1) * ss]
-        inside = spec._scanline(ax_x, ys, ax_z)               # (y, z, x)
+        inside = host._scanline(ax_x, ys, ax_z)               # (y, z, x)
         for cav in spec.cavities:
             inside &= ~cav._scanline(ax_x, ys, ax_z)
         # a count is at most ss**3 = 64; summing the leading axis first as

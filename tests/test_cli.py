@@ -320,3 +320,20 @@ class TestPlumbing:
         assert rows[0] == ["key", "value"]
         keys = {r[0] for r in rows[1:]}
         assert "results.area" in keys
+
+
+@pytest.mark.parametrize("command", ["rates", "validate"])
+def test_density_whose_square_overflows_is_a_usage_error(capsys, command):
+    # density**2 used to end the run in a bare OverflowError traceback
+    code, out, err = run(capsys, command, "--shape", SPHERE, "--density", "1e300")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "density" in err
+
+
+def test_infinite_collapse_rate_in_config_is_a_usage_error(capsys, tmp_path):
+    # JSON reads 1e999 as inf, which used to end the run in a LinAlgError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"shape": %s, "density": 2000, "params": {"collapse_rate": 1e999}}' % SPHERE)
+    code, out, err = run(capsys, "rates", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "collapse rate" in err

@@ -72,5 +72,6 @@ def test_fraction_is_mean_of_signed_distance_sign(monkeypatch):
     dims, origin = _grid_geometry(spec, spacing, SIGMA)
     frac = supersampled_fraction(spec, dims, origin, spacing)
     # the same lattice classified by the sign of the signed distance
-    monkeypatch.setattr(ConeCappedCylinder, "_inside", lambda self, p: self._sdf(p) <= 0.0)
+    monkeypatch.setattr(ConeCappedCylinder, "_inside",
+                        lambda self, x, y, z: self._sdf(x, y, z) <= 0.0)
     assert np.array_equal(frac, pointwise_fraction(spec, dims, origin, spacing))

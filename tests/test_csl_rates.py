@@ -17,7 +17,7 @@ from cslsurf.csl import (
     superposition_dephasing_rate,
     total_heating_rate,
 )
-from cslsurf.errors import DegenerateDimension, SingularInertia, ValidityWarning
+from cslsurf.errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
 from cslsurf.geometry import (
     Box,
     ConeCappedCylinder,
@@ -256,3 +256,33 @@ class TestReportAndInvariance:
                 == pytest.approx(expected_blowup, rel=1e-9))
         with pytest.raises(ValueError):
             rate_report(s, s_rot, mp, rho, PARAMS, inertia_convention="bogus")
+
+
+@pytest.mark.parametrize("name", ["collapse_rate", "localization_length", "nucleon_mass", "hbar"])
+def test_params_reject_an_infinite_field(name):
+    # an infinite collapse rate used to pass and end rate_report in a LinAlgError
+    with pytest.raises(DegenerateDimension, match="finite"):
+        CslParams(**{name: math.inf})
+
+
+@pytest.mark.parametrize("rho", [1e300, 1e150])
+def test_prefactor_rejects_a_density_that_overflows(rho):
+    # 1e300**2 used to raise a bare OverflowError; at 1e150 the square is
+    # finite but c is not
+    with pytest.raises(DegenerateDimension):
+        dephasing_prefactor(rho, PARAMS)
+
+
+@pytest.mark.parametrize("strength", [-1.0, math.nan, math.inf])
+def test_angular_coefficient_rejects_unusable_strength_typed(strength):
+    with pytest.raises(DegenerateDimension):
+        angular_dephasing_coefficient(strength, 1000.0, PARAMS)
+
+
+def test_unknown_inertia_convention_is_a_config_error():
+    spec = Sphere(1e-6)
+    p = quadrature(spec, resolution=8)
+    mp = mass_properties(spec, 1000.0)
+    s, s_rot = surface_tensor(p), rotational_surface_tensor(p, mp.centroid)
+    with pytest.raises(ConfigError):
+        rate_report(s, s_rot, mp, 1000.0, PARAMS, inertia_convention="bogus")

@@ -372,3 +372,26 @@ def test_one_fft_per_oracle_call(monkeypatch):
     for expected in (5, 6):
         kspace_outer_integral(Mesh(mesh=box_mesh(L, L, L)), RHO, SIGMA)
         assert len(calls) == expected
+
+
+@pytest.mark.parametrize("spec", [Sphere(3 * SIGMA), Mesh(mesh=box_mesh(*(8 * SIGMA,) * 3))],
+                         ids=["ladder", "dft"])
+def test_kspace_density_whose_square_overflows_raises(spec):
+    # the ladder raised a bare OverflowError and the DFT route returned NaN
+    with pytest.raises(DegenerateDimension, match="density"):
+        kspace_outer_integral(spec, 1e300, SIGMA)
+
+
+def test_kspace_dft_overflow_raises():
+    # density^2 is finite, but the indicator's power spectrum overflows
+    spec = Mesh(mesh=box_mesh(*(8 * SIGMA,) * 3))
+    with pytest.raises(DegenerateDimension, match="not finite"):
+        kspace_outer_integral(spec, 1e153, SIGMA)
+
+
+@pytest.mark.parametrize("density, sigma", [(1e300, SIGMA), (1e150, SIGMA), (RHO, 0.0)])
+def test_surface_formula_rejects_unusable_density_or_sigma(density, sigma):
+    # an OverflowError at 1e300, an inf/NaN tensor at 1e150 and a
+    # ZeroDivisionError at sigma = 0
+    with pytest.raises(DegenerateDimension):
+        surface_formula_outer_integral(np.eye(3), density, sigma)

@@ -203,7 +203,7 @@ def test_clearance_is_a_lower_bound(spec, seed):
     pad = 0.2 * (hi - lo)
     points = np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(300, 3))
     nearest = np.min(np.linalg.norm(points[:, None] - surface[None], axis=2), axis=1)
-    clearance = spec._clearance(shapes._to_local(spec, points))
+    clearance = spec._clearance(*shapes._local_axes(spec, *points.T))
     assert np.all(clearance <= nearest + 1e-12 * np.max(hi - lo))
 
 

@@ -247,6 +247,13 @@ class TestRasterize:
         with pytest.raises(DegenerateDimension):
             VoxelGrid(origin, spacing, np.ones((4, 4, 4)), margin)
 
+    @pytest.mark.parametrize("value", [1 + 2j, "a", "1.5"])
+    def test_values_that_are_not_real_numbers_are_degenerate(self, value):
+        # complex values used to lose their imaginary part, strings to raise
+        # a bare ValueError (or, if numeric, to be read as numbers)
+        with pytest.raises(DegenerateDimension, match="real numbers"):
+            VoxelGrid(np.zeros(3), SIGMA / 2, np.full((2, 2, 2), value))
+
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 5), (), (0, 4, 4), (4, 4, 0)])
     def test_values_not_3d_or_with_an_empty_axis_are_degenerate(self, shape):
         # an empty axis has no spectrum to sum
@@ -310,6 +317,21 @@ class TestProfiles:
             EdgeProfile(heights=(0.0,), values=(1.0,))
         with pytest.raises(ValueError):
             EdgeProfile.linear_ramp(-1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: EdgeProfile(heights=(0.0, 1.0), values=(0.0, 1.0)),
+        lambda: EdgeProfile(heights=(0.0,), values=(1.0,)),
+        lambda: EdgeProfile(heights=(0.0, 1.0), values=(1.0,)),
+        lambda: EdgeProfile(heights=(0.0, 1.0, 2.0), values=(1.0, 0.5, 0.6)),
+        lambda: EdgeProfile(heights=(0.0, math.nan), values=(1.0, 0.0)),
+        lambda: EdgeProfile.linear_ramp(-1.0),
+        lambda: EdgeProfile.linear_ramp(math.inf),
+        lambda: edge_layer_factor(EdgeProfile.step(), 0.0),
+        lambda: edge_layer_factor(EdgeProfile.step(), -SIGMA),
+    ])
+    def test_unusable_profile_or_sigma_is_degenerate(self, make):
+        with pytest.raises(DegenerateDimension):
+            make()
 
     def test_step_callable(self):
         prof = EdgeProfile.step()
