@@ -12,7 +12,6 @@ tolerance failure, 3 resource cap exceeded.
 """
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -56,13 +55,11 @@ from .geometry import (
 from .oracle import (
     DEFAULT_MAX_VOXELS,
     decoherence_function,
-    form_factor,
     gradient_outer_integral,
     kspace_outer_integral,
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
-from .oracle.voxel import shared_fill
 from .tensors import (
     axial_rotational_strength,
     principal_axes,
@@ -179,17 +176,20 @@ def _resolve(args):
     elif cfg.get("density") is not None:
         density = parse_quantity(cfg["density"], "density")
 
-    pdoc = dict(cfg.get("params", {}))
+    pdoc = cfg.get("params", {})
+    if not isinstance(pdoc, dict):
+        raise ConfigError(f"params must be an object, got {pdoc!r}")
+    pdoc = dict(pdoc)
     if getattr(args, "collapse_rate", None) is not None:
         pdoc["collapse_rate"] = args.collapse_rate
     if getattr(args, "sigma", None) is not None:
         pdoc["localization_length"] = args.sigma
-    pkw = {}
-    for key, dim in (("collapse_rate", "rate"), ("localization_length", "length"),
-                     ("nucleon_mass", "mass"), ("hbar", "dimensionless")):
-        if key in pdoc:
-            pkw[key] = parse_quantity(pdoc[key], dim)
-    params = CslParams(**pkw)
+    flds = dataclasses.fields(CslParams)
+    unknown = set(pdoc) - {f.name for f in flds}
+    if unknown:
+        raise ConfigError(f"unknown CSL parameter(s) {sorted(unknown)}")
+    params = CslParams(**{f.name: parse_quantity(pdoc[f.name], f.metadata["unit"])
+                          for f in flds if f.name in pdoc})
 
     resolution = int(_first_given(args.resolution, cfg.get("resolution"), DEFAULT_RESOLUTION))
     if resolution < 1:
@@ -213,12 +213,7 @@ def _report(command, shape, density, params, options, results, extra=None):
     config = {
         "shape": _shape_to_json(shape, options["mesh_files"]),
         "density": density,
-        "params": {
-            "collapse_rate": params.collapse_rate,
-            "localization_length": params.localization_length,
-            "nucleon_mass": params.nucleon_mass,
-            "hbar": params.hbar,
-        },
+        "params": dataclasses.asdict(params),
         "resolution": options["resolution"],
         **(extra or {}),
     }
@@ -348,20 +343,15 @@ def _cmd_validate(args):
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
-    # a body without a form factor takes the DFT route, which fills the
-    # supersampled indicator that a filtered raster may already have
-    # filled: the scope makes that one fill
-    share = shared_fill(shape) if form_factor(shape) is None else contextlib.nullcontext()
-    with share:
-        grid = rasterize_smoothed_density(
-            shape, density, sigma, spacing=spacing, padding=padding,
-            max_voxels=args.max_voxels,
-        )
-        grad = gradient_outer_integral(grid)
-        grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
-        del grid  # frees its values and held power spectrum before the k-space route
-        kint = kspace_outer_integral(shape, density, sigma, spacing=spacing,
-                                     padding=padding, max_voxels=args.max_voxels)
+    # k-space first: a DFT fill goes to the raster, and no grid lives through it
+    kint = kspace_outer_integral(shape, density, sigma, spacing=spacing,
+                                 padding=padding, max_voxels=args.max_voxels)
+    grid = rasterize_smoothed_density(
+        shape, density, sigma, spacing=spacing, padding=padding,
+        max_voxels=args.max_voxels,
+    )
+    grad = gradient_outer_integral(grid)
+    grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
 
     def rel(a, b):
         return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b)))

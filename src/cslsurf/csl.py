@@ -15,7 +15,7 @@ comes out exactly.
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,13 +34,14 @@ class CslParams:
 
     Defaults are the conventional collapse rate 1e-16 1/s and
     localization length 1e-7 m, with CODATA values for the atomic mass
-    unit and hbar.
+    unit and hbar.  Each field's ``unit`` metadata is the dimension its
+    configured quantities are parsed in (hbar, in J s, takes plain numbers).
     """
 
-    collapse_rate: float = 1e-16          # 1/s
-    localization_length: float = 1e-7     # m
-    nucleon_mass: float = 1.66053906660e-27  # kg
-    hbar: float = 1.054571817e-34         # J s
+    collapse_rate: float = field(default=1e-16, metadata={"unit": "rate"})
+    localization_length: float = field(default=1e-7, metadata={"unit": "length"})
+    nucleon_mass: float = field(default=1.66053906660e-27, metadata={"unit": "mass"})
+    hbar: float = field(default=1.054571817e-34, metadata={"unit": "dimensionless"})
 
     def __post_init__(self):
         for f in fields(self):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NonUnitAxis
+from ..errors import DegenerateDimension, NonUnitAxis
 
 UNIT_TOL = 1e-10
 
@@ -70,7 +70,7 @@ class SurfacePatches:
         if bad > UNIT_TOL:
             raise NonUnitAxis(f"patch normals deviate from unit length by {bad:.2e}")
         if np.any(self.weights < 0):
-            raise ValueError("negative patch weight")
+            raise DegenerateDimension("negative patch weight")
         return self
 
     def translated(self, offset):
@@ -140,7 +140,7 @@ def compose_mass_properties(parts, density):
         first_moment += sign * v * c
         j_origin += sign * (np.asarray(j_c, dtype=float) + v * np.outer(c, c))
     if vol <= 0.0:
-        raise ValueError("net volume is not positive")
+        raise DegenerateDimension("net volume is not positive")
     centroid = first_moment / vol
     j_cm = density * (j_origin - vol * np.outer(centroid, centroid))
     inertia = np.trace(j_cm) * np.eye(3) - j_cm

@@ -332,7 +332,8 @@ class _Solid:
     which :class:`_Revolved` derives all its geometry.  The hooks ``_sdf``
     (signed distance; none for the elliptic cylinder, and the cone-capped
     cylinder's is not exact, see the module docstring), ``_smoothed_unit``
-    (closed-form Gaussian-smoothed indicator) and ``_unit_form_factor``
+    (closed-form Gaussian-smoothed indicator, save the cone-capped
+    cylinder's: the step profile of its inexact ``_sdf``) and ``_unit_form_factor``
     are None where the shape has none; the oracles
     then take the next path of their rule (``oracle.voxel._unit_field``,
     the DFT route of the k-space integral).  ``_clearance`` is a lower
@@ -601,6 +602,9 @@ class ConeCappedCylinder(_Revolved):
         pieces = ([axis0, seam0, seam1, axis1], [apex0, seam0, axis0], [axis1, seam1, apex1])
         return np.minimum.reduce([_profile_sdf([piece], x, y, z) for piece in pieces])
 
+    def _smoothed_unit(self, x, y, z, sigma):
+        return ndtr(-self._sdf(x, y, z) / sigma)
+
 
 @dataclass(frozen=True)
 class EllipticCylinder(_Revolved):
@@ -831,6 +835,10 @@ def signed_distance(spec, points):
     for cav in spec.cavities:
         d = np.maximum(d, -cav._sdf(*_local_axes(cav, *axes)))
     return d
+
+
+def _has_form_factor(spec):
+    return all(solid._unit_form_factor is not None for solid in (spec, *spec.cavities))
 
 
 def bounding_box(spec):

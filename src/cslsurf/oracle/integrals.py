@@ -54,17 +54,19 @@ from scipy import fft as sfft
 
 from ..csl import CslParams, _density_squared
 from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
-from ..geometry.shapes import _positive, _sphere_patches, build_shape
+from ..geometry.shapes import _has_form_factor, _positive, _sphere_patches, build_shape
 from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
     VoxelGrid,
+    _drop_kept,
     _fraction,
     _grid_geometry,
     _grid_lengths,
 )
 
 KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e-27
+_RADIAL_CHUNK = 128  # radial nodes per form-factor call of the k-space ladder
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +205,7 @@ def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
     :class:`ConfigError`; grid values that are not finite raise
     :class:`DegenerateDimension`.
     """
+    _drop_kept()
     h = grid.spacing
     s = _wavenumbers(grid.values.shape, h)
     if method == "central":
@@ -234,9 +237,9 @@ def form_factor(spec):
     analytic parts) enter as phased sums.
     """
     spec = build_shape(spec)
-    parts = [(1.0, spec)] + [(-1.0, c) for c in spec.cavities]
-    if any(part._unit_form_factor is None for _, part in parts):
+    if not _has_form_factor(spec):
         return None
+    parts = [(1.0, spec)] + [(-1.0, c) for c in spec.cavities]
     fns = [(sign, np.asarray(part.center, dtype=float), part._unit_form_factor)
            for sign, part in parts]
 
@@ -255,7 +258,7 @@ def form_factor(spec):
 # k-space integral
 
 
-def _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p, radial_chunk=128):
+def _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p):
     kmax = KMAX_SIGMA / sigma
     xr, wr = leggauss(n_r)
     kr, wkr = 0.5 * kmax * (xr + 1.0), 0.5 * kmax * wr
@@ -264,8 +267,8 @@ def _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p, radial_chunk=128):
     dirs, wd = unit.normals, unit.weights
     radial = wkr * kr**4 * np.exp(-((kr * sigma) ** 2))
     per_dir = np.zeros(len(dirs))
-    for lo in range(0, n_r, radial_chunk):
-        sl = slice(lo, lo + radial_chunk)
+    for lo in range(0, n_r, _RADIAL_CHUNK):
+        sl = slice(lo, lo + _RADIAL_CHUNK)
         kvecs = kr[sl, None, None] * dirs[None, :, :]
         f2 = np.abs(mu(kvecs)) ** 2
         per_dir += radial[sl] @ f2
@@ -291,13 +294,12 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     (default sigma / 2, which it may not exceed) padded by ``padding``
     (default 6 sigma); its grid arguments are checked as for
     :func:`rasterize_smoothed_density`.  The analytic rule ignores
-    ``spacing`` and ``padding``.
-    Inside a ``shared_fill`` scope for the body
-    (:mod:`cslsurf.oracle.voxel`) that route takes the raster's fill of
-    the same lattice instead of filling again.
-    Refinement stops when one ladder step changes the tensor by less than
-    ``tol`` (relative, Frobenius) and raises
-    :class:`QuadratureNotConverged` if the node budget runs out first.
+    ``spacing`` and ``padding``.  The DFT route and a filtered raster
+    of the same body and lattice share one fill, in either order, unless
+    a gradient or decoherence integral runs between them.  Refinement
+    stops when one ladder step changes the tensor by less than ``tol``
+    (relative, Frobenius, of K / max|K| so that no norm overflows) and
+    raises :class:`QuadratureNotConverged` if the node budget runs out first.
     ``density`` and ``sigma`` must be positive and finite, and so must
     density^2 and the tensor, on either route (:class:`DegenerateDimension`).
     """
@@ -316,8 +318,9 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
         with np.errstate(over="ignore", invalid="ignore"):
             K = _finite(_kspace_quadrature(mu, density, sigma, n_r, n_t, n_p), "the k-space tensor")
         if prev is not None:
-            scale = max(np.linalg.norm(K), 1e-300)
-            if np.linalg.norm(K - prev) / scale < tol:
+            # both norms are taken of K / max|K|: those of K overflow past ~1e154
+            scale = np.max(np.abs(K)) or 1.0
+            if np.linalg.norm((K - prev) / scale) / max(np.linalg.norm(K / scale), 1e-300) < tol:
                 return K
         prev = K
     raise QuadratureNotConverged(
@@ -330,9 +333,8 @@ def _kspace_fft(spec, density, sigma, spacing, padding, max_voxels):
 
     Independent of the smoothed-field gradient route: it transforms the
     raw (unsmoothed) indicator and applies the Gaussian damping exactly
-    in k-space.  The indicator may be the one the filtered raster filled
-    on the same lattice (a ``shared_fill`` scope hands it over); either
-    way the grid is ``density`` times it, so the tensor is the same bits.
+    in k-space.  The indicator may be a filtered raster's fill of the same
+    lattice; the grid is ``density`` times it, so the tensor is the same bits.
     """
     h, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, h, padding, max_voxels)
@@ -387,6 +389,7 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spec
     :class:`DegenerateDimension`; a ``delta`` longer than the grid's
     margin, or infinite, raises :class:`ShiftOutOfGrid`.
     """
+    _drop_kept()
     try:
         d = np.asarray(delta)
     except ValueError:                  # a ragged sequence

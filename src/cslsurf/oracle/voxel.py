@@ -2,14 +2,15 @@
 
 The field is the body indicator (times density) convolved with an
 isotropic Gaussian of width sigma.  One rule picks the field of each
-solid, the host and each cavity alike (:func:`_unit_field`): its closed
-form when the edge is a step (spheres, boxes, circular and gapped
-cylinders: erf products and the noncentral chi-square disc integral);
-otherwise the smoothed edge profile of its signed distance (the step
-profile for cone-capped cylinders); otherwise none.  A body with a solid
-that has none (elliptic cylinders, meshes) is rasterized as a
-supersampled indicator filtered on the grid; it has no point evaluator
-and takes no soft edge profile.
+solid, the host and each cavity alike (:func:`_unit_field`): a step edge
+takes the solid's ``_smoothed_unit`` (the closed form for spheres, boxes,
+circular and gapped cylinders: erf products and the noncentral
+chi-square disc integral; for cone-capped cylinders the step profile of
+their approximate signed distance, which is not the smoothed indicator),
+and a soft edge profile is smoothed across the signed distance.  A body
+with a solid that has no ``_smoothed_unit`` (elliptic cylinders, meshes)
+is rasterized as a supersampled indicator filtered on the grid; it has
+no point evaluator and, having no signed distance, takes no soft profile.
 
 Every field takes the solid's local coordinates as three broadcastable
 arrays, from the rule that ``contains`` and ``signed_distance`` use too
@@ -50,18 +51,16 @@ The lattice is the same for every shape, so the fraction is always a
 count over 64.
 
 A body that takes both the filtered raster and the DFT route of the
-k-space integral (a mesh, say) has both read its indicator, on the same
-lattice by default.  Inside a :func:`shared_fill` scope for that body
-(``validate`` opens one for a body without a form factor) the first
-fill is kept, read-only, and the next request for the same (dims,
-origin, spacing) takes it instead of filling again.  At most one
-fraction is held, and none once the scope ends.
+k-space integral (a mesh, say) reads its indicator on both, on the same
+lattice by default.  Its fill is kept, read-only, for the next request
+of the other route, in either order (:func:`_fraction`); the next fill
+request, gradient or decoherence integral, or the body's death frees it.
+A body that takes one route keeps nothing.
 """
 
-import contextlib
-import contextvars
 import math
 import os
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -76,8 +75,7 @@ from ..errors import (
     SpacingTooCoarse,
     UnsupportedShape,
 )
-from ..geometry.shapes import _local_axes, _positive, bounding_box, build_shape
-from .profiles import EdgeProfile
+from ..geometry.shapes import _has_form_factor, _local_axes, _positive, bounding_box, build_shape
 
 #: default zero-field margin around the body, in units of sigma.  Five
 #: sigma leaves a step-edge residue of ~3e-7 rho at the grid boundary;
@@ -178,21 +176,18 @@ def _unit_field(solid, profile):
     """The rule that picks a solid's smoothed indicator ``f(x, y, z, sigma)``.
 
     ``x``, ``y`` and ``z`` are broadcastable arrays of local coordinates
-    (:func:`_local_axes`).  The first that applies: the closed form when
-    the edge is a step; the smoothed ``profile`` (the step by default) of
-    the signed distance; otherwise None, and only the filtered raster can
-    serve the solid, which needs a step edge.
+    (:func:`_local_axes`).  A step edge (``profile`` None or the step)
+    takes the solid's ``_smoothed_unit``; None there means only the
+    filtered raster can serve the solid.  A soft ``profile`` is
+    smoothed across the signed distance, and a solid without one raises
+    :class:`UnsupportedShape`.
     """
-    step = profile is None or profile.is_step
-    if step and solid._smoothed_unit is not None:
+    if profile is None or profile.is_step:
         return solid._smoothed_unit
-    if solid._sdf is not None:
-        profile = EdgeProfile.step() if profile is None else profile
-        return lambda x, y, z, sigma: profile.smoothed(solid._sdf(x, y, z), sigma)
-    if not step:
-        raise UnsupportedShape("soft edge profiles need an exact signed distance, "
+    if solid._sdf is None:
+        raise UnsupportedShape("soft edge profiles need a signed distance, "
                                f"which {type(solid).__name__} does not provide")
-    return None
+    return lambda x, y, z, sigma: profile.smoothed(solid._sdf(x, y, z), sigma)
 
 
 def _density(parts, density, sigma, x, y, z):
@@ -277,7 +272,8 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
     that depends on one world axis is taken once per value of that axis;
     on named axes the grid is bit for bit :func:`smoothed_density` at its
     points.  Any other body takes the filtered supersampled indicator,
-    which a :func:`shared_fill` scope keeps for the DFT route.
+    whose fill it shares with the DFT route of :func:`kspace_outer_integral`
+    on the same lattice, before or after (:func:`_fraction`).
     """
     spec = build_shape(spec)
     spacing, padding = _grid_lengths(density, sigma, spacing, padding)
@@ -300,40 +296,41 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 
-#: inside a :func:`shared_fill` scope, {"spec": the body whose fill is
-#: shared, "held": (lattice key, read-only fraction) of its last fill}
-_SHARED_FILL = contextvars.ContextVar("shared_fill", default=None)
+#: (weak reference to the body, lattice key, read-only fraction) of the last
+#: fill of a body that takes both the filtered raster and the DFT route
+_KEPT = None
 
 
-@contextlib.contextmanager
-def shared_fill(spec):
-    """Scope in which ``spec``'s supersampled indicator is filled once
-    per lattice: the first fill is kept, read-only, and the next request
-    for the same (dims, origin, spacing) takes it.  At most one fraction
-    is held, and none once the scope ends; other bodies fill as usual.
-    """
-    token = _SHARED_FILL.set({"spec": spec})
-    try:
-        yield
-    finally:
-        _SHARED_FILL.reset(token)
+def _release(ref):
+    """Empty the slot when the body of its fill dies."""
+    global _KEPT
+    kept = _KEPT
+    if kept is not None and kept[0] is ref:
+        _KEPT = None
 
 
 def _fraction(spec, dims, origin, spacing):
-    """:func:`supersampled_fraction`, shared inside a :func:`shared_fill`
-    scope for ``spec``."""
-    shared = _SHARED_FILL.get()
-    if shared is None or shared["spec"] is not spec:
-        return supersampled_fraction(spec, dims, origin, spacing)
+    """:func:`supersampled_fraction`, or the kept fill of this body and
+    (dims, origin, spacing).  The slot is emptied first, so a miss frees
+    it before filling and a race costs at most an extra fill.  A new fill
+    is kept, read-only, if the body takes the other route too."""
+    global _KEPT
     key = (tuple(dims), origin.tobytes(), spacing)
-    held = shared.pop("held", (None, None))
-    if held[0] == key:
-        return held[1]
-    del held  # a miss frees the held fraction before it fills
+    kept, _KEPT = _KEPT, None
+    if kept is not None and kept[0]() is spec and kept[1] == key:
+        return kept[2]
+    del kept
     frac = supersampled_fraction(spec, dims, origin, spacing)
-    frac.flags.writeable = False
-    shared["held"] = key, frac
+    if not (_has_form_factor(spec) or all(s._smoothed_unit for s in (spec, *spec.cavities))):
+        frac.flags.writeable = False
+        _KEPT = weakref.ref(spec, _release), key, frac
     return frac
+
+
+def _drop_kept():
+    """Empty the slot: the gradient and decoherence integrals read no fill."""
+    global _KEPT
+    _KEPT = None
 
 
 def supersampled_fraction(spec, dims, origin, spacing):

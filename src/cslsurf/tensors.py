@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import NonUnitAxis
+from .errors import DegenerateDimension, NonUnitAxis
 from .geometry.patches import SurfacePatches
 
 PSD_CLAMP_REL = 1e-10
@@ -62,14 +62,14 @@ def axial_rotational_strength(patches: SurfacePatches, origin, axis) -> float:
 def clamp_psd(tensor, rel_tol=PSD_CLAMP_REL):
     """Zero out negative eigenvalues within -rel_tol * trace (float noise).
 
-    Raises ValueError for genuinely indefinite input.
+    Raises :class:`DegenerateDimension` for genuinely indefinite input.
     """
     t = 0.5 * (tensor + tensor.T)
     vals, vecs = np.linalg.eigh(t)
     scale = max(np.trace(t), 0.0)
     floor = -rel_tol * scale if scale > 0 else -rel_tol
     if np.any(vals < floor):
-        raise ValueError(f"tensor is not positive semidefinite: eigenvalues {vals}")
+        raise DegenerateDimension(f"tensor is not positive semidefinite: eigenvalues {vals}")
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 

@@ -330,6 +330,32 @@ def test_density_whose_square_overflows_is_a_usage_error(capsys, command):
     assert err.startswith("error: ") and "density" in err
 
 
+@pytest.mark.parametrize("params, named", [
+    # an unknown key used to be dropped, so rates ran with the default collapse rate
+    ('{"colapse_rate": 1e-8}', "colapse_rate"),
+    # a params value that is not an object used to end the run in a traceback
+    ('"1e-8"', "params"),
+    ("[1]", "params"),
+])
+def test_bad_csl_params_in_config_are_a_usage_error(capsys, tmp_path, params, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"shape": %s, "density": 2000, "params": %s}' % (SPHERE, params))
+    code, out, err = run(capsys, "rates", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and named in err
+
+
+def test_csl_parameters_in_config_take_their_units(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"shape": %s, "density": 2000, "params": {"collapse_rate": "1e-8 1/s", '
+                   '"localization_length": "1e-5 cm", "nucleon_mass": "1.67e-24 g"}}' % SPHERE)
+    params = run_json(capsys, "rates", "--config", str(cfg))["config"]["params"]
+    assert params["collapse_rate"] == 1e-8
+    assert params["localization_length"] == pytest.approx(1e-7, rel=1e-12)
+    assert params["nucleon_mass"] == pytest.approx(1.67e-27, rel=1e-12)
+    assert set(params) == {"collapse_rate", "localization_length", "nucleon_mass", "hbar"}
+
+
 def test_infinite_collapse_rate_in_config_is_a_usage_error(capsys, tmp_path):
     # JSON reads 1e999 as inf, which used to end the run in a LinAlgError traceback
     cfg = tmp_path / "cfg.json"

@@ -18,6 +18,7 @@ from cslsurf.geometry import (
     mass_properties,
     quadrature,
 )
+from cslsurf.geometry.patches import SurfacePatches, compose_mass_properties
 
 SUITE = [
     Sphere(1.0),
@@ -155,3 +156,20 @@ class TestCavities:
 
         with pytest.raises(DegenerateDimension):
             mass_properties(Sphere(1e-6), density)
+
+
+def test_net_volume_that_is_not_positive_is_degenerate():
+    from cslsurf.errors import DegenerateDimension
+
+    # a cavity part larger than its host leaves a negative net volume
+    parts = [(1.0, 1.0, 6.0, np.zeros(3), np.eye(3)), (-1.0, 2.0, 8.0, np.zeros(3), np.eye(3))]
+    with pytest.raises(DegenerateDimension):
+        compose_mass_properties(parts, 1.0)
+
+
+def test_negative_patch_weight_is_degenerate():
+    from cslsurf.errors import DegenerateDimension
+
+    patches = SurfacePatches(np.zeros((2, 3)), np.tile([0.0, 0.0, 1.0], (2, 1)), [1.0, -0.5])
+    with pytest.raises(DegenerateDimension):
+        patches.validate()

@@ -192,6 +192,14 @@ class TestKspaceIntegral:
             kspace_outer_integral(Box((400 * SIGMA, 6 * SIGMA, 6 * SIGMA)),
                                   RHO, SIGMA, max_radial_nodes=128)
 
+    def test_ladder_converges_at_a_density_whose_tensor_norm_overflows(self):
+        # the Frobenius norm of a tensor with entries past ~1e154 overflows;
+        # the ladder used to run all six rungs and raise QuadratureNotConverged
+        spec = Sphere(3 * SIGMA)
+        K = kspace_outer_integral(spec, 1e100, SIGMA)
+        assert np.all(np.isfinite(K))
+        assert rel_err(K / 1e200, kspace_outer_integral(spec, 1.0, SIGMA)) < 1e-13
+
 
 class TestSurfaceFormula:
     def test_definition(self):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_rotations
-from cslsurf.errors import NonUnitAxis
+from cslsurf.csl import CslParams, dephasing_matrix
+from cslsurf.errors import DegenerateDimension, NonUnitAxis
 from cslsurf.geometry import (
     Box,
     ConeCappedCylinder,
@@ -188,6 +189,10 @@ class TestHelpers:
     def test_clamp_psd_rejects_indefinite(self):
         with pytest.raises(ValueError):
             clamp_psd(np.diag([1.0, 1.0, -0.5]))
+
+    def test_indefinite_surface_tensor_is_degenerate(self):
+        with pytest.raises(DegenerateDimension):
+            dephasing_matrix(np.diag([1.0, -1.0, 0.0]), 2000.0, CslParams())
 
     def test_principal_axes_orthonormal(self):
         p = quadrature(Box((1.0, 2.0, 3.0)), resolution=8)
