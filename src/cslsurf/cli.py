@@ -60,6 +60,7 @@ from .oracle import (
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
+from .oracle.voxel import _grid_geometry, _grid_lengths
 from .tensors import (
     axial_rotational_strength,
     principal_axes,
@@ -343,6 +344,8 @@ def _cmd_validate(args):
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
+    # the raster's grid check, before a k-space ladder that may take seconds
+    _grid_geometry(shape, *_grid_lengths(density, sigma, spacing, padding), args.max_voxels)
     # k-space first: a DFT fill goes to the raster, and no grid lives through it
     kint = kspace_outer_integral(shape, density, sigma, spacing=spacing,
                                  padding=padding, max_voxels=args.max_voxels)

@@ -49,12 +49,17 @@ import threading
 import weakref
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
 from ..csl import CslParams, _density_squared
 from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
-from ..geometry.shapes import _has_form_factor, _positive, _sphere_patches, build_shape
+from ..geometry.shapes import (
+    _has_form_factor,
+    _leggauss,
+    _positive,
+    _sphere_patches,
+    build_shape,
+)
 from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
@@ -260,7 +265,7 @@ def form_factor(spec):
 
 def _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p):
     kmax = KMAX_SIGMA / sigma
-    xr, wr = leggauss(n_r)
+    xr, wr = _leggauss(n_r)
     kr, wkr = 0.5 * kmax * (xr + 1.0), 0.5 * kmax * wr
     # the directions and weights of the unit sphere's surface rule
     unit = _sphere_patches(1.0, n_t, n_p)

@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 from ..errors import DegenerateDimension
-from ..geometry.shapes import _positive
+from ..geometry.shapes import _leggauss, _positive
 
 
 def _gauss(x, sigma):
@@ -121,7 +120,7 @@ def edge_layer_factor(profile: EdgeProfile, sigma, n_nodes=512) -> float:
     _positive("sigma", sigma)
     lo, hi = profile.support()
     a, b = lo - 10.0 * sigma, hi + 10.0 * sigma
-    x, w = leggauss(n_nodes)
+    x, w = _leggauss(n_nodes)
     h = 0.5 * (b - a) * x + 0.5 * (a + b)
     wh = 0.5 * (b - a) * w
     slope = profile.smoothed_slope(h, sigma)

@@ -30,25 +30,33 @@ values.  A tilted axis sums products in a fixed order, which may round
 differently from a matrix product.
 
 The supersampled indicator is the share of a 4x4x4 subsample lattice
-per voxel that lies in the material.  One loop fills it a voxel row of
-lattice lines at a time: the host and then each cavity classify the
-row through their ``_scanline`` hook, and each cavity is subtracted.
-Analytic solids fill a narrow band: each voxel's center takes the
-solid's clearance, a lower bound on its distance to the boundary.  A voxel whose clearance exceeds
-the reach, the largest distance from its center to a subsample (3/8 sqrt 3
-spacings, with a relative slack of 1e-6), cannot be cut by the boundary,
-and all its subsamples take ``contains`` at the center.  Only the other
-voxels' subsamples go through ``contains``, gathered from the same axis
-arrays, so each is the lattice point the pointwise test would see and
-the fractions are exactly its fractions.  Meshes use scanline parity:
-one +x ray per (y, z) subsample line, crossed with every face whose yz
-bounding box holds the line, and a running parity along x.  Each edge
-is evaluated from one fixed end, so the faces sharing it see exactly
-opposite values, and a line exactly on an edge or a vertex is counted
-as if moved by an infinitesimal step toward +y (then +z), a top-left
-rule: it crosses the surface there once, as a line beside it would.
-The lattice is the same for every shape, so the fraction is always a
-count over 64.
+per voxel that lies in the material, composed from per-voxel counts
+(0..64), never from a mask of the whole lattice.  The host and each
+cavity classify the lattice through their ``_lattice`` hook, which
+returns each voxel's side, the band (the voxels the boundary may cut)
+and the band's subsample bits.  An analytic solid works in three levels.
+Blocks of 4 voxels a side take the solid's clearance, a lower bound on
+the distance to the boundary, at their centers; a block whose clearance
+exceeds its reach, the largest distance from its center to one of its
+subsamples (with a relative slack of 1e-6), cannot be cut by the
+boundary, and all its voxels take ``contains`` at its center.  The
+voxels of the other blocks do the same with their own reach (3/8 sqrt 3
+spacings).  Only the voxels left classify their 64 subsamples, gathered
+from the same axis arrays and passed through ``contains`` in fixed-size
+chunks, so each is the lattice point the pointwise test would see and
+the fractions are exactly its fractions.  Meshes use scanline parity,
+one voxel row of lattice lines at a time: one +x ray per (y, z)
+subsample line, crossed with every face whose yz bounding box holds the
+line, and a running parity along x.  Each edge is evaluated from one
+fixed end, so the faces sharing it see exactly opposite values, and a
+line exactly on an edge or a vertex is counted as if moved by an
+infinitesimal step toward +y (then +z), a top-left rule: it crosses the
+surface there once, as a line beside it would.  A body without cavities
+counts its host's band alone.  With cavities, the solids' bits are
+composed over the union of their bands, a solid taking its side where
+the voxel is outside its own band; outside the union a voxel counts 64
+if it is in the host and in no cavity.  The lattice is the same for
+every shape, so the fraction is always a count over 64.
 
 A body that takes both the filtered raster and the DFT route of the
 k-space integral (a mesh, say) reads its indicator on both, on the same
@@ -62,6 +70,7 @@ import math
 import os
 import weakref
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -335,26 +344,34 @@ def _drop_kept():
 
 def supersampled_fraction(spec, dims, origin, spacing):
     """Per-voxel material fraction: the share of an ss^3 subsample lattice
-    inside the material.
+    inside the material, a count over ss^3.
 
-    One voxel row of lattice lines at a time, the host solid (without its
-    cavities, built once per fill) and then each cavity classify the row
-    through their ``_scanline`` hook (scanline parity for meshes, a
-    narrow band about the boundary otherwise); each cavity subtracts.
+    The host solid (without its cavities, built once per fill) and each
+    cavity classify the lattice through their ``_lattice`` hook (blocks,
+    then voxels, then the band's subsamples for analytic solids; scanline
+    parity for meshes): each voxel's side, the voxels the boundary may cut
+    (the band) and their subsample bits.  A body with no cavities asks its
+    host for the band's counts alone.  Otherwise, over the union of the
+    bands, a solid's bits are its own in its band and its side elsewhere,
+    and the host's bits less every cavity's are counted; outside the
+    union, a voxel counts ss^3 if it is in the host and in no cavity.
     """
     ss = _SUPERSAMPLE
     sub = (np.arange(ss) + 0.5) / ss - 0.5
-    frac, host = np.empty(dims), replace(spec, cavities=())
-    ax_x, ax_y, ax_z = (origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]).ravel()
-                        for a in range(3))
-    for j in range(dims[1]):
-        ys = ax_y[j * ss:(j + 1) * ss]
-        inside = host._scanline(ax_x, ys, ax_z)               # (y, z, x)
-        for cav in spec.cavities:
-            inside &= ~cav._scanline(ax_x, ys, ax_z)
-        # a count is at most ss**3 = 64; summing the leading axis first as
-        # uint8 is about 4x faster than one bool reduction over three axes
-        blocks = inside.view(np.uint8).reshape(ss, dims[2], ss, dims[0], ss)
-        counts = blocks.sum(axis=0, dtype=np.uint8).sum(axis=(1, 3), dtype=np.uint8)
-        frac[:, j, :] = counts.T / ss**3
-    return frac
+    cells = [origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]) for a in range(3)]
+    host = replace(spec, cavities=())
+    if not spec.cavities:
+        side, band, counts = host._lattice(*cells, counts=True)
+    else:
+        parts = [solid._lattice(*cells) for solid in (host, *spec.cavities)]
+        band = reduce(np.union1d, [part[1] for part in parts])
+        side = inside = None
+        for solid_side, solid_band, bits in parts:
+            full = np.repeat(solid_side.reshape(-1)[band][:, None], ss**3, axis=1)
+            full[np.searchsorted(band, solid_band)] = bits
+            side = solid_side if side is None else side & ~solid_side
+            inside = full if inside is None else inside & ~full
+        counts = np.count_nonzero(inside, axis=1)
+    count = side * np.uint8(ss**3)
+    count.reshape(-1)[band] = counts
+    return count / ss**3

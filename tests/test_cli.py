@@ -124,6 +124,19 @@ class TestValidate:
                              "--max-voxels", "1000")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--max-voxels", "1000"), "exceed cap 1000"),
+        (("--spacing", "1 um"), "exceeds sigma/2"),
+    ])
+    def test_grid_arguments_are_checked_before_the_kspace_ladder(self, capsys, monkeypatch,
+                                                                 argv, message):
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("k-space integral taken before the grid check")
+
+        monkeypatch.setattr("cslsurf.cli.kspace_outer_integral", no_ladder)
+        code, out, err = run(capsys, "validate", "--shape", SPHERE, *argv)
+        assert code == 3 and message in err and not out
+
 
 class TestSweep:
     def test_length_sweep_constant_longitudinal(self, capsys):

@@ -1,8 +1,9 @@
 """Scanline solid voxelization of meshes against the per-point parity test,
-and the narrow-band fill of analytic solids against the same pointwise test."""
+and the block-culled fill of analytic solids against the same pointwise test."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cslsurf.geometry import mesh as mesh_module
 from cslsurf.geometry import shapes
 from cslsurf.geometry import (
     Box,
+    EllipticCylinder,
     Mesh,
     Sphere,
     TriangleMesh,
@@ -27,7 +29,7 @@ from cslsurf.geometry import (
 )
 from cslsurf.oracle import rasterize_smoothed_density
 from cslsurf.oracle.voxel import _SUPERSAMPLE, _grid_geometry, supersampled_fraction
-from test_properties import analytic_shapes
+from test_properties import _direction, analytic_shapes
 
 SIGMA = 1e-7
 RHO = 2000.0
@@ -79,7 +81,7 @@ def test_centred_box_mesh_matches_analytic_box(side, spacing):
     assert np.array_equal(got, supersampled_fraction(box, dims, origin, spacing))
 
 
-@pytest.mark.parametrize("spec", [
+MIXED_BODIES = pytest.mark.parametrize("spec", [
     Mesh(mesh=icosphere(4.0, 1), cavities=(Sphere(1.5, center=(0.5, 0.0, 0.0)),
                                            Mesh(mesh=box_mesh(1.0, 2.0, 1.5),
                                                 center=(-1.8, 0.2, 0.3)))),
@@ -87,10 +89,22 @@ def test_centred_box_mesh_matches_analytic_box(side, spacing):
         cavities=(Mesh(mesh=icosphere(1.5, 1), center=(1.1, 0.3, -0.2)),
                   Sphere(1.0, center=(-2.0, 0.0, 0.4)))),
 ], ids=["mesh-host", "box-host"])
+
+
+@MIXED_BODIES
 def test_scanline_fraction_with_cavities_matches_pointwise(spec):
     dims, origin = _grid_geometry(spec, 1.0, 1.0)
     got = supersampled_fraction(spec, dims, origin, 1.0)
     assert np.array_equal(got, pointwise_fraction(spec, dims, origin, 1.0))
+
+
+@MIXED_BODIES
+def test_culled_fill_with_mixed_cavities_matches_pointwise(spec):
+    # each body across several culling blocks, with more than a block of padding
+    spacing = 0.5
+    dims, origin = _grid_geometry(spec, spacing, (shapes._BLOCK + 1) * spacing)
+    got = supersampled_fraction(spec, dims, origin, spacing)
+    assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
 
 
 def test_mesh_cavity_fills_by_scanline(monkeypatch):
@@ -193,6 +207,48 @@ def test_band_fill_matches_pointwise(spec, shift):
     assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
 
 
+@st.composite
+def culled_bodies(draw):
+    """Analytic bodies, bare or with one cavity: the sphere that
+    :func:`analytic_shapes` draws, or a box or tilted elliptic cylinder
+    inside that sphere."""
+    spec = draw(analytic_shapes())
+    if spec.cavities:
+        (sphere,) = spec.cavities
+        r, kind = sphere.radius, draw(st.sampled_from(["sphere", "box", "elliptic"]))
+        fraction = st.floats(0.3, 1.0)
+        if kind == "box":
+            # half its diagonal is at most sqrt(3) r / 2
+            cavity = Box(tuple(r * draw(fraction) for _ in range(3)), center=sphere.center)
+        elif kind == "elliptic":
+            # no point of it is farther than r / sqrt(2) from the center
+            a, b, length = (r * draw(fraction) for _ in range(3))
+            cavity = EllipticCylinder(a / 2, b / 2, length, axis=draw(_direction),
+                                      center=sphere.center)
+        else:
+            cavity = sphere
+        spec = replace(spec, cavities=(cavity,))
+    return spec
+
+
+@SCANLINE_SETTINGS
+@given(spec=culled_bodies(), voxels=st.sampled_from([2, 8, 16]),
+       shift=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+# a body inside one block
+@example(spec=Sphere(1.0, center=(0.1, 0.2, 0.3)), voxels=2, shift=(0.0, 0.0, 0.0))
+# the faces x, y, z = -3.75 and 4.25 of this box lie on block faces
+@example(spec=Box((8.0,) * 3, center=(0.25,) * 3), voxels=16, shift=(1.0, 1.0, 1.0))
+def test_block_culled_fill_matches_pointwise(spec, voxels, shift):
+    # about ``voxels`` voxels across the body and more than a block of
+    # padding, so whole blocks are culled on both sides of the boundary
+    lo, hi = bounding_box(spec)
+    spacing = 2.0 ** math.floor(math.log2((hi - lo).max() / voxels))
+    dims, origin = _grid_geometry(spec, spacing, (shapes._BLOCK + 1) * spacing)
+    origin = (np.round(origin / spacing) + np.asarray(shift)) * spacing
+    got = supersampled_fraction(spec, dims, origin, spacing)
+    assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
+
+
 @SCANLINE_SETTINGS
 @given(spec=analytic_shapes(with_cavity=st.just(False)), seed=st.integers(0, 2**32 - 1))
 def test_clearance_is_a_lower_bound(spec, seed):
@@ -221,6 +277,24 @@ def test_band_keeps_uniform_voxels_out_of_contains(monkeypatch):
     monkeypatch.setattr(shapes, "contains", counting)
     frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
     assert sum(classified) <= 0.1 * _SUPERSAMPLE**3 * math.prod(dims)
+    volume = frac.sum() * (SIGMA / 2) ** 3
+    assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3
+
+
+def test_blocks_keep_most_voxels_out_of_clearance(monkeypatch):
+    # the same sphere: a voxel's center takes a clearance only in a block
+    # within the block reach of the surface
+    spec = Sphere(20 * SIGMA)
+    dims, origin = _grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
+    clearance, measured = shapes._Solid._clearance, []
+
+    def counting(solid, x, y, z):
+        measured.append(np.broadcast(x, y, z).size)
+        return clearance(solid, x, y, z)
+
+    monkeypatch.setattr(shapes._Solid, "_clearance", counting)
+    frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
+    assert 0 < sum(measured) <= 0.3 * math.prod(dims)
     volume = frac.sum() * (SIGMA / 2) ** 3
     assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3
 
