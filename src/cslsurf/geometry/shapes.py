@@ -9,18 +9,20 @@ normals point out of the material (into the cavity).
 A solid of revolution is defined by its (r, z) profile polylines alone
 (:class:`_Revolved`).  Its patches sweep each straight segment about the
 local z axis (:func:`_sweep`), its inside test is r <= r(z) on the walls,
-and its bounds, mass properties (Green's theorem in the (r, z) plane) and
-signed distance (the least distance to a segment) come from the same
-segments.  The cone-capped cylinder keeps the least signed distance of
-three pieces, for the reason its ``_sdf`` gives.  The elliptic cylinder
-is the unit cylinder under the stretch x -> a x, y -> b y and has no
-signed distance: one measured in the stretched frame is not a distance.
-Every solid of revolution, the cone included, takes its clearance (the
-unsigned distance that the supersampled fill's culling and the cavity
-checks read) from its profile's segments; under the elliptic
-stretch it is a lower bound.
-The sphere keeps its own rule, whose points are exactly R times the
-normals; boxes take one rule per face.
+and its bounds, mass properties (Green's theorem in the (r, z) plane),
+signed distance and clearance come from the same segments.  The
+clearance, the unsigned distance that the supersampled fill's culling
+and the cavity checks read, is the least distance to a segment, and the
+signed distance is that same number, negative inside.  The elliptic
+cylinder is the unit cylinder under the stretch x -> a x, y -> b y and
+has no signed distance: one measured in the stretched frame is not a
+distance, and its clearance is a lower bound.  Every signed distance
+here is exact.  The sphere keeps its own rule, whose points are exactly
+R times the normals; boxes take one rule per face.
+
+A step edge never reads a signed distance: its Gaussian-smoothed
+indicator is a shape's closed form (``_smoothed_unit``) where one
+exists, and otherwise the oracles filter the supersampled indicator.
 
 Each shape class is the one place its geometry lives; the module-level
 functions here and in the oracles dispatch to its methods.  Each hook
@@ -374,13 +376,12 @@ class _Solid:
     or ray parity for meshes); none goes through a signed distance.  A
     solid of revolution has one definition, its (r, z) profile, from
     which :class:`_Revolved` derives all its geometry.  The hooks ``_sdf``
-    (signed distance; none for the elliptic cylinder, and the cone-capped
-    cylinder's is not exact, see the module docstring), ``_smoothed_unit``
-    (closed-form Gaussian-smoothed indicator, save the cone-capped
-    cylinder's: the step profile of its inexact ``_sdf``) and ``_unit_form_factor``
-    are None where the shape has none; the oracles
-    then take the next path of their rule (``oracle.voxel._unit_field``,
-    the DFT route of the k-space integral).  ``_clearance`` is a lower
+    (exact signed distance; none for the elliptic cylinder),
+    ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator; none for
+    the cone-capped and elliptic cylinders) and ``_unit_form_factor`` are
+    None where the shape has none; the oracles then take the next path of
+    their rule (``oracle.voxel._unit_field``: the filtered raster; the
+    DFT route of the k-space integral).  ``_clearance`` is a lower
     bound on the distance to the boundary, exact (``|_sdf|``) unless a
     subclass says otherwise.  ``_lattice`` classifies the supersampled
     fill's world-axis lattice, culling blocks and then voxels by their
@@ -657,22 +658,6 @@ class ConeCappedCylinder(_Revolved):
         R, half, h = self.radius, self.length / 2.0, self.cone_height
         return [[(0.0, -half - h), (R, -half), (R, half), (0.0, half + h)]]
 
-    def _sdf(self, x, y, z):
-        # The least of the signed distances of three pieces, the cylinder and
-        # the two cones: 0 on the seam discs inside the body.  The sdf-erf
-        # field of the profile's exact distance is no smoothed indicator
-        # either, and would move the benchmark cone's gradient integral from
-        # 0.210 to 0.067 of the DFT route's, out of the band its known
-        # failure is declared in; that waits for the cone's own form factor
-        # (ROADMAP item 4)
-        (apex0, seam0, seam1, apex1), = self._profiles()
-        axis0, axis1 = (0.0, seam0[1]), (0.0, seam1[1])
-        pieces = ([axis0, seam0, seam1, axis1], [apex0, seam0, axis0], [axis1, seam1, apex1])
-        return np.minimum.reduce([_profile_sdf([piece], x, y, z) for piece in pieces])
-
-    def _smoothed_unit(self, x, y, z, sigma):
-        return ndtr(-self._sdf(x, y, z) / sigma)
-
 
 @dataclass(frozen=True)
 class EllipticCylinder(_Revolved):
@@ -850,10 +835,9 @@ def _check_cavities(spec):
 
     Checks are exact for spherical cavities against hosts with a signed
     distance (tangency included): the center must be inside, and farther
-    from the boundary than the radius by the exact ``_clearance``, which
-    for the cone-capped cylinder is its profile's distance, not its
-    ``_sdf``.  Other combinations are validated on sampled cavity-surface
-    probes.
+    from the boundary than the radius by the ``_clearance``, which is
+    then the magnitude of the signed distance.  Other combinations are
+    validated on sampled cavity-surface probes.
     """
     host = replace(spec, cavities=())
     probes = []
@@ -914,11 +898,10 @@ def contains(spec, points):
 def signed_distance(spec, points):
     """Signed distance to the material boundary (negative inside).
 
-    Available for sphere, box, cylinder, gapped and cone-capped cylinders
+    Exact, for sphere, box, cylinder, gapped and cone-capped cylinders
     and compositions with such cavities; unavailable for elliptic
-    cylinders and meshes.  Exact except for the cone-capped cylinder,
-    whose distance is the minimum over its cylinder and cone pieces and
-    so is too small in magnitude inside the body near the seam discs.
+    cylinders and meshes.  Without cavities its magnitude is the solid's
+    clearance, bit for bit.
     """
     for solid in (spec, *spec.cavities):
         if solid._sdf is None:

@@ -3,14 +3,13 @@
 The field is the body indicator (times density) convolved with an
 isotropic Gaussian of width sigma.  One rule picks the field of each
 solid, the host and each cavity alike (:func:`_unit_field`): a step edge
-takes the solid's ``_smoothed_unit`` (the closed form for spheres, boxes,
+takes the solid's closed-form ``_smoothed_unit`` (spheres, boxes,
 circular and gapped cylinders: erf products and the noncentral
-chi-square disc integral; for cone-capped cylinders the step profile of
-their approximate signed distance, which is not the smoothed indicator),
-and a soft edge profile is smoothed across the signed distance.  A body
-with a solid that has no ``_smoothed_unit`` (elliptic cylinders, meshes)
-is rasterized as a supersampled indicator filtered on the grid; it has
-no point evaluator and, having no signed distance, takes no soft profile.
+chi-square disc integral) or, where it has none (cone-capped and
+elliptic cylinders, meshes), the supersampled indicator filtered on the
+grid, which has no point evaluator; it never reads a signed distance.
+A soft edge profile is smoothed across the exact signed distance, and a
+solid without one (elliptic cylinders, meshes) takes no soft profile.
 
 Every field takes the solid's local coordinates as three broadcastable
 arrays, from the rule that ``contains`` and ``signed_distance`` use too
@@ -59,11 +58,12 @@ if it is in the host and in no cavity.  The lattice is the same for
 every shape, so the fraction is always a count over 64.
 
 A body that takes both the filtered raster and the DFT route of the
-k-space integral (a mesh, say) reads its indicator on both, on the same
-lattice by default.  Its fill is kept, read-only, for the next request
-of the other route, in either order (:func:`_fraction`); the next fill
-request, gradient or decoherence integral, or the body's death frees it.
-A body that takes one route keeps nothing.
+k-space integral (a mesh or a cone-capped cylinder) reads its indicator
+on both, on the same lattice by default.  Its fill is kept, read-only,
+for the next request of the other route, in either order
+(:func:`_fraction`); the next fill request, gradient or decoherence
+integral, or the body's death frees it.  A body that takes one route
+keeps nothing.
 """
 
 import math

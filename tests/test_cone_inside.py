@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,7 +51,7 @@ def test_contains_matches_signed_distance(R, L, angle, axis, center, seed):
     away = np.abs(d) > 1e-9 * top
     assert np.array_equal(contains(spec, pts)[away], d[away] <= 0.0)
 
-    # the seam discs z = +-L/2 lie inside, where the piecewise distance reads 0
+    # the seam discs z = +-L/2 lie inside, though no segment of the profile runs there
     phi = rng.uniform(0.0, 2.0 * np.pi, size=8)
     r = R * rng.uniform(0.0, 0.99, size=8)
     ring = np.stack([r * np.cos(phi), r * np.sin(phi), np.full(8, half)], axis=1)
@@ -75,3 +76,10 @@ def test_fraction_is_mean_of_signed_distance_sign(monkeypatch):
     monkeypatch.setattr(ConeCappedCylinder, "_inside",
                         lambda self, x, y, z: self._sdf(x, y, z) <= 0.0)
     assert np.array_equal(frac, pointwise_fraction(spec, dims, origin, spacing))
+
+
+def test_signed_distance_is_exact_near_the_seams():
+    # the slant r + z = 12 is the nearest boundary of (r, z) = (3, 5.9),
+    # 3.1 / sqrt(2) away; the seam disc z = 6 is none
+    spec = ConeCappedCylinder(6.0, 12.0, math.pi / 2)
+    assert signed_distance(spec, [3.0, 0.0, 5.9])[0] == pytest.approx(-2.192, abs=1e-3)

@@ -29,8 +29,9 @@ from cslsurf.geometry import (
     icosphere,
     mass_properties,
     quadrature,
+    signed_distance,
 )
-from cslsurf.geometry.shapes import _counts
+from cslsurf.geometry.shapes import _counts, _local_axes
 from cslsurf.oracle.voxel import supersampled_fraction
 from cslsurf.tensors import rotational_surface_tensor, surface_tensor
 
@@ -199,6 +200,18 @@ def test_cavity_subtracts_exactly(kind, data):
 
 # the solids whose surface is an (r, z) profile polyline swept about their axis
 SWEPT_KINDS = ("cylinder", "cone", "elliptic", "gapped")
+
+
+@PROPERTY_SETTINGS
+@given(analytic_shapes(kinds=("cylinder", "gapped", "cone"), with_cavity=st.just(False)),
+       st.integers(0, 2**32 - 1))
+def test_signed_distance_magnitude_is_the_clearance(spec, seed):
+    # the fill's culling distance and the public distance are one number
+    lo, hi = bounding_box(spec)
+    pad = 0.2 * (hi - lo)
+    p = np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(500, 3))
+    clearance = spec._clearance(*_local_axes(spec, *p.T))
+    assert np.array_equal(np.abs(signed_distance(spec, p)), clearance)
 
 
 @PROPERTY_SETTINGS

@@ -38,7 +38,7 @@ SHAPES = {
     # filtered raster, analytic form factor
     "elliptic": {"type": "elliptic_cylinder", "semi_axis_a": 3 * SIGMA,
                  "semi_axis_b": 2 * SIGMA, "length": 6 * SIGMA},
-    # signed-distance raster, DFT route
+    # filtered raster, DFT route: one fill for both
     "cone": {"type": "cone_capped_cylinder", "radius": 3 * SIGMA, "length": 6 * SIGMA,
              "apex_angle": math.radians(60.0)},
 }
@@ -195,13 +195,21 @@ def test_elliptic_cylinder_keeps_no_fill(fills):
     assert voxel._KEPT is None
 
 
-def test_cone_keeps_no_fill(fills):
-    # its DFT route fills, but its raster reads its _smoothed_unit, not a fill
-    spec = ConeCappedCylinder(3 * SIGMA, 6 * SIGMA, math.radians(60.0))
+def cone_body():
+    return ConeCappedCylinder(3 * SIGMA, 6 * SIGMA, math.radians(60.0))
+
+
+def test_cone_raster_takes_its_dft_fill(fills):
+    # no form factor and no closed-form field: the DFT route keeps its
+    # fill, and the filtered raster takes it
+    spec = cone_body()
     kspace_outer_integral(spec, RHO, SIGMA)
+    assert fills[0]() is not None
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
     assert len(fills) == 1
-    assert fills[0]() is None
     assert voxel._KEPT is None
+    # the handed-over fill gives the bits of a fill of its own
+    assert np.array_equal(grid.values, rasterize_smoothed_density(cone_body(), RHO, SIGMA).values)
 
 
 def test_kept_fill_goes_with_its_body(fills):

@@ -93,13 +93,21 @@ class TestPointEvaluator:
         assert v_mid == pytest.approx(RHO, rel=1e-6)
 
     @pytest.mark.parametrize("profile", [None, EdgeProfile.step()], ids=["default", "step"])
-    def test_cone_field_is_step_profile_of_signed_distance(self, profile):
+    def test_cone_step_edge_has_no_point_evaluator(self, profile):
+        # no closed-form smoothed indicator: a step edge takes the filtered
+        # raster, as the elliptic cylinder's does
         spec = ConeCappedCylinder(5 * SIGMA, 10 * SIGMA, math.radians(70),
                                   axis=(0.3, -0.4, 1.0), center=(SIGMA, 0.5 * SIGMA, 0.0))
+        with pytest.raises(UnsupportedShape):
+            smoothed_density(spec, 1.0, SIGMA, np.zeros((1, 3)), profile=profile)
+
+    def test_cone_soft_edge_reads_its_signed_distance(self):
+        spec = ConeCappedCylinder(5 * SIGMA, 10 * SIGMA, math.radians(70),
+                                  axis=(0.3, -0.4, 1.0), center=(SIGMA, 0.5 * SIGMA, 0.0))
+        profile = EdgeProfile.linear_ramp(SIGMA)
         pts = np.random.default_rng(11).uniform(-18 * SIGMA, 18 * SIGMA, size=(20000, 3))
         got = smoothed_density(spec, 1.0, SIGMA, pts, profile=profile)
-        expected = EdgeProfile.step().smoothed(signed_distance(spec, pts), SIGMA)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, profile.smoothed(signed_distance(spec, pts), SIGMA))
 
     @pytest.mark.parametrize("density, sigma", [
         (RHO, -SIGMA), (RHO, 0.0), (RHO, math.nan), (RHO, math.inf),
@@ -175,7 +183,7 @@ class TestRasterize:
         scale = np.max(exact.values)
         assert np.max(np.abs(ell.values - exact.values)) / scale < 0.02
 
-    def test_cone_capped_uses_signed_distance(self):
+    def test_cone_capped_interior_is_full_density(self):
         spec = ConeCappedCylinder(5 * SIGMA, 10 * SIGMA, math.radians(90))
         grid = rasterize_smoothed_density(spec, RHO, SIGMA)
         # the mid voxel sits within half a cell of the center, > 4.7 sigma
