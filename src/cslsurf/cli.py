@@ -344,7 +344,8 @@ def _cmd_validate(args):
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
-    # the raster's grid check, before a k-space ladder that may take seconds
+    # the raster's grid check, before a k-space integral that may take seconds
+    # (a spherical ladder, or the DFT route's fill)
     _grid_geometry(shape, *_grid_lengths(density, sigma, spacing, padding), args.max_voxels)
     # k-space first: a DFT fill goes to the raster, and no grid lives through it
     kint = kspace_outer_integral(shape, density, sigma, spacing=spacing,

@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import chndtr, ellipe, j1, ndtr
+from scipy.special import chndtr, ellipe, ive, j1, ndtr
 
 from ..errors import (
     CavityOverlap,
@@ -185,6 +185,44 @@ def _jinc(x):
     small = np.abs(x) < 1e-6
     xs = np.where(small, 1.0, x)
     return np.where(small, 1.0 - x**2 / 8.0, 2.0 * j1(xs) / xs)
+
+
+def _slab_moments(length, sigma):
+    """(Z0, Z2): the integrals over the whole line of exp(-sigma^2 u^2)
+    |length sinc(u length / 2)|^2 u^m, m = 0 and 2, the closed-form axial
+    factors of the k-space tensor of a straight solid of that ``length``."""
+    t = length / (2.0 * sigma)
+    gap = -math.expm1(-t * t)
+    z0 = 2.0 * math.pi * (length * math.erf(t) - 2.0 * sigma / math.sqrt(math.pi) * gap)
+    return z0, 2.0 * math.sqrt(math.pi) / sigma * gap
+
+
+def _cylinder_kspace(a, b, length, sigma):
+    """``_kspace_local`` of the elliptic cylinder with semi-axes (a, b).
+
+    The transverse form factor is pi a b jinc(zeta) with zeta = |(a q_x,
+    b q_y)|, so with q_x = zeta cos(phi) / a and q_y = zeta sin(phi) / b
+    the Gaussian's angular integral is closed form: for x = sigma^2
+    zeta^2 (a^-2 - b^-2) / 2 and d = exp(-sigma^2 zeta^2 / max(a, b)^2)
+    the weights of q_x^2, q_y^2 and 1 are pi d (I0e(x) - I1e(x))
+    zeta^2 / a^2, pi d (I0e(x) + I1e(x)) zeta^2 / b^2 and 2 pi d I0e(x),
+    I_ne = ``ive``.  zeta = max(a, b) k spans [0, KMAX_SIGMA max(a, b) /
+    sigma] as k spans the radial rule, and the axial factors are Z0, Z0
+    and Z2 of the length (:func:`_slab_moments`).
+    """
+    big = max(a, b)
+    stretch = 0.5 * ((big / a) * (big / a) - (big / b) * (big / b))
+    z0, z2 = _slab_moments(length, sigma)
+
+    def transverse(k):
+        zeta, u2 = big * k, (sigma * k) ** 2
+        i0, i1 = ive(0, u2 * stretch), ive(1, u2 * stretch)
+        # (pi a b jinc)^2 zeta / (a b) times pi d, and the Jacobian big of zeta
+        disc = big * math.pi**3 * a * b * _jinc(zeta) ** 2 * zeta * np.exp(-u2)
+        return disc * np.stack([(i0 - i1) * (zeta / a) ** 2, (i0 + i1) * (zeta / b) ** 2,
+                                2.0 * i0])
+
+    return np.array([z0, z0, z2]), transverse
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +416,20 @@ class _Solid:
     which :class:`_Revolved` derives all its geometry.  The hooks ``_sdf``
     (exact signed distance; none for the elliptic cylinder),
     ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator; none for
-    the cone-capped and elliptic cylinders) and ``_unit_form_factor`` are
-    None where the shape has none; the oracles then take the next path of
-    their rule (``oracle.voxel._unit_field``: the filtered raster; the
-    DFT route of the k-space integral).  ``_clearance`` is a lower
-    bound on the distance to the boundary, exact (``|_sdf|``) unless a
-    subclass says otherwise.  ``_lattice`` classifies the supersampled
+    the cone-capped and elliptic cylinders), ``_unit_form_factor`` and
+    ``_kspace_local`` (the k-space tensor in the local frame; sphere, box,
+    circular and elliptic cylinders) are None where the shape has none;
+    the oracles then take the next path of their rule
+    (``oracle.voxel._unit_field``: the filtered raster; the k-space
+    integral: the spherical ladder, then the DFT route).
+    ``_kspace_local(sigma)`` returns (factors, integrand): the diagonal of
+    the unit-density tensor int exp(-k^2 sigma^2) |mu|^2 q o q dq in local
+    axes q is ``factors`` times the integral of ``integrand`` over k in
+    [0, KMAX_SIGMA / sigma], or ``factors`` alone where ``integrand`` is
+    None.  It is the one hook that sees cavities: the integral sends it a
+    sphere's only when they are spheres at its center.  ``_clearance`` is
+    a lower bound on the distance to the boundary, exact (``|_sdf|``)
+    unless a subclass says otherwise.  ``_lattice`` classifies the supersampled
     fill's world-axis lattice, culling blocks and then voxels by their
     clearance; ``Mesh`` overrides it with scanline parity.  Both return
     each voxel's side, the band of voxels the boundary may cut and the
@@ -393,6 +439,7 @@ class _Solid:
     _sdf = None
     _smoothed_unit = None
     _unit_form_factor = None
+    _kspace_local = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -566,6 +613,18 @@ class Sphere(_Solid):
         g = np.where(small, 1.0 - u**2 / 10.0, 3.0 * (np.sin(us) - us * np.cos(us)) / us**3)
         return V * g
 
+    def _kspace_local(self, sigma):
+        # |mu| is a function of |k| alone, the cavities' too (all at the
+        # center): the integrand is 4 pi/3 k^4 exp(-k^2 sigma^2) |mu(k z)|^2
+        parts = [(1.0, self)] + [(-1.0, cav) for cav in self.cavities]
+
+        def shell(k):
+            kz = np.outer(k, (0.0, 0.0, 1.0))
+            mu = sum(sign * part._unit_form_factor(kz) for sign, part in parts)
+            return k**4 * np.exp(-((k * sigma) ** 2)) * mu**2
+
+        return np.full(3, 4.0 * np.pi / 3.0), shell
+
 
 @dataclass(frozen=True)
 class Cylinder(_Revolved):
@@ -588,6 +647,9 @@ class Cylinder(_Revolved):
         kl = k @ self._frame
         kperp = np.hypot(kl[..., 0], kl[..., 1])
         return np.pi * R**2 * L * _jinc(kperp * R) * _sinc(kl[..., 2] * L / 2.0)
+
+    def _kspace_local(self, sigma):
+        return _cylinder_kspace(self.radius, self.radius, self.length, sigma)
 
 
 @dataclass(frozen=True)
@@ -631,6 +693,11 @@ class Box(_Solid):
         return (a * _sinc(k[..., 0] * a / 2.0)
                 * b * _sinc(k[..., 1] * b / 2.0)
                 * c * _sinc(k[..., 2] * c / 2.0))
+
+    def _kspace_local(self, sigma):
+        # a product of three slabs: nothing is left to integrate
+        (za0, za2), (zb0, zb2), (zc0, zc2) = (_slab_moments(s, sigma) for s in self.size)
+        return np.array([za2 * zb0 * zc0, za0 * zb2 * zc0, za0 * zb0 * zc2]), None
 
 
 @dataclass(frozen=True)
@@ -696,6 +763,9 @@ class EllipticCylinder(_Revolved):
         kl = k @ self._frame
         zeta = np.hypot(kl[..., 0] * a, kl[..., 1] * b)
         return np.pi * a * b * L * _jinc(zeta) * _sinc(kl[..., 2] * L / 2.0)
+
+    def _kspace_local(self, sigma):
+        return _cylinder_kspace(self.semi_axis_a, self.semi_axis_b, self.length, sigma)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ routes here are mutually independent:
   field (spectrally by default; the plain central-difference stencil is
   kept as an option but its symbol error at sigma/2 spacing is percent
   level and fails the tight cross-checks),
-* :func:`kspace_outer_integral` integrates the analytic form factor on a
-  radial x angular quadrature (or a DFT of the raw indicator for shapes
-  without one),
+* :func:`kspace_outer_integral` integrates the analytic form factor.  A
+  bare sphere, box, circular or elliptic cylinder, and a sphere whose
+  cavities are spheres at its center, take the body-frame rule: closed
+  form for a box, one radial integral for the others.  Any other body
+  with a form factor takes a radial x angular ladder in world axes, and
+  shapes without one a DFT of the raw indicator,
 * :func:`surface_formula_outer_integral` applies the closed-form surface
   scaling.
 
@@ -45,6 +48,7 @@ ends with small contractions over y and z.  The weights are
 """
 
 import math
+import numbers
 import threading
 import weakref
 
@@ -54,6 +58,8 @@ from scipy import fft as sfft
 from ..csl import CslParams, _density_squared
 from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
 from ..geometry.shapes import (
+    Sphere,
+    _gl,
     _has_form_factor,
     _leggauss,
     _positive,
@@ -287,27 +293,98 @@ _KSPACE_LADDER = (
 )
 
 
+def _settled(K, prev, tol):
+    """Whether one refinement step changed the tensor by less than ``tol``:
+    relative, Frobenius, both norms taken of K / max|K|, since those of K
+    overflow past ~1e154."""
+    scale = np.max(np.abs(K)) or 1.0
+    return np.linalg.norm((K - prev) / scale) / max(np.linalg.norm(K / scale), 1e-300) < tol
+
+
+def _body_frame(spec):
+    """Whether the body-frame rule takes the body: a solid with a
+    ``_kspace_local`` hook and no cavity, or a sphere whose cavities are
+    all spheres at its center."""
+    if spec._kspace_local is None:
+        return False
+    return not spec.cavities or (isinstance(spec, Sphere) and all(
+        isinstance(cav, Sphere) and cav.center == spec.center for cav in spec.cavities))
+
+
+def _kspace_body_frame(spec, density, sigma, tol, max_radial_nodes):
+    """K = F K_local F^T, F the solid's frame and K_local the diagonal of
+    its ``_kspace_local`` hook: closed-form factors times one radial
+    integral, on a Gauss-Legendre rule whose nodes double from the
+    ladder's first count until a step settles (:func:`_settled`)."""
+    rho2, frame = _density_squared(density), spec._frame
+
+    def tensor(diagonal):
+        return _finite(rho2 * (frame * diagonal) @ frame.T, "the k-space tensor")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors, integrand = spec._kspace_local(sigma)
+        if integrand is None:
+            return tensor(factors)
+        prev, n = None, _KSPACE_LADDER[0][0]
+        while n <= max_radial_nodes:
+            k, w = _gl(n, 0.0, KMAX_SIGMA / sigma)
+            K = tensor(factors * (integrand(k) @ w))
+            if prev is not None and _settled(K, prev, tol):
+                return K
+            prev, n = K, 2 * n
+    raise QuadratureNotConverged(
+        f"k-space radial rule did not reach {tol} within {max_radial_nodes} radial nodes")
+
+
+def _check_budget(tol, max_radial_nodes):
+    """:class:`ConfigError` unless ``tol`` is a positive finite number and
+    ``max_radial_nodes`` a positive integer; a bool is neither."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0)):
+        raise ConfigError(f"tol must be a positive finite number, got {tol!r}")
+    if (isinstance(max_radial_nodes, bool) or not isinstance(max_radial_nodes, numbers.Integral)
+            or max_radial_nodes < 1):
+        raise ConfigError(f"max_radial_nodes must be a positive integer, got {max_radial_nodes!r}")
+
+
 def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
                           max_voxels=DEFAULT_MAX_VOXELS, max_radial_nodes=4096,
                           padding=None):
     """int exp(-k^2 sigma^2) |mu_k|^2 (k o k) dk.
 
-    Uses the analytic form factor on an adaptive radial x angular rule
-    when available (sphere, box, circular/elliptic cylinder, and phased
-    compositions of these); other shapes go through a Parseval sum over
-    the DFT of the supersampled raw indicator, on a grid of ``spacing``
-    (default sigma / 2, which it may not exceed) padded by ``padding``
-    (default 6 sigma); its grid arguments are checked as for
-    :func:`rasterize_smoothed_density`.  The analytic rule ignores
-    ``spacing`` and ``padding``.  The DFT route and a filtered raster
-    of the same body and lattice share one fill, in either order, unless
-    a gradient or decoherence integral runs between them.  Refinement
-    stops when one ladder step changes the tensor by less than ``tol``
-    (relative, Frobenius, of K / max|K| so that no norm overflows) and
-    raises :class:`QuadratureNotConverged` if the node budget runs out first.
-    ``density`` and ``sigma`` must be positive and finite, and so must
-    density^2 and the tensor, on either route (:class:`DegenerateDimension`).
+    One of three rules takes the body:
+
+    * the body-frame rule, for a sphere, box, circular or elliptic
+      cylinder without cavities, and for a sphere whose cavities are all
+      spheres at its center.  In the solid's local frame F the Gaussian
+      and the form factor's closed-form factors separate, so K = F K_local
+      F^T with K_local diagonal; a box is closed form, and the others
+      leave one radial integral over [0, KMAX_SIGMA / sigma];
+    * the spherical ladder, for any other body with an analytic form
+      factor (offset or tilted cavities, cavities that are not spheres):
+      an adaptive radial x angular rule on the phased form factor in
+      world axes;
+    * the DFT route, for shapes without one: a Parseval sum over the DFT
+      of the supersampled raw indicator, on a grid of ``spacing``
+      (default sigma / 2, which it may not exceed) padded by ``padding``
+      (default 6 sigma); its grid arguments are checked as for
+      :func:`rasterize_smoothed_density`.  The DFT route and a filtered
+      raster of the same body and lattice share one fill, in either
+      order, unless a gradient or decoherence integral runs between them.
+
+    The two analytic rules ignore ``spacing`` and ``padding``.  Both
+    refine their radial nodes, which ``max_radial_nodes`` caps and which
+    double from 128 (the ladder refines its angles with them), until one
+    step changes the tensor by less than ``tol`` (relative, Frobenius, of
+    K / max|K| so that no norm overflows), and raise
+    :class:`QuadratureNotConverged` if the budget runs out first.  A
+    ``tol`` that is not a positive finite number, or a
+    ``max_radial_nodes`` that is not a positive integer, raises
+    :class:`ConfigError`.  ``density`` and ``sigma`` must be positive and
+    finite, and so must density^2 and the tensor, on every route
+    (:class:`DegenerateDimension`).
     """
+    _check_budget(tol, max_radial_nodes)
     _density_squared(density)
     _positive("sigma", sigma)
     spec = build_shape(spec)
@@ -316,17 +393,16 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
         with np.errstate(over="ignore", invalid="ignore"):
             K = _kspace_fft(spec, density, sigma, spacing, padding, max_voxels)
         return _finite(K, "the k-space tensor")
+    if _body_frame(spec):
+        return _kspace_body_frame(spec, density, sigma, tol, max_radial_nodes)
     prev = None
     for n_r, n_t, n_p in _KSPACE_LADDER:
         if n_r > max_radial_nodes:
             break
         with np.errstate(over="ignore", invalid="ignore"):
             K = _finite(_kspace_quadrature(mu, density, sigma, n_r, n_t, n_p), "the k-space tensor")
-        if prev is not None:
-            # both norms are taken of K / max|K|: those of K overflow past ~1e154
-            scale = np.max(np.abs(K)) or 1.0
-            if np.linalg.norm((K - prev) / scale) / max(np.linalg.norm(K / scale), 1e-300) < tol:
-                return K
+        if prev is not None and _settled(K, prev, tol):
+            return K
         prev = K
     raise QuadratureNotConverged(
         f"k-space quadrature did not reach {tol} within {max_radial_nodes} radial nodes"

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from cslsurf.cli import main
+from cslsurf.cli import EXIT_TOLERANCE, main
 from cslsurf.geometry import box_mesh, mesh_to_stl
 
 
@@ -150,6 +150,19 @@ class TestValidate:
         assert code in (0, 2), err
         errors = json.loads(out)["results"]["pairwise_relative_errors"]
         assert errors["gradient_vs_kspace"] <= 0.025
+
+    def test_x_axis_rod_writes_its_report(self, capsys):
+        # the spherical ladder did not converge on this rod in six rungs, so
+        # validate wrote no report; the surface formula misses the caps'
+        # 2.4% edge term, so the 1% gate trips
+        s = 1e-7
+        rod = json.dumps({"type": "cylinder", "radius": 20 * s, "length": 80 * s,
+                          "axis": "x"})
+        code, out, err = run(capsys, "validate", "--shape", rod, "--sigma", str(s))
+        assert code == EXIT_TOLERANCE, err
+        results = json.loads(out)["results"]
+        assert results["passed"] is False
+        assert results["pairwise_relative_errors"]["gradient_vs_kspace"] <= 1e-6
 
 
 class TestSweep:

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cslsurf.csl import CslParams, dephasing_matrix, superposition_dephasing_rate
@@ -23,7 +25,16 @@ from cslsurf.errors import (
     ShiftOutOfGrid,
     SpacingTooCoarse,
 )
-from cslsurf.geometry import Box, Cylinder, Mesh, Sphere, box_mesh, quadrature
+from cslsurf.geometry import (
+    Box,
+    Cylinder,
+    EllipticCylinder,
+    Mesh,
+    Sphere,
+    box_mesh,
+    local_frame,
+    quadrature,
+)
 from cslsurf.oracle import (
     decoherence_function,
     form_factor,
@@ -32,6 +43,7 @@ from cslsurf.oracle import (
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
+from cslsurf.oracle import integrals
 from cslsurf.oracle.voxel import VoxelGrid
 from cslsurf.tensors import surface_tensor
 
@@ -120,7 +132,8 @@ class TestKspaceIntegral:
             spread(a) * smear(b) * spread(c),
             spread(a) * spread(b) * smear(c),
         ])
-        assert np.allclose(K, expected, rtol=1e-5, atol=1e-8 * np.trace(expected))
+        # closed form on the body-frame rule: equal to rounding
+        assert np.allclose(K, expected, rtol=1e-13, atol=0)
 
     def test_cylinder_against_gradient(self):
         spec = Cylinder(6 * SIGMA, 14 * SIGMA, axis="z")
@@ -187,18 +200,130 @@ class TestKspaceIntegral:
         with pytest.raises(DegenerateDimension):
             kspace_outer_integral(Sphere(5 * SIGMA), density, sigma)
 
-    def test_non_convergence_raises(self):
+    @pytest.mark.parametrize("spec", [
+        # a box is closed form; its cavity keeps it on the spherical ladder
+        Box((400 * SIGMA, 6 * SIGMA, 6 * SIGMA), cavities=(Sphere(2 * SIGMA),)),
+        Cylinder(400 * SIGMA, 6 * SIGMA),
+    ], ids=["ladder", "body_frame"])
+    def test_non_convergence_raises(self, spec):
         with pytest.raises(QuadratureNotConverged):
-            kspace_outer_integral(Box((400 * SIGMA, 6 * SIGMA, 6 * SIGMA)),
-                                  RHO, SIGMA, max_radial_nodes=128)
+            kspace_outer_integral(spec, RHO, SIGMA, max_radial_nodes=128)
 
-    def test_ladder_converges_at_a_density_whose_tensor_norm_overflows(self):
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, "1e-4", None, True])
+    def test_unusable_tolerance_is_config_error(self, tol):
+        # a NaN, zero or negative tol used to climb every rung and raise
+        # QuadratureNotConverged
+        with pytest.raises(ConfigError, match="tol"):
+            kspace_outer_integral(Sphere(5 * SIGMA), RHO, SIGMA, tol=tol)
+
+    @pytest.mark.parametrize("nodes", [0, -128, 128.0, "512", None, True])
+    def test_unusable_node_budget_is_config_error(self, nodes):
+        with pytest.raises(ConfigError, match="max_radial_nodes"):
+            kspace_outer_integral(Sphere(5 * SIGMA), RHO, SIGMA, max_radial_nodes=nodes)
+
+    @pytest.mark.parametrize("a, b", [(1e-160, 1.0), (1.0, 1e-160)])
+    def test_elliptic_aspect_whose_stretch_overflows_raises(self, a, b):
+        # the squared axis ratio overflows the body-frame rule's angular
+        # weights: a typed error, never a bare OverflowError
+        spec = EllipticCylinder(a * SIGMA, b * SIGMA, SIGMA)
+        with pytest.raises(DegenerateDimension, match="not finite"):
+            kspace_outer_integral(spec, RHO, SIGMA)
+
+    def test_x_axis_rod_converges(self):
+        # the spherical ladder did not resolve the rod's narrow form factor in
+        # six rungs; the body-frame rule converges on its radial nodes alone
+        rod = Cylinder(20 * SIGMA, 80 * SIGMA, axis="x")
+        K = kspace_outer_integral(rod, RHO, SIGMA)
+        surf = surface_formula_outer_integral(surface_tensor(quadrature(rod)), RHO, SIGMA)
+        # the caps' edge term, -2 sigma / (sqrt(pi) R)
+        assert K[0, 0] / surf[0, 0] - 1 == pytest.approx(-0.05638, abs=1e-4)
+        assert np.count_nonzero(K - np.diag(np.diag(K))) == 0
+
+    @pytest.mark.parametrize("spec, ladder", [
+        (Sphere(6 * SIGMA, cavities=(Sphere(2 * SIGMA),)), False),
+        (Sphere(6 * SIGMA, cavities=(Sphere(2 * SIGMA, center=(SIGMA, 0, 0)),)), True),
+        (Sphere(6 * SIGMA, cavities=(Box((SIGMA,) * 3),)), True),
+        (Cylinder(4 * SIGMA, 8 * SIGMA, cavities=(Sphere(2 * SIGMA),)), True),
+        (EllipticCylinder(4 * SIGMA, 3 * SIGMA, 8 * SIGMA), False),
+        (Box((4 * SIGMA, 5 * SIGMA, 6 * SIGMA)), False),
+    ], ids=["shell", "offset_cavity", "box_cavity", "cylinder_cavity", "elliptic", "box"])
+    def test_which_bodies_climb_the_ladder(self, monkeypatch, spec, ladder):
+        rungs = []
+        quadrature_rung = integrals._kspace_quadrature
+
+        def counted(*args):
+            rungs.append(args[3:])
+            return quadrature_rung(*args)
+
+        monkeypatch.setattr(integrals, "_kspace_quadrature", counted)
+        kspace_outer_integral(spec, RHO, SIGMA)
+        assert bool(rungs) == ladder
+
+    def test_concentric_shell_matches_the_ladder(self):
+        c = (SIGMA, 0.0, 0.0)
+        spec = Sphere(12 * SIGMA, center=c, cavities=(Sphere(6 * SIGMA, center=c),))
+        rung = integrals._KSPACE_LADDER[2]
+        ladder = integrals._kspace_quadrature(form_factor(spec), RHO, SIGMA, *rung)
+        K = kspace_outer_integral(spec, RHO, SIGMA)
+        assert rel_err(K, ladder) < 1e-10
+        assert np.array_equal(K, K[0, 0] * np.eye(3))
+
+    @pytest.mark.parametrize("spec", [
+        Sphere(3 * SIGMA),
+        Sphere(3 * SIGMA, cavities=(Sphere(SIGMA, center=(SIGMA, 0, 0)),)),
+    ], ids=["body_frame", "ladder"])
+    def test_ladder_converges_at_a_density_whose_tensor_norm_overflows(self, spec):
         # the Frobenius norm of a tensor with entries past ~1e154 overflows;
-        # the ladder used to run all six rungs and raise QuadratureNotConverged
-        spec = Sphere(3 * SIGMA)
+        # the ladder used to run all six rungs and raise QuadratureNotConverged.
+        # Both rules take the same overflow-safe test
         K = kspace_outer_integral(spec, 1e100, SIGMA)
         assert np.all(np.isfinite(K))
         assert rel_err(K / 1e200, kspace_outer_integral(spec, 1.0, SIGMA)) < 1e-13
+
+
+_sides = st.floats(3.0, 12.0).map(lambda s: s * SIGMA)
+_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@st.composite
+def bare_solids(draw):
+    """A bare box, cylinder, elliptic cylinder or sphere of 3-12 sigma
+    with a random axis, and the same solid along +z (a box: its sides
+    turned by a cyclic permutation of the axes)."""
+    kind = draw(st.sampled_from(["box", "cylinder", "elliptic", "sphere"]))
+    a, b, c = draw(_sides), draw(_sides), draw(_sides)
+    axis = draw(_axes)
+    if kind == "box":
+        return Box((a, b, c)), Box((b, c, a))
+    if kind == "sphere":
+        return Sphere(a), Sphere(a)
+    if kind == "cylinder":
+        return Cylinder(a, b, axis=axis), Cylinder(a, b)
+    return EllipticCylinder(a, b, c, axis=axis), EllipticCylinder(a, b, c)
+
+
+#: the ladder's fourth rung, converged to some 1e-9 on these bodies
+_CONVERGED_RUNG = integrals._KSPACE_LADDER[3]
+
+
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(bare_solids())
+@example((EllipticCylinder(12 * SIGMA, 3 * SIGMA, 5 * SIGMA, axis=(0.3, 1.0, 1.0)),
+          EllipticCylinder(12 * SIGMA, 3 * SIGMA, 5 * SIGMA)))
+@example((EllipticCylinder(3 * SIGMA, 12 * SIGMA, 5 * SIGMA, axis=(1.0, -0.2, 0.4)),
+          EllipticCylinder(3 * SIGMA, 12 * SIGMA, 5 * SIGMA)))
+@example((Cylinder(12 * SIGMA, 3 * SIGMA, axis=(1.0, 1.0, 0.3)), Cylinder(12 * SIGMA, 3 * SIGMA)))
+@example((Sphere(12 * SIGMA), Sphere(12 * SIGMA)))
+def test_body_frame_rule_matches_the_ladder_and_turns_with_the_body(solids):
+    spec, along_z = solids
+    K = kspace_outer_integral(spec, RHO, SIGMA)
+    ladder = integrals._kspace_quadrature(form_factor(spec), RHO, SIGMA, *_CONVERGED_RUNG)
+    assert rel_err(K, ladder) < 1e-5
+    # along_z's local axis i is spec's axis i - 1 for a box, and its axis
+    # becomes spec's through spec's frame otherwise
+    F = np.eye(3)[:, [1, 2, 0]] if isinstance(spec, Box) else local_frame(spec)
+    expected = F @ kspace_outer_integral(along_z, RHO, SIGMA) @ F.T
+    assert rel_err(K, expected) < 1e-13
 
 
 class TestSurfaceFormula:
