@@ -57,6 +57,7 @@ from .patches import (
 
 DEFAULT_RESOLUTION = 32
 MAX_PATCHES = 2_000_000
+_MAX_EXTENT = 1e60  # largest half-extent L: second moments ~ (2 L)^5 stay below float max
 
 _AXIS_NAMES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
@@ -103,6 +104,13 @@ def _apex_angle(name, value):
     value = float(value)
     if not (0.0 < value < math.pi):
         raise DegenerateDimension(f"apex angle must be in (0, pi), got {value}")
+    return value
+
+
+def _real(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise DegenerateDimension(f"{name.replace('_', ' ')} must be finite, got {value}")
     return value
 
 
@@ -197,8 +205,9 @@ def _slab_moments(length, sigma):
     return z0, 2.0 * math.sqrt(math.pi) / sigma * gap
 
 
-def _cylinder_kspace(a, b, length, sigma):
-    """``_kspace_local`` of the elliptic cylinder with semi-axes (a, b).
+def _cylinder_kspace(solid, a, b, sigma):
+    """``_kspace_local`` of the circular or elliptic cylinder ``solid``
+    with semi-axes (a, b): None if it has cavities.
 
     The transverse form factor is pi a b jinc(zeta) with zeta = |(a q_x,
     b q_y)|, so with q_x = zeta cos(phi) / a and q_y = zeta sin(phi) / b
@@ -210,9 +219,11 @@ def _cylinder_kspace(a, b, length, sigma):
     sigma] as k spans the radial rule, and the axial factors are Z0, Z0
     and Z2 of the length (:func:`_slab_moments`).
     """
+    if solid.cavities:
+        return None
     big = max(a, b)
     stretch = 0.5 * ((big / a) * (big / a) - (big / b) * (big / b))
-    z0, z2 = _slab_moments(length, sigma)
+    z0, z2 = _slab_moments(solid.length, sigma)
 
     def transverse(k):
         zeta, u2 = big * k, (sigma * k) ** 2
@@ -416,18 +427,18 @@ class _Solid:
     which :class:`_Revolved` derives all its geometry.  The hooks ``_sdf``
     (exact signed distance; none for the elliptic cylinder),
     ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator; none for
-    the cone-capped and elliptic cylinders), ``_unit_form_factor`` and
-    ``_kspace_local`` (the k-space tensor in the local frame; sphere, box,
-    circular and elliptic cylinders) are None where the shape has none;
-    the oracles then take the next path of their rule
-    (``oracle.voxel._unit_field``: the filtered raster; the k-space
-    integral: the spherical ladder, then the DFT route).
-    ``_kspace_local(sigma)`` returns (factors, integrand): the diagonal of
-    the unit-density tensor int exp(-k^2 sigma^2) |mu|^2 q o q dq in local
-    axes q is ``factors`` times the integral of ``integrand`` over k in
-    [0, KMAX_SIGMA / sigma], or ``factors`` alone where ``integrand`` is
-    None.  It is the one hook that sees cavities: the integral sends it a
-    sphere's only when they are spheres at its center.  ``_clearance`` is
+    the cone-capped and elliptic cylinders) and ``_unit_form_factor`` are
+    None where the shape has none; the oracles then take the next path of
+    their rule (``oracle.voxel._unit_field``: the filtered raster; the
+    k-space integral: the DFT route).  ``_kspace_local(sigma)``, the one
+    hook that sees cavities, picks the k-space rule of a body with a form
+    factor.  It returns (factors, integrand), the body-frame rule: the
+    diagonal of int exp(-k^2 sigma^2) |mu|^2 q o q dq in local axes q, at
+    unit density, is ``factors`` times the integral of ``integrand`` over
+    k in [0, KMAX_SIGMA / sigma], or ``factors`` where ``integrand`` is
+    None.  It returns None, the spherical ladder, for a body it cannot
+    take: by default, and for a box or cylinder with cavities or a sphere
+    whose cavities are not all spheres at its center.  ``_clearance`` is
     a lower bound on the distance to the boundary, exact (``|_sdf|``)
     unless a subclass says otherwise.  ``_lattice`` classifies the supersampled
     fill's world-axis lattice, culling blocks and then voxels by their
@@ -439,7 +450,6 @@ class _Solid:
     _sdf = None
     _smoothed_unit = None
     _unit_form_factor = None
-    _kspace_local = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -447,9 +457,17 @@ class _Solid:
             object.__setattr__(self, f.name, value)
         object.__setattr__(self, "_frame", self._axis_frame())
         self._frame.flags.writeable = False
+        with np.errstate(invalid="ignore"):     # an infinite extent meets the frame's zeros
+            extent = np.max(np.abs(self._bounds()))
+        if not extent <= _MAX_EXTENT:
+            raise DegenerateDimension(f"{type(self).__name__} is too large: a half-extent "
+                                      f"past {_MAX_EXTENT:g} overflows its moments")
 
     def _axis_frame(self):
         return np.eye(3)
+
+    def _kspace_local(self, sigma):
+        return None
 
     def _clearance(self, x, y, z):
         return np.abs(self._sdf(x, y, z))
@@ -614,8 +632,11 @@ class Sphere(_Solid):
         return V * g
 
     def _kspace_local(self, sigma):
-        # |mu| is a function of |k| alone, the cavities' too (all at the
-        # center): the integrand is 4 pi/3 k^4 exp(-k^2 sigma^2) |mu(k z)|^2
+        # |mu| is a function of |k| alone, the cavities' too if all are spheres
+        # at the center: the integrand is 4 pi/3 k^4 exp(-k^2 sigma^2) |mu(k z)|^2
+        if not all(isinstance(cav, Sphere) and cav.center == self.center
+                   for cav in self.cavities):
+            return None
         parts = [(1.0, self)] + [(-1.0, cav) for cav in self.cavities]
 
         def shell(k):
@@ -649,7 +670,7 @@ class Cylinder(_Revolved):
         return np.pi * R**2 * L * _jinc(kperp * R) * _sinc(kl[..., 2] * L / 2.0)
 
     def _kspace_local(self, sigma):
-        return _cylinder_kspace(self.radius, self.radius, self.length, sigma)
+        return _cylinder_kspace(self, self.radius, self.radius, sigma)
 
 
 @dataclass(frozen=True)
@@ -696,6 +717,8 @@ class Box(_Solid):
 
     def _kspace_local(self, sigma):
         # a product of three slabs: nothing is left to integrate
+        if self.cavities:
+            return None
         (za0, za2), (zb0, zb2), (zc0, zc2) = (_slab_moments(s, sigma) for s in self.size)
         return np.array([za2 * zb0 * zc0, za0 * zb2 * zc0, za0 * zb0 * zc2]), None
 
@@ -765,7 +788,7 @@ class EllipticCylinder(_Revolved):
         return np.pi * a * b * L * _jinc(zeta) * _sinc(kl[..., 2] * L / 2.0)
 
     def _kspace_local(self, sigma):
-        return _cylinder_kspace(self.semi_axis_a, self.semi_axis_b, self.length, sigma)
+        return _cylinder_kspace(self, self.semi_axis_a, self.semi_axis_b, sigma)
 
 
 @dataclass(frozen=True)
@@ -780,7 +803,7 @@ class GappedCylinder(_Revolved):
     radius: float = _length()
     length: float = _length()
     gap_count: int = _field(_count, "dimensionless")
-    gap_width: float = _field(lambda name, value: float(value), "length")
+    gap_width: float = _field(_real, "length")
     axis: tuple = _axis()
     center: tuple = _center()
     cavities: tuple = _cavities()

@@ -14,12 +14,13 @@ routes here are mutually independent:
   field (spectrally by default; the plain central-difference stencil is
   kept as an option but its symbol error at sigma/2 spacing is percent
   level and fails the tight cross-checks),
-* :func:`kspace_outer_integral` integrates the analytic form factor.  A
-  bare sphere, box, circular or elliptic cylinder, and a sphere whose
-  cavities are spheres at its center, take the body-frame rule: closed
-  form for a box, one radial integral for the others.  Any other body
-  with a form factor takes a radial x angular ladder in world axes, and
-  shapes without one a DFT of the raw indicator,
+* :func:`kspace_outer_integral` integrates the analytic form factor in
+  one refinement loop, whose radial nodes double until the tensor
+  settles.  Each shape's ``_kspace_local`` hook picks the rule of its
+  steps: the body-frame rule (closed form for a bare box, one radial
+  integral for a bare sphere or cylinder) or, where the hook declines,
+  a radial x angular ladder in world axes.  Shapes without a form
+  factor take a DFT of the raw indicator,
 * :func:`surface_formula_outer_integral` applies the closed-form surface
   scaling.
 
@@ -58,7 +59,6 @@ from scipy import fft as sfft
 from ..csl import CslParams, _density_squared
 from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
 from ..geometry.shapes import (
-    Sphere,
     _gl,
     _has_form_factor,
     _leggauss,
@@ -287,10 +287,15 @@ def _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p):
     return np.einsum("d,di,dj->ij", per_dir * wd, dirs, dirs)
 
 
-_KSPACE_LADDER = (
-    (128, 16, 32), (256, 24, 48), (512, 32, 64),
-    (1024, 48, 96), (2048, 64, 128), (4096, 96, 192),
-)
+def _rungs(max_radial_nodes):
+    """(n_r, n_t, n_p) of each refinement step: n_r radial nodes, doubling
+    from 128 up to ``max_radial_nodes``, and the ladder's n_t polar and
+    2 n_t azimuthal directions, n_t growing by sqrt(2) (16, 24, 32, 48, ...)."""
+    step = 0
+    while (n_r := 128 << step) <= max_radial_nodes:
+        n_t = (16 if step % 2 == 0 else 24) << (step // 2)
+        yield n_r, n_t, 2 * n_t
+        step += 1
 
 
 def _settled(K, prev, tol):
@@ -299,41 +304,6 @@ def _settled(K, prev, tol):
     overflow past ~1e154."""
     scale = np.max(np.abs(K)) or 1.0
     return np.linalg.norm((K - prev) / scale) / max(np.linalg.norm(K / scale), 1e-300) < tol
-
-
-def _body_frame(spec):
-    """Whether the body-frame rule takes the body: a solid with a
-    ``_kspace_local`` hook and no cavity, or a sphere whose cavities are
-    all spheres at its center."""
-    if spec._kspace_local is None:
-        return False
-    return not spec.cavities or (isinstance(spec, Sphere) and all(
-        isinstance(cav, Sphere) and cav.center == spec.center for cav in spec.cavities))
-
-
-def _kspace_body_frame(spec, density, sigma, tol, max_radial_nodes):
-    """K = F K_local F^T, F the solid's frame and K_local the diagonal of
-    its ``_kspace_local`` hook: closed-form factors times one radial
-    integral, on a Gauss-Legendre rule whose nodes double from the
-    ladder's first count until a step settles (:func:`_settled`)."""
-    rho2, frame = _density_squared(density), spec._frame
-
-    def tensor(diagonal):
-        return _finite(rho2 * (frame * diagonal) @ frame.T, "the k-space tensor")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors, integrand = spec._kspace_local(sigma)
-        if integrand is None:
-            return tensor(factors)
-        prev, n = None, _KSPACE_LADDER[0][0]
-        while n <= max_radial_nodes:
-            k, w = _gl(n, 0.0, KMAX_SIGMA / sigma)
-            K = tensor(factors * (integrand(k) @ w))
-            if prev is not None and _settled(K, prev, tol):
-                return K
-            prev, n = K, 2 * n
-    raise QuadratureNotConverged(
-        f"k-space radial rule did not reach {tol} within {max_radial_nodes} radial nodes")
 
 
 def _check_budget(tol, max_radial_nodes):
@@ -352,33 +322,32 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
                           padding=None):
     """int exp(-k^2 sigma^2) |mu_k|^2 (k o k) dk.
 
-    One of three rules takes the body:
+    A body with an analytic form factor takes one refinement loop over
+    :func:`_rungs`, whose radial nodes double from 128 up to
+    ``max_radial_nodes``, until one step changes the tensor by less than
+    ``tol`` (relative, Frobenius, of K / max|K| so that no norm
+    overflows); :class:`QuadratureNotConverged` if the budget runs out
+    first.  The shape's ``_kspace_local`` hook picks the rule of a step:
 
-    * the body-frame rule, for a sphere, box, circular or elliptic
-      cylinder without cavities, and for a sphere whose cavities are all
-      spheres at its center.  In the solid's local frame F the Gaussian
-      and the form factor's closed-form factors separate, so K = F K_local
-      F^T with K_local diagonal; a box is closed form, and the others
-      leave one radial integral over [0, KMAX_SIGMA / sigma];
-    * the spherical ladder, for any other body with an analytic form
-      factor (offset or tilted cavities, cavities that are not spheres):
-      an adaptive radial x angular rule on the phased form factor in
-      world axes;
-    * the DFT route, for shapes without one: a Parseval sum over the DFT
-      of the supersampled raw indicator, on a grid of ``spacing``
-      (default sigma / 2, which it may not exceed) padded by ``padding``
-      (default 6 sigma); its grid arguments are checked as for
-      :func:`rasterize_smoothed_density`.  The DFT route and a filtered
-      raster of the same body and lattice share one fill, in either
-      order, unless a gradient or decoherence integral runs between them.
+    * the body-frame rule where it returns a local tensor (a bare sphere,
+      box, circular or elliptic cylinder, or a sphere whose cavities are
+      all spheres at its center).  In the local frame F the Gaussian and
+      the closed-form factors of the form factor separate, so K = F
+      K_local F^T with K_local diagonal.  A box is closed form and
+      returns at any budget; the others leave one radial integral over
+      [0, KMAX_SIGMA / sigma], on the step's radial nodes;
+    * the spherical ladder where it returns None: the step's radial x
+      angular rule on the phased form factor in world axes.
 
-    The two analytic rules ignore ``spacing`` and ``padding``.  Both
-    refine their radial nodes, which ``max_radial_nodes`` caps and which
-    double from 128 (the ladder refines its angles with them), until one
-    step changes the tensor by less than ``tol`` (relative, Frobenius, of
-    K / max|K| so that no norm overflows), and raise
-    :class:`QuadratureNotConverged` if the budget runs out first.  A
-    ``tol`` that is not a positive finite number, or a
+    A body without one takes the DFT route: a Parseval sum over the DFT
+    of the supersampled raw indicator, on a grid of ``spacing`` (default
+    sigma / 2, which it may not exceed) padded by ``padding`` (default 6
+    sigma), both of which the analytic rules ignore; its grid arguments
+    are checked as for :func:`rasterize_smoothed_density`.  It shares one fill
+    with a filtered raster of the same body and lattice, in either order,
+    unless a gradient or decoherence integral runs between them.
+
+    A ``tol`` that is not a positive finite number, or a
     ``max_radial_nodes`` that is not a positive integer, raises
     :class:`ConfigError`.  ``density`` and ``sigma`` must be positive and
     finite, and so must density^2 and the tensor, on every route
@@ -389,24 +358,31 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     _positive("sigma", sigma)
     spec = build_shape(spec)
     mu = form_factor(spec)
-    if mu is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = _kspace_fft(spec, density, sigma, spacing, padding, max_voxels)
-        return _finite(K, "the k-space tensor")
-    if _body_frame(spec):
-        return _kspace_body_frame(spec, density, sigma, tol, max_radial_nodes)
-    prev = None
-    for n_r, n_t, n_p in _KSPACE_LADDER:
-        if n_r > max_radial_nodes:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = _finite(_kspace_quadrature(mu, density, sigma, n_r, n_t, n_p), "the k-space tensor")
-        if prev is not None and _settled(K, prev, tol):
-            return K
-        prev = K
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu is None:
+            return _finite(_kspace_fft(spec, density, sigma, spacing, padding, max_voxels),
+                           "the k-space tensor")
+        local = spec._kspace_local(sigma)
+        if local is None:
+            def rung(n_r, n_t, n_p):
+                return _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p)
+        else:
+            (factors, integrand), rho2, frame = local, _density_squared(density), spec._frame
+            if integrand is None:
+                return _finite(rho2 * (frame * factors) @ frame.T, "the k-space tensor")
+
+            def rung(n_r, n_t, n_p):
+                k, w = _gl(n_r, 0.0, KMAX_SIGMA / sigma)
+                return rho2 * (frame * (factors * (integrand(k) @ w))) @ frame.T
+        prev, n_r = None, 0
+        for n_r, n_t, n_p in _rungs(max_radial_nodes):
+            K = _finite(rung(n_r, n_t, n_p), "the k-space tensor")
+            if prev is not None and _settled(K, prev, tol):
+                return K
+            prev = K
     raise QuadratureNotConverged(
-        f"k-space quadrature did not reach {tol} within {max_radial_nodes} radial nodes"
-    )
+        f"k-space quadrature did not reach {tol} in rungs of up to {n_r} radial nodes "
+        f"(max_radial_nodes={max_radial_nodes})")
 
 
 def _kspace_fft(spec, density, sigma, spacing, padding, max_voxels):

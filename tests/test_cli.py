@@ -66,6 +66,18 @@ class TestTensors:
         assert np.linalg.norm(s1) > 0
 
 
+    @pytest.mark.parametrize("shape", [
+        '{"type":"sphere","radius":1e300}',
+        '{"type":"box","size":[1e200,1,1]}',
+        '{"type":"cylinder","radius":1e200,"length":1}',
+    ])
+    def test_overflowing_dimension_is_usage_error(self, capsys, shape):
+        # these used to end in an OverflowError or LinAlgError traceback
+        code, out, err = run(capsys, "tensors", "--shape", shape)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "too large" in err
+
+
 class TestRates:
     def test_missing_density_is_usage_error(self, capsys):
         code, out, err = run(capsys, "rates", "--shape", SPHERE)

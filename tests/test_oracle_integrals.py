@@ -209,6 +209,49 @@ class TestKspaceIntegral:
         with pytest.raises(QuadratureNotConverged):
             kspace_outer_integral(spec, RHO, SIGMA, max_radial_nodes=128)
 
+    @pytest.mark.parametrize("nodes", [1, 127])
+    def test_closed_form_box_returns_at_any_budget(self, nodes):
+        box = Box((4 * SIGMA, 5 * SIGMA, 6 * SIGMA))
+        K = kspace_outer_integral(box, RHO, SIGMA, max_radial_nodes=nodes)
+        assert np.array_equal(K, kspace_outer_integral(box, RHO, SIGMA))
+
+    @pytest.mark.parametrize("spec", [
+        Cylinder(4 * SIGMA, 8 * SIGMA),
+        Box((8 * SIGMA,) * 3, cavities=(Sphere(SIGMA),)),
+    ], ids=["body_frame", "ladder"])
+    def test_refinement_needs_two_rungs_within_the_budget(self, spec):
+        # rungs of 128 and 256 radial nodes settle these bodies; a budget
+        # with room for one rung or none raises
+        for nodes in (1, 127, 128):
+            with pytest.raises(QuadratureNotConverged):
+                kspace_outer_integral(spec, RHO, SIGMA, max_radial_nodes=nodes)
+        assert np.all(np.isfinite(kspace_outer_integral(spec, RHO, SIGMA, max_radial_nodes=256)))
+
+    def test_ladder_refines_up_to_the_whole_budget(self, monkeypatch):
+        # the ladder used to stop at its sixth rung, 4096 radial nodes,
+        # whatever the budget, and its error named the budget as used
+        radial = []
+
+        def unsettled(mu, density, sigma, n_r, n_t, n_p):
+            radial.append(n_r)
+            return float(len(radial)) ** 3 * np.eye(3)
+
+        monkeypatch.setattr(integrals, "_kspace_quadrature", unsettled)
+        offset = Sphere(6 * SIGMA, cavities=(Sphere(2 * SIGMA, center=(SIGMA, 0, 0)),))
+        with pytest.raises(QuadratureNotConverged, match="up to 8192 radial nodes"):
+            kspace_outer_integral(offset, RHO, SIGMA, max_radial_nodes=8192)
+        assert radial == [128 << i for i in range(7)]
+        radial.clear()
+        with pytest.raises(QuadratureNotConverged, match="up to 512 radial nodes"):
+            kspace_outer_integral(offset, RHO, SIGMA, max_radial_nodes=1000)
+        assert radial == [128, 256, 512]
+
+    def test_rungs_grow_the_ladder_angles_with_the_radial_nodes(self):
+        assert list(integrals._rungs(8192)) == [
+            (128, 16, 32), (256, 24, 48), (512, 32, 64), (1024, 48, 96),
+            (2048, 64, 128), (4096, 96, 192), (8192, 128, 256)]
+        assert list(integrals._rungs(127)) == []
+
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, "1e-4", None, True])
     def test_unusable_tolerance_is_config_error(self, tol):
         # a NaN, zero or negative tol used to climb every rung and raise
@@ -246,7 +289,10 @@ class TestKspaceIntegral:
         (Cylinder(4 * SIGMA, 8 * SIGMA, cavities=(Sphere(2 * SIGMA),)), True),
         (EllipticCylinder(4 * SIGMA, 3 * SIGMA, 8 * SIGMA), False),
         (Box((4 * SIGMA, 5 * SIGMA, 6 * SIGMA)), False),
-    ], ids=["shell", "offset_cavity", "box_cavity", "cylinder_cavity", "elliptic", "box"])
+        (Cylinder(4 * SIGMA, 8 * SIGMA, axis=(1.0, 2.0, 3.0)), False),
+        (Box((8 * SIGMA,) * 3, cavities=(Sphere(SIGMA),)), True),
+    ], ids=["shell", "offset_cavity", "box_cavity", "cylinder_cavity", "elliptic", "box",
+            "tilted_cylinder", "box_with_cavity"])
     def test_which_bodies_climb_the_ladder(self, monkeypatch, spec, ladder):
         rungs = []
         quadrature_rung = integrals._kspace_quadrature
@@ -262,7 +308,7 @@ class TestKspaceIntegral:
     def test_concentric_shell_matches_the_ladder(self):
         c = (SIGMA, 0.0, 0.0)
         spec = Sphere(12 * SIGMA, center=c, cavities=(Sphere(6 * SIGMA, center=c),))
-        rung = integrals._KSPACE_LADDER[2]
+        rung = list(integrals._rungs(4096))[2]
         ladder = integrals._kspace_quadrature(form_factor(spec), RHO, SIGMA, *rung)
         K = kspace_outer_integral(spec, RHO, SIGMA)
         assert rel_err(K, ladder) < 1e-10
@@ -303,7 +349,7 @@ def bare_solids(draw):
 
 
 #: the ladder's fourth rung, converged to some 1e-9 on these bodies
-_CONVERGED_RUNG = integrals._KSPACE_LADDER[3]
+_CONVERGED_RUNG = list(integrals._rungs(4096))[3]
 
 
 @settings(max_examples=5, deadline=None, database=None, derandomize=True)

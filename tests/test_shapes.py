@@ -24,6 +24,7 @@ from cslsurf.geometry import (
     build_shape,
     contains,
     icosphere,
+    mass_properties,
     quadrature,
     signed_distance,
 )
@@ -73,6 +74,37 @@ class TestValidation:
     def test_rejects_degenerate(self, bad):
         with pytest.raises(DegenerateDimension):
             bad()
+
+    @pytest.mark.parametrize("huge", [
+        lambda: Sphere(1e300),
+        lambda: Cylinder(1e200, 1.0),
+        lambda: Box((1e200, 1.0, 1.0)),
+        lambda: ConeCappedCylinder(1.0, 1e200, math.radians(60)),
+        lambda: ConeCappedCylinder(1.0, 1.0, 1e-320),   # an infinite cone height
+        lambda: EllipticCylinder(1.0, 1e200, 1.0),
+        lambda: GappedCylinder(1.0, 1e200, 3, 1.0),
+        lambda: Mesh(box_mesh(1e200, 1.0, 1.0)),
+    ], ids=["sphere", "cylinder", "box", "cone", "cone_apex", "elliptic", "gapped", "mesh"])
+    def test_rejects_extent_whose_moments_overflow(self, huge):
+        # these used to raise a bare OverflowError, or warn and return
+        # infinite moments, from mass_properties, quadrature and the oracles
+        with pytest.raises(DegenerateDimension, match="too large"):
+            huge()
+
+    @pytest.mark.parametrize("spec", [
+        Sphere(9e59), Cylinder(9e59, 1.8e60), Box((1.8e60,) * 3),
+        EllipticCylinder(9e59, 4e59, 1.8e60), GappedCylinder(9e59, 1.8e60, 2, 1e59),
+    ], ids=["sphere", "cylinder", "box", "elliptic", "gapped"])
+    def test_largest_extent_keeps_finite_moments(self, spec):
+        props = mass_properties(spec, 1.0)
+        assert np.all(np.isfinite(props.inertia)) and np.all(np.isfinite(props.second_moment))
+        assert np.isfinite(props.area) and np.isfinite(props.volume)
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan])
+    def test_gap_width_must_be_finite(self, width):
+        # with no gaps an infinite width used to make every segment NaN
+        with pytest.raises(DegenerateDimension, match="gap width"):
+            GappedCylinder(1.0, 2.0, 0, width)
 
     def test_axis_names(self):
         assert Cylinder(1.0, 1.0, axis="x").axis == (1.0, 0.0, 0.0)
