@@ -52,6 +52,7 @@ from .geometry import (
     mass_properties,
     quadrature,
 )
+from .geometry.shapes import _integer
 from .oracle import (
     DEFAULT_MAX_VOXELS,
     decoherence_function,
@@ -89,6 +90,8 @@ _SHAPE_TYPES = {_type_name(cls): cls for cls in Shape}
 
 def _mesh_from_file(path, mesh_files):
     """Load a mesh shape and note its file path and SHA-256 in ``mesh_files``."""
+    if not isinstance(path, str):
+        raise ConfigError(f"a mesh path must be a string, got {path!r}")
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     spec = Mesh(mesh=load_mesh(path))
     mesh_files[spec.mesh] = {"path": str(path), "sha256": digest}
@@ -97,6 +100,8 @@ def _mesh_from_file(path, mesh_files):
 
 def _field_from_json(fld, value, mesh_files):
     if fld.name == "cavities":
+        if not isinstance(value, list):
+            raise ConfigError(f"cavities must be a list of shape specs, got {value!r}")
         return tuple(_shape_from_json(c, mesh_files) for c in value)
     unit = fld.metadata["unit"]
     if unit is None:
@@ -107,8 +112,8 @@ def _field_from_json(fld, value, mesh_files):
 
 
 def _shape_from_json(doc, mesh_files=None):
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ConfigError(f"shape spec must be an object with a 'type': {doc!r}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("type"), str):
+        raise ConfigError(f"shape spec must be an object with a string 'type': {doc!r}")
     mesh_files = {} if mesh_files is None else mesh_files
     kind = doc["type"].lower()
     if kind == "mesh":
@@ -157,6 +162,8 @@ def _resolve(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     if getattr(args, "shape", None):
         cfg["shape"] = json.loads(args.shape)
     if getattr(args, "mesh", None):
@@ -171,20 +178,14 @@ def _resolve(args):
     else:
         raise ConfigError("no shape given (use --shape, --mesh, or a config file)")
 
-    density = None
-    if getattr(args, "density", None) is not None:
-        density = parse_quantity(args.density, "density")
-    elif cfg.get("density") is not None:
-        density = parse_quantity(cfg["density"], "density")
+    density = args.density if args.density is not None else cfg.get("density")
+    density = None if density is None else parse_quantity(density, "density")
 
     pdoc = cfg.get("params", {})
     if not isinstance(pdoc, dict):
         raise ConfigError(f"params must be an object, got {pdoc!r}")
-    pdoc = dict(pdoc)
-    if getattr(args, "collapse_rate", None) is not None:
-        pdoc["collapse_rate"] = args.collapse_rate
-    if getattr(args, "sigma", None) is not None:
-        pdoc["localization_length"] = args.sigma
+    flags = {"collapse_rate": args.collapse_rate, "localization_length": args.sigma}
+    pdoc = {**pdoc, **{k: v for k, v in flags.items() if v is not None}}
     flds = dataclasses.fields(CslParams)
     unknown = set(pdoc) - {f.name for f in flds}
     if unknown:
@@ -192,16 +193,16 @@ def _resolve(args):
     params = CslParams(**{f.name: parse_quantity(pdoc[f.name], f.metadata["unit"])
                           for f in flds if f.name in pdoc})
 
-    resolution = int(_first_given(args.resolution, cfg.get("resolution"), DEFAULT_RESOLUTION))
+    resolution = _first_given(args.resolution, cfg.get("resolution"), DEFAULT_RESOLUTION)
+    resolution = _integer("resolution", parse_quantity(resolution, "dimensionless"), ConfigError)
     if resolution < 1:
         raise ConfigError(f"resolution must be at least 1, got {resolution}")
-    tolerance = float(_first_given(args.tolerance, cfg.get("tolerance"), 0.01))
-    if not (tolerance >= 0.0):
-        raise ConfigError(f"tolerance must not be negative, got {tolerance}")
+    fmt = _first_given(args.format, cfg.get("format"), "json")
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
     options = {
         "resolution": resolution,
-        "format": getattr(args, "format", None) or cfg.get("format", "json"),
-        "tolerance": tolerance,
+        "format": fmt,
         "config": cfg,
         "mesh_files": mesh_files,
     }
@@ -252,9 +253,7 @@ def _emit(report, options, out_path, table=None):
         buf = io.StringIO()
         writer = csv.writer(buf)
         if table is not None:
-            writer.writerow(table["columns"])
-            for row in table["rows"]:
-                writer.writerow(row)
+            writer.writerows([table["columns"], *table["rows"]])
         else:
             rows = []
             _flatten("", _jsonify(report), rows)
@@ -336,6 +335,10 @@ def _cmd_rates(args):
 
 def _cmd_validate(args):
     shape, density, params, options = _resolve(args)
+    tol = parse_quantity(_first_given(args.tolerance, options["config"].get("tolerance"), 0.01),
+                         "dimensionless")
+    if not (tol >= 0.0):
+        raise ConfigError(f"tolerance must not be negative, got {tol}")
     if density is None:
         density = 1000.0  # cancels in every relative comparison
     sigma = params.localization_length
@@ -365,7 +368,6 @@ def _cmd_validate(args):
         "surface_vs_gradient": rel(surf, grad),
         "surface_vs_kspace": rel(surf, kint),
     }
-    tol = options["tolerance"]
     passed = all(v <= tol for v in pairs.values())
     results = {
         "surface_formula": surf,
@@ -408,13 +410,16 @@ def _sweep_shape(base, variable, value):
 def _cmd_sweep(args):
     shape, density, params, options = _resolve(args)
     sweep_cfg = options["config"].get("sweep", {})
+    if not isinstance(sweep_cfg, dict):
+        raise ConfigError(f"sweep must be an object, got {sweep_cfg!r}")
     variable = args.variable or sweep_cfg.get("variable")
     values = args.values or sweep_cfg.get("values")
     if not variable or not values:
         raise ConfigError("sweep needs a variable and values")
-    if isinstance(values, str):
-        values = values.split(",")
-    if variable not in _SWEEPS:
+    values = values.split(",") if isinstance(values, str) else values
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep values must be a list or a comma-separated string, got {values!r}")
+    if not isinstance(variable, str) or variable not in _SWEEPS:
         raise ConfigError(f"unknown sweep variable {variable!r} (use {tuple(_SWEEPS)})")
     values = [parse_quantity(v, _SWEEPS[variable][1]) for v in values]
 
@@ -499,7 +504,6 @@ def _add_common(sub):
     sub.add_argument("--resolution", type=int, help="patches per characteristic length")
     sub.add_argument("--format", choices=("json", "csv"))
     sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--tolerance", type=float, help="validation tolerance")
 
 
 def build_parser():
@@ -524,6 +528,8 @@ def build_parser():
     p.add_argument("--spacing", help="voxel spacing (default sigma/2)")
     p.add_argument("--padding", help="grid padding (default 6 sigma)")
     p.add_argument("--max-voxels", type=int, default=DEFAULT_MAX_VOXELS)
+    p.add_argument("--tolerance", type=float,
+                   help="largest pairwise relative error that passes (default 0.01)")
     p.set_defaults(func=_cmd_validate)
 
     p = subs.add_parser("sweep", help="parameter sweeps of the tensor outputs")

@@ -127,7 +127,8 @@ def compose_mass_properties(parts, density):
     ``parts`` is an iterable of (sign, volume, area, centroid,
     second_moment_about_own_centroid) with geometric (density-free)
     second moments.  Cavities enter with sign -1: volume subtracts,
-    area adds.
+    area adds.  A density that makes the mass or the inertia overflow
+    raises :class:`DegenerateDimension`.
     """
     vol = 0.0
     area = 0.0
@@ -142,12 +143,16 @@ def compose_mass_properties(parts, density):
     if vol <= 0.0:
         raise DegenerateDimension("net volume is not positive")
     centroid = first_moment / vol
-    j_cm = density * (j_origin - vol * np.outer(centroid, centroid))
-    inertia = np.trace(j_cm) * np.eye(3) - j_cm
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = density * vol
+        j_cm = density * (j_origin - vol * np.outer(centroid, centroid))
+        inertia = np.trace(j_cm) * np.eye(3) - j_cm
+    if not (np.isfinite(mass) and np.all(np.isfinite(inertia))):
+        raise DegenerateDimension(f"density {density} overflows the mass or the inertia")
     return MassProperties(
         volume=vol,
         area=area,
-        mass=density * vol,
+        mass=mass,
         centroid=centroid,
         inertia=inertia,
         second_moment=j_cm,

@@ -33,6 +33,7 @@ fill's ``_lattice`` hook takes world axes and classifies through
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from itertools import combinations
@@ -114,8 +115,17 @@ def _real(name, value):
     return value
 
 
+def _integer(name, value, error=DegenerateDimension):
+    """``value`` as an int: an integral float (2.0, as quantities parse) passes;
+    a bool, a fraction or a value that is not a number raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise error(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _count(name, value):
-    value = int(value)
+    value = _integer(name, value)
     if value < 0:
         raise DegenerateDimension(f"{name.replace('_', ' ')} must be >= 0")
     return value
@@ -302,7 +312,7 @@ def _gl(n, a, b):
 
 
 def _counts(resolution):
-    res = int(resolution)
+    res = _integer("resolution", resolution, ResolutionOverflow)
     if res < 1:
         raise ResolutionOverflow("resolution must be >= 1")
     return {
@@ -1021,20 +1031,21 @@ def bounding_box(spec):
 # quadrature
 
 
-def quadrature(spec, resolution=DEFAULT_RESOLUTION, max_patches=MAX_PATCHES):
+def quadrature(spec, resolution=DEFAULT_RESOLUTION):
     """Surface quadrature of the whole material boundary.
 
     Covers the outer surface, gap faces, and cavity walls; cavity-wall
     normals point out of the material.  For meshes the decomposition is
-    the per-facet mid-edge rule and ``resolution`` is ignored.
+    the per-facet mid-edge rule and ``resolution`` is ignored.  A rule of
+    more than MAX_PATCHES patches raises :class:`ResolutionOverflow`.
     """
     spec = build_shape(spec)
     counts = _counts(resolution)
     solids = [spec, *spec.cavities]
     families = [solid._patch_families(counts) for solid in solids]
     total = sum(size for fams in families for size, _ in fams)
-    if total > max_patches:
-        raise ResolutionOverflow(f"{total} patches exceed the cap {max_patches}")
+    if total > MAX_PATCHES:
+        raise ResolutionOverflow(f"{total} patches exceed the cap {MAX_PATCHES}")
 
     host, *cavities = [
         SurfacePatches.concatenate([build() for _, build in fams])

@@ -11,9 +11,7 @@ grad(mu_sigma), and for bodies much larger than sigma collapses to
 routes here are mutually independent:
 
 * :func:`gradient_outer_integral` differentiates a rasterized smoothed
-  field (spectrally by default; the plain central-difference stencil is
-  kept as an option but its symbol error at sigma/2 spacing is percent
-  level and fails the tight cross-checks),
+  field spectrally, with the exact derivative symbol,
 * :func:`kspace_outer_integral` integrates the analytic form factor in
   one refinement loop, whose radial nodes double until the tensor
   settles.  Each shape's ``_kspace_local`` hook picks the rule of its
@@ -39,8 +37,8 @@ Each weight is a short sum of per-axis products, so one kernel,
 at most three rows of x factors in one matrix product, and each caller
 ends with small contractions over y and z.  The weights are
 
-* s o s for the derivative symbol s(k) = k, or sin(k h)/h for the
-  central stencil, in :func:`gradient_outer_integral`,
+* k o k, the derivative symbol's outer product, in
+  :func:`gradient_outer_integral`,
 * k o k times the squared separable gain exp(-k^2 sigma^2 / 2) / D(k),
   D the transform of the supersampled cell average, in the DFT route
   of :func:`kspace_outer_integral`,
@@ -205,24 +203,16 @@ def _finite(value, what):
     return value
 
 
-def gradient_outer_integral(grid: VoxelGrid, method="spectral"):
+def gradient_outer_integral(grid: VoxelGrid):
     """(2 pi)^3 int grad(f) o grad(f) dV for the gridded field f.
 
-    ``method="spectral"`` uses exact derivative symbols through the DFT
+    The derivatives take their exact symbols through the DFT
     (discretization error limited by aliasing of the smooth field, far
-    below the 0.5 percent budget at sigma/2 spacing).  ``"central"``
-    reproduces the classic second-order stencil via its symbol
-    sin(k h)/h; kept for error-budget studies.  Any other method raises
-    :class:`ConfigError`; grid values that are not finite raise
-    :class:`DegenerateDimension`.
+    below the 0.5 percent budget at sigma/2 spacing).  Grid values that
+    are not finite raise :class:`DegenerateDimension`.
     """
     _drop_kept()
-    h = grid.spacing
-    s = _wavenumbers(grid.values.shape, h)
-    if method == "central":
-        s = [np.sin(k * h) / h for k in s]
-    elif method != "spectral":
-        raise ConfigError(f"unknown method {method!r}")
+    s = _wavenumbers(grid.values.shape, grid.spacing)
     with np.errstate(over="ignore", invalid="ignore"):
         G = (2.0 * np.pi) ** 3 * _outer_sum(grid, s)
     return _finite(G, "the gradient integral")
@@ -420,26 +410,22 @@ def _expm1i(theta):
     return 2j * np.sin(theta / 2.0) * np.exp(0.5j * theta)
 
 
-def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spectral"):
+def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
     """Positional dephasing rate F(delta) in 1/s from the gridded field.
 
     F = (lambda sigma^3 / pi^{3/2} m_N^2) (2 pi)^3
         int [mu(r)^2 - mu(r) mu(r + delta)] dr.
 
     The shifted-field correlation is evaluated through the DFT phase
-    ramp by default, which is exact for the sigma-smooth field at any
-    sub-cell displacement.  Its sum of P (1 - cos(k . delta)) is -Re of
+    ramp, which is exact for the sigma-smooth field at any sub-cell
+    displacement.  Its sum of P (1 - cos(k . delta)) is -Re of
     the sum of P (e^{i k . delta} - 1), split by axis: the x phases are
     rows of the one x-axis product of :func:`_mode_sum`, the y and z
     phases small contractions of its result, and every e^{i theta} - 1
     is formed as 2i sin(theta/2) e^{i theta/2}.  So no 1 - cos cancels:
     the result agrees with the per-mode sum of 2 sin^2(k . delta / 2) to
     rounding at any |delta|, where a per-mode 1 - cos is off by some
-    1e-11 relative at 1e-3 sigma.  ``method="trilinear"`` interpolates
-    the shifted field on the grid instead; its linear-interpolation bias
-    inflates F by roughly h/|delta| for sub-cell shifts, so it is only
-    meaningful for |delta| of at least a few spacings.  Any other method
-    raises :class:`ConfigError`.
+    1e-11 relative at 1e-3 sigma.
 
     A ``delta`` that is not a 3-vector of real numbers (a string, a
     complex or a NaN included), or grid values that are not finite, raise
@@ -460,22 +446,13 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams, method="spec
             f"|delta| = {np.linalg.norm(delta):.3g} exceeds grid margin {grid.margin:.3g}")
     pref = (params.collapse_rate * params.localization_length**3
             / (math.pi**1.5 * params.nucleon_mass**2))
-    h = grid.spacing
     with np.errstate(over="ignore", invalid="ignore"):
-        if method == "spectral":
-            # sum P (1 - cos(a + b + c)) = -Re sum P (e^{i(a+b+c)} - 1), with
-            # e^{i(a+b+c)} - 1 = (e^{ia} - 1) e^{i(b+c)} + (e^{ib} - 1) e^{ic} + (e^{ic} - 1)
-            a, b, c = (k * d for k, d in zip(_wavenumbers(grid.values.shape, h), delta))
-            ea = _expm1i(a)
-            Q = _mode_sum(grid, np.stack([ea.real, ea.imag, np.ones_like(a)]))
-            A, B = Q[0] + 1j * Q[1], Q[2]   # sum over x of P (e^{ia} - 1), and of P
-            total = (np.exp(1j * b) @ A + _expm1i(b) @ B) @ np.exp(1j * c)
-            integral = -(total + B.sum(axis=0) @ _expm1i(c)).real
-        elif method == "trilinear":
-            from scipy import ndimage
-
-            shifted = ndimage.shift(grid.values, -delta / h, order=1, mode="constant", cval=0.0)
-            integral = h**3 * float(np.sum(grid.values * (grid.values - shifted)))
-        else:
-            raise ConfigError(f"unknown method {method!r}")
+        # sum P (1 - cos(a + b + c)) = -Re sum P (e^{i(a+b+c)} - 1), with
+        # e^{i(a+b+c)} - 1 = (e^{ia} - 1) e^{i(b+c)} + (e^{ib} - 1) e^{ic} + (e^{ic} - 1)
+        a, b, c = (k * d for k, d in zip(_wavenumbers(grid.values.shape, grid.spacing), delta))
+        ea = _expm1i(a)
+        Q = _mode_sum(grid, np.stack([ea.real, ea.imag, np.ones_like(a)]))
+        A, B = Q[0] + 1j * Q[1], Q[2]   # sum over x of P (e^{ia} - 1), and of P
+        total = (np.exp(1j * b) @ A + _expm1i(b) @ B) @ np.exp(1j * c)
+        integral = -(total + B.sum(axis=0) @ _expm1i(c)).real
     return _finite(pref * (2.0 * np.pi) ** 3 * integral, "the decoherence function")

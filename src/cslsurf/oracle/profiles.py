@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ..errors import DegenerateDimension
-from ..geometry.shapes import _leggauss, _positive
+from ..geometry.shapes import _gl, _positive
 
 
 def _gauss(x, sigma):
@@ -110,18 +110,17 @@ class EdgeProfile:
         return out
 
 
-def edge_layer_factor(profile: EdgeProfile, sigma, n_nodes=512) -> float:
+def edge_layer_factor(profile: EdgeProfile, sigma) -> float:
     """Squared smoothed-slope integral across the edge, units 1/m.
 
     For the ideal step this is the integral of the squared Gaussian,
     1 / (2 sqrt(pi) sigma); softer profiles give strictly smaller values
-    and recover the step value as their width vanishes.
+    and recover the step value as their width vanishes.  A 512-node
+    Gauss-Legendre rule spans the profile's support widened by 10 sigma.
     """
     _positive("sigma", sigma)
     lo, hi = profile.support()
     a, b = lo - 10.0 * sigma, hi + 10.0 * sigma
-    x, w = _leggauss(n_nodes)
-    h = 0.5 * (b - a) * x + 0.5 * (a + b)
-    wh = 0.5 * (b - a) * w
+    h, wh = _gl(512, a, b)
     slope = profile.smoothed_slope(h, sigma)
     return float(np.sum(wh * slope**2))

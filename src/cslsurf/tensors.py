@@ -59,25 +59,25 @@ def axial_rotational_strength(patches: SurfacePatches, origin, axis) -> float:
     return float(np.sum(patches.weights * triple**2))
 
 
-def clamp_psd(tensor, rel_tol=PSD_CLAMP_REL):
-    """Zero out negative eigenvalues within -rel_tol * trace (float noise).
+def clamp_psd(tensor):
+    """Zero out negative eigenvalues within -PSD_CLAMP_REL * trace (float noise).
 
     Raises :class:`DegenerateDimension` for genuinely indefinite input.
     """
     t = 0.5 * (tensor + tensor.T)
     vals, vecs = np.linalg.eigh(t)
     scale = max(np.trace(t), 0.0)
-    floor = -rel_tol * scale if scale > 0 else -rel_tol
+    floor = -PSD_CLAMP_REL * scale if scale > 0 else -PSD_CLAMP_REL
     if np.any(vals < floor):
         raise DegenerateDimension(f"tensor is not positive semidefinite: eigenvalues {vals}")
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
-def is_psd(tensor, rel_tol=PSD_CLAMP_REL):
+def is_psd(tensor):
     t = 0.5 * (tensor + tensor.T)
     vals = np.linalg.eigvalsh(t)
     scale = max(abs(np.trace(t)), 1e-300)
-    return bool(np.all(vals >= -rel_tol * scale))
+    return bool(np.all(vals >= -PSD_CLAMP_REL * scale))
 
 
 def principal_axes(tensor):

@@ -53,12 +53,13 @@ def parse_quantity(value, dimension):
     ``value`` may be a number (returned as-is) or a string with an
     optional unit suffix from the table for ``dimension`` (one of
     ``length``, ``density``, ``mass``, ``rate``, ``angle``,
-    ``dimensionless``).  A bare numeric string is taken as SI.
+    ``dimensionless``).  A bare numeric string is taken as SI.  Any
+    other type, a bool included, raises :class:`ConfigError`.
     """
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, str):
-        raise ConfigError(f"cannot parse quantity of type {type(value).__name__}")
+        raise ConfigError(f"cannot parse quantity {value!r} of type {type(value).__name__}")
     m = _NUMBER.match(value)
     if not m:
         raise ConfigError(f"malformed quantity: {value!r}")
@@ -80,7 +81,7 @@ def parse_quantity(value, dimension):
 def parse_vector(value, dimension):
     """Parse a 3-sequence (or comma-separated string) of quantities."""
     if isinstance(value, str):
-        value = [p for p in value.split(",")]
-    if len(value) != 3:
+        value = value.split(",")
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"expected 3 components, got {value!r}")
     return [parse_quantity(v, dimension) for v in value]

@@ -374,10 +374,14 @@ class TestPlumbing:
         assert "results.area" in keys
 
 
-@pytest.mark.parametrize("command", ["rates", "validate"])
-def test_density_whose_square_overflows_is_a_usage_error(capsys, command):
+@pytest.mark.parametrize("command, shape", [
     # density**2 used to end the run in a bare OverflowError traceback
-    code, out, err = run(capsys, command, "--shape", SPHERE, "--density", "1e300")
+    ("rates", SPHERE), ("validate", SPHERE),
+    # the mass overflows: this exited 0 with 9 NaN and 1 Infinity in its report
+    ("tensors", '{"type":"sphere","radius":1e10}'),
+], ids=["rates", "validate", "tensors"])
+def test_density_whose_square_overflows_is_a_usage_error(capsys, command, shape):
+    code, out, err = run(capsys, command, "--shape", shape, "--density", "1e300")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "density" in err
 
@@ -395,6 +399,71 @@ def test_bad_csl_params_in_config_are_a_usage_error(capsys, tmp_path, params, na
     code, out, err = run(capsys, "rates", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    # a traceback, a traceback, and a resolution silently truncated to 2
+    ("tensors", {"resolution": "abc"}, "'abc'"),
+    ("tensors", {"resolution": [3]}, "[3]"),
+    ("tensors", {"resolution": 2.7}, "2.7"),
+    # exited 0 and wrote JSON
+    ("tensors", {"format": "xml"}, "'xml'"),
+    # TypeError tracebacks
+    ("dephasing", {"delta": 5}, "5"),
+    ("tensors", {"shape": {"type": "sphere", "radius": "1 um", "center": 5}}, "5"),
+    ("sweep", {"sweep": {"variable": "R", "values": 5}}, "5"),
+    ("sweep", {"sweep": 5}, "5"),
+    ("tensors", {"shape": {"type": "sphere", "radius": "1 um", "cavities": 5}}, "5"),
+    ("tensors", {"shape": {"type": 5}}, "5"),
+    ("tensors", {"shape": None, "mesh": 5}, "5"),
+    # taken as 1
+    ("tensors", {"shape": {"type": "sphere", "radius": True}}, "True"),
+    ("tensors", {"density": True}, "True"),
+    # a ValueError traceback
+    ("validate", {"tolerance": "x"}, "'x'"),
+], ids=["resolution_str", "resolution_list", "resolution_float", "format", "delta", "center",
+        "sweep_values", "sweep_block", "cavities", "shape_type", "mesh_path", "radius_bool",
+        "density_bool", "tolerance_str"])
+def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, command, doc, named):
+    cfg = {"shape": json.loads(SPHERE), "density": 2000, "delta": ["1 nm", 0, 0]}
+    cfg.update(doc)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and named in err
+
+
+def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1]")
+    code, out, err = run(capsys, "tensors", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "object" in err
+
+
+def test_integral_float_resolution_in_config_is_accepted(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"shape": %s, "resolution": 8.0}' % SPHERE)
+    report = run_json(capsys, "tensors", "--config", str(path))
+    assert report["config"]["resolution"] == 8
+    assert report == run_json(capsys, "tensors", "--shape", SPHERE, "--resolution", "8")
+
+
+@pytest.mark.parametrize("command", ["tensors", "rates", "sweep", "dephasing"])
+def test_tolerance_is_a_validate_setting(capsys, tmp_path, command):
+    # the other commands used to accept --tolerance and ignore it, and a
+    # config's tolerance of "x" crashed tensors with a ValueError
+    argv = [command, "--shape", SPHERE, "--density", "2000"]
+    code, out, err = run(capsys, *argv, "--tolerance", "0.1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--tolerance" in err
+    path = tmp_path / "cfg.json"
+    path.write_text('{"tolerance": "x", "sweep": {"variable": "R", "values": [1e-6]}, '
+                    '"delta": ["1 nm", 0, 0]}')
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert code == 0, err
 
 
 def test_csl_parameters_in_config_take_their_units(capsys, tmp_path):

@@ -150,12 +150,21 @@ class TestCavities:
         with pytest.raises(DegenerateDimension):
             mass_properties(Sphere(1.0), 0.0)
 
-    @pytest.mark.parametrize("density", [math.inf, math.nan])
-    def test_density_must_be_finite(self, density):
+    @pytest.mark.parametrize("radius, density", [
+        (1e-6, math.inf), (1e-6, math.nan),
+        # these used to warn (overflow, invalid) and return an infinite mass
+        # or inertia with NaN entries; a RuntimeWarning now fails the suite
+        (1e10, 1e300), (1e59, 1e100),
+    ], ids=["inf", "nan", "mass_overflows", "inertia_overflows"])
+    def test_density_must_be_finite(self, radius, density):
         from cslsurf.errors import DegenerateDimension
 
-        with pytest.raises(DegenerateDimension):
-            mass_properties(Sphere(1e-6), density)
+        with pytest.raises(DegenerateDimension, match="density"):
+            mass_properties(Sphere(radius), density)
+
+    def test_largest_density_keeps_finite_moments(self):
+        props = mass_properties(Sphere(1e59), 1e10)   # inertia ~ 1.7e306
+        assert np.isfinite(props.mass) and np.all(np.isfinite(props.inertia))
 
 
 def test_net_volume_that_is_not_positive_is_degenerate():

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -77,27 +77,6 @@ class TestGradientIntegral:
         change = rel_err(k_half, k_quarter)
         assert change < 5e-3
         assert change < 1e-6
-
-    def test_central_difference_symbol_bias(self):
-        # the classic 2nd-order stencil loses a direction-averaged ~2.5
-        # percent of the layer energy at sigma/2 spacing, five times the
-        # cross-check budget; this is why the spectral symbol is the
-        # default
-        grid = rasterize_smoothed_density(Sphere(8 * SIGMA), RHO, SIGMA)
-        spectral = gradient_outer_integral(grid)
-        central = gradient_outer_integral(grid, method="central")
-        bias = 1.0 - np.trace(central) / np.trace(spectral)
-        assert 0.01 < bias < 0.10
-
-    def test_unknown_method(self):
-        grid = rasterize_smoothed_density(Sphere(6 * SIGMA), RHO, SIGMA)
-        with pytest.raises(ValueError):
-            gradient_outer_integral(grid, method="mystery")
-
-    def test_unknown_method_is_config_error(self):
-        grid = rasterize_smoothed_density(Sphere(6 * SIGMA), RHO, SIGMA)
-        with pytest.raises(ConfigError, match="unknown method"):
-            gradient_outer_integral(grid, method="foo")
 
 
 class TestKspaceIntegral:
@@ -441,10 +420,6 @@ class TestDecoherenceFunction:
             f = decoherence_function(grid, np.array([x * SIGMA, 0, 0]), PARAMS)
             assert f == pytest.approx(f_sat, rel=5e-3, abs=0)
 
-    def test_unknown_method_is_config_error(self):
-        with pytest.raises(ConfigError, match="unknown method"):
-            decoherence_function(self.grid, np.array([SIGMA, 0, 0]), PARAMS, method="foo")
-
     def test_shift_out_of_grid(self):
         with pytest.raises(ShiftOutOfGrid):
             decoherence_function(self.grid, np.array([10e-7, 0, 0]), PARAMS)
@@ -484,20 +459,37 @@ class TestDecoherenceFunction:
         assert exact <= quad_form
         assert exact == pytest.approx(quad_form, rel=1e-4, abs=0)
 
-    def test_trilinear_matches_at_integer_shifts(self):
-        h = self.grid.spacing
-        d = np.array([4 * h, 0.0, 0.0])
-        a = decoherence_function(self.grid, d, PARAMS)
-        b = decoherence_function(self.grid, d, PARAMS, method="trilinear")
-        assert b == pytest.approx(a, rel=1e-6, abs=0)
 
-    def test_trilinear_bias_at_subcell_shifts(self):
-        # linear interpolation turns the quadratic difference into a
-        # first-difference of order h |delta|, inflating F by ~ h/|delta|
-        d = np.array([0.1 * SIGMA, 0.0, 0.0])  # 0.2 cells
-        a = decoherence_function(self.grid, d, PARAMS)
-        b = decoherence_function(self.grid, d, PARAMS, method="trilinear")
-        assert b / a > 2.0
+@pytest.fixture(scope="module")
+def shift_grids():
+    box = Box((8 * SIGMA, 10 * SIGMA, 6 * SIGMA), center=(3 * SIGMA, -2 * SIGMA, SIGMA))
+    return {"sphere": rasterize_smoothed_density(Sphere(10 * SIGMA), RHO, SIGMA),
+            "offset_box": rasterize_smoothed_density(box, RHO, SIGMA)}
+
+
+def _zero_filled_shift(values, n):
+    """values at r + n h on the same lattice, zero where r + n h leaves the grid."""
+    out = np.zeros_like(values)
+    out[tuple(slice(max(-k, 0), m - max(k, 0)) for k, m in zip(n, values.shape))] = \
+        values[tuple(slice(max(k, 0), m - max(-k, 0)) for k, m in zip(n, values.shape))]
+    return out
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(body=st.sampled_from(["sphere", "offset_box"]),
+       n=st.tuples(*[st.integers(-7, 7)] * 3))
+def test_integer_shifts_match_the_zero_filled_shift(shift_grids, body, n):
+    # the real-space reference of the spectral phase ramp: a shift by whole
+    # cells moves the grid's own values, and the 12-cell margin holds only
+    # the field's Gaussian tail, so the periodic and zero-filled shifts agree
+    grid = shift_grids[body]
+    h, v = grid.spacing, grid.values
+    delta = np.asarray(n) * h
+    assume(np.linalg.norm(delta) <= grid.margin)
+    pref = (PARAMS.collapse_rate * PARAMS.localization_length**3
+            / (math.pi**1.5 * PARAMS.nucleon_mass**2))
+    want = pref * (2 * math.pi) ** 3 * h**3 * np.sum(v * (v - _zero_filled_shift(v, n)))
+    assert decoherence_function(grid, delta, PARAMS) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
@@ -508,9 +500,7 @@ def test_grid_values_that_are_not_finite_raise(bad):
     grid = VoxelGrid(np.zeros(3), SIGMA / 2, values, margin=2 * SIGMA)
     delta = [0.1 * SIGMA, 0.0, 0.0]
     calls = [lambda: gradient_outer_integral(grid),
-             lambda: gradient_outer_integral(grid, method="central"),
-             lambda: decoherence_function(grid, delta, PARAMS),
-             lambda: decoherence_function(grid, delta, PARAMS, method="trilinear")]
+             lambda: decoherence_function(grid, delta, PARAMS)]
     for call in calls:
         with pytest.raises(DegenerateDimension, match="not finite"):
             call()
@@ -533,7 +523,6 @@ def test_one_fft_per_oracle_call(monkeypatch):
 
     monkeypatch.setattr(scipy.fft, "rfftn", counted)
     gradient_outer_integral(A)
-    gradient_outer_integral(A, method="central")
     for x in (0.01, 0.3, 2.0):
         decohere(A, x)
     assert len(calls) == 1

@@ -106,6 +106,17 @@ class TestValidation:
         with pytest.raises(DegenerateDimension, match="gap width"):
             GappedCylinder(1.0, 2.0, 0, width)
 
+    @pytest.mark.parametrize("count", [2.5, True, math.nan, math.inf, "2"])
+    def test_gap_count_must_be_an_integer(self, count):
+        # 2.5 used to be truncated to 2 gaps
+        with pytest.raises(DegenerateDimension, match="gap count must be an integer"):
+            GappedCylinder(1.0, 10.0, count, 0.5)
+
+    def test_integral_float_gap_count_is_accepted(self):
+        spec = GappedCylinder(1.0, 10.0, 2.0, 0.5)
+        assert spec.gap_count == 2 and type(spec.gap_count) is int
+        assert spec == GappedCylinder(1.0, 10.0, 2, 0.5)
+
     def test_axis_names(self):
         assert Cylinder(1.0, 1.0, axis="x").axis == (1.0, 0.0, 0.0)
         assert Cylinder(1.0, 1.0, axis=(0, 2, 0)).axis == (0.0, 1.0, 0.0)
@@ -208,10 +219,20 @@ class TestQuadrature:
         assert patches.total_area == pytest.approx(expected, rel=1e-12)
 
     def test_resolution_overflow(self):
-        with pytest.raises(ResolutionOverflow):
-            quadrature(Sphere(1.0), resolution=16, max_patches=100)
+        with pytest.raises(ResolutionOverflow, match="exceed the cap"):
+            quadrature(Sphere(1.0), resolution=1000)  # 4,000,000 patches
         with pytest.raises(ResolutionOverflow):
             quadrature(Sphere(1.0), resolution=0)
+
+    @pytest.mark.parametrize("resolution", [2.7, True, math.inf, "8"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # 2.7 used to return the resolution-2 rule
+        with pytest.raises(ResolutionOverflow, match="resolution must be an integer"):
+            quadrature(Sphere(1.0), resolution=resolution)
+
+    def test_integral_float_resolution_is_accepted(self):
+        a, b = quadrature(Sphere(1.0), resolution=8.0), quadrature(Sphere(1.0), resolution=8)
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
 
     def test_mesh_patches_area(self):
         spec = Mesh(mesh=box_mesh(1.0, 1.0, 1.0))
