@@ -197,6 +197,8 @@ def _resolve(args):
     resolution = _integer("resolution", parse_quantity(resolution, "dimensionless"), ConfigError)
     if resolution < 1:
         raise ConfigError(f"resolution must be at least 1, got {resolution}")
+    if getattr(args, "max_voxels", 1) < 1:
+        raise ConfigError(f"max voxels must be at least 1, got {args.max_voxels}")
     fmt = _first_given(args.format, cfg.get("format"), "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")

@@ -87,15 +87,31 @@ def dephasing_matrix(surface_tensor, density, params: CslParams) -> DephasingMat
     return DephasingMatrix(clamp_psd(c * np.asarray(surface_tensor, dtype=float)), params)
 
 
+def _delta_vector(delta):
+    """``delta`` as a float 3-vector; anything but a 3-vector of real
+    numbers (a string, a complex or a NaN included) raises
+    :class:`DegenerateDimension`.  An infinite entry passes."""
+    try:
+        d = np.asarray(delta)
+    except ValueError:                  # a ragged sequence
+        d = np.empty(0)
+    if d.dtype.kind not in "iuf" or d.shape != (3,) or np.any(np.isnan(d)):
+        raise DegenerateDimension(f"delta must be a 3-vector of real numbers, got {delta!r}")
+    return d.astype(float)
+
+
 def superposition_dephasing_rate(dephasing: DephasingMatrix, delta) -> float:
     """Decay rate (1/s) of a superposition displaced by ``delta`` (m).
 
     rate = delta . Lambda . delta.  Quantitative in the small-displacement
     regime; a :class:`ValidityWarning` is emitted when |delta| exceeds
     0.3 sigma (the quadratic form keeps growing where the true rate
-    saturates).
+    saturates).  A ``delta`` that is not a 3-vector of finite real
+    numbers raises :class:`DegenerateDimension`.
     """
-    d = np.asarray(delta, dtype=float)
+    d = _delta_vector(delta)
+    if not np.all(np.isfinite(d)):
+        raise DegenerateDimension(f"delta must be finite, got {delta!r}")
     sep = float(np.linalg.norm(d))
     sigma = dephasing.params.localization_length
     if sep > DELTA_VALIDITY_FRACTION * sigma:

@@ -20,7 +20,7 @@ distance, and its clearance is a lower bound.  Every signed distance
 here is exact.  The sphere keeps its own rule, whose points are exactly
 R times the normals; boxes take one rule per face.
 
-A step edge never reads a signed distance: its Gaussian-smoothed
+The smoothed field never reads a signed distance: the Gaussian-smoothed
 indicator is a shape's closed form (``_smoothed_unit``) where one
 exists, and otherwise the oracles filter the supersampled indicator.
 
@@ -439,7 +439,7 @@ class _Solid:
     ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator; none for
     the cone-capped and elliptic cylinders) and ``_unit_form_factor`` are
     None where the shape has none; the oracles then take the next path of
-    their rule (``oracle.voxel._unit_field``: the filtered raster; the
+    their rule (the raster: the filtered supersampled indicator; the
     k-space integral: the DFT route).  ``_kspace_local(sigma)``, the one
     hook that sees cavities, picks the k-space rule of a body with a form
     factor.  It returns (factors, integrand), the body-frame rule: the

@@ -54,7 +54,7 @@ import weakref
 import numpy as np
 from scipy import fft as sfft
 
-from ..csl import CslParams, _density_squared
+from ..csl import CslParams, _delta_vector, _density_squared
 from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
 from ..geometry.shapes import (
     _gl,
@@ -433,13 +433,7 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
     margin, or infinite, raises :class:`ShiftOutOfGrid`.
     """
     _drop_kept()
-    try:
-        d = np.asarray(delta)
-    except ValueError:                  # a ragged sequence
-        d = np.empty(0)
-    if d.dtype.kind not in "iuf" or d.shape != (3,) or np.any(np.isnan(d)):
-        raise DegenerateDimension(f"delta must be a 3-vector of real numbers, got {delta!r}")
-    delta = d.astype(float)
+    delta = _delta_vector(delta)
     # an infinite shift leaves any grid, a margin-less one included
     if np.any(np.isinf(delta)) or (grid.margin and np.linalg.norm(delta) > grid.margin):
         raise ShiftOutOfGrid(

@@ -4,7 +4,7 @@ A profile H(h) describes how the density falls from 1 (deep inside,
 h -> -inf) to 0 (outside) across the boundary layer; h is the signed
 height above the nominal surface.  The ideal sharp edge is the
 descending step at h = 0.  Profiles here are piecewise linear, which
-keeps their Gaussian smoothing in closed form.
+keeps their Gaussian-smoothed slope in closed form.
 """
 
 import math
@@ -70,34 +70,9 @@ class EdgeProfile:
             return 0.0, 0.0
         return self.heights[0], self.heights[-1]
 
-    def __call__(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.is_step:
-            return np.where(h < 0.0, 1.0, 0.0)
-        return np.interp(h, self.heights, self.values, left=1.0, right=0.0)
-
-    def smoothed(self, h, sigma):
-        """(g_sigma * H)(h): profile convolved with the Gaussian kernel.
-
-        Closed form for piecewise-linear tables; the step gives the
-        complementary normal CDF.
-        """
-        h = np.asarray(h, dtype=float)
-        if self.is_step:
-            return ndtr(-h / sigma)
-        t = np.asarray(self.heights)
-        v = np.asarray(self.values)
-        out = ndtr((t[0] - h) / sigma)  # H = 1 plateau
-        for j in range(len(t) - 1):
-            a, b = t[j], t[j + 1]
-            s = (v[j + 1] - v[j]) / (b - a)
-            d_phi = ndtr((h - a) / sigma) - ndtr((h - b) / sigma)
-            moment = h * d_phi + sigma**2 * (_gauss(h - a, sigma) - _gauss(h - b, sigma))
-            out = out + (v[j] - s * a) * d_phi + s * moment
-        return out
-
     def smoothed_slope(self, h, sigma):
-        """d/dh of :meth:`smoothed`; equals (g_sigma * dH)(h)."""
+        """(g_sigma * dH)(h): the slope dH/dh convolved with the Gaussian
+        kernel, in closed form; the step gives -g_sigma(h)."""
         h = np.asarray(h, dtype=float)
         if self.is_step:
             return -_gauss(h, sigma)

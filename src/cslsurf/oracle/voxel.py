@@ -2,14 +2,12 @@
 
 The field is the body indicator (times density) convolved with an
 isotropic Gaussian of width sigma.  One rule picks the field of each
-solid, the host and each cavity alike (:func:`_unit_field`): a step edge
-takes the solid's closed-form ``_smoothed_unit`` (spheres, boxes,
-circular and gapped cylinders: erf products and the noncentral
-chi-square disc integral) or, where it has none (cone-capped and
-elliptic cylinders, meshes), the supersampled indicator filtered on the
-grid, which has no point evaluator; it never reads a signed distance.
-A soft edge profile is smoothed across the exact signed distance, and a
-solid without one (elliptic cylinders, meshes) takes no soft profile.
+solid, the host and each cavity alike: the solid's closed-form
+``_smoothed_unit`` (spheres, boxes, circular and gapped cylinders: erf
+products and the noncentral chi-square disc integral) or, where it has
+none (cone-capped and elliptic cylinders, meshes), the supersampled
+indicator filtered on the grid, which has no point evaluator; it never
+reads a signed distance.
 
 Every field takes the solid's local coordinates as three broadcastable
 arrays, from the rule that ``contains`` and ``signed_distance`` use too
@@ -181,50 +179,33 @@ def read_grid(path):
 # point evaluation
 
 
-def _unit_field(solid, profile):
-    """The rule that picks a solid's smoothed indicator ``f(x, y, z, sigma)``.
-
-    ``x``, ``y`` and ``z`` are broadcastable arrays of local coordinates
-    (:func:`_local_axes`).  A step edge (``profile`` None or the step)
-    takes the solid's ``_smoothed_unit``; None there means only the
-    filtered raster can serve the solid.  A soft ``profile`` is
-    smoothed across the signed distance, and a solid without one raises
-    :class:`UnsupportedShape`.
-    """
-    if profile is None or profile.is_step:
-        return solid._smoothed_unit
-    if solid._sdf is None:
-        raise UnsupportedShape("soft edge profiles need a signed distance, "
-                               f"which {type(solid).__name__} does not provide")
-    return lambda x, y, z, sigma: profile.smoothed(solid._sdf(x, y, z), sigma)
-
-
-def _density(parts, density, sigma, x, y, z):
+def _density(solids, density, sigma, x, y, z):
     """Smoothed density at the world points (x, y, z) of broadcastable
-    arrays from the (solid, field) of the host and then of each cavity,
-    which subtract."""
+    arrays from the ``_smoothed_unit`` of the host and then of each
+    cavity, which subtract."""
     out = None
-    for solid, unit in parts:
-        value = unit(*_local_axes(solid, x, y, z), sigma)
+    for solid in solids:
+        value = solid._smoothed_unit(*_local_axes(solid, x, y, z), sigma)
         out = value if out is None else out - value
     return density * out
 
 
-def smoothed_density(spec, density, sigma, points, profile=None):
+def smoothed_density(spec, density, sigma, points):
     """Pointwise sigma-smoothed density of the body (cavities subtract).
 
     ``density`` and ``sigma`` must be positive and finite
-    (:class:`DegenerateDimension`)."""
+    (:class:`DegenerateDimension`); a solid without a closed-form field
+    raises :class:`UnsupportedShape`."""
     _positive("density", density)
     _positive("sigma", sigma)
     spec = build_shape(spec)
-    parts = [(s, _unit_field(s, profile)) for s in (spec, *spec.cavities)]
-    for solid, unit in parts:
-        if unit is None:
+    solids = (spec, *spec.cavities)
+    for solid in solids:
+        if solid._smoothed_unit is None:
             raise UnsupportedShape(
                 f"no point evaluator for {type(solid).__name__}; rasterize instead")
     points = np.asarray(points, dtype=float)
-    return _density(parts, density, sigma, points[..., 0], points[..., 1], points[..., 2])
+    return _density(solids, density, sigma, points[..., 0], points[..., 1], points[..., 2])
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +247,8 @@ def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     return tuple(dims), np.array(origin)
 
 
-def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
-                               padding=None, max_voxels=DEFAULT_MAX_VOXELS):
+def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
+                               max_voxels=DEFAULT_MAX_VOXELS):
     """Rasterize the sigma-smoothed density onto a regular grid.
 
     The grid covers the body bounding box plus ``padding`` (default 6
@@ -286,12 +267,9 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
     """
     spec = build_shape(spec)
     spacing, padding = _grid_lengths(density, sigma, spacing, padding)
-    if profile is not None and not profile.is_step:
-        padding += profile.support()[1] - profile.support()[0]
-
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
-    parts = [(s, _unit_field(s, profile)) for s in (spec, *spec.cavities)]
-    if any(unit is None for _, unit in parts):
+    solids = (spec, *spec.cavities)
+    if any(solid._smoothed_unit is None for solid in solids):
         frac = _fraction(spec, dims, origin, spacing)
         values = density * ndimage.gaussian_filter(
             frac, sigma=sigma / spacing, mode="constant", cval=0.0, truncate=8.0)
@@ -301,7 +279,7 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, profile=None,
         z = (origin[2] + spacing * np.arange(dims[2]))[None, :]
         for i in range(dims[0]):
             x = np.full((1, 1), origin[0] + spacing * i)
-            values[i] = _density(parts, density, sigma, x, y, z)
+            values[i] = _density(solids, density, sigma, x, y, z)
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 

@@ -54,10 +54,14 @@ def parse_quantity(value, dimension):
     optional unit suffix from the table for ``dimension`` (one of
     ``length``, ``density``, ``mass``, ``rate``, ``angle``,
     ``dimensionless``).  A bare numeric string is taken as SI.  Any
-    other type, a bool included, raises :class:`ConfigError`.
+    other type, a bool included, or an integer past the float range
+    raises :class:`ConfigError`.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"quantity {value!r} is out of the float range") from None
     if not isinstance(value, str):
         raise ConfigError(f"cannot parse quantity {value!r} of type {type(value).__name__}")
     m = _NUMBER.match(value)

@@ -421,9 +421,11 @@ def test_bad_csl_params_in_config_are_a_usage_error(capsys, tmp_path, params, na
     ("tensors", {"density": True}, "True"),
     # a ValueError traceback
     ("validate", {"tolerance": "x"}, "'x'"),
+    # an OverflowError traceback: an integer past the float range
+    ("tensors", {"shape": {"type": "sphere", "radius": 10**400}}, str(10**400)),
 ], ids=["resolution_str", "resolution_list", "resolution_float", "format", "delta", "center",
         "sweep_values", "sweep_block", "cavities", "shape_type", "mesh_path", "radius_bool",
-        "density_bool", "tolerance_str"])
+        "density_bool", "tolerance_str", "radius_past_float_range"])
 def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, command, doc, named):
     cfg = {"shape": json.loads(SPHERE), "density": 2000, "delta": ["1 nm", 0, 0]}
     cfg.update(doc)
@@ -433,6 +435,18 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, comma
     code, out, err = run(capsys, command, "--config", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("dephasing", "--density", "1000", "--delta", "1e-8 m,0,0", "--exact"),
+], ids=["validate", "dephasing"])
+def test_voxel_cap_below_one_is_a_usage_error(capsys, argv, value):
+    # this used to exit 3, as if a grid had exceeded the cap
+    code, out, err = run(capsys, *argv, "--shape", SPHERE, "--max-voxels", value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"max voxels must be at least 1, got {value}" in err
 
 
 def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path):

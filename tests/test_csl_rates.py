@@ -115,6 +115,16 @@ class TestSuperpositionRate:
         superposition_dephasing_rate(self.dm, np.array([0.2 * sigma, 0, 0]))
         assert not [w for w in recwarn.list if issubclass(w.category, ValidityWarning)]
 
+    @pytest.mark.parametrize("delta", [
+        [math.nan, 0.0, 0.0], [1e-9, 0.0], "1e-9", [1e-9j, 0.0, 0.0], [[1e-9], [0.0, 0.0]],
+        [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0],
+    ])
+    def test_unusable_delta_is_degenerate(self, delta):
+        # a NaN used to come back as the rate, a short vector or a string
+        # to raise a bare ValueError
+        with pytest.raises(DegenerateDimension, match="delta"):
+            superposition_dephasing_rate(self.dm, delta)
+
 
 class TestAngularCoefficient:
     def test_sphere_zero(self):

@@ -19,7 +19,6 @@ from cslsurf.geometry import Box, Cylinder, GappedCylinder, Sphere
 from cslsurf.geometry import shapes
 from cslsurf.geometry.shapes import local_frame
 from cslsurf.oracle import rasterize_smoothed_density, smoothed_density
-from cslsurf.oracle.voxel import _unit_field
 
 SIGMA = 1e-7
 RHO = 2000.0
@@ -82,7 +81,7 @@ def test_tilted_grid_agrees_with_the_matrix_frame(spec):
     want = 0.0
     for sign, solid in ((1.0, spec), *((-1.0, c) for c in spec.cavities)):
         p = (points - np.asarray(solid.center)) @ local_frame(solid)
-        want = want + sign * _unit_field(solid, None)(p[..., 0], p[..., 1], p[..., 2], SIGMA)
+        want = want + sign * solid._smoothed_unit(p[..., 0], p[..., 1], p[..., 2], SIGMA)
     assert np.max(np.abs(grid.values - RHO * want)) <= TILTED_BOUND * RHO
 
 

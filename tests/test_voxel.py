@@ -26,7 +26,6 @@ from cslsurf.geometry import (
     Mesh,
     Sphere,
     box_mesh,
-    signed_distance,
 )
 from cslsurf.oracle import (
     EdgeProfile,
@@ -92,22 +91,13 @@ class TestPointEvaluator:
         v_mid = smoothed_density(spec, RHO, SIGMA, np.array([[20 * SIGMA, 0, 0]]))[0]
         assert v_mid == pytest.approx(RHO, rel=1e-6)
 
-    @pytest.mark.parametrize("profile", [None, EdgeProfile.step()], ids=["default", "step"])
-    def test_cone_step_edge_has_no_point_evaluator(self, profile):
+    def test_cone_step_edge_has_no_point_evaluator(self):
         # no closed-form smoothed indicator: a step edge takes the filtered
         # raster, as the elliptic cylinder's does
         spec = ConeCappedCylinder(5 * SIGMA, 10 * SIGMA, math.radians(70),
                                   axis=(0.3, -0.4, 1.0), center=(SIGMA, 0.5 * SIGMA, 0.0))
         with pytest.raises(UnsupportedShape):
-            smoothed_density(spec, 1.0, SIGMA, np.zeros((1, 3)), profile=profile)
-
-    def test_cone_soft_edge_reads_its_signed_distance(self):
-        spec = ConeCappedCylinder(5 * SIGMA, 10 * SIGMA, math.radians(70),
-                                  axis=(0.3, -0.4, 1.0), center=(SIGMA, 0.5 * SIGMA, 0.0))
-        profile = EdgeProfile.linear_ramp(SIGMA)
-        pts = np.random.default_rng(11).uniform(-18 * SIGMA, 18 * SIGMA, size=(20000, 3))
-        got = smoothed_density(spec, 1.0, SIGMA, pts, profile=profile)
-        assert np.array_equal(got, profile.smoothed(signed_distance(spec, pts), SIGMA))
+            smoothed_density(spec, 1.0, SIGMA, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("density, sigma", [
         (RHO, -SIGMA), (RHO, 0.0), (RHO, math.nan), (RHO, math.inf),
@@ -283,40 +273,31 @@ class TestProfiles:
         assert narrow == pytest.approx(step, rel=1e-3)
         assert narrow < step
 
-    def test_ramp_smoothed_against_quadrature(self):
-        # independent 1-D convolution oracle for the ramp profile
+    def test_ramp_smoothed_slope_against_quadrature(self):
+        # independent 1-D convolution oracle: g_sigma * dH, dH = -1/w on the ramp
         w = SIGMA
         profile = EdgeProfile.linear_ramp(w)
 
         def brute(h):
-            g = lambda t: (math.exp(-0.5 * ((h - t) / SIGMA) ** 2)
-                           / (SIGMA * math.sqrt(2 * math.pi)))
-            ramp, _ = quad(lambda t: g(t) * (0.5 - t / w), -w / 2, w / 2)
-            plateau, _ = quad(g, -12 * SIGMA, -w / 2)
-            return ramp + plateau
+            # in units of sigma, so that quad sees numbers of order one
+            g = lambda u: math.exp(-0.5 * (h / SIGMA - u) ** 2) / math.sqrt(2 * math.pi)
+            value, _ = quad(g, -w / (2 * SIGMA), w / (2 * SIGMA), epsabs=0.0, epsrel=1e-13)
+            return -value / w
 
         hs = np.array([-2.0, -0.5, 0.0, 0.3, 1.5]) * SIGMA
-        got = profile.smoothed(hs, SIGMA)
+        got = profile.smoothed_slope(hs, SIGMA)
         expected = [brute(h) for h in hs]
-        assert np.allclose(got, expected, rtol=1e-9)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
-    def test_ramp_midpoint_and_width(self):
-        profile = EdgeProfile.linear_ramp(SIGMA)
-        assert profile.smoothed(0.0, SIGMA) == pytest.approx(0.5, rel=1e-12)
-        # softer descent than the bare step at one sigma outside
-        step_val = EdgeProfile.step().smoothed(SIGMA, SIGMA)
-        assert profile.smoothed(SIGMA, SIGMA) > step_val
-
-    def test_ramp_rasterization_on_box_face(self):
-        L = 20 * SIGMA
-        profile = EdgeProfile.linear_ramp(SIGMA)
-        spec = Box((L, L, L))
-        h = np.linspace(-3 * SIGMA, 3 * SIGMA, 13)
-        pts = np.zeros((len(h), 3))
-        pts[:, 2] = L / 2 + h
-        got = smoothed_density(spec, RHO, SIGMA, pts, profile=profile)
-        expected = RHO * profile.smoothed(h, SIGMA)
-        assert np.allclose(got, expected, rtol=1e-9)
+    def test_ramp_slope_is_shallower_than_the_step_and_integrates_to_minus_one(self):
+        ramp, step = EdgeProfile.linear_ramp(SIGMA), EdgeProfile.step()
+        peak = 1.0 / (SIGMA * math.sqrt(2 * math.pi))
+        assert step.smoothed_slope(0.0, SIGMA) == pytest.approx(-peak, rel=1e-15)
+        assert -peak < ramp.smoothed_slope(0.0, SIGMA) < 0.0
+        # the profile falls from 1 to 0 across the edge
+        total, _ = quad(lambda u: SIGMA * ramp.smoothed_slope(u * SIGMA, SIGMA),
+                        -12.0, 12.0, epsabs=0.0, epsrel=1e-13)
+        assert total == pytest.approx(-1.0, rel=1e-12)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -340,14 +321,3 @@ class TestProfiles:
     def test_unusable_profile_or_sigma_is_degenerate(self, make):
         with pytest.raises(DegenerateDimension):
             make()
-
-    def test_step_callable(self):
-        prof = EdgeProfile.step()
-        assert prof(-1.0) == 1.0
-        assert prof(1.0) == 0.0
-
-    def test_soft_profile_needs_signed_distance(self):
-        spec = Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6))
-        with pytest.raises(UnsupportedShape):
-            rasterize_smoothed_density(spec, RHO, SIGMA,
-                                       profile=EdgeProfile.linear_ramp(SIGMA))
