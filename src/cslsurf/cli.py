@@ -156,16 +156,25 @@ def _first_given(*values):
     return next(v for v in values if v is not None)
 
 
+def _json(text, source):
+    """Parse a str, or UTF-8 bytes, as JSON; a ValueError (not UTF-8, not
+    JSON, an integer past the digit limit) is a ConfigError naming ``source``."""
+    try:
+        return json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from None
+
+
 def _resolve(args):
     """Merge config file and flags into (shape, density, params, options)."""
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        with open(args.config, "rb") as fh:
+            cfg = _json(fh.read(), f"config {args.config}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     if getattr(args, "shape", None):
-        cfg["shape"] = json.loads(args.shape)
+        cfg["shape"] = _json(args.shape, "--shape")
     if getattr(args, "mesh", None):
         cfg["mesh"] = args.mesh
     if "shape" in cfg and "mesh" in cfg:
@@ -561,7 +570,7 @@ def main(argv=None):
     except QuadratureNotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (CslsurfError, OSError, json.JSONDecodeError) as exc:
+    except (CslsurfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -36,7 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -450,11 +450,11 @@ class _Solid:
     take: by default, and for a box or cylinder with cavities or a sphere
     whose cavities are not all spheres at its center.  ``_clearance`` is
     a lower bound on the distance to the boundary, exact (``|_sdf|``)
-    unless a subclass says otherwise.  ``_lattice`` classifies the supersampled
-    fill's world-axis lattice, culling blocks and then voxels by their
-    clearance; ``Mesh`` overrides it with scanline parity.  Both return
-    each voxel's side, the band of voxels the boundary may cut and the
-    band's subsample bits or counts.
+    unless a subclass says otherwise.  ``_lattice`` counts each voxel's
+    subsamples inside the bare solid on the supersampled fill's world-axis
+    lattice, culling blocks and then voxels by their clearance; ``Mesh``
+    overrides it with scanline parity.  ``_corners`` are the local points
+    no quadrature node reaches, which the cavity check probes too.
     """
 
     _sdf = None
@@ -482,18 +482,15 @@ class _Solid:
     def _clearance(self, x, y, z):
         return np.abs(self._sdf(x, y, z))
 
-    def _lattice(self, xs, ys, zs, counts=False):
-        """Classify the solid, which has no cavities (the fill passes its
-        cavity-free host), on the subsample lattice of ``xs``, ``ys`` and
-        ``zs``: (n, ss) arrays of ascending world coordinates, row i
-        holding the ss subsamples of voxel i on that axis.
+    def _corners(self):
+        return np.empty((0, 3))
 
-        Returns (side, band, bits): the (nx, ny, nz) mask of the voxels
-        that lie inside, the ascending flat indices of the band (the
-        voxels the boundary may cut, whose ``side`` is moot), and the
-        band's (n_band, ss^3) subsample bits, bit (a ss + b) ss + c of a
-        voxel for its subsample (a, b, c) along (x, y, z), or with
-        ``counts`` the number of set bits of each.
+    def _lattice(self, xs, ys, zs):
+        """Count the subsamples inside the solid, which has no cavities (the
+        fill passes its cavity-free host and each cavity alone), on the
+        lattice of ``xs``, ``ys`` and ``zs``: (n, ss) arrays of ascending
+        world coordinates, row i holding the ss subsamples of voxel i on
+        that axis.  Returns the (nx, ny, nz) uint8 counts, 0 to ss^3.
 
         Three levels.  Blocks of ``_BLOCK`` voxels per axis take the
         ``_clearance`` at their centers: a block farther from the boundary
@@ -502,8 +499,8 @@ class _Solid:
         other blocks do the same at voxel level.  Only the voxels left, the
         band, classify their subsamples, gathered from the same axes and
         passed through :func:`contains` ``_BAND_CHUNK`` voxels at a time,
-        so every bit is the one the pointwise test gives at that lattice
-        point.
+        so every count is the one the pointwise test gives on that voxel's
+        lattice points.
         """
         cells = (xs, ys, zs)
         dims, ss = tuple(len(c) for c in cells), xs.shape[1]
@@ -514,19 +511,18 @@ class _Solid:
         block_side = np.zeros(near.shape, dtype=bool)
         far = np.nonzero(~near)
         block_side[far] = contains(self, np.stack([bx[far[0]], by[far[1]], bz[far[2]]], axis=1))
-        side = np.ascontiguousarray(_spread(block_side, dims))
+        count = _spread(block_side, dims) * np.uint8(ss**3)
         # the voxels of the near blocks, at voxel level
         voxels = np.flatnonzero(_spread(near, dims))
         (vx, vy, vz), reach = _groups(cells, 1)
         i, j, k = np.unravel_index(voxels, dims)
         x, y, z = vx[i], vy[j], vz[k]
         far = self._clearance(*_local_axes(self, x, y, z)) > reach
-        side.reshape(-1)[voxels[far]] = contains(self, np.stack([x[far], y[far], z[far]], axis=1))
-        # the band's subsamples, in the order of their bits
+        inside = contains(self, np.stack([x[far], y[far], z[far]], axis=1))
+        count.reshape(-1)[voxels[far]] = inside * np.uint8(ss**3)
+        # the band's subsamples
         band = voxels[~far]
         i, j, k = np.unravel_index(band, dims)
-        bits = np.empty(len(band) if counts else (len(band), ss**3),
-                        dtype=np.intp if counts else bool)
         pts = np.empty((3, min(len(band), _BAND_CHUNK), ss, ss, ss))
         for lo in range(0, len(band), _BAND_CHUNK):
             sl = slice(lo, lo + _BAND_CHUNK)
@@ -535,8 +531,8 @@ class _Solid:
             chunk[1] = ys[j[sl], None, :, None]
             chunk[2] = zs[k[sl], None, None, :]
             inside = contains(self, chunk.reshape(3, -1).T).reshape(-1, ss**3)
-            bits[sl] = np.count_nonzero(inside, axis=1) if counts else inside
-        return side, band, bits
+            count.reshape(-1)[band[sl]] = np.count_nonzero(inside, axis=1)
+        return count
 
     def _bounds(self):
         """(min, max) corners about the center, in world axes."""
@@ -573,6 +569,12 @@ class _Revolved(_Solid):
         s = min(a, b)
         profiles = [[(r * s, z) for r, z in profile] for profile in self._profiles()]
         return _profile_distance(profiles, x * (s / a), y * (s / b), z)
+
+    def _corners(self):
+        # a ring of 64 points at each profile vertex, under the stretch
+        (a, b), phi = self._stretch, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        r, z = np.repeat(np.concatenate(self._profiles()).T[:, :, None], 64, axis=2)
+        return np.stack([a * r * np.cos(phi), b * r * np.sin(phi), z], axis=-1).reshape(-1, 3)
 
     def _half_extent(self):
         # x and y both take the larger stretch: the circumscribed cylinder
@@ -700,6 +702,9 @@ class Box(_Solid):
 
     def _half_extent(self):
         return np.asarray(self.size) / 2.0
+
+    def _corners(self):
+        return np.array(list(product(*[(-h, h) for h in self._half_extent()])))
 
     def _patch_families(self, n):
         half = np.asarray(self.size) / 2.0
@@ -858,15 +863,12 @@ class Mesh(_Solid):
         p = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
         return self.mesh.contains(p.reshape(-1, 3)).reshape(p.shape[:-1])
 
-    def _lattice(self, xs, ys, zs, counts=False):
-        # scanline parity, one voxel row of ss lattice lines at a time; the
-        # band is the voxels whose count is neither 0 nor ss^3, and only a
-        # fill that asks for bits gathers them out of the row
+    def _lattice(self, xs, ys, zs):
+        # scanline parity, one voxel row of ss lattice lines at a time
         dims, ss = (len(xs), len(ys), len(zs)), xs.shape[1]
         nx, ny, nz = dims
         lx, ly, lz = _local_axes(self, xs.ravel(), ys.ravel(), zs.ravel())
         count = np.empty(dims, dtype=np.uint8)
-        cut, cut_bits = [], []
         for j in range(ny):
             inside = self.mesh.contains_lattice(lx, ly[j * ss:(j + 1) * ss], lz)   # (y, z, x)
             # a count is at most ss**3 = 64; summing the leading axis first as
@@ -874,20 +876,13 @@ class Mesh(_Solid):
             blocks = inside.view(np.uint8).reshape(ss, nz, ss, nx, ss)
             row = blocks.sum(axis=0, dtype=np.uint8).sum(axis=(1, 3), dtype=np.uint8)
             count[:, j, :] = row.T
-            if not counts:
-                kz, kx = np.nonzero((row > 0) & (row < ss**3))
-                cut.append((kx * ny + j) * nz + kz)
-                voxel_bits = inside.reshape(blocks.shape)[:, kz, :, kx, :]   # (voxel, y, z, x)
-                cut_bits.append(voxel_bits.transpose(0, 3, 1, 2).reshape(len(kz), ss**3))
-        band = np.flatnonzero((count > 0) & (count < ss**3))
-        if counts:
-            bits = count.reshape(-1)[band]
-        else:
-            bits = np.concatenate(cut_bits)[np.argsort(np.concatenate(cut))]
-        return count == ss**3, band, bits
+        return count
 
     def _bounds(self):
         return self.mesh.bounding_box()
+
+    def _corners(self):
+        return self.mesh.vertices
 
     def _patch_families(self, n):
         # the per-facet mid-edge rule; resolution does not apply
@@ -940,7 +935,10 @@ def _check_cavities(spec):
     distance (tangency included): the center must be inside, and farther
     from the boundary than the radius by the ``_clearance``, which is
     then the magnitude of the signed distance.  Other combinations are
-    validated on sampled cavity-surface probes.
+    validated on probes of the cavity surface: the resolution-8
+    quadrature nodes, and the ``_corners`` that no node reaches (a box's
+    8 corners, a ring at each profile vertex of a solid of revolution,
+    a mesh's vertices).
     """
     host = replace(spec, cavities=())
     probes = []
@@ -949,7 +947,8 @@ def _check_cavities(spec):
             raise CavityOverlap(f"cavity is not a shape spec: {cav!r}")
         if cav.cavities:
             raise CavityOverlap("cavities may not themselves contain cavities")
-        pts = quadrature(cav, resolution=8).points
+        pts = np.concatenate([quadrature(cav, resolution=8).points,
+                              cav._corners() @ cav._frame.T + cav.center])
         if not np.all(contains(host, pts)):
             raise CavityOverlap("cavity surface is not strictly inside the host")
         # parity probes above are the best available for hosts without a distance

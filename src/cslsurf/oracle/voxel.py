@@ -29,31 +29,31 @@ differently from a matrix product.
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
 (0..64), never from a mask of the whole lattice.  The host and each
-cavity classify the lattice through their ``_lattice`` hook, which
-returns each voxel's side, the band (the voxels the boundary may cut)
-and the band's subsample bits.  An analytic solid works in three levels.
-Blocks of 4 voxels a side take the solid's clearance, a lower bound on
-the distance to the boundary, at their centers; a block whose clearance
-exceeds its reach, the largest distance from its center to one of its
-subsamples (with a relative slack of 1e-6), cannot be cut by the
-boundary, and all its voxels take ``contains`` at its center.  The
-voxels of the other blocks do the same with their own reach (3/8 sqrt 3
-spacings).  Only the voxels left classify their 64 subsamples, gathered
-from the same axis arrays and passed through ``contains`` in fixed-size
-chunks, so each is the lattice point the pointwise test would see and
-the fractions are exactly its fractions.  Meshes use scanline parity,
-one voxel row of lattice lines at a time: one +x ray per (y, z)
-subsample line, crossed with every face whose yz bounding box holds the
-line, and a running parity along x.  Each edge is evaluated from one
-fixed end, so the faces sharing it see exactly opposite values, and a
-line exactly on an edge or a vertex is counted as if moved by an
-infinitesimal step toward +y (then +z), a top-left rule: it crosses the
-surface there once, as a line beside it would.  A body without cavities
-counts its host's band alone.  With cavities, the solids' bits are
-composed over the union of their bands, a solid taking its side where
-the voxel is outside its own band; outside the union a voxel counts 64
-if it is in the host and in no cavity.  The lattice is the same for
-every shape, so the fraction is always a count over 64.
+cavity count their subsamples in each voxel through their ``_lattice``
+hook.  An analytic solid works in three levels.  Blocks of 4 voxels a
+side take the solid's clearance, a lower bound on the distance to the
+boundary, at their centers; a block whose clearance exceeds its reach,
+the largest distance from its center to one of its subsamples (with a
+relative slack of 1e-6), cannot be cut by the boundary, and all its
+voxels take ``contains`` at its center.  The voxels of the other blocks
+do the same with their own reach (3/8 sqrt 3 spacings).  Only the voxels
+left, the band, classify their 64 subsamples, gathered from the same
+axis arrays and passed through ``contains`` in fixed-size chunks, so
+each is the lattice point the pointwise test would see and the counts
+are exactly its counts.  Meshes use scanline parity, one voxel row of
+lattice lines at a time: one +x ray per (y, z) subsample line, crossed
+with every face whose yz bounding box holds the line, and a running
+parity along x.  Each edge is evaluated from one fixed end, so the
+faces sharing it see exactly opposite values, and a line exactly on an
+edge or a vertex is counted as if moved by an infinitesimal step toward
++y (then +z), a top-left rule: it crosses the surface there once, as a
+line beside it would.  Each cavity's counts are subtracted from the
+host's, as every other path subtracts cavities; ``build_shape`` keeps
+each cavity strictly inside its host and apart from the others, so the
+difference is the pointwise count of host and no cavity.  A cavity that
+counts more subsamples in a voxel than the host has left there raises
+``CavityOverlap``.  The lattice is the same for every shape, so the
+fraction is always a count over 64.
 
 A body that takes both the filtered raster and the DFT route of the
 k-space integral (a mesh or a cone-capped cylinder) reads its indicator
@@ -68,7 +68,6 @@ import math
 import os
 import weakref
 from dataclasses import dataclass, replace
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +75,7 @@ from scipy import ndimage
 from scipy.fft import next_fast_len
 
 from ..errors import (
+    CavityOverlap,
     DegenerateDimension,
     GridTooLarge,
     ParseError,
@@ -325,31 +325,22 @@ def supersampled_fraction(spec, dims, origin, spacing):
     inside the material, a count over ss^3.
 
     The host solid (without its cavities, built once per fill) and each
-    cavity classify the lattice through their ``_lattice`` hook (blocks,
-    then voxels, then the band's subsamples for analytic solids; scanline
-    parity for meshes): each voxel's side, the voxels the boundary may cut
-    (the band) and their subsample bits.  A body with no cavities asks its
-    host for the band's counts alone.  Otherwise, over the union of the
-    bands, a solid's bits are its own in its band and its side elsewhere,
-    and the host's bits less every cavity's are counted; outside the
-    union, a voxel counts ss^3 if it is in the host and in no cavity.
+    cavity count their subsamples in each voxel through their ``_lattice``
+    hook (blocks, then voxels, then the band's subsamples for analytic
+    solids; scanline parity for meshes), and each cavity's counts are
+    subtracted from the host's, as mass and form factor subtract them.  A
+    cavity whose count in some voxel exceeds what is left of the host's
+    there leaves its host or meets another cavity on the lattice, and
+    raises :class:`CavityOverlap`.
     """
     ss = _SUPERSAMPLE
     sub = (np.arange(ss) + 0.5) / ss - 0.5
     cells = [origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]) for a in range(3)]
-    host = replace(spec, cavities=())
-    if not spec.cavities:
-        side, band, counts = host._lattice(*cells, counts=True)
-    else:
-        parts = [solid._lattice(*cells) for solid in (host, *spec.cavities)]
-        band = reduce(np.union1d, [part[1] for part in parts])
-        side = inside = None
-        for solid_side, solid_band, bits in parts:
-            full = np.repeat(solid_side.reshape(-1)[band][:, None], ss**3, axis=1)
-            full[np.searchsorted(band, solid_band)] = bits
-            side = solid_side if side is None else side & ~solid_side
-            inside = full if inside is None else inside & ~full
-        counts = np.count_nonzero(inside, axis=1)
-    count = side * np.uint8(ss**3)
-    count.reshape(-1)[band] = counts
+    count = replace(spec, cavities=())._lattice(*cells)
+    for i, cav in enumerate(spec.cavities):
+        hole = cav._lattice(*cells)
+        if np.any(hole > count):
+            raise CavityOverlap(f"cavity {i} is not inside what is left of the host "
+                                "on the fill's subsample lattice")
+        count -= hole
     return count / ss**3

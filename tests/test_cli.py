@@ -457,6 +457,34 @@ def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "object" in err
 
 
+# each used to end in a traceback: UnicodeDecodeError, and a ValueError
+# for an integer past the interpreter's 4,300-digit conversion limit
+@pytest.mark.parametrize("source, data", [
+    ("config", b'{"shape": {"type": "sphere", "radius": "1 um\xff\xfe"}}'),
+    ("config", b'{"shape": {"type": "sphere", "radius": 1%s}}' % (b"0" * 4999)),
+    ("--shape", '{"type": "sphere", "radius": 1%s}' % ("0" * 4999)),
+], ids=["config-not-utf8", "config-5000-digits", "shape-5000-digits"])
+def test_config_that_does_not_decode_is_a_usage_error(capsys, tmp_path, source, data):
+    if source == "config":
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--shape", data]
+    code, out, err = run(capsys, "tensors", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and source in err
+
+
+def test_cavity_corner_outside_host_is_a_usage_error(capsys):
+    # the box's corner (0.6, 0.6, 0.6) um leaves the sphere; this used to exit 0
+    shape = ('{"type":"sphere","radius":"1 um","cavities":'
+             '[{"type":"box","size":["1.2 um","1.2 um","1.2 um"]}]}')
+    code, out, err = run(capsys, "tensors", "--shape", shape)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "inside the host" in err
+
+
 def test_integral_float_resolution_in_config_is_accepted(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"shape": %s, "resolution": 8.0}' % SPHERE)

@@ -28,6 +28,7 @@ from cslsurf.geometry import (
     quadrature,
     signed_distance,
 )
+from cslsurf.oracle.voxel import _grid_geometry, supersampled_fraction
 
 SHAPE_SUITE = [
     Sphere(1.0),
@@ -163,6 +164,34 @@ class TestValidation:
         with pytest.raises(CavityOverlap):
             build_shape(ConeCappedCylinder(6.0, 12.0, math.pi / 2,
                                            cavities=(Sphere(1.0, center=center),)))
+
+    # no resolution-8 quadrature node reaches a corner, a rim or a vertex,
+    # where each of these cavities leaves the unit sphere
+    @pytest.mark.parametrize("cavity", [
+        Box((1.2, 1.2, 1.2)),                    # corner (0.6, 0.6, 0.6)
+        Cylinder(0.75, 1.37),                    # rim point (0.75, 0, 0.685)
+        Mesh(mesh=box_mesh(1.2, 1.2, 1.2)),      # vertex (0.6, 0.6, 0.6)
+    ], ids=["box-corner", "cylinder-rim", "mesh-vertex"])
+    def test_cavity_corner_outside_host_rejected(self, cavity):
+        with pytest.raises(CavityOverlap):
+            build_shape(Sphere(1.0, cavities=(cavity,)))
+
+    @pytest.mark.parametrize("cavity", [
+        Box((1.1, 1.1, 1.1)),
+        Cylinder(0.7, 1.37),
+        EllipticCylinder(0.5, 0.8, 1.0, axis=(1.0, 1.0, 0.0)),
+    ], ids=["box", "cylinder", "elliptic"])
+    def test_cavity_corners_inside_host_are_fine(self, cavity):
+        spec = Sphere(1.0, cavities=(cavity,))
+        assert build_shape(spec) is spec
+
+    def test_fill_rejects_cavity_outside_host(self):
+        # unvalidated: the fill subtracts counts, and the box's corners
+        # count subsamples in voxels the sphere leaves empty
+        spec = Sphere(1.0, cavities=(Box((1.2, 1.2, 1.2)),))
+        dims, origin = _grid_geometry(spec, 0.05, 0.2)
+        with pytest.raises(CavityOverlap):
+            supersampled_fraction(spec, dims, origin, 0.05)
 
 
 class TestQuadrature:
