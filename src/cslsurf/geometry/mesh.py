@@ -20,9 +20,20 @@ from .patches import SurfacePatches
 # vertex dedup tolerance, relative to the bounding-box diagonal
 DEDUP_RELATIVE_TOL = 1e-9
 # point-face pairs per chunk of TriangleMesh.contains (those in a face's y
-# band); a pair takes at most about 80 bytes of temporaries, so a chunk stays
-# near 5 MB whatever the face count
+# band), and line-face pairs per chunk of TriangleMesh._flips (those in a
+# face's yz box); a chunk's temporaries stay near 6 MB whatever the face
+# count or lattice
 _CONTAINS_PAIRS = 1 << 16
+
+
+def _pairs(counts):
+    """The pairs (i, k), k < counts[i], in order, as index arrays (i, k)
+    of at most ``_CONTAINS_PAIRS`` pairs a chunk, however large one count."""
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    for first in range(0, ends[-1], _CONTAINS_PAIRS):
+        pair = np.arange(first, min(first + _CONTAINS_PAIRS, ends[-1]))
+        i = np.searchsorted(ends, pair, "right") - 1
+        yield i, pair - ends[i]
 
 
 class _RayFaces(NamedTuple):
@@ -44,7 +55,8 @@ class _RayFaces(NamedTuple):
     hi: np.ndarray     # (m, 2)
 
     def take(self, index):
-        return _RayFaces(*(a[index] for a in self))
+        # np.take gathers rows many times faster than fancy indexing
+        return _RayFaces(*(np.take(a, index, axis=0) for a in self))
 
     def crossings(self, y, z):
         """(hit, x): does the +x line at (y, z) cross each face, and where.
@@ -57,9 +69,9 @@ class _RayFaces(NamedTuple):
         w = self.sign * (self.step[..., 0] * (zl - self.base[..., 1])
                          - self.step[..., 1] * (yl - self.base[..., 0]))
         total = w[..., 0] + w[..., 1] + w[..., 2]
-        # the bounding box is the scanline's cull; testing it here too keeps
-        # both callers equal where rounding puts a line just outside the
-        # box on the inner side of all three edges
+        # the bounding box is the callers' cull; testing it here too keeps
+        # an unculled caller equal where rounding puts a line just outside
+        # the box on the inner side of all three edges
         hit = (np.all((w > 0.0) | ((w == 0.0) & self.owns), axis=-1) & (total > 0.0)
                & (self.lo[..., 0] <= y) & (y <= self.hi[..., 0])
                & (self.lo[..., 1] <= z) & (z <= self.hi[..., 1]))
@@ -231,11 +243,13 @@ class TriangleMesh:
         line exactly on an edge or a vertex counts as if moved by an
         infinitesimal step toward +y (then +z), a top-left rule.  A ray
         that threads an edge or a vertex is thus counted as a ray beside
-        it would be.  :meth:`contains_lattice` classifies a lattice by
-        the same arithmetic, so the two agree in every bit.  Each face
-        is tested only against the points in its yz bounding box: the
-        points sorted by y give each face its band, cut to the box in z.
-        Faces go in chunks sized so that the band pairs stay bounded.
+        it would be.  :meth:`_flips`, which the supersampled fill of a
+        lattice counts from, takes the same arithmetic, so the two agree
+        in every bit.  Each face is tested only against the points in its
+        yz bounding box: the points sorted by y give each face its band,
+        cut to the box in z.  The face/point pairs of the bands go in
+        chunks of ``_CONTAINS_PAIRS``, so memory stays bounded however
+        many points one band holds.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         faces = self._ray_faces
@@ -244,36 +258,30 @@ class TriangleMesh:
         # the points in each face's y band: order[p0:p1]
         p0 = np.searchsorted(y, faces.lo[:, 0], "left")
         band = np.searchsorted(y, faces.hi[:, 0], "right") - p0
-        ends = np.concatenate([[0], np.cumsum(band)])
         parity = np.zeros(len(points), dtype=np.int64)
-        first = 0
-        while first < len(band):
-            last = max(first + 1, int(np.searchsorted(ends, ends[first] + _CONTAINS_PAIRS,
-                                                      "right")) - 1)
-            f = np.repeat(np.arange(first, last), band[first:last])
-            o = np.arange(len(f)) - np.repeat(ends[first:last] - ends[first], band[first:last])
+        for f, o in _pairs(band):
             p = order[p0[f] + o]
             z = points[p, 2]
             keep = (faces.lo[f, 1] <= z) & (z <= faces.hi[f, 1])
             f, p = f[keep], p[keep]
             hit, x = faces.take(f).crossings(points[p, 1], points[p, 2])
             parity += np.bincount(p[hit & (x > points[p, 0])], minlength=len(points))
-            first = last
         return parity % 2 == 1
 
-    def contains_lattice(self, xs, ys, zs):
-        """:meth:`contains` at every point of an ascending lattice.
+    def _flips(self, xs, ys, zs):
+        """Where :meth:`contains` changes along the lines of an ascending
+        lattice.
 
-        Returns a (len(ys), len(zs), len(xs)) mask.  One +x ray per
-        (y, z) line: each face is tested only against the lines in its
-        yz bounding box, and each crossing is placed among the ``xs`` by
-        bisection.  A sample is inside when an odd number of crossings
-        lie beyond it, so each line's mask is a few runs of one value,
-        changing where an odd number of crossings fall: the mask is
-        repeated out of those runs, with no pass over the lattice per
-        crossing count.
+        Line ``j * len(zs) + k`` is the +x line at (ys[j], zs[k]).  Each
+        face meets the lines in its yz bounding box, cut from the lattice
+        by bisection, and each crossing is placed among the ``xs`` by
+        bisection: a crossing at index i lies beyond exactly the samples
+        xs[:i].  Returns (line, at), sorted, of the pairs that an odd
+        number of crossings reach: sample xs[a] of a line is inside when
+        an odd number of its flips have at > a.  Face/line pairs go in
+        chunks of ``_CONTAINS_PAIRS``, so the temporaries stay bounded
+        whatever the lattice; only the crossings are kept.
         """
-        xs, ys, zs = (np.asarray(a, dtype=float) for a in (xs, ys, zs))
         faces = self._ray_faces
         # the lines in each face's yz bounding box: ys[j0:j1] x zs[k0:k1]
         j0, j1 = (np.searchsorted(ys, faces.lo[:, 0], "left"),
@@ -281,28 +289,14 @@ class TriangleMesh:
         k0, k1 = (np.searchsorted(zs, faces.lo[:, 1], "left"),
                   np.searchsorted(zs, faces.hi[:, 1], "right"))
         nk = k1 - k0
-        lines = (j1 - j0) * nk
-        f = np.repeat(np.arange(len(lines)), lines)
-        o = np.arange(len(f)) - np.repeat(np.cumsum(lines) - lines, lines)
-        j, k = j0[f] + o // nk[f], k0[f] + o % nk[f]
-        hit, x = faces.take(f).crossings(ys[j], zs[k])
-        # a crossing is beyond exactly the samples xs[:i], so a line's mask
-        # flips at each i that an odd number of its crossings reach
-        nx, nlines = len(xs), len(ys) * len(zs)
-        i = np.searchsorted(xs, x[hit], "left")
-        key, count = np.unique((j[hit] * len(zs) + k[hit]) * (nx + 1) + i, return_counts=True)
-        line, at = np.divmod(key[count % 2 == 1], nx + 1)
-        # a line is one run from its first sample and one from each flip (a
-        # flip at 0 or nx leaves an empty run); a run's value is the parity
-        # of the line's flips after its start
-        flips = np.bincount(line, minlength=nlines)
-        owner = np.repeat(np.arange(nlines), flips + 1)
-        passed = np.arange(len(owner)) - (np.cumsum(flips + 1) - flips - 1)[owner]
-        start = owner * nx
-        start[passed > 0] += at
-        value = (flips[owner] - passed) % 2 == 1
-        runs = np.diff(start, append=nlines * nx)
-        return np.repeat(value, runs).reshape(len(ys), len(zs), nx)
+        keys = [np.empty(0, dtype=np.int64)]
+        for f, o in _pairs((j1 - j0) * nk):
+            j, k = j0[f] + o // nk[f], k0[f] + o % nk[f]
+            hit, x = faces.take(f).crossings(ys[j], zs[k])
+            i = np.searchsorted(xs, x[hit], "left")
+            keys.append((j[hit] * len(zs) + k[hit]) * (len(xs) + 1) + i)
+        key, count = np.unique(np.concatenate(keys), return_counts=True)
+        return np.divmod(key[count % 2 == 1], len(xs) + 1)
 
     def surface_patches(self):
         """Mid-edge three-point rule per facet.

@@ -29,7 +29,7 @@ functions here and in the oracles dispatch to its methods.  Each hook
 takes the local coordinates as broadcastable arrays (:func:`_local_axes`);
 only a mesh's ray parity stacks them into points.  The supersampled
 fill's ``_lattice`` hook takes world axes and classifies through
-:func:`contains`.
+:func:`contains`, but for a mesh, which counts from its ray crossings.
 """
 
 import math
@@ -394,14 +394,17 @@ def _rect_patches(axis, sign, half, n_face):
 _BLOCK = 4
 #: band voxels whose subsamples go through one ``contains`` call
 _BAND_CHUNK = 1024
+#: relative slack of a reach (:func:`_groups`)
+_REACH_SLACK = 1e-6
 
 
 def _groups(cells, size):
     """Centers of the runs of ``size`` voxels along each axis of the
     lattice ``cells`` (the last run may be shorter), and their reach: the
     largest distance from a run's center to one of its subsamples, with a
-    relative slack of 1e-6 for the rounding of the local frame and of the
-    clearance, some 1e-15 of the body's size."""
+    relative slack of ``_REACH_SLACK`` (1e-6) for the rounding of the local
+    frame and of the clearance, some 1e-15 of the body's size, and of the
+    grid coordinates, which ``oracle.voxel._grid_geometry`` keeps below it."""
     mids, half = [], []
     for c in cells:
         (n, ss), first = c.shape, np.arange(0, len(c), size)
@@ -409,7 +412,7 @@ def _groups(cells, size):
         mid = 0.5 * (flat[first * ss] + flat[np.minimum(first + size, n) * ss - 1])
         mids.append(mid)
         half.append(np.max(np.abs(flat - np.repeat(mid, size * ss)[:n * ss])))
-    return mids, math.hypot(*half) * (1.0 + 1e-6)
+    return mids, math.hypot(*half) * (1.0 + _REACH_SLACK)
 
 
 def _spread(blocks, dims):
@@ -453,8 +456,9 @@ class _Solid:
     unless a subclass says otherwise.  ``_lattice`` counts each voxel's
     subsamples inside the bare solid on the supersampled fill's world-axis
     lattice, culling blocks and then voxels by their clearance; ``Mesh``
-    overrides it with scanline parity.  ``_corners`` are the local points
-    no quadrature node reaches, which the cavity check probes too.
+    overrides it with a count from the flips of each lattice line's ray
+    parity.  ``_corners`` are the local points no quadrature node
+    reaches, which the cavity check probes too.
     """
 
     _sdf = None
@@ -864,19 +868,28 @@ class Mesh(_Solid):
         return self.mesh.contains(p.reshape(-1, 3)).reshape(p.shape[:-1])
 
     def _lattice(self, xs, ys, zs):
-        # scanline parity, one voxel row of ss lattice lines at a time
-        dims, ss = (len(xs), len(ys), len(zs)), xs.shape[1]
-        nx, ny, nz = dims
-        lx, ly, lz = _local_axes(self, xs.ravel(), ys.ravel(), zs.ravel())
-        count = np.empty(dims, dtype=np.uint8)
-        for j in range(ny):
-            inside = self.mesh.contains_lattice(lx, ly[j * ss:(j + 1) * ss], lz)   # (y, z, x)
-            # a count is at most ss**3 = 64; summing the leading axis first as
-            # uint8 is about 4x faster than one bool reduction over three axes
-            blocks = inside.view(np.uint8).reshape(ss, nz, ss, nx, ss)
-            row = blocks.sum(axis=0, dtype=np.uint8).sum(axis=(1, 3), dtype=np.uint8)
-            count[:, j, :] = row.T
-        return count
+        # a lattice line is inside between the flips of its ray parity
+        # (TriangleMesh._flips): a line with an odd number of flips starts
+        # inside, and a flip enters or leaves by the parity of its rank in
+        # its line.  A flip at sample a adds +-(ss - a % ss) to voxel a // ss
+        # and +-(a % ss) to the next; the ss^2 lines of a voxel column share
+        # its row of differences, so one cumsum along x gives the counts
+        (nx, ss), ny, nz = xs.shape, len(ys), len(zs)
+        line, at = self.mesh._flips(*(a.ravel() for a in _local_axes(self, xs, ys, zs)))
+        first = np.flatnonzero(np.diff(line, prepend=-1))
+        run = np.diff(first, append=len(line))
+        rank = np.arange(len(line)) - np.repeat(first, run)
+        step = np.where((rank + np.repeat(run, run)) % 2 == 0, 1, -1)
+        j, k = np.divmod(line, nz * ss)
+        column, plane = (j // ss) * nz + k // ss, ny * nz
+        q, m = np.divmod(at, ss)
+        diff = np.zeros((nx + 2) * plane, dtype=np.int16)
+        # add.at is fast only on values of the array's own dtype
+        np.add.at(diff, q * plane + column, (step * (ss - m)).astype(np.int16))
+        np.add.at(diff, (q + 1) * plane + column, (step * m).astype(np.int16))
+        np.add.at(diff, column[first[run % 2 == 1]], np.int16(ss))
+        count = np.cumsum(diff.reshape(nx + 2, plane)[:nx], axis=0, dtype=np.int16)
+        return count.astype(np.uint8).reshape(nx, ny, nz)
 
     def _bounds(self):
         return self.mesh.bounding_box()

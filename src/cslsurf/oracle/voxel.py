@@ -28,30 +28,36 @@ differently from a matrix product.
 
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
-(0..64), never from a mask of the whole lattice.  The host and each
-cavity count their subsamples in each voxel through their ``_lattice``
-hook.  An analytic solid works in three levels.  Blocks of 4 voxels a
-side take the solid's clearance, a lower bound on the distance to the
-boundary, at their centers; a block whose clearance exceeds its reach,
-the largest distance from its center to one of its subsamples (with a
-relative slack of 1e-6), cannot be cut by the boundary, and all its
-voxels take ``contains`` at its center.  The voxels of the other blocks
-do the same with their own reach (3/8 sqrt 3 spacings).  Only the voxels
-left, the band, classify their 64 subsamples, gathered from the same
-axis arrays and passed through ``contains`` in fixed-size chunks, so
-each is the lattice point the pointwise test would see and the counts
-are exactly its counts.  Meshes use scanline parity, one voxel row of
-lattice lines at a time: one +x ray per (y, z) subsample line, crossed
-with every face whose yz bounding box holds the line, and a running
-parity along x.  Each edge is evaluated from one fixed end, so the
-faces sharing it see exactly opposite values, and a line exactly on an
-edge or a vertex is counted as if moved by an infinitesimal step toward
-+y (then +z), a top-left rule: it crosses the surface there once, as a
-line beside it would.  Each cavity's counts are subtracted from the
-host's, as every other path subtracts cavities; ``build_shape`` keeps
-each cavity strictly inside its host and apart from the others, so the
-difference is the pointwise count of host and no cavity.  A cavity that
-counts more subsamples in a voxel than the host has left there raises
+(0..64), never from a mask of the lattice or of its rows.  The host
+and each cavity count their subsamples in each voxel through their
+``_lattice`` hook.  An analytic solid works in three levels.  Blocks of
+4 voxels a side take the solid's clearance, a lower bound on the
+distance to the boundary, at their centers; a block whose clearance
+exceeds its reach, the largest distance from its center to one of its
+subsamples (with a relative slack of 1e-6), cannot be cut by the
+boundary, and all its voxels take ``contains`` at its center.  The
+voxels of the other blocks do the same with their own reach (3/8 sqrt 3
+spacings).  Only the voxels left, the band, classify their 64
+subsamples, gathered from the same axis arrays and passed through
+``contains`` in fixed-size chunks, so each is the lattice point the
+pointwise test would see and the counts are exactly its counts.  A
+mesh counts from the crossings of one +x ray per (y, z) subsample line
+with the faces whose yz bounding box holds the line, taken in bounded
+chunks of face/line pairs.  A line is inside past each sample that an
+odd number of its crossings lie beyond, so its inside runs change only
+at its flips, the samples where an odd number of crossings fall; each
+flip adds its signed share of subsamples to its voxel and the next,
+and one cumulative sum along x turns the shares of a voxel column's
+ss^2 lines into its counts, with no pass over the subsamples.  Each
+edge is evaluated from one fixed end, so the faces sharing it see
+exactly opposite values, and a line exactly on an edge or a vertex is
+counted as if moved by an infinitesimal step toward +y (then +z), a
+top-left rule: it crosses the surface there once, as a line beside it
+would.  Each cavity's counts are subtracted from the host's, as every
+other path subtracts cavities; ``build_shape`` keeps each cavity
+strictly inside its host and apart from the others, so the difference
+is the pointwise count of host and no cavity.  A cavity that counts
+more subsamples in a voxel than the host has left there raises
 ``CavityOverlap``.  The lattice is the same for every shape, so the
 fraction is always a count over 64.
 
@@ -65,6 +71,7 @@ keeps nothing.
 """
 
 import math
+import numbers
 import os
 import weakref
 from dataclasses import dataclass, replace
@@ -76,13 +83,21 @@ from scipy.fft import next_fast_len
 
 from ..errors import (
     CavityOverlap,
+    ConfigError,
     DegenerateDimension,
     GridTooLarge,
     ParseError,
     SpacingTooCoarse,
     UnsupportedShape,
 )
-from ..geometry.shapes import _has_form_factor, _local_axes, _positive, bounding_box, build_shape
+from ..geometry.shapes import (
+    _REACH_SLACK,
+    _has_form_factor,
+    _local_axes,
+    _positive,
+    bounding_box,
+    build_shape,
+)
 
 #: default zero-field margin around the body, in units of sigma.  Five
 #: sigma leaves a step-edge residue of ~3e-7 rho at the grid boundary;
@@ -232,11 +247,28 @@ def _grid_lengths(density, sigma, spacing=None, padding=None):
 
 def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     """Dims and origin of the grid over the bounding box plus ``padding``
-    on every side; axis sizes are rounded up to FFT-friendly lengths."""
+    on every side; axis sizes are rounded up to FFT-friendly lengths.
+
+    ``max_voxels`` must be a positive integer (:class:`ConfigError`).  A
+    grid past it raises :class:`GridTooLarge`, and so does one axis past
+    it on its own, before its length is rounded.  The fill keeps a
+    relative slack of 1e-6 on a voxel's reach, (3/8) sqrt(3) spacings,
+    for rounding; a coordinate X rounds by at most eps |X| (eps = 2^-52),
+    so a grid whose largest |coordinate| passes 1e-6 (3/8) sqrt(3) / eps,
+    about 2.9e9 spacings (146 m at 50 nm), raises
+    :class:`DegenerateDimension`: its coordinates no longer resolve the
+    subsample lattice.
+    """
+    if (isinstance(max_voxels, bool) or not isinstance(max_voxels, numbers.Integral)
+            or max_voxels < 1):
+        raise ConfigError(f"max_voxels must be a positive integer, got {max_voxels!r}")
     lo, hi = bounding_box(spec)
     dims, origin = [], []
     for i in range(3):
         span = (hi[i] - lo[i]) + 2.0 * padding
+        if not span / spacing + 1 <= max_voxels:
+            raise GridTooLarge(f"axis {'xyz'[i]} alone takes {span / spacing + 1:.3g} voxels, "
+                               f"past the cap {max_voxels}")
         n = next_fast_len(int(math.ceil(span / spacing)) + 1, real=True)
         mid = 0.5 * (lo[i] + hi[i])
         dims.append(n)
@@ -244,7 +276,15 @@ def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     n_total = math.prod(dims)
     if n_total > max_voxels:
         raise GridTooLarge(f"{tuple(dims)} = {n_total} voxels exceed cap {max_voxels}")
-    return tuple(dims), np.array(origin)
+    origin = np.array(origin)
+    far = np.max(np.abs([origin, origin + (np.array(dims) - 1) * spacing]))
+    reach = math.sqrt(3.0) * (_SUPERSAMPLE - 1) / (2 * _SUPERSAMPLE) * spacing
+    limit = _REACH_SLACK * reach / np.finfo(float).eps
+    if not far <= limit:
+        raise DegenerateDimension(
+            f"the grid reaches {far:.3g} from the origin, past {limit:.3g}, where its "
+            f"coordinates round by more than the fill's reach slack at spacing {spacing:.3g}")
+    return tuple(dims), origin
 
 
 def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
@@ -327,11 +367,11 @@ def supersampled_fraction(spec, dims, origin, spacing):
     The host solid (without its cavities, built once per fill) and each
     cavity count their subsamples in each voxel through their ``_lattice``
     hook (blocks, then voxels, then the band's subsamples for analytic
-    solids; scanline parity for meshes), and each cavity's counts are
-    subtracted from the host's, as mass and form factor subtract them.  A
-    cavity whose count in some voxel exceeds what is left of the host's
-    there leaves its host or meets another cavity on the lattice, and
-    raises :class:`CavityOverlap`.
+    solids; the flips of each line's ray parity for meshes), and each
+    cavity's counts are subtracted from the host's, as mass and form
+    factor subtract them.  A cavity whose count in some voxel exceeds
+    what is left of the host's there leaves its host or meets another
+    cavity on the lattice, and raises :class:`CavityOverlap`.
     """
     ss = _SUPERSAMPLE
     sub = (np.arange(ss) + 0.5) / ss - 0.5

@@ -449,6 +449,19 @@ def test_voxel_cap_below_one_is_a_usage_error(capsys, argv, value):
     assert err.startswith("error: ") and f"max voxels must be at least 1, got {value}" in err
 
 
+@pytest.mark.parametrize("shape, argv, expected", [
+    (SPHERE, ("--spacing", "1e-300 m"), (3, "alone takes")),
+    (SPHERE, ("--padding", "1e300 m"), (3, "alone takes")),
+    ('{"type":"sphere","radius":"1 um","center":["1e9 m",0,0]}', (), (1, "from the origin")),
+], ids=["spacing-1e-300", "padding-1e300", "center-1e9"])
+def test_unusable_grid_is_an_error_not_a_traceback(capsys, shape, argv, expected):
+    # the first two ended in a bare OverflowError, the third reported
+    # tensors from coordinates that no longer resolve the lattice
+    code, out, err = run(capsys, "validate", "--shape", shape, *argv)
+    assert (code, out) == (expected[0], "")
+    assert err.startswith("error: ") and expected[1] in err
+
+
 def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[1]")

@@ -39,16 +39,25 @@ SCANLINE_SETTINGS = settings(max_examples=30, deadline=None, database=None,
                              derandomize=True)
 
 
+def lattice_cells(dims, origin, spacing):
+    """The fill's (n, ss) subsample axes of the grid (dims, origin, spacing)."""
+    sub = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
+    return [origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :])
+            for a in range(3)]
+
+
+def pointwise_counts(spec, xs, ys, zs):
+    """contains() at every point of the lattice of the (n, ss) axes xs, ys
+    and zs, counted per voxel."""
+    X, Y, Z = np.meshgrid(xs.ravel(), ys.ravel(), zs.ravel(), indexing="ij")
+    inside = contains(spec, np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
+    (nx, ss), (ny, _), (nz, _) = xs.shape, ys.shape, zs.shape
+    return inside.reshape(nx, ss, ny, ss, nz, ss).sum(axis=(1, 3, 5))
+
+
 def pointwise_fraction(spec, dims, origin, spacing):
     """Mean of contains() over the same ss^3 subsample lattice, per voxel."""
-    ss = _SUPERSAMPLE
-    sub = (np.arange(ss) + 0.5) / ss - 0.5
-    axes = [origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]).ravel()
-            for a in range(3)]
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    inside = contains(spec, np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
-    blocks = inside.reshape(dims[0], ss, dims[1], ss, dims[2], ss)
-    return blocks.mean(axis=(1, 3, 5))
+    return pointwise_counts(spec, *lattice_cells(dims, origin, spacing)) / _SUPERSAMPLE**3
 
 
 @SCANLINE_SETTINGS
@@ -147,6 +156,22 @@ def test_contains_memory_bounded_for_many_faces():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert np.array_equal(mask, [mesh.contains(p)[0] for p in points])
+
+
+def test_contains_memory_bounded_for_one_large_band():
+    # every point lies in the y band of each of the box's 12 faces; when a
+    # chunk took whole faces, 200,000 points peaked near 60 MB
+    mesh = box_mesh(1.0, 1.0, 1.0)
+    points = np.random.default_rng(4).uniform(-0.45, 0.55, size=(200_000, 3))
+    tracemalloc.start()
+    try:
+        mask = mesh.contains(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.array_equal(mask[:2000], unculled_contains(mesh, points[:2000]))
+    assert 0 < np.count_nonzero(mask) < len(points)
 
 
 def unculled_contains(mesh, points):
@@ -300,30 +325,75 @@ def test_blocks_keep_most_voxels_out_of_clearance(monkeypatch):
 
 
 def test_lattice_parity_past_a_byte_of_crossings():
-    # 131 thin boxes side by side in x, and a lattice sample inside the
-    # first and the last: 260 crossings lie between the two, more than a
-    # uint8 count holds, so only parity survives the wrap
+    # 131 thin boxes side by side in x, and two subsamples of each voxel
+    # inside one of them (boxes 0, 50, 51 and 130): 100 crossings lie
+    # between the first two, and 260 between the first and the last, more
+    # than a uint8 count holds; each voxel takes flips of both signs
     boxes = [box_mesh(4e-4, 1.0, 1.0, center=(1e-3 * i + 2e-4, 0.0, 0.0)) for i in range(131)]
-    mesh = TriangleMesh(np.concatenate([b.vertices for b in boxes]),
-                        np.concatenate([b.faces + 8 * i for i, b in enumerate(boxes)]))
-    xs = np.array([-0.5, 1e-4, 0.1302, 0.3])
-    ys = np.linspace(-0.6, 0.6, 7)
-    zs = np.linspace(-0.55, 0.65, 5)
-    got = mesh.contains_lattice(xs, ys, zs)
-    Y, Z, X = np.meshgrid(ys, zs, xs, indexing="ij")
-    expected = mesh.contains(np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
-    assert np.array_equal(got.ravel(), expected)
-    in_box = (np.abs(Y) < 0.5) & (np.abs(Z) < 0.5) & ((X == 1e-4) | (X == 0.1302))
-    assert np.array_equal(got, in_box) and in_box.any()
+    spec = Mesh(mesh=TriangleMesh(np.concatenate([b.vertices for b in boxes]),
+                                  np.concatenate([b.faces + 8 * i for i, b in enumerate(boxes)])))
+    xs = np.array([[-0.5, 1e-4, 0.0502, 0.0507], [0.0512, 0.1302, 0.3, 0.5]])
+    ys = np.linspace(-0.6, 0.6, 8).reshape(2, 4)
+    zs = np.linspace(-0.55, 0.65, 8).reshape(2, 4)
+    got = spec._lattice(xs, ys, zs)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, pointwise_counts(spec, xs, ys, zs))
+    in_box = np.array([[np.count_nonzero(np.abs(y) < 0.5) * np.count_nonzero(np.abs(z) < 0.5)
+                        for z in zs] for y in ys])
+    assert np.array_equal(got, [2 * in_box, 2 * in_box]) and in_box.min() > 0
 
 
-@pytest.mark.parametrize("xs", [np.linspace(-0.5, 0.5, 9),      # crossings before and beyond all
-                                np.linspace(0.2, 1.5, 6),        # beyond none on the +x side
-                                np.linspace(-1.5, -0.3, 5)])     # beyond all on the +x side
+@pytest.mark.parametrize("xs", [np.linspace(-0.5, 0.5, 8),      # crossings before and beyond all
+                                np.linspace(0.2, 1.5, 8),        # beyond none on the +x side
+                                np.linspace(-1.5, -0.3, 4)])     # beyond all on the +x side
 def test_lattice_clipped_inside_the_mesh(xs):
-    mesh = icosphere(1.0, 2, center=(0.01, -0.02, 0.03))
-    ys, zs = np.linspace(-1.2, 1.2, 11), np.linspace(-1.1, 1.3, 7)
-    got = mesh.contains_lattice(xs, ys, zs)
-    Y, Z, X = np.meshgrid(ys, zs, xs, indexing="ij")
-    expected = mesh.contains(np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
-    assert np.array_equal(got.ravel(), expected) and expected.any()
+    spec = Mesh(mesh=icosphere(1.0, 2, center=(0.01, -0.02, 0.03)))
+    xs, ys, zs = (a.reshape(-1, 4) for a in (xs, np.linspace(-1.2, 1.2, 12),
+                                             np.linspace(-1.1, 1.3, 8)))
+    got = spec._lattice(xs, ys, zs)
+    expected = pointwise_counts(spec, xs, ys, zs)
+    assert got.dtype == np.uint8 and np.array_equal(got, expected) and expected.any()
+
+
+@SCANLINE_SETTINGS
+@given(
+    kind=st.sampled_from(["box", "icosphere", "open box"]),
+    sides=st.tuples(*[st.floats(2.0, 5.0)] * 3),
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    center=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    pairs=st.sampled_from([7, 500, mesh_module._CONTAINS_PAIRS]),
+)
+# faces at +-11/8, on the subsample planes of the fixed lattice: lattice
+# lines run along the box's edges and subsamples sit on its x faces
+@example(kind="box", sides=(2.75,) * 3, quat=(0.0, 0.0, 0.0, 1.0), center=(0.0,) * 3,
+         pairs=mesh_module._CONTAINS_PAIRS)
+def test_mesh_counts_match_pointwise_under_rigid_motion(kind, sides, quat, center, pairs):
+    # a rotated mesh moved anywhere on a fixed lattice, in chunks of a few
+    # face/line pairs up to the default; the lines through the missing
+    # face of the open box cross it an odd number of times
+    base = icosphere(min(sides) / 2, 1) if kind == "icosphere" else box_mesh(*sides)
+    turned = base.vertices @ Rotation.from_quat(quat).as_matrix().T
+    faces = base.faces[2:] if kind == "open box" else base.faces
+    spec = Mesh(mesh=TriangleMesh(turned, faces, validate=False), center=center)
+    cells = lattice_cells((10, 10, 10), np.full(3, -4.5), 1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh_module, "_CONTAINS_PAIRS", pairs)
+        got = spec._lattice(*cells)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, pointwise_counts(spec, *cells))
+
+
+def test_mesh_fill_memory_bounded_for_a_fine_lattice():
+    # each of the 4 triangles of the x faces has 65,536 lattice lines in
+    # its yz box; taken in one pass, those face/line pairs would peak near
+    # 70 MB
+    spec = Mesh(mesh=box_mesh(16.0, 16.0, 16.0))
+    cells = lattice_cells(*_grid_geometry(spec, 0.25, 1.0), 0.25)
+    tracemalloc.start()
+    try:
+        count = spec._lattice(*cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert count.shape == (75, 75, 75) and int(count.sum()) == 64**4

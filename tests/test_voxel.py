@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 from cslsurf.csl import CslParams
 from cslsurf.errors import (
+    ConfigError,
     CslsurfError,
     DegenerateDimension,
     GridTooLarge,
@@ -32,6 +33,7 @@ from cslsurf.oracle import (
     VoxelGrid,
     decoherence_function,
     edge_layer_factor,
+    kspace_outer_integral,
     rasterize_smoothed_density,
     read_grid,
     smoothed_density,
@@ -40,6 +42,8 @@ from cslsurf.oracle import (
 
 SIGMA = 1e-7
 RHO = 2000.0
+
+FAR_BOX_MESH = Mesh(mesh=box_mesh(8.3 * SIGMA, 8.3 * SIGMA, 8.3 * SIGMA), center=(0.0, 0.0, 1e12))
 
 # frozen 1-D radial quadrature of the ball-Gaussian convolution at d = R = 10 sigma
 BALL_SURFACE_VALUE_10SIG = 0.46010577195986
@@ -132,6 +136,43 @@ class TestRasterize:
     def test_voxel_cap(self):
         with pytest.raises(GridTooLarge):
             rasterize_smoothed_density(Sphere(8 * SIGMA), RHO, SIGMA, max_voxels=1000)
+
+    @pytest.mark.parametrize("build", [
+        lambda: rasterize_smoothed_density(Sphere(1e-6), RHO, SIGMA, spacing=1e-300),
+        lambda: rasterize_smoothed_density(Sphere(1e-6), RHO, SIGMA, padding=1e300),
+        lambda: rasterize_smoothed_density(Sphere(1e-6), RHO, SIGMA, padding=1e308),
+        lambda: kspace_outer_integral(Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6)), RHO, SIGMA,
+                                      padding=1e300),
+    ], ids=["spacing-1e-300", "padding-1e300", "padding-1e308", "kspace-mesh-padding-1e300"])
+    def test_one_axis_past_the_cap_is_too_large(self, build):
+        # such an axis used to reach next_fast_len and end in an OverflowError
+        with pytest.raises(GridTooLarge, match="alone"):
+            build()
+
+    @pytest.mark.parametrize("cap", ["10", 2.5, True, 0, -1, None])
+    def test_voxel_cap_that_is_not_a_positive_integer_is_a_config_error(self, cap):
+        with pytest.raises(ConfigError, match="max_voxels must be a positive integer"):
+            rasterize_smoothed_density(Sphere(8 * SIGMA), RHO, SIGMA, max_voxels=cap)
+
+    @pytest.mark.parametrize("build", [
+        lambda: rasterize_smoothed_density(Sphere(8 * SIGMA, center=(1e9, 0.0, 0.0)), RHO, SIGMA),
+        lambda: rasterize_smoothed_density(Sphere(8 * SIGMA, center=(0.0, -150.0, 0.0)),
+                                           RHO, SIGMA),
+        lambda: rasterize_smoothed_density(FAR_BOX_MESH, RHO, SIGMA),
+        lambda: kspace_outer_integral(FAR_BOX_MESH, RHO, SIGMA),
+    ], ids=["sphere-1e9", "sphere-150", "box-mesh-1e12", "kspace-box-mesh-1e12"])
+    def test_grid_far_from_the_origin_is_degenerate(self, build):
+        # at 1e9 m the sphere's grid mass was 0.2% low, at 1e12 m the box
+        # mesh's 46% high; past 2.9e9 spacings (146 m at sigma / 2) the
+        # coordinates round by more than the fill's reach slack
+        with pytest.raises(DegenerateDimension, match="from the origin"):
+            build()
+
+    def test_grid_short_of_the_far_limit_keeps_its_mass(self):
+        spec = Sphere(8 * SIGMA, center=(0.0, -140.0, 0.0))
+        grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+        mass = grid.values.sum() * grid.cell_volume()
+        assert abs(mass / (RHO * 4 / 3 * math.pi * (8 * SIGMA) ** 3) - 1) < 1e-6
 
     def test_padding_floor(self):
         with pytest.raises(ValueError):
