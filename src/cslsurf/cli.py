@@ -14,6 +14,7 @@ tolerance failure, 3 resource cap exceeded.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -517,7 +518,10 @@ def _add_common(sub):
     sub.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process on the first call:
+    each parse fills a new namespace, so no call sees another's flags."""
     parser = _Parser(prog="cslsurf", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"cslsurf {__version__}")

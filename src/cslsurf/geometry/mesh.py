@@ -20,10 +20,13 @@ from .patches import SurfacePatches
 # vertex dedup tolerance, relative to the bounding-box diagonal
 DEDUP_RELATIVE_TOL = 1e-9
 # point-face pairs per chunk of TriangleMesh.contains (those in a face's y
-# band), and line-face pairs per chunk of TriangleMesh._flips (those in a
-# face's yz box); a chunk's temporaries stay near 6 MB whatever the face
-# count or lattice
+# band), and row-face and line-face pairs per chunk of TriangleMesh._flips
+# (the rows in a face's y range, the lines in its shadow at each row); a
+# chunk's temporaries stay near 6 MB whatever the face count or lattice
 _CONTAINS_PAIRS = 1 << 16
+# relative slack of a face's yz shadow at a row (TriangleMesh._flips), of the
+# face's |y| + |z| bounds: some 1e6 ulps, far above the rounding of its edges
+_SHADOW_SLACK = 1e-10
 
 
 def _pairs(counts):
@@ -273,28 +276,48 @@ class TriangleMesh:
         lattice.
 
         Line ``j * len(zs) + k`` is the +x line at (ys[j], zs[k]).  Each
-        face meets the lines in its yz bounding box, cut from the lattice
-        by bisection, and each crossing is placed among the ``xs`` by
-        bisection: a crossing at index i lies beyond exactly the samples
-        xs[:i].  Returns (line, at), sorted, of the pairs that an odd
-        number of crossings reach: sample xs[a] of a line is inside when
-        an odd number of its flips have at > a.  Face/line pairs go in
-        chunks of ``_CONTAINS_PAIRS``, so the temporaries stay bounded
-        whatever the lattice; only the crossings are kept.
+        face meets the rows ys[j] in its y range, cut from the lattice by
+        bisection, and at each row only the lines whose z lies in its
+        shadow there: the z range of its three edges (``base``, ``step``)
+        over the slab of rows within a slack of ys[j], widened by that
+        slack and clipped to its bounding box.  The slack,
+        ``_SHADOW_SLACK`` of the face's |y| + |z| bounds, is far above the
+        rounding of the edge functions and of the range, so no pair that
+        :meth:`_RayFaces.crossings` would hit is dropped.  Each crossing is
+        placed among the ``xs`` by bisection: a crossing at index i lies
+        beyond exactly the samples xs[:i].  Returns (line, at), sorted, of
+        the pairs that an odd number of crossings reach: sample xs[a] of a
+        line is inside when an odd number of its flips have at > a.
+        Face/row and face/line pairs both go in chunks of
+        ``_CONTAINS_PAIRS``, so the temporaries stay bounded whatever the
+        lattice; only the crossings are kept.
         """
         faces = self._ray_faces
-        # the lines in each face's yz bounding box: ys[j0:j1] x zs[k0:k1]
-        j0, j1 = (np.searchsorted(ys, faces.lo[:, 0], "left"),
-                  np.searchsorted(ys, faces.hi[:, 0], "right"))
-        k0, k1 = (np.searchsorted(zs, faces.lo[:, 1], "left"),
-                  np.searchsorted(zs, faces.hi[:, 1], "right"))
-        nk = k1 - k0
+        j0 = np.searchsorted(ys, faces.lo[:, 0], "left")
+        j1 = np.searchsorted(ys, faces.hi[:, 0], "right")
+        slack = _SHADOW_SLACK * (np.abs(faces.lo) + np.abs(faces.hi)).sum(axis=1)
         keys = [np.empty(0, dtype=np.int64)]
-        for f, o in _pairs((j1 - j0) * nk):
-            j, k = j0[f] + o // nk[f], k0[f] + o % nk[f]
-            hit, x = faces.take(f).crossings(ys[j], zs[k])
-            i = np.searchsorted(xs, x[hit], "left")
-            keys.append((j[hit] * len(zs) + k[hit]) * (len(xs) + 1) + i)
+        for f, o in _pairs(j1 - j0):
+            j, s = j0[f] + o, slack[f]
+            # the slab of rows [ylo, yhi] about ys[j], and each edge (dy >= 0)
+            # over it; an edge parallel to z lies in it whole or not at all
+            ylo, yhi = (ys[j] - s)[:, None], (ys[j] + s)[:, None]
+            base, step = np.take(faces.base, f, axis=0), np.take(faces.step, f, axis=0)
+            by, bz, dy, dz = base[..., 0], base[..., 1], step[..., 0], step[..., 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t0 = np.where(dy > 0.0, np.clip((ylo - by) / dy, 0.0, 1.0), 0.0)
+                t1 = np.where(dy > 0.0, np.clip((yhi - by) / dy, 0.0, 1.0), 1.0)
+            za, zb = bz + t0 * dz, bz + t1 * dz
+            spans = (by <= yhi) & (ylo <= by + dy)
+            lo = np.min(np.where(spans, np.minimum(za, zb), np.inf), axis=1) - s
+            hi = np.max(np.where(spans, np.maximum(za, zb), -np.inf), axis=1) + s
+            k0 = np.searchsorted(zs, np.maximum(lo, faces.lo[f, 1]), "left")
+            k1 = np.searchsorted(zs, np.minimum(hi, faces.hi[f, 1]), "right")
+            for r, k in _pairs(np.maximum(k1 - k0, 0)):
+                jr, kr = j[r], k0[r] + k
+                hit, x = faces.take(f[r]).crossings(ys[jr], zs[kr])
+                i = np.searchsorted(xs, x[hit], "left")
+                keys.append((jr[hit] * len(zs) + kr[hit]) * (len(xs) + 1) + i)
         key, count = np.unique(np.concatenate(keys), return_counts=True)
         return np.divmod(key[count % 2 == 1], len(xs) + 1)
 

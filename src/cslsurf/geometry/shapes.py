@@ -28,8 +28,10 @@ Each shape class is the one place its geometry lives; the module-level
 functions here and in the oracles dispatch to its methods.  Each hook
 takes the local coordinates as broadcastable arrays (:func:`_local_axes`);
 only a mesh's ray parity stacks them into points.  The supersampled
-fill's ``_lattice`` hook takes world axes and classifies through
-:func:`contains`, but for a mesh, which counts from its ray crossings.
+fill's ``_lattice`` hook takes world axes: an analytic solid classifies
+its block and voxel centers through :func:`contains` and its band's
+subsamples through ``_inside`` on broadcast axes, and a mesh counts from
+its ray crossings.
 """
 
 import math
@@ -258,21 +260,24 @@ def _segments(profiles):
 def _profile_inside(profiles, x, y, z, stretch=(1.0, 1.0)):
     """Mask of the points with r <= r(z) on a wall (a segment that is not
     a disc) of the ``profiles``; r^2 = (x/a)^2 + (y/b)^2 under the
-    ``stretch`` (a, b).  The supersampled fill's hot loop: r^2 is taken
-    once and compared with r(z)^2 per wall, and the walls OR-ed."""
+    ``stretch`` (a, b).  The supersampled fill's hot loop: the largest
+    r(z)^2 among the walls whose z range holds the point (-inf where none
+    does) is taken on z's own shape, and r^2, on the shape of x and y, is
+    compared with it once: the OR of one comparison per wall, bit for bit.
+    On the broadcast axes of a named axis, r(z) is taken per z alone."""
     a, b = stretch
     r2 = (x / a) ** 2 + (y / b) ** 2
-    inside = False
+    limit = np.full(np.shape(z), -np.inf)
     for r0, z0, r1, z1 in _segments(profiles):
         if z0 == z1:
             continue
         if r0 == r1:
-            wall = r2 <= r0 * r0
+            rz2 = r0 * r0
         else:
             rz = r0 + (z - z0) * ((r1 - r0) / (z1 - z0))
-            wall = r2 <= rz * rz
-        inside = inside | (wall & (z >= z0) & (z <= z1))
-    return inside
+            rz2 = rz * rz
+        np.maximum(limit, rz2, out=limit, where=(z >= z0) & (z <= z1))
+    return r2 <= limit
 
 
 def _profile_distance(profiles, x, y, z):
@@ -392,7 +397,7 @@ def _rect_patches(axis, sign, half, n_face):
 
 #: voxels per block side, the first level of an analytic solid's fill
 _BLOCK = 4
-#: band voxels whose subsamples go through one ``contains`` call
+#: band voxels whose subsamples go through one ``_inside`` call
 _BAND_CHUNK = 1024
 #: relative slack of a reach (:func:`_groups`)
 _REACH_SLACK = 1e-6
@@ -501,10 +506,14 @@ class _Solid:
         than its reach (:func:`_groups`) lies on one side of it, and all
         its voxels take :func:`contains` at its center.  The voxels of the
         other blocks do the same at voxel level.  Only the voxels left, the
-        band, classify their subsamples, gathered from the same axes and
-        passed through :func:`contains` ``_BAND_CHUNK`` voxels at a time,
-        so every count is the one the pointwise test gives on that voxel's
-        lattice points.
+        band, classify their subsamples, ``_BAND_CHUNK`` voxels at a time:
+        the rows xs[i], ys[j] and zs[k] of each voxel go to ``_inside`` as
+        broadcast (chunk, ss, 1, 1), (chunk, 1, ss, 1) and (chunk, 1, 1,
+        ss) axes, and no point array is gathered.  The solid has no
+        cavities, so that is what :func:`contains` computes, elementwise,
+        and every count is the one the pointwise test gives on that
+        voxel's lattice points; on a named axis a hook that reads fewer
+        than three world axes takes fewer than ss^3 values per voxel.
         """
         cells = (xs, ys, zs)
         dims, ss = tuple(len(c) for c in cells), xs.shape[1]
@@ -524,18 +533,15 @@ class _Solid:
         far = self._clearance(*_local_axes(self, x, y, z)) > reach
         inside = contains(self, np.stack([x[far], y[far], z[far]], axis=1))
         count.reshape(-1)[voxels[far]] = inside * np.uint8(ss**3)
-        # the band's subsamples
+        # the band's subsamples, on the broadcast axes of each voxel
         band = voxels[~far]
         i, j, k = np.unravel_index(band, dims)
-        pts = np.empty((3, min(len(band), _BAND_CHUNK), ss, ss, ss))
         for lo in range(0, len(band), _BAND_CHUNK):
             sl = slice(lo, lo + _BAND_CHUNK)
-            chunk = pts[:, :len(band[sl])]
-            chunk[0] = xs[i[sl], :, None, None]
-            chunk[1] = ys[j[sl], None, :, None]
-            chunk[2] = zs[k[sl], None, None, :]
-            inside = contains(self, chunk.reshape(3, -1).T).reshape(-1, ss**3)
-            count.reshape(-1)[band[sl]] = np.count_nonzero(inside, axis=1)
+            inside = self._inside(*_local_axes(self, xs[i[sl], :, None, None],
+                                               ys[j[sl], None, :, None],
+                                               zs[k[sl], None, None, :]))
+            count.reshape(-1)[band[sl]] = np.count_nonzero(inside, axis=(1, 2, 3))
         return count
 
     def _bounds(self):

@@ -72,6 +72,7 @@ from .voxel import (
     _fraction,
     _grid_geometry,
     _grid_lengths,
+    _wavenumbers,
 )
 
 KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e-27
@@ -165,13 +166,6 @@ def _power(grid: VoxelGrid):
         _SPECTRA.append(([weakref.ref(values, _forget)], P))
         del _SPECTRA[:-2]
     return P
-
-
-def _wavenumbers(shape, h):
-    """Angular wavenumbers of the rfftn axes of a grid of ``shape``."""
-    return (2.0 * np.pi * sfft.fftfreq(shape[0], d=h),
-            2.0 * np.pi * sfft.fftfreq(shape[1], d=h),
-            2.0 * np.pi * sfft.rfftfreq(shape[2], d=h))
 
 
 def _mode_sum(grid: VoxelGrid, rows):

@@ -7,7 +7,12 @@ solid, the host and each cavity alike: the solid's closed-form
 products and the noncentral chi-square disc integral) or, where it has
 none (cone-capped and elliptic cylinders, meshes), the supersampled
 indicator filtered on the grid, which has no point evaluator; it never
-reads a signed distance.
+reads a signed distance.  The filter is applied in the spectrum: one
+rfftn of the indicator, the product with the Gaussian's gain
+exp(-k^2 sigma^2 / 2) on the grid's wavenumbers and one irfftn, so the
+grid is periodic, as it is for every oracle transform; the zero-field
+margin keeps the wrapped tails below ~1e-8 rho, and the gain of 1 at
+k = 0 keeps the fill's mass.
 
 Every field takes the solid's local coordinates as three broadcastable
 arrays, from the rule that ``contains`` and ``signed_distance`` use too
@@ -38,12 +43,14 @@ subsamples (with a relative slack of 1e-6), cannot be cut by the
 boundary, and all its voxels take ``contains`` at its center.  The
 voxels of the other blocks do the same with their own reach (3/8 sqrt 3
 spacings).  Only the voxels left, the band, classify their 64
-subsamples, gathered from the same axis arrays and passed through
-``contains`` in fixed-size chunks, so each is the lattice point the
-pointwise test would see and the counts are exactly its counts.  A
-mesh counts from the crossings of one +x ray per (y, z) subsample line
-with the faces whose yz bounding box holds the line, taken in bounded
-chunks of face/line pairs.  A line is inside past each sample that an
+subsamples in fixed-size chunks: each voxel's rows of the same axis
+arrays go to the solid's inside test as broadcast axes, which is what
+``contains`` computes on the gathered points, so each is the lattice
+point the pointwise test would see and the counts are exactly its
+counts.  A mesh counts from the crossings of one +x ray per (y, z)
+subsample line with the faces whose yz shadow, widened by a relative
+slack, holds the line at its row, taken in bounded chunks of face/row
+and face/line pairs.  A line is inside past each sample that an
 odd number of its crossings lie beyond, so its inside runs change only
 at its flips, the samples where an odd number of crossings fall; each
 flip adds its signed share of subsamples to its voxel and the next,
@@ -78,8 +85,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
-from scipy.fft import next_fast_len
+from scipy import fft as sfft
 
 from ..errors import (
     CavityOverlap,
@@ -269,7 +275,7 @@ def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
         if not span / spacing + 1 <= max_voxels:
             raise GridTooLarge(f"axis {'xyz'[i]} alone takes {span / spacing + 1:.3g} voxels, "
                                f"past the cap {max_voxels}")
-        n = next_fast_len(int(math.ceil(span / spacing)) + 1, real=True)
+        n = sfft.next_fast_len(int(math.ceil(span / spacing)) + 1, real=True)
         mid = 0.5 * (lo[i] + hi[i])
         dims.append(n)
         origin.append(mid - 0.5 * (n - 1) * spacing)
@@ -301,18 +307,17 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     (ny, 1), z as (1, nz)), so temporaries stay plane-sized and a factor
     that depends on one world axis is taken once per value of that axis;
     on named axes the grid is bit for bit :func:`smoothed_density` at its
-    points.  Any other body takes the filtered supersampled indicator,
-    whose fill it shares with the DFT route of :func:`kspace_outer_integral`
-    on the same lattice, before or after (:func:`_fraction`).
+    points.  Any other body takes the supersampled indicator, whose fill
+    it shares with the DFT route of :func:`kspace_outer_integral` on the
+    same lattice, before or after (:func:`_fraction`), filtered in the
+    spectrum of the periodic grid (:func:`_filtered`).
     """
     spec = build_shape(spec)
     spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     solids = (spec, *spec.cavities)
     if any(solid._smoothed_unit is None for solid in solids):
-        frac = _fraction(spec, dims, origin, spacing)
-        values = density * ndimage.gaussian_filter(
-            frac, sigma=sigma / spacing, mode="constant", cval=0.0, truncate=8.0)
+        values = _filtered(_fraction(spec, dims, origin, spacing), density, sigma, spacing)
     else:
         values = np.empty(dims)
         y = (origin[1] + spacing * np.arange(dims[1]))[:, None]
@@ -321,6 +326,28 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
             x = np.full((1, 1), origin[0] + spacing * i)
             values[i] = _density(solids, density, sigma, x, y, z)
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
+
+
+def _filtered(frac, density, sigma, spacing):
+    """``density`` times the fraction ``frac`` convolved with the Gaussian of
+    width ``sigma``, in the spectrum: one rfftn, the product with the
+    separable gain exp(-k^2 sigma^2 / 2) on the grid's angular wavenumbers
+    (``density`` folded into the x factor), in place, and one irfftn.  The
+    grid is periodic, as for every oracle transform; the margin keeps the
+    wrapped tails below ~1e-8 rho."""
+    F = sfft.rfftn(frac)
+    gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) for k in _wavenumbers(frac.shape, spacing))
+    F *= (density * gx)[:, None, None]
+    F *= gy[:, None]
+    F *= gz
+    return sfft.irfftn(F, s=frac.shape, overwrite_x=True)
+
+
+def _wavenumbers(shape, h):
+    """Angular wavenumbers of the rfftn axes of a grid of ``shape``."""
+    return (2.0 * np.pi * sfft.fftfreq(shape[0], d=h),
+            2.0 * np.pi * sfft.fftfreq(shape[1], d=h),
+            2.0 * np.pi * sfft.rfftfreq(shape[2], d=h))
 
 
 #: (weak reference to the body, lattice key, read-only fraction) of the last

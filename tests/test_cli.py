@@ -539,3 +539,21 @@ def test_infinite_collapse_rate_in_config_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "rates", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "collapse rate" in err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    # the parser is built once per process; each call parses into its own namespace
+    small = ["--shape", '{"type":"sphere","radius":"3 um"}', "--sigma", "1 um",
+             "--density", "1000"]
+    code, out, err = run(capsys, "validate", *small, "--tolerance", "0.5")
+    assert code == 0 and json.loads(out)["results"]["tolerance"] == 0.5
+    code, out, err = run(capsys, "validate", *small)
+    assert code == 2 and json.loads(out)["results"]["tolerance"] == 0.01
+    dephasing = ["dephasing", *small, "--delta", "1e-8 m,0,0"]
+    assert "exact_rate_per_second" in run_json(capsys, *dephasing, "--exact")["results"]
+    code, out, err = run(capsys, "validate", *small, "--exact")
+    assert (code, out) == (1, "") and "--exact" in err
+    assert "exact_rate_per_second" not in run_json(capsys, *dephasing)["results"]
+    code, out, err = run(capsys, "dephasing", "--no-such-flag")
+    assert (code, out) == (1, "") and "--no-such-flag" in err
+    assert run_json(capsys, "validate", *small, "--tolerance", "0.5")["results"]["passed"]

@@ -4,6 +4,7 @@ and the block-culled fill of analytic solids against the same pointwise test."""
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from cslsurf.geometry import mesh as mesh_module
 from cslsurf.geometry import shapes
 from cslsurf.geometry import (
     Box,
+    ConeCappedCylinder,
     EllipticCylinder,
+    GappedCylinder,
     Mesh,
     Sphere,
     TriangleMesh,
@@ -217,12 +220,41 @@ def test_contains_cull_chunks(monkeypatch):
     assert not mesh.contains(np.empty((0, 3))).size
 
 
+@st.composite
+def profiled_or_hollow(draw):
+    """An elliptic, cone-capped or gapped cylinder on a named (x, y, z) or
+    tilted axis, or a sphere with a sphere cavity off its center, some 4 to
+    20 units across and off the lattice by a sub-unit center."""
+    kind = draw(st.sampled_from(["elliptic", "cone", "gapped", "hollow"]))
+    axis = draw(st.one_of(st.sampled_from(["x", "y", "z"]), _direction))
+    center = draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+    a, b, c = (draw(st.floats(1.0, 2.0)) for _ in range(3))
+    if kind == "elliptic":
+        return EllipticCylinder(2 * a, 2 * b, 4 * c, axis=axis, center=center)
+    if kind == "cone":
+        return ConeCappedCylinder(2 * a, 3 * b, draw(st.floats(1.0, 2.5)), axis=axis,
+                                  center=center)
+    if kind == "gapped":
+        return GappedCylinder(2 * a, 6 * b, 2, 0.3 * c, axis=axis, center=center)
+    off = np.asarray(draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)))
+    return Sphere(3 * a, center=center, cavities=(Sphere(a, center=tuple(center + a * off)),))
+
+
 @SCANLINE_SETTINGS
-@given(spec=analytic_shapes(), shift=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+@given(spec=st.one_of(analytic_shapes(), profiled_or_hollow()),
+       shift=st.tuples(*[st.floats(0.0, 1.0)] * 3))
 # at spacing 1/4 every subsample coordinate is an odd multiple of 1/32, as
-# are the faces +-49/32 of this box: its faces hold whole subsample planes
+# are the faces +-49/32 of this box and the flat faces x = +-61/32 of this
+# cylinder: they hold whole subsample planes
 @example(spec=Box((49 / 16,) * 3), shift=(0.0, 0.0, 0.0))
+@example(spec=EllipticCylinder(2.0, 1.5, 61 / 16, axis="x"), shift=(0.0, 0.0, 0.0))
+@example(spec=ConeCappedCylinder(2.0, 3.0, math.pi / 2, axis="y"), shift=(0.5, 0.5, 0.5))
+@example(spec=GappedCylinder(2.0, 6.0, 2, 0.5, axis="z"), shift=(0.0, 0.0, 0.0))
+@example(spec=Sphere(3.0, cavities=(Sphere(1.0),)), shift=(0.0, 0.0, 0.0))
 def test_band_fill_matches_pointwise(spec, shift):
+    # the band classifies on broadcast axes, the pointwise test on points:
+    # on a named axis r^2 and r(z) take fewer values than the points, on a
+    # tilted one every local coordinate is a sum over the three world axes
     lo, hi = bounding_box(spec)
     spacing = 2.0 ** math.floor(math.log2((hi - lo).max() / 12))
     dims, origin = _grid_geometry(spec, spacing, 2 * spacing)
@@ -290,18 +322,21 @@ def test_clearance_is_a_lower_bound(spec, seed):
 
 def test_band_keeps_uniform_voxels_out_of_contains(monkeypatch):
     # a sphere 40 sigma across, 80 voxels: only voxels within the reach of its
-    # surface classify their 64 subsamples, the others their center
+    # surface classify their 64 subsamples, the others their center.  Block
+    # and voxel centers reach _inside through contains, the band's
+    # subsamples directly, as broadcast axes: count the points they span
     spec = Sphere(20 * SIGMA)
     dims, origin = _grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
-    classified = []
+    inside, classified = Sphere._inside, []
 
-    def counting(solid, points):
-        classified.append(len(points))
-        return contains(solid, points)
+    def counting(solid, x, y, z):
+        classified.append(np.broadcast(x, y, z).size)
+        return inside(solid, x, y, z)
 
-    monkeypatch.setattr(shapes, "contains", counting)
+    monkeypatch.setattr(Sphere, "_inside", counting)
     frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
-    assert sum(classified) <= 0.1 * _SUPERSAMPLE**3 * math.prod(dims)
+    lattice = math.prod(dims) * _SUPERSAMPLE**3
+    assert 0.01 * lattice <= sum(classified) <= 0.1 * lattice
     volume = frac.sum() * (SIGMA / 2) ** 3
     assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3
 
@@ -355,9 +390,17 @@ def test_lattice_clipped_inside_the_mesh(xs):
     assert got.dtype == np.uint8 and np.array_equal(got, expected) and expected.any()
 
 
+def octahedron(r):
+    """The octahedron of vertices +- r e_i, wound outward."""
+    vertices = np.concatenate([r * np.eye(3), -r * np.eye(3)])
+    faces = [[sx, 1 + sy, 2 + sz] if (sx + sy + sz) % 2 == 0 else [sx, 2 + sz, 1 + sy]
+             for sx, sy, sz in product((0, 3), repeat=3)]
+    return TriangleMesh(vertices, faces)
+
+
 @SCANLINE_SETTINGS
 @given(
-    kind=st.sampled_from(["box", "icosphere", "open box"]),
+    kind=st.sampled_from(["box", "icosphere", "open box", "octahedron"]),
     sides=st.tuples(*[st.floats(2.0, 5.0)] * 3),
     quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
     center=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
@@ -367,11 +410,24 @@ def test_lattice_clipped_inside_the_mesh(xs):
 # lines run along the box's edges and subsamples sit on its x faces
 @example(kind="box", sides=(2.75,) * 3, quat=(0.0, 0.0, 0.0, 1.0), center=(0.0,) * 3,
          pairs=mesh_module._CONTAINS_PAIRS)
+@example(kind="box", sides=(2.75,) * 3, quat=(0.0, 0.0, 0.0, 1.0), center=(0.0,) * 3, pairs=7)
+# vertices (1/8 +- 2, 1/8, 1/8) and their permutations: lattice lines run
+# through every vertex and along every edge, parallel to y at z = 1/8,
+# parallel to z in the row y = 1/8, and diagonal
+@example(kind="octahedron", sides=(4.0,) * 3, quat=(0.0, 0.0, 0.0, 1.0),
+         center=(0.125,) * 3, pairs=mesh_module._CONTAINS_PAIRS)
+@example(kind="octahedron", sides=(4.0,) * 3, quat=(0.0, 0.0, 0.0, 1.0),
+         center=(0.125,) * 3, pairs=7)
 def test_mesh_counts_match_pointwise_under_rigid_motion(kind, sides, quat, center, pairs):
     # a rotated mesh moved anywhere on a fixed lattice, in chunks of a few
-    # face/line pairs up to the default; the lines through the missing
-    # face of the open box cross it an odd number of times
-    base = icosphere(min(sides) / 2, 1) if kind == "icosphere" else box_mesh(*sides)
+    # face/row and face/line pairs up to the default; the lines through the
+    # missing face of the open box cross it an odd number of times
+    if kind == "icosphere":
+        base = icosphere(min(sides) / 2, 1)
+    elif kind == "octahedron":
+        base = octahedron(min(sides) / 2)
+    else:
+        base = box_mesh(*sides)
     turned = base.vertices @ Rotation.from_quat(quat).as_matrix().T
     faces = base.faces[2:] if kind == "open box" else base.faces
     spec = Mesh(mesh=TriangleMesh(turned, faces, validate=False), center=center)
