@@ -62,7 +62,6 @@ from .oracle import (
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
-from .oracle.voxel import _grid_geometry, _grid_lengths
 from .tensors import (
     axial_rotational_strength,
     principal_axes,
@@ -359,18 +358,16 @@ def _cmd_validate(args):
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
-    # the raster's grid check, before a k-space integral that may take seconds
-    # (a spherical ladder, or the DFT route's fill)
-    _grid_geometry(shape, *_grid_lengths(density, sigma, spacing, padding), args.max_voxels)
-    # k-space first: a DFT fill goes to the raster, and no grid lives through it
-    kint = kspace_outer_integral(shape, density, sigma, spacing=spacing,
-                                 padding=padding, max_voxels=args.max_voxels)
+    # the raster first, so its grid check runs before a k-space ladder that
+    # may take seconds, and a DFT route reads its spectrum
     grid = rasterize_smoothed_density(
         shape, density, sigma, spacing=spacing, padding=padding,
         max_voxels=args.max_voxels,
     )
     grad = gradient_outer_integral(grid)
     grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
+    kint = kspace_outer_integral(shape, density, sigma, spacing=spacing, padding=padding,
+                                 max_voxels=args.max_voxels, _raster=grid)
 
     def rel(a, b):
         return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b)))

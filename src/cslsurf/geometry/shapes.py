@@ -207,19 +207,39 @@ def _jinc(x):
     return np.where(small, 1.0 - x**2 / 8.0, 2.0 * j1(xs) / xs)
 
 
-def _slab_moments(length, sigma):
+def _slab_moments(length, sigma, centers=(0.0,)):
     """(Z0, Z2): the integrals over the whole line of exp(-sigma^2 u^2)
-    |length sinc(u length / 2)|^2 u^m, m = 0 and 2, the closed-form axial
-    factors of the k-space tensor of a straight solid of that ``length``."""
+    |sum_i length sinc(u length / 2) e^{-i u z_i}|^2 u^m, m = 0 and 2, the
+    closed-form axial factors of the k-space tensor of straight segments
+    of that ``length`` at the axial ``centers`` z_i.  Each segment alone
+    gives the closed form of one slab; each pair at d = -|z_i - z_j| adds
+    twice 2 pi [r(d + L) - 2 r(d) + r(d - L)] to Z0, with r(x) = x
+    Phi(x / tau) + tau phi(x / tau) and tau = sqrt(2) sigma, and twice
+    2 g(d) - g(d + L) - g(d - L) to Z2, with g(a) = sqrt(pi) / sigma
+    exp(-a^2 / 4 sigma^2).  The segments do not overlap, so every
+    argument of r is negative, where r is small and nothing cancels."""
     t = length / (2.0 * sigma)
     gap = -math.expm1(-t * t)
     z0 = 2.0 * math.pi * (length * math.erf(t) - 2.0 * sigma / math.sqrt(math.pi) * gap)
-    return z0, 2.0 * math.sqrt(math.pi) / sigma * gap
+    z2 = 2.0 * math.sqrt(math.pi) / sigma * gap
+    n, tau = len(centers), math.sqrt(2.0) * sigma
+    d = -np.abs(np.subtract.outer(centers, centers)[np.triu_indices(n, 1)])
+
+    def r(x):
+        return x * ndtr(x / tau) + tau / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (x / tau) ** 2)
+
+    def g(x):
+        return math.sqrt(math.pi) / sigma * np.exp(-((x / (2.0 * sigma)) ** 2))
+
+    pairs0 = np.sum(r(d + length) - 2.0 * r(d) + r(d - length))
+    pairs2 = np.sum(2.0 * g(d) - g(d + length) - g(d - length))
+    return n * z0 + 4.0 * math.pi * pairs0, n * z2 + 2.0 * pairs2
 
 
-def _cylinder_kspace(solid, a, b, sigma):
-    """``_kspace_local`` of the circular or elliptic cylinder ``solid``
-    with semi-axes (a, b): None if it has cavities.
+def _cylinder_kspace(solid, a, b, sigma, length, centers=(0.0,)):
+    """``_kspace_local`` of the circular, elliptic or gapped cylinder
+    ``solid`` with semi-axes (a, b) and segments of ``length`` at the
+    axial ``centers``: None if it has cavities.
 
     The transverse form factor is pi a b jinc(zeta) with zeta = |(a q_x,
     b q_y)|, so with q_x = zeta cos(phi) / a and q_y = zeta sin(phi) / b
@@ -229,13 +249,13 @@ def _cylinder_kspace(solid, a, b, sigma):
     zeta^2 / a^2, pi d (I0e(x) + I1e(x)) zeta^2 / b^2 and 2 pi d I0e(x),
     I_ne = ``ive``.  zeta = max(a, b) k spans [0, KMAX_SIGMA max(a, b) /
     sigma] as k spans the radial rule, and the axial factors are Z0, Z0
-    and Z2 of the length (:func:`_slab_moments`).
+    and Z2 of the segments (:func:`_slab_moments`).
     """
     if solid.cavities:
         return None
     big = max(a, b)
     stretch = 0.5 * ((big / a) * (big / a) - (big / b) * (big / b))
-    z0, z2 = _slab_moments(solid.length, sigma)
+    z0, z2 = _slab_moments(length, sigma, centers)
 
     def transverse(k):
         zeta, u2 = big * k, (sigma * k) ** 2
@@ -445,10 +465,13 @@ class _Solid:
     which :class:`_Revolved` derives all its geometry.  The hooks ``_sdf``
     (exact signed distance; none for the elliptic cylinder),
     ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator; none for
-    the cone-capped and elliptic cylinders) and ``_unit_form_factor`` are
-    None where the shape has none; the oracles then take the next path of
-    their rule (the raster: the filtered supersampled indicator; the
-    k-space integral: the DFT route).  ``_kspace_local(sigma)``, the one
+    the cone-capped and elliptic cylinders) and ``_unit_form_factor`` (none
+    for the cone-capped cylinder and meshes) are None where the shape has
+    none; the oracles then take the next path of their rule (the raster:
+    the filtered supersampled indicator; the k-space integral: the DFT
+    route, which reads that raster).  A shape with ``_smoothed_unit`` has
+    ``_unit_form_factor`` too, so a body takes the DFT route only when it
+    takes the filtered raster.  ``_kspace_local(sigma)``, the one
     hook that sees cavities, picks the k-space rule of a body with a form
     factor.  It returns (factors, integrand), the body-frame rule: the
     diagonal of int exp(-k^2 sigma^2) |mu|^2 q o q dq in local axes q, at
@@ -692,7 +715,7 @@ class Cylinder(_Revolved):
         return np.pi * R**2 * L * _jinc(kperp * R) * _sinc(kl[..., 2] * L / 2.0)
 
     def _kspace_local(self, sigma):
-        return _cylinder_kspace(self, self.radius, self.radius, sigma)
+        return _cylinder_kspace(self, self.radius, self.radius, sigma, self.length)
 
 
 @dataclass(frozen=True)
@@ -813,7 +836,7 @@ class EllipticCylinder(_Revolved):
         return np.pi * a * b * L * _jinc(zeta) * _sinc(kl[..., 2] * L / 2.0)
 
     def _kspace_local(self, sigma):
-        return _cylinder_kspace(self, self.semi_axis_a, self.semi_axis_b, sigma)
+        return _cylinder_kspace(self, self.semi_axis_a, self.semi_axis_b, sigma, self.length)
 
 
 @dataclass(frozen=True)
@@ -859,6 +882,17 @@ class GappedCylinder(_Revolved):
         for zc in centers:
             axial = axial + _interval_factor(z - zc, seg / 2.0, sigma)
         return _disc_factor(np.hypot(x, y), self.radius, sigma) * axial
+
+    def _unit_form_factor(self, k):
+        R, (seg, centers) = self.radius, self.segments()
+        kl = k @ self._frame
+        kz = kl[..., 2]
+        phases = sum(np.exp(-1j * kz * zc) for zc in centers)
+        return (np.pi * R**2 * seg * _jinc(np.hypot(kl[..., 0], kl[..., 1]) * R)
+                * _sinc(kz * seg / 2.0) * phases)
+
+    def _kspace_local(self, sigma):
+        return _cylinder_kspace(self, self.radius, self.radius, sigma, *self.segments())
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ the body form factor,
 equals (2 pi)^3 times the volume integral of grad(mu_sigma) o
 grad(mu_sigma), and for bodies much larger than sigma collapses to
 (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) times the surface tensor.  The three
-routes here are mutually independent:
+routes here are mutually independent, but for one thing: on a sampled
+body the two grid routes share one raster and differ only by the
+deconvolution of the cell average.
 
 * :func:`gradient_outer_integral` differentiates a rasterized smoothed
   field spectrally, with the exact derivative symbol,
@@ -17,8 +19,9 @@ routes here are mutually independent:
   settles.  Each shape's ``_kspace_local`` hook picks the rule of its
   steps: the body-frame rule (closed form for a bare box, one radial
   integral for a bare sphere or cylinder) or, where the hook declines,
-  a radial x angular ladder in world axes.  Shapes without a form
-  factor take a DFT of the raw indicator,
+  a radial x angular ladder in world axes.  A body without a form
+  factor is one without a closed-form field, so it has a filtered
+  raster, and its DFT route reads that raster's spectrum,
 * :func:`surface_formula_outer_integral` applies the closed-form surface
   scaling.
 
@@ -39,9 +42,8 @@ ends with small contractions over y and z.  The weights are
 
 * k o k, the derivative symbol's outer product, in
   :func:`gradient_outer_integral`,
-* k o k times the squared separable gain exp(-k^2 sigma^2 / 2) / D(k),
-  D the transform of the supersampled cell average, in the DFT route
-  of :func:`kspace_outer_integral`,
+* k o k / D(k)^2, D the separable transform of the supersampled cell
+  average, in the DFT route of :func:`kspace_outer_integral`,
 * 1 - cos(k . delta), as -Re of e^{i k . delta} - 1 split by axis, in
   :func:`decoherence_function`.
 """
@@ -50,6 +52,7 @@ import math
 import numbers
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 from scipy import fft as sfft
@@ -68,11 +71,8 @@ from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
     VoxelGrid,
-    _drop_kept,
-    _fraction,
-    _grid_geometry,
-    _grid_lengths,
     _wavenumbers,
+    rasterize_smoothed_density,
 )
 
 KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e-27
@@ -205,7 +205,6 @@ def gradient_outer_integral(grid: VoxelGrid):
     below the 0.5 percent budget at sigma/2 spacing).  Grid values that
     are not finite raise :class:`DegenerateDimension`.
     """
-    _drop_kept()
     s = _wavenumbers(grid.values.shape, grid.spacing)
     with np.errstate(over="ignore", invalid="ignore"):
         G = (2.0 * np.pi) ** 3 * _outer_sum(grid, s)
@@ -303,7 +302,7 @@ def _check_budget(tol, max_radial_nodes):
 
 def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
                           max_voxels=DEFAULT_MAX_VOXELS, max_radial_nodes=4096,
-                          padding=None):
+                          padding=None, *, _raster=None):
     """int exp(-k^2 sigma^2) |mu_k|^2 (k o k) dk.
 
     A body with an analytic form factor takes one refinement loop over
@@ -314,22 +313,27 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     first.  The shape's ``_kspace_local`` hook picks the rule of a step:
 
     * the body-frame rule where it returns a local tensor (a bare sphere,
-      box, circular or elliptic cylinder, or a sphere whose cavities are
-      all spheres at its center).  In the local frame F the Gaussian and
-      the closed-form factors of the form factor separate, so K = F
-      K_local F^T with K_local diagonal.  A box is closed form and
-      returns at any budget; the others leave one radial integral over
-      [0, KMAX_SIGMA / sigma], on the step's radial nodes;
+      box, circular, elliptic or gapped cylinder, or a sphere whose
+      cavities are all spheres at its center).  In the local frame F the
+      Gaussian and the closed-form factors of the form factor separate,
+      so K = F K_local F^T with K_local diagonal.  A box is closed form
+      and returns at any budget; the others leave one radial integral
+      over [0, KMAX_SIGMA / sigma], on the step's radial nodes;
     * the spherical ladder where it returns None: the step's radial x
-      angular rule on the phased form factor in world axes.
+      angular rule on the form factor of the body moved so that the
+      host's center is the origin (|mu|^2 does not change under a
+      translation, and phases taken about a far origin lose their
+      precision).
 
-    A body without one takes the DFT route: a Parseval sum over the DFT
-    of the supersampled raw indicator, on a grid of ``spacing`` (default
-    sigma / 2, which it may not exceed) padded by ``padding`` (default 6
-    sigma), both of which the analytic rules ignore; its grid arguments
-    are checked as for :func:`rasterize_smoothed_density`.  It shares one fill
-    with a filtered raster of the same body and lattice, in either order,
-    unless a gradient or decoherence integral runs between them.
+    A body without one also has a solid without a closed-form field, so
+    it takes the filtered raster (:func:`rasterize_smoothed_density` on
+    a grid of ``spacing``, default sigma / 2, which it may not exceed,
+    padded by ``padding``, default 6 sigma, and checked as there; the
+    analytic rules ignore all three).  Its DFT route is the Parseval sum
+    of that raster's power spectrum with the cell average deconvolved
+    (:func:`_kspace_fft`).  ``_raster`` hands it a raster of the same
+    body, density, sigma and grid arguments that the caller has already
+    made, so one fill and one spectrum serve both grid oracles.
 
     A ``tol`` that is not a positive finite number, or a
     ``max_radial_nodes`` that is not a positive integer, raises
@@ -341,13 +345,15 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     _density_squared(density)
     _positive("sigma", sigma)
     spec = build_shape(spec)
-    mu = form_factor(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        if mu is None:
-            return _finite(_kspace_fft(spec, density, sigma, spacing, padding, max_voxels),
-                           "the k-space tensor")
+        if not _has_form_factor(spec):
+            grid = _raster if _raster is not None else rasterize_smoothed_density(
+                spec, density, sigma, spacing, padding, max_voxels)
+            return _finite(_kspace_fft(grid), "the k-space tensor")
         local = spec._kspace_local(sigma)
         if local is None:
+            mu = form_factor(_about_center(spec))
+
             def rung(n_r, n_t, n_p):
                 return _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p)
         else:
@@ -369,30 +375,36 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
         f"(max_radial_nodes={max_radial_nodes})")
 
 
-def _kspace_fft(spec, density, sigma, spacing, padding, max_voxels):
-    """DFT route: supersampled indicator, deconvolved cell average.
+def _about_center(spec):
+    """The body moved so that its host's center is the origin; ``spec``
+    itself if it is there already."""
+    shift = np.asarray(spec.center)
+    if not np.any(shift):
+        return spec
+    return replace(spec, center=(0.0, 0.0, 0.0), cavities=tuple(
+        replace(cav, center=np.asarray(cav.center) - shift) for cav in spec.cavities))
 
-    Independent of the smoothed-field gradient route: it transforms the
-    raw (unsmoothed) indicator and applies the Gaussian damping exactly
-    in k-space.  The indicator may be a filtered raster's fill of the same
-    lattice; the grid is ``density`` times it, so the tensor is the same bits.
+
+def _kspace_fft(grid):
+    """DFT route: the Parseval sum of the filtered raster's power spectrum.
+
+    The raster's transform is the Gaussian's gain G = exp(-k^2 sigma^2 / 2)
+    times the density times the transform of the supersampled fraction,
+    so P k o k over D(k)^2, D the transform of the ss-point cell average,
+    is the damped |mu|^2 k o k of the raw indicator: only the cell average
+    is deconvolved.  D has no zeros for |k| <= pi / h.
     """
-    h, padding = _grid_lengths(density, sigma, spacing, padding)
-    dims, origin = _grid_geometry(spec, h, padding, max_voxels)
-    ss = _SUPERSAMPLE
-    grid = VoxelGrid(origin, h, density * _fraction(spec, dims, origin, h))
+    h, ss = grid.spacing, _SUPERSAMPLE
 
-    def gain(k):
-        # Gaussian damping over the transform of the ss-point cell average;
-        # the latter has no zeros for |k| <= pi/h
+    def deconvolution(k):
         num = np.sin(k * h / 2.0)
         den = ss * np.sin(k * h / (2.0 * ss))
         dirichlet = np.where(np.abs(k) < 1e-300, 1.0, num / np.where(den == 0, 1.0, den))
-        return np.exp(-(k**2) * sigma**2 / 2.0) / dirichlet
+        return 1.0 / dirichlet**2
 
     # |mu_hat|^2 dk = |h^3 F|^2 (2 pi)^3 / (ntot h^3) = (2 pi)^3 (h^3/ntot) |F|^2
     k = _wavenumbers(grid.values.shape, h)
-    return (2.0 * np.pi) ** 3 * _outer_sum(grid, k, [gain(ki) ** 2 for ki in k])
+    return (2.0 * np.pi) ** 3 * _outer_sum(grid, k, [deconvolution(ki) for ki in k])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +438,6 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
     :class:`DegenerateDimension`; a ``delta`` longer than the grid's
     margin, or infinite, raises :class:`ShiftOutOfGrid`.
     """
-    _drop_kept()
     delta = _delta_vector(delta)
     # an infinite shift leaves any grid, a margin-less one included
     if np.any(np.isinf(delta)) or (grid.margin and np.linalg.norm(delta) > grid.margin):

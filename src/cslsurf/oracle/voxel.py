@@ -67,20 +67,11 @@ is the pointwise count of host and no cavity.  A cavity that counts
 more subsamples in a voxel than the host has left there raises
 ``CavityOverlap``.  The lattice is the same for every shape, so the
 fraction is always a count over 64.
-
-A body that takes both the filtered raster and the DFT route of the
-k-space integral (a mesh or a cone-capped cylinder) reads its indicator
-on both, on the same lattice by default.  Its fill is kept, read-only,
-for the next request of the other route, in either order
-(:func:`_fraction`); the next fill request, gradient or decoherence
-integral, or the body's death frees it.  A body that takes one route
-keeps nothing.
 """
 
 import math
 import numbers
 import os
-import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -98,7 +89,6 @@ from ..errors import (
 )
 from ..geometry.shapes import (
     _REACH_SLACK,
-    _has_form_factor,
     _local_axes,
     _positive,
     bounding_box,
@@ -307,17 +297,17 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     (ny, 1), z as (1, nz)), so temporaries stay plane-sized and a factor
     that depends on one world axis is taken once per value of that axis;
     on named axes the grid is bit for bit :func:`smoothed_density` at its
-    points.  Any other body takes the supersampled indicator, whose fill
-    it shares with the DFT route of :func:`kspace_outer_integral` on the
-    same lattice, before or after (:func:`_fraction`), filtered in the
-    spectrum of the periodic grid (:func:`_filtered`).
+    points.  Any other body takes the supersampled indicator, filtered in
+    the spectrum of the periodic grid (:func:`_filtered`); the DFT route
+    of :func:`kspace_outer_integral` reads this raster's spectrum.
     """
     spec = build_shape(spec)
     spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     solids = (spec, *spec.cavities)
     if any(solid._smoothed_unit is None for solid in solids):
-        values = _filtered(_fraction(spec, dims, origin, spacing), density, sigma, spacing)
+        values = _filtered(supersampled_fraction(spec, dims, origin, spacing), density, sigma,
+                           spacing)
     else:
         values = np.empty(dims)
         y = (origin[1] + spacing * np.arange(dims[1]))[:, None]
@@ -348,43 +338,6 @@ def _wavenumbers(shape, h):
     return (2.0 * np.pi * sfft.fftfreq(shape[0], d=h),
             2.0 * np.pi * sfft.fftfreq(shape[1], d=h),
             2.0 * np.pi * sfft.rfftfreq(shape[2], d=h))
-
-
-#: (weak reference to the body, lattice key, read-only fraction) of the last
-#: fill of a body that takes both the filtered raster and the DFT route
-_KEPT = None
-
-
-def _release(ref):
-    """Empty the slot when the body of its fill dies."""
-    global _KEPT
-    kept = _KEPT
-    if kept is not None and kept[0] is ref:
-        _KEPT = None
-
-
-def _fraction(spec, dims, origin, spacing):
-    """:func:`supersampled_fraction`, or the kept fill of this body and
-    (dims, origin, spacing).  The slot is emptied first, so a miss frees
-    it before filling and a race costs at most an extra fill.  A new fill
-    is kept, read-only, if the body takes the other route too."""
-    global _KEPT
-    key = (tuple(dims), origin.tobytes(), spacing)
-    kept, _KEPT = _KEPT, None
-    if kept is not None and kept[0]() is spec and kept[1] == key:
-        return kept[2]
-    del kept
-    frac = supersampled_fraction(spec, dims, origin, spacing)
-    if not (_has_form_factor(spec) or all(s._smoothed_unit for s in (spec, *spec.cavities))):
-        frac.flags.writeable = False
-        _KEPT = weakref.ref(spec, _release), key, frac
-    return frac
-
-
-def _drop_kept():
-    """Empty the slot: the gradient and decoherence integrals read no fill."""
-    global _KEPT
-    _KEPT = None
 
 
 def supersampled_fraction(spec, dims, origin, spacing):

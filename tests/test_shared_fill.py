@@ -1,7 +1,12 @@
-"""One supersampled fill per body and lattice: the filtered raster and the
-DFT route of the k-space integral share it, in either order, and no fill
-outlives its body, the next fill request, or the next gradient or
-decoherence integral."""
+"""One raster per body for both grid oracles.
+
+A body takes the DFT route of the k-space integral only when it also
+takes the filtered raster (every shape with a closed-form field has a
+form factor), and that route reads the raster's power spectrum.
+``validate`` rasterizes once and hands the grid to both oracles, so a
+sampled body is filled once and transformed twice forward and once back;
+no fill outlives the call that made it.
+"""
 
 import gc
 import json
@@ -10,6 +15,9 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cslsurf.cli import main
 from cslsurf.csl import CslParams
@@ -22,6 +30,7 @@ from cslsurf.geometry import (
     load_mesh,
     mesh_to_stl,
 )
+from cslsurf.geometry import shapes
 from cslsurf.oracle import (
     decoherence_function,
     gradient_outer_integral,
@@ -30,6 +39,7 @@ from cslsurf.oracle import (
     rasterize_smoothed_density,
     voxel,
 )
+from cslsurf.oracle.voxel import _SUPERSAMPLE, _grid_geometry, supersampled_fraction
 
 SIGMA = 1e-7
 RHO = 1000.0
@@ -62,6 +72,22 @@ def fills(monkeypatch):
 
 
 @pytest.fixture
+def transforms(monkeypatch):
+    """The forward and inverse real transforms made while the test runs."""
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    gc.collect()          # no dead array of an earlier test still holds a spectrum
+    return calls
+
+
+@pytest.fixture
 def box_stl(tmp_path):
     path = tmp_path / "box.stl"
     path.write_bytes(mesh_to_stl(box_mesh(5 * SIGMA, 4 * SIGMA, 3 * SIGMA,
@@ -76,13 +102,15 @@ def validate(capsys, *argv):
 
 
 @pytest.mark.parametrize("body", ["mesh", *SHAPES])
-def test_validate_fills_once_and_holds_none_after(capsys, fills, box_stl, body):
+def test_validate_fills_once_and_holds_none_after(capsys, fills, transforms, box_stl, body):
     argv = ["--mesh", str(box_stl)] if body == "mesh" else ["--shape", json.dumps(SHAPES[body])]
     validate(capsys, *argv)
     assert len(fills) == 1
+    # the raster's filter and the gradient integral's spectrum, which the
+    # DFT route of the mesh and the cone reads too
+    assert sorted(transforms) == ["irfftn", "rfftn", "rfftn"]
     gc.collect()
     assert fills[0]() is None
-    assert voxel._KEPT is None
 
 
 def test_validate_spacing_reaches_the_dft_route(capsys, fills, box_stl):
@@ -108,59 +136,42 @@ def test_analytic_ladder_ignores_padding():
                           kspace_outer_integral(spec, RHO, SIGMA))
 
 
-def test_other_lattice_refills_and_releases_the_held_one(fills):
-    spec = Mesh(mesh=box_mesh(4 * SIGMA, 4 * SIGMA, 4 * SIGMA))
-    dims, origin = voxel._grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
-    first = voxel._fraction(spec, dims, origin, SIGMA / 2)
-    assert not first.flags.writeable
-    del first
-    # a finer lattice misses: the kept fraction goes before the new fill
-    # (the fills fixture checks that)
-    finer = voxel._fraction(spec, dims, origin, SIGMA / 4)
-    assert fills[0]() is None
-    again = voxel._fraction(spec, dims, origin, SIGMA / 4)
-    assert again is finer and len(fills) == 2
-    assert voxel._KEPT is None
-    # taken once: the next request fills afresh
-    del again, finer
-    voxel._fraction(spec, dims, origin, SIGMA / 4)
-    assert len(fills) == 3
-
-
 def box_body():
     return Mesh(mesh=box_mesh(5 * SIGMA, 4 * SIGMA, 3 * SIGMA, center=(0.13 * SIGMA, 0.0, 0.0)))
 
 
-def test_readme_composition_fills_once(fills):
+def cone_body():
+    return ConeCappedCylinder(3 * SIGMA, 6 * SIGMA, math.radians(60.0))
+
+
+def test_readme_composition_fills_twice_and_holds_none(fills):
+    # a library caller who composes the two oracles on a sampled body fills
+    # twice, one fill at a time, and holds neither afterwards
     spec = box_body()
     kspace_outer_integral(spec, RHO, SIGMA)
     grid = rasterize_smoothed_density(spec, RHO, SIGMA)
     gradient_outer_integral(grid)
-    assert len(fills) == 1
-    assert fills[0]() is None
-    assert voxel._KEPT is None
-    # the handed-over fill gives the bits of a fill of its own
-    assert np.array_equal(grid.values, rasterize_smoothed_density(box_body(), RHO, SIGMA).values)
+    assert len(fills) == 2
+    assert [ref() for ref in fills] == [None, None]
 
 
 def test_raster_before_the_kspace_integral_fills_once(fills):
     spec = box_body()
-    rasterize_smoothed_density(spec, RHO, SIGMA)
-    K = kspace_outer_integral(spec, RHO, SIGMA)
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+    K = kspace_outer_integral(spec, RHO, SIGMA, _raster=grid)
     assert len(fills) == 1
-    # the handed-over fill gives the bits of a fill of its own
+    # the handed-over raster gives the bits of a raster of the route's own
+    del grid
     assert np.array_equal(K, kspace_outer_integral(box_body(), RHO, SIGMA))
 
 
 def test_exact_dephasing_of_a_mesh_holds_no_fill_through_the_decoherence_function(
         capsys, fills, box_stl, monkeypatch):
-    # the raster keeps its fill for a k-space request that never comes;
-    # the decoherence function frees it before it takes the spectrum
     held = []
     power = integrals._power
 
     def spectrum(grid):
-        held.append((voxel._KEPT, [ref() for ref in fills]))
+        held.append([ref() for ref in fills])
         return power(grid)
 
     monkeypatch.setattr(integrals, "_power", spectrum)
@@ -168,22 +179,18 @@ def test_exact_dephasing_of_a_mesh_holds_no_fill_through_the_decoherence_functio
                  str(RHO), "--delta", f"{SIGMA} m,0,0", "--exact"])
     assert code == 0, capsys.readouterr().err
     assert len(fills) == 1
-    assert held == [(None, [None])]
+    assert held == [[None]]
 
 
 @pytest.mark.parametrize("oracle", ["gradient", "decoherence"])
-def test_gradient_and_decoherence_free_a_kept_fill(fills, oracle):
-    # a raster that no k-space request follows holds its fill through
-    # neither integral
-    spec = box_body()
-    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
-    assert fills[0]() is not None
+def test_raster_holds_no_fill_through_gradient_or_decoherence(fills, oracle):
+    grid = rasterize_smoothed_density(box_body(), RHO, SIGMA)
+    assert fills[0]() is None
     if oracle == "gradient":
         gradient_outer_integral(grid)
     else:
         decoherence_function(grid, [SIGMA, 0.0, 0.0], CslParams(localization_length=SIGMA))
-    assert fills[0]() is None
-    assert voxel._KEPT is None
+    assert len(fills) == 1
 
 
 def test_elliptic_cylinder_keeps_no_fill(fills):
@@ -192,31 +199,62 @@ def test_elliptic_cylinder_keeps_no_fill(fills):
     rasterize_smoothed_density(spec, RHO, SIGMA)
     assert len(fills) == 1
     assert fills[0]() is None
-    assert voxel._KEPT is None
 
 
-def cone_body():
-    return ConeCappedCylinder(3 * SIGMA, 6 * SIGMA, math.radians(60.0))
-
-
-def test_cone_raster_takes_its_dft_fill(fills):
-    # no form factor and no closed-form field: the DFT route keeps its
-    # fill, and the filtered raster takes it
-    spec = cone_body()
-    kspace_outer_integral(spec, RHO, SIGMA)
-    assert fills[0]() is not None
-    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+def test_cone_dft_route_fills_once_and_holds_none(fills):
+    # no form factor and no closed-form field: the DFT route fills, filters
+    # and transforms a raster of its own, which dies with the call
+    kspace_outer_integral(cone_body(), RHO, SIGMA)
     assert len(fills) == 1
-    assert voxel._KEPT is None
-    # the handed-over fill gives the bits of a fill of its own
-    assert np.array_equal(grid.values, rasterize_smoothed_density(cone_body(), RHO, SIGMA).values)
-
-
-def test_kept_fill_goes_with_its_body(fills):
-    spec = box_body()
-    kspace_outer_integral(spec, RHO, SIGMA)
-    assert fills[0]() is not None
-    del spec
-    gc.collect()
     assert fills[0]() is None
-    assert voxel._KEPT is None
+
+
+def test_a_closed_form_field_implies_a_form_factor():
+    # the one rule: a body takes the DFT route only if it takes the
+    # filtered raster, so the route can read that raster's spectrum
+    for cls in shapes.Shape:
+        assert cls._smoothed_unit is None or cls._unit_form_factor is not None, cls.__name__
+
+
+def raw_indicator_parseval(spec, density, sigma):
+    """(2 pi)^3 (h^3 / N) sum of w |rfftn(rho frac)|^2 G^2 / D^2 k o k over
+    numpy's own transform of the supersampled raw indicator: G the
+    Gaussian's gain, D the transform of the ss-point cell average."""
+    h, ss = sigma / 2, _SUPERSAMPLE
+    dims, origin = _grid_geometry(spec, h, 6 * sigma)
+    F = np.fft.rfftn(density * supersampled_fraction(spec, dims, origin, h))
+    wz = np.full(F.shape[2], 2.0)
+    wz[0] = 1.0
+    if dims[2] % 2 == 0:
+        wz[-1] = 1.0
+    k = np.meshgrid(2 * np.pi * np.fft.fftfreq(dims[0], h), 2 * np.pi * np.fft.fftfreq(dims[1], h),
+                    2 * np.pi * np.fft.rfftfreq(dims[2], h), indexing="ij")
+    weight = wz * np.abs(F) ** 2
+    for ki in k:
+        den = ss * np.sin(ki * h / (2 * ss))
+        dirichlet = np.where(ki == 0, 1.0, np.sin(ki * h / 2) / np.where(ki == 0, 1.0, den))
+        weight = weight * np.exp(-(ki * sigma) ** 2) / dirichlet**2
+    scale = (2 * np.pi) ** 3 * h**3 / math.prod(dims)
+    return scale * np.array([[np.sum(weight * ki * kj) for kj in k] for ki in k])
+
+
+@st.composite
+def sampled_bodies(draw):
+    """A mesh box of random sides at a sub-cell offset, or a cone of
+    random apex angle: bodies with neither a form factor nor a field."""
+    if draw(st.booleans()):
+        sides = [draw(st.floats(3.0, 8.0)) * SIGMA for _ in range(3)]
+        offset = [draw(st.floats(-0.25, 0.25)) * SIGMA for _ in range(3)]
+        return Mesh(mesh=box_mesh(*sides, center=offset))
+    return ConeCappedCylinder(3 * SIGMA, 6 * SIGMA, draw(st.floats(0.5, 2.8)))
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(sampled_bodies())
+def test_dft_route_is_the_raw_indicator_parseval_sum(spec):
+    K = kspace_outer_integral(spec, RHO, SIGMA)
+    want = raw_indicator_parseval(spec, RHO, SIGMA)
+    assert np.abs(K - want).max() <= 1e-13 * np.abs(want).max()
+    # a handed-over raster gives the bits of the route's own
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+    assert np.array_equal(kspace_outer_integral(spec, RHO, SIGMA, _raster=grid), K)
