@@ -366,8 +366,7 @@ def _cmd_validate(args):
     )
     grad = gradient_outer_integral(grid)
     grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
-    kint = kspace_outer_integral(shape, density, sigma, spacing=spacing, padding=padding,
-                                 max_voxels=args.max_voxels, _raster=grid)
+    kint = kspace_outer_integral(shape, density, sigma, _raster=grid)
 
     def rel(a, b):
         return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b)))
@@ -412,7 +411,9 @@ def _sweep_shape(base, variable, value):
     if name not in {f.name for f in dataclasses.fields(base)}:
         raise ConfigError(f"cannot sweep {variable} on {type(base).__name__}")
     if variable == "e":  # eccentricity at fixed semi-axis a
-        value = base.semi_axis_a * math.sqrt(max(1.0 - value**2, 0.0))
+        if not 0.0 <= value < 1.0:
+            raise ConfigError(f"eccentricity e must be in [0, 1), got {value}")
+        value = base.semi_axis_a * math.sqrt(1.0 - value**2)
     return dataclasses.replace(base, **{name: value})
 
 

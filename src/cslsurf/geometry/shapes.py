@@ -13,12 +13,14 @@ and its bounds, mass properties (Green's theorem in the (r, z) plane),
 signed distance and clearance come from the same segments.  The
 clearance, the unsigned distance that the supersampled fill's culling
 and the cavity checks read, is the least distance to a segment, and the
-signed distance is that same number, negative inside.  The elliptic
-cylinder is the unit cylinder under the stretch x -> a x, y -> b y and
-has no signed distance: one measured in the stretched frame is not a
-distance, and its clearance is a lower bound.  Every signed distance
-here is exact.  The sphere keeps its own rule, whose points are exactly
-R times the normals; boxes take one rule per face.
+signed distance is that same number, negative inside.  The circular,
+elliptic and gapped cylinders are one rod (:class:`_Rod`), whose closed
+forms all come from its semi-axes (a, b) and segments.  The elliptic
+cylinder is the unit rod under the stretch x -> a x, y -> b y and has no
+signed distance: one measured in the stretched frame is not a distance,
+and its clearance is a lower bound.  Every signed distance here is
+exact.  The sphere keeps its own rule, whose points are exactly R times
+the normals; boxes take one rule per face.
 
 The smoothed field never reads a signed distance: the Gaussian-smoothed
 indicator is a shape's closed form (``_smoothed_unit``) where one
@@ -110,10 +112,11 @@ def _apex_angle(name, value):
     return value
 
 
-def _real(name, value):
+def _nonnegative(name, value):
     value = float(value)
-    if not math.isfinite(value):
-        raise DegenerateDimension(f"{name.replace('_', ' ')} must be finite, got {value}")
+    if not (value >= 0.0) or not math.isfinite(value):
+        raise DegenerateDimension(
+            f"{name.replace('_', ' ')} must be non-negative and finite, got {value}")
     return value
 
 
@@ -234,38 +237,6 @@ def _slab_moments(length, sigma, centers=(0.0,)):
     pairs0 = np.sum(r(d + length) - 2.0 * r(d) + r(d - length))
     pairs2 = np.sum(2.0 * g(d) - g(d + length) - g(d - length))
     return n * z0 + 4.0 * math.pi * pairs0, n * z2 + 2.0 * pairs2
-
-
-def _cylinder_kspace(solid, a, b, sigma, length, centers=(0.0,)):
-    """``_kspace_local`` of the circular, elliptic or gapped cylinder
-    ``solid`` with semi-axes (a, b) and segments of ``length`` at the
-    axial ``centers``: None if it has cavities.
-
-    The transverse form factor is pi a b jinc(zeta) with zeta = |(a q_x,
-    b q_y)|, so with q_x = zeta cos(phi) / a and q_y = zeta sin(phi) / b
-    the Gaussian's angular integral is closed form: for x = sigma^2
-    zeta^2 (a^-2 - b^-2) / 2 and d = exp(-sigma^2 zeta^2 / max(a, b)^2)
-    the weights of q_x^2, q_y^2 and 1 are pi d (I0e(x) - I1e(x))
-    zeta^2 / a^2, pi d (I0e(x) + I1e(x)) zeta^2 / b^2 and 2 pi d I0e(x),
-    I_ne = ``ive``.  zeta = max(a, b) k spans [0, KMAX_SIGMA max(a, b) /
-    sigma] as k spans the radial rule, and the axial factors are Z0, Z0
-    and Z2 of the segments (:func:`_slab_moments`).
-    """
-    if solid.cavities:
-        return None
-    big = max(a, b)
-    stretch = 0.5 * ((big / a) * (big / a) - (big / b) * (big / b))
-    z0, z2 = _slab_moments(length, sigma, centers)
-
-    def transverse(k):
-        zeta, u2 = big * k, (sigma * k) ** 2
-        i0, i1 = ive(0, u2 * stretch), ive(1, u2 * stretch)
-        # (pi a b jinc)^2 zeta / (a b) times pi d, and the Jacobian big of zeta
-        disc = big * math.pi**3 * a * b * _jinc(zeta) ** 2 * zeta * np.exp(-u2)
-        return disc * np.stack([(i0 - i1) * (zeta / a) ** 2, (i0 + i1) * (zeta / b) ** 2,
-                                2.0 * i0])
-
-    return np.array([z0, z0, z2]), transverse
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +433,16 @@ class _Solid:
     Every shape classifies points with its own ``_inside`` (closed form,
     or ray parity for meshes); none goes through a signed distance.  A
     solid of revolution has one definition, its (r, z) profile, from
-    which :class:`_Revolved` derives all its geometry.  The hooks ``_sdf``
-    (exact signed distance; none for the elliptic cylinder),
-    ``_smoothed_unit`` (closed-form Gaussian-smoothed indicator; none for
-    the cone-capped and elliptic cylinders) and ``_unit_form_factor`` (none
-    for the cone-capped cylinder and meshes) are None where the shape has
-    none; the oracles then take the next path of their rule (the raster:
+    which :class:`_Revolved` derives all its geometry, and a rod
+    (:class:`_Rod`: circular, elliptic and gapped cylinders) has one more,
+    its semi-axes and segments, from which it derives its closed forms.
+    The hooks ``_sdf`` (exact signed distance; none for the elliptic
+    cylinder and meshes), ``_smoothed_unit`` (closed-form Gaussian-smoothed
+    indicator; the round rod's for the circular and gapped cylinders,
+    none for the cone-capped and elliptic cylinders and meshes) and
+    ``_unit_form_factor`` (every rod has the rod's; none for the
+    cone-capped cylinder and meshes) are None where the shape has none;
+    the oracles then take the next path of their rule (the raster:
     the filtered supersampled indicator; the k-space integral: the DFT
     route, which reads that raster).  A shape with ``_smoothed_unit`` has
     ``_unit_form_factor`` too, so a body takes the DFT route only when it
@@ -478,7 +453,7 @@ class _Solid:
     unit density, is ``factors`` times the integral of ``integrand`` over
     k in [0, KMAX_SIGMA / sigma], or ``factors`` where ``integrand`` is
     None.  It returns None, the spherical ladder, for a body it cannot
-    take: by default, and for a box or cylinder with cavities or a sphere
+    take: by default, and for a box or rod with cavities or a sphere
     whose cavities are not all spheres at its center.  ``_clearance`` is
     a lower bound on the distance to the boundary, exact (``|_sdf|``)
     unless a subclass says otherwise.  ``_lattice`` counts each voxel's
@@ -640,6 +615,74 @@ class _Revolved(_Solid):
         return [(V, A, [0.0, 0.0, zc], np.diag([xx, xx, np.sum(dV * (z - zc) ** 2)]))]
 
 
+class _Rod(_Revolved):
+    """A stack of coaxial cylinders, defined by its semi-axes (a, b) =
+    ``_semi_axes`` and ``segments()`` (their length and axial centers),
+    by default round, of ``radius``, with one of its ``length`` at the
+    center.  Its profile, one rectangle per segment, has radius a over
+    the stretch: R, or 1 for the unit rod that the stretch (a, b) makes
+    elliptic.  The round field, the form factor and the body-frame rule
+    come from the semi-axes and segments alone.
+    """
+
+    @property
+    def _semi_axes(self):
+        return self.radius, self.radius
+
+    def segments(self):
+        """(segment_length, array of segment center offsets along the axis)."""
+        return self.length, np.zeros(1)
+
+    def _profiles(self):
+        r, (seg, centers) = self._semi_axes[0] / self._stretch[0], self.segments()
+        return [[(0.0, lo), (r, lo), (r, hi), (0.0, hi)]
+                for lo, hi in zip(centers - seg / 2, centers + seg / 2)]
+
+    def _smoothed_unit(self, x, y, z, sigma):
+        # the disc factor times one interval factor per segment
+        seg, centers = self.segments()
+        axial = sum(_interval_factor(z - zc, seg / 2.0, sigma) for zc in centers)
+        return _disc_factor(np.hypot(x, y), self._semi_axes[0], sigma) * axial
+
+    def _unit_form_factor(self, k):
+        (a, b), (seg, centers) = self._semi_axes, self.segments()
+        kl = k @ self._frame
+        kz = kl[..., 2]
+        phases = sum(np.exp(-1j * kz * zc) for zc in centers) if np.any(centers) else 1.0
+        return (np.pi * a * b * seg * _jinc(np.hypot(kl[..., 0] * a, kl[..., 1] * b))
+                * _sinc(kz * seg / 2.0) * phases)
+
+    def _kspace_local(self, sigma):
+        """The body-frame rule, or None if the rod has cavities.
+
+        The transverse form factor is pi a b jinc(zeta) with zeta = |(a q_x,
+        b q_y)|, so with q_x = zeta cos(phi) / a and q_y = zeta sin(phi) / b
+        the Gaussian's angular integral is closed form: for x = sigma^2
+        zeta^2 (a^-2 - b^-2) / 2 and d = exp(-sigma^2 zeta^2 / max(a, b)^2)
+        the weights of q_x^2, q_y^2 and 1 are pi d (I0e(x) - I1e(x))
+        zeta^2 / a^2, pi d (I0e(x) + I1e(x)) zeta^2 / b^2 and 2 pi d I0e(x),
+        I_ne = ``ive``.  zeta = max(a, b) k spans [0, KMAX_SIGMA max(a, b) /
+        sigma] as k spans the radial rule, and the axial factors are Z0, Z0
+        and Z2 of the segments (:func:`_slab_moments`).
+        """
+        if self.cavities:
+            return None
+        (a, b), (seg, centers) = self._semi_axes, self.segments()
+        big = max(a, b)
+        stretch = 0.5 * ((big / a) * (big / a) - (big / b) * (big / b))
+        z0, z2 = _slab_moments(seg, sigma, centers)
+
+        def transverse(k):
+            zeta, u2 = big * k, (sigma * k) ** 2
+            i0, i1 = ive(0, u2 * stretch), ive(1, u2 * stretch)
+            # (pi a b jinc)^2 zeta / (a b) times pi d, and the Jacobian big of zeta
+            disc = big * math.pi**3 * a * b * _jinc(zeta) ** 2 * zeta * np.exp(-u2)
+            return disc * np.stack([(i0 - i1) * (zeta / a) ** 2, (i0 + i1) * (zeta / b) ** 2,
+                                    2.0 * i0])
+
+        return np.array([z0, z0, z2]), transverse
+
+
 @dataclass(frozen=True)
 class Sphere(_Solid):
     radius: float = _length()
@@ -693,29 +736,12 @@ class Sphere(_Solid):
 
 
 @dataclass(frozen=True)
-class Cylinder(_Revolved):
+class Cylinder(_Rod):
     radius: float = _length()
     length: float = _length()
     axis: tuple = _axis()
     center: tuple = _center()
     cavities: tuple = _cavities()
-
-    def _profiles(self):
-        R, half = self.radius, self.length / 2.0
-        return [[(0.0, -half), (R, -half), (R, half), (0.0, half)]]
-
-    def _smoothed_unit(self, x, y, z, sigma):
-        return (_disc_factor(np.hypot(x, y), self.radius, sigma)
-                * _interval_factor(z, self.length / 2.0, sigma))
-
-    def _unit_form_factor(self, k):
-        R, L = self.radius, self.length
-        kl = k @ self._frame
-        kperp = np.hypot(kl[..., 0], kl[..., 1])
-        return np.pi * R**2 * L * _jinc(kperp * R) * _sinc(kl[..., 2] * L / 2.0)
-
-    def _kspace_local(self, sigma):
-        return _cylinder_kspace(self, self.radius, self.radius, sigma, self.length)
 
 
 @dataclass(frozen=True)
@@ -798,8 +824,9 @@ class ConeCappedCylinder(_Revolved):
 
 
 @dataclass(frozen=True)
-class EllipticCylinder(_Revolved):
-    """Cylinder with elliptic cross section, semi-axes a (x) and b (y)."""
+class EllipticCylinder(_Rod):
+    """Cylinder with elliptic cross section, semi-axes a (x) and b (y): the
+    unit rod under the stretch (a, b)."""
 
     semi_axis_a: float = _length()
     semi_axis_b: float = _length()
@@ -809,16 +836,14 @@ class EllipticCylinder(_Revolved):
     cavities: tuple = _cavities()
 
     _sdf = None
+    _smoothed_unit = None
     _ring = "ellipse"
 
     @property
     def _stretch(self):
         return self.semi_axis_a, self.semi_axis_b
 
-    def _profiles(self):
-        # the unit cylinder, stretched by (a, b)
-        half = self.length / 2.0
-        return [[(0.0, -half), (1.0, -half), (1.0, half), (0.0, half)]]
+    _semi_axes = _stretch
 
     def _parts(self):
         a, b, L = self.semi_axis_a, self.semi_axis_b, self.length
@@ -829,18 +854,9 @@ class EllipticCylinder(_Revolved):
         J = np.diag([V * a**2 / 4.0, V * b**2 / 4.0, V * L**2 / 12.0])
         return [(V, A, np.zeros(3), J)]
 
-    def _unit_form_factor(self, k):
-        a, b, L = self.semi_axis_a, self.semi_axis_b, self.length
-        kl = k @ self._frame
-        zeta = np.hypot(kl[..., 0] * a, kl[..., 1] * b)
-        return np.pi * a * b * L * _jinc(zeta) * _sinc(kl[..., 2] * L / 2.0)
-
-    def _kspace_local(self, sigma):
-        return _cylinder_kspace(self, self.semi_axis_a, self.semi_axis_b, sigma, self.length)
-
 
 @dataclass(frozen=True)
-class GappedCylinder(_Revolved):
+class GappedCylinder(_Rod):
     """Cylinder of overall span ``length`` cut by evenly spaced gaps.
 
     ``gap_count`` perpendicular gaps of width ``gap_width`` split the rod
@@ -851,7 +867,7 @@ class GappedCylinder(_Revolved):
     radius: float = _length()
     length: float = _length()
     gap_count: int = _field(_count, "dimensionless")
-    gap_width: float = _field(_real, "length")
+    gap_width: float = _field(_nonnegative, "length")
     axis: tuple = _axis()
     center: tuple = _center()
     cavities: tuple = _cavities()
@@ -864,35 +880,11 @@ class GappedCylinder(_Revolved):
                 raise DegenerateDimension("gaps consume the whole cylinder")
 
     def segments(self):
-        """(segment_length, list of segment center offsets along the axis)."""
+        """(segment_length, array of segment center offsets along the axis)."""
         n = self.gap_count
         seg = (self.length - n * self.gap_width) / (n + 1)
         starts = -self.length / 2.0 + np.arange(n + 1) * (seg + self.gap_width)
         return seg, starts + seg / 2.0
-
-    def _profiles(self):
-        # one cylinder profile per solid segment
-        R, (seg, centers) = self.radius, self.segments()
-        return [[(0.0, lo), (R, lo), (R, hi), (0.0, hi)]
-                for lo, hi in zip(centers - seg / 2, centers + seg / 2)]
-
-    def _smoothed_unit(self, x, y, z, sigma):
-        seg, centers = self.segments()
-        axial = 0.0
-        for zc in centers:
-            axial = axial + _interval_factor(z - zc, seg / 2.0, sigma)
-        return _disc_factor(np.hypot(x, y), self.radius, sigma) * axial
-
-    def _unit_form_factor(self, k):
-        R, (seg, centers) = self.radius, self.segments()
-        kl = k @ self._frame
-        kz = kl[..., 2]
-        phases = sum(np.exp(-1j * kz * zc) for zc in centers)
-        return (np.pi * R**2 * seg * _jinc(np.hypot(kl[..., 0], kl[..., 1]) * R)
-                * _sinc(kz * seg / 2.0) * phases)
-
-    def _kspace_local(self, sigma):
-        return _cylinder_kspace(self, self.radius, self.radius, sigma, *self.segments())
 
 
 @dataclass(frozen=True)

@@ -332,8 +332,9 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
     analytic rules ignore all three).  Its DFT route is the Parseval sum
     of that raster's power spectrum with the cell average deconvolved
     (:func:`_kspace_fft`).  ``_raster`` hands it a raster of the same
-    body, density, sigma and grid arguments that the caller has already
-    made, so one fill and one spectrum serve both grid oracles.
+    body, density and sigma that the caller has already made (the grid
+    arguments then go unused), so one fill and one spectrum serve both
+    grid oracles.
 
     A ``tol`` that is not a positive finite number, or a
     ``max_radial_nodes`` that is not a positive integer, raises

@@ -230,6 +230,17 @@ class TestSweep:
             lead = e**4 / 4 * math.pi * (1e-6) ** 3 * 3e-6
             assert val == pytest.approx(lead, rel=0.05, abs=0)
 
+    @pytest.mark.parametrize("values", ["-0.5,0.5", "1.0", "1.5", "-0.0001"])
+    def test_eccentricity_outside_unit_interval_is_refused(self, capsys, values):
+        # -0.5 used to fold to 0.5, and 1.0 to a zero semi-axis b
+        code, out, err = run(
+            capsys, "sweep", "--shape",
+            '{"type":"elliptic_cylinder","semi_axis_a":"1 um","semi_axis_b":"1 um",'
+            '"length":"3 um"}',
+            "--variable", "e", f"--values={values}")
+        assert code == 1 and out == ""
+        assert "eccentricity e must be in [0, 1)" in err
+
     def test_unknown_variable(self, capsys):
         code, out, err = run(capsys, "sweep", "--shape", SPHERE,
                              "--variable", "R", "--values", "")

@@ -14,6 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from cslsurf import (
+    SurfacePatches,
+    contains,
+    form_factor,
+    gradient_outer_integral,
+    kspace_outer_integral,
+    rasterize_smoothed_density,
+    smoothed_density,
+)
 from cslsurf.cli import _shape_from_json, _shape_to_json
 from cslsurf.geometry import (
     Box,
@@ -225,6 +234,48 @@ def test_round_elliptic_cylinder_is_the_cylinder(s, r, length, axis, resolution)
     assert np.allclose(round_.normals, circle.normals, rtol=0, atol=1e-14)
     assert np.allclose(round_.weights, circle.weights, rtol=0,
                        atol=1e-14 * np.max(circle.weights))
+
+
+def _bits(value):
+    """The value's raw bytes, arrays, patches and mass-property fields alike."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return [_bits(getattr(value, f)) for f in value.__dataclass_fields__]
+    if isinstance(value, SurfacePatches):
+        return [_bits(value.points), _bits(value.normals), _bits(value.weights)]
+    return np.ascontiguousarray(value).tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(_scale, _unit, _unit, st.one_of(_direction, st.just((0.0, 2e-7, -1.0))), _offset,
+       st.one_of(st.none(), st.floats(0.1, 0.45)), st.floats(0.0, 10.0))
+# an axis near -z, whose local frame takes the guarded 1 + c, with a cavity
+@example(1e-6, 2.0, 3.0, (0.0, 2e-7, -1.0), (1.0, -2.0, 0.5), 0.3, 0.5)
+def test_rods_share_one_definition(s, r, length, axis, offset, cavity, width):
+    # a zero-gap gapped cylinder is the cylinder, and a round elliptic
+    # cylinder takes its form factor and k-space rule, to the bit
+    R, L, sigma = s * r, s * length, s
+    center = tuple(s * c for c in offset)
+    cavities = () if cavity is None else (Sphere(cavity * min(R, L), center=center),)
+    kw = dict(axis=axis, center=center, cavities=cavities)
+    cylinder, gapped = Cylinder(R, L, **kw), GappedCylinder(R, L, 0, width * s, **kw)
+    elliptic = EllipticCylinder(R, R, L, **kw)
+    p = np.random.default_rng(0).uniform(-3.0 * s, 3.0 * s, size=(300, 3)) + center
+    k = np.random.default_rng(1).normal(scale=2.0 / s, size=(300, 3))
+
+    def outputs(spec):
+        grid = rasterize_smoothed_density(spec, 1.0, sigma)
+        return [quadrature(spec, resolution=6), mass_properties(spec, 2.0),
+                contains(spec, p), signed_distance(spec, p), smoothed_density(spec, 1.0, sigma, p),
+                grid.values, gradient_outer_integral(grid), form_factor(spec)(k),
+                kspace_outer_integral(spec, 1.0, sigma)]
+
+    assert _bits(outputs(gapped)) == _bits(outputs(cylinder))
+    assert _bits(form_factor(elliptic)(k)) == _bits(form_factor(cylinder)(k))
+    if not cavities:    # the body-frame rule
+        assert _bits(kspace_outer_integral(elliptic, 1.0, sigma)) == _bits(
+            kspace_outer_integral(cylinder, 1.0, sigma))
 
 
 @PROPERTY_SETTINGS

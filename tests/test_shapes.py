@@ -107,6 +107,17 @@ class TestValidation:
         with pytest.raises(DegenerateDimension, match="gap width"):
             GappedCylinder(1.0, 2.0, 0, width)
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_gap_width_must_not_be_negative(self, count):
+        # with no gaps a negative width used to be stored and reported
+        with pytest.raises(DegenerateDimension, match="gap width must be non-negative"):
+            GappedCylinder(1.0, 10.0, count, -0.5)
+
+    def test_zero_gap_width_without_gaps_is_accepted(self):
+        assert GappedCylinder(1.0, 10.0, 0, 0.0).gap_width == 0.0
+        with pytest.raises(DegenerateDimension, match="gap width must be positive"):
+            GappedCylinder(1.0, 10.0, 1, 0.0)
+
     @pytest.mark.parametrize("count", [2.5, True, math.nan, math.inf, "2"])
     def test_gap_count_must_be_an_integer(self, count):
         # 2.5 used to be truncated to 2 gaps
