@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
 from .geometry.shapes import _positive
-from .tensors import clamp_psd, principal_axes
+from .tensors import _finite, clamp_psd, principal_axes
 
 #: quadratic (momentum-diffusion) regime is quantitative for |delta| << sigma;
 #: warn above this fraction
@@ -45,7 +45,7 @@ class CslParams:
 
     def __post_init__(self):
         for f in fields(self):
-            _positive(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
 
 
 def _density_squared(density):
@@ -142,14 +142,14 @@ def com_heating_rate(total_area, mass, density, params: CslParams) -> float:
     two forms agree identically since M = rho V.  A is the full boundary
     area including cavity walls.
     """
-    _positive("mass", mass)
+    total_area, mass = _positive("area", total_area), _positive("mass", mass)
     c = dephasing_prefactor(density, params)
-    return params.hbar**2 * c * float(total_area) / mass
+    return params.hbar**2 * c * total_area / mass
 
 
 def total_heating_rate(mass, params: CslParams) -> float:
     """Total heating power over all constituents: 3 hbar^2 lambda M / (2 m_N^2 sigma^2)."""
-    _positive("mass", mass)
+    mass = _positive("mass", mass)
     lam = params.collapse_rate
     sig = params.localization_length
     return 1.5 * params.hbar**2 * lam * mass / (params.nucleon_mass**2 * sig**2)
@@ -160,14 +160,14 @@ def rotational_heating_rate(rotational_tensor, inertia, density, params: CslPara
 
     ``inertia`` is the mass-weighted tensor about the centroid — normally
     the standard inertia tensor; callers may pass the second-moment
-    tensor instead to follow the alternative bookkeeping convention.
+    tensor instead to follow the alternative bookkeeping convention.  A
+    non-finite entry of either tensor raises :class:`DegenerateDimension`.
     """
-    inertia = np.asarray(inertia, dtype=float)
+    inertia, s_rot = _finite(inertia), _finite(rotational_tensor)
     vals = np.linalg.eigvalsh(0.5 * (inertia + inertia.T))
     if vals.min() <= 1e-12 * max(vals.max(), 0.0) or vals.min() <= 0.0:
         raise SingularInertia(f"inertia tensor is singular: eigenvalues {vals}")
     c = dephasing_prefactor(density, params)
-    s_rot = np.asarray(rotational_tensor, dtype=float)
     return params.hbar**2 * c * float(np.trace(np.linalg.solve(inertia, s_rot)))
 
 

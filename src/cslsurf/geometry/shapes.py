@@ -90,8 +90,17 @@ def _canon_center(name, center):
     return tuple(c)
 
 
+def _real(name, value):
+    """``value`` as a float; a bool, or anything that is not a real number
+    (a string included), raises :class:`DegenerateDimension`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DegenerateDimension(
+            f"{name.replace('_', ' ')} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _positive(name, value):
-    value = float(value)
+    value = _real(name, value)
     if not (value > 0.0) or not math.isfinite(value):
         raise DegenerateDimension(
             f"{name.replace('_', ' ')} must be positive and finite, got {value}")
@@ -106,14 +115,14 @@ def _box_sides(name, sides):
 
 
 def _apex_angle(name, value):
-    value = float(value)
+    value = _real(name, value)
     if not (0.0 < value < math.pi):
         raise DegenerateDimension(f"apex angle must be in (0, pi), got {value}")
     return value
 
 
 def _nonnegative(name, value):
-    value = float(value)
+    value = _real(name, value)
     if not (value >= 0.0) or not math.isfinite(value):
         raise DegenerateDimension(
             f"{name.replace('_', ' ')} must be non-negative and finite, got {value}")
@@ -1033,9 +1042,27 @@ def _local_axes(spec, x, y, z):
     return [sum(t[1:], t[0]) for t in terms]
 
 
+def _points(points):
+    """``points`` as a float array of shape (..., 3); a bare 3-vector is one
+    point, of shape (1, 3).  Any other last axis raises
+    :class:`DegenerateDimension`."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim == 1:
+        p = p[None]
+    if p.ndim == 0 or p.shape[-1] != 3:
+        raise DegenerateDimension(f"points must have shape (..., 3), got {np.shape(points)}")
+    return p
+
+
+def _point_axes(points):
+    """The world axes x, y, z of :func:`_points`, each of the points' leading shape."""
+    return np.moveaxis(_points(points), -1, 0)
+
+
 def contains(spec, points):
-    """Boolean mask: is there material at each point."""
-    axes = np.atleast_2d(np.asarray(points, dtype=float)).T
+    """Boolean mask of the points' leading shape: is there material at each
+    point of an (..., 3) array."""
+    axes = _point_axes(points)
     inside = spec._inside(*_local_axes(spec, *axes))
     for cav in spec.cavities:
         inside &= ~cav._inside(*_local_axes(cav, *axes))
@@ -1053,7 +1080,7 @@ def signed_distance(spec, points):
     for solid in (spec, *spec.cavities):
         if solid._sdf is None:
             raise UnsupportedShape(f"signed distance not available for {type(solid).__name__}")
-    axes = np.atleast_2d(np.asarray(points, dtype=float)).T
+    axes = _point_axes(points)
     d = spec._sdf(*_local_axes(spec, *axes))
     for cav in spec.cavities:
         d = np.maximum(d, -cav._sdf(*_local_axes(cav, *axes)))
@@ -1109,7 +1136,7 @@ def mass_properties(spec, density):
     Cavities subtract volume and add wall area.  For meshes the moments
     come from exact signed-tetrahedron accumulation over the facets.
     """
-    _positive("density", density)
+    density = _positive("density", density)
     spec = build_shape(spec)
     parts = []
     for sign, solid in [(+1.0, spec)] + [(-1.0, cav) for cav in spec.cavities]:

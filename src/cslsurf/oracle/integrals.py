@@ -49,7 +49,6 @@ ends with small contractions over y and z.  The weights are
 """
 
 import math
-import numbers
 import threading
 import weakref
 from dataclasses import replace
@@ -58,24 +57,28 @@ import numpy as np
 from scipy import fft as sfft
 
 from ..csl import CslParams, _delta_vector, _density_squared
-from ..errors import ConfigError, DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
+from ..errors import DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
 from ..geometry.shapes import (
     _gl,
     _has_form_factor,
     _leggauss,
+    _points,
     _positive,
     _sphere_patches,
     build_shape,
 )
 from .voxel import (
     _SUPERSAMPLE,
-    DEFAULT_MAX_VOXELS,
     VoxelGrid,
     _wavenumbers,
     rasterize_smoothed_density,
 )
 
 KMAX_SIGMA = 8.0  # radial cutoff k_max = KMAX_SIGMA / sigma; Gaussian tail < 1e-27
+# the refinement loop stops once one rung changes K by less than KSPACE_TOL
+# (relative); its last rung has MAX_RADIAL_NODES radial nodes
+KSPACE_TOL = 1e-4
+MAX_RADIAL_NODES = 4096
 _RADIAL_CHUNK = 128  # radial nodes per form-factor call of the k-space ladder
 
 
@@ -213,7 +216,7 @@ def gradient_outer_integral(grid: VoxelGrid):
 
 def surface_formula_outer_integral(surface_tensor, density, sigma):
     """Closed-form surface scaling (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) * S."""
-    _positive("sigma", sigma)
+    sigma = _positive("sigma", sigma)
     scale = (2.0 * np.pi) ** 3 * _density_squared(density) / (2.0 * math.sqrt(math.pi) * sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(scale * np.asarray(surface_tensor, dtype=float), "the surface formula")
@@ -238,7 +241,7 @@ def form_factor(spec):
            for sign, part in parts]
 
     def mu(k):
-        k = np.asarray(k, dtype=float)
+        k = _points(k)
         out = 0.0j
         for sign, center, fn in fns:
             phase = np.exp(-1j * (k @ center)) if np.any(center) else 1.0
@@ -270,55 +273,42 @@ def _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p):
     return np.einsum("d,di,dj->ij", per_dir * wd, dirs, dirs)
 
 
-def _rungs(max_radial_nodes):
+def _rungs():
     """(n_r, n_t, n_p) of each refinement step: n_r radial nodes, doubling
-    from 128 up to ``max_radial_nodes``, and the ladder's n_t polar and
+    from 128 up to ``MAX_RADIAL_NODES``, and the ladder's n_t polar and
     2 n_t azimuthal directions, n_t growing by sqrt(2) (16, 24, 32, 48, ...)."""
     step = 0
-    while (n_r := 128 << step) <= max_radial_nodes:
+    while (n_r := 128 << step) <= MAX_RADIAL_NODES:
         n_t = (16 if step % 2 == 0 else 24) << (step // 2)
         yield n_r, n_t, 2 * n_t
         step += 1
 
 
-def _settled(K, prev, tol):
-    """Whether one refinement step changed the tensor by less than ``tol``:
-    relative, Frobenius, both norms taken of K / max|K|, since those of K
-    overflow past ~1e154."""
+def _settled(K, prev):
+    """Whether one refinement step changed the tensor by less than
+    ``KSPACE_TOL``: relative, Frobenius, both norms taken of K / max|K|,
+    since those of K overflow past ~1e154."""
     scale = np.max(np.abs(K)) or 1.0
-    return np.linalg.norm((K - prev) / scale) / max(np.linalg.norm(K / scale), 1e-300) < tol
+    return np.linalg.norm((K - prev) / scale) / max(np.linalg.norm(K / scale), 1e-300) < KSPACE_TOL
 
 
-def _check_budget(tol, max_radial_nodes):
-    """:class:`ConfigError` unless ``tol`` is a positive finite number and
-    ``max_radial_nodes`` a positive integer; a bool is neither."""
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not (math.isfinite(tol) and tol > 0)):
-        raise ConfigError(f"tol must be a positive finite number, got {tol!r}")
-    if (isinstance(max_radial_nodes, bool) or not isinstance(max_radial_nodes, numbers.Integral)
-            or max_radial_nodes < 1):
-        raise ConfigError(f"max_radial_nodes must be a positive integer, got {max_radial_nodes!r}")
-
-
-def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
-                          max_voxels=DEFAULT_MAX_VOXELS, max_radial_nodes=4096,
-                          padding=None, *, _raster=None):
+def kspace_outer_integral(spec, density, sigma, *, _raster=None):
     """int exp(-k^2 sigma^2) |mu_k|^2 (k o k) dk.
 
     A body with an analytic form factor takes one refinement loop over
     :func:`_rungs`, whose radial nodes double from 128 up to
-    ``max_radial_nodes``, until one step changes the tensor by less than
-    ``tol`` (relative, Frobenius, of K / max|K| so that no norm
-    overflows); :class:`QuadratureNotConverged` if the budget runs out
-    first.  The shape's ``_kspace_local`` hook picks the rule of a step:
+    ``MAX_RADIAL_NODES``, until one step changes the tensor by less than
+    ``KSPACE_TOL`` (relative, Frobenius, of K / max|K| so that no norm
+    overflows); :class:`QuadratureNotConverged` if no step has by the
+    last rung.  The shape's ``_kspace_local`` hook picks the rule of a step:
 
     * the body-frame rule where it returns a local tensor (a bare sphere,
       box, circular, elliptic or gapped cylinder, or a sphere whose
       cavities are all spheres at its center).  In the local frame F the
       Gaussian and the closed-form factors of the form factor separate,
       so K = F K_local F^T with K_local diagonal.  A box is closed form
-      and returns at any budget; the others leave one radial integral
-      over [0, KMAX_SIGMA / sigma], on the step's radial nodes;
+      and takes no rung; the others leave one radial integral over
+      [0, KMAX_SIGMA / sigma], on the step's radial nodes;
     * the spherical ladder where it returns None: the step's radial x
       angular rule on the form factor of the body moved so that the
       host's center is the origin (|mu|^2 does not change under a
@@ -326,30 +316,25 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
       precision).
 
     A body without one also has a solid without a closed-form field, so
-    it takes the filtered raster (:func:`rasterize_smoothed_density` on
-    a grid of ``spacing``, default sigma / 2, which it may not exceed,
-    padded by ``padding``, default 6 sigma, and checked as there; the
-    analytic rules ignore all three).  Its DFT route is the Parseval sum
+    it takes the filtered raster, and its DFT route is the Parseval sum
     of that raster's power spectrum with the cell average deconvolved
-    (:func:`_kspace_fft`).  ``_raster`` hands it a raster of the same
-    body, density and sigma that the caller has already made (the grid
-    arguments then go unused), so one fill and one spectrum serve both
-    grid oracles.
+    (:func:`_kspace_fft`).  The raster is
+    :func:`rasterize_smoothed_density` with its default grid, or
+    ``_raster``: one of the same body, density and sigma that the caller
+    has already made on a grid of its choice, so one fill and one
+    spectrum serve both grid oracles.
 
-    A ``tol`` that is not a positive finite number, or a
-    ``max_radial_nodes`` that is not a positive integer, raises
-    :class:`ConfigError`.  ``density`` and ``sigma`` must be positive and
-    finite, and so must density^2 and the tensor, on every route
+    ``density`` and ``sigma`` must be positive and finite, and so must
+    density^2 and the tensor, on every route
     (:class:`DegenerateDimension`).
     """
-    _check_budget(tol, max_radial_nodes)
-    _density_squared(density)
-    _positive("sigma", sigma)
+    rho2 = _density_squared(density)
+    sigma = _positive("sigma", sigma)
     spec = build_shape(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         if not _has_form_factor(spec):
             grid = _raster if _raster is not None else rasterize_smoothed_density(
-                spec, density, sigma, spacing, padding, max_voxels)
+                spec, density, sigma)
             return _finite(_kspace_fft(grid), "the k-space tensor")
         local = spec._kspace_local(sigma)
         if local is None:
@@ -358,7 +343,7 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
             def rung(n_r, n_t, n_p):
                 return _kspace_quadrature(mu, density, sigma, n_r, n_t, n_p)
         else:
-            (factors, integrand), rho2, frame = local, _density_squared(density), spec._frame
+            (factors, integrand), frame = local, spec._frame
             if integrand is None:
                 return _finite(rho2 * (frame * factors) @ frame.T, "the k-space tensor")
 
@@ -366,14 +351,13 @@ def kspace_outer_integral(spec, density, sigma, tol=1e-4, spacing=None,
                 k, w = _gl(n_r, 0.0, KMAX_SIGMA / sigma)
                 return rho2 * (frame * (factors * (integrand(k) @ w))) @ frame.T
         prev, n_r = None, 0
-        for n_r, n_t, n_p in _rungs(max_radial_nodes):
+        for n_r, n_t, n_p in _rungs():
             K = _finite(rung(n_r, n_t, n_p), "the k-space tensor")
-            if prev is not None and _settled(K, prev, tol):
+            if prev is not None and _settled(K, prev):
                 return K
             prev = K
     raise QuadratureNotConverged(
-        f"k-space quadrature did not reach {tol} in rungs of up to {n_r} radial nodes "
-        f"(max_radial_nodes={max_radial_nodes})")
+        f"k-space quadrature did not reach {KSPACE_TOL} in rungs of up to {n_r} radial nodes")
 
 
 def _about_center(spec):

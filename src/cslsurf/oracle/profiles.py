@@ -93,7 +93,7 @@ def edge_layer_factor(profile: EdgeProfile, sigma) -> float:
     and recover the step value as their width vanishes.  A 512-node
     Gauss-Legendre rule spans the profile's support widened by 10 sigma.
     """
-    _positive("sigma", sigma)
+    sigma = _positive("sigma", sigma)
     lo, hi = profile.support()
     a, b = lo - 10.0 * sigma, hi + 10.0 * sigma
     h, wh = _gl(512, a, b)

@@ -90,7 +90,9 @@ from ..errors import (
 from ..geometry.shapes import (
     _REACH_SLACK,
     _local_axes,
+    _point_axes,
     _positive,
+    _real,
     bounding_box,
     build_shape,
 )
@@ -207,16 +209,14 @@ def smoothed_density(spec, density, sigma, points):
     ``density`` and ``sigma`` must be positive and finite
     (:class:`DegenerateDimension`); a solid without a closed-form field
     raises :class:`UnsupportedShape`."""
-    _positive("density", density)
-    _positive("sigma", sigma)
+    density, sigma = _positive("density", density), _positive("sigma", sigma)
     spec = build_shape(spec)
     solids = (spec, *spec.cavities)
     for solid in solids:
         if solid._smoothed_unit is None:
             raise UnsupportedShape(
                 f"no point evaluator for {type(solid).__name__}; rasterize instead")
-    points = np.asarray(points, dtype=float)
-    return _density(solids, density, sigma, points[..., 0], points[..., 1], points[..., 2])
+    return _density(solids, density, sigma, *_point_axes(points))
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +224,21 @@ def smoothed_density(spec, density, sigma, points):
 
 
 def _grid_lengths(density, sigma, spacing=None, padding=None):
-    """Checked (spacing, padding) of a grid of the ``sigma``-smoothed
-    ``density``.  ``spacing`` defaults to sigma / 2 and may not be coarser
-    (:class:`SpacingTooCoarse`); ``padding`` defaults to 6 sigma and may
-    not be below 5.  Any other unusable value, a non-positive or
-    non-finite one included, raises :class:`DegenerateDimension`."""
-    spacing = sigma / 2.0 if spacing is None else float(spacing)
-    padding = DEFAULT_PADDING_SIGMA * sigma if padding is None else float(padding)
-    for name, value in (("density", density), ("sigma", sigma), ("spacing", spacing)):
-        _positive(name, value)
+    """Checked (density, sigma, spacing, padding) of a grid of the
+    ``sigma``-smoothed ``density``.  ``spacing`` defaults to sigma / 2 and
+    may not be coarser (:class:`SpacingTooCoarse`); ``padding`` defaults
+    to 6 sigma and may not be below 5.  Any other unusable value, a
+    non-positive, non-finite or non-real one included, raises
+    :class:`DegenerateDimension`."""
+    density, sigma = _positive("density", density), _positive("sigma", sigma)
+    spacing = _positive("spacing", sigma / 2.0 if spacing is None else spacing)
+    padding = DEFAULT_PADDING_SIGMA * sigma if padding is None else _real("padding", padding)
     if spacing > sigma / 2.0 * (1.0 + 1e-12):
         raise SpacingTooCoarse(f"spacing {spacing} exceeds sigma/2 = {sigma / 2}")
     if not (padding >= MIN_PADDING_SIGMA * sigma) or not math.isfinite(padding):
         raise DegenerateDimension(
             f"padding must be finite and at least {MIN_PADDING_SIGMA} sigma, got {padding}")
-    return spacing, padding
+    return density, sigma, spacing, padding
 
 
 def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
@@ -302,7 +302,7 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     of :func:`kspace_outer_integral` reads this raster's spectrum.
     """
     spec = build_shape(spec)
-    spacing, padding = _grid_lengths(density, sigma, spacing, padding)
+    density, sigma, spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     solids = (spec, *spec.cavities)
     if any(solid._smoothed_unit is None for solid in solids):

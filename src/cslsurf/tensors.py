@@ -59,12 +59,24 @@ def axial_rotational_strength(patches: SurfacePatches, origin, axis) -> float:
     return float(np.sum(patches.weights * triple**2))
 
 
+def _finite(tensor):
+    """``tensor`` as a float array; a NaN or infinite entry raises
+    :class:`DegenerateDimension` (the eigensolvers raise a bare
+    ``LinAlgError`` on one)."""
+    t = np.asarray(tensor, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DegenerateDimension(f"tensor is not finite: {t.tolist()}")
+    return t
+
+
 def clamp_psd(tensor):
     """Zero out negative eigenvalues within -PSD_CLAMP_REL * trace (float noise).
 
-    Raises :class:`DegenerateDimension` for genuinely indefinite input.
+    Raises :class:`DegenerateDimension` for genuinely indefinite or
+    non-finite input.
     """
-    t = 0.5 * (tensor + tensor.T)
+    t = _finite(tensor)
+    t = 0.5 * (t + t.T)
     vals, vecs = np.linalg.eigh(t)
     scale = max(np.trace(t), 0.0)
     floor = -PSD_CLAMP_REL * scale if scale > 0 else -PSD_CLAMP_REL
@@ -74,7 +86,8 @@ def clamp_psd(tensor):
 
 
 def is_psd(tensor):
-    t = 0.5 * (tensor + tensor.T)
+    t = _finite(tensor)
+    t = 0.5 * (t + t.T)
     vals = np.linalg.eigvalsh(t)
     scale = max(abs(np.trace(t)), 1e-300)
     return bool(np.all(vals >= -PSD_CLAMP_REL * scale))
@@ -89,9 +102,11 @@ def principal_axes(tensor):
     pair, the third vector u fixes the plane, and its first column is the
     projection of x onto that plane (of y when u lies within 45 degrees of
     x), its second completes a right-handed frame.  Every vector outside a
-    degenerate pair has its largest component positive.
+    degenerate pair has its largest component positive.  A non-finite
+    entry raises :class:`DegenerateDimension`.
     """
-    vals, vecs = np.linalg.eigh(0.5 * (tensor + tensor.T))
+    t = _finite(tensor)
+    vals, vecs = np.linalg.eigh(0.5 * (t + t.T))
     tol = DEGENERATE_REL * abs(vals.sum())
     if vals[2] - vals[0] <= tol:
         return vals, np.eye(3)

@@ -1,8 +1,11 @@
-"""The public API: the names ``cslsurf`` exports.
+"""The public API: the names ``cslsurf`` exports, and the parameters of
+its oracle entry points.
 
-Growing it is a design decision, not a side effect of a change, so the
-list is pinned here; a new export must be added below on purpose.
+Growing it is a design decision, not a side effect of a change, so both
+are pinned here; a new export or option must be added below on purpose.
 """
+
+import inspect
 
 import cslsurf
 
@@ -28,3 +31,23 @@ def test_public_names_are_pinned():
     assert len(set(cslsurf.__all__)) == len(cslsurf.__all__)
     for name in cslsurf.__all__:
         assert hasattr(cslsurf, name), name
+
+
+# the parameters of the oracle entry points, in order: a settable value is
+# an option to document and test, so none comes back as a side effect
+SIGNATURES = {
+    "kspace_outer_integral": ["spec", "density", "sigma", "_raster"],
+    "rasterize_smoothed_density": ["spec", "density", "sigma", "spacing", "padding",
+                                   "max_voxels"],
+    "gradient_outer_integral": ["grid"],
+    "decoherence_function": ["grid", "delta", "params"],
+    "smoothed_density": ["spec", "density", "sigma", "points"],
+    "form_factor": ["spec"],
+}
+
+
+def test_oracle_parameters_are_pinned():
+    for name, params in SIGNATURES.items():
+        assert list(inspect.signature(getattr(cslsurf, name)).parameters) == params, name
+    raster = inspect.signature(cslsurf.kspace_outer_integral).parameters["_raster"]
+    assert raster.kind is inspect.Parameter.KEYWORD_ONLY and raster.default is None

@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 from cslsurf.csl import CslParams, dephasing_matrix, superposition_dephasing_rate
 from cslsurf.errors import (
-    ConfigError,
     DegenerateDimension,
     GridTooLarge,
     QuadratureNotConverged,
@@ -152,14 +151,16 @@ class TestKspaceIntegral:
     def test_fft_fallback_voxel_cap(self):
         spec = Mesh(mesh=box_mesh(8.3 * SIGMA, 8.3 * SIGMA, 8.3 * SIGMA))
         with pytest.raises(GridTooLarge):
-            kspace_outer_integral(spec, RHO, SIGMA, max_voxels=1000)
+            kspace_outer_integral(spec, RHO, SIGMA, _raster=rasterize_smoothed_density(
+                spec, RHO, SIGMA, max_voxels=1000))
 
     @pytest.mark.parametrize("spacing", [0.75, 1.0, 2.0])
     def test_fft_fallback_spacing_cap(self, spacing):
         # coarser than sigma/2 the DFT route was 4.5-59% off, silently
         spec = Mesh(mesh=box_mesh(8 * SIGMA, 8 * SIGMA, 8 * SIGMA))
         with pytest.raises(SpacingTooCoarse):
-            kspace_outer_integral(spec, RHO, SIGMA, spacing=spacing * SIGMA)
+            kspace_outer_integral(spec, RHO, SIGMA, _raster=rasterize_smoothed_density(
+                spec, RHO, SIGMA, spacing=spacing * SIGMA))
 
     @pytest.mark.parametrize("density, spacing", [
         (RHO, 0.0), (RHO, -0.25), (RHO, math.nan), (0.0, None), (-RHO, None),
@@ -168,7 +169,8 @@ class TestKspaceIntegral:
         spec = Mesh(mesh=box_mesh(8 * SIGMA, 8 * SIGMA, 8 * SIGMA))
         spacing = None if spacing is None else spacing * SIGMA
         with pytest.raises(DegenerateDimension):
-            kspace_outer_integral(spec, density, SIGMA, spacing=spacing)
+            kspace_outer_integral(spec, density, SIGMA, _raster=rasterize_smoothed_density(
+                spec, density, SIGMA, spacing=spacing))
 
     @pytest.mark.parametrize("density, sigma", [
         (RHO, -SIGMA), (RHO, 0.0), (RHO, math.nan), (RHO, math.inf),
@@ -185,27 +187,31 @@ class TestKspaceIntegral:
         Box((400 * SIGMA, 6 * SIGMA, 6 * SIGMA), cavities=(Sphere(2 * SIGMA),)),
         Cylinder(400 * SIGMA, 6 * SIGMA),
     ], ids=["ladder", "body_frame"])
-    def test_non_convergence_raises(self, spec):
+    def test_non_convergence_raises(self, monkeypatch, spec):
+        monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", 128)
         with pytest.raises(QuadratureNotConverged):
-            kspace_outer_integral(spec, RHO, SIGMA, max_radial_nodes=128)
+            kspace_outer_integral(spec, RHO, SIGMA)
 
     @pytest.mark.parametrize("nodes", [1, 127])
-    def test_closed_form_box_returns_at_any_budget(self, nodes):
+    def test_closed_form_box_returns_at_any_budget(self, monkeypatch, nodes):
         box = Box((4 * SIGMA, 5 * SIGMA, 6 * SIGMA))
-        K = kspace_outer_integral(box, RHO, SIGMA, max_radial_nodes=nodes)
-        assert np.array_equal(K, kspace_outer_integral(box, RHO, SIGMA))
+        expected = kspace_outer_integral(box, RHO, SIGMA)
+        monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", nodes)
+        assert np.array_equal(kspace_outer_integral(box, RHO, SIGMA), expected)
 
     @pytest.mark.parametrize("spec", [
         Cylinder(4 * SIGMA, 8 * SIGMA),
         Box((8 * SIGMA,) * 3, cavities=(Sphere(SIGMA),)),
     ], ids=["body_frame", "ladder"])
-    def test_refinement_needs_two_rungs_within_the_budget(self, spec):
+    def test_refinement_needs_two_rungs_within_the_budget(self, monkeypatch, spec):
         # rungs of 128 and 256 radial nodes settle these bodies; a budget
         # with room for one rung or none raises
         for nodes in (1, 127, 128):
+            monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", nodes)
             with pytest.raises(QuadratureNotConverged):
-                kspace_outer_integral(spec, RHO, SIGMA, max_radial_nodes=nodes)
-        assert np.all(np.isfinite(kspace_outer_integral(spec, RHO, SIGMA, max_radial_nodes=256)))
+                kspace_outer_integral(spec, RHO, SIGMA)
+        monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", 256)
+        assert np.all(np.isfinite(kspace_outer_integral(spec, RHO, SIGMA)))
 
     def test_ladder_refines_up_to_the_whole_budget(self, monkeypatch):
         # the ladder used to stop at its sixth rung, 4096 radial nodes,
@@ -218,31 +224,23 @@ class TestKspaceIntegral:
 
         monkeypatch.setattr(integrals, "_kspace_quadrature", unsettled)
         offset = Sphere(6 * SIGMA, cavities=(Sphere(2 * SIGMA, center=(SIGMA, 0, 0)),))
+        monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", 8192)
         with pytest.raises(QuadratureNotConverged, match="up to 8192 radial nodes"):
-            kspace_outer_integral(offset, RHO, SIGMA, max_radial_nodes=8192)
+            kspace_outer_integral(offset, RHO, SIGMA)
         assert radial == [128 << i for i in range(7)]
         radial.clear()
+        monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", 1000)
         with pytest.raises(QuadratureNotConverged, match="up to 512 radial nodes"):
-            kspace_outer_integral(offset, RHO, SIGMA, max_radial_nodes=1000)
+            kspace_outer_integral(offset, RHO, SIGMA)
         assert radial == [128, 256, 512]
 
-    def test_rungs_grow_the_ladder_angles_with_the_radial_nodes(self):
-        assert list(integrals._rungs(8192)) == [
+    def test_rungs_grow_the_ladder_angles_with_the_radial_nodes(self, monkeypatch):
+        monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", 8192)
+        assert list(integrals._rungs()) == [
             (128, 16, 32), (256, 24, 48), (512, 32, 64), (1024, 48, 96),
             (2048, 64, 128), (4096, 96, 192), (8192, 128, 256)]
-        assert list(integrals._rungs(127)) == []
-
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, "1e-4", None, True])
-    def test_unusable_tolerance_is_config_error(self, tol):
-        # a NaN, zero or negative tol used to climb every rung and raise
-        # QuadratureNotConverged
-        with pytest.raises(ConfigError, match="tol"):
-            kspace_outer_integral(Sphere(5 * SIGMA), RHO, SIGMA, tol=tol)
-
-    @pytest.mark.parametrize("nodes", [0, -128, 128.0, "512", None, True])
-    def test_unusable_node_budget_is_config_error(self, nodes):
-        with pytest.raises(ConfigError, match="max_radial_nodes"):
-            kspace_outer_integral(Sphere(5 * SIGMA), RHO, SIGMA, max_radial_nodes=nodes)
+        monkeypatch.setattr(integrals, "MAX_RADIAL_NODES", 127)
+        assert list(integrals._rungs()) == []
 
     @pytest.mark.parametrize("a, b", [(1e-160, 1.0), (1.0, 1e-160)])
     def test_elliptic_aspect_whose_stretch_overflows_raises(self, a, b):
@@ -289,7 +287,7 @@ class TestKspaceIntegral:
     def test_concentric_shell_matches_the_ladder(self):
         c = (SIGMA, 0.0, 0.0)
         spec = Sphere(12 * SIGMA, center=c, cavities=(Sphere(6 * SIGMA, center=c),))
-        rung = list(integrals._rungs(4096))[2]
+        rung = list(integrals._rungs())[2]
         ladder = integrals._kspace_quadrature(form_factor(spec), RHO, SIGMA, *rung)
         K = kspace_outer_integral(spec, RHO, SIGMA)
         assert rel_err(K, ladder) < 1e-10
@@ -334,7 +332,7 @@ def bare_solids(draw):
 
 
 #: the ladder's fourth rung, converged to some 1e-9 on these bodies
-_CONVERGED_RUNG = list(integrals._rungs(4096))[3]
+_CONVERGED_RUNG = list(integrals._rungs())[3]
 
 
 @settings(max_examples=5, deadline=None, database=None, derandomize=True)

@@ -149,7 +149,9 @@ class TestRasterize:
         lambda: rasterize_smoothed_density(Sphere(1e-6), RHO, SIGMA, padding=1e300),
         lambda: rasterize_smoothed_density(Sphere(1e-6), RHO, SIGMA, padding=1e308),
         lambda: kspace_outer_integral(Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6)), RHO, SIGMA,
-                                      padding=1e300),
+                                      _raster=rasterize_smoothed_density(
+                                          Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6)), RHO, SIGMA,
+                                          padding=1e300)),
     ], ids=["spacing-1e-300", "padding-1e300", "padding-1e308", "kspace-mesh-padding-1e300"])
     def test_one_axis_past_the_cap_is_too_large(self, build):
         # such an axis used to reach next_fast_len and end in an OverflowError
