@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
-from .geometry.shapes import _positive
-from .tensors import _finite, clamp_psd, principal_axes
+from .geometry.patches import _array
+from .geometry.shapes import _nonnegative, _positive
+from .tensors import clamp_psd, principal_axes
 
 #: quadratic (momentum-diffusion) regime is quantitative for |delta| << sigma;
 #: warn above this fraction
@@ -78,26 +79,14 @@ class DephasingMatrix:
     params: CslParams
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.matrix = _array("matrix", self.matrix, (3, 3))
 
 
 def dephasing_matrix(surface_tensor, density, params: CslParams) -> DephasingMatrix:
-    """Dephasing matrix c * S from the translational surface tensor S."""
+    """Dephasing matrix c * S from the translational surface tensor S; an S
+    that is not a finite real 3x3 tensor raises :class:`DegenerateDimension`."""
     c = dephasing_prefactor(density, params)
-    return DephasingMatrix(clamp_psd(c * np.asarray(surface_tensor, dtype=float)), params)
-
-
-def _delta_vector(delta):
-    """``delta`` as a float 3-vector; anything but a 3-vector of real
-    numbers (a string, a complex or a NaN included) raises
-    :class:`DegenerateDimension`.  An infinite entry passes."""
-    try:
-        d = np.asarray(delta)
-    except ValueError:                  # a ragged sequence
-        d = np.empty(0)
-    if d.dtype.kind not in "iuf" or d.shape != (3,) or np.any(np.isnan(d)):
-        raise DegenerateDimension(f"delta must be a 3-vector of real numbers, got {delta!r}")
-    return d.astype(float)
+    return DephasingMatrix(clamp_psd(c * _array("tensor", surface_tensor, (3, 3))), params)
 
 
 def superposition_dephasing_rate(dephasing: DephasingMatrix, delta) -> float:
@@ -109,9 +98,7 @@ def superposition_dephasing_rate(dephasing: DephasingMatrix, delta) -> float:
     saturates).  A ``delta`` that is not a 3-vector of finite real
     numbers raises :class:`DegenerateDimension`.
     """
-    d = _delta_vector(delta)
-    if not np.all(np.isfinite(d)):
-        raise DegenerateDimension(f"delta must be finite, got {delta!r}")
+    d = _array("delta", delta, (3,))
     sep = float(np.linalg.norm(d))
     sigma = dephasing.params.localization_length
     if sep > DELTA_VALIDITY_FRACTION * sigma:
@@ -128,11 +115,10 @@ def angular_dephasing_coefficient(axial_strength, density, params: CslParams) ->
     """Angular dephasing coefficient c * (axial rotational strength).
 
     The dephasing rate of an angular superposition d_phi about the same
-    axis is coefficient * d_phi^2; units 1/(s rad^2).
+    axis is coefficient * d_phi^2; units 1/(s rad^2).  A strength that is
+    not a non-negative finite real number raises :class:`DegenerateDimension`.
     """
-    if not (0.0 <= axial_strength < math.inf):
-        raise DegenerateDimension(f"axial strength must be finite and >= 0, got {axial_strength}")
-    return dephasing_prefactor(density, params) * float(axial_strength)
+    return dephasing_prefactor(density, params) * _nonnegative("axial strength", axial_strength)
 
 
 def com_heating_rate(total_area, mass, density, params: CslParams) -> float:
@@ -161,9 +147,9 @@ def rotational_heating_rate(rotational_tensor, inertia, density, params: CslPara
     ``inertia`` is the mass-weighted tensor about the centroid — normally
     the standard inertia tensor; callers may pass the second-moment
     tensor instead to follow the alternative bookkeeping convention.  A
-    non-finite entry of either tensor raises :class:`DegenerateDimension`.
+    tensor that is not finite, real and 3x3 raises :class:`DegenerateDimension`.
     """
-    inertia, s_rot = _finite(inertia), _finite(rotational_tensor)
+    inertia, s_rot = _array("inertia", inertia, (3, 3)), _array("tensor", rotational_tensor, (3, 3))
     vals = np.linalg.eigvalsh(0.5 * (inertia + inertia.T))
     if vals.min() <= 1e-12 * max(vals.max(), 0.0) or vals.min() <= 0.0:
         raise SingularInertia(f"inertia tensor is singular: eigenvalues {vals}")
@@ -184,8 +170,8 @@ class RateReport:
     com_fraction: float                        # Gamma_cm / Gamma_total
 
     def __post_init__(self):
-        self.angular_coefficients = np.asarray(self.angular_coefficients, dtype=float)
-        self.angular_axes = np.asarray(self.angular_axes, dtype=float)
+        self.angular_coefficients = _array("angular coefficients", self.angular_coefficients, (3,))
+        self.angular_axes = _array("angular axes", self.angular_axes, (3, 3))
 
 
 def rate_report(surface_tensor, rotational_tensor, mass_props, density,
@@ -203,7 +189,7 @@ def rate_report(surface_tensor, rotational_tensor, mass_props, density,
     inert = tensors[inertia_convention]
     dm = dephasing_matrix(surface_tensor, density, params)
     c = dephasing_prefactor(density, params)
-    s_rot = clamp_psd(np.asarray(rotational_tensor, dtype=float))
+    s_rot = clamp_psd(rotational_tensor)
     vals, vecs = principal_axes(s_rot)
     gamma_cm = com_heating_rate(mass_props.area, mass_props.mass, density, params)
     gamma_tot = total_heating_rate(mass_props.mass, params)

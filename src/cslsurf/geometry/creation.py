@@ -3,6 +3,7 @@
 import numpy as np
 
 from .mesh import TriangleMesh
+from .patches import _array
 
 
 def box_mesh(a, b, c, center=(0.0, 0.0, 0.0)):
@@ -11,7 +12,7 @@ def box_mesh(a, b, c, center=(0.0, 0.0, 0.0)):
     v = np.array([
         [-hx, -hy, -hz], [hx, -hy, -hz], [hx, hy, -hz], [-hx, hy, -hz],
         [-hx, -hy, hz], [hx, -hy, hz], [hx, hy, hz], [-hx, hy, hz],
-    ]) + np.asarray(center, dtype=float)
+    ]) + _array("center", center, (3,))
     f = np.array([
         [0, 2, 1], [0, 3, 2],      # bottom (z = -hz)
         [4, 5, 6], [4, 6, 7],      # top
@@ -56,7 +57,7 @@ def icosphere(radius=1.0, subdivisions=3, center=(0.0, 0.0, 0.0)):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             nxt += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
         faces = nxt
-    vertices = np.asarray(vlist) * radius + np.asarray(center, dtype=float)
+    vertices = np.asarray(vlist) * radius + _array("center", center, (3,))
     return TriangleMesh(vertices, np.asarray(faces, dtype=np.int64))
 
 

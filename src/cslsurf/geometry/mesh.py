@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvertedOrientation, NonWatertightMesh, ParseError
-from .patches import SurfacePatches
+from .patches import SurfacePatches, _array
 
 # vertex dedup tolerance, relative to the bounding-box diagonal
 DEDUP_RELATIVE_TOL = 1e-9
@@ -89,19 +89,17 @@ class TriangleMesh:
     Parameters
     ----------
     vertices : (n, 3) float array
-    faces : (m, 3) int array, indices into vertices
+    faces : (m, 3) int array, indices into vertices (other input raises ParseError)
     validate : bool
         When true (default), check watertightness and winding
         consistency, and flip a consistently inward mesh.
     """
 
     def __init__(self, vertices, faces, validate=True):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.faces = np.ascontiguousarray(faces, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ParseError("vertices must be (n, 3)")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise ParseError("faces must be (m, 3)")
+        self.vertices = np.ascontiguousarray(
+            _array("vertices", vertices, (None, 3), finite=False, error=ParseError))
+        self.faces = np.ascontiguousarray(_array(
+            "faces", faces, (None, 3), finite=False, dtype=np.int64, error=ParseError))
         if len(self.faces) and self.faces.max() >= len(self.vertices):
             raise ParseError("face index exceeds vertex count")
         if validate:
@@ -206,7 +204,7 @@ class TriangleMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def translated(self, offset):
-        return TriangleMesh(self.vertices + np.asarray(offset, float), self.faces, validate=False)
+        return TriangleMesh(self.vertices + _array("offset", offset, (3,)), self.faces, validate=False)
 
     @functools.cached_property
     def _ray_faces(self):

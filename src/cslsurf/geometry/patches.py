@@ -6,6 +6,7 @@ material, i.e. pointing into cavities on cavity walls) and area weights.
 All surface integrals downstream are plain weighted sums over it.
 """
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,34 @@ import numpy as np
 from ..errors import DegenerateDimension, NonUnitAxis
 
 UNIT_TOL = 1e-10
+
+
+def _array(name, value, shape, finite=True, dtype=float, error=DegenerateDimension):
+    """``value`` as an array of ``dtype``, not copied if it is one already.
+
+    ``shape`` gives each axis's length, None for any, and a leading ``...``
+    any number of leading axes.  A ragged sequence, entries that are not
+    real numbers (integers for an integer ``dtype``; strings, complex numbers
+    and bools are neither), another shape or, with ``finite``, a NaN or an
+    infinity raise ``error``.
+    """
+    kind = "integers" if np.dtype(dtype).kind in "iu" else "real numbers"
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        a = np.empty(0, dtype=object)
+    if a.dtype.kind not in ("iu" if kind == "integers" else "iuf"):
+        got = a.dtype if isinstance(value, np.ndarray) else reprlib.repr(value)
+        raise error(f"{name} must be an array of {kind}, got {got}")
+    want = shape[1:] if shape[:1] == (...,) else shape
+    got = a.shape[a.ndim - len(want):] if want != shape and a.ndim >= len(want) else a.shape
+    if len(got) != len(want) or any(n not in (None, g) for n, g in zip(want, got)):
+        spec = str(shape).replace("Ellipsis", "...").replace("None", "n")
+        raise error(f"{name} must have shape {spec}, got {a.shape}")
+    a = a.astype(dtype, copy=False)
+    if finite and not np.all(np.isfinite(a)):
+        raise error(f"{name} is not finite: {a.tolist()}")
+    return a
 
 
 def unit_vector(v):
@@ -52,9 +81,9 @@ class SurfacePatches:
     weights: np.ndarray  # (n,) m^2
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        self.points = _array("points", self.points, (None, 3), finite=False)
+        self.normals = _array("normals", self.normals, (None, 3), finite=False)
+        self.weights = _array("weights", self.weights, (None,), finite=False)
 
     def __len__(self):
         return self.points.shape[0]
@@ -74,12 +103,12 @@ class SurfacePatches:
         return self
 
     def translated(self, offset):
-        offset = np.asarray(offset, dtype=float)
-        return SurfacePatches(self.points + offset, self.normals.copy(), self.weights.copy())
+        return SurfacePatches(self.points + _array("offset", offset, (3,)), self.normals.copy(),
+                              self.weights.copy())
 
     def rotated(self, matrix):
         """Apply a rotation matrix to points and normals."""
-        m = np.asarray(matrix, dtype=float)
+        m = _array("matrix", matrix, (3, 3))
         return SurfacePatches(self.points @ m.T, self.normals @ m.T, self.weights.copy())
 
     def flipped(self):
@@ -113,12 +142,12 @@ class MassProperties:
     second_moment: np.ndarray = field(default=None)  # (3, 3) kg m^2 about centroid
 
     def __post_init__(self):
-        self.centroid = np.asarray(self.centroid, dtype=float)
-        self.inertia = np.asarray(self.inertia, dtype=float)
+        self.centroid = _array("centroid", self.centroid, (3,))
+        self.inertia = _array("inertia", self.inertia, (3, 3))
         if self.second_moment is None:
             self.second_moment = np.trace(self.inertia) / 2.0 * np.eye(3) - self.inertia
         else:
-            self.second_moment = np.asarray(self.second_moment, dtype=float)
+            self.second_moment = _array("second moment", self.second_moment, (3, 3))
 
 
 def compose_mass_properties(parts, density):
@@ -135,11 +164,10 @@ def compose_mass_properties(parts, density):
     first_moment = np.zeros(3)
     j_origin = np.zeros((3, 3))
     for sign, v, a, c, j_c in parts:
-        c = np.asarray(c, dtype=float)
         vol += sign * v
         area += a
         first_moment += sign * v * c
-        j_origin += sign * (np.asarray(j_c, dtype=float) + v * np.outer(c, c))
+        j_origin += sign * (j_c + v * np.outer(c, c))
     if vol <= 0.0:
         raise DegenerateDimension("net volume is not positive")
     centroid = first_moment / vol

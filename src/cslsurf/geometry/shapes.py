@@ -55,6 +55,7 @@ from ..errors import (
 from .mesh import TriangleMesh
 from .patches import (
     SurfacePatches,
+    _array,
     compose_mass_properties,
     rotation_to_z,
     unit_vector,
@@ -77,17 +78,10 @@ def _canon_axis(name, axis):
             axis = _AXIS_NAMES[axis.lower()]
         except KeyError:
             raise DegenerateDimension(f"unknown axis name {axis!r}") from None
-    v = np.asarray(axis, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)) or np.linalg.norm(v) == 0:
+    v = _array(name, axis, (3,))
+    if np.linalg.norm(v) == 0:
         raise DegenerateDimension(f"invalid axis {axis!r}")
     return tuple(unit_vector(v))
-
-
-def _canon_center(name, center):
-    c = np.asarray(center, dtype=float)
-    if c.shape != (3,) or not np.all(np.isfinite(c)):
-        raise DegenerateDimension(f"invalid center {center!r}")
-    return tuple(c)
 
 
 def _real(name, value):
@@ -166,11 +160,15 @@ def _axis():
 
 
 def _center():
-    return _field(_canon_center, "length", default=(0.0, 0.0, 0.0))
+    return _field(lambda name, c: tuple(_array(name, c, (3,))), "length", default=(0.0,) * 3)
 
 
 def _cavities():
-    return _field(lambda name, value: tuple(value), default=())
+    def shapes(name, value):
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, _Solid) for v in value):
+            raise DegenerateDimension(f"{name} must be a list or tuple of shapes, got {value!r}")
+        return tuple(value)
+    return _field(shapes, default=())
 
 
 # ---------------------------------------------------------------------------
@@ -1044,14 +1042,10 @@ def _local_axes(spec, x, y, z):
 
 def _points(points):
     """``points`` as a float array of shape (..., 3); a bare 3-vector is one
-    point, of shape (1, 3).  Any other last axis raises
-    :class:`DegenerateDimension`."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim == 1:
-        p = p[None]
-    if p.ndim == 0 or p.shape[-1] != 3:
-        raise DegenerateDimension(f"points must have shape (..., 3), got {np.shape(points)}")
-    return p
+    point, of shape (1, 3).  Anything else, a ragged or non-numeric
+    sequence included, raises :class:`DegenerateDimension`."""
+    p = _array("points", points, (..., 3), finite=False)
+    return p[None] if p.ndim == 1 else p
 
 
 def _point_axes(points):

@@ -56,8 +56,9 @@ from dataclasses import replace
 import numpy as np
 from scipy import fft as sfft
 
-from ..csl import CslParams, _delta_vector, _density_squared
+from ..csl import CslParams, _density_squared
 from ..errors import DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
+from ..geometry.patches import _array
 from ..geometry.shapes import (
     _gl,
     _has_form_factor,
@@ -215,11 +216,12 @@ def gradient_outer_integral(grid: VoxelGrid):
 
 
 def surface_formula_outer_integral(surface_tensor, density, sigma):
-    """Closed-form surface scaling (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) * S."""
+    """Closed-form surface scaling (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) * S; an S
+    that is not a finite real 3x3 tensor raises :class:`DegenerateDimension`."""
     sigma = _positive("sigma", sigma)
     scale = (2.0 * np.pi) ** 3 * _density_squared(density) / (2.0 * math.sqrt(math.pi) * sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(scale * np.asarray(surface_tensor, dtype=float), "the surface formula")
+        return _finite(scale * _array("tensor", surface_tensor, (3, 3)), "the surface formula")
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +425,12 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
     :class:`DegenerateDimension`; a ``delta`` longer than the grid's
     margin, or infinite, raises :class:`ShiftOutOfGrid`.
     """
-    delta = _delta_vector(delta)
+    delta = _array("delta", delta, (3,), finite=False)
     # an infinite shift leaves any grid, a margin-less one included
     if np.any(np.isinf(delta)) or (grid.margin and np.linalg.norm(delta) > grid.margin):
         raise ShiftOutOfGrid(
             f"|delta| = {np.linalg.norm(delta):.3g} exceeds grid margin {grid.margin:.3g}")
+    delta = _array("delta", delta, (3,))  # what is left not finite is a NaN
     pref = (params.collapse_rate * params.localization_length**3
             / (math.pi**1.5 * params.nucleon_mass**2))
     with np.errstate(over="ignore", invalid="ignore"):

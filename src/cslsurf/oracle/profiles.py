@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ..errors import DegenerateDimension
-from ..geometry.shapes import _gl, _positive
+from ..geometry.shapes import _gl, _positive, _real
 
 
 def _gauss(x, sigma):
@@ -27,15 +27,16 @@ class EdgeProfile:
 
     ``heights`` and ``values`` define a piecewise-linear descent with
     values[0] = 1 and values[-1] = 0; H = 1 before the first knot and 0
-    after the last.  The default (no knots) is the ideal step at h = 0.
+    after the last.  The default (no knots) is the ideal step at h = 0.  A
+    knot that is not a real number raises :class:`DegenerateDimension`.
     """
 
     heights: tuple = ()
     values: tuple = ()
 
     def __post_init__(self):
-        h = tuple(float(x) for x in self.heights)
-        v = tuple(float(x) for x in self.values)
+        h = tuple(_real("knot height", x) for x in self.heights)
+        v = tuple(_real("knot value", x) for x in self.values)
         if len(h) != len(v):
             raise DegenerateDimension("heights and values must have equal length")
         if h:

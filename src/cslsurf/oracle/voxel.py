@@ -87,9 +87,11 @@ from ..errors import (
     SpacingTooCoarse,
     UnsupportedShape,
 )
+from ..geometry.patches import _array
 from ..geometry.shapes import (
     _REACH_SLACK,
     _local_axes,
+    _nonnegative,
     _point_axes,
     _positive,
     _real,
@@ -118,18 +120,12 @@ class VoxelGrid:
     margin: float = 0.0   # zero-field padding width around the body, m
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
+        self.origin = _array("origin", self.origin, (3,))
         self.spacing = _positive("spacing", self.spacing)
-        self.margin = float(self.margin)
-        self.values = np.asarray(self.values)
-        if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
-            raise DegenerateDimension(f"origin must be a finite 3-vector, got {self.origin}")
-        if not (0.0 <= self.margin < math.inf):
-            raise DegenerateDimension(f"margin must be finite and not negative, got {self.margin}")
-        if self.values.dtype.kind not in "biuf" or self.values.ndim != 3 or self.values.size == 0:
-            raise DegenerateDimension("values must be a 3-D array of real numbers with no "
-                                      f"empty axis, got {self.values.dtype} {self.values.shape}")
-        self.values = self.values.astype(float, copy=False)
+        self.margin = _nonnegative("margin", self.margin)
+        self.values = _array("values", self.values, (None, None, None), finite=False)
+        if self.values.size == 0:
+            raise DegenerateDimension(f"values must have no empty axis, got {self.values.shape}")
 
     @property
     def dims(self):

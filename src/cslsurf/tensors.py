@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDimension, NonUnitAxis
-from .geometry.patches import SurfacePatches
+from .geometry.patches import SurfacePatches, _array
 
 PSD_CLAMP_REL = 1e-10
 # eigenvalues closer than this times |trace| span one degenerate eigenspace
@@ -34,11 +34,11 @@ def surface_tensor(patches: SurfacePatches) -> np.ndarray:
 def rotational_surface_tensor(patches: SurfacePatches, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Integral of (r x n) o (r x n) dS about ``origin``.
 
-    Physically meaningful about the body centroid; any origin is accepted
-    (the dependence on origin is the lever-arm shift, which callers may
-    want to probe).
+    Physically meaningful about the body centroid; any finite real 3-vector
+    is accepted (the dependence on origin is the lever-arm shift, which
+    callers may want to probe), and other origins raise DegenerateDimension.
     """
-    r = patches.points - np.asarray(origin, dtype=float)
+    r = patches.points - _array("origin", origin, (3,))
     rxn = np.cross(r, patches.normals)
     t = np.einsum("p,pi,pj->ij", patches.weights, rxn, rxn)
     return 0.5 * (t + t.T)
@@ -49,33 +49,24 @@ def axial_rotational_strength(patches: SurfacePatches, origin, axis) -> float:
 
     Direct accumulation of ((r x n) . axis)^2; equals the quadratic form
     axis . S_rot . axis of :func:`rotational_surface_tensor` identically.
-    ``axis`` must be unit length.
+    ``origin`` and ``axis`` must be finite real 3-vectors (or
+    DegenerateDimension is raised), and ``axis`` unit length (or NonUnitAxis).
     """
-    axis = np.asarray(axis, dtype=float)
+    axis = _array("axis", axis, (3,))
     if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
         raise NonUnitAxis(f"rotation axis must be unit length, |axis| = {np.linalg.norm(axis)}")
-    r = patches.points - np.asarray(origin, dtype=float)
+    r = patches.points - _array("origin", origin, (3,))
     triple = np.einsum("pi,i->p", np.cross(r, patches.normals), axis)
     return float(np.sum(patches.weights * triple**2))
-
-
-def _finite(tensor):
-    """``tensor`` as a float array; a NaN or infinite entry raises
-    :class:`DegenerateDimension` (the eigensolvers raise a bare
-    ``LinAlgError`` on one)."""
-    t = np.asarray(tensor, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise DegenerateDimension(f"tensor is not finite: {t.tolist()}")
-    return t
 
 
 def clamp_psd(tensor):
     """Zero out negative eigenvalues within -PSD_CLAMP_REL * trace (float noise).
 
-    Raises :class:`DegenerateDimension` for genuinely indefinite or
-    non-finite input.
+    Raises :class:`DegenerateDimension` for genuinely indefinite input and
+    for anything but a finite 3x3 tensor of real numbers.
     """
-    t = _finite(tensor)
+    t = _array("tensor", tensor, (3, 3))
     t = 0.5 * (t + t.T)
     vals, vecs = np.linalg.eigh(t)
     scale = max(np.trace(t), 0.0)
@@ -86,7 +77,8 @@ def clamp_psd(tensor):
 
 
 def is_psd(tensor):
-    t = _finite(tensor)
+    """Is ``tensor`` PSD to within ``PSD_CLAMP_REL``; checked as by :func:`clamp_psd`."""
+    t = _array("tensor", tensor, (3, 3))
     t = 0.5 * (t + t.T)
     vals = np.linalg.eigvalsh(t)
     scale = max(abs(np.trace(t)), 1e-300)
@@ -102,10 +94,10 @@ def principal_axes(tensor):
     pair, the third vector u fixes the plane, and its first column is the
     projection of x onto that plane (of y when u lies within 45 degrees of
     x), its second completes a right-handed frame.  Every vector outside a
-    degenerate pair has its largest component positive.  A non-finite
-    entry raises :class:`DegenerateDimension`.
+    degenerate pair has its largest component positive.  Anything but a
+    finite 3x3 tensor of real numbers raises :class:`DegenerateDimension`.
     """
-    t = _finite(tensor)
+    t = _array("tensor", tensor, (3, 3))
     vals, vecs = np.linalg.eigh(0.5 * (t + t.T))
     tol = DEGENERATE_REL * abs(vals.sum())
     if vals[2] - vals[0] <= tol:

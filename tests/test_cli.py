@@ -5,10 +5,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cslsurf
 from cslsurf.cli import EXIT_TOLERANCE, main
 from cslsurf.geometry import box_mesh, mesh_to_stl
 
@@ -76,6 +81,19 @@ class TestTensors:
         code, out, err = run(capsys, "tensors", "--shape", shape)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "too large" in err
+
+
+    @pytest.mark.parametrize("axis", ['[0, "a", 0]', "[0, [1, 2], 0]"])
+    def test_axis_that_is_not_numbers_is_usage_error(self, axis):
+        # these ended in a ValueError traceback, which exits 1 as well, so
+        # the script is run and its stderr read
+        shape = '{"type":"cylinder","radius":"1 um","length":"5 um","axis":%s}' % axis
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(cslsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "cslsurf.cli", "tensors", "--shape", shape],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 class TestRates:

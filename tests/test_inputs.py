@@ -1,8 +1,10 @@
 """Unusable inputs at the public entry points raise a typed error.
 
 A number given as a string or a bool, a point array whose last axis is not
-3, and a non-finite area or tensor used to be accepted and then end in a
-bare TypeError, UFuncTypeError or LinAlgError, or in a wrong number.
+3, a non-finite area or tensor, and an array argument that is ragged,
+made of strings or complex numbers, or of the wrong shape used to be
+accepted and then end in a bare TypeError, ValueError, IndexError or
+LinAlgError, or in a wrong number or a result of the wrong shape.
 """
 
 import math
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import cslsurf
-from cslsurf.errors import DegenerateDimension
+from cslsurf.errors import DegenerateDimension, ParseError
 
 SIGMA = 1e-7
 RHO = 1000.0
@@ -42,6 +44,10 @@ NUMERIC = {
     "prefactor-density": lambda v: cslsurf.dephasing_prefactor(v, PARAMS),
     "com_heating-area": lambda v: cslsurf.com_heating_rate(v, 1e-15, RHO, PARAMS),
     "total_heating-mass": lambda v: cslsurf.total_heating_rate(v, PARAMS),
+    "angular_coefficient-strength": lambda v: cslsurf.angular_dephasing_coefficient(
+        v, RHO, PARAMS),
+    "EdgeProfile-height": lambda v: cslsurf.EdgeProfile(heights=(-SIGMA, v), values=(1, 0)),
+    "EdgeProfile-value": lambda v: cslsurf.EdgeProfile(heights=(-SIGMA, SIGMA), values=(v, 0)),
 }
 
 
@@ -123,3 +129,93 @@ def test_non_finite_or_negative_rate_input_is_degenerate(entry):
     # NaN tensor or inertia gave NaN or a bare LinAlgError
     with pytest.raises(DegenerateDimension):
         entry()
+
+
+def _bad(kind, good):
+    """A value of ``kind`` in place of the valid array ``good``."""
+    good = np.asarray(good)
+    return {"ragged": lambda: [good.tolist(), [0]],
+            "str": lambda: good.astype(str),
+            "complex": lambda: good.astype(complex),
+            "shape": lambda: np.zeros(good.shape[:-1], good.dtype)}[kind]()
+
+
+PATCHES = cslsurf.quadrature(SPHERE, resolution=4)
+MESH = cslsurf.box_mesh(SIGMA, SIGMA, SIGMA)
+MASS = cslsurf.mass_properties(SPHERE, RHO)
+Z = (0.0, 0.0, 1.0)
+
+ALL, NO_SHAPE = "ragged str complex shape", "ragged str complex"
+ORIGIN = (0.0, 0.0, 0.0)
+# each array argument: the call with ``v`` in its place, a valid value, and
+# the kinds of bad value that were not refused with a typed error before (the
+# others are pinned by the point, VoxelGrid and mesh tests)
+ARRAY = {
+    "clamp_psd": (cslsurf.clamp_psd, S, ALL),
+    "is_psd": (cslsurf.is_psd, S, ALL),
+    "principal_axes": (cslsurf.principal_axes, S, ALL),
+    "dephasing_matrix": (lambda v: cslsurf.dephasing_matrix(v, RHO, PARAMS), S, ALL),
+    "DephasingMatrix": (lambda v: cslsurf.DephasingMatrix(v, PARAMS), S, ALL),
+    "surface_formula": (lambda v: cslsurf.surface_formula_outer_integral(v, RHO, SIGMA), S, ALL),
+    "rotational_heating-tensor": (
+        lambda v: cslsurf.rotational_heating_rate(v, INERTIA, RHO, PARAMS), S, ALL),
+    "rotational_heating-inertia": (
+        lambda v: cslsurf.rotational_heating_rate(S, v, RHO, PARAMS), INERTIA, ALL),
+    "rate_report-surface_tensor": (
+        lambda v: cslsurf.rate_report(v, S, MASS, RHO, PARAMS), S, ALL),
+    "rate_report-rotational_tensor": (
+        lambda v: cslsurf.rate_report(S, v, MASS, RHO, PARAMS), S, ALL),
+    "rotational_surface_tensor-origin": (
+        lambda v: cslsurf.rotational_surface_tensor(PATCHES, v), ORIGIN, ALL),
+    "axial_rotational_strength-origin": (
+        lambda v: cslsurf.axial_rotational_strength(PATCHES, v, Z), ORIGIN, ALL),
+    "axial_rotational_strength-axis": (
+        lambda v: cslsurf.axial_rotational_strength(PATCHES, ORIGIN, v), Z, ALL),
+    **{f"{name}-points": (lambda v, fn=fn: fn(SPHERE, v), POINTS, NO_SHAPE)
+       for name, fn in POINT_FUNCTIONS.items()},
+    "Sphere-center": (lambda v: cslsurf.Sphere(SIGMA, center=v), ORIGIN, NO_SHAPE),
+    "Cylinder-axis": (lambda v: cslsurf.Cylinder(SIGMA, SIGMA, axis=v), Z, NO_SHAPE),
+    "box_mesh-center": (lambda v: cslsurf.box_mesh(1.0, 1.0, 1.0, center=v), ORIGIN, ALL),
+    "icosphere-center": (lambda v: cslsurf.icosphere(1.0, 0, center=v), ORIGIN, ALL),
+    "VoxelGrid-values": (lambda v: cslsurf.VoxelGrid(ORIGIN, SIGMA, v), np.ones((2, 2, 2)),
+                         "ragged"),
+    "SurfacePatches-points": (
+        lambda v: cslsurf.SurfacePatches(v, PATCHES.normals[:2], PATCHES.weights[:2]),
+        PATCHES.points[:2], ALL),
+    "SurfacePatches-normals": (
+        lambda v: cslsurf.SurfacePatches(PATCHES.points[:2], v, PATCHES.weights[:2]),
+        PATCHES.normals[:2], ALL),
+    "SurfacePatches-weights": (
+        lambda v: cslsurf.SurfacePatches(PATCHES.points[:2], PATCHES.normals[:2], v),
+        PATCHES.weights[:2], ALL),
+    "SurfacePatches.translated-offset": (PATCHES.translated, ORIGIN, ALL),
+    "TriangleMesh.translated-offset": (MESH.translated, ORIGIN, ALL),
+    "TriangleMesh-vertices": (lambda v: cslsurf.TriangleMesh(v, MESH.faces), MESH.vertices,
+                              NO_SHAPE),
+    "TriangleMesh-faces": (lambda v: cslsurf.TriangleMesh(MESH.vertices, v), MESH.faces,
+                           NO_SHAPE),
+}
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name, (_, _, kinds) in ARRAY.items()
+                                        for kind in kinds.split()])
+def test_array_that_is_ragged_not_real_or_misshapen_is_refused(name, kind):
+    # these raised a bare ValueError or IndexError, or were read as numbers
+    # (numeric strings), cut to their real part or broadcast into a result
+    call, good, _ = ARRAY[name]
+    error = ParseError if name.startswith("TriangleMesh-") else DegenerateDimension
+    with pytest.raises(error):
+        call(_bad(kind, good))
+
+
+def test_fractional_mesh_faces_are_refused():
+    # faces + 0.7 used to be truncated to the same mesh
+    with pytest.raises(ParseError, match="integers"):
+        cslsurf.TriangleMesh(MESH.vertices, MESH.faces + 0.7)
+
+
+def test_cavities_that_are_not_shapes_are_degenerate():
+    # an int raised a bare TypeError from tuple(5); a list of numbers passed
+    for cavities in (5, [5], "abc"):
+        with pytest.raises(DegenerateDimension, match="cavities"):
+            cslsurf.Sphere(SIGMA, cavities=cavities)

@@ -288,6 +288,8 @@ class TestRasterize:
         (SIGMA / 2, np.zeros(2), 0.0), (SIGMA / 2, [0.0, math.nan, 0.0], 0.0),
         (SIGMA / 2, [-math.inf, 0.0, 0.0], 0.0), (SIGMA / 2, np.zeros(3), -SIGMA),
         (SIGMA / 2, np.zeros(3), math.nan), (SIGMA / 2, np.zeros(3), math.inf),
+        (SIGMA / 2, [0.0, [1.0, 2.0], 0.0], 0.0), (SIGMA / 2, ["0", "0", "0"], 0.0),
+        (SIGMA / 2, np.zeros(3, complex), 0.0),
     ])
     def test_unusable_grid_geometry_is_degenerate(self, spacing, origin, margin):
         # a negative spacing would negate both oracles' sums, zero divide by
