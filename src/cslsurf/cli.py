@@ -2,16 +2,17 @@
 
 Subcommands: ``tensors``, ``rates``, ``validate``, ``sweep``,
 ``dephasing``.  Configuration comes from a JSON document (--config),
-inline shape JSON (--shape) or a mesh file (--mesh); flags override the
-config.  Quantities accept unit suffixes ("1e-5 cm", "2 g/cm^3",
-"60 deg") and are normalized to SI in the emitted report, which embeds
-the fully resolved configuration for reproducibility.
+inline shape JSON (--shape) or a mesh file (--mesh); each setting is a
+flag and a config key of the same name, and the flag wins.  Quantities
+take unit suffixes ("1e-5 cm", "2 g/cm^3", "60 deg"); the report holds
+them in SI, and its config, passed back with --config, reproduces it.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
 tolerance failure, 3 resource cap exceeded.
 """
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
@@ -89,16 +90,18 @@ _SHAPE_TYPES = {_type_name(cls): cls for cls in Shape}
 
 
 def _mesh_from_file(path, mesh_files):
-    """Load a mesh shape and note its file path and SHA-256 in ``mesh_files``."""
+    """Load a mesh file and note its path and SHA-256 in ``mesh_files``."""
     if not isinstance(path, str):
         raise ConfigError(f"a mesh path must be a string, got {path!r}")
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    spec = Mesh(mesh=load_mesh(path))
-    mesh_files[spec.mesh] = {"path": str(path), "sha256": digest}
-    return spec
+    mesh = load_mesh(path)
+    mesh_files[mesh] = {"path": str(path), "sha256": digest}
+    return mesh
 
 
 def _field_from_json(fld, value, mesh_files):
+    if fld.name == "mesh":
+        return _mesh_from_file(value, mesh_files)
     if fld.name == "cavities":
         if not isinstance(value, list):
             raise ConfigError(f"cavities must be a list of shape specs, got {value!r}")
@@ -111,30 +114,40 @@ def _field_from_json(fld, value, mesh_files):
     return parse_quantity(value, unit)
 
 
+#: what a report records of a mesh file; on read-back each must match the file
+_MESH_RECORD = ("vertices", "faces", "sha256")
+
+
 def _shape_from_json(doc, mesh_files=None):
     if not isinstance(doc, dict) or not isinstance(doc.get("type"), str):
         raise ConfigError(f"shape spec must be an object with a string 'type': {doc!r}")
     mesh_files = {} if mesh_files is None else mesh_files
     kind = doc["type"].lower()
-    if kind == "mesh":
-        if "path" not in doc:
-            raise ConfigError("mesh shape needs a 'path'")
-        return _mesh_from_file(doc["path"], mesh_files)
     cls = _SHAPE_TYPES.get(kind)
     if cls is None:
         raise ConfigError(f"unknown shape type {doc['type']!r}")
-    flds = {f.name: f for f in dataclasses.fields(cls)}
+    if cls is Mesh and "path" not in doc:
+        raise ConfigError("mesh shape needs a 'path'")
+    # a mesh's file path is the JSON name of its ``mesh`` field
+    flds = {"path" if f.name == "mesh" else f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in doc.items():
-        if key == "type":
+        if key == "type" or (cls is Mesh and key in _MESH_RECORD):
             continue
         if key not in flds:
             raise ConfigError(f"unknown field {key!r} for shape {kind!r}")
-        kwargs[key] = _field_from_json(flds[key], value, mesh_files)
+        kwargs[flds[key].name] = _field_from_json(flds[key], value, mesh_files)
     try:
-        return cls(**kwargs)
+        spec = cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad shape spec: {exc}") from None
+    if cls is Mesh:
+        found = _shape_to_json(spec, mesh_files)
+        for key in _MESH_RECORD:
+            if key in doc and doc[key] != found[key]:
+                raise ConfigError(f"mesh file {found['path']} has {key} {found[key]!r}, "
+                                  f"not {doc[key]!r} as the config says")
+    return spec
 
 
 def _shape_to_json(spec, mesh_files=None):
@@ -152,10 +165,6 @@ def _shape_to_json(spec, mesh_files=None):
     return doc
 
 
-def _first_given(*values):
-    return next(v for v in values if v is not None)
-
-
 def _json(text, source):
     """Parse a str, or UTF-8 bytes, as JSON; a ValueError (not UTF-8, not
     JSON, an integer past the digit limit) is a ConfigError naming ``source``."""
@@ -165,30 +174,99 @@ def _json(text, source):
         raise ConfigError(f"{source} is not valid JSON: {exc}") from None
 
 
+# ---------------------------------------------------------------------------
+# settings: each is a flag and a config key of the same name
+
+
+def _quantity(dimension, low=None, integer=False):
+    """A setting's parser: a quantity of ``dimension``, an integer if asked, not below ``low``."""
+    def parse(name, value):
+        value = parse_quantity(value, dimension)
+        if integer:
+            value = _integer(name, value, ConfigError)
+        if low is not None and not (value >= low):
+            raise ConfigError(f"{name.replace('_', ' ')} must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _vector(dimension):
+    return lambda name, value: parse_vector(value, dimension)
+
+
+def _one_of(*choices):
+    def parse(name, value):
+        # types too: 1 == True, but 1 is not a switch value
+        if (type(value), value) not in [(type(c), c) for c in choices]:
+            raise ConfigError(f"{name.replace('_', ' ')} must be one of {choices}, got {value!r}")
+        return value
+    return parse
+
+
+def _list(name, value):
+    values = value.split(",") if isinstance(value, str) else value
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep values must be a list or a comma-separated string, got {value!r}")
+    return values
+
+
+#: sweep variable -> (shape field it sets, dimension of its values)
+_SWEEPS = {"L": ("length", "length"), "theta": ("apex_angle", "angle"),
+           "N": ("gap_count", "dimensionless"), "e": ("semi_axis_b", "dimensionless"),
+           "R": ("radius", "length")}
+
+_Setting = collections.namedtuple("_Setting", "parse default commands help")
+_ALL = ("tensors", "rates", "validate", "sweep", "dephasing")
+_COUNT = _quantity("dimensionless", 1, integer=True)
+
+#: each setting is a flag --name (dashes for underscores; a switch if its
+#: default is False) and a config key name.  A run takes the flag, else the
+#: key, else the default, and its report echoes each setting as the run used it
+_SETTINGS = {
+    "density": _Setting(_quantity("density"), None, _ALL, "material density (e.g. '2 g/cm^3')"),
+    "resolution": _Setting(_COUNT, DEFAULT_RESOLUTION, _ALL, "patches per characteristic length"),
+    "format": _Setting(_one_of("json", "csv"), "json", _ALL, "report format: json or csv"),
+    "origin": _Setting(_vector("length"), None, ("tensors",), "rotational tensor origin"),
+    "inertia_convention": _Setting(_one_of("standard", "second_moment"), "standard", ("rates",),
+                                   "standard or second_moment"),
+    "tolerance": _Setting(_quantity("dimensionless", 0), 0.01, ("validate",), "max relative error"),
+    "spacing": _Setting(_quantity("length"), None, ("validate",), "voxel spacing; default sigma/2"),
+    "padding": _Setting(_quantity("length"), None, ("validate",), "grid padding; default 6 sigma"),
+    "max_voxels": _Setting(_COUNT, DEFAULT_MAX_VOXELS, ("validate", "dephasing"), "grid voxel cap"),
+    "variable": _Setting(_one_of(*_SWEEPS), None, ("sweep",), "swept: " + ", ".join(_SWEEPS)),
+    "values": _Setting(_list, None, ("sweep",), "comma-separated parameter values"),
+    "delta": _Setting(_vector("length"), None, ("dephasing",), "separation, e.g. '1e-9 m,0,0'"),
+    "exact": _Setting(_one_of(False, True), False, ("dephasing",), "also the exact rate on a grid"),
+}
+#: the settings that a config holds, and a report echoes, in a "sweep" block
+_SWEPT = ("variable", "values")
+_CONFIG_KEYS = {"shape", "mesh", "params", "sweep", *_SETTINGS} - set(_SWEPT)
+
+
 def _resolve(args):
-    """Merge config file and flags into (shape, density, params, options)."""
+    """Merge config file and flags into (shape, params, options): ``options``
+    holds every setting of the command and the mesh files read."""
     cfg = {}
     if args.config:
         with open(args.config, "rb") as fh:
             cfg = _json(fh.read(), f"config {args.config}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
-    if getattr(args, "shape", None):
+    unknown = set(cfg) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {sorted(unknown)}")
+    if args.shape:
         cfg["shape"] = _json(args.shape, "--shape")
-    if getattr(args, "mesh", None):
+    if args.mesh:
         cfg["mesh"] = args.mesh
     if "shape" in cfg and "mesh" in cfg:
         raise ConfigError("give exactly one shape source (shape or mesh), not both")
-    mesh_files = {}
-    if "shape" in cfg:
-        shape = _shape_from_json(cfg["shape"], mesh_files)
-    elif "mesh" in cfg:
-        shape = _mesh_from_file(cfg["mesh"], mesh_files)
-    else:
+    if "mesh" in cfg:
+        cfg["shape"] = {"type": "mesh", "path": cfg["mesh"]}
+    if "shape" not in cfg:
         raise ConfigError("no shape given (use --shape, --mesh, or a config file)")
-
-    density = args.density if args.density is not None else cfg.get("density")
-    density = None if density is None else parse_quantity(density, "density")
+    mesh_files = {}
+    shape = _shape_from_json(cfg["shape"], mesh_files)
 
     pdoc = cfg.get("params", {})
     if not isinstance(pdoc, dict):
@@ -202,34 +280,26 @@ def _resolve(args):
     params = CslParams(**{f.name: parse_quantity(pdoc[f.name], f.metadata["unit"])
                           for f in flds if f.name in pdoc})
 
-    resolution = _first_given(args.resolution, cfg.get("resolution"), DEFAULT_RESOLUTION)
-    resolution = _integer("resolution", parse_quantity(resolution, "dimensionless"), ConfigError)
-    if resolution < 1:
-        raise ConfigError(f"resolution must be at least 1, got {resolution}")
-    if getattr(args, "max_voxels", 1) < 1:
-        raise ConfigError(f"max voxels must be at least 1, got {args.max_voxels}")
-    fmt = _first_given(args.format, cfg.get("format"), "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
-    options = {
-        "resolution": resolution,
-        "format": fmt,
-        "config": cfg,
-        "mesh_files": mesh_files,
-    }
-    return shape, density, params, options
+    block = cfg.get("sweep", {}) if args.command == "sweep" else {}
+    if not isinstance(block, dict) or set(block) - set(_SWEPT):
+        raise ConfigError(f"sweep must be an object with keys {_SWEPT}, got {block!r}")
+    options = {"mesh_files": mesh_files}
+    for name, setting in _SETTINGS.items():
+        if args.command in setting.commands:
+            value = getattr(args, name)
+            if value is None:
+                value = (block if name in _SWEPT else cfg).get(name)
+            options[name] = setting.default if value is None else setting.parse(name, value)
+    return shape, params, options
 
 
-def _report(command, shape, density, params, options, results, extra=None):
-    """The report: package version, command, fully resolved config
-    (plus the command's ``extra`` settings) and results."""
-    config = {
-        "shape": _shape_to_json(shape, options["mesh_files"]),
-        "density": density,
-        "params": dataclasses.asdict(params),
-        "resolution": options["resolution"],
-        **(extra or {}),
-    }
+def _report(command, shape, params, options, results):
+    """The report: package version, command, fully resolved config (every
+    setting of the command, as the run used it) and results."""
+    config = {"shape": _shape_to_json(shape, options["mesh_files"]),
+              "density": options["density"], "params": dataclasses.asdict(params)}
+    for name in filter(_SETTINGS.__contains__, options):
+        (config.setdefault("sweep", {}) if name in _SWEPT else config)[name] = options[name]
     return {"version": __version__, "command": command, "config": config, "results": results}
 
 
@@ -294,9 +364,8 @@ def _body_tensors(shape, resolution, origin=None):
 
 
 def _cmd_tensors(args):
-    shape, density, params, options = _resolve(args)
-    origin = parse_vector(args.origin, "length") if args.origin else None
-    patches, geo, s, s_rot, origin = _body_tensors(shape, options["resolution"], origin)
+    shape, params, options = _resolve(args)
+    patches, geo, s, s_rot, origin = _body_tensors(shape, options["resolution"], options["origin"])
     vals, vecs = principal_axes(geo.inertia)
     results = {
         "area": patches.total_area,
@@ -310,22 +379,23 @@ def _cmd_tensors(args):
         "inertia_principal_axes": vecs.T,
         "patch_count": len(patches),
     }
-    if density is not None:
-        mp = mass_properties(shape, density)
+    if options["density"] is not None:
+        mp = mass_properties(shape, options["density"])
         results["mass"] = mp.mass
         results["inertia"] = mp.inertia
-    _emit(_report("tensors", shape, density, params, options, results), options, args.out)
+    _emit(_report("tensors", shape, params, options, results), options, args.out)
     return EXIT_OK
 
 
 def _cmd_rates(args):
-    shape, density, params, options = _resolve(args)
+    shape, params, options = _resolve(args)
+    density = options["density"]
     if density is None:
         raise ConfigError("rates require --density")
     patches, _, s, s_rot, origin = _body_tensors(shape, options["resolution"])
     props = mass_properties(shape, density)
     rep = rate_report(s, s_rot, props, density, params,
-                      inertia_convention=args.inertia_convention)
+                      inertia_convention=options["inertia_convention"])
     results = {
         "dephasing_matrix": rep.dephasing.matrix,
         "angular_dephasing_coefficients": rep.angular_coefficients,
@@ -338,34 +408,24 @@ def _cmd_rates(args):
         "area": props.area,
         "volume": props.volume,
     }
-    report = _report("rates", shape, density, params, options, results,
-                     {"inertia_convention": args.inertia_convention})
-    _emit(report, options, args.out)
+    _emit(_report("rates", shape, params, options, results), options, args.out)
     return EXIT_OK
 
 
 def _cmd_validate(args):
-    shape, density, params, options = _resolve(args)
-    tol = parse_quantity(_first_given(args.tolerance, options["config"].get("tolerance"), 0.01),
-                         "dimensionless")
-    if not (tol >= 0.0):
-        raise ConfigError(f"tolerance must not be negative, got {tol}")
-    if density is None:
-        density = 1000.0  # cancels in every relative comparison
-    sigma = params.localization_length
-    spacing = parse_quantity(args.spacing, "length") if args.spacing else None
-    padding = parse_quantity(args.padding, "length") if args.padding else None
+    shape, params, options = _resolve(args)
+    if options["density"] is None:
+        options["density"] = 1000.0  # cancels in every relative comparison
+    density, tol, sigma = options["density"], options["tolerance"], params.localization_length
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
     # the raster first, so its grid check runs before a k-space ladder that
     # may take seconds, and a DFT route reads its spectrum
-    grid = rasterize_smoothed_density(
-        shape, density, sigma, spacing=spacing, padding=padding,
-        max_voxels=args.max_voxels,
-    )
+    grid = rasterize_smoothed_density(shape, density, sigma, spacing=options["spacing"],
+                                      padding=options["padding"], max_voxels=options["max_voxels"])
     grad = gradient_outer_integral(grid)
-    grid_dims, resolved = list(grid.dims), {"spacing": grid.spacing, "padding": grid.margin}
+    options.update(spacing=grid.spacing, padding=grid.margin)  # the report echoes the grid
     kint = kspace_outer_integral(shape, density, sigma, _raster=grid)
 
     def rel(a, b):
@@ -383,27 +443,16 @@ def _cmd_validate(args):
         "kspace_integral": kint,
         "pairwise_relative_errors": pairs,
         "tolerance": tol,
-        "grid_dims": grid_dims,
-        "grid_spacing": resolved["spacing"],
+        "grid_dims": list(grid.dims),
+        "grid_spacing": options["spacing"],
         "passed": passed,
     }
-    report = _report("validate", shape, density, params, options, results, resolved)
     table = {
         "columns": ["pair", "relative_error", "tolerance", "passed"],
         "rows": [[k, v, tol, v <= tol] for k, v in pairs.items()],
     }
-    _emit(report, options, args.out, table=table)
+    _emit(_report("validate", shape, params, options, results), options, args.out, table=table)
     return EXIT_OK if passed else EXIT_TOLERANCE
-
-
-#: sweep variable -> (shape field it sets, dimension of its values)
-_SWEEPS = {
-    "L": ("length", "length"),
-    "theta": ("apex_angle", "angle"),
-    "N": ("gap_count", "dimensionless"),
-    "e": ("semi_axis_b", "dimensionless"),
-    "R": ("radius", "length"),
-}
 
 
 def _sweep_shape(base, variable, value):
@@ -418,20 +467,11 @@ def _sweep_shape(base, variable, value):
 
 
 def _cmd_sweep(args):
-    shape, density, params, options = _resolve(args)
-    sweep_cfg = options["config"].get("sweep", {})
-    if not isinstance(sweep_cfg, dict):
-        raise ConfigError(f"sweep must be an object, got {sweep_cfg!r}")
-    variable = args.variable or sweep_cfg.get("variable")
-    values = args.values or sweep_cfg.get("values")
+    shape, params, options = _resolve(args)
+    variable, values, density = options["variable"], options["values"], options["density"]
     if not variable or not values:
         raise ConfigError("sweep needs a variable and values")
-    values = values.split(",") if isinstance(values, str) else values
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep values must be a list or a comma-separated string, got {values!r}")
-    if not isinstance(variable, str) or variable not in _SWEEPS:
-        raise ConfigError(f"unknown sweep variable {variable!r} (use {tuple(_SWEEPS)})")
-    values = [parse_quantity(v, _SWEEPS[variable][1]) for v in values]
+    values = options["values"] = [parse_quantity(v, _SWEEPS[variable][1]) for v in values]
 
     axis = np.asarray(getattr(shape, "axis", (1.0, 0.0, 0.0)), dtype=float)
     columns = ["value", "area", "volume", "s_axis", "s_xx", "s_yy", "s_zz", "srot_axis"]
@@ -458,20 +498,18 @@ def _cmd_sweep(args):
             ]
         rows.append(row)
     table = {"columns": columns, "rows": rows}
-    report = _report("sweep", shape, density, params, options, table,
-                     {"sweep": {"variable": variable, "values": values}})
-    _emit(report, options, args.out, table=table)
+    _emit(_report("sweep", shape, params, options, table), options, args.out, table=table)
     return EXIT_OK
 
 
 def _cmd_dephasing(args):
-    shape, density, params, options = _resolve(args)
+    shape, params, options = _resolve(args)
+    density = options["density"]
     if density is None:
         raise ConfigError("dephasing requires --density")
-    delta_doc = args.delta or options["config"].get("delta")
-    if delta_doc is None:
+    if options["delta"] is None:
         raise ConfigError("dephasing requires --delta")
-    delta = np.asarray(parse_vector(delta_doc, "length"), dtype=float)
+    delta = np.asarray(options["delta"], dtype=float)
     patches, _, s, s_rot, origin = _body_tensors(shape, options["resolution"])
     dm = dephasing_matrix(s, density, params)
     sep = float(np.linalg.norm(delta))
@@ -487,33 +525,27 @@ def _cmd_dephasing(args):
         "rate_per_second": rate,
         "quadratic_regime_warning": warned,
     }
-    if args.exact:
+    if options["exact"]:
         grid = rasterize_smoothed_density(shape, density, sigma,
-                                          max_voxels=args.max_voxels)
+                                          max_voxels=options["max_voxels"])
         exact = decoherence_function(grid, delta, params)
         results["exact_rate_per_second"] = exact
         results["quadratic_vs_exact_relative"] = (
             abs(rate - exact) / exact if exact else 0.0
         )
-    report = _report("dephasing", shape, density, params, options, results,
-                     {"delta": list(delta)})
-    _emit(report, options, args.out)
+    _emit(_report("dephasing", shape, params, options, results), options, args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
-
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--shape", help="inline shape JSON")
-    sub.add_argument("--mesh", help="STL or OBJ file")
-    sub.add_argument("--density", help="material density (e.g. '2 g/cm^3')")
-    sub.add_argument("--lambda", dest="collapse_rate", help="collapse rate (1/s)")
-    sub.add_argument("--sigma", help="localization length (e.g. '1e-5 cm')")
-    sub.add_argument("--resolution", type=int, help="patches per characteristic length")
-    sub.add_argument("--format", choices=("json", "csv"))
-    sub.add_argument("--out", help="write the report here instead of stdout")
+_COMMANDS = {
+    "tensors": (_cmd_tensors, "surface tensors and mass properties"),
+    "rates": (_cmd_rates, "dephasing matrix and heating rates"),
+    "validate": (_cmd_validate, "cross-check surface formula against oracles"),
+    "sweep": (_cmd_sweep, "parameter sweeps of the tensor outputs"),
+    "dephasing": (_cmd_dephasing, "superposition dephasing rate"),
+}
 
 
 @functools.cache
@@ -524,40 +556,19 @@ def build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"cslsurf {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("tensors", help="surface tensors and mass properties")
-    _add_common(p)
-    p.add_argument("--origin", help="override origin for the rotational tensor")
-    p.set_defaults(func=_cmd_tensors)
-
-    p = subs.add_parser("rates", help="dephasing matrix and heating rates")
-    _add_common(p)
-    p.add_argument("--inertia-convention", choices=("standard", "second_moment"),
-                   default="standard")
-    p.set_defaults(func=_cmd_rates)
-
-    p = subs.add_parser("validate", help="cross-check surface formula against oracles")
-    _add_common(p)
-    p.add_argument("--spacing", help="voxel spacing (default sigma/2)")
-    p.add_argument("--padding", help="grid padding (default 6 sigma)")
-    p.add_argument("--max-voxels", type=int, default=DEFAULT_MAX_VOXELS)
-    p.add_argument("--tolerance", type=float,
-                   help="largest pairwise relative error that passes (default 0.01)")
-    p.set_defaults(func=_cmd_validate)
-
-    p = subs.add_parser("sweep", help="parameter sweeps of the tensor outputs")
-    _add_common(p)
-    p.add_argument("--variable", choices=tuple(_SWEEPS))
-    p.add_argument("--values", help="comma-separated parameter values")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = subs.add_parser("dephasing", help="superposition dephasing rate")
-    _add_common(p)
-    p.add_argument("--delta", help="separation vector, e.g. '1e-9 m,0,0'")
-    p.add_argument("--exact", action="store_true",
-                   help="also evaluate the full decoherence function on a grid")
-    p.add_argument("--max-voxels", type=int, default=DEFAULT_MAX_VOXELS)
-    p.set_defaults(func=_cmd_dephasing)
+    for command, (func, text) in _COMMANDS.items():
+        p = subs.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--shape", help="inline shape JSON")
+        p.add_argument("--mesh", help="STL or OBJ file")
+        p.add_argument("--lambda", dest="collapse_rate", help="collapse rate (1/s)")
+        p.add_argument("--sigma", help="localization length (e.g. '1e-5 cm')")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        for name, s in _SETTINGS.items():
+            switch = {"action": "store_const", "const": True} if s.default is False else {}
+            if command in s.commands:
+                p.add_argument("--" + name.replace("_", "-"), help=s.help, **switch)
+        p.set_defaults(func=func)
     return parser
 
 

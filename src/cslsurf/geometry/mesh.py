@@ -89,7 +89,7 @@ class TriangleMesh:
     Parameters
     ----------
     vertices : (n, 3) float array
-    faces : (m, 3) int array, indices into vertices (other input raises ParseError)
+    faces : (m, 3) int array, indices into vertices from 0 (other input raises ParseError)
     validate : bool
         When true (default), check watertightness and winding
         consistency, and flip a consistently inward mesh.
@@ -100,8 +100,9 @@ class TriangleMesh:
             _array("vertices", vertices, (None, 3), finite=False, error=ParseError))
         self.faces = np.ascontiguousarray(_array(
             "faces", faces, (None, 3), finite=False, dtype=np.int64, error=ParseError))
-        if len(self.faces) and self.faces.max() >= len(self.vertices):
-            raise ParseError("face index exceeds vertex count")
+        lo, hi = (self.faces.min(), self.faces.max()) if len(self.faces) else (0, -1)
+        if lo < 0 or hi >= len(self.vertices):  # a negative index would wrap from the end
+            raise ParseError(f"face indices {lo} to {hi} leave the {len(self.vertices)} vertices")
         if validate:
             self._check_topology()
             if self.volume() < 0:

@@ -23,14 +23,17 @@ def _array(name, value, shape, finite=True, dtype=float, error=DegenerateDimensi
     any number of leading axes.  A ragged sequence, entries that are not
     real numbers (integers for an integer ``dtype``; strings, complex numbers
     and bools are neither), another shape or, with ``finite``, a NaN or an
-    infinity raise ``error``.
+    infinity raise ``error``.  A bool inside a sequence converts to a number,
+    so sequences (not arrays) are searched for one.
     """
     kind = "integers" if np.dtype(dtype).kind in "iu" else "real numbers"
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged sequence
         a = np.empty(0, dtype=object)
-    if a.dtype.kind not in ("iu" if kind == "integers" else "iuf"):
+    if a.dtype.kind not in ("iu" if kind == "integers" else "iuf") or (
+            not isinstance(value, np.ndarray)
+            and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, object).flat)):
         got = a.dtype if isinstance(value, np.ndarray) else reprlib.repr(value)
         raise error(f"{name} must be an array of {kind}, got {got}")
     want = shape[1:] if shape[:1] == (...,) else shape

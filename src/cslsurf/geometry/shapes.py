@@ -102,7 +102,10 @@ def _positive(name, value):
 
 
 def _box_sides(name, sides):
-    sides = tuple(_positive("box side", s) for s in sides)
+    try:
+        sides = tuple(_positive("box side", s) for s in sides)
+    except TypeError:  # not a sequence: Box(5)
+        raise DegenerateDimension(f"box size must have 3 entries, got {sides!r}") from None
     if len(sides) != 3:
         raise DegenerateDimension("box size must have 3 entries")
     return sides

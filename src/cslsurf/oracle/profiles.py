@@ -28,15 +28,20 @@ class EdgeProfile:
     ``heights`` and ``values`` define a piecewise-linear descent with
     values[0] = 1 and values[-1] = 0; H = 1 before the first knot and 0
     after the last.  The default (no knots) is the ideal step at h = 0.  A
-    knot that is not a real number raises :class:`DegenerateDimension`.
+    knot that is not a real number, or heights or values that are not a
+    sequence, raise :class:`DegenerateDimension`.
     """
 
     heights: tuple = ()
     values: tuple = ()
 
     def __post_init__(self):
-        h = tuple(_real("knot height", x) for x in self.heights)
-        v = tuple(_real("knot value", x) for x in self.values)
+        try:
+            h = tuple(_real("knot height", x) for x in self.heights)
+            v = tuple(_real("knot value", x) for x in self.values)
+        except TypeError:  # not a sequence: heights=5
+            raise DegenerateDimension("heights and values must be sequences, "
+                                      f"got {self.heights!r} and {self.values!r}") from None
         if len(h) != len(v):
             raise DegenerateDimension("heights and values must have equal length")
         if h:

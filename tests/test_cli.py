@@ -586,3 +586,119 @@ def test_consecutive_calls_share_no_state(capsys):
     code, out, err = run(capsys, "dephasing", "--no-such-flag")
     assert (code, out) == (1, "") and "--no-such-flag" in err
     assert run_json(capsys, "validate", *small, "--tolerance", "0.5")["results"]["passed"]
+
+
+SMALL = '{"type":"sphere","radius":"3 um"}'
+
+# each command with every setting it takes away from its default; the
+# format is json here, so that the report's config can be read back
+EVERY_SETTING = {
+    "tensors": ["--shape", CYL_X, "--density", "2 g/cm^3", "--resolution", "12",
+                "--origin", "2 um,0,0"],
+    "rates": ["--shape", CYL_X, "--density", "1000", "--resolution", "12",
+              "--inertia-convention", "second_moment"],
+    "validate": ["--shape", SMALL, "--sigma", "1 um", "--density", "2000", "--resolution", "12",
+                 "--tolerance", "0.5", "--spacing", "0.4 um", "--padding", "7 um",
+                 "--max-voxels", "200000"],
+    "sweep": ["--shape", CYL_X, "--density", "1000", "--resolution", "12",
+              "--variable", "L", "--values", "2 um,10 um"],
+    "dephasing": ["--shape", SMALL, "--sigma", "1 um", "--density", "1000", "--resolution", "12",
+                  "--delta", "1e-8 m,0,0", "--exact", "--max-voxels", "200000"],
+}
+
+
+@pytest.mark.parametrize("command", EVERY_SETTING)
+def test_report_config_reproduces_the_run(capsys, tmp_path, command):
+    # rates lost its inertia convention, validate its tolerance, spacing and
+    # padding, and tensors and dephasing did not echo --origin and --exact
+    argv = [command, *EVERY_SETTING[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(capsys, command, "--config", str(path)) == (code, out, "")
+    # the format is a config key of the same name as well
+    path.write_text(json.dumps(dict(config, format="csv")))
+    csv_run = run(capsys, *argv, "--format", "csv")
+    assert csv_run[0] == code and csv_run[1].startswith(("key,value", "value,", "pair,"))
+    assert run(capsys, command, "--config", str(path)) == csv_run
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("tensors", {"densty": 2000}, "densty"),
+    ("validate", {"spacng": "1 um"}, "spacng"),
+    # the sweep settings live in the sweep block, and take no other key there
+    ("sweep", {"variable": "R", "values": [1e-6]}, "values"),
+    ("sweep", {"sweep": {"variable": "R", "values": [1e-6], "valus": [2e-6]}}, "valus"),
+])
+def test_unknown_config_key_is_a_usage_error(capsys, tmp_path, command, doc, named):
+    # each used to exit 0 with the default in its place
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"shape": json.loads(SPHERE), "delta": ["1 nm", 0, 0], **doc}))
+    code, out, err = run(capsys, command, "--config", str(path), "--density", "1000")
+    assert (code, out) == (1, "")
+    assert err.startswith(("error: unknown config key", "error: sweep must be")) and named in err
+
+
+@pytest.mark.parametrize("exact", [1, 0, "yes", None], ids=["1", "0", "yes", "null"])
+def test_exact_in_config_must_be_a_bool(capsys, tmp_path, exact):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"shape": json.loads(SPHERE), "density": 1000,
+                                "delta": ["1 nm", 0, 0], "exact": exact}))
+    code, out, err = run(capsys, "dephasing", "--config", str(path))
+    if exact is None:  # null is the default, as for every setting
+        assert code == 0 and json.loads(out)["config"]["exact"] is False
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exact must be one of") and repr(exact) in err
+
+
+def test_integral_float_resolution_flag_is_accepted(capsys):
+    # --resolution took argparse's int, which refused the 8.0 that a config may hold
+    report = run_json(capsys, "tensors", "--shape", SPHERE, "--resolution", "8.0")
+    assert report == run_json(capsys, "tensors", "--shape", SPHERE, "--resolution", "8")
+
+
+def _cube(tmp_path, side=1e-6):
+    path = tmp_path / "cube.stl"
+    path.write_bytes(mesh_to_stl(box_mesh(side, side, side)))
+    return path
+
+
+def test_mesh_document_takes_center_and_cavities(capsys, tmp_path):
+    # both were dropped: the mesh sat at the origin with no cavity
+    path = _cube(tmp_path, 3e-6)
+    doc = {"type": "mesh", "path": str(path), "center": ["2 um", 0, 0],
+           "cavities": [{"type": "sphere", "radius": "0.5 um", "center": ["2 um", 0, 0]}]}
+    report = run_json(capsys, "tensors", "--shape", json.dumps(doc))
+    results = report["results"]
+    assert results["centroid"] == pytest.approx([2e-6, 0.0, 0.0], abs=1e-18)
+    assert results["volume"] == pytest.approx(27e-18 - 4 * math.pi / 3 * 0.125e-18, rel=1e-3)
+    shape = report["config"]["shape"]
+    assert shape["center"] == [2e-6, 0.0, 0.0] and shape["cavities"][0]["radius"] == 5e-7
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(report["config"]))
+    code, out, err = run(capsys, "tensors", "--config", str(config))
+    assert code == 0 and json.loads(out) == report
+
+
+@pytest.mark.parametrize("key, value", [("vertices", 9), ("faces", 13), ("sha256", "0" * 64)],
+                         ids=["vertices", "faces", "sha256"])
+def test_mesh_record_that_does_not_match_the_file_is_a_usage_error(capsys, tmp_path, key, value):
+    # a report's counts and hash were ignored on read-back
+    path = _cube(tmp_path)
+    doc = run_json(capsys, "tensors", "--mesh", str(path))["config"]["shape"]
+    code, out, err = run(capsys, "tensors", "--shape", json.dumps(dict(doc, **{key: value})))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: mesh file") and key in err
+
+
+def test_mesh_report_refuses_a_changed_file(capsys, tmp_path):
+    path = _cube(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(run_json(capsys, "tensors", "--mesh", str(path))["config"]))
+    path.write_bytes(mesh_to_stl(box_mesh(2e-6, 1e-6, 1e-6)))  # same counts, other bytes
+    code, out, err = run(capsys, "tensors", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert "sha256" in err

@@ -134,10 +134,13 @@ def test_non_finite_or_negative_rate_input_is_degenerate(entry):
 def _bad(kind, good):
     """A value of ``kind`` in place of the valid array ``good``."""
     good = np.asarray(good)
+    with_bool = good.astype(object)
+    with_bool.flat[0] = True  # in a list, np.asarray reads it as the number 1
     return {"ragged": lambda: [good.tolist(), [0]],
             "str": lambda: good.astype(str),
             "complex": lambda: good.astype(complex),
-            "shape": lambda: np.zeros(good.shape[:-1], good.dtype)}[kind]()
+            "shape": lambda: np.zeros(good.shape[:-1], good.dtype),
+            "bool": lambda: with_bool.tolist()}[kind]()
 
 
 PATCHES = cslsurf.quadrature(SPHERE, resolution=4)
@@ -145,7 +148,7 @@ MESH = cslsurf.box_mesh(SIGMA, SIGMA, SIGMA)
 MASS = cslsurf.mass_properties(SPHERE, RHO)
 Z = (0.0, 0.0, 1.0)
 
-ALL, NO_SHAPE = "ragged str complex shape", "ragged str complex"
+ALL, NO_SHAPE = "ragged str complex shape bool", "ragged str complex bool"
 ORIGIN = (0.0, 0.0, 0.0)
 # each array argument: the call with ``v`` in its place, a valid value, and
 # the kinds of bad value that were not refused with a typed error before (the
@@ -194,6 +197,9 @@ ARRAY = {
                               NO_SHAPE),
     "TriangleMesh-faces": (lambda v: cslsurf.TriangleMesh(MESH.vertices, v), MESH.faces,
                            NO_SHAPE),
+    "superposition_dephasing_rate-delta": (
+        lambda v: cslsurf.superposition_dephasing_rate(cslsurf.dephasing_matrix(S, RHO, PARAMS), v),
+        (SIGMA, 0.0, 0.0), "bool"),
 }
 
 
@@ -212,6 +218,13 @@ def test_fractional_mesh_faces_are_refused():
     # faces + 0.7 used to be truncated to the same mesh
     with pytest.raises(ParseError, match="integers"):
         cslsurf.TriangleMesh(MESH.vertices, MESH.faces + 0.7)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_negative_mesh_faces_are_refused(validate):
+    # they wrapped from the end of the vertex list: faces - 8 built the same box
+    with pytest.raises(ParseError, match="face indices -8 to -1"):
+        cslsurf.TriangleMesh(MESH.vertices, MESH.faces - 8, validate=validate)
 
 
 def test_cavities_that_are_not_shapes_are_degenerate():

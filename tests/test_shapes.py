@@ -71,6 +71,7 @@ class TestValidation:
         lambda: GappedCylinder(1.0, 2.0, -1, 0.1),
         lambda: Cylinder(1.0, 1.0, axis=(0.0, 0.0, 0.0)),
         lambda: Sphere(1.0, center=(0.0, np.nan, 0.0)),
+        lambda: Box(5),   # used to raise a bare TypeError
     ])
     def test_rejects_degenerate(self, bad):
         with pytest.raises(DegenerateDimension):

@@ -369,6 +369,7 @@ class TestProfiles:
         lambda: EdgeProfile.linear_ramp(math.inf),
         lambda: edge_layer_factor(EdgeProfile.step(), 0.0),
         lambda: edge_layer_factor(EdgeProfile.step(), -SIGMA),
+        lambda: EdgeProfile(heights=5, values=5),   # used to raise a bare TypeError
     ])
     def test_unusable_profile_or_sigma_is_degenerate(self, make):
         with pytest.raises(DegenerateDimension):
