@@ -54,7 +54,8 @@ from .geometry import (
     mass_properties,
     quadrature,
 )
-from .geometry.shapes import _integer
+from .geometry.mesh import _path_format
+from .geometry.patches import _scalar
 from .oracle import (
     DEFAULT_MAX_VOXELS,
     decoherence_function,
@@ -93,9 +94,9 @@ def _mesh_from_file(path, mesh_files):
     """Load a mesh file and note its path and SHA-256 in ``mesh_files``."""
     if not isinstance(path, str):
         raise ConfigError(f"a mesh path must be a string, got {path!r}")
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    mesh = load_mesh(path)
-    mesh_files[mesh] = {"path": str(path), "sha256": digest}
+    data = Path(path).read_bytes()  # one read: the bytes hashed are the bytes parsed
+    mesh = load_mesh(data, _path_format(path))
+    mesh_files[mesh] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
     return mesh
 
 
@@ -178,15 +179,12 @@ def _json(text, source):
 # settings: each is a flag and a config key of the same name
 
 
-def _quantity(dimension, low=None, integer=False):
-    """A setting's parser: a quantity of ``dimension``, an integer if asked, not below ``low``."""
+def _quantity(dimension, low=-math.inf, integer=False):
+    """A setting's parser: a finite quantity of ``dimension``, an integer if
+    asked, not below ``low``."""
     def parse(name, value):
-        value = parse_quantity(value, dimension)
-        if integer:
-            value = _integer(name, value, ConfigError)
-        if low is not None and not (value >= low):
-            raise ConfigError(f"{name.replace('_', ' ')} must be at least {low}, got {value}")
-        return value
+        return _scalar(name, parse_quantity(value, dimension), low, integer=integer,
+                       error=ConfigError)
     return parse
 
 

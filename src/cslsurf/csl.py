@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
-from .geometry.patches import _array
-from .geometry.shapes import _nonnegative, _positive
+from .geometry.patches import _array, _scalar
 from .tensors import clamp_psd, principal_axes
 
 #: quadratic (momentum-diffusion) regime is quantitative for |delta| << sigma;
@@ -46,14 +45,15 @@ class CslParams:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _positive(f.name, getattr(self, f.name)))
+            value = _scalar(f.name, getattr(self, f.name), 0.0, open=True)
+            object.__setattr__(self, f.name, value)
 
 
 def _density_squared(density):
     """rho^2, the one density check of every rate and oracle scaling with it:
     a density that is not positive and finite, or whose square overflows,
     raises :class:`DegenerateDimension`."""
-    density = _positive("density", density)
+    density = _scalar("density", density, 0.0, open=True)
     try:
         return density**2
     except OverflowError:
@@ -118,7 +118,8 @@ def angular_dephasing_coefficient(axial_strength, density, params: CslParams) ->
     axis is coefficient * d_phi^2; units 1/(s rad^2).  A strength that is
     not a non-negative finite real number raises :class:`DegenerateDimension`.
     """
-    return dephasing_prefactor(density, params) * _nonnegative("axial strength", axial_strength)
+    c = dephasing_prefactor(density, params)
+    return c * _scalar("axial strength", axial_strength, 0.0)
 
 
 def com_heating_rate(total_area, mass, density, params: CslParams) -> float:
@@ -128,14 +129,15 @@ def com_heating_rate(total_area, mass, density, params: CslParams) -> float:
     two forms agree identically since M = rho V.  A is the full boundary
     area including cavity walls.
     """
-    total_area, mass = _positive("area", total_area), _positive("mass", mass)
+    total_area = _scalar("area", total_area, 0.0, open=True)
+    mass = _scalar("mass", mass, 0.0, open=True)
     c = dephasing_prefactor(density, params)
     return params.hbar**2 * c * total_area / mass
 
 
 def total_heating_rate(mass, params: CslParams) -> float:
     """Total heating power over all constituents: 3 hbar^2 lambda M / (2 m_N^2 sigma^2)."""
-    mass = _positive("mass", mass)
+    mass = _scalar("mass", mass, 0.0, open=True)
     lam = params.collapse_rate
     sig = params.localization_length
     return 1.5 * params.hbar**2 * lam * mass / (params.nucleon_mass**2 * sig**2)

@@ -3,11 +3,13 @@
 import numpy as np
 
 from .mesh import TriangleMesh
-from .patches import _array
+from .patches import _array, _scalar
 
 
 def box_mesh(a, b, c, center=(0.0, 0.0, 0.0)):
-    """Axis-aligned box as a 12-triangle mesh."""
+    """Axis-aligned box as a 12-triangle mesh; each side must be positive and
+    finite (:class:`DegenerateDimension`)."""
+    a, b, c = (_scalar(f"side {n}", s, 0.0, open=True) for n, s in zip("abc", (a, b, c)))
     hx, hy, hz = a / 2.0, b / 2.0, c / 2.0
     v = np.array([
         [-hx, -hy, -hz], [hx, -hy, -hz], [hx, hy, -hz], [-hx, hy, -hz],
@@ -25,7 +27,11 @@ def box_mesh(a, b, c, center=(0.0, 0.0, 0.0)):
 
 
 def icosphere(radius=1.0, subdivisions=3, center=(0.0, 0.0, 0.0)):
-    """Geodesic sphere from a subdivided icosahedron (20 * 4^n faces)."""
+    """Geodesic sphere from a subdivided icosahedron (20 * 4^n faces); the
+    radius must be positive and finite and the subdivisions a non-negative
+    integer (:class:`DegenerateDimension`)."""
+    radius = _scalar("radius", radius, 0.0, open=True)
+    subdivisions = _scalar("subdivisions", subdivisions, 0, integer=True)
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
@@ -40,7 +46,7 @@ def icosphere(radius=1.0, subdivisions=3, center=(0.0, 0.0, 0.0)):
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ]
     vlist = [tuple(v) for v in verts]
-    for _ in range(int(subdivisions)):
+    for _ in range(subdivisions):
         cache = {}
 
         def midpoint(i, j):

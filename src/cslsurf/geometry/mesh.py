@@ -88,7 +88,7 @@ class TriangleMesh:
 
     Parameters
     ----------
-    vertices : (n, 3) float array
+    vertices : (n, 3) array of finite real numbers
     faces : (m, 3) int array, indices into vertices from 0 (other input raises ParseError)
     validate : bool
         When true (default), check watertightness and winding
@@ -97,7 +97,7 @@ class TriangleMesh:
 
     def __init__(self, vertices, faces, validate=True):
         self.vertices = np.ascontiguousarray(
-            _array("vertices", vertices, (None, 3), finite=False, error=ParseError))
+            _array("vertices", vertices, (None, 3), error=ParseError))
         self.faces = np.ascontiguousarray(_array(
             "faces", faces, (None, 3), finite=False, dtype=np.int64, error=ParseError))
         lo, hi = (self.faces.min(), self.faces.max()) if len(self.faces) else (0, -1)
@@ -501,6 +501,13 @@ def _sniff_format(data):
     raise ParseError("cannot identify mesh format (expected STL or OBJ)")
 
 
+def _path_format(path):
+    """The mesh format that the suffix of ``path`` declares, "stl" or "obj",
+    or None (auto-detect) for any other suffix."""
+    ext = Path(path).suffix.lower().lstrip(".")
+    return ext if ext in ("stl", "obj") else None
+
+
 def load_mesh(source, fmt=None):
     """Load a triangle mesh from STL (binary or ASCII) or Wavefront OBJ.
 
@@ -509,11 +516,8 @@ def load_mesh(source, fmt=None):
     is vertex-welded, checked watertight, and oriented outward.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        data = path.read_bytes()
-        if fmt is None:
-            ext = path.suffix.lower().lstrip(".")
-            fmt = ext if ext in ("stl", "obj") else None
+        data = Path(source).read_bytes()
+        fmt = _path_format(source) if fmt is None else fmt
     elif isinstance(source, (bytes, bytearray)):
         data = bytes(source)
     elif isinstance(source, io.IOBase) or hasattr(source, "read"):

@@ -6,6 +6,8 @@ material, i.e. pointing into cavities on cavity walls) and area weights.
 All surface integrals downstream are plain weighted sums over it.
 """
 
+import math
+import numbers
 import reprlib
 from dataclasses import dataclass, field
 
@@ -43,8 +45,45 @@ def _array(name, value, shape, finite=True, dtype=float, error=DegenerateDimensi
         raise error(f"{name} must have shape {spec}, got {a.shape}")
     a = a.astype(dtype, copy=False)
     if finite and not np.all(np.isfinite(a)):
-        raise error(f"{name} is not finite: {a.tolist()}")
+        raise error(f"{name} is not finite: {reprlib.repr(a.tolist())}")
     return a
+
+
+def _scalar(name, value, low=-math.inf, high=math.inf, *, open=False, integer=False,
+            error=DegenerateDimension):
+    """``value`` as a finite float, or with ``integer`` as an int, in [low, high]
+    ((low, high) if ``open``).
+
+    A bool or anything that is not a real number (a string included), a
+    number past the float range, a NaN or an infinity, a fraction where
+    ``integer`` is set (an integral float such as 2.0, as quantities parse,
+    passes) or a value out of bounds raises ``error``.  The message names
+    ``name``, underscores read as spaces.
+    """
+    name = name.replace("_", " ")
+    kind = "an integer" if integer else "a real number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be {kind}, got {reprlib.repr(value)}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        raise error(f"{name} must be {kind} within the float range, "
+                    f"got {reprlib.repr(value)}") from None
+    if integer:
+        if not (isinstance(value, numbers.Integral) or x.is_integer()):
+            raise error(f"{name} must be an integer, got {reprlib.repr(value)}")
+        x = int(value)
+    if not ((low < x < high) if open else (low <= x <= high)) or not math.isfinite(x):
+        if high < math.inf:
+            need = f"in {'(' if open else '['}{low:g}, {high:g}{')' if open else ']'}"
+        elif low == -math.inf:
+            need = "finite"
+        else:
+            side = (("positive" if open else "non-negative") if low == 0
+                    else f"{'greater than' if open else 'at least'} {low:g}")
+            need = side if integer else f"{side} and finite"
+        raise error(f"{name} must be {need}, got {x}")
+    return x
 
 
 def unit_vector(v):

@@ -37,7 +37,6 @@ its ray crossings.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from itertools import combinations, product
@@ -56,6 +55,7 @@ from .mesh import TriangleMesh
 from .patches import (
     SurfacePatches,
     _array,
+    _scalar,
     compose_mass_properties,
     rotation_to_z,
     unit_vector,
@@ -84,62 +84,10 @@ def _canon_axis(name, axis):
     return tuple(unit_vector(v))
 
 
-def _real(name, value):
-    """``value`` as a float; a bool, or anything that is not a real number
-    (a string included), raises :class:`DegenerateDimension`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DegenerateDimension(
-            f"{name.replace('_', ' ')} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _positive(name, value):
-    value = _real(name, value)
-    if not (value > 0.0) or not math.isfinite(value):
-        raise DegenerateDimension(
-            f"{name.replace('_', ' ')} must be positive and finite, got {value}")
-    return value
-
-
 def _box_sides(name, sides):
-    try:
-        sides = tuple(_positive("box side", s) for s in sides)
-    except TypeError:  # not a sequence: Box(5)
-        raise DegenerateDimension(f"box size must have 3 entries, got {sides!r}") from None
-    if len(sides) != 3:
-        raise DegenerateDimension("box size must have 3 entries")
-    return sides
-
-
-def _apex_angle(name, value):
-    value = _real(name, value)
-    if not (0.0 < value < math.pi):
-        raise DegenerateDimension(f"apex angle must be in (0, pi), got {value}")
-    return value
-
-
-def _nonnegative(name, value):
-    value = _real(name, value)
-    if not (value >= 0.0) or not math.isfinite(value):
-        raise DegenerateDimension(
-            f"{name.replace('_', ' ')} must be non-negative and finite, got {value}")
-    return value
-
-
-def _integer(name, value, error=DegenerateDimension):
-    """``value`` as an int: an integral float (2.0, as quantities parse) passes;
-    a bool, a fraction or a value that is not a number raises ``error``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise error(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _count(name, value):
-    value = _integer(name, value)
-    if value < 0:
-        raise DegenerateDimension(f"{name.replace('_', ' ')} must be >= 0")
-    return value
+    sides = _array("box size", sides, (3,))
+    _scalar("box side", sides.min(), 0.0, open=True)
+    return tuple(sides.tolist())
 
 
 def _triangle_mesh(name, value):
@@ -155,7 +103,7 @@ def _field(canon, unit=None, **kw):
 
 
 def _length():
-    return _field(_positive, "length")
+    return _field(partial(_scalar, low=0.0, open=True), "length")
 
 
 def _axis():
@@ -318,9 +266,7 @@ def _gl(n, a, b):
 
 
 def _counts(resolution):
-    res = _integer("resolution", resolution, ResolutionOverflow)
-    if res < 1:
-        raise ResolutionOverflow("resolution must be >= 1")
+    res = _scalar("resolution", resolution, 1, integer=True, error=ResolutionOverflow)
     return {
         "phi": max(8, 4 * res),
         "theta": max(4, res),
@@ -818,7 +764,8 @@ class ConeCappedCylinder(_Revolved):
 
     radius: float = _length()
     length: float = _length()
-    apex_angle: float = _field(_apex_angle, "angle")  # rad, 0 < angle < pi
+    apex_angle: float = _field(partial(_scalar, low=0.0, high=math.pi, open=True),
+                               "angle")  # rad
     axis: tuple = _axis()
     center: tuple = _center()
     cavities: tuple = _cavities()
@@ -876,8 +823,8 @@ class GappedCylinder(_Rod):
 
     radius: float = _length()
     length: float = _length()
-    gap_count: int = _field(_count, "dimensionless")
-    gap_width: float = _field(_nonnegative, "length")
+    gap_count: int = _field(partial(_scalar, low=0, integer=True), "dimensionless")
+    gap_width: float = _field(partial(_scalar, low=0.0), "length")
     axis: tuple = _axis()
     center: tuple = _center()
     cavities: tuple = _cavities()
@@ -885,7 +832,7 @@ class GappedCylinder(_Rod):
     def __post_init__(self):
         super().__post_init__()
         if self.gap_count > 0:
-            _positive("gap_width", self.gap_width)
+            _scalar("gap_width", self.gap_width, 0.0, open=True)
             if self.gap_count * self.gap_width >= self.length:
                 raise DegenerateDimension("gaps consume the whole cylinder")
 
@@ -1058,7 +1005,8 @@ def _point_axes(points):
 
 def contains(spec, points):
     """Boolean mask of the points' leading shape: is there material at each
-    point of an (..., 3) array."""
+    point of an (..., 3) array.  The body passes :func:`build_shape` first."""
+    spec = build_shape(spec)
     axes = _point_axes(points)
     inside = spec._inside(*_local_axes(spec, *axes))
     for cav in spec.cavities:
@@ -1072,8 +1020,9 @@ def signed_distance(spec, points):
     Exact, for sphere, box, cylinder, gapped and cone-capped cylinders
     and compositions with such cavities; unavailable for elliptic
     cylinders and meshes.  Without cavities its magnitude is the solid's
-    clearance, bit for bit.
+    clearance, bit for bit.  The body passes :func:`build_shape` first.
     """
+    spec = build_shape(spec)
     for solid in (spec, *spec.cavities):
         if solid._sdf is None:
             raise UnsupportedShape(f"signed distance not available for {type(solid).__name__}")
@@ -1133,7 +1082,7 @@ def mass_properties(spec, density):
     Cavities subtract volume and add wall area.  For meshes the moments
     come from exact signed-tetrahedron accumulation over the facets.
     """
-    density = _positive("density", density)
+    density = _scalar("density", density, 0.0, open=True)
     spec = build_shape(spec)
     parts = []
     for sign, solid in [(+1.0, spec)] + [(-1.0, cav) for cav in spec.cavities]:

@@ -58,13 +58,12 @@ from scipy import fft as sfft
 
 from ..csl import CslParams, _density_squared
 from ..errors import DegenerateDimension, QuadratureNotConverged, ShiftOutOfGrid
-from ..geometry.patches import _array
+from ..geometry.patches import _array, _scalar
 from ..geometry.shapes import (
     _gl,
     _has_form_factor,
     _leggauss,
     _points,
-    _positive,
     _sphere_patches,
     build_shape,
 )
@@ -218,7 +217,7 @@ def gradient_outer_integral(grid: VoxelGrid):
 def surface_formula_outer_integral(surface_tensor, density, sigma):
     """Closed-form surface scaling (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) * S; an S
     that is not a finite real 3x3 tensor raises :class:`DegenerateDimension`."""
-    sigma = _positive("sigma", sigma)
+    sigma = _scalar("sigma", sigma, 0.0, open=True)
     scale = (2.0 * np.pi) ** 3 * _density_squared(density) / (2.0 * math.sqrt(math.pi) * sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(scale * _array("tensor", surface_tensor, (3, 3)), "the surface formula")
@@ -331,7 +330,7 @@ def kspace_outer_integral(spec, density, sigma, *, _raster=None):
     (:class:`DegenerateDimension`).
     """
     rho2 = _density_squared(density)
-    sigma = _positive("sigma", sigma)
+    sigma = _scalar("sigma", sigma, 0.0, open=True)
     spec = build_shape(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         if not _has_form_factor(spec):

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from ..errors import DegenerateDimension
-from ..geometry.shapes import _gl, _positive, _real
+from ..geometry.patches import _scalar
+from ..geometry.shapes import _gl
 
 
 def _gauss(x, sigma):
@@ -28,8 +29,8 @@ class EdgeProfile:
     ``heights`` and ``values`` define a piecewise-linear descent with
     values[0] = 1 and values[-1] = 0; H = 1 before the first knot and 0
     after the last.  The default (no knots) is the ideal step at h = 0.  A
-    knot that is not a real number, or heights or values that are not a
-    sequence, raise :class:`DegenerateDimension`.
+    knot that is not a finite real number, or heights or values that are
+    not a sequence, raise :class:`DegenerateDimension`.
     """
 
     heights: tuple = ()
@@ -37,8 +38,8 @@ class EdgeProfile:
 
     def __post_init__(self):
         try:
-            h = tuple(_real("knot height", x) for x in self.heights)
-            v = tuple(_real("knot value", x) for x in self.values)
+            h = tuple(_scalar("knot height", x) for x in self.heights)
+            v = tuple(_scalar("knot value", x) for x in self.values)
         except TypeError:  # not a sequence: heights=5
             raise DegenerateDimension("heights and values must be sequences, "
                                       f"got {self.heights!r} and {self.values!r}") from None
@@ -47,8 +48,6 @@ class EdgeProfile:
         if h:
             if len(h) < 2:
                 raise DegenerateDimension("tabulated profile needs at least 2 knots")
-            if not all(map(math.isfinite, h + v)):
-                raise DegenerateDimension("knot heights and values must be finite")
             if np.any(np.diff(h) <= 0):
                 raise DegenerateDimension("knot heights must be strictly increasing")
             if np.any(np.diff(v) > 0):
@@ -64,7 +63,7 @@ class EdgeProfile:
 
     @classmethod
     def linear_ramp(cls, width):
-        width = _positive("ramp width", width)
+        width = _scalar("ramp width", width, 0.0, open=True)
         return cls(heights=(-width / 2.0, width / 2.0), values=(1.0, 0.0))
 
     @property
@@ -99,7 +98,7 @@ def edge_layer_factor(profile: EdgeProfile, sigma) -> float:
     and recover the step value as their width vanishes.  A 512-node
     Gauss-Legendre rule spans the profile's support widened by 10 sigma.
     """
-    sigma = _positive("sigma", sigma)
+    sigma = _scalar("sigma", sigma, 0.0, open=True)
     lo, hi = profile.support()
     a, b = lo - 10.0 * sigma, hi + 10.0 * sigma
     h, wh = _gl(512, a, b)

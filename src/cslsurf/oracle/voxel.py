@@ -70,7 +70,6 @@ fraction is always a count over 64.
 """
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -87,14 +86,11 @@ from ..errors import (
     SpacingTooCoarse,
     UnsupportedShape,
 )
-from ..geometry.patches import _array
+from ..geometry.patches import _array, _scalar
 from ..geometry.shapes import (
     _REACH_SLACK,
     _local_axes,
-    _nonnegative,
     _point_axes,
-    _positive,
-    _real,
     bounding_box,
     build_shape,
 )
@@ -121,8 +117,8 @@ class VoxelGrid:
 
     def __post_init__(self):
         self.origin = _array("origin", self.origin, (3,))
-        self.spacing = _positive("spacing", self.spacing)
-        self.margin = _nonnegative("margin", self.margin)
+        self.spacing = _scalar("spacing", self.spacing, 0.0, open=True)
+        self.margin = _scalar("margin", self.margin, 0.0)
         self.values = _array("values", self.values, (None, None, None), finite=False)
         if self.values.size == 0:
             raise DegenerateDimension(f"values must have no empty axis, got {self.values.shape}")
@@ -205,7 +201,8 @@ def smoothed_density(spec, density, sigma, points):
     ``density`` and ``sigma`` must be positive and finite
     (:class:`DegenerateDimension`); a solid without a closed-form field
     raises :class:`UnsupportedShape`."""
-    density, sigma = _positive("density", density), _positive("sigma", sigma)
+    density = _scalar("density", density, 0.0, open=True)
+    sigma = _scalar("sigma", sigma, 0.0, open=True)
     spec = build_shape(spec)
     solids = (spec, *spec.cavities)
     for solid in solids:
@@ -226,14 +223,15 @@ def _grid_lengths(density, sigma, spacing=None, padding=None):
     to 6 sigma and may not be below 5.  Any other unusable value, a
     non-positive, non-finite or non-real one included, raises
     :class:`DegenerateDimension`."""
-    density, sigma = _positive("density", density), _positive("sigma", sigma)
-    spacing = _positive("spacing", sigma / 2.0 if spacing is None else spacing)
-    padding = DEFAULT_PADDING_SIGMA * sigma if padding is None else _real("padding", padding)
+    density = _scalar("density", density, 0.0, open=True)
+    sigma = _scalar("sigma", sigma, 0.0, open=True)
+    spacing = _scalar("spacing", sigma / 2.0 if spacing is None else spacing, 0.0, open=True)
+    padding = _scalar("padding", DEFAULT_PADDING_SIGMA * sigma if padding is None else padding)
     if spacing > sigma / 2.0 * (1.0 + 1e-12):
         raise SpacingTooCoarse(f"spacing {spacing} exceeds sigma/2 = {sigma / 2}")
-    if not (padding >= MIN_PADDING_SIGMA * sigma) or not math.isfinite(padding):
+    if padding < MIN_PADDING_SIGMA * sigma:
         raise DegenerateDimension(
-            f"padding must be finite and at least {MIN_PADDING_SIGMA} sigma, got {padding}")
+            f"padding must be at least {MIN_PADDING_SIGMA} sigma, got {padding}")
     return density, sigma, spacing, padding
 
 
@@ -241,7 +239,8 @@ def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     """Dims and origin of the grid over the bounding box plus ``padding``
     on every side; axis sizes are rounded up to FFT-friendly lengths.
 
-    ``max_voxels`` must be a positive integer (:class:`ConfigError`).  A
+    ``max_voxels`` must be a positive integer, an integral float included
+    (:class:`ConfigError`).  A
     grid past it raises :class:`GridTooLarge`, and so does one axis past
     it on its own, before its length is rounded.  The fill keeps a
     relative slack of 1e-6 on a voxel's reach, (3/8) sqrt(3) spacings,
@@ -251,9 +250,7 @@ def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     :class:`DegenerateDimension`: its coordinates no longer resolve the
     subsample lattice.
     """
-    if (isinstance(max_voxels, bool) or not isinstance(max_voxels, numbers.Integral)
-            or max_voxels < 1):
-        raise ConfigError(f"max_voxels must be a positive integer, got {max_voxels!r}")
+    max_voxels = _scalar("max_voxels", max_voxels, 1, integer=True, error=ConfigError)
     lo, hi = bounding_box(spec)
     dims, origin = [], []
     for i in range(3):

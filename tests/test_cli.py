@@ -15,7 +15,7 @@ import pytest
 
 import cslsurf
 from cslsurf.cli import EXIT_TOLERANCE, main
-from cslsurf.geometry import box_mesh, mesh_to_stl
+from cslsurf.geometry import box_mesh, mesh_to_obj, mesh_to_stl
 
 
 def run(capsys, *argv):
@@ -702,3 +702,31 @@ def test_mesh_report_refuses_a_changed_file(capsys, tmp_path):
     code, out, err = run(capsys, "tensors", "--config", str(config))
     assert (code, out) == (1, "")
     assert "sha256" in err
+
+
+def test_mesh_file_is_read_once(capsys, tmp_path, monkeypatch):
+    # it was read twice, to hash and then to parse, so a file rewritten in
+    # between was reported under the hash of bytes that were not parsed
+    path = _cube(tmp_path)
+    data, other = path.read_bytes(), mesh_to_stl(box_mesh(2e-6, 1e-6, 1e-6))
+    reads, read_bytes = [], Path.read_bytes
+
+    def rewritten_after_one_read(self):
+        if self != path:
+            return read_bytes(self)
+        reads.append(self)
+        return data if len(reads) == 1 else other
+
+    monkeypatch.setattr(Path, "read_bytes", rewritten_after_one_read)
+    report = run_json(capsys, "tensors", "--mesh", str(path))
+    assert len(reads) == 1
+    assert report["config"]["shape"]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert report["results"]["volume"] == pytest.approx(1e-18, rel=1e-12)
+
+
+def test_mesh_file_suffix_declares_its_format(capsys, tmp_path):
+    path = tmp_path / "cube.stl"
+    path.write_text(mesh_to_obj(box_mesh(1e-6, 1e-6, 1e-6)))
+    code, out, err = run(capsys, "tensors", "--mesh", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "declared stl" in err

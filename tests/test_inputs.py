@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cslsurf
-from cslsurf.errors import DegenerateDimension, ParseError
+from cslsurf.errors import ConfigError, DegenerateDimension, ParseError, ResolutionOverflow
 
 SIGMA = 1e-7
 RHO = 1000.0
@@ -22,42 +24,85 @@ SPHERE = cslsurf.Sphere(3 * SIGMA)
 S = (4 * math.pi / 3) * (3 * SIGMA) ** 2 * np.eye(3)
 POINTS = np.zeros((2, 3))
 
-# each entry point with one numeric argument replaced by ``v``
+DD = DegenerateDimension
+# each entry point with one numeric argument replaced by ``v``: the call, a
+# valid value (an int where the argument must be an integer) and the error
+# that an unusable value raises
 NUMERIC = {
-    "CslParams-collapse_rate": lambda v: cslsurf.CslParams(collapse_rate=v),
-    "CslParams-localization_length": lambda v: cslsurf.CslParams(localization_length=v),
-    "Sphere-radius": lambda v: cslsurf.Sphere(v),
-    "Cone-apex_angle": lambda v: cslsurf.ConeCappedCylinder(SIGMA, 2 * SIGMA, v),
-    "Gapped-gap_width": lambda v: cslsurf.GappedCylinder(SIGMA, 10 * SIGMA, 1, v),
-    "mass_properties-density": lambda v: cslsurf.mass_properties(SPHERE, v),
-    "raster-density": lambda v: cslsurf.rasterize_smoothed_density(SPHERE, v, SIGMA),
-    "raster-sigma": lambda v: cslsurf.rasterize_smoothed_density(SPHERE, RHO, v),
-    "raster-padding": lambda v: cslsurf.rasterize_smoothed_density(SPHERE, RHO, SIGMA,
-                                                                   padding=v),
-    "smoothed_density-density": lambda v: cslsurf.smoothed_density(SPHERE, v, SIGMA, POINTS),
-    "smoothed_density-sigma": lambda v: cslsurf.smoothed_density(SPHERE, RHO, v, POINTS),
-    "surface_formula-density": lambda v: cslsurf.surface_formula_outer_integral(S, v, SIGMA),
-    "surface_formula-sigma": lambda v: cslsurf.surface_formula_outer_integral(S, RHO, v),
-    "edge_layer_factor-sigma": lambda v: cslsurf.edge_layer_factor(cslsurf.EdgeProfile.step(), v),
-    "kspace-density": lambda v: cslsurf.kspace_outer_integral(SPHERE, v, SIGMA),
-    "kspace-sigma": lambda v: cslsurf.kspace_outer_integral(SPHERE, RHO, v),
-    "prefactor-density": lambda v: cslsurf.dephasing_prefactor(v, PARAMS),
-    "com_heating-area": lambda v: cslsurf.com_heating_rate(v, 1e-15, RHO, PARAMS),
-    "total_heating-mass": lambda v: cslsurf.total_heating_rate(v, PARAMS),
-    "angular_coefficient-strength": lambda v: cslsurf.angular_dephasing_coefficient(
-        v, RHO, PARAMS),
-    "EdgeProfile-height": lambda v: cslsurf.EdgeProfile(heights=(-SIGMA, v), values=(1, 0)),
-    "EdgeProfile-value": lambda v: cslsurf.EdgeProfile(heights=(-SIGMA, SIGMA), values=(v, 0)),
+    "CslParams-collapse_rate": (lambda v: cslsurf.CslParams(collapse_rate=v), 1e-16, DD),
+    "CslParams-localization_length": (lambda v: cslsurf.CslParams(localization_length=v),
+                                      SIGMA, DD),
+    "Sphere-radius": (lambda v: cslsurf.Sphere(v), SIGMA, DD),
+    "Cone-apex_angle": (lambda v: cslsurf.ConeCappedCylinder(SIGMA, 2 * SIGMA, v), 1.0, DD),
+    "Gapped-gap_count": (lambda v: cslsurf.GappedCylinder(SIGMA, 10 * SIGMA, v, SIGMA), 1, DD),
+    "Gapped-gap_width": (lambda v: cslsurf.GappedCylinder(SIGMA, 10 * SIGMA, 1, v), SIGMA, DD),
+    "mass_properties-density": (lambda v: cslsurf.mass_properties(SPHERE, v), RHO, DD),
+    "raster-density": (lambda v: cslsurf.rasterize_smoothed_density(SPHERE, v, SIGMA), RHO, DD),
+    "raster-sigma": (lambda v: cslsurf.rasterize_smoothed_density(SPHERE, RHO, v), SIGMA, DD),
+    "raster-padding": (lambda v: cslsurf.rasterize_smoothed_density(SPHERE, RHO, SIGMA,
+                                                                    padding=v), 6 * SIGMA, DD),
+    "raster-max_voxels": (lambda v: cslsurf.rasterize_smoothed_density(SPHERE, RHO, SIGMA,
+                                                                       max_voxels=v),
+                          2**18, ConfigError),
+    "smoothed_density-density": (lambda v: cslsurf.smoothed_density(SPHERE, v, SIGMA, POINTS),
+                                 RHO, DD),
+    "smoothed_density-sigma": (lambda v: cslsurf.smoothed_density(SPHERE, RHO, v, POINTS),
+                               SIGMA, DD),
+    "surface_formula-density": (lambda v: cslsurf.surface_formula_outer_integral(S, v, SIGMA),
+                                RHO, DD),
+    "surface_formula-sigma": (lambda v: cslsurf.surface_formula_outer_integral(S, RHO, v),
+                              SIGMA, DD),
+    "edge_layer_factor-sigma": (lambda v: cslsurf.edge_layer_factor(cslsurf.EdgeProfile.step(),
+                                                                    v), SIGMA, DD),
+    "kspace-density": (lambda v: cslsurf.kspace_outer_integral(SPHERE, v, SIGMA), RHO, DD),
+    "kspace-sigma": (lambda v: cslsurf.kspace_outer_integral(SPHERE, RHO, v), SIGMA, DD),
+    "prefactor-density": (lambda v: cslsurf.dephasing_prefactor(v, PARAMS), RHO, DD),
+    "com_heating-area": (lambda v: cslsurf.com_heating_rate(v, 1e-15, RHO, PARAMS), 1e-12, DD),
+    "total_heating-mass": (lambda v: cslsurf.total_heating_rate(v, PARAMS), 1e-15, DD),
+    "angular_coefficient-strength": (lambda v: cslsurf.angular_dephasing_coefficient(
+        v, RHO, PARAMS), 1e-20, DD),
+    "EdgeProfile-height": (lambda v: cslsurf.EdgeProfile(heights=(-SIGMA, v), values=(1, 0)),
+                           SIGMA, DD),
+    "EdgeProfile-value": (lambda v: cslsurf.EdgeProfile(heights=(-SIGMA, SIGMA), values=(v, 0)),
+                          1.0, DD),
+    "quadrature-resolution": (lambda v: cslsurf.quadrature(SPHERE, v), 4, ResolutionOverflow),
+    "VoxelGrid-spacing": (lambda v: cslsurf.VoxelGrid(np.zeros(3), v, np.ones((2, 2, 2))),
+                          SIGMA, DD),
+    "VoxelGrid-margin": (lambda v: cslsurf.VoxelGrid(np.zeros(3), SIGMA, np.ones((2, 2, 2)), v),
+                         0.0, DD),
+    **{f"box_mesh-{side}": (lambda v, i=i: cslsurf.box_mesh(*(v if j == i else SIGMA
+                                                              for j in range(3))), SIGMA, DD)
+       for i, side in enumerate("abc")},
+    "icosphere-radius": (lambda v: cslsurf.icosphere(v, 0), 1.0, DD),
+    "icosphere-subdivisions": (lambda v: cslsurf.icosphere(1.0, v), 1, DD),
 }
+UNUSABLE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1000", True]
 
 
 @pytest.mark.parametrize("value", ["1000", True], ids=["str", "bool"])
-@pytest.mark.parametrize("entry", NUMERIC.values(), ids=NUMERIC.keys())
-def test_number_given_as_str_or_bool_is_degenerate(entry, value):
+@pytest.mark.parametrize("name", [name for name, (_, _, error) in NUMERIC.items() if error is DD])
+def test_number_given_as_str_or_bool_is_degenerate(name, value):
     # CslParams(localization_length=True) gave sigma = 1 m and a prefactor
     # of 9.1e44; kspace_outer_integral(spec, "1000", sigma) returned a tensor
-    with pytest.raises(DegenerateDimension, match="must be a real number"):
-        entry(value)
+    call, valid, _ = NUMERIC[name]
+    kind = "an integer" if isinstance(valid, int) else "a real number"
+    with pytest.raises(DegenerateDimension, match=f"must be {kind}"):
+        call(value)
+
+
+@settings(max_examples=2 * len(NUMERIC), deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(NUMERIC)))
+def test_every_number_passes_one_gate(name):
+    # at 10**400 every entry raised a bare OverflowError; the generators took
+    # NaN, inf and True, icosphere(1, 2.7) built 2 subdivisions and
+    # box_mesh(-1, 1, 1) a reflected box; the voxel cap refused an integral float
+    call, valid, error = NUMERIC[name]
+    call(valid)
+    for value in UNUSABLE + ([valid + 0.5] if isinstance(valid, int) else []):
+        with pytest.raises(error):
+            call(value)
+    if isinstance(valid, int):
+        call(float(valid))
 
 
 def test_float32_density_gives_a_float64_mass():

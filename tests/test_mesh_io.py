@@ -96,6 +96,15 @@ class TestObj:
             load_mesh(b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
 
 
+    def test_non_finite_vertex_is_refused(self):
+        # the mesh loaded with a NaN volume, and a Mesh of it then called
+        # itself too large
+        text = mesh_to_obj(box_mesh(1.0, 1.0, 1.0)).replace("v 0.5 0.5 0.5", "v nan 0.5 0.5")
+        assert "nan" in text
+        with pytest.raises(ParseError, match="vertices is not finite"):
+            load_mesh(text.encode())
+
+
 class TestTopology:
     def test_open_edge_rejected(self):
         cube = box_mesh(1.0, 1.0, 1.0)
@@ -157,3 +166,13 @@ class TestWelding:
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ParseError):
             load_mesh(b"v 0 0 0\nv 0 0 0\nv 0 0 0\nf 1 2 3\nf 1 3 2\n")
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertices_are_refused(value, validate):
+    cube = box_mesh(1.0, 1.0, 1.0)
+    vertices = cube.vertices.copy()
+    vertices[3, 1] = value
+    with pytest.raises(ParseError, match="vertices is not finite"):
+        TriangleMesh(vertices, cube.faces, validate=validate)

@@ -350,6 +350,13 @@ class TestPointQueries:
         got = contains(spec, pts)
         assert got.tolist() == [True, True, False]
 
+    @pytest.mark.parametrize("fn", [contains, signed_distance])
+    def test_point_query_validates_the_body(self, fn):
+        # a cavity larger than its host gave contains all False and a signed
+        # distance of 1.5, where mass_properties raised CavityOverlap
+        with pytest.raises(CavityOverlap):
+            fn(Sphere(1.0, cavities=(Sphere(2.0),)), [[0.5, 0.0, 0.0]])
+
     def test_bounding_box_rotated(self):
         lo, hi = bounding_box(Cylinder(1.0, 4.0, axis="x"))
         assert hi[0] == pytest.approx(2.0)

@@ -160,7 +160,7 @@ class TestRasterize:
 
     @pytest.mark.parametrize("cap", ["10", 2.5, True, 0, -1, None])
     def test_voxel_cap_that_is_not_a_positive_integer_is_a_config_error(self, cap):
-        with pytest.raises(ConfigError, match="max_voxels must be a positive integer"):
+        with pytest.raises(ConfigError, match="max voxels must be (an integer|at least 1)"):
             rasterize_smoothed_density(Sphere(8 * SIGMA), RHO, SIGMA, max_voxels=cap)
 
     @pytest.mark.parametrize("build", [
