@@ -5,6 +5,10 @@ import numpy as np
 from .mesh import TriangleMesh
 from .patches import _array, _scalar
 
+# the most subdivisions of an icosphere: the largest n with 20 * 4^n faces
+# within ``shapes.MAX_PATCHES``, the cap on a body's quadrature patches
+MAX_SUBDIVISIONS = 8
+
 
 def box_mesh(a, b, c, center=(0.0, 0.0, 0.0)):
     """Axis-aligned box as a 12-triangle mesh; each side must be positive and
@@ -28,10 +32,11 @@ def box_mesh(a, b, c, center=(0.0, 0.0, 0.0)):
 
 def icosphere(radius=1.0, subdivisions=3, center=(0.0, 0.0, 0.0)):
     """Geodesic sphere from a subdivided icosahedron (20 * 4^n faces); the
-    radius must be positive and finite and the subdivisions a non-negative
-    integer (:class:`DegenerateDimension`)."""
+    radius must be positive and finite and the subdivisions an integer in
+    [0, ``MAX_SUBDIVISIONS``] (:class:`DegenerateDimension`), checked before
+    any face is built."""
     radius = _scalar("radius", radius, 0.0, open=True)
-    subdivisions = _scalar("subdivisions", subdivisions, 0, integer=True)
+    subdivisions = _scalar("subdivisions", subdivisions, 0, MAX_SUBDIVISIONS, integer=True)
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],

@@ -36,9 +36,13 @@ contents, so a scan of many oracle calls on one grid, or on grids whose
 values are equal bit for bit (a grid and its re-read file), pays for one
 transform; the values of a transformed or matched grid are read-only.
 Each weight is a short sum of per-axis products, so one kernel,
-:func:`_mode_sum`, reads the spectrum once, contracting its x axis with
-at most three rows of x factors in one matrix product, and each caller
-ends with small contractions over y and z.  The weights are
+:func:`_mode_sum`, reads the spectrum once and contracts its x and y
+axes with a few rows of x factors and of y factors.  It takes the
+spectrum in blocks of y rows, one matrix product with the x rows and a
+second with the block's y rows each, so no array of a spectrum plane's
+size is made; a spectrum of 2^20 values or more takes two halves, one
+per thread.  Each caller ends over z with vectors of nz' values.  The
+weights are
 
 * k o k, the derivative symbol's outer product, in
   :func:`gradient_outer_integral`,
@@ -70,7 +74,10 @@ from ..geometry.shapes import (
 from .voxel import (
     _SUPERSAMPLE,
     VoxelGrid,
+    _halves,
+    _spread,
     _wavenumbers,
+    _workers,
     rasterize_smoothed_density,
 )
 
@@ -151,7 +158,7 @@ def _power(grid: VoxelGrid):
             return entry[1]
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
     values.flags.writeable = False
-    F = sfft.rfftn(values.astype(float, copy=False))
+    F = sfft.rfftn(values.astype(float, copy=False), workers=_workers(values.size))
     n = F.shape
     wz = np.full(n[2], 2.0)
     wz[0] = 1.0
@@ -171,26 +178,36 @@ def _power(grid: VoxelGrid):
     return P
 
 
-def _mode_sum(grid: VoxelGrid, rows):
-    """(h^3 / N) sum over kx of ``rows`` times the grid's cached spectrum P.
+def _mode_sum(grid: VoxelGrid, xrows, yrows):
+    """R[m, a, kz] = (h^3 / N) sum over kx, ky of xrows[m, kx] yrows[a, ky] P[kx, ky, kz].
 
-    h is the grid spacing and N the number of voxels.  The (m, nx) rows
-    of x factors, m <= 3, meet P in one matrix product that reads P once;
-    the (m, ny, nz') result is left to the caller's y and z contractions.
+    h is the grid spacing, N the number of voxels and P the grid's cached
+    spectrum.  P is read in blocks of y rows: each block meets the x rows
+    in one matrix product, whose (m, block, nz') result meets the block's
+    y rows in a second, so no array of a spectrum plane's size is made.
+    A spectrum of ``_PARALLEL_SIZE`` values or more takes two halves,
+    one per thread, and a smaller one a single block; the halves are
+    added in order, so the result does not depend on the number of cores.
     """
     P = _power(grid)
     nx, ny, nz = P.shape
-    rows = grid.spacing**3 / grid.values.size * rows
-    return (rows @ P.reshape(nx, ny * nz)).reshape(-1, ny, nz)
+    xrows = grid.spacing**3 / grid.values.size * xrows
+    flat = P.reshape(nx, ny * nz)
+
+    def block(span):
+        lo, hi = span
+        xsum = (xrows @ flat[:, lo * nz:hi * nz]).reshape(len(xrows), hi - lo, nz)
+        return yrows[:, lo:hi] @ xsum
+
+    return sum(_spread(block, _halves(ny, P.size)))
 
 
 def _outer_sum(grid: VoxelGrid, s, g=(1.0, 1.0, 1.0)):
     """(h^3 / N) sum over modes of P gx gy gz s o s for per-axis factors s and g."""
-    (sx, sy, sz), (gx, gy, gz) = s, g
-    Q = _mode_sum(grid, gx * np.stack([np.ones_like(sx), sx, sx * sx])) * np.multiply.outer(gy, gz)
-    qy, qz = Q.sum(axis=2), Q.sum(axis=1)
-    xx, xy, xz = qy[2].sum(), qy[1] @ sy, qz[1] @ sz
-    yy, yz, zz = qy[0] @ (sy * sy), sy @ Q[0] @ sz, qz[0] @ (sz * sz)
+    X, Y, Z = (gi * np.stack([np.ones_like(si), si, si * si]) for si, gi in zip(s, g))
+    R = _mode_sum(grid, X, Y)    # R[i, j] sums P gx sx^i gy sy^j over x and y
+    xx, xy, xz = R[2, 0] @ Z[0], R[1, 1] @ Z[0], R[1, 0] @ Z[1]
+    yy, yz, zz = R[0, 2] @ Z[0], R[0, 1] @ Z[1], R[0, 0] @ Z[2]
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
@@ -411,10 +428,10 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
     The shifted-field correlation is evaluated through the DFT phase
     ramp, which is exact for the sigma-smooth field at any sub-cell
     displacement.  Its sum of P (1 - cos(k . delta)) is -Re of
-    the sum of P (e^{i k . delta} - 1), split by axis: the x phases are
-    rows of the one x-axis product of :func:`_mode_sum`, the y and z
-    phases small contractions of its result, and every e^{i theta} - 1
-    is formed as 2i sin(theta/2) e^{i theta/2}.  So no 1 - cos cancels:
+    the sum of P (e^{i k . delta} - 1), split by axis: the x and y phases
+    are the rows of :func:`_mode_sum`, the z phases a contraction of its
+    result over z, and every e^{i theta} - 1 is formed as
+    2i sin(theta/2) e^{i theta/2}.  So no 1 - cos cancels:
     the result agrees with the per-mode sum of 2 sin^2(k . delta / 2) to
     rounding at any |delta|, where a per-mode 1 - cos is off by some
     1e-11 relative at 1e-3 sigma.
@@ -436,9 +453,10 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
         # sum P (1 - cos(a + b + c)) = -Re sum P (e^{i(a+b+c)} - 1), with
         # e^{i(a+b+c)} - 1 = (e^{ia} - 1) e^{i(b+c)} + (e^{ib} - 1) e^{ic} + (e^{ic} - 1)
         a, b, c = (k * d for k, d in zip(_wavenumbers(grid.values.shape, grid.spacing), delta))
-        ea = _expm1i(a)
-        Q = _mode_sum(grid, np.stack([ea.real, ea.imag, np.ones_like(a)]))
-        A, B = Q[0] + 1j * Q[1], Q[2]   # sum over x of P (e^{ia} - 1), and of P
-        total = (np.exp(1j * b) @ A + _expm1i(b) @ B) @ np.exp(1j * c)
-        integral = -(total + B.sum(axis=0) @ _expm1i(c)).real
+        ea, eb, eb1 = _expm1i(a), np.exp(1j * b), _expm1i(b)
+        R = _mode_sum(grid, np.stack([ea.real, ea.imag, np.ones_like(a)]),
+                      np.stack([eb.real, eb.imag, eb1.real, eb1.imag, np.ones_like(b)]))
+        # sums over x and y of P ((e^{ia} - 1) e^{ib} + e^{ib} - 1), and of P
+        S = R[0, 0] - R[1, 1] + R[2, 2] + 1j * (R[0, 1] + R[1, 0] + R[2, 3])
+        integral = -(S @ np.exp(1j * c) + R[2, 4] @ _expm1i(c)).real
     return _finite(pref * (2.0 * np.pi) ** 3 * integral, "the decoherence function")

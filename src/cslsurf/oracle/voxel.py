@@ -31,6 +31,16 @@ factors per voxel, so such grids are bit for bit the point evaluator's
 values.  A tilted axis sums products in a fixed order, which may round
 differently from a matrix product.
 
+A grid of 2^20 voxels or more walks its planes in two halves of x: the
+caller's thread takes the first and a private pool, one thread per
+further core the process may run on, the second.  A plane is the same
+numbers on either thread, so the grid keeps its bits.  The same rule
+gives the filter's transforms and the oracles' spectrum transform
+``workers`` threads, and splits a mode sum's spectrum into two halves
+of y rows.  The halves depend on the array's shape alone, so no output
+depends on the number of cores.  Work sent to the pool calls no public
+function, and a forked child starts without its parent's pool.
+
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
 (0..64), never from a mask of the lattice or of its rows.  The host
@@ -71,6 +81,8 @@ fraction is always a count over 64.
 
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -104,6 +116,74 @@ DEFAULT_MAX_VOXELS = 512**3
 # even, so that no subsample sits exactly on a cell center where a
 # grid-aligned facet could pass
 _SUPERSAMPLE = 4
+# an array of this many values or more is split in two halves for the
+# threads: the closed-form raster's planes, a mode sum's spectrum rows and
+# the transforms of the spectrum and the filter
+_PARALLEL_SIZE = 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# threads
+
+
+def _cores():
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the pool of the threads beside the caller's, made on first use; a forked
+# child has none of its parent's threads, so it starts without a pool
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool():
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _halves(n, size):
+    """The (start, stop) ranges of 0..n that an array of ``size`` values is
+    split into: two halves from ``_PARALLEL_SIZE`` values on, else one."""
+    return [(0, n // 2), (n // 2, n)] if size >= _PARALLEL_SIZE else [(0, n)]
+
+
+def _workers(size):
+    """The threads of a transform of ``size`` values."""
+    return _cores() if size >= _PARALLEL_SIZE else 1
+
+
+def _spread(fn, parts):
+    """``[fn(part) for part in parts]``: the first part on the caller's
+    thread and the others on the pool, under the caller's floating-point
+    error handling, where there is more than one core.  ``fn`` must call
+    no public function (the benchmark's tracer, which wraps them, is not
+    thread-safe), and the parts must not depend on the number of cores,
+    so that neither does the result."""
+    global _POOL
+    if len(parts) == 1 or _cores() == 1:
+        return [fn(part) for part in parts]
+    errors = np.geterr()
+
+    def run(part):
+        with np.errstate(**errors):
+            return fn(part)
+
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="cslsurf")
+        futures = [_POOL.submit(run, part) for part in parts[1:]]
+    try:
+        first = fn(parts[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 @dataclass
@@ -290,9 +370,11 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     (ny, 1), z as (1, nz)), so temporaries stay plane-sized and a factor
     that depends on one world axis is taken once per value of that axis;
     on named axes the grid is bit for bit :func:`smoothed_density` at its
-    points.  Any other body takes the supersampled indicator, filtered in
-    the spectrum of the periodic grid (:func:`_filtered`); the DFT route
-    of :func:`kspace_outer_integral` reads this raster's spectrum.
+    points.  A grid of 2^20 voxels or more takes its planes in two halves,
+    on two threads, with the same bits.  Any other body takes the
+    supersampled indicator, filtered in the spectrum of the periodic grid
+    (:func:`_filtered`); the DFT route of :func:`kspace_outer_integral`
+    reads this raster's spectrum.
     """
     spec = build_shape(spec)
     density, sigma, spacing, padding = _grid_lengths(density, sigma, spacing, padding)
@@ -305,9 +387,13 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
         values = np.empty(dims)
         y = (origin[1] + spacing * np.arange(dims[1]))[:, None]
         z = (origin[2] + spacing * np.arange(dims[2]))[None, :]
-        for i in range(dims[0]):
-            x = np.full((1, 1), origin[0] + spacing * i)
-            values[i] = _density(solids, density, sigma, x, y, z)
+
+        def planes(span):
+            for i in range(*span):
+                x = np.full((1, 1), origin[0] + spacing * i)
+                values[i] = _density(solids, density, sigma, x, y, z)
+
+        _spread(planes, _halves(dims[0], values.size))
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 
@@ -318,12 +404,13 @@ def _filtered(frac, density, sigma, spacing):
     (``density`` folded into the x factor), in place, and one irfftn.  The
     grid is periodic, as for every oracle transform; the margin keeps the
     wrapped tails below ~1e-8 rho."""
-    F = sfft.rfftn(frac)
+    workers = _workers(frac.size)
+    F = sfft.rfftn(frac, workers=workers)
     gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) for k in _wavenumbers(frac.shape, spacing))
     F *= (density * gx)[:, None, None]
     F *= gy[:, None]
     F *= gz
-    return sfft.irfftn(F, s=frac.shape, overwrite_x=True)
+    return sfft.irfftn(F, s=frac.shape, overwrite_x=True, workers=workers)
 
 
 def _wavenumbers(shape, h):

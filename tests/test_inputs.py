@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 import cslsurf
 from cslsurf.errors import ConfigError, DegenerateDimension, ParseError, ResolutionOverflow
+from cslsurf.geometry.creation import MAX_SUBDIVISIONS
+from cslsurf.geometry.shapes import MAX_PATCHES
 
 SIGMA = 1e-7
 RHO = 1000.0
@@ -77,6 +79,11 @@ NUMERIC = {
     "icosphere-subdivisions": (lambda v: cslsurf.icosphere(1.0, v), 1, DD),
 }
 UNUSABLE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1000", True]
+# the first value past an entry's finite bound
+PAST_BOUND = {
+    "Cone-apex_angle": math.pi,
+    "icosphere-subdivisions": MAX_SUBDIVISIONS + 1,
+}
 
 
 @pytest.mark.parametrize("value", ["1000", True], ids=["str", "bool"])
@@ -95,14 +102,22 @@ def test_number_given_as_str_or_bool_is_degenerate(name, value):
 def test_every_number_passes_one_gate(name):
     # at 10**400 every entry raised a bare OverflowError; the generators took
     # NaN, inf and True, icosphere(1, 2.7) built 2 subdivisions and
-    # box_mesh(-1, 1, 1) a reflected box; the voxel cap refused an integral float
+    # box_mesh(-1, 1, 1) a reflected box; the voxel cap refused an integral
+    # float; icosphere(1, 12) would have built 335,544,320 faces for hours
     call, valid, error = NUMERIC[name]
     call(valid)
-    for value in UNUSABLE + ([valid + 0.5] if isinstance(valid, int) else []):
+    past = [PAST_BOUND[name]] if name in PAST_BOUND else []
+    for value in UNUSABLE + past + ([valid + 0.5] if isinstance(valid, int) else []):
         with pytest.raises(error):
             call(value)
     if isinstance(valid, int):
         call(float(valid))
+
+
+def test_icosphere_subdivisions_stop_at_the_patch_cap():
+    assert 20 * 4**MAX_SUBDIVISIONS <= MAX_PATCHES < 20 * 4 ** (MAX_SUBDIVISIONS + 1)
+    with pytest.raises(DegenerateDimension, match=r"subdivisions must be in \[0, 8\], got 9"):
+        cslsurf.icosphere(1.0, MAX_SUBDIVISIONS + 1)
 
 
 def test_float32_density_gives_a_float64_mass():

@@ -43,7 +43,7 @@ from cslsurf.oracle import (
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
-from cslsurf.oracle import integrals
+from cslsurf.oracle import integrals, voxel
 from cslsurf.oracle.voxel import VoxelGrid
 from cslsurf.tensors import surface_tensor
 
@@ -537,6 +537,14 @@ def test_grid_values_that_are_not_finite_raise(bad):
     for call in calls:
         with pytest.raises(DegenerateDimension, match="not finite"):
             call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_grid_values_that_are_not_finite_raise_in_halves(bad, monkeypatch):
+    # split in halves, as from 2^20 values on: the pool's thread takes the
+    # caller's floating-point error handling
+    monkeypatch.setattr(voxel, "_PARALLEL_SIZE", 1)
+    test_grid_values_that_are_not_finite_raise(bad)
 
 
 def test_one_fft_per_oracle_call(monkeypatch):

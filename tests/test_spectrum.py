@@ -9,9 +9,9 @@ array that is transformed or takes a held spectrum is read-only.
 separable phase contractions, checked here against the per-mode sum of
 2 sin^2(k . delta / 2), which has no cancellation at small shifts.  The
 gradient integral, the DFT route's weight and the decoherence function
-all go through one x-axis contraction of the spectrum; on small random
-grids, singleton axes included, each is checked against the same sum
-taken mode by mode over numpy's own transform.
+all go through one mode-sum kernel; on small random grids, singleton
+axes included, each is checked against the same sum taken mode by mode
+over numpy's own transform, in one block and in two halves.
 """
 
 import gc
@@ -19,6 +19,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from cslsurf.csl import CslParams
 from cslsurf.geometry import Box, Sphere
 from cslsurf.oracle import (decoherence_function, integrals, rasterize_smoothed_density,
-                            read_grid, write_grid)
+                            read_grid, voxel, write_grid)
 from cslsurf.oracle.voxel import VoxelGrid
 
 SIGMA = 1e-7
@@ -93,7 +94,8 @@ def test_small_shift_accuracy_property(references, body, direction, log_magnitud
            lambda v: np.linalg.norm(v) > 0.1),
        log_magnitude=st.floats(-3.0, math.log10(4.0)))
 def test_mode_sums_match_dense_per_mode_sums(shape, seed, direction, log_magnitude):
-    """Every sum of the one x-axis kernel against numpy's transform, mode by mode."""
+    """Every sum of the one mode-sum kernel against numpy's transform, mode by
+    mode, in one block and split in two halves of y rows on two threads."""
     h = SIGMA / 2
     rng = np.random.default_rng(seed)
     grid = VoxelGrid(np.zeros(3), h, RHO * rng.standard_normal(shape), margin=10 * SIGMA)
@@ -108,11 +110,14 @@ def test_mode_sums_match_dense_per_mode_sums(shape, seed, direction, log_magnitu
 
     gain = [np.exp(-(k * SIGMA) ** 2) / (1.0 + (k * h) ** 2) for k in ref.k]
     k1, g1 = [k.ravel() for k in ref.k], [g.ravel() for g in gain]
-    assert close(integrals.gradient_outer_integral(grid), dense(ref.k))
-    assert close((2 * np.pi) ** 3 * integrals._outer_sum(grid, k1, g1),
-                 dense(ref.k, gain[0] * gain[1] * gain[2]))
     delta = 10.0**log_magnitude * SIGMA * np.asarray(direction) / np.linalg.norm(direction)
-    assert decoherence_function(grid, delta, PARAMS) == pytest.approx(ref(delta), rel=1e-13)
+    for split in (voxel._PARALLEL_SIZE, 1):
+        with mock.patch.object(voxel, "_PARALLEL_SIZE", split):
+            assert close(integrals.gradient_outer_integral(grid), dense(ref.k))
+            assert close((2 * np.pi) ** 3 * integrals._outer_sum(grid, k1, g1),
+                         dense(ref.k, gain[0] * gain[1] * gain[2]))
+            assert decoherence_function(grid, delta, PARAMS) == pytest.approx(ref(delta),
+                                                                             rel=1e-13)
 
 
 def _blob(n=48):
