@@ -64,6 +64,7 @@ from .oracle import (
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
+from .oracle.voxel import DEFAULT_PADDING_SIGMA
 from .tensors import (
     axial_rotational_strength,
     principal_axes,
@@ -203,8 +204,9 @@ def _one_of(*choices):
 
 def _list(name, value):
     values = value.split(",") if isinstance(value, str) else value
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep values must be a list or a comma-separated string, got {value!r}")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep values must be a non-empty list or a comma-separated string, "
+                          f"got {value!r}")
     return values
 
 
@@ -213,28 +215,39 @@ _SWEEPS = {"L": ("length", "length"), "theta": ("apex_angle", "angle"),
            "N": ("gap_count", "dimensionless"), "e": ("semi_axis_b", "dimensionless"),
            "R": ("radius", "length")}
 
-_Setting = collections.namedtuple("_Setting", "parse default commands help")
+_Setting = collections.namedtuple("_Setting", "parse defaults help")
 _ALL = ("tensors", "rates", "validate", "sweep", "dephasing")
 _COUNT = _quantity("dimensionless", 1, integer=True)
+_REQUIRED = object()  # a ``defaults`` value: the command needs the setting
 
 #: each setting is a flag --name (dashes for underscores; a switch if its
-#: default is False) and a config key name.  A run takes the flag, else the
-#: key, else the default, and its report echoes each setting as the run used it
+#: default is False) and a config key name, taken by the commands that its
+#: ``defaults`` maps to their default (_REQUIRED, or a function of sigma).
+#: A run takes the flag, else the key, else the default, and its report
+#: echoes each setting as the run used it
 _SETTINGS = {
-    "density": _Setting(_quantity("density"), None, _ALL, "material density (e.g. '2 g/cm^3')"),
-    "resolution": _Setting(_COUNT, DEFAULT_RESOLUTION, _ALL, "patches per characteristic length"),
-    "format": _Setting(_one_of("json", "csv"), "json", _ALL, "report format: json or csv"),
-    "origin": _Setting(_vector("length"), None, ("tensors",), "rotational tensor origin"),
-    "inertia_convention": _Setting(_one_of("standard", "second_moment"), "standard", ("rates",),
+    "density": _Setting(_quantity("density"),
+                        {**dict.fromkeys(_ALL), "rates": _REQUIRED, "validate": 1000.0,
+                         "dephasing": _REQUIRED},
+                        "material density (e.g. '2 g/cm^3')"),
+    "resolution": _Setting(_COUNT, dict.fromkeys(_ALL, DEFAULT_RESOLUTION),
+                           "patches per characteristic length"),
+    "format": _Setting(_one_of("json", "csv"), dict.fromkeys(_ALL, "json"),
+                       "report format: json or csv"),
+    "origin": _Setting(_vector("length"), {"tensors": None}, "rotational tensor origin"),
+    "inertia_convention": _Setting(_one_of("standard", "second_moment"), {"rates": "standard"},
                                    "standard or second_moment"),
-    "tolerance": _Setting(_quantity("dimensionless", 0), 0.01, ("validate",), "max relative error"),
-    "spacing": _Setting(_quantity("length"), None, ("validate",), "voxel spacing; default sigma/2"),
-    "padding": _Setting(_quantity("length"), None, ("validate",), "grid padding; default 6 sigma"),
-    "max_voxels": _Setting(_COUNT, DEFAULT_MAX_VOXELS, ("validate", "dephasing"), "grid voxel cap"),
-    "variable": _Setting(_one_of(*_SWEEPS), None, ("sweep",), "swept: " + ", ".join(_SWEEPS)),
-    "values": _Setting(_list, None, ("sweep",), "comma-separated parameter values"),
-    "delta": _Setting(_vector("length"), None, ("dephasing",), "separation, e.g. '1e-9 m,0,0'"),
-    "exact": _Setting(_one_of(False, True), False, ("dephasing",), "also the exact rate on a grid"),
+    "tolerance": _Setting(_quantity("dimensionless", 0), {"validate": 0.01}, "max relative error"),
+    "spacing": _Setting(_quantity("length"), {"validate": lambda s: s / 2.0},
+                        "voxel spacing; default sigma/2"),
+    "padding": _Setting(_quantity("length"), {"validate": lambda s: DEFAULT_PADDING_SIGMA * s},
+                        "grid padding; default 6 sigma"),
+    "max_voxels": _Setting(_COUNT, dict.fromkeys(("validate", "dephasing"), DEFAULT_MAX_VOXELS),
+                           "grid voxel cap"),
+    "variable": _Setting(_one_of(*_SWEEPS), {"sweep": _REQUIRED}, "swept: " + ", ".join(_SWEEPS)),
+    "values": _Setting(_list, {"sweep": _REQUIRED}, "comma-separated parameter values"),
+    "delta": _Setting(_vector("length"), {"dephasing": _REQUIRED}, "separation, e.g. '1e-9 m,0,0'"),
+    "exact": _Setting(_one_of(False, True), {"dephasing": False}, "also the exact rate on a grid"),
 }
 #: the settings that a config holds, and a report echoes, in a "sweep" block
 _SWEPT = ("variable", "values")
@@ -243,7 +256,7 @@ _CONFIG_KEYS = {"shape", "mesh", "params", "sweep", *_SETTINGS} - set(_SWEPT)
 
 def _resolve(args):
     """Merge config file and flags into (shape, params, options): ``options``
-    holds every setting of the command and the mesh files read."""
+    holds every setting of the command, parsed, and the mesh files read."""
     cfg = {}
     if args.config:
         with open(args.config, "rb") as fh:
@@ -283,11 +296,19 @@ def _resolve(args):
         raise ConfigError(f"sweep must be an object with keys {_SWEPT}, got {block!r}")
     options = {"mesh_files": mesh_files}
     for name, setting in _SETTINGS.items():
-        if args.command in setting.commands:
+        if args.command in setting.defaults:
             value = getattr(args, name)
             if value is None:
                 value = (block if name in _SWEPT else cfg).get(name)
-            options[name] = setting.default if value is None else setting.parse(name, value)
+            default = setting.defaults[args.command]
+            if value is None and default is _REQUIRED:
+                raise ConfigError(f"{args.command} requires --{name.replace('_', '-')}")
+            if value is None and callable(default):
+                default = default(params.localization_length)
+            options[name] = default if value is None else setting.parse(name, value)
+    if "values" in options:  # quantities of the swept variable's dimension
+        dimension = _SWEEPS[options["variable"]][1]
+        options["values"] = [parse_quantity(v, dimension) for v in options["values"]]
     return shape, params, options
 
 
@@ -301,16 +322,11 @@ def _report(command, shape, params, options, results):
     return {"version": __version__, "command": command, "config": config, "results": results}
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
+def _plain(obj):
+    """json's ``default`` hook: a numpy array as a list, a numpy scalar as a number."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _flatten(prefix, obj, rows):
@@ -326,7 +342,7 @@ def _flatten(prefix, obj, rows):
         rows.append((prefix, obj))
 
 
-def _emit(report, options, out_path, table=None):
+def _emit(report, options, out_path, table):
     """Write the report as JSON, or as CSV when requested."""
     if options["format"] == "csv":
         buf = io.StringIO()
@@ -335,12 +351,12 @@ def _emit(report, options, out_path, table=None):
             writer.writerows([table["columns"], *table["rows"]])
         else:
             rows = []
-            _flatten("", _jsonify(report), rows)
+            _flatten("", json.loads(json.dumps(report, default=_plain)), rows)
             writer.writerow(["key", "value"])
             writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -358,11 +374,11 @@ def _body_tensors(shape, resolution, origin=None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads the resolved (shape, params, options) and returns
+# (results, CSV table or None, exit code); main writes the report
 
 
-def _cmd_tensors(args):
-    shape, params, options = _resolve(args)
+def _cmd_tensors(shape, params, options):
     patches, geo, s, s_rot, origin = _body_tensors(shape, options["resolution"], options["origin"])
     vals, vecs = principal_axes(geo.inertia)
     results = {
@@ -381,15 +397,11 @@ def _cmd_tensors(args):
         mp = mass_properties(shape, options["density"])
         results["mass"] = mp.mass
         results["inertia"] = mp.inertia
-    _emit(_report("tensors", shape, params, options, results), options, args.out)
-    return EXIT_OK
+    return results, None, EXIT_OK
 
 
-def _cmd_rates(args):
-    shape, params, options = _resolve(args)
+def _cmd_rates(shape, params, options):
     density = options["density"]
-    if density is None:
-        raise ConfigError("rates require --density")
     patches, _, s, s_rot, origin = _body_tensors(shape, options["resolution"])
     props = mass_properties(shape, density)
     rep = rate_report(s, s_rot, props, density, params,
@@ -406,14 +418,10 @@ def _cmd_rates(args):
         "area": props.area,
         "volume": props.volume,
     }
-    _emit(_report("rates", shape, params, options, results), options, args.out)
-    return EXIT_OK
+    return results, None, EXIT_OK
 
 
-def _cmd_validate(args):
-    shape, params, options = _resolve(args)
-    if options["density"] is None:
-        options["density"] = 1000.0  # cancels in every relative comparison
+def _cmd_validate(shape, params, options):
     density, tol, sigma = options["density"], options["tolerance"], params.localization_length
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
@@ -423,7 +431,6 @@ def _cmd_validate(args):
     grid = rasterize_smoothed_density(shape, density, sigma, spacing=options["spacing"],
                                       padding=options["padding"], max_voxels=options["max_voxels"])
     grad = gradient_outer_integral(grid)
-    options.update(spacing=grid.spacing, padding=grid.margin)  # the report echoes the grid
     kint = kspace_outer_integral(shape, density, sigma, _raster=grid)
 
     def rel(a, b):
@@ -442,15 +449,14 @@ def _cmd_validate(args):
         "pairwise_relative_errors": pairs,
         "tolerance": tol,
         "grid_dims": list(grid.dims),
-        "grid_spacing": options["spacing"],
+        "grid_spacing": grid.spacing,
         "passed": passed,
     }
     table = {
         "columns": ["pair", "relative_error", "tolerance", "passed"],
         "rows": [[k, v, tol, v <= tol] for k, v in pairs.items()],
     }
-    _emit(_report("validate", shape, params, options, results), options, args.out, table=table)
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    return results, table, EXIT_OK if passed else EXIT_TOLERANCE
 
 
 def _sweep_shape(base, variable, value):
@@ -464,13 +470,8 @@ def _sweep_shape(base, variable, value):
     return dataclasses.replace(base, **{name: value})
 
 
-def _cmd_sweep(args):
-    shape, params, options = _resolve(args)
-    variable, values, density = options["variable"], options["values"], options["density"]
-    if not variable or not values:
-        raise ConfigError("sweep needs a variable and values")
-    values = options["values"] = [parse_quantity(v, _SWEEPS[variable][1]) for v in values]
-
+def _cmd_sweep(shape, params, options):
+    variable, density, values = options["variable"], options["density"], options["values"]
     axis = np.asarray(getattr(shape, "axis", (1.0, 0.0, 0.0)), dtype=float)
     columns = ["value", "area", "volume", "s_axis", "s_xx", "s_yy", "s_zz", "srot_axis"]
     if density is not None:
@@ -496,17 +497,11 @@ def _cmd_sweep(args):
             ]
         rows.append(row)
     table = {"columns": columns, "rows": rows}
-    _emit(_report("sweep", shape, params, options, table), options, args.out, table=table)
-    return EXIT_OK
+    return table, table, EXIT_OK
 
 
-def _cmd_dephasing(args):
-    shape, params, options = _resolve(args)
+def _cmd_dephasing(shape, params, options):
     density = options["density"]
-    if density is None:
-        raise ConfigError("dephasing requires --density")
-    if options["delta"] is None:
-        raise ConfigError("dephasing requires --delta")
     delta = np.asarray(options["delta"], dtype=float)
     patches, _, s, s_rot, origin = _body_tensors(shape, options["resolution"])
     dm = dephasing_matrix(s, density, params)
@@ -531,8 +526,7 @@ def _cmd_dephasing(args):
         results["quadratic_vs_exact_relative"] = (
             abs(rate - exact) / exact if exact else 0.0
         )
-    _emit(_report("dephasing", shape, params, options, results), options, args.out)
-    return EXIT_OK
+    return results, None, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +548,7 @@ def build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"cslsurf {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (func, text) in _COMMANDS.items():
+    for command, (_, text) in _COMMANDS.items():
         p = subs.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--shape", help="inline shape JSON")
@@ -563,10 +557,10 @@ def build_parser():
         p.add_argument("--sigma", help="localization length (e.g. '1e-5 cm')")
         p.add_argument("--out", help="write the report here instead of stdout")
         for name, s in _SETTINGS.items():
-            switch = {"action": "store_const", "const": True} if s.default is False else {}
-            if command in s.commands:
-                p.add_argument("--" + name.replace("_", "-"), help=s.help, **switch)
-        p.set_defaults(func=func)
+            if command in s.defaults:
+                switch = s.defaults[command] is False
+                p.add_argument("--" + name.replace("_", "-"), help=s.help,
+                               **({"action": "store_const", "const": True} if switch else {}))
     return parser
 
 
@@ -574,7 +568,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        shape, params, options = _resolve(args)
+        results, table, code = _COMMANDS[args.command][0](shape, params, options)
+        _emit(_report(args.command, shape, params, options, results), options, args.out, table)
+        return code
     except (GridTooLarge, ResolutionOverflow, SpacingTooCoarse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
 from .geometry.patches import _array, _scalar
-from .tensors import clamp_psd, principal_axes
+from .tensors import _psd, clamp_psd, principal_axes
 
 #: quadratic (momentum-diffusion) regime is quantitative for |delta| << sigma;
 #: warn above this fraction
@@ -73,13 +73,14 @@ def dephasing_prefactor(density, params: CslParams) -> float:
 
 @dataclass
 class DephasingMatrix:
-    """Positional dephasing quadratic-form matrix, units 1/(s m^2)."""
+    """Positional dephasing quadratic-form matrix, units 1/(s m^2); one that
+    is not PSD (:func:`~cslsurf.tensors.is_psd`) raises :class:`DegenerateDimension`."""
 
     matrix: np.ndarray
     params: CslParams
 
     def __post_init__(self):
-        self.matrix = _array("matrix", self.matrix, (3, 3))
+        self.matrix = _psd("matrix", self.matrix)[0]
 
 
 def dephasing_matrix(surface_tensor, density, params: CslParams) -> DephasingMatrix:
@@ -149,9 +150,10 @@ def rotational_heating_rate(rotational_tensor, inertia, density, params: CslPara
     ``inertia`` is the mass-weighted tensor about the centroid — normally
     the standard inertia tensor; callers may pass the second-moment
     tensor instead to follow the alternative bookkeeping convention.  A
-    tensor that is not finite, real and 3x3 raises :class:`DegenerateDimension`.
+    tensor that is not finite, real and 3x3, or a rotational tensor that is
+    not PSD, raises :class:`DegenerateDimension`.
     """
-    inertia, s_rot = _array("inertia", inertia, (3, 3)), _array("tensor", rotational_tensor, (3, 3))
+    inertia, s_rot = _array("inertia", inertia, (3, 3)), _psd("tensor", rotational_tensor)[0]
     vals = np.linalg.eigvalsh(0.5 * (inertia + inertia.T))
     if vals.min() <= 1e-12 * max(vals.max(), 0.0) or vals.min() <= 0.0:
         raise SingularInertia(f"inertia tensor is singular: eigenvalues {vals}")

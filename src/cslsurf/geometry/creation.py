@@ -79,12 +79,12 @@ def mesh_to_obj(mesh):
     return "\n".join(lines) + "\n"
 
 
-def mesh_to_stl(mesh, ascii_format=False, name="mesh"):
+def mesh_to_stl(mesh, ascii_format=False):
     """Serialize a mesh to STL bytes (binary by default)."""
     normals = mesh.face_normals()
     p0, p1, p2 = mesh.corners()
     if ascii_format:
-        out = [f"solid {name}"]
+        out = ["solid mesh"]
         for n, a, b, c in zip(normals, p0, p1, p2):
             out.append(f"  facet normal {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}")
             out.append("    outer loop")
@@ -92,7 +92,7 @@ def mesh_to_stl(mesh, ascii_format=False, name="mesh"):
                 out.append(f"      vertex {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
             out.append("    endloop")
             out.append("  endfacet")
-        out.append(f"endsolid {name}")
+        out.append("endsolid mesh")
         return ("\n".join(out) + "\n").encode()
     import struct
 

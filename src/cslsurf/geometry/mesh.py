@@ -84,18 +84,22 @@ class _RayFaces(NamedTuple):
 
 
 class TriangleMesh:
-    """Indexed triangle mesh with outward orientation.
+    """Indexed triangle mesh of a solid: watertight, consistently wound and
+    oriented outward.
+
+    Every mesh is checked as it is built: an edge not shared by exactly two
+    faces raises :class:`NonWatertightMesh`, mixed winding
+    :class:`InvertedOrientation`, and a consistently inward mesh has its
+    faces flipped.  So no open surface or triangle soup reaches the
+    volume, the ray parity or a :class:`~cslsurf.geometry.shapes.Mesh`.
 
     Parameters
     ----------
     vertices : (n, 3) array of finite real numbers
     faces : (m, 3) int array, indices into vertices from 0 (other input raises ParseError)
-    validate : bool
-        When true (default), check watertightness and winding
-        consistency, and flip a consistently inward mesh.
     """
 
-    def __init__(self, vertices, faces, validate=True):
+    def __init__(self, vertices, faces):
         self.vertices = np.ascontiguousarray(
             _array("vertices", vertices, (None, 3), error=ParseError))
         self.faces = np.ascontiguousarray(_array(
@@ -103,10 +107,9 @@ class TriangleMesh:
         lo, hi = (self.faces.min(), self.faces.max()) if len(self.faces) else (0, -1)
         if lo < 0 or hi >= len(self.vertices):  # a negative index would wrap from the end
             raise ParseError(f"face indices {lo} to {hi} leave the {len(self.vertices)} vertices")
-        if validate:
-            self._check_topology()
-            if self.volume() < 0:
-                self.faces = self.faces[:, ::-1]
+        self._check_topology()
+        if self.volume() < 0:
+            self.faces = self.faces[:, ::-1]
 
     # -- topology ------------------------------------------------------
 
@@ -205,7 +208,7 @@ class TriangleMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def translated(self, offset):
-        return TriangleMesh(self.vertices + _array("offset", offset, (3,)), self.faces, validate=False)
+        return TriangleMesh(self.vertices + _array("offset", offset, (3,)), self.faces)
 
     @functools.cached_property
     def _ray_faces(self):

@@ -273,7 +273,6 @@ def _counts(resolution):
         "len": max(2, res),
         "rad": max(2, res // 2),
         "face": max(2, res // 2),
-        "ellipse": max(16, 4 * res),
     }
 
 
@@ -417,7 +416,11 @@ class _Solid:
     lattice, culling blocks and then voxels by their clearance; ``Mesh``
     overrides it with a count from the flips of each lattice line's ray
     parity.  ``_corners`` are the local points no quadrature node
-    reaches, which the cavity check probes too.
+    reaches, which the cavity check probes too.  ``_patch_families(n)``
+    takes the patch counts of a resolution (:func:`_counts`) as minima:
+    an analytic solid's rule integrates both surface tensors exactly, to
+    rounding, at every resolution, so a flattened elliptic ring takes
+    more points than ``n["phi"]`` (:meth:`_Revolved._patch_families`).
     """
 
     _sdf = None
@@ -508,13 +511,11 @@ class _Revolved(_Solid):
     """A solid of revolution, defined by ``_profiles()`` alone: one (r, z)
     polyline per connected piece, from the axis back to the axis, z
     non-decreasing, the material on its left.  ``_stretch`` (a, b) maps
-    x -> a x and y -> b y; ``_ring`` names the patch count around the axis.
-    Patches, inside test, bounds, mass properties and signed distance all
-    come from the polylines.
+    x -> a x and y -> b y.  Patches, inside test, bounds, mass properties
+    and signed distance all come from the polylines.
     """
 
     _stretch = (1.0, 1.0)
-    _ring = "phi"
 
     def _axis_frame(self):
         return rotation_to_z(self.axis)
@@ -547,8 +548,17 @@ class _Revolved(_Solid):
         return np.array([r, r, np.abs(rz[:, 1]).max()])
 
     def _patch_families(self, n):
-        # a segment that reaches the axis (disc, cone) takes the radial count
-        n_phi, families = n[self._ring], []
+        # a segment that reaches the axis (disc, cone) takes the radial count.
+        # Under a stretch of axis ratio q < 1 the ring's integrands are
+        # analytic only for |Im phi| < atanh(q), so the midpoint ring's error
+        # falls as exp(-n_phi atanh(q)): 37 / atanh(q) points put it below
+        # rounding (e^-37 < 1e-16).  A round ring needs no more than n["phi"],
+        # and one past the patch cap is cut to just past it, which quadrature
+        # refuses (37 / atanh(q) overflows to infinity below q = 2e-307)
+        q = min(self._stretch) / max(self._stretch)
+        ring = 37.0 / math.atanh(q) if q < 1.0 else 0.0
+        n_phi = max(n["phi"], math.ceil(min(ring, MAX_PATCHES + 1)))
+        families = []
         for r0, z0, r1, z1 in _segments(self._profiles()):
             n_u = n["rad"] if 0.0 in (r0, r1) else n["len"]
             families.append(_family(n_u * n_phi, _sweep, r0, z0, r1, z1, n_u, n_phi,
@@ -794,7 +804,6 @@ class EllipticCylinder(_Rod):
 
     _sdf = None
     _smoothed_unit = None
-    _ring = "ellipse"
 
     @property
     def _stretch(self):

@@ -71,6 +71,7 @@ from ..geometry.shapes import (
     _sphere_patches,
     build_shape,
 )
+from ..tensors import _psd
 from .voxel import (
     _SUPERSAMPLE,
     VoxelGrid,
@@ -233,11 +234,11 @@ def gradient_outer_integral(grid: VoxelGrid):
 
 def surface_formula_outer_integral(surface_tensor, density, sigma):
     """Closed-form surface scaling (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) * S; an S
-    that is not a finite real 3x3 tensor raises :class:`DegenerateDimension`."""
+    that is not a finite real 3x3 PSD tensor raises :class:`DegenerateDimension`."""
     sigma = _scalar("sigma", sigma, 0.0, open=True)
     scale = (2.0 * np.pi) ** 3 * _density_squared(density) / (2.0 * math.sqrt(math.pi) * sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(scale * _array("tensor", surface_tensor, (3, 3)), "the surface formula")
+        return _finite(scale * _psd("tensor", surface_tensor)[0], "the surface formula")
 
 
 # ---------------------------------------------------------------------------

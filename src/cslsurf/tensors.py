@@ -60,29 +60,39 @@ def axial_rotational_strength(patches: SurfacePatches, origin, axis) -> float:
     return float(np.sum(patches.weights * triple**2))
 
 
-def clamp_psd(tensor):
-    """Zero out negative eigenvalues within -PSD_CLAMP_REL * trace (float noise).
+def _psd(name, tensor, strict=True):
+    """The tensor as a float array, the eigenvalues and eigenvector columns
+    of its symmetric part, and whether it is PSD: no eigenvalue below
+    -PSD_CLAMP_REL times the trace where the trace is positive, else times
+    the largest |eigenvalue|.  Anything but a finite 3x3 tensor of real
+    numbers, or when ``strict`` a tensor that is not PSD, raises
+    :class:`DegenerateDimension` naming ``name``."""
+    t = _array(name, tensor, (3, 3))
+    vals, vecs = np.linalg.eigh(0.5 * (t + t.T))
+    trace = np.trace(t)
+    scale = trace if trace > 0.0 else np.abs(vals).max()
+    psd = bool(np.all(vals >= -PSD_CLAMP_REL * scale))
+    if strict and not psd:
+        raise DegenerateDimension(f"{name} is not positive semidefinite: eigenvalues {vals}")
+    return t, vals, vecs, psd
 
-    Raises :class:`DegenerateDimension` for genuinely indefinite input and
-    for anything but a finite 3x3 tensor of real numbers.
+
+def clamp_psd(tensor):
+    """Zero out the negative eigenvalues (float noise) of a tensor that
+    :func:`is_psd` accepts.
+
+    Raises :class:`DegenerateDimension` for any other tensor, and for
+    anything but a finite 3x3 tensor of real numbers.
     """
-    t = _array("tensor", tensor, (3, 3))
-    t = 0.5 * (t + t.T)
-    vals, vecs = np.linalg.eigh(t)
-    scale = max(np.trace(t), 0.0)
-    floor = -PSD_CLAMP_REL * scale if scale > 0 else -PSD_CLAMP_REL
-    if np.any(vals < floor):
-        raise DegenerateDimension(f"tensor is not positive semidefinite: eigenvalues {vals}")
+    _, vals, vecs, _ = _psd("tensor", tensor)
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
 def is_psd(tensor):
-    """Is ``tensor`` PSD to within ``PSD_CLAMP_REL``; checked as by :func:`clamp_psd`."""
-    t = _array("tensor", tensor, (3, 3))
-    t = 0.5 * (t + t.T)
-    vals = np.linalg.eigvalsh(t)
-    scale = max(abs(np.trace(t)), 1e-300)
-    return bool(np.all(vals >= -PSD_CLAMP_REL * scale))
+    """Is ``tensor`` PSD to within ``PSD_CLAMP_REL``: no eigenvalue below
+    -PSD_CLAMP_REL times its trace where that is positive, else times its
+    largest |eigenvalue|; :func:`clamp_psd` accepts exactly these."""
+    return _psd("tensor", tensor, strict=False)[3]
 
 
 def principal_axes(tensor):

@@ -120,6 +120,16 @@ def test_icosphere_subdivisions_stop_at_the_patch_cap():
         cslsurf.icosphere(1.0, MAX_SUBDIVISIONS + 1)
 
 
+@pytest.mark.parametrize("b", [1e-3, 1e-300, 1e-320])
+def test_flat_elliptic_ring_stops_at_the_patch_cap(b):
+    # a ring exact to rounding needs 37 / atanh(b) points: past the cap at
+    # b = 1e-3, and no integer at all below 2e-307; the fixed ring of 128
+    # points gave an inexact area, and an infinite one with RuntimeWarnings
+    # at b = 1e-320
+    with pytest.raises(ResolutionOverflow, match="exceed the cap"):
+        cslsurf.quadrature(cslsurf.EllipticCylinder(1.0, b, 1.0))
+
+
 def test_float32_density_gives_a_float64_mass():
     rho = np.float32(1000.3)
     mass = cslsurf.mass_properties(SPHERE, rho).mass
@@ -188,6 +198,28 @@ def test_non_finite_or_negative_rate_input_is_degenerate(entry):
     # a negative area gave a negative heating power and a NaN one NaN; a
     # NaN tensor or inertia gave NaN or a bare LinAlgError
     with pytest.raises(DegenerateDimension):
+        entry()
+
+
+# negative-definite tensors were accepted: clamp_psd made TINY zero, so
+# rate_report reported 0 W of rotational heating; DephasingMatrix(-I) gave
+# a rate of -1e-18 /s at a 1 nm separation, rotational_heating_rate(-S)
+# -2.9e-25 W and the surface formula of -S an entry of -264
+TINY = np.diag([-1e-24, -2e-24, -3e-24])
+NOT_PSD = {
+    "clamp_psd": lambda: cslsurf.clamp_psd(TINY),
+    "DephasingMatrix": lambda: cslsurf.DephasingMatrix(-np.eye(3), PARAMS),
+    "rotational_heating_rate": lambda: cslsurf.rotational_heating_rate(
+        -S, INERTIA, RHO, PARAMS),
+    "surface_formula": lambda: cslsurf.surface_formula_outer_integral(-S, RHO, SIGMA),
+    "rate_report": lambda: cslsurf.rate_report(S, TINY, MASS, RHO, PARAMS),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_PSD.values(), ids=NOT_PSD.keys())
+def test_negative_definite_tensor_is_degenerate(entry):
+    assert not cslsurf.is_psd(TINY) and not cslsurf.is_psd(-np.eye(3))
+    with pytest.raises(DegenerateDimension, match="not positive semidefinite"):
         entry()
 
 
@@ -280,11 +312,10 @@ def test_fractional_mesh_faces_are_refused():
         cslsurf.TriangleMesh(MESH.vertices, MESH.faces + 0.7)
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_negative_mesh_faces_are_refused(validate):
+def test_negative_mesh_faces_are_refused():
     # they wrapped from the end of the vertex list: faces - 8 built the same box
     with pytest.raises(ParseError, match="face indices -8 to -1"):
-        cslsurf.TriangleMesh(MESH.vertices, MESH.faces - 8, validate=validate)
+        cslsurf.TriangleMesh(MESH.vertices, MESH.faces - 8)
 
 
 def test_cavities_that_are_not_shapes_are_degenerate():

@@ -12,7 +12,6 @@ from cslsurf.geometry import (
     icosphere,
     load_mesh,
     mesh_to_obj,
-    mesh_to_stl,
 )
 from cslsurf.geometry.mesh import DEDUP_RELATIVE_TOL
 
@@ -133,32 +132,46 @@ class TestTopology:
         assert box_mesh(1, 1, 1).is_watertight()
 
 
+def _soup_stl(triangles):
+    """ASCII STL text of a triangle soup, (m, 3, 3) corners, to full precision."""
+    lines = ["solid soup"]
+    for tri in triangles:
+        lines += ["facet normal 0 0 0", "outer loop",
+                  *(f"vertex {x:.17g} {y:.17g} {z:.17g}" for x, y, z in tri),
+                  "endloop", "endfacet"]
+    return ("\n".join(lines + ["endsolid soup"]) + "\n").encode()
+
+
+def _soup_obj(triangles):
+    """OBJ text of a triangle soup: three vertices of its own per face."""
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in triangles.reshape(-1, 3)]
+    lines += [f"f {3 * i + 1} {3 * i + 2} {3 * i + 3}" for i in range(len(triangles))]
+    return "\n".join(lines) + "\n"
+
+
 class TestWelding:
+    # a mesh is always watertight, so the exploded soups are written as text
     def test_jittered_vertices_weld(self):
         cube = box_mesh(1.0, 1.0, 1.0)
         # exploded triangle soup with jitter below the weld tolerance
-        p0, p1, p2 = cube.corners()
-        soup = np.concatenate([p0, p1, p2])
+        soup = np.stack(cube.corners(), axis=1)
         rng = np.random.default_rng(3)
         soup = soup + rng.uniform(-1e-12, 1e-12, soup.shape)
-        faces = np.arange(36).reshape(3, 12).T
-        stl = mesh_to_stl(TriangleMesh(soup, faces, validate=False))
-        mesh = load_mesh(stl)
+        mesh = load_mesh(_soup_stl(soup))
         assert len(mesh.vertices) == 8
+        assert len(mesh.faces) == 12
 
     def test_copies_straddling_a_rounding_boundary_weld(self):
         # the soup's copies of corner (0.5, 0.5, 0.5) sit 0.1 tol apart, on
         # either side of a half-multiple of tol, where rounding to a tol
         # lattice splits them; the bounding box, and so tol, is unchanged
         cube = box_mesh(1.0, 1.0, 1.0)
-        soup = np.concatenate(cube.corners())
-        faces = np.arange(36).reshape(3, 12).T
+        soup = np.stack(cube.corners(), axis=1)
         tol = DEDUP_RELATIVE_TOL * math.sqrt(3.0)
         boundary = (math.floor(0.5 / tol) - 2 + 0.5) * tol
-        copies = np.flatnonzero(np.all(soup == 0.5, axis=1))
-        soup[copies, 0] = boundary + np.where(np.arange(len(copies)) % 2, 0.05, -0.05) * tol
-        obj = mesh_to_obj(TriangleMesh(soup, faces, validate=False))
-        mesh = load_mesh(obj.encode(), fmt="obj")
+        copies = np.all(soup == 0.5, axis=2)
+        soup[copies, 0] = boundary + np.where(np.arange(copies.sum()) % 2, 0.05, -0.05) * tol
+        mesh = load_mesh(_soup_obj(soup).encode(), fmt="obj")
         assert len(mesh.vertices) == 8
         assert len(mesh.faces) == 12
         assert mesh.volume() == pytest.approx(1.0, rel=1e-6)
@@ -168,11 +181,10 @@ class TestWelding:
             load_mesh(b"v 0 0 0\nv 0 0 0\nv 0 0 0\nf 1 2 3\nf 1 3 2\n")
 
 
-@pytest.mark.parametrize("validate", [True, False])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_non_finite_vertices_are_refused(value, validate):
+def test_non_finite_vertices_are_refused(value):
     cube = box_mesh(1.0, 1.0, 1.0)
     vertices = cube.vertices.copy()
     vertices[3, 1] = value
     with pytest.raises(ParseError, match="vertices is not finite"):
-        TriangleMesh(vertices, cube.faces, validate=validate)
+        TriangleMesh(vertices, cube.faces)

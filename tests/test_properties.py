@@ -42,7 +42,8 @@ from cslsurf.geometry import (
 )
 from cslsurf.geometry.shapes import _counts, _local_axes
 from cslsurf.oracle.voxel import supersampled_fraction
-from cslsurf.tensors import rotational_surface_tensor, surface_tensor
+from cslsurf.errors import DegenerateDimension
+from cslsurf.tensors import clamp_psd, is_psd, rotational_surface_tensor, surface_tensor
 
 # a fixed example set keeps the test suite deterministic and near 1.5 s
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None,
@@ -297,3 +298,34 @@ def test_cone_cap_area_is_pi_r_slant(s, r, length, angle, resolution):
         cap = build()
         assert len(cap) == size
         assert math.isclose(np.sum(cap.weights), math.pi * R * slant, rel_tol=1e-13)
+
+
+@st.composite
+def _symmetric_tensors(draw):
+    """R diag(vals) R^T at a scale from 1e-30 to 1e30: eigenvalues of any
+    sign (so traces <= 0 too), zero, or one just either side of the floor
+    -1e-10 trace of two positive ones."""
+    vals = draw(st.one_of(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        st.just((0.0, 0.0, 0.0)),
+        st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.5, 2.0)).map(
+            lambda v: (v[0], v[1], -v[2] * 1e-10 * (v[0] + v[1])))))
+    R = Rotation.from_rotvec(draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))).as_matrix()
+    return 10.0 ** draw(st.floats(-30.0, 30.0)) * (R @ np.diag(vals) @ R.T)
+
+
+@PROPERTY_SETTINGS
+@given(_symmetric_tensors())
+@example(np.diag([-1e-24, -2e-24, -3e-24]))
+def test_clamp_psd_accepts_what_is_psd_accepts(t):
+    # clamp_psd used an absolute floor of -1e-10 where the trace is not
+    # positive, so it clamped that tensor to zero while is_psd refused it
+    try:
+        clamped = clamp_psd(t)
+    except DegenerateDimension:
+        assert not is_psd(t)
+    else:
+        assert is_psd(t) and is_psd(clamped)
+        assert np.all(np.linalg.eigvalsh(clamped) >= -1e-15 * np.abs(t).max())
+    if np.trace(t) <= 0.0 and np.any(t != 0.0):
+        assert not is_psd(t)

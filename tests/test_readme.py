@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cslsurf.cli import main
+from cslsurf.cli import _ALL, _REQUIRED, _SETTINGS, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -55,3 +55,33 @@ def test_cli_examples_exit_zero(words, tmp_path):
 
 def test_every_cli_example_is_collected():
     assert [w[1] for w in CLI_COMMANDS] == ["tensors", "rates", "validate", "sweep", "dephasing"]
+
+
+def _default_cell(default):
+    """How the settings table writes a default; None for one it describes."""
+    if default is _REQUIRED:
+        return "required"
+    if default is None or callable(default):
+        return None
+    if isinstance(default, (bool, str)):
+        return f"`{str(default).lower()}`"
+    return str(default) if isinstance(default, int) else f"{default:g}"
+
+
+def test_settings_table_is_the_cli_settings():
+    header, _, *rows = re.search(r"^\| setting \|.*?\n\n", README,
+                                 flags=re.DOTALL | re.MULTILINE).group(0).strip().splitlines()
+    commands = [c.strip(" `") for c in header.strip("|").split("|")[1:]]
+    assert commands == list(_ALL)
+    table = {}
+    for row in rows:
+        name, *cells = (c.strip() for c in row.strip("|").split("|"))
+        table[name.strip("`")] = dict(zip(commands, cells))
+    assert list(table) == list(_SETTINGS)
+    for name, setting in _SETTINGS.items():
+        for command, cell in table[name].items():
+            if command not in setting.defaults:
+                assert cell == "—", (name, command)
+                continue
+            want = _default_cell(setting.defaults[command])
+            assert cell == want if want else cell not in ("—", "required"), (name, command)
