@@ -9,22 +9,21 @@ normals point out of the material (into the cavity).
 A solid of revolution is defined by its (r, z) profile polylines alone
 (:class:`_Revolved`).  Its patches sweep each straight segment about the
 local z axis (:func:`_sweep`), its inside test is r <= r(z) on the walls,
-and its bounds, mass properties (Green's theorem in the (r, z) plane),
-signed distance and clearance come from the same segments.  The
-clearance, the unsigned distance that the supersampled fill's culling
-and the cavity checks read, is the least distance to a segment, and the
-signed distance is that same number, negative inside.  The circular,
-elliptic and gapped cylinders are one rod (:class:`_Rod`), whose closed
-forms all come from its semi-axes (a, b) and segments.  The elliptic
-cylinder is the unit rod under the stretch x -> a x, y -> b y and has no
-signed distance: one measured in the stretched frame is not a distance,
-and its clearance is a lower bound.  Every signed distance here is
-exact.  The sphere keeps its own rule, whose points are exactly R times
-the normals; boxes take one rule per face.
+and its bounds, mass properties (Green's theorem in the (r, z) plane)
+and clearance come from the same segments.  The circular, elliptic and
+gapped cylinders are one rod (:class:`_Rod`), whose closed forms all
+come from its semi-axes (a, b) and segments; the elliptic cylinder is
+the unit rod under the stretch x -> a x, y -> b y.  The sphere keeps
+its own rule, whose points are exactly R times the normals; boxes take
+one rule per face.
 
-The smoothed field never reads a signed distance: the Gaussian-smoothed
-indicator is a shape's closed form (``_smoothed_unit``) where one
-exists, and otherwise the oracles filter the supersampled indicator.
+Each solid states its distance to the boundary once, as its clearance:
+exact for spheres, boxes and round solids of revolution, a lower bound
+for other elliptic cylinders, none for meshes.  The fill culls by it,
+the cavity check probes it, and :func:`signed_distance` is an exact
+clearance, negative inside.  The smoothed field reads no distance: it
+is a shape's closed form (``_smoothed_unit``) where one exists, and
+otherwise the oracles filter the supersampled indicator.
 
 Each shape class is the one place its geometry lives; the module-level
 functions here and in the oracles dispatch to its methods.  Each hook
@@ -37,7 +36,7 @@ its ray crossings.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import combinations, product
 
@@ -116,8 +115,10 @@ def _center():
 
 def _cavities():
     def shapes(name, value):
-        if not isinstance(value, (list, tuple)) or not all(isinstance(v, _Solid) for v in value):
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, Shape) for v in value):
             raise DegenerateDimension(f"{name} must be a list or tuple of shapes, got {value!r}")
+        if any(v.cavities for v in value):
+            raise CavityOverlap("cavities may not themselves contain cavities")
         return tuple(value)
     return _field(shapes, default=())
 
@@ -204,47 +205,6 @@ def _slab_moments(length, sigma, centers=(0.0,)):
 def _segments(profiles):
     """(r0, z0, r1, z1) of each straight segment of the ``profiles`` polylines."""
     return [(*p, *q) for profile in profiles for p, q in zip(profile, profile[1:])]
-
-
-def _profile_inside(profiles, x, y, z, stretch=(1.0, 1.0)):
-    """Mask of the points with r <= r(z) on a wall (a segment that is not
-    a disc) of the ``profiles``; r^2 = (x/a)^2 + (y/b)^2 under the
-    ``stretch`` (a, b).  The supersampled fill's hot loop: the largest
-    r(z)^2 among the walls whose z range holds the point (-inf where none
-    does) is taken on z's own shape, and r^2, on the shape of x and y, is
-    compared with it once: the OR of one comparison per wall, bit for bit.
-    On the broadcast axes of a named axis, r(z) is taken per z alone."""
-    a, b = stretch
-    r2 = (x / a) ** 2 + (y / b) ** 2
-    limit = np.full(np.shape(z), -np.inf)
-    for r0, z0, r1, z1 in _segments(profiles):
-        if z0 == z1:
-            continue
-        if r0 == r1:
-            rz2 = r0 * r0
-        else:
-            rz = r0 + (z - z0) * ((r1 - r0) / (z1 - z0))
-            rz2 = rz * rz
-        np.maximum(limit, rz2, out=limit, where=(z >= z0) & (z <= z1))
-    return r2 <= limit
-
-
-def _profile_distance(profiles, x, y, z):
-    """Least distance from the point to a segment of the ``profiles``: the
-    distance to the surface they sweep."""
-    r = np.hypot(x, y)
-    dist = np.inf
-    for r0, z0, r1, z1 in _segments(profiles):
-        vr, vz = r1 - r0, z1 - z0
-        t = np.clip(((r - r0) * vr + (z - z0) * vz) / (vr * vr + vz * vz), 0.0, 1.0)
-        dist = np.minimum(dist, np.hypot(r - (r0 + t * vr), z - (z0 + t * vz)))
-    return dist
-
-
-def _profile_sdf(profiles, x, y, z):
-    """:func:`_profile_distance`, negative where :func:`_profile_inside` holds."""
-    dist = _profile_distance(profiles, x, y, z)
-    return np.where(_profile_inside(profiles, x, y, z), -dist, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +326,7 @@ def _groups(cells, size):
     return mids, math.hypot(*half) * (1.0 + _REACH_SLACK)
 
 
-def _spread(blocks, dims):
+def _block_voxels(blocks, dims):
     """The voxel mask of the (nx, ny, nz) voxels ``dims`` that takes each
     entry of the per-block mask ``blocks``, ``_BLOCK`` voxels a side."""
     (p, q, r), b = blocks.shape, _BLOCK
@@ -381,18 +341,22 @@ def _spread(blocks, dims):
 class _Solid:
     """Geometry shared by the shape dataclasses.
 
+    A body is checked once, as it is built: its fields are canonicalised,
+    its frame is built and ``_check`` checks its cavities
+    (:func:`_check_cavities`), so every shape that exists is valid.
+
     Methods see the bare solid (cavities are composed by the module-level
     functions) and its local coordinates as broadcastable arrays ``x, y,
     z``: center at the origin, axis along +z.  ``_frame``, local to world
     axes, is built once with the solid (``_axis_frame``) and read-only.
     Every shape classifies points with its own ``_inside`` (closed form,
-    or ray parity for meshes); none goes through a signed distance.  A
+    or ray parity for meshes); none goes through a distance.  A
     solid of revolution has one definition, its (r, z) profile, from
     which :class:`_Revolved` derives all its geometry, and a rod
     (:class:`_Rod`: circular, elliptic and gapped cylinders) has one more,
     its semi-axes and segments, from which it derives its closed forms.
-    The hooks ``_sdf`` (exact signed distance; none for the elliptic
-    cylinder and meshes), ``_smoothed_unit`` (closed-form Gaussian-smoothed
+    The hooks ``_clearance`` (the solid's one distance to its boundary;
+    none for meshes), ``_smoothed_unit`` (closed-form Gaussian-smoothed
     indicator; the round rod's for the circular and gapped cylinders,
     none for the cone-capped and elliptic cylinders and meshes) and
     ``_unit_form_factor`` (every rod has the rod's; none for the
@@ -410,8 +374,9 @@ class _Solid:
     None.  It returns None, the spherical ladder, for a body it cannot
     take: by default, and for a box or rod with cavities or a sphere
     whose cavities are not all spheres at its center.  ``_clearance`` is
-    a lower bound on the distance to the boundary, exact (``|_sdf|``)
-    unless a subclass says otherwise.  ``_lattice`` counts each voxel's
+    a lower bound on the distance to the boundary, exact unless
+    ``_exact`` is false (elliptic cylinders with a != b; meshes, which
+    have no clearance).  ``_lattice`` counts each voxel's
     subsamples inside the bare solid on the supersampled fill's world-axis
     lattice, culling blocks and then voxels by their clearance; ``Mesh``
     overrides it with a count from the flips of each lattice line's ray
@@ -423,7 +388,8 @@ class _Solid:
     more points than ``n["phi"]`` (:meth:`_Revolved._patch_families`).
     """
 
-    _sdf = None
+    _clearance = None
+    _exact = True
     _smoothed_unit = None
     _unit_form_factor = None
 
@@ -438,18 +404,18 @@ class _Solid:
         if not extent <= _MAX_EXTENT:
             raise DegenerateDimension(f"{type(self).__name__} is too large: a half-extent "
                                       f"past {_MAX_EXTENT:g} overflows its moments")
+        self._check()
+
+    def _check(self):
+        """Check the built body: each cavity against it and the others."""
+        if self.cavities:
+            _check_cavities(self)
 
     def _axis_frame(self):
         return np.eye(3)
 
     def _kspace_local(self, sigma):
         return None
-
-    def _clearance(self, x, y, z):
-        return np.abs(self._sdf(x, y, z))
-
-    def _corners(self):
-        return np.empty((0, 3))
 
     def _lattice(self, xs, ys, zs):
         """Count the subsamples inside the solid, which has no cavities (the
@@ -481,9 +447,9 @@ class _Solid:
         block_side = np.zeros(near.shape, dtype=bool)
         far = np.nonzero(~near)
         block_side[far] = contains(self, np.stack([bx[far[0]], by[far[1]], bz[far[2]]], axis=1))
-        count = _spread(block_side, dims) * np.uint8(ss**3)
+        count = _block_voxels(block_side, dims) * np.uint8(ss**3)
         # the voxels of the near blocks, at voxel level
-        voxels = np.flatnonzero(_spread(near, dims))
+        voxels = np.flatnonzero(_block_voxels(near, dims))
         (vx, vy, vz), reach = _groups(cells, 1)
         i, j, k = np.unravel_index(voxels, dims)
         x, y, z = vx[i], vy[j], vz[k]
@@ -512,7 +478,7 @@ class _Revolved(_Solid):
     polyline per connected piece, from the axis back to the axis, z
     non-decreasing, the material on its left.  ``_stretch`` (a, b) maps
     x -> a x and y -> b y.  Patches, inside test, bounds, mass properties
-    and signed distance all come from the polylines.
+    and clearance all come from the polylines.
     """
 
     _stretch = (1.0, 1.0)
@@ -521,19 +487,45 @@ class _Revolved(_Solid):
         return rotation_to_z(self.axis)
 
     def _inside(self, x, y, z):
-        return _profile_inside(self._profiles(), x, y, z, self._stretch)
+        """Mask of the points with r <= r(z) on a wall (a segment that is not
+        a disc); r^2 = (x/a)^2 + (y/b)^2 under the stretch (a, b).  The
+        supersampled fill's hot loop: the largest r(z)^2 among the walls
+        whose z range holds the point (-inf where none does) is taken on
+        z's own shape, and r^2, on the shape of x and y, is compared with
+        it once: the OR of one comparison per wall, bit for bit.  On the
+        broadcast axes of a named axis, r(z) is taken per z alone."""
+        a, b = self._stretch
+        r2 = (x / a) ** 2 + (y / b) ** 2
+        limit = np.full(np.shape(z), -np.inf)
+        for r0, z0, r1, z1 in _segments(self._profiles()):
+            if z0 == z1:
+                continue
+            if r0 == r1:
+                rz2 = r0 * r0
+            else:
+                rz = r0 + (z - z0) * ((r1 - r0) / (z1 - z0))
+                rz2 = rz * rz
+            np.maximum(limit, rz2, out=limit, where=(z >= z0) & (z <= z1))
+        return r2 <= limit
 
-    def _sdf(self, x, y, z):
-        return _profile_sdf(self._profiles(), x, y, z)
+    @property
+    def _exact(self):
+        return self._stretch[0] == self._stretch[1]
 
     def _clearance(self, x, y, z):
-        # exact when round.  Under the stretch (a, b), x -> x s/a, y -> y s/b
-        # with s = min(a, b) lengthens no distance and maps the body onto
-        # the round one of radius s, whose distance is then a lower bound
+        # the least distance to a profile segment, exact when round.  Under
+        # the stretch (a, b), x -> x s/a, y -> y s/b with s = min(a, b)
+        # lengthens no distance and maps the body onto the round one of
+        # radius s, whose distance is then a lower bound
         a, b = self._stretch
         s = min(a, b)
-        profiles = [[(r * s, z) for r, z in profile] for profile in self._profiles()]
-        return _profile_distance(profiles, x * (s / a), y * (s / b), z)
+        r, dist = np.hypot(x * (s / a), y * (s / b)), np.inf
+        for r0, z0, r1, z1 in _segments(self._profiles()):
+            r0, r1 = r0 * s, r1 * s
+            vr, vz = r1 - r0, z1 - z0
+            t = np.clip(((r - r0) * vr + (z - z0) * vz) / (vr * vr + vz * vz), 0.0, 1.0)
+            dist = np.minimum(dist, np.hypot(r - (r0 + t * vr), z - (z0 + t * vz)))
+        return dist
 
     def _corners(self):
         # a ring of 64 points at each profile vertex, under the stretch
@@ -658,11 +650,15 @@ class Sphere(_Solid):
     def _inside(self, x, y, z):
         return _norm(x, y, z) <= self.radius
 
-    def _sdf(self, x, y, z):
-        return _norm(x, y, z) - self.radius
+    def _clearance(self, x, y, z):
+        return np.abs(_norm(x, y, z) - self.radius)
 
     def _half_extent(self):
         return np.full(3, self.radius)
+
+    def _corners(self):
+        # the six axis poles, which no quadrature node reaches
+        return np.concatenate([np.eye(3), -np.eye(3)]) * self.radius
 
     def _patch_families(self, n):
         return [_family(n["theta"] * n["phi"], _sphere_patches,
@@ -720,10 +716,11 @@ class Box(_Solid):
         hx, hy, hz = np.asarray(self.size) / 2.0
         return (np.abs(x) <= hx) & (np.abs(y) <= hy) & (np.abs(z) <= hz)
 
-    def _sdf(self, x, y, z):
+    def _clearance(self, x, y, z):
+        # the distance outside the box, or the depth inside it
         qx, qy, qz = (np.abs(w) - side / 2.0 for w, side in zip((x, y, z), self.size))
         outside = _norm(np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0))
-        return outside + np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
+        return outside - np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
 
     def _half_extent(self):
         return np.asarray(self.size) / 2.0
@@ -802,7 +799,6 @@ class EllipticCylinder(_Rod):
     center: tuple = _center()
     cavities: tuple = _cavities()
 
-    _sdf = None
     _smoothed_unit = None
 
     @property
@@ -838,12 +834,12 @@ class GappedCylinder(_Rod):
     center: tuple = _center()
     cavities: tuple = _cavities()
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if self.gap_count > 0:
             _scalar("gap_width", self.gap_width, 0.0, open=True)
             if self.gap_count * self.gap_width >= self.length:
                 raise DegenerateDimension("gaps consume the whole cylinder")
+        super()._check()
 
     def segments(self):
         """(segment_length, array of segment center offsets along the axis)."""
@@ -856,6 +852,8 @@ class GappedCylinder(_Rod):
 @dataclass(frozen=True)
 class Mesh(_Solid):
     """Shape defined by a watertight triangle mesh."""
+
+    _exact = False
 
     mesh: TriangleMesh = _field(_triangle_mesh)
     center: tuple = _center()
@@ -923,52 +921,40 @@ def local_frame(spec):
 
 
 def build_shape(spec):
-    """Validate a shape spec (including cavities) and return it.
-
-    Numeric invariants are enforced at construction; this adds the
-    geometric cavity checks: cavities must be strictly inside the host
-    material and mutually disjoint.  Idempotent.
-    """
+    """Return ``spec`` if it is a shape; anything else raises
+    :class:`UnsupportedShape`.  A shape is checked whole, its cavities
+    included, as it is built (:class:`_Solid`), so every shape is valid."""
     if not isinstance(spec, Shape):
         raise UnsupportedShape(f"not a shape spec: {type(spec).__name__}")
-    if getattr(spec, "_validated", False):
-        return spec
-    if spec.cavities:
-        _check_cavities(spec)
-    object.__setattr__(spec, "_validated", True)
     return spec
 
 
 def _check_cavities(spec):
     """Cavities must sit strictly inside the host and apart from each other.
 
-    Checks are exact for spherical cavities against hosts with a signed
-    distance (tangency included): the center must be inside, and farther
-    from the boundary than the radius by the ``_clearance``, which is
-    then the magnitude of the signed distance.  Other combinations are
-    validated on probes of the cavity surface: the resolution-8
-    quadrature nodes, and the ``_corners`` that no node reaches (a box's
-    8 corners, a ring at each profile vertex of a solid of revolution,
-    a mesh's vertices).
+    Each cavity is probed on its resolution-8 quadrature nodes and the
+    ``_corners`` no node reaches (a sphere's poles, a box's corners, a
+    ring at each profile vertex, a mesh's vertices).  Every probe must be
+    inside the host, and none at clearance 0 where the host has one.  A
+    sphere in a host with an exact clearance is checked exactly, tangency
+    included: its center must be inside and its clearance above the
+    radius.  The ``cavities`` field has already refused non-shapes and
+    nested cavities.
     """
-    host = replace(spec, cavities=())
     probes = []
     for cav in spec.cavities:
-        if not isinstance(cav, Shape):
-            raise CavityOverlap(f"cavity is not a shape spec: {cav!r}")
-        if cav.cavities:
-            raise CavityOverlap("cavities may not themselves contain cavities")
         pts = np.concatenate([quadrature(cav, resolution=8).points,
                               cav._corners() @ cav._frame.T + cav.center])
-        if not np.all(contains(host, pts)):
+        local = _local_axes(spec, *pts.T)
+        if not np.all(spec._inside(*local)):
             raise CavityOverlap("cavity surface is not strictly inside the host")
-        # parity probes above are the best available for hosts without a distance
-        if host._sdf is not None:
-            if isinstance(cav, Sphere):
-                touches = (not contains(host, cav.center)[0]
-                           or host._clearance(*_local_axes(host, *cav.center)) <= cav.radius)
+        if spec._clearance is not None:
+            if isinstance(cav, Sphere) and spec._exact:
+                center = _local_axes(spec, *np.array(cav.center)[:, None])
+                touches = not (spec._inside(*center)[0]
+                               and spec._clearance(*center)[0] > cav.radius)
             else:
-                touches = np.max(signed_distance(host, pts)) >= 0.0
+                touches = np.any(spec._clearance(*local) == 0.0)
             if touches:
                 raise CavityOverlap("cavity touches the host boundary")
         probes.append(pts)
@@ -1014,7 +1000,7 @@ def _point_axes(points):
 
 def contains(spec, points):
     """Boolean mask of the points' leading shape: is there material at each
-    point of an (..., 3) array.  The body passes :func:`build_shape` first."""
+    point of an (..., 3) array."""
     spec = build_shape(spec)
     axes = _point_axes(points)
     inside = spec._inside(*_local_axes(spec, *axes))
@@ -1023,22 +1009,29 @@ def contains(spec, points):
     return inside
 
 
+def _signed(solid, axes):
+    """The solid's clearance at the world ``axes``, negative where it holds them."""
+    local = _local_axes(solid, *axes)
+    d = solid._clearance(*local)
+    return np.where(solid._inside(*local), -d, d)
+
+
 def signed_distance(spec, points):
     """Signed distance to the material boundary (negative inside).
 
-    Exact, for sphere, box, cylinder, gapped and cone-capped cylinders
-    and compositions with such cavities; unavailable for elliptic
-    cylinders and meshes.  Without cavities its magnitude is the solid's
-    clearance, bit for bit.  The body passes :func:`build_shape` first.
+    Each solid's exact clearance, negative where its inside test holds,
+    so the sign is the class :func:`contains` gives; cavities compose by
+    max(d, -d_cavity).  A solid whose clearance is not exact (elliptic
+    cylinder with a != b, mesh) raises :class:`UnsupportedShape`.
     """
     spec = build_shape(spec)
     for solid in (spec, *spec.cavities):
-        if solid._sdf is None:
+        if not solid._exact:
             raise UnsupportedShape(f"signed distance not available for {type(solid).__name__}")
     axes = _point_axes(points)
-    d = spec._sdf(*_local_axes(spec, *axes))
+    d = _signed(spec, axes)
     for cav in spec.cavities:
-        d = np.maximum(d, -cav._sdf(*_local_axes(cav, *axes)))
+        d = np.maximum(d, -_signed(cav, axes))
     return d
 
 

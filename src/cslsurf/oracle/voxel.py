@@ -6,8 +6,8 @@ solid, the host and each cavity alike: the solid's closed-form
 ``_smoothed_unit`` (spheres, boxes, circular and gapped cylinders: erf
 products and the noncentral chi-square disc integral) or, where it has
 none (cone-capped and elliptic cylinders, meshes), the supersampled
-indicator filtered on the grid, which has no point evaluator; it never
-reads a signed distance.  The filter is applied in the spectrum: one
+indicator filtered on the grid, which has no point evaluator; neither
+reads a distance.  The filter is applied in the spectrum: one
 rfftn of the indicator, the product with the Gaussian's gain
 exp(-k^2 sigma^2 / 2) on the grid's wavenumbers and one irfftn, so the
 grid is periodic, as it is for every oracle transform; the zero-field
@@ -71,11 +71,11 @@ exactly opposite values, and a line exactly on an edge or a vertex is
 counted as if moved by an infinitesimal step toward +y (then +z), a
 top-left rule: it crosses the surface there once, as a line beside it
 would.  Each cavity's counts are subtracted from the host's, as every
-other path subtracts cavities; ``build_shape`` keeps each cavity
-strictly inside its host and apart from the others, so the difference
-is the pointwise count of host and no cavity.  A cavity that counts
-more subsamples in a voxel than the host has left there raises
-``CavityOverlap``.  The lattice is the same for every shape, so the
+other path subtracts cavities; a body's cavities are checked inside it
+and apart as it is built, so the difference is the pointwise count of
+host and no cavity.  A cavity that counts more subsamples in a voxel
+than the host has left there (it leaves between the check's probes)
+raises ``CavityOverlap``.  The lattice is the same for every shape, so the
 fraction is always a count over 64.
 """
 

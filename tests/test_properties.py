@@ -7,10 +7,11 @@ small spherical cavity at the body's center.
 
 import math
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -40,9 +41,9 @@ from cslsurf.geometry import (
     quadrature,
     signed_distance,
 )
-from cslsurf.geometry.shapes import _counts, _local_axes
+from cslsurf.geometry.shapes import _counts, _local_axes, local_frame
 from cslsurf.oracle.voxel import supersampled_fraction
-from cslsurf.errors import DegenerateDimension
+from cslsurf.errors import CavityOverlap, DegenerateDimension
 from cslsurf.tensors import clamp_psd, is_psd, rotational_surface_tensor, surface_tensor
 
 # a fixed example set keeps the test suite deterministic and near 1.5 s
@@ -222,6 +223,80 @@ def test_signed_distance_magnitude_is_the_clearance(spec, seed):
     p = np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(500, 3))
     clearance = spec._clearance(*_local_axes(spec, *p.T))
     assert np.array_equal(np.abs(signed_distance(spec, p)), clearance)
+
+
+@PROPERTY_SETTINGS
+@given(analytic_shapes(kinds=("sphere", "box"), with_cavity=st.just(False)),
+       st.integers(0, 2**32 - 1))
+def test_signed_distance_is_the_closed_form(spec, seed):
+    # |p - c| - R and the box's outside distance plus its depth, negative
+    # inside, on random points and on the quadrature nodes; at the center
+    # (0, 0, 0) a box's nodes sit on its faces exactly
+    lo, hi = bounding_box(spec)
+    pad = 0.2 * (hi - lo)
+    random = np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(500, 3))
+    for body in (spec, replace(spec, center=(0.0, 0.0, 0.0))):
+        p = np.concatenate([random, quadrature(body, resolution=8).points])
+        q = p - np.asarray(body.center)
+        if isinstance(body, Sphere):
+            want = np.linalg.norm(q, axis=1) - body.radius
+        else:
+            d = np.abs(q) - np.asarray(body.size) / 2.0
+            want = np.linalg.norm(np.maximum(d, 0.0), axis=1) + np.minimum(d.max(axis=1), 0.0)
+        assert np.array_equal(signed_distance(body, p), want)
+
+
+def _accepts(build, cavity):
+    """Whether ``build(cavities=(cavity,))`` passes the cavity check."""
+    try:
+        build(cavities=(cavity,))
+    except CavityOverlap:
+        return False
+    return True
+
+
+# a cavity radius in units of its center's clearance: tangent, or clearly in or out
+_RADIUS = st.one_of(st.just(1.0), st.floats(0.05, 0.95), st.floats(1.05, 1.5))
+
+
+@PROPERTY_SETTINGS
+@given(analytic_shapes(kinds=("sphere", "cylinder", "box", "cone", "gapped"),
+                       with_cavity=st.just(False)),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3), _RADIUS)
+def test_sphere_cavity_on_exact_host_needs_clearance(spec, at, size):
+    # a host with an exact clearance takes a sphere cavity iff its center
+    # is inside and farther than its radius from the boundary
+    lo, hi = bounding_box(spec)
+    where = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.asarray(at)
+    clearance = spec._clearance(*_local_axes(spec, *where[:, None]))[0]
+    assume(clearance > 0.0)
+    cavity = Sphere(size * clearance, center=tuple(where))
+    accepted = _accepts(partial(replace, spec), cavity)
+    assert accepted == (contains(spec, where)[0] and clearance > cavity.radius)
+
+
+@PROPERTY_SETTINGS
+@given(_scale, _unit, _unit, _direction, _offset, st.tuples(*[st.floats(-1.1, 1.1)] * 3),
+       st.sampled_from(["sphere", "box"]), _RADIUS, st.tuples(*[st.floats(0.1, 2.0)] * 3))
+def test_round_elliptic_host_takes_the_cylinders_cavities(s, r, length, axis, offset, at,
+                                                          kind, size, sides):
+    # the same sphere and box cavities, tangent spheres included, as the
+    # equal cylinder, whose clearance it shares to the bit
+    R, L = s * r, s * length
+    kw = dict(axis=axis, center=tuple(s * c for c in offset))
+    cylinder = partial(Cylinder, R, L, **kw)
+    elliptic = partial(EllipticCylinder, R, R, L, **kw)
+    host = cylinder()
+    where = np.asarray(host.center) + local_frame(host) @ (np.asarray(at) * [R, R, L / 2])
+    if kind == "sphere":
+        clearance = host._clearance(*_local_axes(host, *where[:, None]))[0]
+        assume(clearance > 0.0)
+        cavity = Sphere(size * clearance, center=tuple(where))
+        inside = contains(host, where)[0]
+        assert _accepts(elliptic, cavity) == (inside and clearance > cavity.radius)
+    else:
+        cavity = Box(tuple(s * np.asarray(sides)), center=tuple(where))
+    assert _accepts(elliptic, cavity) == _accepts(cylinder, cavity)
 
 
 @PROPERTY_SETTINGS

@@ -49,18 +49,20 @@ def lattice_cells(dims, origin, spacing):
             for a in range(3)]
 
 
-def pointwise_counts(spec, xs, ys, zs):
-    """contains() at every point of the lattice of the (n, ss) axes xs, ys
-    and zs, counted per voxel."""
+def pointwise_counts(spec, xs, ys, zs, classify=contains):
+    """``classify`` (default contains()) at every point of the lattice of
+    the (n, ss) axes xs, ys and zs, counted per voxel."""
     X, Y, Z = np.meshgrid(xs.ravel(), ys.ravel(), zs.ravel(), indexing="ij")
-    inside = contains(spec, np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
+    inside = classify(spec, np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1))
     (nx, ss), (ny, _), (nz, _) = xs.shape, ys.shape, zs.shape
     return inside.reshape(nx, ss, ny, ss, nz, ss).sum(axis=(1, 3, 5))
 
 
-def pointwise_fraction(spec, dims, origin, spacing):
-    """Mean of contains() over the same ss^3 subsample lattice, per voxel."""
-    return pointwise_counts(spec, *lattice_cells(dims, origin, spacing)) / _SUPERSAMPLE**3
+def pointwise_fraction(spec, dims, origin, spacing, classify=contains):
+    """Mean of ``classify`` (default contains()) over the same ss^3
+    subsample lattice, per voxel."""
+    return pointwise_counts(spec, *lattice_cells(dims, origin, spacing),
+                            classify) / _SUPERSAMPLE**3
 
 
 @SCANLINE_SETTINGS
@@ -346,13 +348,13 @@ def test_blocks_keep_most_voxels_out_of_clearance(monkeypatch):
     # within the block reach of the surface
     spec = Sphere(20 * SIGMA)
     dims, origin = _grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
-    clearance, measured = shapes._Solid._clearance, []
+    clearance, measured = Sphere._clearance, []
 
     def counting(solid, x, y, z):
         measured.append(np.broadcast(x, y, z).size)
         return clearance(solid, x, y, z)
 
-    monkeypatch.setattr(shapes._Solid, "_clearance", counting)
+    monkeypatch.setattr(Sphere, "_clearance", counting)
     frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
     assert 0 < sum(measured) <= 0.3 * math.prod(dims)
     volume = frac.sum() * (SIGMA / 2) ** 3

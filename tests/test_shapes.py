@@ -197,13 +197,28 @@ class TestValidation:
         spec = Sphere(1.0, cavities=(cavity,))
         assert build_shape(spec) is spec
 
+    @pytest.mark.parametrize("host, dims", [
+        (Cylinder, (1.0, 4.0)),
+        (EllipticCylinder, (1.0, 1.0, 4.0)),
+        (EllipticCylinder, (2.0, 1.0, 4.0)),
+    ], ids=["cylinder", "round-elliptic", "elliptic-pole"])
+    def test_sphere_cavity_touching_rod_wall_rejected(self, host, dims):
+        # the unit sphere touches the wall at (+-1, 0, 0) of the round rods
+        # and at the poles (0, +-1, 0) of the (2, 1) ellipse, where the
+        # lower-bound clearance is 0; a smaller one fits
+        with pytest.raises(CavityOverlap, match="touches the host boundary"):
+            host(*dims, cavities=(Sphere(1.0),))
+        host(*dims, cavities=(Sphere(0.9),))
+
     def test_fill_rejects_cavity_outside_host(self):
-        # unvalidated: the fill subtracts counts, and the box's corners
-        # count subsamples in voxels the sphere leaves empty
-        spec = Sphere(1.0, cavities=(Box((1.2, 1.2, 1.2)),))
-        dims, origin = _grid_geometry(spec, 0.05, 0.2)
+        # the box crosses the gap |z| < 0.025 between its probes, which
+        # all lie in material, so the body is built; the fill subtracts
+        # counts, and the box counts subsamples in gap voxels the host
+        # leaves empty
+        spec = GappedCylinder(1.0, 2.0, 1, 0.05, cavities=(Box((0.8, 0.8, 0.8)),))
+        dims, origin = _grid_geometry(spec, 0.02, 0.1)
         with pytest.raises(CavityOverlap):
-            supersampled_fraction(spec, dims, origin, 0.05)
+            supersampled_fraction(spec, dims, origin, 0.02)
 
 
 class TestQuadrature:
@@ -353,7 +368,8 @@ class TestPointQueries:
     @pytest.mark.parametrize("fn", [contains, signed_distance])
     def test_point_query_validates_the_body(self, fn):
         # a cavity larger than its host gave contains all False and a signed
-        # distance of 1.5, where mass_properties raised CavityOverlap
+        # distance of 1.5, where mass_properties raised CavityOverlap; such
+        # a body is now refused as it is built, before any query
         with pytest.raises(CavityOverlap):
             fn(Sphere(1.0, cavities=(Sphere(2.0),)), [[0.5, 0.0, 0.0]])
 
