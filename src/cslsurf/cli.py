@@ -58,12 +58,10 @@ from .geometry.mesh import _path_format
 from .geometry.patches import _scalar
 from .oracle import (
     DEFAULT_MAX_VOXELS,
-    decoherence_function,
-    gradient_outer_integral,
     kspace_outer_integral,
-    rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
+from .oracle.integrals import _body_spectrum, _decoherence, _gradient
 from .oracle.voxel import DEFAULT_PADDING_SIGMA
 from .tensors import (
     axial_rotational_strength,
@@ -426,12 +424,12 @@ def _cmd_validate(shape, params, options):
     patches = quadrature(shape, resolution=options["resolution"])
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
-    # the raster first, so its grid check runs before a k-space ladder that
-    # may take seconds, and a DFT route reads its spectrum
-    grid = rasterize_smoothed_density(shape, density, sigma, spacing=options["spacing"],
-                                      padding=options["padding"], max_voxels=options["max_voxels"])
-    grad = gradient_outer_integral(grid)
-    kint = kspace_outer_integral(shape, density, sigma, _raster=grid)
+    # the raster's spectrum first, so its grid check runs before a k-space
+    # ladder that may take seconds, and a DFT route reads it too
+    spectrum = _body_spectrum(shape, density, sigma, options["spacing"], options["padding"],
+                              options["max_voxels"])
+    grad = _gradient(spectrum)
+    kint = kspace_outer_integral(shape, density, sigma, _spectrum=spectrum)
 
     def rel(a, b):
         return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b)))
@@ -448,8 +446,8 @@ def _cmd_validate(shape, params, options):
         "kspace_integral": kint,
         "pairwise_relative_errors": pairs,
         "tolerance": tol,
-        "grid_dims": list(grid.dims),
-        "grid_spacing": grid.spacing,
+        "grid_dims": list(spectrum.dims),
+        "grid_spacing": spectrum.spacing,
         "passed": passed,
     }
     table = {
@@ -519,9 +517,8 @@ def _cmd_dephasing(shape, params, options):
         "quadratic_regime_warning": warned,
     }
     if options["exact"]:
-        grid = rasterize_smoothed_density(shape, density, sigma,
-                                          max_voxels=options["max_voxels"])
-        exact = decoherence_function(grid, delta, params)
+        spectrum = _body_spectrum(shape, density, sigma, max_voxels=options["max_voxels"])
+        exact = _decoherence(spectrum, delta, params)
         results["exact_rate_per_second"] = exact
         results["quadratic_vs_exact_relative"] = (
             abs(rate - exact) / exact if exact else 0.0

@@ -61,26 +61,35 @@ class _RayFaces(NamedTuple):
         # np.take gathers rows many times faster than fancy indexing
         return _RayFaces(*(np.take(a, index, axis=0) for a in self))
 
+    def rows(self, y):
+        """The faces at rows ``y`` for :func:`_crossings`; a row's lines share them."""
+        ty = self.step[..., 1] * (y[..., None] - self.base[..., 0])
+        return self.sign, self.step[..., 0], self.base[..., 1], ty, self.owns, self.x
+
     def crossings(self, y, z):
         """(hit, x): does the +x line at (y, z) cross each face, and where.
 
         ``y`` and ``z`` broadcast against the face axis.  Only elementwise
-        arithmetic, so any two callers get the same bits for the same
-        line and face.
+        arithmetic (:func:`_crossings`), so any two callers get the same
+        bits for the same line and face.
         """
-        yl, zl = y[..., None], z[..., None]
-        w = self.sign * (self.step[..., 0] * (zl - self.base[..., 1])
-                         - self.step[..., 1] * (yl - self.base[..., 0]))
-        total = w[..., 0] + w[..., 1] + w[..., 2]
+        hit, x = _crossings(self.rows(y), z)
         # the bounding box is the callers' cull; testing it here too keeps
         # an unculled caller equal where rounding puts a line just outside
         # the box on the inner side of all three edges
-        hit = (np.all((w > 0.0) | ((w == 0.0) & self.owns), axis=-1) & (total > 0.0)
-               & (self.lo[..., 0] <= y) & (y <= self.hi[..., 0])
-               & (self.lo[..., 1] <= z) & (z <= self.hi[..., 1]))
-        x = (w[..., 0] * self.x[..., 0] + w[..., 1] * self.x[..., 1]
-             + w[..., 2] * self.x[..., 2]) / np.where(hit, total, 1.0)
-        return hit, x
+        return hit & ((self.lo[..., 0] <= y) & (y <= self.hi[..., 0])
+                      & (self.lo[..., 1] <= z) & (z <= self.hi[..., 1])), x
+
+
+def _crossings(rows, z):
+    """(hit, x) of the lines at ``z`` of :meth:`_RayFaces.rows`, unboxed."""
+    sign, dy, bz, ty, owns, x = rows
+    w = sign * (dy * (z[..., None] - bz) - ty)
+    total = w[..., 0] + w[..., 1] + w[..., 2]
+    hit = np.all((w > 0.0) | ((w == 0.0) & owns), axis=-1) & (total > 0.0)
+    x = (w[..., 0] * x[..., 0] + w[..., 1] * x[..., 1] + w[..., 2] * x[..., 2]) / np.where(
+        hit, total, 1.0)
+    return hit, x
 
 
 class TriangleMesh:
@@ -285,12 +294,13 @@ class TriangleMesh:
         slack and clipped to its bounding box.  The slack,
         ``_SHADOW_SLACK`` of the face's |y| + |z| bounds, is far above the
         rounding of the edge functions and of the range, so no pair that
-        :meth:`_RayFaces.crossings` would hit is dropped.  Each crossing is
-        placed among the ``xs`` by bisection: a crossing at index i lies
-        beyond exactly the samples xs[:i].  Returns (line, at), sorted, of
-        the pairs that an odd number of crossings reach: sample xs[a] of a
-        line is inside when an odd number of its flips have at > a.
-        Face/row and face/line pairs both go in chunks of
+        :meth:`_RayFaces.crossings` would hit is dropped, and each line is
+        in the face's box; lines index one gather per face/row.  Each
+        crossing is placed among the ``xs`` by bisection: a crossing at
+        index i lies beyond exactly the samples xs[:i].  Returns (line,
+        at), sorted, of the pairs that an odd number of crossings reach:
+        sample xs[a] of a line is inside when an odd number of its flips
+        have at > a.  Face/row and face/line pairs both go in chunks of
         ``_CONTAINS_PAIRS``, so the temporaries stay bounded whatever the
         lattice; only the crossings are kept.
         """
@@ -300,12 +310,11 @@ class TriangleMesh:
         slack = _SHADOW_SLACK * (np.abs(faces.lo) + np.abs(faces.hi)).sum(axis=1)
         keys = [np.empty(0, dtype=np.int64)]
         for f, o in _pairs(j1 - j0):
-            j, s = j0[f] + o, slack[f]
+            j, s, at = j0[f] + o, slack[f], faces.take(f)
             # the slab of rows [ylo, yhi] about ys[j], and each edge (dy >= 0)
             # over it; an edge parallel to z lies in it whole or not at all
             ylo, yhi = (ys[j] - s)[:, None], (ys[j] + s)[:, None]
-            base, step = np.take(faces.base, f, axis=0), np.take(faces.step, f, axis=0)
-            by, bz, dy, dz = base[..., 0], base[..., 1], step[..., 0], step[..., 1]
+            by, bz, dy, dz = at.base[..., 0], at.base[..., 1], at.step[..., 0], at.step[..., 1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t0 = np.where(dy > 0.0, np.clip((ylo - by) / dy, 0.0, 1.0), 0.0)
                 t1 = np.where(dy > 0.0, np.clip((yhi - by) / dy, 0.0, 1.0), 1.0)
@@ -313,13 +322,14 @@ class TriangleMesh:
             spans = (by <= yhi) & (ylo <= by + dy)
             lo = np.min(np.where(spans, np.minimum(za, zb), np.inf), axis=1) - s
             hi = np.max(np.where(spans, np.maximum(za, zb), -np.inf), axis=1) + s
-            k0 = np.searchsorted(zs, np.maximum(lo, faces.lo[f, 1]), "left")
-            k1 = np.searchsorted(zs, np.minimum(hi, faces.hi[f, 1]), "right")
+            k0 = np.searchsorted(zs, np.maximum(lo, at.lo[:, 1]), "left")
+            k1 = np.searchsorted(zs, np.minimum(hi, at.hi[:, 1]), "right")
+            rows = [np.ascontiguousarray(a) for a in at.rows(ys[j])]
             for r, k in _pairs(np.maximum(k1 - k0, 0)):
-                jr, kr = j[r], k0[r] + k
-                hit, x = faces.take(f[r]).crossings(ys[jr], zs[kr])
+                kr = k0[r] + k
+                hit, x = _crossings([np.take(a, r, axis=0) for a in rows], zs[kr])
                 i = np.searchsorted(xs, x[hit], "left")
-                keys.append((jr[hit] * len(zs) + kr[hit]) * (len(xs) + 1) + i)
+                keys.append((j[r][hit] * len(zs) + kr[hit]) * (len(xs) + 1) + i)
         key, count = np.unique(np.concatenate(keys), return_counts=True)
         return np.divmod(key[count % 2 == 1], len(xs) + 1)
 

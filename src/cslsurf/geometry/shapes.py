@@ -381,7 +381,8 @@ class _Solid:
     lattice, culling blocks and then voxels by their clearance; ``Mesh``
     overrides it with a count from the flips of each lattice line's ray
     parity.  ``_corners`` are the local points no quadrature node
-    reaches, which the cavity check probes too.  ``_patch_families(n)``
+    reaches, which the cavity check probes too; ``_piece`` (None if
+    connected) numbers a gapped rod's segments.  ``_patch_families(n)``
     takes the patch counts of a resolution (:func:`_counts`) as minima:
     an analytic solid's rule integrates both surface tensors exactly, to
     rounding, at every resolution, so a flattened elliptic ring takes
@@ -390,6 +391,7 @@ class _Solid:
 
     _clearance = None
     _exact = True
+    _piece = None
     _smoothed_unit = None
     _unit_form_factor = None
 
@@ -848,6 +850,10 @@ class GappedCylinder(_Rod):
         starts = -self.length / 2.0 + np.arange(n + 1) * (seg + self.gap_width)
         return seg, starts + seg / 2.0
 
+    def _piece(self, x, y, z):
+        seg, centers = self.segments()     # the segment whose span holds z
+        return np.searchsorted(centers + seg / 2.0, z)
+
 
 @dataclass(frozen=True)
 class Mesh(_Solid):
@@ -935,7 +941,8 @@ def _check_cavities(spec):
     Each cavity is probed on its resolution-8 quadrature nodes and the
     ``_corners`` no node reaches (a sphere's poles, a box's corners, a
     ring at each profile vertex, a mesh's vertices).  Every probe must be
-    inside the host, and none at clearance 0 where the host has one.  A
+    inside the host, none at clearance 0 where the host has one, and all in
+    one ``_piece`` of the host: a connected cavity bridges no gap.  A
     sphere in a host with an exact clearance is checked exactly, tangency
     included: its center must be inside and its clearance above the
     radius.  The ``cavities`` field has already refused non-shapes and
@@ -948,6 +955,8 @@ def _check_cavities(spec):
         local = _local_axes(spec, *pts.T)
         if not np.all(spec._inside(*local)):
             raise CavityOverlap("cavity surface is not strictly inside the host")
+        if spec._piece is not None and np.ptp(spec._piece(*local)) > 0:
+            raise CavityOverlap("cavity bridges a gap between the host's solid pieces")
         if spec._clearance is not None:
             if isinstance(cav, Sphere) and spec._exact:
                 center = _local_axes(spec, *np.array(cav.center)[:, None])

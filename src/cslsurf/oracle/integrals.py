@@ -9,7 +9,7 @@ equals (2 pi)^3 times the volume integral of grad(mu_sigma) o
 grad(mu_sigma), and for bodies much larger than sigma collapses to
 (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) times the surface tensor.  The three
 routes here are mutually independent, but for one thing: on a sampled
-body the two grid routes share one raster and differ only by the
+body the two grid routes share one spectrum and differ only by the
 deconvolution of the cell average.
 
 * :func:`gradient_outer_integral` differentiates a rasterized smoothed
@@ -30,11 +30,14 @@ positional dephasing rate from the field autocorrelation.
 
 The gradient route, the DFT route and the decoherence function are all
 Parseval sums over the power spectrum P = w |F(k)|^2 of a gridded field,
-each with its own mode weight.  :func:`_power` transforms each value
-content once and keeps the spectra of the two most recently used value
-contents, so a scan of many oracle calls on one grid, or on grids whose
-values are equal bit for bit (a grid and its re-read file), pays for one
-transform; the values of a transformed or matched grid are read-only.
+each with its own mode weight, read from one record (``_Spectrum``) of P
+and its grid.  :func:`_power` makes it of a grid: it transforms each
+value content once and keeps the spectra of the two most recently used
+value contents, so a scan of many oracle calls on one grid, or on grids
+whose values are equal bit for bit (a grid and its re-read file), pays
+for one transform; the values of a transformed or matched grid are
+read-only.  :func:`_body_spectrum` makes it of a body: a sampled body's
+P is its filter's spectrum squared, one fill and one transform.
 Each weight is a short sum of per-axis products, so one kernel,
 :func:`_mode_sum`, reads the spectrum once and contracts its x and y
 axes with a few rows of x factors and of y factors.  It takes the
@@ -55,6 +58,7 @@ weights are
 import math
 import threading
 import weakref
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -74,8 +78,13 @@ from ..geometry.shapes import (
 from ..tensors import _psd
 from .voxel import (
     _SUPERSAMPLE,
+    DEFAULT_MAX_VOXELS,
     VoxelGrid,
+    _filter_spectrum,
+    _grid_geometry,
+    _grid_lengths,
     _halves,
+    _sampled,
     _spread,
     _wavenumbers,
     _workers,
@@ -123,24 +132,42 @@ def _same_bits(a, b):
     return all(np.array_equal(p.view(bits), q.view(bits)) for p, q in zip(a, b))
 
 
-def _power(grid: VoxelGrid):
-    """Power spectrum P = w_z |F|^2 of the grid values' one rfftn F.
+# what every Parseval sum reads: P = w_z |F|^2 of a grid's rfftn F, and the grid
+_Spectrum = namedtuple("_Spectrum", "power spacing dims margin")
 
-    w_z counts the Hermitian twin of each half-spectrum column.  P is
-    written into F's own buffer, one x-plane at a time in increasing
-    order (plane i of P lands on planes <= i of F, already read), and the
-    buffer is then shrunk to P's size, so no second spectrum-sized array
-    is ever alive.  P depends on the values alone, not on the grid's
-    origin, spacing or margin, so it is kept per value content: the
-    spectra of the two most recently used contents are held, each with
-    weak references to the arrays known to hold its bits.  An array is
-    looked up by identity, then compared bit for bit with one live array
-    of each held spectrum (:func:`_same_bits`); a match joins that
-    spectrum without a transform.  A spectrum is freed when the last of
-    its arrays dies, and a miss evicts before it transforms.  An array
-    that is transformed or joins a spectrum is made read-only: an
-    in-place edit raises instead of leaving a stale spectrum, and a new
-    array assigned to ``grid.values`` is looked up afresh.
+
+def _squared(F, nz):
+    """Read-only P = w_z |F|^2 (w_z counts each column's Hermitian twin) of
+    the half spectrum F of a grid of ``nz`` z values, written into F's own
+    buffer one x-plane at a time in increasing order, then shrunk to size."""
+    n = F.shape
+    wz = np.where((np.arange(n[2]) == 0) | (2 * np.arange(n[2]) == nz), 1.0, 2.0)
+    plane = n[1] * n[2]
+    flat = F.view(np.float64).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n[0]):
+            flat[i * plane:(i + 1) * plane] = ((F[i].real**2 + F[i].imag**2) * wz).ravel()
+    del flat
+    F.resize((n[0] * plane + 1) // 2, refcheck=False)
+    P = F.view(np.float64)[:n[0] * plane].reshape(n)
+    P.flags.writeable = False
+    return P
+
+
+def _power(grid: VoxelGrid):
+    """The spectrum record of the grid's values' one rfftn (:func:`_squared`).
+
+    P depends on the values alone, not on the grid's origin, spacing or
+    margin, so it is kept per value content: the spectra of the two most
+    recently used contents are held, each with weak references to the
+    arrays known to hold its bits.  An array is looked up by identity,
+    then compared bit for bit with one live array of each held spectrum
+    (:func:`_same_bits`); a match joins that spectrum without a
+    transform.  A spectrum is freed when the last of its arrays dies, and
+    a miss evicts before it transforms.  An array that is transformed or
+    joins a spectrum is made read-only: an in-place edit raises instead
+    of leaving a stale spectrum, and a new array assigned to
+    ``grid.values`` is looked up afresh.
     """
     values = grid.values
     with _SPECTRA_LOCK:
@@ -156,33 +183,37 @@ def _power(grid: VoxelGrid):
                     break
         if entry is not None:
             _SPECTRA[:] = [e for e in _SPECTRA if e is not entry] + [entry]
-            return entry[1]
+            return _Spectrum(entry[1], grid.spacing, grid.dims, grid.margin)
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
     values.flags.writeable = False
-    F = sfft.rfftn(values.astype(float, copy=False), workers=_workers(values.size))
-    n = F.shape
-    wz = np.full(n[2], 2.0)
-    wz[0] = 1.0
-    if values.shape[2] % 2 == 0:
-        wz[-1] = 1.0
-    plane = n[1] * n[2]
-    flat = F.view(np.float64).reshape(-1)
-    for i in range(n[0]):
-        flat[i * plane:(i + 1) * plane] = ((F[i].real**2 + F[i].imag**2) * wz).ravel()
-    del flat
-    F.resize((n[0] * plane + 1) // 2, refcheck=False)
-    P = F.view(np.float64)[:n[0] * plane].reshape(n)
-    P.flags.writeable = False
+    P = _squared(sfft.rfftn(values.astype(float, copy=False), workers=_workers(values.size)),
+                 values.shape[2])
     with _SPECTRA_LOCK:
         _SPECTRA.append(([weakref.ref(values, _forget)], P))
         del _SPECTRA[:-2]
-    return P
+    return _Spectrum(P, grid.spacing, grid.dims, grid.margin)
 
 
-def _mode_sum(grid: VoxelGrid, xrows, yrows):
+def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
+                   max_voxels=DEFAULT_MAX_VOXELS):
+    """The spectrum record of :func:`rasterize_smoothed_density` with the
+    same arguments and checks: for a sampled body, whose raster is the
+    irfftn of :func:`_filter_spectrum`, that spectrum squared where it
+    lies, which is the raster's round trip to rounding."""
+    spec = build_shape(spec)
+    if not _sampled(spec):
+        return _power(rasterize_smoothed_density(spec, density, sigma, spacing, padding,
+                                                 max_voxels))
+    density, sigma, spacing, padding = _grid_lengths(density, sigma, spacing, padding)
+    dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
+    P = _squared(_filter_spectrum(spec, dims, origin, density, sigma, spacing), dims[2])
+    return _Spectrum(P, spacing, dims, padding)
+
+
+def _mode_sum(spectrum: _Spectrum, xrows, yrows):
     """R[m, a, kz] = (h^3 / N) sum over kx, ky of xrows[m, kx] yrows[a, ky] P[kx, ky, kz].
 
-    h is the grid spacing, N the number of voxels and P the grid's cached
+    h is the grid spacing, N the number of voxels and P the record's
     spectrum.  P is read in blocks of y rows: each block meets the x rows
     in one matrix product, whose (m, block, nz') result meets the block's
     y rows in a second, so no array of a spectrum plane's size is made.
@@ -190,9 +221,9 @@ def _mode_sum(grid: VoxelGrid, xrows, yrows):
     one per thread, and a smaller one a single block; the halves are
     added in order, so the result does not depend on the number of cores.
     """
-    P = _power(grid)
+    P = spectrum.power
     nx, ny, nz = P.shape
-    xrows = grid.spacing**3 / grid.values.size * xrows
+    xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
     flat = P.reshape(nx, ny * nz)
 
     def block(span):
@@ -203,10 +234,10 @@ def _mode_sum(grid: VoxelGrid, xrows, yrows):
     return sum(_spread(block, _halves(ny, P.size)))
 
 
-def _outer_sum(grid: VoxelGrid, s, g=(1.0, 1.0, 1.0)):
+def _outer_sum(spectrum: _Spectrum, s, g=(1.0, 1.0, 1.0)):
     """(h^3 / N) sum over modes of P gx gy gz s o s for per-axis factors s and g."""
     X, Y, Z = (gi * np.stack([np.ones_like(si), si, si * si]) for si, gi in zip(s, g))
-    R = _mode_sum(grid, X, Y)    # R[i, j] sums P gx sx^i gy sy^j over x and y
+    R = _mode_sum(spectrum, X, Y)    # R[i, j] sums P gx sx^i gy sy^j over x and y
     xx, xy, xz = R[2, 0] @ Z[0], R[1, 1] @ Z[0], R[1, 0] @ Z[1]
     yy, yz, zz = R[0, 2] @ Z[0], R[0, 1] @ Z[1], R[0, 0] @ Z[2]
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
@@ -226,9 +257,14 @@ def gradient_outer_integral(grid: VoxelGrid):
     below the 0.5 percent budget at sigma/2 spacing).  Grid values that
     are not finite raise :class:`DegenerateDimension`.
     """
-    s = _wavenumbers(grid.values.shape, grid.spacing)
+    return _gradient(_power(grid))
+
+
+def _gradient(spectrum: _Spectrum):
+    """:func:`gradient_outer_integral` of the grid of a spectrum record."""
+    s = _wavenumbers(spectrum.dims, spectrum.spacing)
     with np.errstate(over="ignore", invalid="ignore"):
-        G = (2.0 * np.pi) ** 3 * _outer_sum(grid, s)
+        G = (2.0 * np.pi) ** 3 * _outer_sum(spectrum, s)
     return _finite(G, "the gradient integral")
 
 
@@ -311,7 +347,7 @@ def _settled(K, prev):
     return np.linalg.norm((K - prev) / scale) / max(np.linalg.norm(K / scale), 1e-300) < KSPACE_TOL
 
 
-def kspace_outer_integral(spec, density, sigma, *, _raster=None):
+def kspace_outer_integral(spec, density, sigma, *, _spectrum=None):
     """int exp(-k^2 sigma^2) |mu_k|^2 (k o k) dk.
 
     A body with an analytic form factor takes one refinement loop over
@@ -337,11 +373,12 @@ def kspace_outer_integral(spec, density, sigma, *, _raster=None):
     A body without one also has a solid without a closed-form field, so
     it takes the filtered raster, and its DFT route is the Parseval sum
     of that raster's power spectrum with the cell average deconvolved
-    (:func:`_kspace_fft`).  The raster is
-    :func:`rasterize_smoothed_density` with its default grid, or
-    ``_raster``: one of the same body, density and sigma that the caller
-    has already made on a grid of its choice, so one fill and one
-    spectrum serve both grid oracles.
+    (:func:`_kspace_fft`).  The spectrum is the filter's own, squared
+    where it lies (:func:`_body_spectrum` on the default grid: one fill,
+    one rfftn and no real-space grid), or ``_spectrum``: the record of
+    the same body, density and sigma that the caller has already made on
+    a grid of its choice, so one fill and one transform serve both grid
+    oracles.
 
     ``density`` and ``sigma`` must be positive and finite, and so must
     density^2 and the tensor, on every route
@@ -352,9 +389,8 @@ def kspace_outer_integral(spec, density, sigma, *, _raster=None):
     spec = build_shape(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         if not _has_form_factor(spec):
-            grid = _raster if _raster is not None else rasterize_smoothed_density(
-                spec, density, sigma)
-            return _finite(_kspace_fft(grid), "the k-space tensor")
+            spectrum = _body_spectrum(spec, density, sigma) if _spectrum is None else _spectrum
+            return _finite(_kspace_fft(spectrum), "the k-space tensor")
         local = spec._kspace_local(sigma)
         if local is None:
             mu = form_factor(_about_center(spec))
@@ -389,7 +425,7 @@ def _about_center(spec):
         replace(cav, center=np.asarray(cav.center) - shift) for cav in spec.cavities))
 
 
-def _kspace_fft(grid):
+def _kspace_fft(spectrum: _Spectrum):
     """DFT route: the Parseval sum of the filtered raster's power spectrum.
 
     The raster's transform is the Gaussian's gain G = exp(-k^2 sigma^2 / 2)
@@ -398,7 +434,7 @@ def _kspace_fft(grid):
     is the damped |mu|^2 k o k of the raw indicator: only the cell average
     is deconvolved.  D has no zeros for |k| <= pi / h.
     """
-    h, ss = grid.spacing, _SUPERSAMPLE
+    h, ss = spectrum.spacing, _SUPERSAMPLE
 
     def deconvolution(k):
         num = np.sin(k * h / 2.0)
@@ -407,8 +443,8 @@ def _kspace_fft(grid):
         return 1.0 / dirichlet**2
 
     # |mu_hat|^2 dk = |h^3 F|^2 (2 pi)^3 / (ntot h^3) = (2 pi)^3 (h^3/ntot) |F|^2
-    k = _wavenumbers(grid.values.shape, h)
-    return (2.0 * np.pi) ** 3 * _outer_sum(grid, k, [deconvolution(ki) for ki in k])
+    k = _wavenumbers(spectrum.dims, h)
+    return (2.0 * np.pi) ** 3 * _outer_sum(spectrum, k, [deconvolution(ki) for ki in k])
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +476,28 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
     A ``delta`` that is not a 3-vector of real numbers (a string, a
     complex or a NaN included), or grid values that are not finite, raise
     :class:`DegenerateDimension`; a ``delta`` longer than the grid's
-    margin, or infinite, raises :class:`ShiftOutOfGrid`.
+    margin, or infinite, raises :class:`ShiftOutOfGrid` before any transform.
     """
+    return _decoherence(grid, delta, params)
+
+
+def _decoherence(field, delta, params: CslParams):
+    """:func:`decoherence_function` of a grid, or of a spectrum record."""
     delta = _array("delta", delta, (3,), finite=False)
     # an infinite shift leaves any grid, a margin-less one included
-    if np.any(np.isinf(delta)) or (grid.margin and np.linalg.norm(delta) > grid.margin):
+    if np.any(np.isinf(delta)) or (field.margin and np.linalg.norm(delta) > field.margin):
         raise ShiftOutOfGrid(
-            f"|delta| = {np.linalg.norm(delta):.3g} exceeds grid margin {grid.margin:.3g}")
+            f"|delta| = {np.linalg.norm(delta):.3g} exceeds grid margin {field.margin:.3g}")
     delta = _array("delta", delta, (3,))  # what is left not finite is a NaN
+    spectrum = _power(field) if isinstance(field, VoxelGrid) else field
     pref = (params.collapse_rate * params.localization_length**3
             / (math.pi**1.5 * params.nucleon_mass**2))
     with np.errstate(over="ignore", invalid="ignore"):
         # sum P (1 - cos(a + b + c)) = -Re sum P (e^{i(a+b+c)} - 1), with
         # e^{i(a+b+c)} - 1 = (e^{ia} - 1) e^{i(b+c)} + (e^{ib} - 1) e^{ic} + (e^{ic} - 1)
-        a, b, c = (k * d for k, d in zip(_wavenumbers(grid.values.shape, grid.spacing), delta))
+        a, b, c = (k * d for k, d in zip(_wavenumbers(spectrum.dims, spectrum.spacing), delta))
         ea, eb, eb1 = _expm1i(a), np.exp(1j * b), _expm1i(b)
-        R = _mode_sum(grid, np.stack([ea.real, ea.imag, np.ones_like(a)]),
+        R = _mode_sum(spectrum, np.stack([ea.real, ea.imag, np.ones_like(a)]),
                       np.stack([eb.real, eb.imag, eb1.real, eb1.imag, np.ones_like(b)]))
         # sums over x and y of P ((e^{ia} - 1) e^{ib} + e^{ib} - 1), and of P
         S = R[0, 0] - R[1, 1] + R[2, 2] + 1j * (R[0, 1] + R[1, 0] + R[2, 3])

@@ -8,11 +8,12 @@ products and the noncentral chi-square disc integral) or, where it has
 none (cone-capped and elliptic cylinders, meshes), the supersampled
 indicator filtered on the grid, which has no point evaluator; neither
 reads a distance.  The filter is applied in the spectrum: one
-rfftn of the indicator, the product with the Gaussian's gain
-exp(-k^2 sigma^2 / 2) on the grid's wavenumbers and one irfftn, so the
-grid is periodic, as it is for every oracle transform; the zero-field
-margin keeps the wrapped tails below ~1e-8 rho, and the gain of 1 at
-k = 0 keeps the fill's mass.
+rfftn of the indicator and the product with the Gaussian's gain
+exp(-k^2 sigma^2 / 2) on the grid's wavenumbers (:func:`_filter_spectrum`),
+so the grid is periodic, as it is for every oracle transform; the
+zero-field margin keeps the wrapped tails below ~1e-8 rho, and the gain
+of 1 at k = 0 keeps the fill's mass.  The raster takes one irfftn of
+that spectrum; a body's grid oracles square it where it lies.
 
 Every field takes the solid's local coordinates as three broadcastable
 arrays, from the rule that ``contains`` and ``signed_distance`` use too
@@ -373,17 +374,16 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     points.  A grid of 2^20 voxels or more takes its planes in two halves,
     on two threads, with the same bits.  Any other body takes the
     supersampled indicator, filtered in the spectrum of the periodic grid
-    (:func:`_filtered`); the DFT route of :func:`kspace_outer_integral`
-    reads this raster's spectrum.
+    (:func:`_filter_spectrum`) and brought back by one irfftn.
     """
     spec = build_shape(spec)
     density, sigma, spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
-    solids = (spec, *spec.cavities)
-    if any(solid._smoothed_unit is None for solid in solids):
-        values = _filtered(supersampled_fraction(spec, dims, origin, spacing), density, sigma,
-                           spacing)
+    if _sampled(spec):
+        values = sfft.irfftn(_filter_spectrum(spec, dims, origin, density, sigma, spacing),
+                             s=dims, overwrite_x=True, workers=_workers(math.prod(dims)))
     else:
+        solids = (spec, *spec.cavities)
         values = np.empty(dims)
         y = (origin[1] + spacing * np.arange(dims[1]))[:, None]
         z = (origin[2] + spacing * np.arange(dims[2]))[None, :]
@@ -397,20 +397,22 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 
-def _filtered(frac, density, sigma, spacing):
-    """``density`` times the fraction ``frac`` convolved with the Gaussian of
-    width ``sigma``, in the spectrum: one rfftn, the product with the
-    separable gain exp(-k^2 sigma^2 / 2) on the grid's angular wavenumbers
-    (``density`` folded into the x factor), in place, and one irfftn.  The
-    grid is periodic, as for every oracle transform; the margin keeps the
-    wrapped tails below ~1e-8 rho."""
-    workers = _workers(frac.size)
-    F = sfft.rfftn(frac, workers=workers)
-    gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) for k in _wavenumbers(frac.shape, spacing))
+def _sampled(spec):
+    """Whether a solid of the body has no closed-form field: a filtered raster."""
+    return any(solid._smoothed_unit is None for solid in (spec, *spec.cavities))
+
+
+def _filter_spectrum(spec, dims, origin, density, sigma, spacing):
+    """The filtered raster's spectrum: one rfftn of the body's supersampled
+    fraction, which dies with it, times ``density`` and the separable gain
+    exp(-k^2 sigma^2 / 2) on the grid's angular wavenumbers, in place."""
+    F = sfft.rfftn(supersampled_fraction(spec, dims, origin, spacing),
+                   workers=_workers(math.prod(dims)))
+    gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) for k in _wavenumbers(dims, spacing))
     F *= (density * gx)[:, None, None]
     F *= gy[:, None]
     F *= gz
-    return sfft.irfftn(F, s=frac.shape, overwrite_x=True, workers=workers)
+    return F
 
 
 def _wavenumbers(shape, h):

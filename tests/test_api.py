@@ -36,7 +36,7 @@ def test_public_names_are_pinned():
 # the parameters of the oracle entry points, in order: a settable value is
 # an option to document and test, so none comes back as a side effect
 SIGNATURES = {
-    "kspace_outer_integral": ["spec", "density", "sigma", "_raster"],
+    "kspace_outer_integral": ["spec", "density", "sigma", "_spectrum"],
     "rasterize_smoothed_density": ["spec", "density", "sigma", "spacing", "padding",
                                    "max_voxels"],
     "gradient_outer_integral": ["grid"],
@@ -49,5 +49,5 @@ SIGNATURES = {
 def test_oracle_parameters_are_pinned():
     for name, params in SIGNATURES.items():
         assert list(inspect.signature(getattr(cslsurf, name)).parameters) == params, name
-    raster = inspect.signature(cslsurf.kspace_outer_integral).parameters["_raster"]
-    assert raster.kind is inspect.Parameter.KEYWORD_ONLY and raster.default is None
+    spectrum = inspect.signature(cslsurf.kspace_outer_integral).parameters["_spectrum"]
+    assert spectrum.kind is inspect.Parameter.KEYWORD_ONLY and spectrum.default is None

@@ -44,6 +44,7 @@ from cslsurf.oracle import (
     surface_formula_outer_integral,
 )
 from cslsurf.oracle import integrals, voxel
+from cslsurf.oracle.integrals import _body_spectrum
 from cslsurf.oracle.voxel import VoxelGrid
 from cslsurf.tensors import surface_tensor
 
@@ -151,7 +152,7 @@ class TestKspaceIntegral:
     def test_fft_fallback_voxel_cap(self):
         spec = Mesh(mesh=box_mesh(8.3 * SIGMA, 8.3 * SIGMA, 8.3 * SIGMA))
         with pytest.raises(GridTooLarge):
-            kspace_outer_integral(spec, RHO, SIGMA, _raster=rasterize_smoothed_density(
+            kspace_outer_integral(spec, RHO, SIGMA, _spectrum=_body_spectrum(
                 spec, RHO, SIGMA, max_voxels=1000))
 
     @pytest.mark.parametrize("spacing", [0.75, 1.0, 2.0])
@@ -159,7 +160,7 @@ class TestKspaceIntegral:
         # coarser than sigma/2 the DFT route was 4.5-59% off, silently
         spec = Mesh(mesh=box_mesh(8 * SIGMA, 8 * SIGMA, 8 * SIGMA))
         with pytest.raises(SpacingTooCoarse):
-            kspace_outer_integral(spec, RHO, SIGMA, _raster=rasterize_smoothed_density(
+            kspace_outer_integral(spec, RHO, SIGMA, _spectrum=_body_spectrum(
                 spec, RHO, SIGMA, spacing=spacing * SIGMA))
 
     @pytest.mark.parametrize("density, spacing", [
@@ -169,7 +170,7 @@ class TestKspaceIntegral:
         spec = Mesh(mesh=box_mesh(8 * SIGMA, 8 * SIGMA, 8 * SIGMA))
         spacing = None if spacing is None else spacing * SIGMA
         with pytest.raises(DegenerateDimension):
-            kspace_outer_integral(spec, density, SIGMA, _raster=rasterize_smoothed_density(
+            kspace_outer_integral(spec, density, SIGMA, _spectrum=_body_spectrum(
                 spec, density, SIGMA, spacing=spacing))
 
     @pytest.mark.parametrize("density, sigma", [
@@ -577,9 +578,9 @@ def test_one_fft_per_oracle_call(monkeypatch):
     assert len(calls) == 3
     decohere(A)
     assert len(calls) == 4
-    # a standalone DFT route filters its own raster (one transform) and
-    # takes that raster's spectrum (one more)
-    for expected in (6, 8):
+    # a standalone DFT route squares the spectrum of its own filter: one
+    # transform of its fill
+    for expected in (5, 6):
         kspace_outer_integral(Mesh(mesh=box_mesh(L, L, L)), RHO, SIGMA)
         assert len(calls) == expected
 

@@ -28,7 +28,7 @@ from cslsurf.geometry import (
     quadrature,
     signed_distance,
 )
-from cslsurf.oracle.voxel import _grid_geometry, supersampled_fraction
+from cslsurf.oracle.voxel import supersampled_fraction
 
 SHAPE_SUITE = [
     Sphere(1.0),
@@ -211,14 +211,34 @@ class TestValidation:
         host(*dims, cavities=(Sphere(0.9),))
 
     def test_fill_rejects_cavity_outside_host(self):
-        # the box crosses the gap |z| < 0.025 between its probes, which
-        # all lie in material, so the body is built; the fill subtracts
-        # counts, and the box counts subsamples in gap voxels the host
-        # leaves empty
-        spec = GappedCylinder(1.0, 2.0, 1, 0.05, cavities=(Box((0.8, 0.8, 0.8)),))
-        dims, origin = _grid_geometry(spec, 0.02, 0.1)
+        # the tilted rod's rim leaves the face x = 0.57465 by 2e-4 between
+        # the ring points the check probes, so the body is built; on a
+        # lattice of spacing 1e-3 about the rim's extreme point, the rod
+        # counts subsamples past the face, more than the host has there
+        rod = Cylinder(0.5, 0.6, axis=(0.3635, 0.8643, 0.3476))
+        spec = Box((1.1493, 4.0, 4.0), cavities=(rod,))
+        a = np.asarray(rod.axis)
+        radial = np.array([1.0, 0.0, 0.0]) - a[0] * a
+        rim = 0.3 * a + 0.5 * radial / np.linalg.norm(radial)
+        assert rim[0] > 1.1493 / 2 + 1e-4
         with pytest.raises(CavityOverlap):
-            supersampled_fraction(spec, dims, origin, 0.02)
+            supersampled_fraction(spec, (8, 8, 8), rim - 0.004, 1e-3)
+
+    def test_cavity_bridging_a_gap_rejected(self):
+        # all the box's probes lie in material, but on both sides of the gap
+        # |z| < 0.025: a connected cavity lies in one solid segment
+        with pytest.raises(CavityOverlap, match="bridges a gap"):
+            GappedCylinder(1.0, 2.0, 1, 0.05, cavities=(Box((0.8, 0.8, 0.8)),))
+
+    def test_cavity_in_one_segment_is_fine(self):
+        # a sphere in the first of three segments of a tilted gapped rod
+        host = GappedCylinder(0.8, 6.0, 2, 0.3, axis=(0.3, 0.4, 0.8), center=(0.1, 0.2, 0.3))
+        seg, centers = host.segments()
+        at = np.asarray(host.center) + centers[0] * np.asarray(host.axis)
+        cavity = Sphere(0.4 * min(host.radius, seg / 2), center=tuple(at))
+        spec = GappedCylinder(0.8, 6.0, 2, 0.3, axis=host.axis, center=host.center,
+                              cavities=(cavity,))
+        assert build_shape(spec) is spec
 
 
 class TestQuadrature:

@@ -1,11 +1,14 @@
-"""One raster per body for both grid oracles.
+"""One fill and one transform per body for both grid oracles.
 
 A body takes the DFT route of the k-space integral only when it also
 takes the filtered raster (every shape with a closed-form field has a
 form factor), and that route reads the raster's power spectrum.
-``validate`` rasterizes once and hands the grid to both oracles, so a
-sampled body is filled once and transformed twice forward and once back;
-no fill outlives the call that made it.
+``validate`` makes the body's spectrum record once and hands it to both
+oracles, and ``dephasing --exact`` reads the same record.  A sampled
+body's record is the filter's own spectrum, squared where it lies, so
+the body is filled once and transformed once forward and never back,
+and its numbers are the raster's round trip to rounding; no fill
+outlives the call that made it.
 """
 
 import gc
@@ -19,7 +22,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cslsurf.cli import main
+from cslsurf.cli import _shape_from_json, main
 from cslsurf.csl import CslParams
 from cslsurf.geometry import (
     ConeCappedCylinder,
@@ -33,11 +36,11 @@ from cslsurf.geometry import shapes
 from cslsurf.oracle import (
     decoherence_function,
     gradient_outer_integral,
-    integrals,
     kspace_outer_integral,
     rasterize_smoothed_density,
     voxel,
 )
+from cslsurf.oracle.integrals import _body_spectrum, _decoherence, _gradient, _kspace_fft, _power
 from cslsurf.oracle.voxel import _SUPERSAMPLE, _grid_geometry, supersampled_fraction
 
 SIGMA = 1e-7
@@ -105,11 +108,23 @@ def test_validate_fills_once_and_holds_none_after(capsys, fills, transforms, box
     argv = ["--mesh", str(box_stl)] if body == "mesh" else ["--shape", json.dumps(SHAPES[body])]
     validate(capsys, *argv)
     assert len(fills) == 1
-    # the raster's filter and the gradient integral's spectrum, which the
-    # DFT route of the mesh and the cone reads too
-    assert sorted(transforms) == ["irfftn", "rfftn", "rfftn"]
+    # the filter's spectrum, which the gradient integral reads, and the DFT
+    # route of the mesh and the cone too
+    assert transforms == ["rfftn"]
     gc.collect()
     assert fills[0]() is None
+
+
+@pytest.mark.parametrize("shape", [
+    {"type": "sphere", "radius": 3 * SIGMA, "center": [0.1 * SIGMA, 0.0, 0.0]},
+    {"type": "box", "size": [5 * SIGMA, 4 * SIGMA, 3 * SIGMA]},
+    {"type": "cylinder", "radius": 2 * SIGMA, "length": 5 * SIGMA, "axis": [0.3, 0.2, 1.0]},
+], ids=["sphere", "box", "cylinder"])
+def test_validate_of_a_closed_form_body_is_the_gradient_of_its_raster(capsys, fills, shape):
+    results = validate(capsys, "--shape", json.dumps(shape), "--density", str(RHO))
+    assert fills == []
+    grid = rasterize_smoothed_density(_shape_from_json(shape), RHO, SIGMA)
+    assert np.array_equal(results["gradient_integral"], gradient_outer_integral(grid))
 
 
 def test_validate_spacing_reaches_the_dft_route(capsys, fills, box_stl):
@@ -118,8 +133,8 @@ def test_validate_spacing_reaches_the_dft_route(capsys, fills, box_stl):
     assert len(fills) == 1
     assert results["grid_spacing"] == h
     spec = Mesh(mesh=load_mesh(box_stl))
-    grid = rasterize_smoothed_density(spec, RHO, SIGMA, spacing=h)
-    expected = kspace_outer_integral(spec, RHO, SIGMA, _raster=grid)
+    expected = kspace_outer_integral(spec, RHO, SIGMA,
+                                     _spectrum=_body_spectrum(spec, RHO, SIGMA, spacing=h))
     assert np.array_equal(results["kspace_integral"], expected)
 
 
@@ -128,8 +143,8 @@ def test_validate_padding_reaches_the_dft_route(capsys, fills, box_stl):
     results = validate(capsys, "--mesh", str(box_stl), "--padding", f"{padding} m")
     assert len(fills) == 1
     spec = Mesh(mesh=load_mesh(box_stl))
-    grid = rasterize_smoothed_density(spec, RHO, SIGMA, padding=padding)
-    expected = kspace_outer_integral(spec, RHO, SIGMA, _raster=grid)
+    expected = kspace_outer_integral(spec, RHO, SIGMA,
+                                     _spectrum=_body_spectrum(spec, RHO, SIGMA, padding=padding))
     assert np.array_equal(results["kspace_integral"], expected)
 
 
@@ -152,31 +167,37 @@ def test_readme_composition_fills_twice_and_holds_none(fills):
     assert [ref() for ref in fills] == [None, None]
 
 
-def test_raster_before_the_kspace_integral_fills_once(fills):
+def test_spectrum_before_the_kspace_integral_fills_once(fills):
     spec = box_body()
-    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
-    K = kspace_outer_integral(spec, RHO, SIGMA, _raster=grid)
+    spectrum = _body_spectrum(spec, RHO, SIGMA)
+    K = kspace_outer_integral(spec, RHO, SIGMA, _spectrum=spectrum)
     assert len(fills) == 1
-    # the handed-over raster gives the bits of a raster of the route's own
-    del grid
+    # the handed-over record gives the bits of a record of the route's own
+    del spectrum
     assert np.array_equal(K, kspace_outer_integral(box_body(), RHO, SIGMA))
 
 
-def test_exact_dephasing_of_a_mesh_holds_no_fill_through_the_decoherence_function(
-        capsys, fills, box_stl, monkeypatch):
+def test_standalone_kspace_integral_of_a_mesh_transforms_once(fills, transforms):
+    kspace_outer_integral(box_body(), RHO, SIGMA)
+    assert len(fills) == 1
+    assert transforms == ["rfftn"]
+
+
+def test_exact_dephasing_of_a_mesh_holds_no_fill_through_the_decoherence_sum(
+        capsys, fills, transforms, box_stl, monkeypatch):
     held = []
-    power = integrals._power
 
-    def spectrum(grid):
+    def decoherence(spectrum, *args):
         held.append([ref() for ref in fills])
-        return power(grid)
+        return _decoherence(spectrum, *args)
 
-    monkeypatch.setattr(integrals, "_power", spectrum)
+    monkeypatch.setattr("cslsurf.cli._decoherence", decoherence)
     code = main(["dephasing", "--mesh", str(box_stl), "--sigma", str(SIGMA), "--density",
                  str(RHO), "--delta", f"{SIGMA} m,0,0", "--exact"])
     assert code == 0, capsys.readouterr().err
     assert len(fills) == 1
     assert held == [[None]]
+    assert transforms == ["rfftn"]
 
 
 @pytest.mark.parametrize("oracle", ["gradient", "decoherence"])
@@ -252,6 +273,27 @@ def test_dft_route_is_the_raw_indicator_parseval_sum(spec):
     K = kspace_outer_integral(spec, RHO, SIGMA)
     want = raw_indicator_parseval(spec, RHO, SIGMA)
     assert np.abs(K - want).max() <= 1e-13 * np.abs(want).max()
-    # a handed-over raster gives the bits of the route's own
+    # a handed-over record gives the bits of the route's own
+    assert np.array_equal(
+        kspace_outer_integral(spec, RHO, SIGMA, _spectrum=_body_spectrum(spec, RHO, SIGMA)), K)
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(sampled_bodies())
+def test_spectrum_route_is_the_raster_round_trip(spec):
+    # the filter's own spectrum against the rfftn of the raster it inverts to:
+    # the gradient tensor, the DFT tensor and F(delta) agree to rounding
+    def close(got, want):
+        return np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+    spectrum = _body_spectrum(spec, RHO, SIGMA)
     grid = rasterize_smoothed_density(spec, RHO, SIGMA)
-    assert np.array_equal(kspace_outer_integral(spec, RHO, SIGMA, _raster=grid), K)
+    assert spectrum.dims == grid.dims and spectrum.spacing == grid.spacing
+    assert spectrum.margin == grid.margin
+    assert close(_gradient(spectrum), gradient_outer_integral(grid))
+    assert close(_kspace_fft(spectrum), _kspace_fft(_power(grid)))
+    params = CslParams(localization_length=SIGMA)
+    for x in (0.01, 0.3, 4.0):
+        delta = [x * SIGMA, -0.5 * x * SIGMA, 0.25 * x * SIGMA]
+        assert close(_decoherence(spectrum, delta, params),
+                     decoherence_function(grid, delta, params))

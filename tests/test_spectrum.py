@@ -114,7 +114,7 @@ def test_mode_sums_match_dense_per_mode_sums(shape, seed, direction, log_magnitu
     for split in (voxel._PARALLEL_SIZE, 1):
         with mock.patch.object(voxel, "_PARALLEL_SIZE", split):
             assert close(integrals.gradient_outer_integral(grid), dense(ref.k))
-            assert close((2 * np.pi) ** 3 * integrals._outer_sum(grid, k1, g1),
+            assert close((2 * np.pi) ** 3 * integrals._outer_sum(integrals._power(grid), k1, g1),
                          dense(ref.k, gain[0] * gain[1] * gain[2]))
             assert decoherence_function(grid, delta, PARAMS) == pytest.approx(ref(delta),
                                                                              rel=1e-13)

@@ -45,6 +45,7 @@ from cslsurf.oracle import (
     smoothed_density,
     write_grid,
 )
+from cslsurf.oracle.integrals import _body_spectrum
 from cslsurf.oracle.voxel import supersampled_fraction
 
 SIGMA = 1e-7
@@ -149,7 +150,7 @@ class TestRasterize:
         lambda: rasterize_smoothed_density(Sphere(1e-6), RHO, SIGMA, padding=1e300),
         lambda: rasterize_smoothed_density(Sphere(1e-6), RHO, SIGMA, padding=1e308),
         lambda: kspace_outer_integral(Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6)), RHO, SIGMA,
-                                      _raster=rasterize_smoothed_density(
+                                      _spectrum=_body_spectrum(
                                           Mesh(mesh=box_mesh(1e-6, 1e-6, 1e-6)), RHO, SIGMA,
                                           padding=1e300)),
     ], ids=["spacing-1e-300", "padding-1e300", "padding-1e308", "kspace-mesh-padding-1e300"])
