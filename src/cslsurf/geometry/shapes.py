@@ -19,20 +19,22 @@ one rule per face.
 
 Each solid states its distance to the boundary once, as its clearance:
 exact for spheres, boxes and round solids of revolution, a lower bound
-for other elliptic cylinders, none for meshes.  The fill culls by it,
-the cavity check probes it, and :func:`signed_distance` is an exact
-clearance, negative inside.  The smoothed field reads no distance: it
-is a shape's closed form (``_smoothed_unit``) where one exists, and
-otherwise the oracles filter the supersampled indicator.
+for other elliptic cylinders, none for meshes.  The cavity check probes
+it, and :func:`signed_distance` is an exact clearance, negative inside.
+Neither the smoothed field nor the fill reads a distance: the field is a
+shape's closed form (``_smoothed_unit``) where one exists, and otherwise
+the oracles filter the supersampled indicator.
 
 Each shape class is the one place its geometry lives; the module-level
 functions here and in the oracles dispatch to its methods.  Each hook
 takes the local coordinates as broadcastable arrays (:func:`_local_axes`);
 only a mesh's ray parity stacks them into points.  The supersampled
-fill's ``_lattice`` hook takes world axes: an analytic solid classifies
-its block and voxel centers through :func:`contains` and its band's
-subsamples through ``_inside`` on broadcast axes, and a mesh counts from
-its ray crossings.
+fill's ``_lattice`` hook takes world axes and counts from the inside runs
+of each +x lattice line, the ray-parity scanline of solid voxelization
+(Schwarz & Seidel, ACM Trans. Graph. 29(6), 179 (2010)): a mesh places
+them at its ray crossings, an analytic solid at the closed-form roots of
+its comparisons along the line, and one assembly (:func:`_fill_counts`)
+adds them up.
 """
 
 import math
@@ -50,7 +52,7 @@ from ..errors import (
     ResolutionOverflow,
     UnsupportedShape,
 )
-from .mesh import TriangleMesh
+from .mesh import _CONTAINS_PAIRS, TriangleMesh
 from .patches import (
     SurfacePatches,
     _array,
@@ -299,39 +301,132 @@ def _rect_patches(axis, sign, half, n_face):
 
 
 # ---------------------------------------------------------------------------
-# the supersampled fill's lattice
+# the supersampled fill's lattice lines
 
-#: voxels per block side, the first level of an analytic solid's fill
-_BLOCK = 4
-#: band voxels whose subsamples go through one ``_inside`` call
-_BAND_CHUNK = 1024
-#: relative slack of a reach (:func:`_groups`)
-_REACH_SLACK = 1e-6
-
-
-def _groups(cells, size):
-    """Centers of the runs of ``size`` voxels along each axis of the
-    lattice ``cells`` (the last run may be shorter), and their reach: the
-    largest distance from a run's center to one of its subsamples, with a
-    relative slack of ``_REACH_SLACK`` (1e-6) for the rounding of the local
-    frame and of the clearance, some 1e-15 of the body's size, and of the
-    grid coordinates, which ``oracle.voxel._grid_geometry`` keeps below it."""
-    mids, half = [], []
-    for c in cells:
-        (n, ss), first = c.shape, np.arange(0, len(c), size)
-        flat = c.ravel()
-        mid = 0.5 * (flat[first * ss] + flat[np.minimum(first + size, n) * ss - 1])
-        mids.append(mid)
-        half.append(np.max(np.abs(flat - np.repeat(mid, size * ss)[:n * ss])))
-    return mids, math.hypot(*half) * (1.0 + _REACH_SLACK)
+#: rounding bound of a lattice line's closed forms, relative to the body's
+#: size (or its squares): some 1e6 ulps, far above the rounding of the
+#: local frame, of ``_inside`` and of the roots, and far below a subsample
+_ROUNDING = 1e-9
+#: lattice lines per chunk of an analytic solid's line fill, and samples per
+#: batch of its lines that take every sample
+_LINES = _SAMPLES = _CONTAINS_PAIRS
 
 
-def _block_voxels(blocks, dims):
-    """The voxel mask of the (nx, ny, nz) voxels ``dims`` that takes each
-    entry of the per-block mask ``blocks``, ``_BLOCK`` voxels a side."""
-    (p, q, r), b = blocks.shape, _BLOCK
-    voxels = np.broadcast_to(blocks[:, None, :, None, :, None], (p, b, q, b, r, b))
-    return voxels.reshape(p * b, q * b, r * b)[:dims[0], :dims[1], :dims[2]]
+def _fill_counts(shape, chunks):
+    """The (nx, ny, nz) uint8 counts of the subsamples inside a solid on the
+    lattice of ``shape`` ((nx, ss), ny, nz voxels), from the ``chunks`` of
+    runs (line, start, stop) that its ``_runs`` yields: the samples start
+    to stop - 1 of each line are inside, those of no run outside.
+
+    A run adds ss - a % ss at its start a to voxel a // ss and a % ss to
+    the next, and takes them off again at its stop, so the differences of
+    the ss^2 lines of a voxel column add up, plane by plane in x, to its
+    counts.  They are kept modulo 256, which the counts (0 to ss^3) never
+    reach, so no run needs a wider type, and the runs may come in any order.
+    """
+    (nx, ss), ny, nz = shape
+    plane = ny * nz
+    diff = np.zeros((nx + 2, plane), dtype=np.uint8)
+    flat = diff.reshape(-1)
+    for line, start, stop in chunks:
+        j, k = np.divmod(line, nz * ss)
+        column = (j // ss) * nz + k // ss
+        for at, sign in ((start, 1), (stop, -1)):
+            q, m = np.divmod(at, ss)
+            cell = q * plane + column
+            # add.at is fast only on values of the array's own dtype
+            np.add.at(flat, cell, (sign * (ss - m)).astype(np.uint8))
+            np.add.at(flat, cell + plane, (sign * m).astype(np.uint8))
+    for i in range(1, nx):
+        np.add(diff[i], diff[i - 1], out=diff[i])
+    return diff[:nx].reshape(nx, ny, nz)
+
+
+def _line_axes(spec, y, z):
+    """The +x lattice lines at the world ``y`` and ``z`` (broadcastable) in
+    the solid's frame: the local point at world x = center_x + s is v + s u,
+    u the frame's first row and v three arrays, each taking only the world
+    axes its frame entries do not zero (0.0 where none), as
+    :func:`_local_axes` takes them."""
+    w = (y - spec.center[1], z - spec.center[2])
+    return spec._frame[0], [sum((f * wj for f, wj in zip(spec._frame[1:, k], w) if f != 0.0),
+                                0.0) for k in range(3)]
+
+
+def _quadratic(u, v, weights):
+    """(A, B, C) of sum_k weights[k] p_k^2 = A s^2 + B s + C along p = v + s u."""
+    terms = [(c, uk, vk) for c, uk, vk in zip(weights, u, v) if c != 0.0]
+    return (sum(c * uk * uk for c, uk, _ in terms),
+            sum((2.0 * c * uk * vk for c, uk, vk in terms if uk != 0.0), 0.0),
+            sum(c * vk * vk for c, _, vk in terms))
+
+
+def _linear_band(b, c, tol):
+    """(lo, hi) of the s where |b s + c| <= tol.  Where b = 0 it is every s
+    (-inf, inf) if |c| < tol, and else none: both ends at the same
+    infinity, where no sample lies."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0, s1 = (-tol - c) / b, (tol - c) / b
+    return np.fmin(s0, s1), np.fmax(s0, s1)
+
+
+def _roots(A, B, C, disc):
+    """The real roots r1 <= r2 of A s^2 + B s + C, A > 0, of discriminant
+    ``disc``, NaN where none, in the form that loses no digits to
+    cancellation."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (B + np.copysign(np.sqrt(disc), B))
+        r1, r2 = q / A, C / q
+    return np.fmin(r1, r2), np.fmax(r1, r2)
+
+
+def _quadric_band(A, B, C, E):
+    """The s where |A s^2 + B s + C| <= E (A a number), as two windows (lo,
+    hi) about its roots, in order: NaN where empty, and the first the
+    whole band where it has no gap (a graze).  Where A = 0, the first is
+    the band of B s + C and the second empty."""
+    if A == 0.0:
+        return _linear_band(B, C, E), (np.nan, np.nan)
+    if A < 0.0:
+        A, B, C = -A, -B, -C
+    disc = B * B - 4.0 * A * C
+    o1, o2 = _roots(A, B, C - E, disc + 4.0 * A * E)
+    i1, i2 = _roots(A, B, C + E, disc - 4.0 * A * E)
+    none = np.isnan(i1)
+    return (o1, np.where(none, o2, i1)), (np.where(none, np.nan, i2), o2)
+
+
+class _LineBlock:
+    """A block of the +x lattice lines of the ascending world ``x`` samples,
+    of ``shape`` (rows, columns), whose samples first to stop - 1 lie in
+    the solid's bounding box.  ``past`` places a window (lo, hi) of the
+    local s = world x - ``center_x`` on each line: the first sample past
+    it, widened by ``tol``, and ``every`` marks the lines with a sample of
+    the box in it, which take ``_inside`` at every sample."""
+
+    def __init__(self, x, center_x, tol, first, stop, shape):
+        self.x, self.center_x, self.tol = x, center_x, tol
+        self.first, self.stop, self.shape = first, stop, shape
+        self.every = np.zeros(shape, dtype=bool)
+
+    def past(self, window, line=None):
+        """The first sample past ``window`` on each line (``stop`` where it
+        is NaN), of the lines ``line`` of the flattened block or, where
+        None, of the whole block, broadcast."""
+        lo, hi = window
+        x, c = self.x, self.center_x
+        at = np.clip(np.searchsorted(x, c + (hi + self.tol), "right"), self.first, self.stop)
+        held = (at > self.first) & (x[np.maximum(at - 1, self.first)] >= c + (lo - self.tol))
+        if line is None:
+            np.logical_or(self.every, held, out=self.every)
+        else:
+            self.every.ravel()[line] |= held
+        return at
+
+    def between(self, enter, leave, line=None):
+        """The run (start, stop) from past window ``enter`` to past window
+        ``leave``, empty where ``leave`` is NaN."""
+        return self.past(enter, line), np.where(np.isnan(leave[0]), -1, self.past(leave, line))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +473,11 @@ class _Solid:
     ``_exact`` is false (elliptic cylinders with a != b; meshes, which
     have no clearance).  ``_lattice`` counts each voxel's
     subsamples inside the bare solid on the supersampled fill's world-axis
-    lattice, culling blocks and then voxels by their clearance; ``Mesh``
-    overrides it with a count from the flips of each lattice line's ray
-    parity.  ``_corners`` are the local points no quadrature node
+    lattice from the inside runs of its +x lattice lines (``_runs``):
+    an analytic solid's ``_spans(u, v, size, block)`` places them on a
+    block of lines from the closed-form roots of its comparisons
+    (:class:`_LineBlock`), and ``Mesh`` overrides ``_runs`` with the flips
+    of each line's ray parity.  ``_corners`` are the local points no quadrature node
     reaches, which the cavity check probes too; ``_piece`` (None if
     connected) numbers a gapped rod's segments.  ``_patch_families(n)``
     takes the patch counts of a resolution (:func:`_counts`) as minima:
@@ -424,50 +521,67 @@ class _Solid:
         fill passes its cavity-free host and each cavity alone), on the
         lattice of ``xs``, ``ys`` and ``zs``: (n, ss) arrays of ascending
         world coordinates, row i holding the ss subsamples of voxel i on
-        that axis.  Returns the (nx, ny, nz) uint8 counts, 0 to ss^3.
+        that axis.  Returns the (nx, ny, nz) uint8 counts, 0 to ss^3, from
+        the inside runs of its +x lattice lines (:meth:`_runs`,
+        :func:`_fill_counts`)."""
+        return _fill_counts((xs.shape, len(ys), len(zs)),
+                            self._runs(xs.ravel(), ys.ravel(), zs.ravel()))
 
-        Three levels.  Blocks of ``_BLOCK`` voxels per axis take the
-        ``_clearance`` at their centers: a block farther from the boundary
-        than its reach (:func:`_groups`) lies on one side of it, and all
-        its voxels take :func:`contains` at its center.  The voxels of the
-        other blocks do the same at voxel level.  Only the voxels left, the
-        band, classify their subsamples, ``_BAND_CHUNK`` voxels at a time:
-        the rows xs[i], ys[j] and zs[k] of each voxel go to ``_inside`` as
-        broadcast (chunk, ss, 1, 1), (chunk, 1, ss, 1) and (chunk, 1, 1,
-        ss) axes, and no point array is gathered.  The solid has no
-        cavities, so that is what :func:`contains` computes, elementwise,
-        and every count is the one the pointwise test gives on that
-        voxel's lattice points; on a named axis a hook that reads fewer
-        than three world axes takes fewer than ss^3 values per voxel.
+    def _runs(self, x, y, z):
+        """Yield the inside runs (line, start, stop) of the +x lattice lines
+        of the ascending world axes ``x``, ``y`` and ``z``, in chunks: line
+        j * len(z) + k runs through (y[j], z[k]), and its samples x[start]
+        to x[stop - 1] are inside.
+
+        The solid's ``_spans`` places the runs from the closed-form roots of
+        its comparisons along each line (:class:`_LineBlock`), each root
+        within a window that holds its rounding (``_ROUNDING``): between
+        the windows, and past the solid's bounding box (widened by the same
+        bound), no rounding can flip a comparison, so a line with no sample
+        in a window is inside exactly where the closed forms say.  A line
+        with a sample in a window, one that lies in a face or grazes the
+        surface within the bound, takes ``_inside`` at every sample in the
+        box, at the points the pointwise test would see.  The lines go
+        ``_LINES`` at a time, and those that take every sample in batches
+        of about ``_SAMPLES`` samples.
         """
-        cells = (xs, ys, zs)
-        dims, ss = tuple(len(c) for c in cells), xs.shape[1]
-        (bx, by, bz), reach = _groups(cells, _BLOCK)
-        clearance = self._clearance(*_local_axes(self, bx[:, None, None], by[None, :, None],
-                                                 bz[None, None, :]))
-        near = np.broadcast_to(~(clearance > reach), (len(bx), len(by), len(bz)))
-        block_side = np.zeros(near.shape, dtype=bool)
-        far = np.nonzero(~near)
-        block_side[far] = contains(self, np.stack([bx[far[0]], by[far[1]], bz[far[2]]], axis=1))
-        count = _block_voxels(block_side, dims) * np.uint8(ss**3)
-        # the voxels of the near blocks, at voxel level
-        voxels = np.flatnonzero(_block_voxels(near, dims))
-        (vx, vy, vz), reach = _groups(cells, 1)
-        i, j, k = np.unravel_index(voxels, dims)
-        x, y, z = vx[i], vy[j], vz[k]
-        far = self._clearance(*_local_axes(self, x, y, z)) > reach
-        inside = contains(self, np.stack([x[far], y[far], z[far]], axis=1))
-        count.reshape(-1)[voxels[far]] = inside * np.uint8(ss**3)
-        # the band's subsamples, on the broadcast axes of each voxel
-        band = voxels[~far]
-        i, j, k = np.unravel_index(band, dims)
-        for lo in range(0, len(band), _BAND_CHUNK):
-            sl = slice(lo, lo + _BAND_CHUNK)
-            inside = self._inside(*_local_axes(self, xs[i[sl], :, None, None],
-                                               ys[j[sl], None, :, None],
-                                               zs[k[sl], None, None, :]))
-            count.reshape(-1)[band[sl]] = np.count_nonzero(inside, axis=(1, 2, 3))
-        return count
+        lo, hi = bounding_box(self)
+        size = float(np.linalg.norm(hi - lo))
+        tol = _ROUNDING * size + 8.0 * np.finfo(float).eps * float(np.max(np.abs(self.center)))
+        # the samples, rows and columns in the box, widened by tol
+        (r0, j0, k0), (r1, j1, k1) = (
+            [np.searchsorted(w, b, side) for w, b in zip((x, y, z), bound)]
+            for bound, side in ((lo - tol, "left"), (hi + tol, "right")))
+        if r0 == r1 or k0 == k1:
+            return
+        zs, rows = z[k0:k1], max(1, _LINES // (k1 - k0))
+        for j in range(j0, j1, rows):
+            ys = y[j:j + rows][:j1 - j]
+            block = _LineBlock(x, self.center[0], tol, r0, r1, (len(ys), len(zs)))
+            runs = self._spans(*_line_axes(self, ys[:, None], zs[None, :]), size, block)
+            every = block.every.ravel()
+            for line, start, stop in runs:
+                if line is None:
+                    start, stop = (np.broadcast_to(a, block.shape).ravel() for a in (start, stop))
+                    line = np.arange(len(every))
+                keep = (start < stop) & ~every[line]
+                row, col = np.divmod(line[keep], len(zs))
+                yield (j + row) * len(z) + k0 + col, start[keep], stop[keep]
+            # the lines that take every sample in the box
+            samples = np.arange(r0, r1 + 1)
+            row, col = np.nonzero(block.every)
+            batch = max(1, _SAMPLES // len(samples))
+            for first in range(0, len(row), batch):
+                rs, cs = row[first:first + batch], col[first:first + batch]
+                # a run starts where the class turns inside and stops where
+                # it turns outside, at the latest past the box
+                change = np.zeros((len(rs), len(samples)), dtype=bool)
+                change[:, :-1] = self._inside(*_local_axes(self, x[samples[:-1]], ys[rs, None],
+                                                           zs[cs, None]))
+                change[:, 1:] ^= change[:, :-1].copy()
+                run, k = np.nonzero(change)
+                run = run[::2]
+                yield (j + rs[run]) * len(z) + k0 + cs[run], samples[k[::2]], samples[k[1::2]]
 
     def _bounds(self):
         """(min, max) corners about the center, in world axes."""
@@ -479,8 +593,8 @@ class _Revolved(_Solid):
     """A solid of revolution, defined by ``_profiles()`` alone: one (r, z)
     polyline per connected piece, from the axis back to the axis, z
     non-decreasing, the material on its left.  ``_stretch`` (a, b) maps
-    x -> a x and y -> b y.  Patches, inside test, bounds, mass properties
-    and clearance all come from the polylines.
+    x -> a x and y -> b y.  Patches, inside test, bounds, mass properties,
+    clearance and the fill's runs all come from the polylines.
     """
 
     _stretch = (1.0, 1.0)
@@ -509,6 +623,64 @@ class _Revolved(_Solid):
                 rz2 = rz * rz
             np.maximum(limit, rz2, out=limit, where=(z >= z0) & (z <= z1))
         return r2 <= limit
+
+    def _spans(self, u, v, size, block):
+        # the roots of r^2 - r(z)^2 along each line, r(z) = e + f s on a wall
+        a, b = self._stretch
+        A0, B0, C0 = _quadratic(u, v, (1.0 / (a * a), 1.0 / (b * b), 0.0))
+        tol = _ROUNDING * size
+        walls = [(r0, z0, (r1 - r0) / (z1 - z0), z1)
+                 for r0, z0, r1, z1 in _segments(self._profiles()) if z0 != z1]
+        # bounds on r^2 and r(z) in the bounding box, which rounding scales
+        rzmax = max(abs(r0) + abs(k) * (size + abs(z0)) for r0, z0, k, _ in walls)
+        E = _ROUNDING * ((size / min(a, b)) ** 2 + rzmax * rzmax)
+        if u[2] == 0.0:
+            # the line keeps its local z: inside between the roots of r^2 -
+            # r(z)^2 for the largest r(z)^2 of the walls that hold z, as
+            # _inside takes it; a line within rounding of a wall's end
+            # takes every sample
+            limit, seam = np.full(np.shape(v[2]), -np.inf), False
+            for r0, z0, k, z1 in walls:
+                rz = r0 + (v[2] - z0) * k
+                np.maximum(limit, rz * rz, out=limit, where=(v[2] >= z0) & (v[2] <= z1))
+                seam |= (np.abs(v[2] - z0) <= tol) | (np.abs(v[2] - z1) <= tol)
+            whole = np.where(seam, np.inf, np.nan)
+            block.past((-whole, whole))
+            return [(None, *block.between(*_quadric_band(A0, B0, C0 - limit, E)))]
+        # a tilted line: those that meet the circumscribed cylinder take each
+        # wall's runs of r^2 <= r(z)^2 within the wall's z range
+        rmax2 = max(max(r0, r0 + k * (z1 - z0)) ** 2 for r0, z0, k, z1 in walls) + E
+        near = (B0 * B0 - 4.0 * A0 * (C0 - rmax2) >= 0.0) if A0 > 0.0 else C0 <= rmax2
+        line = np.flatnonzero(np.broadcast_to(near, block.shape))
+        B0, C0, vz = (np.broadcast_to(w, block.shape).ravel()[line] for w in (B0, C0, v[2]))
+        runs, first, stop = [], block.first, block.stop
+        # the first sample past each wall's end planes, shared by the next wall
+        ends = {end: block.past(_linear_band(u[2], vz - end, tol), line)
+                for wall in walls for end in wall[1::2]}
+        for r0, z0, k, z1 in walls:
+            lo, hi = np.minimum(ends[z0], ends[z1]), np.maximum(ends[z0], ends[z1])
+            # only the lines with a sample in the wall's z range
+            held = np.flatnonzero(lo < hi)
+            lo, hi, wall = lo[held], hi[held], line[held]
+            e, f = r0 + (vz[held] - z0) * k, u[2] * k
+            A, B, C = A0 - f * f, B0[held] - 2.0 * e * f, C0[held] - e * e
+            enter, leave = _quadric_band(A, B, C, E)
+            if A > 0.0:
+                # inside between the roots
+                radial = [block.between(enter, leave, wall)]
+            elif A < 0.0:
+                # inside outside the roots, and everywhere where there are none
+                p1, p2 = block.past(enter, wall), block.past(leave, wall)
+                roots = ~np.isnan(enter[0])
+                p2 = np.where(np.isnan(leave[0]), p1, p2)
+                radial = [(first, np.where(roots, p1, stop)), (np.where(roots, p2, stop), stop)]
+            else:
+                # B s + C <= 0: before or past its root, or everywhere or nowhere
+                p1 = block.past(enter, wall)
+                radial = [(np.where(B < 0.0, p1, first),
+                           np.where(B > 0.0, p1, np.where((B == 0.0) & (C > 0.0), -1, stop)))]
+            runs += [(wall, np.maximum(s, lo), np.minimum(t, hi)) for s, t in radial]
+        return runs
 
     @property
     def _exact(self):
@@ -652,6 +824,13 @@ class Sphere(_Solid):
     def _inside(self, x, y, z):
         return _norm(x, y, z) <= self.radius
 
+    def _spans(self, u, v, size, block):
+        # inside between the roots of |p|^2 - R^2
+        R = self.radius
+        A, B, C = _quadratic(u, v, (1.0, 1.0, 1.0))
+        return [(None, *block.between(*_quadric_band(A, B, C - R * R,
+                                                     _ROUNDING * (size * size + R * R))))]
+
     def _clearance(self, x, y, z):
         return np.abs(_norm(x, y, z) - self.radius)
 
@@ -717,6 +896,18 @@ class Box(_Solid):
     def _inside(self, x, y, z):
         hx, hy, hz = np.asarray(self.size) / 2.0
         return (np.abs(x) <= hx) & (np.abs(y) <= hy) & (np.abs(z) <= hz)
+
+    def _spans(self, u, v, size, block):
+        # the frame is the world's: a line in the box's y and z range is
+        # inside from x = -a/2 to a/2, and one within rounding of a y or z
+        # face takes every sample
+        tol, (hx, hy, hz) = _ROUNDING * size, np.asarray(self.size) / 2.0
+        for i, h in ((1, hy), (2, hz)):
+            for sign in (-1.0, 1.0):
+                block.past(_linear_band(u[i], v[i] - sign * h, tol))
+        start, stop = (block.past(_linear_band(u[0], v[0] - sign * hx, tol))
+                       for sign in (-1.0, 1.0))
+        return [(None, start, np.where((np.abs(v[1]) <= hy) & (np.abs(v[2]) <= hz), stop, -1))]
 
     def _clearance(self, x, y, z):
         # the distance outside the box, or the depth inside it
@@ -869,29 +1060,15 @@ class Mesh(_Solid):
         p = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
         return self.mesh.contains(p.reshape(-1, 3)).reshape(p.shape[:-1])
 
-    def _lattice(self, xs, ys, zs):
-        # a lattice line is inside between the flips of its ray parity
-        # (TriangleMesh._flips): a line with an odd number of flips starts
-        # inside, and a flip enters or leaves by the parity of its rank in
-        # its line.  A flip at sample a adds +-(ss - a % ss) to voxel a // ss
-        # and +-(a % ss) to the next; the ss^2 lines of a voxel column share
-        # its row of differences, so one cumsum along x gives the counts
-        (nx, ss), ny, nz = xs.shape, len(ys), len(zs)
-        line, at = self.mesh._flips(*(a.ravel() for a in _local_axes(self, xs, ys, zs)))
+    def _runs(self, x, y, z):
+        # the flips of each lattice line's ray parity (TriangleMesh._flips),
+        # sorted: a line with an odd number of flips starts inside, so its
+        # runs are its flips in pairs after a flip at 0
+        line, at = self.mesh._flips(*_local_axes(self, x, y, z))
         first = np.flatnonzero(np.diff(line, prepend=-1))
-        run = np.diff(first, append=len(line))
-        rank = np.arange(len(line)) - np.repeat(first, run)
-        step = np.where((rank + np.repeat(run, run)) % 2 == 0, 1, -1)
-        j, k = np.divmod(line, nz * ss)
-        column, plane = (j // ss) * nz + k // ss, ny * nz
-        q, m = np.divmod(at, ss)
-        diff = np.zeros((nx + 2) * plane, dtype=np.int16)
-        # add.at is fast only on values of the array's own dtype
-        np.add.at(diff, q * plane + column, (step * (ss - m)).astype(np.int16))
-        np.add.at(diff, (q + 1) * plane + column, (step * m).astype(np.int16))
-        np.add.at(diff, column[first[run % 2 == 1]], np.int16(ss))
-        count = np.cumsum(diff.reshape(nx + 2, plane)[:nx], axis=0, dtype=np.int16)
-        return count.astype(np.uint8).reshape(nx, ny, nz)
+        odd = first[np.diff(first, append=len(line)) % 2 == 1]
+        line, at = np.insert(line, odd, line[odd]), np.insert(at, odd, 0)
+        yield line[::2], at[::2], at[1::2]
 
     def _bounds(self):
         return self.mesh.bounding_box()

@@ -46,38 +46,44 @@ The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
 (0..64), never from a mask of the lattice or of its rows.  The host
 and each cavity count their subsamples in each voxel through their
-``_lattice`` hook.  An analytic solid works in three levels.  Blocks of
-4 voxels a side take the solid's clearance, a lower bound on the
-distance to the boundary, at their centers; a block whose clearance
-exceeds its reach, the largest distance from its center to one of its
-subsamples (with a relative slack of 1e-6), cannot be cut by the
-boundary, and all its voxels take ``contains`` at its center.  The
-voxels of the other blocks do the same with their own reach (3/8 sqrt 3
-spacings).  Only the voxels left, the band, classify their 64
-subsamples in fixed-size chunks: each voxel's rows of the same axis
-arrays go to the solid's inside test as broadcast axes, which is what
-``contains`` computes on the gathered points, so each is the lattice
-point the pointwise test would see and the counts are exactly its
-counts.  A mesh counts from the crossings of one +x ray per (y, z)
-subsample line with the faces whose yz shadow, widened by a relative
-slack, holds the line at its row, taken in bounded chunks of face/row
-and face/line pairs.  A line is inside past each sample that an
-odd number of its crossings lie beyond, so its inside runs change only
-at its flips, the samples where an odd number of crossings fall; each
-flip adds its signed share of subsamples to its voxel and the next,
-and one cumulative sum along x turns the shares of a voxel column's
-ss^2 lines into its counts, with no pass over the subsamples.  Each
-edge is evaluated from one fixed end, so the faces sharing it see
-exactly opposite values, and a line exactly on an edge or a vertex is
-counted as if moved by an infinitesimal step toward +y (then +z), a
-top-left rule: it crosses the surface there once, as a line beside it
-would.  Each cavity's counts are subtracted from the host's, as every
-other path subtracts cavities; a body's cavities are checked inside it
-and apart as it is built, so the difference is the pointwise count of
-host and no cavity.  A cavity that counts more subsamples in a voxel
-than the host has left there (it leaves between the check's probes)
-raises ``CavityOverlap``.  The lattice is the same for every shape, so the
-fraction is always a count over 64.
+``_lattice`` hook, from the inside runs of each +x subsample line, the
+ray-parity scanline of solid voxelization.  A mesh places them at the
+crossings of one +x ray per (y, z) subsample line with the faces whose
+yz shadow, widened by a relative slack, holds the line at its row,
+taken in bounded chunks of face/row and face/line pairs: a line is
+inside past each sample that an odd number of its crossings lie beyond,
+so its runs change only at its flips, the samples where an odd number
+of crossings fall.  Each edge is evaluated from one fixed end, so the
+faces sharing it see exactly opposite values, and a line exactly on an
+edge or a vertex is counted as if moved by an infinitesimal step toward
++y (then +z), a top-left rule: it crosses the surface there once, as a
+line beside it would.  An analytic solid places them at the closed-form
+roots of its comparisons along the line (a sphere's |p|^2 = R^2, a
+box's faces, a wall's r^2 = r(z)^2 and its ends), each within a window
+that holds its rounding: 1e-9 of the body's size, or its square.  No
+rounding can flip a comparison between the windows, so a line with no
+subsample in one is inside exactly where the closed forms say; on a
+named axis their terms take one value per lattice row or column.  A
+line with a subsample in a window, one that lies in a face or grazes
+the surface, takes the solid's inside test at each subsample, on the
+broadcast axes of its row and column, which is what ``contains``
+computes on the gathered points, so the counts are exactly the pointwise
+ones.  Against the three-level cull this replaced (blocks and voxels
+culled by the solid's clearance, then the 64 subsamples of each voxel
+of the band), the elliptic and cone-capped cylinders of the
+``validate_sampled`` benchmark fill bit for bit in 0.35 and 0.46 of
+the time (2.2 and 5.0 ms against 6.4 and 12.4 ms, median of 11
+interleaved fills, 2 cores).
+Each run adds its share of subsamples to the voxel where it
+starts and takes it off where it stops, and one pass over the x-planes
+turns the shares of a voxel column's ss^2 lines into its counts, with
+no pass over the subsamples.  Each cavity's counts are subtracted from
+the host's, as every other path subtracts cavities; a body's cavities
+are checked inside it and apart as it is built, so the difference is
+the pointwise count of host and no cavity.  A cavity that counts more
+subsamples in a voxel than the host has left there (it leaves between
+the check's probes) raises ``CavityOverlap``.  The lattice is the same
+for every shape, so the fraction is always a count over 64.
 """
 
 import math
@@ -101,7 +107,6 @@ from ..errors import (
 )
 from ..geometry.patches import _array, _scalar
 from ..geometry.shapes import (
-    _REACH_SLACK,
     _local_axes,
     _point_axes,
     bounding_box,
@@ -316,6 +321,12 @@ def _grid_lengths(density, sigma, spacing=None, padding=None):
     return density, sigma, spacing, padding
 
 
+#: the largest rounding of a grid coordinate that :func:`_grid_geometry`
+#: lets pass, relative to the distance from a voxel's center to its
+#: corner subsamples
+_REACH_SLACK = 1e-6
+
+
 def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     """Dims and origin of the grid over the bounding box plus ``padding``
     on every side; axis sizes are rounded up to FFT-friendly lengths.
@@ -323,13 +334,13 @@ def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
     ``max_voxels`` must be a positive integer, an integral float included
     (:class:`ConfigError`).  A
     grid past it raises :class:`GridTooLarge`, and so does one axis past
-    it on its own, before its length is rounded.  The fill keeps a
-    relative slack of 1e-6 on a voxel's reach, (3/8) sqrt(3) spacings,
-    for rounding; a coordinate X rounds by at most eps |X| (eps = 2^-52),
-    so a grid whose largest |coordinate| passes 1e-6 (3/8) sqrt(3) / eps,
-    about 2.9e9 spacings (146 m at 50 nm), raises
+    it on its own, before its length is rounded.  A coordinate X rounds
+    by at most eps |X| (eps = 2^-52), so a grid whose largest
+    |coordinate| passes ``_REACH_SLACK`` (1e-6) of the distance from a
+    voxel's center to its corner subsamples, (3/8) sqrt(3) spacings, over
+    eps, about 2.9e9 spacings (146 m at 50 nm), raises
     :class:`DegenerateDimension`: its coordinates no longer resolve the
-    subsample lattice.
+    subsample lattice to that share of a voxel.
     """
     max_voxels = _scalar("max_voxels", max_voxels, 1, integer=True, error=ConfigError)
     lo, hi = bounding_box(spec)
@@ -348,12 +359,12 @@ def _grid_geometry(spec, spacing, padding, max_voxels=DEFAULT_MAX_VOXELS):
         raise GridTooLarge(f"{tuple(dims)} = {n_total} voxels exceed cap {max_voxels}")
     origin = np.array(origin)
     far = np.max(np.abs([origin, origin + (np.array(dims) - 1) * spacing]))
-    reach = math.sqrt(3.0) * (_SUPERSAMPLE - 1) / (2 * _SUPERSAMPLE) * spacing
-    limit = _REACH_SLACK * reach / np.finfo(float).eps
+    corner = math.sqrt(3.0) * (_SUPERSAMPLE - 1) / (2 * _SUPERSAMPLE) * spacing
+    limit = _REACH_SLACK * corner / np.finfo(float).eps
     if not far <= limit:
         raise DegenerateDimension(
             f"the grid reaches {far:.3g} from the origin, past {limit:.3g}, where its "
-            f"coordinates round by more than the fill's reach slack at spacing {spacing:.3g}")
+            f"coordinates no longer resolve the subsample lattice at spacing {spacing:.3g}")
     return tuple(dims), origin
 
 
@@ -428,8 +439,8 @@ def supersampled_fraction(spec, dims, origin, spacing):
 
     The host solid (without its cavities, built once per fill) and each
     cavity count their subsamples in each voxel through their ``_lattice``
-    hook (blocks, then voxels, then the band's subsamples for analytic
-    solids; the flips of each line's ray parity for meshes), and each
+    hook (the inside runs of each +x subsample line: at the closed-form
+    roots of an analytic solid, at the ray crossings of a mesh), and each
     cavity's counts are subtracted from the host's, as mass and form
     factor subtract them.  A cavity whose count in some voxel exceeds
     what is left of the host's there leaves its host or meets another

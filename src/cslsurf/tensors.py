@@ -13,6 +13,7 @@ Both reduce to weighted sums over a :class:`SurfacePatches` quadrature.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -24,11 +25,19 @@ PSD_CLAMP_REL = 1e-10
 DEGENERATE_REL = 1e-10
 
 
+def _outer_sum(w, v):
+    """sum_p w_p v_p o v_p, symmetric.  Each entry is one sum over a
+    contiguous array, which numpy adds pairwise, so its rounding grows with
+    the log of the patch count, not with the count."""
+    t = np.empty((3, 3))
+    for i, j in combinations_with_replacement(range(3), 2):
+        t[i, j] = t[j, i] = np.sum(w * v[:, i] * v[:, j])
+    return t
+
+
 def surface_tensor(patches: SurfacePatches) -> np.ndarray:
     """Integral of n o n dS over the boundary; symmetric PSD, trace = area."""
-    n, w = patches.normals, patches.weights
-    t = np.einsum("p,pi,pj->ij", w, n, n)
-    return 0.5 * (t + t.T)
+    return _outer_sum(patches.weights, patches.normals)
 
 
 def rotational_surface_tensor(patches: SurfacePatches, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -39,9 +48,7 @@ def rotational_surface_tensor(patches: SurfacePatches, origin=(0.0, 0.0, 0.0)) -
     callers may want to probe), and other origins raise DegenerateDimension.
     """
     r = patches.points - _array("origin", origin, (3,))
-    rxn = np.cross(r, patches.normals)
-    t = np.einsum("p,pi,pj->ij", patches.weights, rxn, rxn)
-    return 0.5 * (t + t.T)
+    return _outer_sum(patches.weights, np.cross(r, patches.normals))
 
 
 def axial_rotational_strength(patches: SurfacePatches, origin, axis) -> float:

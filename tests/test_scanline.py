@@ -1,5 +1,5 @@
 """Scanline solid voxelization of meshes against the per-point parity test,
-and the block-culled fill of analytic solids against the same pointwise test."""
+and the line fill of analytic solids against the same pointwise test."""
 
 import math
 import tracemalloc
@@ -17,6 +17,7 @@ from cslsurf.geometry import shapes
 from cslsurf.geometry import (
     Box,
     ConeCappedCylinder,
+    Cylinder,
     EllipticCylinder,
     GappedCylinder,
     Mesh,
@@ -114,9 +115,10 @@ def test_scanline_fraction_with_cavities_matches_pointwise(spec):
 
 @MIXED_BODIES
 def test_culled_fill_with_mixed_cavities_matches_pointwise(spec):
-    # each body across several culling blocks, with more than a block of padding
+    # each body with 5 spacings of padding, so many lines of the lattice
+    # miss it, at the spacing that puts about 16 voxels across it
     spacing = 0.5
-    dims, origin = _grid_geometry(spec, spacing, (shapes._BLOCK + 1) * spacing)
+    dims, origin = _grid_geometry(spec, spacing, 5 * spacing)
     got = supersampled_fraction(spec, dims, origin, spacing)
     assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
 
@@ -253,8 +255,24 @@ def profiled_or_hollow(draw):
 @example(spec=ConeCappedCylinder(2.0, 3.0, math.pi / 2, axis="y"), shift=(0.5, 0.5, 0.5))
 @example(spec=GappedCylinder(2.0, 6.0, 2, 0.5, axis="z"), shift=(0.0, 0.0, 0.0))
 @example(spec=Sphere(3.0, cavities=(Sphere(1.0),)), shift=(0.0, 0.0, 0.0))
+# lines that graze the surface, at spacing 1/4 and subsamples on odd
+# multiples of 1/32: the elliptic wall y = 47/32 is tangent to a row of
+# lines, at a sample; so is the round wall of this cylinder on the tilted
+# axis (1, 0, 1), to the rows y = +-47/32; the axis of this cone is a
+# lattice line through both apexes; the lines of this cone's rows
+# z = 1/32 +- 2 pass through an apex, at a sample; and the line z = 49/32
+# of this sphere's row y = 1/32 touches its pole, at a sample
+@example(spec=EllipticCylinder(2.0, 47 / 32, 4.0, axis="z", center=(1 / 32, 0.0, 0.0)),
+         shift=(0.0, 0.0, 0.0))
+@example(spec=Cylinder(47 / 32, 2.0, axis=(1.0, 0.0, 1.0)), shift=(0.0, 0.0, 0.0))
+@example(spec=ConeCappedCylinder(1.0, 2.0, math.pi / 2, axis="x", center=(0.0, 1 / 32, 1 / 32)),
+         shift=(0.0, 0.0, 0.0))
+@example(spec=ConeCappedCylinder(1.0, 2.0, math.pi / 2, axis="z", center=(1 / 32,) * 3),
+         shift=(0.0, 0.0, 0.0))
+@example(spec=Sphere(1.5, center=(1 / 32,) * 3), shift=(0.0, 0.0, 0.0))
 def test_band_fill_matches_pointwise(spec, shift):
-    # the band classifies on broadcast axes, the pointwise test on points:
+    # the line fill places runs by closed forms and takes _inside on the
+    # broadcast axes of its rows and columns, the pointwise test on points:
     # on a named axis r^2 and r(z) take fewer values than the points, on a
     # tilted one every local coordinate is a sum over the three world axes
     lo, hi = bounding_box(spec)
@@ -293,16 +311,16 @@ def culled_bodies(draw):
 @SCANLINE_SETTINGS
 @given(spec=culled_bodies(), voxels=st.sampled_from([2, 8, 16]),
        shift=st.tuples(*[st.floats(0.0, 1.0)] * 3))
-# a body inside one block
+# a body about two voxels across
 @example(spec=Sphere(1.0, center=(0.1, 0.2, 0.3)), voxels=2, shift=(0.0, 0.0, 0.0))
-# the faces x, y, z = -3.75 and 4.25 of this box lie on block faces
+# the faces x, y, z = -3.75 and 4.25 of this box lie on voxel faces
 @example(spec=Box((8.0,) * 3, center=(0.25,) * 3), voxels=16, shift=(1.0, 1.0, 1.0))
 def test_block_culled_fill_matches_pointwise(spec, voxels, shift):
-    # about ``voxels`` voxels across the body and more than a block of
-    # padding, so whole blocks are culled on both sides of the boundary
+    # about ``voxels`` voxels across the body and 5 spacings of padding, so
+    # many lines of the lattice miss it and many lines cross it
     lo, hi = bounding_box(spec)
     spacing = 2.0 ** math.floor(math.log2((hi - lo).max() / voxels))
-    dims, origin = _grid_geometry(spec, spacing, (shapes._BLOCK + 1) * spacing)
+    dims, origin = _grid_geometry(spec, spacing, 5 * spacing)
     origin = (np.round(origin / spacing) + np.asarray(shift)) * spacing
     got = supersampled_fraction(spec, dims, origin, spacing)
     assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
@@ -322,43 +340,44 @@ def test_clearance_is_a_lower_bound(spec, seed):
     assert np.all(clearance <= nearest + 1e-12 * np.max(hi - lo))
 
 
-def test_band_keeps_uniform_voxels_out_of_contains(monkeypatch):
-    # a sphere 40 sigma across, 80 voxels: only voxels within the reach of its
-    # surface classify their 64 subsamples, the others their center.  Block
-    # and voxel centers reach _inside through contains, the band's
-    # subsamples directly, as broadcast axes: count the points they span
+def test_line_fill_takes_no_clearance(monkeypatch):
+    # a sphere 40 sigma across, 80 voxels: the line fill places each line's
+    # runs by the roots of its closed form, and reads no distance
     spec = Sphere(20 * SIGMA)
     dims, origin = _grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
-    inside, classified = Sphere._inside, []
+
+    def no_clearance(solid, x, y, z):
+        raise AssertionError("Sphere._clearance called by the fill")
+
+    monkeypatch.setattr(Sphere, "_clearance", no_clearance)
+    frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
+    volume = frac.sum() * (SIGMA / 2) ** 3
+    assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3
+
+
+@pytest.mark.parametrize("spec", [Sphere(20 * SIGMA),
+                                  EllipticCylinder(20 * SIGMA, 12 * SIGMA, 30 * SIGMA,
+                                                   axis=(1.0, 2.0, 3.0))],
+                         ids=["sphere", "tilted-elliptic"])
+def test_line_fill_classifies_few_samples_per_line(monkeypatch, spec):
+    # the same sphere, and an elliptic cylinder on a tilted axis: _inside
+    # classifies only the samples of a line with a sample within the
+    # rounding bound of the surface, which lies in a face or grazes it;
+    # few lines do (none of these), so at most a few per crossing line
+    dims, origin = _grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
+    inside, classified = type(spec)._inside, []
 
     def counting(solid, x, y, z):
         classified.append(np.broadcast(x, y, z).size)
         return inside(solid, x, y, z)
 
-    monkeypatch.setattr(Sphere, "_inside", counting)
+    monkeypatch.setattr(type(spec), "_inside", counting)
     frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
-    lattice = math.prod(dims) * _SUPERSAMPLE**3
-    assert 0.01 * lattice <= sum(classified) <= 0.1 * lattice
+    crossing = _SUPERSAMPLE**2 * np.count_nonzero(frac.any(axis=0))
+    assert sum(classified) <= 4 * crossing
+    # the sampled volume, to the aliasing of a tilted flat face
     volume = frac.sum() * (SIGMA / 2) ** 3
-    assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3
-
-
-def test_blocks_keep_most_voxels_out_of_clearance(monkeypatch):
-    # the same sphere: a voxel's center takes a clearance only in a block
-    # within the block reach of the surface
-    spec = Sphere(20 * SIGMA)
-    dims, origin = _grid_geometry(spec, SIGMA / 2, 6 * SIGMA)
-    clearance, measured = Sphere._clearance, []
-
-    def counting(solid, x, y, z):
-        measured.append(np.broadcast(x, y, z).size)
-        return clearance(solid, x, y, z)
-
-    monkeypatch.setattr(Sphere, "_clearance", counting)
-    frac = supersampled_fraction(spec, dims, origin, SIGMA / 2)
-    assert 0 < sum(measured) <= 0.3 * math.prod(dims)
-    volume = frac.sum() * (SIGMA / 2) ** 3
-    assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 1e-3
+    assert abs(volume / mass_properties(spec, 1.0).volume - 1) < 3e-3
 
 
 def test_lattice_parity_past_a_byte_of_crossings():
@@ -437,6 +456,27 @@ def test_mesh_counts_match_pointwise_under_rigid_motion(kind, sides, quat, cente
         got = spec._lattice(*cells)
     assert got.dtype == np.uint8
     assert np.array_equal(got, pointwise_counts(spec, *cells))
+
+
+@pytest.mark.parametrize("spec", [Box((16.0, 16.0, 16.0)),
+                                  EllipticCylinder(8.0, 6.0, 16.0, axis=(1.0, 2.0, 3.0))],
+                         ids=["box", "tilted-elliptic"])
+def test_analytic_fill_memory_bounded_for_a_fine_lattice(spec):
+    # the mesh test's lattice: 75^3 voxels and 90,000 lattice lines for the
+    # box, and 96 x 108 x 120 voxels and 207,360 lines for the tilted
+    # cylinder; they go in chunks of lines, so the temporaries stay bounded
+    cells = lattice_cells(*_grid_geometry(spec, 0.25, 1.0), 0.25)
+    tracemalloc.start()
+    try:
+        count = spec._lattice(*cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    volume = mass_properties(spec, 1.0).volume
+    assert abs(int(count.sum()) * (0.25 / _SUPERSAMPLE) ** 3 / volume - 1) < 3e-3
+    if isinstance(spec, Box):
+        assert count.shape == (75, 75, 75) and int(count.sum()) == 64**4
 
 
 def test_mesh_fill_memory_bounded_for_a_fine_lattice():

@@ -174,7 +174,8 @@ class TestRasterize:
     def test_grid_far_from_the_origin_is_degenerate(self, build):
         # at 1e9 m the sphere's grid mass was 0.2% low, at 1e12 m the box
         # mesh's 46% high; past 2.9e9 spacings (146 m at sigma / 2) the
-        # coordinates round by more than the fill's reach slack
+        # coordinates round by more than 1e-6 of the distance from a voxel's
+        # center to its corner subsamples
         with pytest.raises(DegenerateDimension, match="from the origin"):
             build()
 
