@@ -200,6 +200,23 @@ def _slab_moments(length, sigma, centers=(0.0,)):
     return n * z0 + 4.0 * math.pi * pairs0, n * z2 + 2.0 * pairs2
 
 
+def _ball_gain(x):
+    """B(x) = 1 + e^(-x^2) - 2 (1 - e^(-x^2)) / x^2, the k-space tensor of
+    a ball of radius x sigma over its surface formula: 1 - 2 / x^2 for a
+    large ball, x^4 / 6 for a small one.  From x = 1 on it is taken in that
+    closed form.  Below x = 1, where the closed form cancels (it is 1e-8
+    off at x = 0.01 and 0 at 1e-4), it is the series sum_{n >= 2} (-1)^n
+    (n - 1) x^(2n) / (n + 1)! up to n = 20, whose first dropped term is
+    below 1e-18 of B."""
+    t = x * x
+    if x >= 1.0:
+        return 1.0 + math.exp(-t) + 2.0 * math.expm1(-t) / t
+    b = 0.0
+    for n in range(20, 1, -1):
+        b = b * -t + (n - 1) / math.factorial(n + 1)
+    return b * t * t
+
+
 # ---------------------------------------------------------------------------
 # (r, z) profiles of solids of revolution, in the local frame
 
@@ -342,17 +359,6 @@ def _fill_counts(shape, chunks):
     return diff[:nx].reshape(nx, ny, nz)
 
 
-def _line_axes(spec, y, z):
-    """The +x lattice lines at the world ``y`` and ``z`` (broadcastable) in
-    the solid's frame: the local point at world x = center_x + s is v + s u,
-    u the frame's first row and v three arrays, each taking only the world
-    axes its frame entries do not zero (0.0 where none), as
-    :func:`_local_axes` takes them."""
-    w = (y - spec.center[1], z - spec.center[2])
-    return spec._frame[0], [sum((f * wj for f, wj in zip(spec._frame[1:, k], w) if f != 0.0),
-                                0.0) for k in range(3)]
-
-
 def _quadratic(u, v, weights):
     """(A, B, C) of sum_k weights[k] p_k^2 = A s^2 + B s + C along p = v + s u."""
     terms = [(c, uk, vk) for c, uk, vk in zip(weights, u, v) if c != 0.0]
@@ -441,9 +447,12 @@ class _Solid:
     (:func:`_check_cavities`), so every shape that exists is valid.
 
     Methods see the bare solid (cavities are composed by the module-level
-    functions) and its local coordinates as broadcastable arrays ``x, y,
-    z``: center at the origin, axis along +z.  ``_frame``, local to world
-    axes, is built once with the solid (``_axis_frame``) and read-only.
+    functions; the fill hands its hooks the body as built, since none but
+    ``_kspace_local`` reads ``cavities``) and its local coordinates as
+    broadcastable arrays ``x, y, z``, from the one rule of every path
+    (:func:`_local_axes`): center at the origin, axis along +z.
+    ``_frame``, local to world axes, is built once with the solid
+    (``_axis_frame``) and read-only.
     Every shape classifies points with its own ``_inside`` (closed form,
     or ray parity for meshes); none goes through a distance.  A
     solid of revolution has one definition, its (r, z) profile, from
@@ -475,9 +484,11 @@ class _Solid:
     subsamples inside the bare solid on the supersampled fill's world-axis
     lattice from the inside runs of its +x lattice lines (``_runs``):
     an analytic solid's ``_spans(u, v, size, block)`` places them on a
-    block of lines from the closed-form roots of its comparisons
-    (:class:`_LineBlock`), and ``Mesh`` overrides ``_runs`` with the flips
-    of each line's ray parity.  ``_corners`` are the local points no quadrature node
+    block of lines, the local points v + s u with u the frame's first
+    row and v the local axes of the points at world x = center x, from
+    the closed-form roots of its comparisons (:class:`_LineBlock`), and
+    ``Mesh`` overrides ``_runs`` with the flips of each line's ray
+    parity.  ``_corners`` are the local points no quadrature node
     reaches, which the cavity check probes too; ``_piece`` (None if
     connected) numbers a gapped rod's segments.  ``_patch_families(n)``
     takes the patch counts of a resolution (:func:`_counts`) as minima:
@@ -517,8 +528,8 @@ class _Solid:
         return None
 
     def _lattice(self, xs, ys, zs):
-        """Count the subsamples inside the solid, which has no cavities (the
-        fill passes its cavity-free host and each cavity alone), on the
+        """Count the subsamples inside the bare solid (the fill passes the
+        host as built, and each cavity alone), on the
         lattice of ``xs``, ``ys`` and ``zs``: (n, ss) arrays of ascending
         world coordinates, row i holding the ss subsamples of voxel i on
         that axis.  Returns the (nx, ny, nz) uint8 counts, 0 to ss^3, from
@@ -533,8 +544,12 @@ class _Solid:
         j * len(z) + k runs through (y[j], z[k]), and its samples x[start]
         to x[stop - 1] are inside.
 
-        The solid's ``_spans`` places the runs from the closed-form roots of
-        its comparisons along each line (:class:`_LineBlock`), each root
+        A line's local points are v + s u at world x = center_x + s: u is
+        the frame's first row and v the points' own local axes
+        (:func:`_local_axes`) at s = 0, whose world x term is an exact
+        +-0.0, so each local coordinate keeps the bits of the pointwise
+        rule.  The solid's ``_spans`` places the runs from the closed-form
+        roots of its comparisons along each line (:class:`_LineBlock`), each root
         within a window that holds its rounding (``_ROUNDING``): between
         the windows, and past the solid's bounding box (widened by the same
         bound), no rounding can flip a comparison, so a line with no sample
@@ -558,7 +573,8 @@ class _Solid:
         for j in range(j0, j1, rows):
             ys = y[j:j + rows][:j1 - j]
             block = _LineBlock(x, self.center[0], tol, r0, r1, (len(ys), len(zs)))
-            runs = self._spans(*_line_axes(self, ys[:, None], zs[None, :]), size, block)
+            v = _local_axes(self, self.center[0], ys[:, None], zs[None, :])
+            runs = self._spans(self._frame[0], v, size, block)
             every = block.every.ravel()
             for line, start, stop in runs:
                 if line is None:
@@ -594,7 +610,13 @@ class _Revolved(_Solid):
     polyline per connected piece, from the axis back to the axis, z
     non-decreasing, the material on its left.  ``_stretch`` (a, b) maps
     x -> a x and y -> b y.  Patches, inside test, bounds, mass properties,
-    clearance and the fill's runs all come from the polylines.
+    clearance and the fill's runs all come from the polylines.  Its walls
+    (``_walls``: the segments that are not discs) and the largest r(z)^2
+    among those that hold z (``_limit``) are stated once: the inside test
+    and the fill's lines on a named axis both compare r^2 with
+    ``_limit``, and its lines on a tilted axis take each wall's roots.
+    The cavity check probes a ring at each profile vertex and the ring's
+    extreme points along the world axes (``_corners``).
     """
 
     _stretch = (1.0, 1.0)
@@ -602,51 +624,49 @@ class _Revolved(_Solid):
     def _axis_frame(self):
         return rotation_to_z(self.axis)
 
-    def _inside(self, x, y, z):
-        """Mask of the points with r <= r(z) on a wall (a segment that is not
-        a disc); r^2 = (x/a)^2 + (y/b)^2 under the stretch (a, b).  The
-        supersampled fill's hot loop: the largest r(z)^2 among the walls
-        whose z range holds the point (-inf where none does) is taken on
-        z's own shape, and r^2, on the shape of x and y, is compared with
-        it once: the OR of one comparison per wall, bit for bit.  On the
-        broadcast axes of a named axis, r(z) is taken per z alone."""
-        a, b = self._stretch
-        r2 = (x / a) ** 2 + (y / b) ** 2
+    def _walls(self):
+        """(r0, z0, slope, z1) of each wall, a profile segment that is not a
+        disc: r(z) = r0 + (z - z0) slope for z0 <= z <= z1."""
+        return [(r0, z0, (r1 - r0) / (z1 - z0), z1)
+                for r0, z0, r1, z1 in _segments(self._profiles()) if z0 != z1]
+
+    def _limit(self, z):
+        """The largest r(z)^2 of the walls whose z range holds z (-inf where
+        none does), on z's own shape."""
         limit = np.full(np.shape(z), -np.inf)
-        for r0, z0, r1, z1 in _segments(self._profiles()):
-            if z0 == z1:
-                continue
-            if r0 == r1:
-                rz2 = r0 * r0
-            else:
-                rz = r0 + (z - z0) * ((r1 - r0) / (z1 - z0))
-                rz2 = rz * rz
-            np.maximum(limit, rz2, out=limit, where=(z >= z0) & (z <= z1))
-        return r2 <= limit
+        for r0, z0, k, z1 in self._walls():
+            # a constant wall takes r0 itself, so an infinite z meets no 0 * inf
+            rz = r0 if k == 0.0 else r0 + (z - z0) * k
+            np.maximum(limit, rz * rz, out=limit, where=(z >= z0) & (z <= z1))
+        return limit
+
+    def _inside(self, x, y, z):
+        """Mask of the points with r <= r(z) on a wall; r^2 = (x/a)^2 +
+        (y/b)^2 under the stretch (a, b), on the shape of x and y, is
+        compared once with ``_limit(z)``, on z's: the OR of one comparison
+        per wall, bit for bit.  On the broadcast axes of a named axis, r(z)
+        is taken per z alone."""
+        a, b = self._stretch
+        return (x / a) ** 2 + (y / b) ** 2 <= self._limit(z)
 
     def _spans(self, u, v, size, block):
         # the roots of r^2 - r(z)^2 along each line, r(z) = e + f s on a wall
         a, b = self._stretch
         A0, B0, C0 = _quadratic(u, v, (1.0 / (a * a), 1.0 / (b * b), 0.0))
         tol = _ROUNDING * size
-        walls = [(r0, z0, (r1 - r0) / (z1 - z0), z1)
-                 for r0, z0, r1, z1 in _segments(self._profiles()) if z0 != z1]
+        walls = self._walls()
         # bounds on r^2 and r(z) in the bounding box, which rounding scales
         rzmax = max(abs(r0) + abs(k) * (size + abs(z0)) for r0, z0, k, _ in walls)
         E = _ROUNDING * ((size / min(a, b)) ** 2 + rzmax * rzmax)
         if u[2] == 0.0:
             # the line keeps its local z: inside between the roots of r^2 -
-            # r(z)^2 for the largest r(z)^2 of the walls that hold z, as
-            # _inside takes it; a line within rounding of a wall's end
-            # takes every sample
-            limit, seam = np.full(np.shape(v[2]), -np.inf), False
-            for r0, z0, k, z1 in walls:
-                rz = r0 + (v[2] - z0) * k
-                np.maximum(limit, rz * rz, out=limit, where=(v[2] >= z0) & (v[2] <= z1))
-                seam |= (np.abs(v[2] - z0) <= tol) | (np.abs(v[2] - z1) <= tol)
+            # _limit(z), as _inside takes it; a line within rounding of a
+            # wall's end takes every sample
+            seam = np.logical_or.reduce([np.abs(v[2] - end) <= tol
+                                         for wall in walls for end in wall[1::2]])
             whole = np.where(seam, np.inf, np.nan)
             block.past((-whole, whole))
-            return [(None, *block.between(*_quadric_band(A0, B0, C0 - limit, E)))]
+            return [(None, *block.between(*_quadric_band(A0, B0, C0 - self._limit(v[2]), E)))]
         # a tilted line: those that meet the circumscribed cylinder take each
         # wall's runs of r^2 <= r(z)^2 within the wall's z range
         rmax2 = max(max(r0, r0 + k * (z1 - z0)) ** 2 for r0, z0, k, z1 in walls) + E
@@ -702,9 +722,15 @@ class _Revolved(_Solid):
         return dist
 
     def _corners(self):
-        # a ring of 64 points at each profile vertex, under the stretch
-        (a, b), phi = self._stretch, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        r, z = np.repeat(np.concatenate(self._profiles()).T[:, :, None], 64, axis=2)
+        # a ring of 64 points at each profile vertex, under the stretch, and
+        # the ring's extreme points along each world axis: for the frame row
+        # w of the axis, w . (a r cos t, b r sin t, z) peaks at t = atan2(b
+        # w_y, a w_x) and is least half a turn on
+        a, b = self._stretch
+        peak = np.arctan2(b * self._frame[:, 1], a * self._frame[:, 0])
+        phi = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
+                              peak, peak + np.pi])
+        r, z = np.repeat(np.concatenate(self._profiles()).T[:, :, None], len(phi), axis=2)
         return np.stack([a * r * np.cos(phi), b * r * np.sin(phi), z], axis=-1).reshape(-1, 3)
 
     def _half_extent(self):
@@ -863,8 +889,21 @@ class Sphere(_Solid):
         return V * g
 
     def _kspace_local(self, sigma):
-        # |mu| is a function of |k| alone, the cavities' too if all are spheres
-        # at the center: the integrand is 4 pi/3 k^4 exp(-k^2 sigma^2) |mu(k z)|^2
+        """The body-frame rule, or None for a cavity that is not a sphere at
+        the center.
+
+        A bare ball is closed form: at unit density K is the surface
+        formula (2 pi)^3 / (2 sqrt(pi) sigma) (4 pi R^2 / 3) I times
+        B(R / sigma) (:func:`_ball_gain`), so it takes no rung at any R /
+        sigma.  A shell of spheres at the center keeps the radial rule:
+        |mu| is a function of |k| alone, and the integrand is 4 pi/3 k^4
+        exp(-k^2 sigma^2) |mu(k z)|^2.
+        """
+        if not self.cavities:
+            R = self.radius
+            surface = (2.0 * math.pi) ** 3 / (2.0 * math.sqrt(math.pi) * sigma) * (
+                4.0 * math.pi * R * R / 3.0)
+            return np.full(3, surface * _ball_gain(R / sigma)), None
         if not all(isinstance(cav, Sphere) and cav.center == self.center
                    for cav in self.cavities):
             return None
@@ -1117,7 +1156,8 @@ def _check_cavities(spec):
 
     Each cavity is probed on its resolution-8 quadrature nodes and the
     ``_corners`` no node reaches (a sphere's poles, a box's corners, a
-    ring at each profile vertex, a mesh's vertices).  Every probe must be
+    ring at each profile vertex with its extreme points along the world
+    axes, a mesh's vertices).  Every probe must be
     inside the host, none at clearance 0 where the host has one, and all in
     one ``_piece`` of the host: a connected cavity bridges no gap.  A
     sphere in a host with an exact clearance is checked exactly, tangency

@@ -44,9 +44,9 @@ function, and a forked child starts without its parent's pool.
 
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
-(0..64), never from a mask of the lattice or of its rows.  The host
-and each cavity count their subsamples in each voxel through their
-``_lattice`` hook, from the inside runs of each +x subsample line, the
+(0..64), never from a mask of the lattice or of its rows.  The host,
+as built, and each cavity count their subsamples in each voxel through
+their ``_lattice`` hook, from the inside runs of each +x subsample line, the
 ray-parity scanline of solid voxelization.  A mesh places them at the
 crossings of one +x ray per (y, z) subsample line with the faces whose
 yz shadow, widened by a relative slack, holds the line at its row,
@@ -59,7 +59,8 @@ edge or a vertex is counted as if moved by an infinitesimal step toward
 +y (then +z), a top-left rule: it crosses the surface there once, as a
 line beside it would.  An analytic solid places them at the closed-form
 roots of its comparisons along the line (a sphere's |p|^2 = R^2, a
-box's faces, a wall's r^2 = r(z)^2 and its ends), each within a window
+box's faces, a wall's r^2 = r(z)^2 and its ends), along lines whose
+local coordinates come from the points' own rule, each within a window
 that holds its rounding: 1e-9 of the body's size, or its square.  No
 rounding can flip a comparison between the windows, so a line with no
 subsample in one is inside exactly where the closed forms say; on a
@@ -90,7 +91,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -437,19 +438,20 @@ def supersampled_fraction(spec, dims, origin, spacing):
     """Per-voxel material fraction: the share of an ss^3 subsample lattice
     inside the material, a count over ss^3.
 
-    The host solid (without its cavities, built once per fill) and each
+    The body as built, whose cavities no hook of the fill reads, and each
     cavity count their subsamples in each voxel through their ``_lattice``
     hook (the inside runs of each +x subsample line: at the closed-form
-    roots of an analytic solid, at the ray crossings of a mesh), and each
-    cavity's counts are subtracted from the host's, as mass and form
-    factor subtract them.  A cavity whose count in some voxel exceeds
-    what is left of the host's there leaves its host or meets another
-    cavity on the lattice, and raises :class:`CavityOverlap`.
+    roots of an analytic solid, at the ray crossings of a mesh), so the
+    fill builds no shape.  Each cavity's counts are subtracted from the
+    host's, as mass and form factor subtract them.  A cavity whose count
+    in some voxel exceeds what is left of the host's there leaves its host
+    or meets another cavity on the lattice, and raises
+    :class:`CavityOverlap`.
     """
     ss = _SUPERSAMPLE
     sub = (np.arange(ss) + 0.5) / ss - 0.5
     cells = [origin[a] + spacing * (np.arange(dims[a])[:, None] + sub[None, :]) for a in range(3)]
-    count = replace(spec, cavities=())._lattice(*cells)
+    count = spec._lattice(*cells)
     for i, cav in enumerate(spec.cavities):
         hole = cav._lattice(*cells)
         if np.any(hole > count):

@@ -8,6 +8,7 @@ saturation value.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from cslsurf.oracle import (
     rasterize_smoothed_density,
     surface_formula_outer_integral,
 )
+from cslsurf.geometry.shapes import _ball_gain, _gl
 from cslsurf.oracle import integrals, voxel
 from cslsurf.oracle.integrals import _body_spectrum
 from cslsurf.oracle.voxel import VoxelGrid
@@ -94,6 +96,28 @@ class TestKspaceIntegral:
         expected = (4 * math.pi / 3) * (radial + small)
         assert K[0, 0] == pytest.approx(expected, rel=1e-5, abs=0)
         assert rel_err(K, K[0, 0] * np.eye(3)) < 1e-8
+
+    @pytest.mark.parametrize("x", [0.05, 0.5, 1.0, 3.0, 30.0])
+    def test_bare_sphere_is_the_radial_rule(self, x):
+        # the closed form against the radial rule it replaced, 4 pi/3 k^4
+        # exp(-k^2 sigma^2) |mu(k)|^2 on 2048 Gauss-Legendre nodes
+        spec = Sphere(x * SIGMA)
+        k, w = _gl(2048, 0.0, integrals.KMAX_SIGMA / SIGMA)
+        mu = spec._unit_form_factor(np.outer(k, (0.0, 0.0, 1.0)))
+        shell = w * k**4 * np.exp(-((k * SIGMA) ** 2)) * mu**2
+        radial = RHO**2 * 4.0 * math.pi / 3.0 * np.sum(shell)
+        K = kspace_outer_integral(spec, RHO, SIGMA)
+        assert np.array_equal(K, K[0, 0] * np.eye(3))
+        assert K[0, 0] == pytest.approx(radial, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("x", [1e3, 3e3, 1e4])
+    def test_bare_sphere_falls_short_of_the_surface_formula_by_two_over_x_squared(self, x):
+        # R = 1000 sigma used to raise QuadratureNotConverged after 6.7 s
+        R = x * SIGMA
+        K = kspace_outer_integral(Sphere(R), RHO, SIGMA)
+        surf = surface_formula_outer_integral(4.0 * math.pi * R * R / 3.0 * np.eye(3), RHO, SIGMA)
+        assert np.all(np.isfinite(K))
+        assert K[0, 0] / surf[0, 0] - 1.0 == pytest.approx(-2.0 / x**2, rel=1e-6, abs=0)
 
     def test_box_against_separable_closed_form(self):
         a, b, c = 14 * SIGMA, 10 * SIGMA, 8 * SIGMA
@@ -305,6 +329,27 @@ class TestKspaceIntegral:
         K = kspace_outer_integral(spec, 1e100, SIGMA)
         assert np.all(np.isfinite(K))
         assert rel_err(K / 1e200, kspace_outer_integral(spec, 1.0, SIGMA)) < 1e-13
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.floats(-4.0, 6.0).map(lambda e: 10.0**e))
+@example(1e-4)
+@example(math.nextafter(1.0, 0.0))
+@example(1.0)
+@example(2.999)
+@example(1e6)
+def test_ball_gain(x):
+    # 0 < B < 1, and up to x = 3 the exact sum of the series' terms (-1)^n
+    # (n - 1) x^(2n) / (n + 1)!, n <= 90, whose tail is below 1e-40: to
+    # rounding below the switch to the closed form at x = 1, and past it
+    # to the closed form's own cancellation
+    B = _ball_gain(x)
+    assert 0.0 < B < 1.0
+    if x < 3.0:
+        t, exact = Fraction(x) ** 2, Fraction(0)
+        for n in range(2, 91):
+            exact += (-1) ** n * (n - 1) * t**n / math.factorial(n + 1)
+        assert B == pytest.approx(float(exact), rel=1e-14 if x < 1.0 else 1e-13, abs=0)
 
 
 _sides = st.floats(3.0, 12.0).map(lambda s: s * SIGMA)

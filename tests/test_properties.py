@@ -275,6 +275,31 @@ def test_sphere_cavity_on_exact_host_needs_clearance(spec, at, size):
     assert accepted == (contains(spec, where)[0] and clearance > cavity.radius)
 
 
+# a box face's distance past a rod's rim, in units of the scale: within a
+# ring point's sagitta R (1 - cos(pi / 64)) > 3e-4 of it, or clearly past
+_SLACK = st.one_of(st.floats(-1e-3, 1e-3), st.floats(0.0, 0.5))
+
+
+@PROPERTY_SETTINGS
+@given(_scale, _unit, _unit, _direction, st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       st.tuples(_SLACK, _SLACK, _SLACK))
+# the rim passes x = 0.57465 by 2e-4 half-way between two ring points
+@example(1.0, 2.0, 1.2, (0.3635, 0.8643, 0.3476), (0.0, 0.0, 0.0), (-2e-4, 1.4, 1.4))
+def test_tilted_rod_cavity_in_a_box_needs_its_rim_inside(s, r, length, axis, at, slack):
+    # along world axis j the rim of a rod of radius R and length L on the
+    # unit axis a reaches |a_j| L / 2 + R sqrt(1 - a_j^2) past its center
+    # c: the body is built iff that lies strictly inside the box
+    R, L = s * r / 4.0, s * length / 2.0
+    rod = Cylinder(R, L, axis=axis, center=tuple(s * 0.1 * np.asarray(at)))
+    a, c = np.asarray(rod.axis), np.asarray(rod.center)
+    rim = np.abs(c) + np.abs(a) * L / 2.0 + R * np.sqrt(1.0 - a * a)
+    half = rim + s * np.asarray(slack)
+    assume(np.all(half > 0.0))
+    margin = np.min(half - rim)
+    assume(abs(margin) > 1e-9 * s)
+    assert _accepts(partial(Box, tuple(2.0 * half)), rod) == (margin > 0.0)
+
+
 @PROPERTY_SETTINGS
 @given(_scale, _unit, _unit, _direction, _offset, st.tuples(*[st.floats(-1.1, 1.1)] * 3),
        st.sampled_from(["sphere", "box"]), _RADIUS, st.tuples(*[st.floats(0.1, 2.0)] * 3))

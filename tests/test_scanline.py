@@ -270,6 +270,15 @@ def profiled_or_hollow(draw):
 @example(spec=ConeCappedCylinder(1.0, 2.0, math.pi / 2, axis="z", center=(1 / 32,) * 3),
          shift=(0.0, 0.0, 0.0))
 @example(spec=Sphere(1.5, center=(1 / 32,) * 3), shift=(0.0, 0.0, 0.0))
+# frames of -1 and 0 entries: a line's origin is the points' own local
+# axes at world x = center x, whose x term is +-0.0.  On -z local y and z
+# are -y and -z; on x local z is world x alone, so every line's origin
+# holds only that +-0.0 term; on -y local y is -z
+@example(spec=EllipticCylinder(2.0, 1.5, 4.0, axis=(0.0, 0.0, -1.0), center=(1 / 32, 0.0, 0.1)),
+         shift=(0.0, 0.0, 0.0))
+@example(spec=ConeCappedCylinder(1.5, 2.0, 2.0, axis="x", center=(0.1, 1 / 32, 0.0)),
+         shift=(0.25, 0.5, 0.75))
+@example(spec=GappedCylinder(1.5, 6.0, 2, 0.5, axis=(0.0, -1.0, 0.0)), shift=(0.5, 0.0, 0.0))
 def test_band_fill_matches_pointwise(spec, shift):
     # the line fill places runs by closed forms and takes _inside on the
     # broadcast axes of its rows and columns, the pointwise test on points:
@@ -282,6 +291,30 @@ def test_band_fill_matches_pointwise(spec, shift):
     origin = (np.round(origin / spacing) + np.asarray(shift)) * spacing
     got = supersampled_fraction(spec, dims, origin, spacing)
     assert np.array_equal(got, pointwise_fraction(spec, dims, origin, spacing))
+
+
+@pytest.mark.parametrize("spec", [
+    EllipticCylinder(2.0, 1.5, 4.0, axis=(1.0, 2.0, 3.0)),
+    Box((7.0, 6.0, 6.5), cavities=(Sphere(1.0, center=(-2.0, 0.0, 0.4)),
+                                   Cylinder(0.8, 1.5, axis=(0.2, 0.5, 0.9),
+                                            center=(1.2, 0.3, -0.5)))),
+], ids=["bare", "with-cavities"])
+def test_fill_builds_no_shape(monkeypatch, spec):
+    # the host is filled as built, its cavities included, since no hook of
+    # the fill reads them: no solid is built, as a copy without them was
+    built = []
+    post_init = shapes._Solid.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(shapes._Solid, "__post_init__", counting)
+    dims, origin = _grid_geometry(spec, 0.5, 1.0)
+    got = supersampled_fraction(spec, dims, origin, 0.5)
+    assert built == []
+    monkeypatch.undo()
+    assert np.array_equal(got, pointwise_fraction(spec, dims, origin, 0.5))
 
 
 @st.composite

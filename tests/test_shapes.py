@@ -210,19 +210,29 @@ class TestValidation:
             host(*dims, cavities=(Sphere(1.0),))
         host(*dims, cavities=(Sphere(0.9),))
 
-    def test_fill_rejects_cavity_outside_host(self):
-        # the tilted rod's rim leaves the face x = 0.57465 by 2e-4 between
-        # the ring points the check probes, so the body is built; on a
-        # lattice of spacing 1e-3 about the rim's extreme point, the rod
-        # counts subsamples past the face, more than the host has there
+    def test_tilted_rod_rim_past_a_box_face_rejected(self):
+        # the rim leaves the face x = 0.57465 by 2e-4 between two of its 64
+        # ring points, at the ring's extreme point along x, which is probed
         rod = Cylinder(0.5, 0.6, axis=(0.3635, 0.8643, 0.3476))
-        spec = Box((1.1493, 4.0, 4.0), cavities=(rod,))
         a = np.asarray(rod.axis)
-        radial = np.array([1.0, 0.0, 0.0]) - a[0] * a
-        rim = 0.3 * a + 0.5 * radial / np.linalg.norm(radial)
-        assert rim[0] > 1.1493 / 2 + 1e-4
+        assert 0.3 * abs(a[0]) + 0.5 * math.sqrt(1.0 - a[0] ** 2) > 1.1493 / 2 + 1e-4
+        with pytest.raises(CavityOverlap, match="not strictly inside"):
+            Box((1.1493, 4.0, 4.0), cavities=(rod,))
+
+    def test_fill_rejects_cavity_outside_host(self):
+        # the tilted rod's two rims leave the sphere by 1.1e-4 half-way
+        # between two ring points, where no world axis peaks, so the body is
+        # built; on a lattice of spacing 5e-4 about the rim's farthest
+        # point, the rod counts subsamples past the sphere, more than the
+        # host has there
+        rod = Cylinder(0.5, 1.2, axis=(0.3635, 0.8643, 0.3476), center=(0.2668, -0.0633, -0.1216))
+        spec = Sphere(0.99986, cavities=(rod,))
+        q = np.asarray(rod.center) + 0.6 * np.asarray(rod.axis)
+        radial = q - (q @ np.asarray(rod.axis)) * np.asarray(rod.axis)
+        rim = q + 0.5 * radial / np.linalg.norm(radial)
+        assert np.linalg.norm(rim) > spec.radius + 1e-4
         with pytest.raises(CavityOverlap):
-            supersampled_fraction(spec, (8, 8, 8), rim - 0.004, 1e-3)
+            supersampled_fraction(spec, (8, 8, 8), rim - 2e-3, 5e-4)
 
     def test_cavity_bridging_a_gap_rejected(self):
         # all the box's probes lie in material, but on both sides of the gap
