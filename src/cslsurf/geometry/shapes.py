@@ -203,11 +203,12 @@ def _slab_moments(length, sigma, centers=(0.0,)):
 def _ball_gain(x):
     """B(x) = 1 + e^(-x^2) - 2 (1 - e^(-x^2)) / x^2, the k-space tensor of
     a ball of radius x sigma over its surface formula: 1 - 2 / x^2 for a
-    large ball, x^4 / 6 for a small one.  From x = 1 on it is taken in that
-    closed form.  Below x = 1, where the closed form cancels (it is 1e-8
-    off at x = 0.01 and 0 at 1e-4), it is the series sum_{n >= 2} (-1)^n
-    (n - 1) x^(2n) / (n + 1)! up to n = 20, whose first dropped term is
-    below 1e-18 of B."""
+    large ball, x^4 / 6 for a small one; at x = sqrt(R_i R_j) / sigma it
+    weighs two walls of a shell (:meth:`Sphere._kspace_local`).  From x = 1
+    on it is taken in that closed form.  Below x = 1, where the closed form
+    cancels (it is 1e-8 off at x = 0.01 and 0 at 1e-4), it is the series
+    sum_{n >= 2} (-1)^n (n - 1) x^(2n) / (n + 1)! up to n = 20, whose first
+    dropped term is below 1e-18 of B."""
     t = x * x
     if x >= 1.0:
         return 1.0 + math.exp(-t) + 2.0 * math.expm1(-t) / t
@@ -475,9 +476,10 @@ class _Solid:
     diagonal of int exp(-k^2 sigma^2) |mu|^2 q o q dq in local axes q, at
     unit density, is ``factors`` times the integral of ``integrand`` over
     k in [0, KMAX_SIGMA / sigma], or ``factors`` where ``integrand`` is
-    None.  It returns None, the spherical ladder, for a body it cannot
-    take: by default, and for a box or rod with cavities or a sphere
-    whose cavities are not all spheres at its center.  ``_clearance`` is
+    None (a bare box, a sphere whose cavities are all spheres at its
+    center; a bare rod leaves a radial integrand).  It returns None, the
+    spherical ladder, for a body it cannot take: by default, and for a
+    box or rod with cavities or a sphere with another cavity.  ``_clearance`` is
     a lower bound on the distance to the boundary, exact unless
     ``_exact`` is false (elliptic cylinders with a != b; meshes, which
     have no clearance).  ``_lattice`` counts each voxel's
@@ -616,7 +618,8 @@ class _Revolved(_Solid):
     and the fill's lines on a named axis both compare r^2 with
     ``_limit``, and its lines on a tilted axis take each wall's roots.
     The cavity check probes a ring at each profile vertex and the ring's
-    extreme points along the world axes (``_corners``).
+    extreme points along the world axes (``_corners``), and in a sphere
+    host, when round, each ring's point farthest from the host's center.
     """
 
     _stretch = (1.0, 1.0)
@@ -889,32 +892,28 @@ class Sphere(_Solid):
         return V * g
 
     def _kspace_local(self, sigma):
-        """The body-frame rule, or None for a cavity that is not a sphere at
-        the center.
+        """The body-frame rule, closed form, or None for a cavity that is not
+        a sphere at the center.
 
-        A bare ball is closed form: at unit density K is the surface
-        formula (2 pi)^3 / (2 sqrt(pi) sigma) (4 pi R^2 / 3) I times
-        B(R / sigma) (:func:`_ball_gain`), so it takes no rung at any R /
-        sigma.  A shell of spheres at the center keeps the radial rule:
-        |mu| is a function of |k| alone, and the integrand is 4 pi/3 k^4
-        exp(-k^2 sigma^2) |mu(k z)|^2.
+        |mu| is |sum_i s_i mu_i| over the host (s = 1) and its cavities (s =
+        -1), mu_i = 4 pi (sin k R_i - k R_i cos k R_i) / k^3, and product to
+        sum makes each int k^4 exp(-k^2 sigma^2) mu_i mu_j dk closed form: at
+        unit density K is (2 pi)^3 / (2 sqrt(pi) sigma) I times the sum of s_i
+        s_j (4 pi R_i R_j / 3) exp(-(R_i - R_j)^2 / 4 sigma^2) B(sqrt(R_i R_j)
+        / sigma) (:func:`_ball_gain`), for i = j the bare ball's B(R / sigma)
+        times its surface formula.  Across a wall d << sigma thick the terms
+        cancel to some 4e-16 sigma^2 / d^2 relative.
         """
-        if not self.cavities:
-            R = self.radius
-            surface = (2.0 * math.pi) ** 3 / (2.0 * math.sqrt(math.pi) * sigma) * (
-                4.0 * math.pi * R * R / 3.0)
-            return np.full(3, surface * _ball_gain(R / sigma)), None
         if not all(isinstance(cav, Sphere) and cav.center == self.center
                    for cav in self.cavities):
             return None
-        parts = [(1.0, self)] + [(-1.0, cav) for cav in self.cavities]
-
-        def shell(k):
-            kz = np.outer(k, (0.0, 0.0, 1.0))
-            mu = sum(sign * part._unit_form_factor(kz) for sign, part in parts)
-            return k**4 * np.exp(-((k * sigma) ** 2)) * mu**2
-
-        return np.full(3, 4.0 * np.pi / 3.0), shell
+        scale = (2.0 * math.pi) ** 3 / (2.0 * math.sqrt(math.pi) * sigma)
+        walls = [(1.0, self.radius)] + [(-1.0, cav.radius) for cav in self.cavities]
+        K = sum(s * t * scale * (4.0 * math.pi * R * r / 3.0)
+                * math.exp(-((R - r) / (2.0 * sigma)) ** 2)
+                * _ball_gain(math.sqrt(R / sigma * (r / sigma)))
+                for (s, R), (t, r) in product(walls, walls))
+        return np.full(3, K), None
 
 
 @dataclass(frozen=True)
@@ -1157,7 +1156,9 @@ def _check_cavities(spec):
     Each cavity is probed on its resolution-8 quadrature nodes and the
     ``_corners`` no node reaches (a sphere's poles, a box's corners, a
     ring at each profile vertex with its extreme points along the world
-    axes, a mesh's vertices).  Every probe must be
+    axes, a mesh's vertices).  In a sphere host a round solid of
+    revolution adds each ring's point farthest from the host's center,
+    in closed form, where that center is off its axis.  Every probe must be
     inside the host, none at clearance 0 where the host has one, and all in
     one ``_piece`` of the host: a connected cavity bridges no gap.  A
     sphere in a host with an exact clearance is checked exactly, tangency
@@ -1167,8 +1168,17 @@ def _check_cavities(spec):
     """
     probes = []
     for cav in spec.cavities:
+        corners = [cav._corners()]
+        if isinstance(spec, Sphere) and isinstance(cav, _Revolved) and cav._exact:
+            # each ring's point farthest from the host's center, opposite
+            # the center's projection onto the ring's plane
+            hx, hy, _ = (np.asarray(spec.center) - cav.center) @ cav._frame
+            d = math.hypot(hx, hy)
+            if d > 0.0:
+                a, (r, z) = cav._stretch[0], np.concatenate(cav._profiles()).T
+                corners.append(np.stack([-a * r * hx / d, -a * r * hy / d, z], axis=-1))
         pts = np.concatenate([quadrature(cav, resolution=8).points,
-                              cav._corners() @ cav._frame.T + cav.center])
+                              np.concatenate(corners) @ cav._frame.T + cav.center])
         local = _local_axes(spec, *pts.T)
         if not np.all(spec._inside(*local)):
             raise CavityOverlap("cavity surface is not strictly inside the host")

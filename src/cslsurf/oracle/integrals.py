@@ -17,8 +17,8 @@ deconvolution of the cell average.
 * :func:`kspace_outer_integral` integrates the analytic form factor in
   one refinement loop, whose radial nodes double until the tensor
   settles.  Each shape's ``_kspace_local`` hook picks the rule of its
-  steps: the body-frame rule (closed form for a bare box or sphere, one
-  radial integral for a bare cylinder or a shell) or, where the hook
+  steps: the body-frame rule (closed form for a bare box or a concentric
+  shell or ball, one radial integral for a bare rod) or, where the hook
   declines, a radial x angular ladder in world axes.  A body without a form
   factor is one without a closed-form field, so it has a filtered
   raster, and its DFT route reads that raster's spectrum,
@@ -362,11 +362,11 @@ def kspace_outer_integral(spec, density, sigma, *, _spectrum=None):
       cavities are all spheres at its center).  In the local frame F the
       Gaussian and the closed-form factors of the form factor separate,
       so K = F K_local F^T with K_local diagonal.  A bare box is closed
-      form, and so is a bare sphere, the surface formula times 1 +
-      e^(-x^2) - 2 (1 - e^(-x^2)) / x^2 at x = R / sigma (which returns at
-      R = 1000 sigma, where the radial rule did not settle): neither takes
-      a rung.  The others leave one radial integral over [0, KMAX_SIGMA /
-      sigma], on the step's radial nodes;
+      form, and so is a sphere: bare, the surface formula times 1 +
+      e^(-x^2) - 2 (1 - e^(-x^2)) / x^2 at x = R / sigma, and with
+      concentric cavities a sum of such terms over pairs of radii.
+      Neither takes a rung.  A rod leaves one radial integral over [0,
+      KMAX_SIGMA / sigma], on the step's radial nodes;
     * the spherical ladder where it returns None: the step's radial x
       angular rule on the form factor of the body moved so that the
       host's center is the origin (|mu|^2 does not change under a

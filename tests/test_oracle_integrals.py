@@ -16,6 +16,7 @@ import scipy.fft
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import spherical_jn
 
 from cslsurf.csl import CslParams, dephasing_matrix, superposition_dephasing_rate
 from cslsurf.errors import (
@@ -118,6 +119,38 @@ class TestKspaceIntegral:
         surf = surface_formula_outer_integral(4.0 * math.pi * R * R / 3.0 * np.eye(3), RHO, SIGMA)
         assert np.all(np.isfinite(K))
         assert K[0, 0] / surf[0, 0] - 1.0 == pytest.approx(-2.0 / x**2, rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("outer, inner, at", [
+        (0.05, 0.02, 0.0), (1.0, 0.5, 0.0), (6.0, 5.9, 0.0), (30.0, 3.0, 0.0), (12.0, 6.0, 1.0),
+    ], ids=["sub_sigma", "sigma", "thin", "thick", "off_origin"])
+    def test_concentric_shell_is_the_radial_rule(self, outer, inner, at):
+        c = (at * SIGMA, -2.0 * at * SIGMA, 0.5 * at * SIGMA)
+        spec = Sphere(outer * SIGMA, center=c, cavities=(Sphere(inner * SIGMA, center=c),))
+        K = kspace_outer_integral(spec, RHO, SIGMA)
+        assert np.array_equal(K, K[0, 0] * np.eye(3))
+        assert K[0, 0] == pytest.approx(_radial_rule(spec), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("x", [1e3, 1e4, 1e6])
+    def test_shell_falls_short_of_the_surface_formula_by_its_walls_curvature(self, x):
+        # each wall adds its own -2 sigma^2 / R^2 and the cross term is
+        # exp(-(R1 - R2)^2 / 4 sigma^2), nil; at 1e6 sigma the shortfall
+        # 3.2e-12 is held to the ratio's rounding, a few ulps of 1
+        R1, R2 = x * SIGMA, x * SIGMA / 2.0
+        K = kspace_outer_integral(Sphere(R1, cavities=(Sphere(R2),)), RHO, SIGMA)
+        walls = R1 * R1 + R2 * R2
+        surf = surface_formula_outer_integral(4.0 * math.pi * walls / 3.0 * np.eye(3), RHO, SIGMA)
+        assert np.all(np.isfinite(K))
+        assert K[0, 0] / surf[0, 0] - 1.0 == pytest.approx(-4.0 * SIGMA**2 / walls, rel=1e-6,
+                                                           abs=1e-15)
+
+    @pytest.mark.parametrize("x", [0.05, 6.0, 1e3])
+    def test_concentric_shell_takes_no_rung(self, monkeypatch, x):
+        calls, rungs = [], integrals._rungs
+        monkeypatch.setattr(integrals, "_rungs", lambda: calls.append(1) or rungs())
+        K = kspace_outer_integral(Sphere(x * SIGMA, cavities=(Sphere(x * SIGMA / 2.0),)),
+                                  RHO, SIGMA)
+        assert np.all(np.isfinite(K))
+        assert calls == []
 
     def test_box_against_separable_closed_form(self):
         a, b, c = 14 * SIGMA, 10 * SIGMA, 8 * SIGMA
@@ -350,6 +383,35 @@ def test_ball_gain(x):
         for n in range(2, 91):
             exact += (-1) ** n * (n - 1) * t**n / math.factorial(n + 1)
         assert B == pytest.approx(float(exact), rel=1e-14 if x < 1.0 else 1e-13, abs=0)
+
+
+def _radial_rule(spec):
+    """The radial rule of a ball or concentric shell, 4 pi/3 k^4 exp(-k^2
+    sigma^2) |mu(k)|^2 on 2048 Gauss-Legendre nodes of [0, KMAX_SIGMA /
+    sigma], mu the sum of the host's and less the cavities' 4 pi R^3
+    j1(k R) / (k R), which keeps the digits of small k R that 3 (sin u - u
+    cos u) / u^3 loses."""
+    k, w = _gl(2048, 0.0, integrals.KMAX_SIGMA / SIGMA)
+    mu = 0.0
+    for sign, ball in [(1.0, spec)] + [(-1.0, cav) for cav in spec.cavities]:
+        u = k * ball.radius
+        mu = mu + sign * 4.0 * math.pi * ball.radius**3 * spherical_jn(1, u) / u
+    return RHO**2 * 4.0 * math.pi / 3.0 * np.sum(w * k**4 * np.exp(-((k * SIGMA) ** 2)) * mu**2)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.floats(-2.0, math.log10(30.0)).map(lambda e: 10.0**e), st.floats(1e-6, 0.95))
+@example(0.01, 0.95)
+@example(1.0, 0.95)
+@example(30.0, 0.95)
+def test_concentric_shell_is_the_radial_rule_at_any_size(x, ratio):
+    # R1 = x sigma, R2 = ratio R1.  The closed form's terms cancel as the
+    # wall thins: some 4e-16 sigma^2 / d^2 relative for a wall d thick, so
+    # walls thinner than R1 / 20 are left to the parametrized thin shell
+    spec = Sphere(x * SIGMA, cavities=(Sphere(ratio * x * SIGMA),))
+    K = kspace_outer_integral(spec, RHO, SIGMA)
+    assert np.array_equal(K, K[0, 0] * np.eye(3))
+    assert K[0, 0] == pytest.approx(_radial_rule(spec), rel=1e-12, abs=0)
 
 
 _sides = st.floats(3.0, 12.0).map(lambda s: s * SIGMA)

@@ -301,6 +301,31 @@ def test_tilted_rod_cavity_in_a_box_needs_its_rim_inside(s, r, length, axis, at,
 
 
 @PROPERTY_SETTINGS
+@given(_scale, _unit, _unit, _direction, st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.one_of(st.floats(-1e-4, 1e-4),
+                                                    st.floats(-0.5, 0.5)))
+# both rims pass the sphere by 1.1e-4 half-way between two ring points
+@example(1.0, 2.0, 2.4, (0.3635, 0.8643, 0.3476), (2.668, -0.633, -1.216), (0.0, 0.0, 0.0),
+         -1.1e-4)
+def test_tilted_rod_cavity_in_a_sphere_needs_its_rim_inside(s, r, length, axis, at, host, slack):
+    # in the rod's frame the sphere's center h is a distance d from the
+    # axis, and the rim point farthest from h, opposite h's projection onto
+    # a rim's plane, lies sqrt((R + d)^2 + (L / 2 + |h_z|)^2) from it: the
+    # body is built iff that is strictly below the sphere's radius.  A
+    # radius within 1e-4 s of it often lies between that point's distance
+    # and the nearest ring point's, where only the farthest point decides
+    R, L = s * r / 4.0, s * length / 2.0
+    rod = Cylinder(R, L, axis=axis, center=tuple(s * 0.1 * np.asarray(at)))
+    center = s * 0.1 * np.asarray(host)
+    hx, hy, hz = (center - rod.center) @ local_frame(rod)
+    far = math.hypot(R + math.hypot(hx, hy), L / 2.0 + abs(hz))
+    radius = far + s * slack
+    assume(radius > 0.0 and abs(radius - far) > 1e-9 * radius)
+    accepted = _accepts(partial(Sphere, radius, center=tuple(center)), rod)
+    assert accepted == (far < radius)
+
+
+@PROPERTY_SETTINGS
 @given(_scale, _unit, _unit, _direction, _offset, st.tuples(*[st.floats(-1.1, 1.1)] * 3),
        st.sampled_from(["sphere", "box"]), _RADIUS, st.tuples(*[st.floats(0.1, 2.0)] * 3))
 def test_round_elliptic_host_takes_the_cylinders_cavities(s, r, length, axis, offset, at,

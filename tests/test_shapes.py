@@ -24,6 +24,7 @@ from cslsurf.geometry import (
     build_shape,
     contains,
     icosphere,
+    local_frame,
     mass_properties,
     quadrature,
     signed_distance,
@@ -219,17 +220,30 @@ class TestValidation:
         with pytest.raises(CavityOverlap, match="not strictly inside"):
             Box((1.1493, 4.0, 4.0), cavities=(rod,))
 
-    def test_fill_rejects_cavity_outside_host(self):
-        # the tilted rod's two rims leave the sphere by 1.1e-4 half-way
-        # between two ring points, where no world axis peaks, so the body is
-        # built; on a lattice of spacing 5e-4 about the rim's farthest
-        # point, the rod counts subsamples past the sphere, more than the
-        # host has there
+    def test_tilted_rod_rim_past_a_sphere_rejected(self):
+        # both rims leave the sphere by 1.1e-4 half-way between two ring
+        # points, where no world axis peaks, at each ring's point farthest
+        # from the sphere's center, which is probed
         rod = Cylinder(0.5, 1.2, axis=(0.3635, 0.8643, 0.3476), center=(0.2668, -0.0633, -0.1216))
-        spec = Sphere(0.99986, cavities=(rod,))
         q = np.asarray(rod.center) + 0.6 * np.asarray(rod.axis)
         radial = q - (q @ np.asarray(rod.axis)) * np.asarray(rod.axis)
-        rim = q + 0.5 * radial / np.linalg.norm(radial)
+        assert np.linalg.norm(q + 0.5 * radial / np.linalg.norm(radial)) > 0.99986 + 1e-4
+        with pytest.raises(CavityOverlap, match="not strictly inside"):
+            Sphere(0.99986, cavities=(rod,))
+
+    def test_fill_rejects_cavity_outside_host(self):
+        # an elliptic rim has no closed-form point farthest from the
+        # sphere's center, so the build probes its rings alone, and this
+        # rod's rim leaves the sphere by 1.1e-4 between two ring points; on
+        # a lattice of spacing 5e-4 about that point, the rod counts
+        # subsamples past the sphere, more than the host has there
+        rod = EllipticCylinder(0.5, 0.49, 1.2, axis=(0.3635, 0.8643, 0.3476),
+                               center=(0.2668, -0.0633, -0.1216))
+        spec = Sphere(0.9998418377249965, cavities=(rod,))
+        t = np.linspace(0.0, 2.0 * np.pi, 100_001)
+        ring = np.stack([0.5 * np.cos(t), 0.49 * np.sin(t), np.full_like(t, 0.6)], axis=-1)
+        ring = ring @ local_frame(rod).T + rod.center
+        rim = ring[np.argmax(np.linalg.norm(ring, axis=1))]
         assert np.linalg.norm(rim) > spec.radius + 1e-4
         with pytest.raises(CavityOverlap):
             supersampled_fraction(spec, (8, 8, 8), rim - 2e-3, 5e-4)
