@@ -164,6 +164,11 @@ def _sinc(x):
     return np.sinc(x / np.pi)
 
 
+# 3 (sin u - u cos u) / u^3 = sum over m of (-1)^m 6 (m + 1) u^2m / (2m + 3)!,
+# which ten terms give to rounding below u = 1
+_BALL_SERIES = [(-1) ** m * 6 * (m + 1) / math.factorial(2 * m + 3) for m in range(10)]
+
+
 def _jinc(x):
     """2 J1(x) / x, continuous through 0."""
     small = np.abs(x) < 1e-6
@@ -883,13 +888,16 @@ class Sphere(_Solid):
         return _ball_factor(_norm(x, y, z), self.radius, sigma)
 
     def _unit_form_factor(self, k):
+        """V 3 (sin u - u cos u) / u^3, u = |k| R: the ten terms of its
+        series below u = 1, where the difference would cancel to some
+        eps / u^2, and the closed form above."""
         R = self.radius
         V = 4.0 * np.pi * R**3 / 3.0
         u = np.linalg.norm(k, axis=-1) * R
-        small = np.abs(u) < 1e-6
-        us = np.where(small, 1.0, u)
-        g = np.where(small, 1.0 - u**2 / 10.0, 3.0 * (np.sin(us) - us * np.cos(us)) / us**3)
-        return V * g
+        small = u < 1.0
+        us, u2 = np.where(small, 1.0, u), np.where(small, u, 0.0) ** 2
+        series = np.polynomial.polynomial.polyval(u2, _BALL_SERIES)
+        return V * np.where(small, series, 3.0 * (np.sin(us) - us * np.cos(us)) / us**3)
 
     def _kspace_local(self, sigma):
         """The body-frame rule, closed form, or None for a cavity that is not

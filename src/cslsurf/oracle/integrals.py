@@ -37,15 +37,19 @@ value contents, so a scan of many oracle calls on one grid, or on grids
 whose values are equal bit for bit (a grid and its re-read file), pays
 for one transform; the values of a transformed or matched grid are
 read-only.  :func:`_body_spectrum` makes it of a body: a sampled body's
-P is its filter's spectrum squared, one fill and one transform.
-Each weight is a short sum of per-axis products, so one kernel,
-:func:`_mode_sum`, reads the spectrum once and contracts its x and y
-axes with a few rows of x factors and of y factors.  It takes the
-spectrum in blocks of y rows, one matrix product with the x rows and a
-second with the block's y rows each, so no array of a spectrum plane's
-size is made; a spectrum of 2^20 values or more takes two halves, one
-per thread.  Each caller ends over z with vectors of nz' values.  The
-weights are
+P is its filter's spectrum squared, one fill and one transform.  The
+record holds P in dense blocks (:func:`_blocks`).  Below 2^20 values P
+is one block; a larger P is cut to the ball |k| < r outside which the
+Gaussian leaves at most 2^-60 of sum P and of sum P |k|^2, some 0.6-0.7
+of its modes on sigma/2 grids, and only the blocks that cover the ball
+are held.  Each weight is a short sum of per-axis products, so one
+kernel, :func:`_mode_sum`, reads each block once and contracts its x
+and y axes with a few rows of x factors and of y factors: one matrix
+product with the block's x rows and a second with its y rows, added
+into the result at its z columns, so no array of a spectrum plane's
+size is made.  P itself takes two halves of y rows from 2^20 values
+on, and a cut record two runs of blocks, one per thread.  Each caller
+ends over z with vectors of nz' values.  The weights are
 
 * k o k, the derivative symbol's outer product, in
   :func:`gradient_outer_integral`,
@@ -76,6 +80,7 @@ from ..geometry.shapes import (
     build_shape,
 )
 from ..tensors import _psd
+from . import voxel
 from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
@@ -105,9 +110,9 @@ _RADIAL_CHUNK = 128  # radial nodes per form-factor call of the k-space ladder
 
 # power spectra of the two most recently used value contents, least
 # recently used first: ([weak references to the value arrays known to
-# hold those bits], P).  An entry goes when the last of its arrays dies.
-# The lock is reentrant because a weak reference's callback can run in
-# any thread, including one that holds it.
+# hold those bits], the blocks of P).  An entry goes when the last of its
+# arrays dies.  The lock is reentrant because a weak reference's callback
+# can run in any thread, including one that holds it.
 _SPECTRA = []
 _SPECTRA_LOCK = threading.RLock()
 
@@ -132,14 +137,26 @@ def _same_bits(a, b):
     return all(np.array_equal(p.view(bits), q.view(bits)) for p, q in zip(a, b))
 
 
-# what every Parseval sum reads: P = w_z |F|^2 of a grid's rfftn F, and the grid
-_Spectrum = namedtuple("_Spectrum", "power spacing dims margin")
+# the share of each of its sums that a cut spectrum may leave out
+_TAIL = 2.0**-60
+# a cut spectrum's blocks: groups of y rows by |k_y| and steps of z columns
+_Y_GROUPS, _Z_STEPS = 6, 3
+
+# one dense block of P: its values at the x and y indices (slices, or
+# index arrays with the + and - frequencies together) and z slice of the
+# half spectrum
+_Block = namedtuple("_Block", "x y z values")
+
+# what every Parseval sum reads: the blocks of P = w_z |F|^2 of a grid's
+# rfftn F that hold every mode the sums need, and the grid
+_Spectrum = namedtuple("_Spectrum", "blocks spacing dims margin")
 
 
 def _squared(F, nz):
     """Read-only P = w_z |F|^2 (w_z counts each column's Hermitian twin) of
     the half spectrum F of a grid of ``nz`` z values, written into F's own
-    buffer one x-plane at a time in increasing order, then shrunk to size."""
+    buffer one x-plane at a time in increasing order, then shrunk to size:
+    the P that :func:`_blocks` cuts."""
     n = F.shape
     wz = np.where((np.arange(n[2]) == 0) | (2 * np.arange(n[2]) == nz), 1.0, 2.0)
     plane = n[1] * n[2]
@@ -154,11 +171,76 @@ def _squared(F, nz):
     return P
 
 
+def _blocks(P, dims):
+    """The blocks of a record of the half spectrum P of a grid of ``dims``.
+
+    A P of fewer than ``_PARALLEL_SIZE`` values is one block, P itself.
+    A larger one is cut to a ball |k| < r: sum P and sum P |k|^2 are
+    tallied over shells of the width of the grid's smallest wavenumber
+    step, and r is the smallest shell edge past which both tails are at
+    most ``_TAIL`` (2^-60) of their totals.  Each sum's weight is bounded
+    by a multiple of 1 or of |k|^2, so no sum moves by more than 2^-60 of
+    its scale (13 times that on the DFT route, whose 1 / D^2 is at most
+    1.53^6).  The y rows inside the ball, grouped by |k_y|, and its z
+    columns, in steps, make the blocks: each holds the x planes that its
+    inner corner (least |k_y|, least k_z) has inside the ball, as one
+    contiguous array, and P dies with the caller's reference.  Tails
+    that are not finite, or a ball that holds every mode (white noise),
+    leave P whole, so those sums keep their bits and a grid that is not
+    finite still raises.
+    """
+    whole = [_Block(slice(None), slice(None), slice(None), P)]
+    if P.size < voxel._PARALLEL_SIZE:
+        return whole
+    kx2, ky2, kz2 = (k * k for k in _wavenumbers(dims, 1.0))
+    step = 2.0 * np.pi / max(dims)
+
+    def shell(k2):  # of kx^2 + (ky^2 + kz^2), which rounds up as any term grows
+        return (np.sqrt(k2) / step).astype(np.intp)
+
+    yz2 = ky2[:, None] + kz2
+    top = int(shell(kx2.max() + yz2.max()))    # the shell of the farthest mode
+    tally = np.zeros((2, top + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x2, p in zip(kx2, P):
+            k2 = x2 + yz2
+            s = shell(k2).ravel()
+            tally[0] += np.bincount(s, p.ravel(), top + 2)
+            tally[1] += np.bincount(s, (p * k2).ravel(), top + 2)
+    tails = np.cumsum(tally[:, ::-1], axis=1)[:, ::-1]    # tails[:, n]: shells n and on
+    if not np.all(np.isfinite(tails[:, 0])):
+        return whole
+    r = max(1, int(np.argmax(np.all(tails <= _TAIL * tails[:, :1], axis=0))))
+    if r > top:
+        return whole
+    rank = np.minimum(np.arange(dims[1]), dims[1] - np.arange(dims[1]))  # |k_y| in steps
+    rows = shell(ky2) < r
+    blocks = []
+    for g0, g1 in _ranges(rank[rows].max() + 1, _Y_GROUPS):
+        y = np.flatnonzero(rows & (rank >= g0) & (rank < g1))
+        for z0, z1 in _ranges(np.count_nonzero(shell(kz2) < r), _Z_STEPS):
+            # y[0], the group's first + frequency, has its least |k_y|
+            x = np.flatnonzero(shell(kx2 + (ky2[y[0]] + kz2[z0])) < r)
+            if x.size:
+                blocks.append(_Block(x, y, slice(z0, z1), P[:, :, z0:z1][np.ix_(x, y)]))
+    return blocks if len(blocks) > 1 else whole
+
+
+def _ranges(n, parts):
+    """Up to ``parts`` ranges of 0..n, from edges at n sqrt(i / parts):
+    they narrow toward the ball's rim, where the x planes that a block
+    needs fall off fastest.  Rounding may close some; they are left out."""
+    edges = np.unique((n * np.sqrt(np.arange(parts + 1) / parts)).round().astype(int))
+    return zip(edges[:-1], edges[1:])
+
+
 def _power(grid: VoxelGrid):
-    """The spectrum record of the grid's values' one rfftn (:func:`_squared`).
+    """The spectrum record of the grid's values' one rfftn (:func:`_squared`,
+    cut by :func:`_blocks`).
 
     P depends on the values alone, not on the grid's origin, spacing or
-    margin, so it is kept per value content: the spectra of the two most
+    margin, and so does its cut, which counts wavenumbers in steps, so
+    the blocks are kept per value content: those of the two most
     recently used contents are held, each with weak references to the
     arrays known to hold its bits.  An array is looked up by identity,
     then compared bit for bit with one live array of each held spectrum
@@ -186,12 +268,13 @@ def _power(grid: VoxelGrid):
             return _Spectrum(entry[1], grid.spacing, grid.dims, grid.margin)
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
     values.flags.writeable = False
-    P = _squared(sfft.rfftn(values.astype(float, copy=False), workers=_workers(values.size)),
-                 values.shape[2])
+    blocks = _blocks(_squared(sfft.rfftn(values.astype(float, copy=False),
+                                         workers=_workers(values.size)), values.shape[2]),
+                     values.shape)
     with _SPECTRA_LOCK:
-        _SPECTRA.append(([weakref.ref(values, _forget)], P))
+        _SPECTRA.append(([weakref.ref(values, _forget)], blocks))
         del _SPECTRA[:-2]
-    return _Spectrum(P, grid.spacing, grid.dims, grid.margin)
+    return _Spectrum(blocks, grid.spacing, grid.dims, grid.margin)
 
 
 def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
@@ -199,7 +282,7 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
     """The spectrum record of :func:`rasterize_smoothed_density` with the
     same arguments and checks: for a sampled body, whose raster is the
     irfftn of :func:`_filter_spectrum`, that spectrum squared where it
-    lies, which is the raster's round trip to rounding."""
+    lies, which is the raster's round trip to rounding, and cut."""
     spec = build_shape(spec)
     if not _sampled(spec):
         return _power(rasterize_smoothed_density(spec, density, sigma, spacing, padding,
@@ -207,31 +290,46 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
     density, sigma, spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     P = _squared(_filter_spectrum(spec, dims, origin, density, sigma, spacing), dims[2])
-    return _Spectrum(P, spacing, dims, padding)
+    return _Spectrum(_blocks(P, dims), spacing, dims, padding)
+
+
+def _runs(blocks):
+    """The blocks of a mode sum in runs, one per thread: P itself in its
+    halves of y rows (:func:`_halves`: two from ``_PARALLEL_SIZE``
+    values on), and a cut spectrum's blocks in two runs of about equal
+    size.  The runs depend on the record alone."""
+    if len(blocks) == 1:
+        P = blocks[0].values
+        return [[_Block(slice(None), slice(lo, hi), slice(None), P[:, lo:hi])]
+                for lo, hi in _halves(P.shape[1], P.size)]
+    ends = np.cumsum([b.values.size for b in blocks])
+    half = 1 + int(np.argmin(np.abs(ends[:-1] - ends[-1] / 2)))
+    return [blocks[:half], blocks[half:]]
 
 
 def _mode_sum(spectrum: _Spectrum, xrows, yrows):
     """R[m, a, kz] = (h^3 / N) sum over kx, ky of xrows[m, kx] yrows[a, ky] P[kx, ky, kz].
 
     h is the grid spacing, N the number of voxels and P the record's
-    spectrum.  P is read in blocks of y rows: each block meets the x rows
-    in one matrix product, whose (m, block, nz') result meets the block's
-    y rows in a second, so no array of a spectrum plane's size is made.
-    A spectrum of ``_PARALLEL_SIZE`` values or more takes two halves,
-    one per thread, and a smaller one a single block; the halves are
-    added in order, so the result does not depend on the number of cores.
+    spectrum, read block by block: each block meets its x rows in one
+    matrix product, whose (m, y rows, z columns) result meets its y rows
+    in a second, added into R at the block's z columns, so no array of a
+    spectrum plane's size is made.  The blocks go in the runs of
+    :func:`_runs`, one per thread, added in order, so the result does not
+    depend on the number of cores.
     """
-    P = spectrum.power
-    nx, ny, nz = P.shape
     xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
-    flat = P.reshape(nx, ny * nz)
+    shape = (len(xrows), len(yrows), spectrum.dims[2] // 2 + 1)
 
-    def block(span):
-        lo, hi = span
-        xsum = (xrows @ flat[:, lo * nz:hi * nz]).reshape(len(xrows), hi - lo, nz)
-        return yrows[:, lo:hi] @ xsum
+    def run(blocks):
+        R = np.zeros(shape)
+        for x, y, z, values in blocks:
+            nx, ny, nz = values.shape
+            xsum = (xrows[:, x] @ values.reshape(nx, ny * nz)).reshape(len(xrows), ny, nz)
+            R[:, :, z] += yrows[:, y] @ xsum
+        return R
 
-    return sum(_spread(block, _halves(ny, P.size)))
+    return sum(_spread(run, _runs(spectrum.blocks)))
 
 
 def _outer_sum(spectrum: _Spectrum, s, g=(1.0, 1.0, 1.0)):

@@ -37,10 +37,12 @@ caller's thread takes the first and a private pool, one thread per
 further core the process may run on, the second.  A plane is the same
 numbers on either thread, so the grid keeps its bits.  The same rule
 gives the filter's transforms and the oracles' spectrum transform
-``workers`` threads, and splits a mode sum's spectrum into two halves
-of y rows.  The halves depend on the array's shape alone, so no output
-depends on the number of cores.  Work sent to the pool calls no public
-function, and a forked child starts without its parent's pool.
+``workers`` threads.  It also marks the spectra that the oracles cut to
+the ball their Gaussian leaves standing, whose blocks a mode sum takes
+in two runs, and splits an uncut one into two halves of y rows.  The
+halves and runs depend on the array alone, so no output depends on the
+number of cores.  Work sent to the pool calls no public function, and a
+forked child starts without its parent's pool.
 
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
@@ -124,8 +126,9 @@ DEFAULT_MAX_VOXELS = 512**3
 # grid-aligned facet could pass
 _SUPERSAMPLE = 4
 # an array of this many values or more is split in two halves for the
-# threads: the closed-form raster's planes, a mode sum's spectrum rows and
-# the transforms of the spectrum and the filter
+# threads: the closed-form raster's planes, the transforms of the spectrum
+# and the filter, and a mode sum's spectrum, which is also cut to a ball
+# of blocks from this size on (read at call time, as voxel._PARALLEL_SIZE)
 _PARALLEL_SIZE = 1 << 20
 
 

@@ -111,6 +111,20 @@ class TestKspaceIntegral:
         assert np.array_equal(K, K[0, 0] * np.eye(3))
         assert K[0, 0] == pytest.approx(radial, rel=1e-12, abs=0)
 
+    def test_sphere_form_factor_keeps_every_digit_at_small_k(self):
+        # 3 (sin u - u cos u) / u^3, u = |k| R, cancelled to some eps / u^2
+        # above the old series switch at u = 1e-6: 8.1e-5 off at u = 2e-6
+        R = 2.0 * SIGMA
+        k = np.outer(np.geomspace(1e-8, 2.0, 81) / R, (0.0, 0.0, 1.0))
+        V = 4.0 * math.pi * R**3 / 3.0
+        mu = form_factor(Sphere(R))(k)
+        for u, got in zip(k[:, 2] * R, mu / V):
+            q = Fraction(float(u))
+            exact = sum(Fraction((-1) ** m * 6 * (m + 1), math.factorial(2 * m + 3)) * q ** (2 * m)
+                        for m in range(30))
+            assert abs(Fraction(float(got.real)) - exact) <= Fraction(1, 10**15) * exact
+        assert form_factor(Sphere(R))(np.zeros(3)) == V
+
     @pytest.mark.parametrize("x", [1e3, 3e3, 1e4])
     def test_bare_sphere_falls_short_of_the_surface_formula_by_two_over_x_squared(self, x):
         # R = 1000 sigma used to raise QuadratureNotConverged after 6.7 s

@@ -11,7 +11,10 @@ separable phase contractions, checked here against the per-mode sum of
 gradient integral, the DFT route's weight and the decoherence function
 all go through one mode-sum kernel; on small random grids, singleton
 axes included, each is checked against the same sum taken mode by mode
-over numpy's own transform, in one block and in two halves.
+over numpy's own transform, in one block and in two halves.  A spectrum
+cut to the ball its Gaussian leaves standing (the cut's threshold,
+read at call time, lowered below small grids) gives each sum of the
+whole spectrum mode by mode to 1e-13, and white noise is not cut.
 """
 
 import gc
@@ -27,9 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslsurf.csl import CslParams
-from cslsurf.geometry import Box, Sphere
+from cslsurf.geometry import Box, Cylinder, EllipticCylinder, Sphere
 from cslsurf.oracle import (decoherence_function, integrals, rasterize_smoothed_density,
                             read_grid, voxel, write_grid)
+from cslsurf.oracle.integrals import _body_spectrum
 from cslsurf.oracle.voxel import VoxelGrid
 
 SIGMA = 1e-7
@@ -118,6 +122,86 @@ def test_mode_sums_match_dense_per_mode_sums(shape, seed, direction, log_magnitu
                          dense(ref.k, gain[0] * gain[1] * gain[2]))
             assert decoherence_function(grid, delta, PARAMS) == pytest.approx(ref(delta),
                                                                              rel=1e-13)
+
+
+CUT = ["sphere", "box", "tilted-cylinder", "elliptic-filtered"]
+
+
+@pytest.fixture(scope="module")
+def cut():
+    """Each body's P and its record cut, the cut's threshold lowered below
+    its grid: a sphere, a box, a tilted cylinder and the filtered raster's
+    own spectrum of an elliptic cylinder (``_body_spectrum``)."""
+    bodies = {"sphere": Sphere(4 * SIGMA, center=(0.3 * SIGMA, -0.2 * SIGMA, 0.1 * SIGMA)),
+              "box": Box((5 * SIGMA, 7 * SIGMA, 6 * SIGMA)),
+              "tilted-cylinder": Cylinder(3 * SIGMA, 9 * SIGMA, axis=(1.0, 2.0, 3.0)),
+              "elliptic-filtered": EllipticCylinder(4 * SIGMA, 3 * SIGMA, 8 * SIGMA)}
+    out = {}
+    for name, spec in bodies.items():
+        whole = _body_spectrum(spec, RHO, SIGMA)
+        (P,) = (b.values for b in whole.blocks)
+        with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
+            record = whole._replace(blocks=integrals._blocks(P, whole.dims))
+        assert 1 < len(record.blocks) and sum(b.values.size for b in record.blocks) < P.size
+        out[name] = P, record
+    return out
+
+
+@pytest.mark.parametrize("body", CUT)
+def test_cut_leaves_out_at_most_its_tails(cut, body):
+    # the blocks hold P's own values, each mode once, and what they leave
+    # out is at most 2^-60 of sum P and of sum P |k|^2
+    P, record = cut[body]
+    n = record.dims
+    kept = np.zeros(P.shape, dtype=int)
+    for x, y, z, values in record.blocks:
+        at = np.ix_(x, y, np.arange(P.shape[2])[z])
+        assert np.array_equal(values, P[at])
+        kept[at] += 1
+    assert kept.max() == 1
+    k2 = sum(k**2 for k in np.meshgrid(np.fft.fftfreq(n[0]), np.fft.fftfreq(n[1]),
+                                       np.fft.rfftfreq(n[2]), indexing="ij"))
+    for weight in (1.0, k2):
+        assert np.sum((P * weight)[kept == 0]) <= 2.0**-60 * (1 + 1e-9) * np.sum(P * weight)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(body=st.sampled_from(CUT),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       log_magnitude=st.floats(-3.0, math.log10(4.0)))
+def test_cut_spectrum_sums_match_dense_per_mode_sums(cut, body, direction, log_magnitude):
+    """The blocks of a cut record against the whole P it was cut from,
+    mode by mode: the gradient, the DFT route and the decoherence function."""
+    P, record = cut[body]
+    n, h = record.dims, record.spacing
+    k = (2 * np.pi * np.fft.fftfreq(n[0], h)[:, None, None],
+         2 * np.pi * np.fft.fftfreq(n[1], h)[None, :, None],
+         2 * np.pi * np.fft.rfftfreq(n[2], h)[None, None, :])
+    scale = (2 * np.pi) ** 3 * h**3 / math.prod(n)
+
+    def dense(weight):
+        return scale * np.array([[np.sum(P * weight * ki * kj) for kj in k] for ki in k])
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # the squared transform of the 4-point cell average, sin(x) / (4 sin(x / 4))
+    d2 = [(np.sinc(ki * h / (2 * np.pi)) / np.sinc(ki * h / (8 * np.pi))) ** 2 for ki in k]
+    assert close(integrals._gradient(record), dense(1.0))
+    assert close(integrals._kspace_fft(record), dense(1.0 / (d2[0] * d2[1] * d2[2])))
+    delta = 10.0**log_magnitude * SIGMA * np.asarray(direction) / np.linalg.norm(direction)
+    phase = sum(ki * di for ki, di in zip(k, delta))
+    want = PREF * scale * np.sum(P * 2.0 * np.sin(phase / 2.0) ** 2)
+    assert integrals._decoherence(record, delta, PARAMS) == pytest.approx(want, rel=1e-13)
+
+
+def test_white_noise_keeps_every_mode_in_one_block():
+    # no shell of a flat spectrum is negligible, so nothing is cut
+    values = RHO * np.random.default_rng(7).standard_normal((24, 20, 18))
+    with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
+        record = integrals._power(VoxelGrid(np.zeros(3), SIGMA / 2, values))
+    assert [b.values.shape for b in record.blocks] == [(24, 20, 10)]
 
 
 def _blob(n=48):

@@ -1,12 +1,14 @@
 """The threads of the grid oracles.
 
-An array of 2^20 values or more is split in two halves: the closed-form
-raster's x-planes, a mode sum's spectrum rows, and the transforms of the
-spectrum and of the filtered raster take two threads.  The halves depend
-on the array's shape alone, so every output is the same bit for bit on
-one core and on two, and a raster's halves keep the bits of one block
-(the mode sums' halves are checked against dense sums in
-``test_spectrum.py``); the pool is private, a forked child starts
+An array of 2^20 values or more is split in two: the closed-form
+raster's x-planes, and the transforms of the spectrum and of the
+filtered raster, take two threads, and a mode sum takes the blocks of a
+spectrum cut to the ball its Gaussian leaves standing (at most 0.70 of
+the modes of the benchmark's sphere and plate) in two runs.  The halves
+and runs depend on the array alone, so every output is the same bit for
+bit on one core and on two, and a raster's halves keep the bits of one
+block (the mode sums' halves and blocks are checked against dense sums
+in ``test_spectrum.py``); the pool is private, a forked child starts
 without it, and a mode sum makes no array of a spectrum plane's size.
 """
 
@@ -26,7 +28,7 @@ import pytest
 
 from cslsurf.csl import CslParams
 from cslsurf.geometry import Box, Cylinder, EllipticCylinder, Sphere
-from cslsurf.oracle import decoherence_function, rasterize_smoothed_density, voxel
+from cslsurf.oracle import decoherence_function, integrals, rasterize_smoothed_density, voxel
 
 SIGMA = 1e-7
 RHO = 1800.0
@@ -58,6 +60,16 @@ def test_mode_sum_makes_no_plane_sized_array(grids, body, limit):
     finally:
         tracemalloc.stop()
     assert peak <= limit * 2**20
+
+
+@pytest.mark.parametrize("body", ["sphere", "plate"])
+def test_held_spectrum_keeps_at_most_seven_tenths_of_its_modes(grids, body):
+    # the ball that the Gaussian leaves standing, in blocks: 66.4% and 64.0%
+    # of the half spectrum's modes (the whole spectrum was held before)
+    n = grids[body].dims
+    blocks = integrals._power(grids[body]).blocks
+    assert len(blocks) > 1
+    assert sum(b.values.size for b in blocks) <= 0.70 * n[0] * n[1] * (n[2] // 2 + 1)
 
 
 def test_user_threads_get_the_serial_values(grids):
