@@ -37,13 +37,18 @@ value contents, so a scan of many oracle calls on one grid, or on grids
 whose values are equal bit for bit (a grid and its re-read file), pays
 for one transform; the values of a transformed or matched grid are
 read-only.  :func:`_body_spectrum` makes it of a body: a sampled body's
-P is its filter's spectrum squared, one fill and one transform.  The
-record holds P in dense blocks (:func:`_blocks`).  Below 2^20 values P
-is one block; a larger P is cut to the ball |k| < r outside which the
-Gaussian leaves at most 2^-60 of sum P and of sum P |k|^2, some 0.6-0.7
-of its modes on sigma/2 grids, and only the blocks that cover the ball
-are held.  Each weight is a short sum of per-axis products, so one
-kernel, :func:`_mode_sum`, reads each block once and contracts its x
+P is its filter's spectrum squared, one fill and one transform.  Below
+2^20 values P comes of one rfftn; a larger P is built in two passes over
+its z columns, the low two thirds and then the rest, each transformed in
+rfftn's own axis order and squared before the next (:func:`_parts`), so
+no more than two thirds of the complex half spectrum is held at once and
+each mode keeps the bits of the one transform.  The record holds P in
+dense blocks (:func:`_blocks`).  Below 2^20 values P is one block; a
+larger P is cut to the ball |k| < r outside which the Gaussian leaves at
+most 2^-60 of sum P and of sum P |k|^2, some 0.6-0.7 of its modes on
+sigma/2 grids, and only the blocks that cover the ball are held.  Each
+weight is a short sum of per-axis products, so one kernel,
+:func:`_mode_sum`, reads each block once and contracts its x
 and y axes with a few rows of x factors and of y factors: one matrix
 product with the block's x rows and a second with its y rows, added
 into the result at its z columns, so no array of a spectrum plane's
@@ -85,7 +90,7 @@ from .voxel import (
     _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
     VoxelGrid,
-    _filter_spectrum,
+    _gain,
     _grid_geometry,
     _grid_lengths,
     _halves,
@@ -148,17 +153,20 @@ _Y_GROUPS, _Z_STEPS = 6, 3
 _Block = namedtuple("_Block", "x y z values")
 
 # what every Parseval sum reads: the blocks of P = w_z |F|^2 of a grid's
-# rfftn F that hold every mode the sums need, and the grid
+# half spectrum F (one rfftn, or two passes over its z columns) that hold
+# every mode the sums need, and the grid
 _Spectrum = namedtuple("_Spectrum", "blocks spacing dims margin")
 
 
-def _squared(F, nz):
+def _squared(F, nz, z0=0):
     """Read-only P = w_z |F|^2 (w_z counts each column's Hermitian twin) of
-    the half spectrum F of a grid of ``nz`` z values, written into F's own
-    buffer one x-plane at a time in increasing order, then shrunk to size:
-    the P that :func:`_blocks` cuts."""
+    the columns z0, z0 + 1, ... of the half spectrum of a grid of ``nz`` z
+    values, held in F, written into F's own buffer one x-plane at a time
+    in increasing order, then shrunk to size: a part of the P that
+    :func:`_blocks` cuts."""
     n = F.shape
-    wz = np.where((np.arange(n[2]) == 0) | (2 * np.arange(n[2]) == nz), 1.0, 2.0)
+    z = np.arange(z0, z0 + n[2])
+    wz = np.where((z == 0) | (2 * z == nz), 1.0, 2.0)
     plane = n[1] * n[2]
     flat = F.view(np.float64).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,27 +179,78 @@ def _squared(F, nz):
     return P
 
 
-def _blocks(P, dims):
-    """The blocks of a record of the half spectrum P of a grid of ``dims``.
+# the most complex values that one z transform of a slab of x-planes makes:
+# the only temporary of a pass beside its columns, so small against them
+_SLAB = 1 << 15
+
+
+def _parts(values, gain=None):
+    """P = w_z |F|^2 of the half spectrum F of the rfftn of the grid
+    ``values``, times ``gain(F, z)`` (which multiplies F's columns z in
+    place) where given, as read-only parts that tile its z columns in
+    order (:func:`_squared`).
+
+    A P of fewer than ``_PARALLEL_SIZE`` values is one part, from one
+    rfftn.  A larger one is built in two passes, the first over the low
+    two thirds of the columns and the second over the rest, so that no
+    pass holds more than two thirds of F: a pass takes the rfft along z
+    of a few x-planes at a time (at most ``_SLAB`` values), keeps its
+    columns, then takes the fft along x and then along y in place.  That
+    is the order of the axes inside rfftn, so each mode has the bits of
+    the one transform.  The pass then applies the gain, squares and
+    shrinks, before the next begins."""
+    n = values.shape
+    m = n[2] // 2 + 1
+    workers = _workers(values.size)
+    if n[0] * n[1] * m < voxel._PARALLEL_SIZE:
+        F = sfft.rfftn(values, workers=workers)
+        if gain is not None:
+            gain(F, slice(None))
+        return [_squared(F, n[2])]
+    parts, step, edges = [], max(1, _SLAB // (n[1] * m)), sorted({0, (2 * m + 2) // 3, m})
+    for z in (slice(a, b) for a, b in zip(edges, edges[1:])):
+        F = np.empty((n[0], n[1], z.stop - z.start), complex)
+        for i in range(0, n[0], step):
+            F[i:i + step] = sfft.rfft(values[i:i + step], axis=2, workers=workers)[:, :, z]
+        sfft.fftn(F, axes=(0, 1), overwrite_x=True, workers=workers)
+        if gain is not None:
+            gain(F, z)
+        parts.append(_squared(F, n[2], z.start))
+        del F
+    return parts
+
+
+def _blocks(parts, dims):
+    """The blocks of a record of the half spectrum P of a grid of ``dims``,
+    from the parts of P that tile its z columns in order (:func:`_parts`).
+    The list is emptied, so that each part dies as soon as no block that
+    is still to be gathered reads it.
 
     A P of fewer than ``_PARALLEL_SIZE`` values is one block, P itself.
     A larger one is cut to a ball |k| < r: sum P and sum P |k|^2 are
     tallied over shells of the width of the grid's smallest wavenumber
-    step, and r is the smallest shell edge past which both tails are at
-    most ``_TAIL`` (2^-60) of their totals.  Each sum's weight is bounded
-    by a multiple of 1 or of |k|^2, so no sum moves by more than 2^-60 of
-    its scale (13 times that on the DFT route, whose 1 / D^2 is at most
+    step, one x-plane of the parts at a time in P's own element order,
+    and r is the smallest shell edge past which both tails are at most
+    ``_TAIL`` (2^-60) of their totals.  Each sum's weight is bounded by a
+    multiple of 1 or of |k|^2, so no sum moves by more than 2^-60 of its
+    scale (13 times that on the DFT route, whose 1 / D^2 is at most
     1.53^6).  The y rows inside the ball, grouped by |k_y|, and its z
     columns, in steps, make the blocks: each holds the x planes that its
     inner corner (least |k_y|, least k_z) has inside the ball, as one
-    contiguous array, and P dies with the caller's reference.  Tails
-    that are not finite, or a ball that holds every mode (white noise),
-    leave P whole, so those sums keep their bits and a grid that is not
-    finite still raises.
+    contiguous array.  They are gathered in descending z, and a part
+    is let go once the blocks left lie below its columns.  Tails that are
+    not finite, or a ball that holds every mode (white noise), leave P
+    whole, so those sums keep their bits and a grid that is not finite
+    still raises.
     """
-    whole = [_Block(slice(None), slice(None), slice(None), P)]
-    if P.size < voxel._PARALLEL_SIZE:
-        return whole
+    def whole():
+        P = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+        parts.clear()
+        P.flags.writeable = False
+        return [_Block(slice(None), slice(None), slice(None), P)]
+
+    if sum(p.size for p in parts) < voxel._PARALLEL_SIZE:
+        return whole()
     kx2, ky2, kz2 = (k * k for k in _wavenumbers(dims, 1.0))
     step = 2.0 * np.pi / max(dims)
 
@@ -202,28 +261,43 @@ def _blocks(P, dims):
     top = int(shell(kx2.max() + yz2.max()))    # the shell of the farthest mode
     tally = np.zeros((2, top + 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for x2, p in zip(kx2, P):
+        for i, x2 in enumerate(kx2):
+            p = np.concatenate([q[i] for q in parts], axis=1) if len(parts) > 1 else parts[0][i]
             k2 = x2 + yz2
             s = shell(k2).ravel()
             tally[0] += np.bincount(s, p.ravel(), top + 2)
             tally[1] += np.bincount(s, (p * k2).ravel(), top + 2)
     tails = np.cumsum(tally[:, ::-1], axis=1)[:, ::-1]    # tails[:, n]: shells n and on
     if not np.all(np.isfinite(tails[:, 0])):
-        return whole
+        return whole()
     r = max(1, int(np.argmax(np.all(tails <= _TAIL * tails[:, :1], axis=0))))
     if r > top:
-        return whole
+        return whole()
     rank = np.minimum(np.arange(dims[1]), dims[1] - np.arange(dims[1]))  # |k_y| in steps
     rows = shell(ky2) < r
-    blocks = []
+    cuts = []
     for g0, g1 in _ranges(rank[rows].max() + 1, _Y_GROUPS):
         y = np.flatnonzero(rows & (rank >= g0) & (rank < g1))
         for z0, z1 in _ranges(np.count_nonzero(shell(kz2) < r), _Z_STEPS):
             # y[0], the group's first + frequency, has its least |k_y|
             x = np.flatnonzero(shell(kx2 + (ky2[y[0]] + kz2[z0])) < r)
             if x.size:
-                blocks.append(_Block(x, y, slice(z0, z1), P[:, :, z0:z1][np.ix_(x, y)]))
-    return blocks if len(blocks) > 1 else whole
+                cuts.append((x, y, z0, z1))
+    if len(cuts) < 2:
+        return whole()
+    starts = np.cumsum([0] + [p.shape[2] for p in parts])
+    blocks = [None] * len(cuts)
+    for j in sorted(range(len(cuts)), key=lambda j: -cuts[j][2]):
+        x, y, z0, z1 = cuts[j]
+        while starts[len(parts) - 1] >= z1:
+            parts.pop()
+        pieces = [p[:, :, max(z0, a) - a:min(z1, b) - a][np.ix_(x, y)]
+                  for p, a, b in zip(parts, starts, starts[1:]) if a < z1 and z0 < b]
+        values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=2)
+        del pieces
+        blocks[j] = _Block(x, y, slice(z0, z1), values)
+    parts.clear()
+    return blocks
 
 
 def _ranges(n, parts):
@@ -235,8 +309,9 @@ def _ranges(n, parts):
 
 
 def _power(grid: VoxelGrid):
-    """The spectrum record of the grid's values' one rfftn (:func:`_squared`,
-    cut by :func:`_blocks`).
+    """The spectrum record of the grid's values: their P (:func:`_parts`,
+    one rfftn, or two passes over its z columns from 2^20 values on), cut
+    by :func:`_blocks`.
 
     P depends on the values alone, not on the grid's origin, spacing or
     margin, and so does its cut, which counts wavenumbers in steps, so
@@ -268,9 +343,7 @@ def _power(grid: VoxelGrid):
             return _Spectrum(entry[1], grid.spacing, grid.dims, grid.margin)
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
     values.flags.writeable = False
-    blocks = _blocks(_squared(sfft.rfftn(values.astype(float, copy=False),
-                                         workers=_workers(values.size)), values.shape[2]),
-                     values.shape)
+    blocks = _blocks(_parts(values.astype(float, copy=False)), values.shape)
     with _SPECTRA_LOCK:
         _SPECTRA.append(([weakref.ref(values, _forget)], blocks))
         del _SPECTRA[:-2]
@@ -281,16 +354,20 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
                    max_voxels=DEFAULT_MAX_VOXELS):
     """The spectrum record of :func:`rasterize_smoothed_density` with the
     same arguments and checks: for a sampled body, whose raster is the
-    irfftn of :func:`_filter_spectrum`, that spectrum squared where it
-    lies, which is the raster's round trip to rounding, and cut."""
+    irfftn of the filter's spectrum (:func:`voxel._filter_spectrum`), that
+    spectrum squared where it lies, which is the raster's round trip to
+    rounding, and cut.  Its P is that of the fill, with the filter's gain
+    applied to each part as :func:`_parts` builds it (one rfftn, or two
+    passes over the z columns), and the fill dies before the cut."""
     spec = build_shape(spec)
     if not _sampled(spec):
         return _power(rasterize_smoothed_density(spec, density, sigma, spacing, padding,
                                                  max_voxels))
     density, sigma, spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
-    P = _squared(_filter_spectrum(spec, dims, origin, density, sigma, spacing), dims[2])
-    return _Spectrum(_blocks(P, dims), spacing, dims, padding)
+    parts = _parts(voxel.supersampled_fraction(spec, dims, origin, spacing),
+                   _gain(dims, density, sigma, spacing))
+    return _Spectrum(_blocks(parts, dims), spacing, dims, padding)
 
 
 def _runs(blocks):

@@ -13,7 +13,9 @@ exp(-k^2 sigma^2 / 2) on the grid's wavenumbers (:func:`_filter_spectrum`),
 so the grid is periodic, as it is for every oracle transform; the
 zero-field margin keeps the wrapped tails below ~1e-8 rho, and the gain
 of 1 at k = 0 keeps the fill's mass.  The raster takes one irfftn of
-that spectrum; a body's grid oracles square it where it lies.
+that spectrum; a body's grid oracles square it where it lies, from 2^20
+values on built in two passes over its z columns, each of which takes
+the gain (:func:`_gain`) on its own columns.
 
 Every field takes the solid's local coordinates as three broadcastable
 arrays, from the rule that ``contains`` and ``signed_distance`` use too
@@ -36,10 +38,12 @@ A grid of 2^20 voxels or more walks its planes in two halves of x: the
 caller's thread takes the first and a private pool, one thread per
 further core the process may run on, the second.  A plane is the same
 numbers on either thread, so the grid keeps its bits.  The same rule
-gives the filter's transforms and the oracles' spectrum transform
-``workers`` threads.  It also marks the spectra that the oracles cut to
-the ball their Gaussian leaves standing, whose blocks a mode sum takes
-in two runs, and splits an uncut one into two halves of y rows.  The
+gives the filter's transforms and the oracles' spectrum transforms
+``workers`` threads.  It also marks the spectra that the oracles build
+in two passes over their z columns (two thirds, then the rest, so no
+pass holds the whole complex spectrum) and cut to the ball their
+Gaussian leaves standing, whose blocks a mode sum takes in two runs,
+and splits an uncut one into two halves of y rows.  The
 halves and runs depend on the array alone, so no output depends on the
 number of cores.  Work sent to the pool calls no public function, and a
 forked child starts without its parent's pool.
@@ -127,8 +131,9 @@ DEFAULT_MAX_VOXELS = 512**3
 _SUPERSAMPLE = 4
 # an array of this many values or more is split in two halves for the
 # threads: the closed-form raster's planes, the transforms of the spectrum
-# and the filter, and a mode sum's spectrum, which is also cut to a ball
-# of blocks from this size on (read at call time, as voxel._PARALLEL_SIZE)
+# and the filter, and a mode sum's spectrum, which is also built in two
+# passes over its z columns and cut to a ball of blocks from this size on
+# (read at call time, as voxel._PARALLEL_SIZE)
 _PARALLEL_SIZE = 1 << 20
 
 
@@ -419,15 +424,26 @@ def _sampled(spec):
 
 def _filter_spectrum(spec, dims, origin, density, sigma, spacing):
     """The filtered raster's spectrum: one rfftn of the body's supersampled
-    fraction, which dies with it, times ``density`` and the separable gain
-    exp(-k^2 sigma^2 / 2) on the grid's angular wavenumbers, in place."""
+    fraction, which dies with it, times the filter's :func:`_gain`."""
     F = sfft.rfftn(supersampled_fraction(spec, dims, origin, spacing),
                    workers=_workers(math.prod(dims)))
-    gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) for k in _wavenumbers(dims, spacing))
-    F *= (density * gx)[:, None, None]
-    F *= gy[:, None]
-    F *= gz
+    _gain(dims, density, sigma, spacing)(F, slice(None))
     return F
+
+
+def _gain(dims, density, sigma, spacing):
+    """The filter of a grid of ``dims``: a function that multiplies the
+    columns z of its half spectrum, held in F, in place by ``density`` and
+    the separable gain exp(-k^2 sigma^2 / 2) on the grid's angular
+    wavenumbers, so that a part of the columns takes the bits of the whole."""
+    gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) for k in _wavenumbers(dims, spacing))
+
+    def apply(F, z):
+        F *= (density * gx)[:, None, None]
+        F *= gy[:, None]
+        F *= gz[z]
+
+    return apply
 
 
 def _wavenumbers(shape, h):

@@ -14,7 +14,10 @@ axes included, each is checked against the same sum taken mode by mode
 over numpy's own transform, in one block and in two halves.  A spectrum
 cut to the ball its Gaussian leaves standing (the cut's threshold,
 read at call time, lowered below small grids) gives each sum of the
-whole spectrum mode by mode to 1e-13, and white noise is not cut.
+whole spectrum mode by mode to 1e-13, and white noise is not cut.  A
+spectrum of 2^20 values or more is built in two passes over its z
+columns; its record is, block for block and bit for bit, the record of
+one rfftn of the same values, and it is built once per value content.
 """
 
 import gc
@@ -26,11 +29,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslsurf.csl import CslParams
-from cslsurf.geometry import Box, Cylinder, EllipticCylinder, Sphere
+from cslsurf.geometry import Box, ConeCappedCylinder, Cylinder, EllipticCylinder, Sphere
 from cslsurf.oracle import (decoherence_function, integrals, rasterize_smoothed_density,
                             read_grid, voxel, write_grid)
 from cslsurf.oracle.integrals import _body_spectrum
@@ -141,7 +145,7 @@ def cut():
         whole = _body_spectrum(spec, RHO, SIGMA)
         (P,) = (b.values for b in whole.blocks)
         with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
-            record = whole._replace(blocks=integrals._blocks(P, whole.dims))
+            record = whole._replace(blocks=integrals._blocks([P], whole.dims))
         assert 1 < len(record.blocks) and sum(b.values.size for b in record.blocks) < P.size
         out[name] = P, record
     return out
@@ -412,3 +416,116 @@ def test_lookup_builds_no_full_size_temporary():
     assert hit_peak < 0.05 * nbytes
     # compared through its last plane, then transformed: the cold call's bound
     assert miss_peak <= 1.1 * nbytes
+
+
+# ---------------------------------------------------------------------------
+# the two passes of a large spectrum against one rfftn
+
+
+def _one_transform_record(values, gain=None):
+    """The blocks of the record of one scipy.fft.rfftn of ``values``,
+    times the filter's gain (density, gx, gy, gz) where given."""
+    F = scipy.fft.rfftn(values)
+    if gain is not None:
+        density, gx, gy, gz = gain
+        F *= (density * gx)[:, None, None]
+        F *= gy[:, None]
+        F *= gz
+    nz = values.shape[2]
+    z = np.arange(F.shape[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (F.real**2 + F.imag**2) * np.where((z == 0) | (2 * z == nz), 1.0, 2.0)
+    return integrals._blocks([P], values.shape)
+
+
+def _same_record(got, want):
+    """Block for block: the same indices, and values equal bit for bit."""
+    def index(i):
+        return (i.start, i.stop, i.step) if isinstance(i, slice) else i.tolist()
+
+    return len(got) == len(want) and all(
+        index(g.x) == index(w.x) and index(g.y) == index(w.y) and index(g.z) == index(w.z)
+        and g.values.shape == w.values.shape and g.values.tobytes() == w.values.tobytes()
+        for g, w in zip(got, want))
+
+
+def _sampled_record(spec, spacing=SIGMA / 2):
+    """The record of a sampled body, and the one of one rfftn of its fill
+    times its filter's gain."""
+    record = _body_spectrum(spec, RHO, SIGMA, spacing=spacing)
+    dims, origin = voxel._grid_geometry(spec, spacing, voxel.DEFAULT_PADDING_SIGMA * SIGMA)
+    gain = (np.exp(-0.5 * (SIGMA * k) ** 2) for k in voxel._wavenumbers(dims, spacing))
+    fraction = voxel.supersampled_fraction(spec, dims, origin, spacing)
+    return record.blocks, _one_transform_record(fraction, (RHO, *gain))
+
+
+SMALL_BODIES = {"sphere": Sphere(4 * SIGMA, center=(0.3 * SIGMA, -0.2 * SIGMA, 0.1 * SIGMA)),
+                "plate": Box((2 * SIGMA, 7 * SIGMA, 6 * SIGMA)),
+                "sampled": EllipticCylinder(4 * SIGMA, 3 * SIGMA, 5 * SIGMA)}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(4, 13)),
+       seed=st.integers(0, 2**32 - 1), smooth=st.booleans(), slab=st.integers(1, 400),
+       body=st.sampled_from([None, *SMALL_BODIES]))
+def test_passes_give_the_record_of_one_transform(shape, seed, smooth, slab, body):
+    """Random grids (odd and even nz, the Nyquist column included; white
+    noise, which is not cut, or a smooth blob, which is), the sphere, the
+    plate and a sampled body with its gain, each built in two passes."""
+    with mock.patch.object(voxel, "_PARALLEL_SIZE", 1), \
+            mock.patch.object(integrals, "_SLAB", slab):
+        if body == "sampled":
+            got, want = _sampled_record(SMALL_BODIES[body])
+        else:
+            if body is None:
+                rng = np.random.default_rng(seed)
+                values = RHO * rng.standard_normal(shape)
+                if smooth:
+                    axes = np.meshgrid(*(np.arange(n) - rng.uniform(0, n) for n in shape),
+                                       indexing="ij")
+                    values = RHO * np.exp(-sum(a * a for a in axes) / rng.uniform(1.0, 8.0))
+            else:
+                values = rasterize_smoothed_density(SMALL_BODIES[body], RHO, SIGMA).values
+            parts = integrals._parts(values)
+            assert len(parts) == (2 if values.shape[2] >= 4 else 1)
+            got, want = integrals._blocks(parts, values.shape), _one_transform_record(values)
+    assert _same_record(got, want)
+
+
+@pytest.mark.parametrize("body", ["sphere", "plate", "sampled"])
+def test_large_records_are_those_of_one_transform(body):
+    # 150^3 and 72x270x270 grids, and the 108x108x256 fill of a cone: at
+    # 2^20 values or more, two passes, whose blocks are the one rfftn's
+    if body == "sampled":
+        got, want = _sampled_record(ConeCappedCylinder(20 * SIGMA, 40 * SIGMA, 1.0))
+    else:
+        spec = {"sphere": Sphere(30 * SIGMA), "plate": Box((20 * SIGMA, 120 * SIGMA, 120 * SIGMA))}
+        values = rasterize_smoothed_density(spec[body], RHO, SIGMA).values
+        assert values.shape[0] * values.shape[1] * (values.shape[2] // 2 + 1) >= 2**20
+        parts = integrals._parts(values)
+        assert len(parts) == 2
+        got, want = integrals._blocks(parts, values.shape), _one_transform_record(values)
+    assert len(got) > 1
+    assert _same_record(got, want)
+
+
+def test_large_spectrum_is_built_once_per_value_content(monkeypatch, tmp_path):
+    # a 128^3 grid: its half spectrum has 2^20 values or more, so it is built
+    # in passes, once, whatever the number of oracle calls on it or on its twin
+    builds = []
+    parts = integrals._parts
+
+    def counted(*args, **kwargs):
+        builds.append(args[0].shape)
+        return parts(*args, **kwargs)
+
+    gc.collect()
+    monkeypatch.setattr(integrals, "_parts", counted)
+    grid = _blob(128)
+    write_grid(grid, tmp_path / "blob.cslgrid")
+    reread = read_grid(tmp_path / "blob.cslgrid")
+    first = decoherence_function(grid, DELTA, PARAMS)
+    integrals.gradient_outer_integral(grid)
+    for other in (grid, reread, grid):
+        assert decoherence_function(other, DELTA, PARAMS) == first
+    assert builds == [(128, 128, 128)]

@@ -4,7 +4,9 @@ An array of 2^20 values or more is split in two: the closed-form
 raster's x-planes, and the transforms of the spectrum and of the
 filtered raster, take two threads, and a mode sum takes the blocks of a
 spectrum cut to the ball its Gaussian leaves standing (at most 0.70 of
-the modes of the benchmark's sphere and plate) in two runs.  The halves
+the modes of the benchmark's sphere and plate) in two runs; that
+spectrum is built in two passes over its z columns, so its build holds
+at most 0.70 of the complex half spectrum.  The halves
 and runs depend on the array alone, so every output is the same bit for
 bit on one core and on two, and a raster's halves keep the bits of one
 block (the mode sums' halves and blocks are checked against dense sums
@@ -70,6 +72,21 @@ def test_held_spectrum_keeps_at_most_seven_tenths_of_its_modes(grids, body):
     blocks = integrals._power(grids[body]).blocks
     assert len(blocks) > 1
     assert sum(b.values.size for b in blocks) <= 0.70 * n[0] * n[1] * (n[2] // 2 + 1)
+
+
+def test_spectrum_build_holds_at_most_two_thirds_of_the_transform(grids):
+    # the sphere's record is built in two passes over kz, so no more than
+    # two thirds of its complex half spectrum F is held at once; one whole
+    # rfftn held all of F and peaked above 1.0 F
+    n = grids["sphere"].dims
+    nbytes = n[0] * n[1] * (n[2] // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        integrals._blocks(integrals._parts(grids["sphere"].values), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.70 * nbytes
 
 
 def test_user_threads_get_the_serial_values(grids):
