@@ -134,25 +134,64 @@ def _interval_factor(x, half, sigma):
     return ndtr((x + half) / sigma) - ndtr((x - half) / sigma)
 
 
+# the band of a round wall, in sigma: deeper inside, the closed forms round
+# to 1.0; farther outside, a convex solid's field is at most ndtr(-12) =
+# 1.8e-33 (the half-space bound)
+_BAND_IN, _BAND_OUT = 10.0, 12.0
+# past this (d + R) / sigma the far wall's terms of the ball lie below half
+# an ulp of every value in the band, which is at least ~1e-33
+_FAR_WALL = 20.0
+
+
+def _on(mask, x, fn):
+    """fn(x) where ``mask`` holds, 0 elsewhere, on x's shape."""
+    out = np.zeros(x.shape)
+    if mask.any():
+        out[mask] = fn(x[mask])
+    return out
+
+
+def _near_wall(t, radius, sigma, closed_form):
+    """A round wall's factor at distances ``t`` from its axis or center:
+    ``closed_form(t)`` on the band from 10 sigma inside to 12 sigma outside
+    the wall t = radius, exactly 1.0 deeper inside, which is what the closed
+    form gives there, and exactly 0 farther outside."""
+    t = np.asarray(t, dtype=float)
+    deep = t < radius - _BAND_IN * sigma
+    return np.where(deep, 1.0, _on(~deep & (t <= radius + _BAND_OUT * sigma), t, closed_form))
+
+
 def _disc_factor(r, radius, sigma):
     """Convolution of a 2-D disc indicator with the 2-D Gaussian.
 
     P(|X + r| <= radius) for X ~ N(0, sigma^2 I2), i.e. the noncentral
-    chi-square CDF with 2 degrees of freedom.
+    chi-square CDF with 2 degrees of freedom, taken on the wall's band
+    (:func:`_near_wall`).
     """
-    return chndtr((radius / sigma) ** 2, 2.0, (r / sigma) ** 2)
+    return _near_wall(r, radius, sigma,
+                      lambda r: chndtr((radius / sigma) ** 2, 2.0, (r / sigma) ** 2))
 
 
 def _ball_factor(d, radius, sigma):
-    """Convolution of a 3-D ball indicator with the 3-D Gaussian (exact)."""
-    d = np.asarray(d, dtype=float)
-    up = (d + radius) / sigma
-    um = (d - radius) / sigma
+    """Convolution of a 3-D ball indicator with the 3-D Gaussian (exact),
+    taken on the wall's band (:func:`_near_wall`).  Where u+ = (d + R) /
+    sigma reaches 20 the far wall's ndtr(-u+) and Gaussian lie below half
+    an ulp of the value and are not taken: the value keeps its bits."""
     phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = ndtr(-um) - ndtr(-up) + (sigma / d) * (phi(up) - phi(um))
-    center = ndtr(radius / sigma) - ndtr(-radius / sigma) - 2.0 * (radius / sigma) * phi(radius / sigma)
-    return np.where(d < 1e-9 * sigma, center, out)
+
+    def closed_form(d):
+        up = (d + radius) / sigma
+        um = (d - radius) / sigma
+        reach = up < _FAR_WALL     # where the far wall's terms reach the value's bits
+        # sigma / d is infinite only below 1e-9 sigma, where the center's value is taken
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = (ndtr(-um) - _on(reach, up, lambda u: ndtr(-u))
+                   + (sigma / d) * (_on(reach, up, phi) - phi(um)))
+        center = (ndtr(radius / sigma) - ndtr(-radius / sigma)
+                  - 2.0 * (radius / sigma) * phi(radius / sigma))
+        return np.where(d < 1e-9 * sigma, center, out)
+
+    return _near_wall(d, radius, sigma, closed_form)
 
 
 def _norm(x, y, z):

@@ -427,10 +427,13 @@ def _finite(value, what):
 def gradient_outer_integral(grid: VoxelGrid):
     """(2 pi)^3 int grad(f) o grad(f) dV for the gridded field f.
 
-    The derivatives take their exact symbols through the DFT
-    (discretization error limited by aliasing of the smooth field, far
-    below the 0.5 percent budget at sigma/2 spacing).  Grid values that
-    are not finite raise :class:`DegenerateDimension`.
+    The derivatives take their exact symbols through the DFT, so on a
+    closed-form raster the error is the aliasing of the smooth field, far
+    below the 0.5 percent budget at sigma/2 spacing (4e-16 to 5e-15 of the
+    exact tensor).  A sampled raster is the supersampled fraction, a
+    4-point cell average per axis that the filter does not deconvolve, so
+    its tensor is 0.4 to 1.9 percent off at sigma/2.  Grid values that are
+    not finite raise :class:`DegenerateDimension`.
     """
     return _gradient(_power(grid))
 

@@ -21,20 +21,35 @@ Every field takes the solid's local coordinates as three broadcastable
 arrays, from the rule that ``contains`` and ``signed_distance`` use too
 (``geometry.shapes._local_axes``: a local coordinate sums only the world
 coordinates its frame column does not zero, and takes +-1 as a sign).
-The raster walks the grid one x-plane at a time and passes the plane's x
-as a (1, 1) array, y as (ny, 1) and z as (1, nz); the point evaluator
-passes the columns of its points.  On a named axis (x, y or z) the
-frame holds only 0 and +-1, so each local coordinate is one world axis
-minus the center, and a closed-form factor that reads no more than x
-and one other world axis is taken on ny or nz values per plane, not on
-ny nz: a box's erf factors, a cylinder's axial factor, and its disc
-factor unless its axis is x.  Those are the numbers a matrix product
-gives, and a product of broadcast factors is the product of the same
-factors per voxel, so such grids are bit for bit the point evaluator's
-values.  A tilted axis sums products in a fixed order, which may round
+The raster walks the grid one plane at a time along the first world axis
+that is no solid's local z (x, unless a rod lies along x), and passes
+the plane's coordinate as a (1, 1) array and the other two axes, in
+order, as (n, 1) and (1, n') arrays; the point evaluator passes the
+columns of its points.  On a named axis (x, y or z) the frame holds
+only 0 and +-1, so each local coordinate is one world axis minus the
+center, and a closed-form factor that reads no more than the walked
+axis and one other world axis is taken on n or n' values per plane, not
+on n n': a box's erf factors, a cylinder's axial factor, and its disc
+factor, which reads the two world axes across its own and so takes one
+row per plane.  Those are the numbers a matrix product gives, and a
+product of broadcast factors is the product of the same factors per
+voxel, so such grids are bit for bit the point evaluator's values.  A
+tilted axis sums products in a fixed order, which may round
 differently from a matrix product.
 
-A grid of 2^20 voxels or more walks its planes in two halves of x: the
+A round wall's field differs from 0 or 1 only near it: the ball's and
+the disc's factors take their closed form (two ``ndtr`` and two
+exponentials, or one ``chndtr``) only from 10 sigma inside to 12 sigma
+outside the wall, write 1.0 deeper inside, which is what the closed
+form gives there to the bit, and exact 0 farther outside, where a convex
+solid's field is at most ndtr(-12) = 1.8e-33 (the half-space bound).  A
+ball whose (d + R) / sigma reaches 20 skips its far wall's terms, which
+lie below half an ulp of the value.  The raster and the point evaluator
+read the same factors, so in-band and interior values keep the bits of
+the full closed form, and a value moves only more than 12 sigma outside
+a solid, by at most ndtr(-12) rho.
+
+A grid of 2^20 voxels or more walks its planes in two halves: the
 caller's thread takes the first and a private pool, one thread per
 further core the process may run on, the second.  A plane is the same
 numbers on either thread, so the grid keeps its bits.  The same rule
@@ -293,9 +308,11 @@ def _density(solids, density, sigma, x, y, z):
 def smoothed_density(spec, density, sigma, points):
     """Pointwise sigma-smoothed density of the body (cavities subtract).
 
-    ``density`` and ``sigma`` must be positive and finite
-    (:class:`DegenerateDimension`); a solid without a closed-form field
-    raises :class:`UnsupportedShape`."""
+    A ball or disc factor is exact 0 more than 12 sigma outside its wall
+    (the full closed form is at most ndtr(-12) = 1.8e-33 there) and 1.0
+    more than 10 sigma inside.  ``density`` and ``sigma`` must be
+    positive and finite (:class:`DegenerateDimension`); a solid without a
+    closed-form field raises :class:`UnsupportedShape`."""
     density = _scalar("density", density, 0.0, open=True)
     sigma = _scalar("sigma", sigma, 0.0, open=True)
     spec = build_shape(spec)
@@ -386,13 +403,18 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     FFT-friendly lengths.  ``spacing`` defaults to sigma / 2 and may not
     be coarser.
 
-    A body whose solids all have a field is evaluated one x-plane at a
-    time on the broadcast local axes of the plane (x as (1, 1), y as
-    (ny, 1), z as (1, nz)), so temporaries stay plane-sized and a factor
-    that depends on one world axis is taken once per value of that axis;
-    on named axes the grid is bit for bit :func:`smoothed_density` at its
-    points.  A grid of 2^20 voxels or more takes its planes in two halves,
-    on two threads, with the same bits.  Any other body takes the
+    A body whose solids all have a field is evaluated one plane at a time
+    on the broadcast local axes of the plane (the walked axis as (1, 1),
+    the others as (n, 1) and (1, n')), along x unless a solid's local z
+    is x, so temporaries stay plane-sized and a factor that depends on
+    one world axis is taken once per value of that axis; on named axes
+    the grid is bit for bit :func:`smoothed_density` at its points.  A
+    ball or disc factor takes its closed form only on the band from 10
+    sigma inside to 12 sigma outside its wall, and is 1.0 deeper in and 0
+    farther out, so a voxel more than 12 sigma outside a solid may read up
+    to ndtr(-12) rho = 1.8e-33 rho below the full closed form.  A grid of
+    2^20 voxels or more takes its planes in two halves, on two threads,
+    with the same bits.  Any other body takes the
     supersampled indicator, filtered in the spectrum of the periodic grid
     (:func:`_filter_spectrum`) and brought back by one irfftn.
     """
@@ -405,15 +427,22 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     else:
         solids = (spec, *spec.cavities)
         values = np.empty(dims)
-        y = (origin[1] + spacing * np.arange(dims[1]))[:, None]
-        z = (origin[2] + spacing * np.arange(dims[2]))[None, :]
+        # the first world axis that is no solid's local z: a named rod along
+        # it would take its disc factor on every voxel of each plane
+        walk = next((a for a in range(3)
+                     if all(abs(solid._frame[a, 2]) != 1.0 for solid in solids)), 0)
+        b, c = (a for a in range(3) if a != walk)
+        rows = (origin[b] + spacing * np.arange(dims[b]))[:, None]
+        columns = (origin[c] + spacing * np.arange(dims[c]))[None, :]
+        stack = np.moveaxis(values, walk, 0)    # a view: stack[i] is plane i
 
         def planes(span):
             for i in range(*span):
-                x = np.full((1, 1), origin[0] + spacing * i)
-                values[i] = _density(solids, density, sigma, x, y, z)
+                axes = [rows, columns]
+                axes.insert(walk, np.full((1, 1), origin[walk] + spacing * i))
+                stack[i] = _density(solids, density, sigma, *axes)
 
-        _spread(planes, _halves(dims[0], values.size))
+        _spread(planes, _halves(dims[walk], values.size))
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 

@@ -7,17 +7,18 @@ On a tilted axis the local coordinates are sums of products and may round
 differently from a matrix product.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import chndtr, ndtr
 
 from cslsurf.geometry import Box, Cylinder, GappedCylinder, Sphere
 from cslsurf.geometry import shapes
-from cslsurf.geometry.shapes import local_frame
+from cslsurf.geometry.shapes import local_frame, signed_distance
 from cslsurf.oracle import rasterize_smoothed_density, smoothed_density
 
 SIGMA = 1e-7
@@ -97,3 +98,120 @@ def test_box_erf_factors_come_from_the_axes(monkeypatch):
     nx, ny, nz = grid.dims
     # two erf values per axis value and plane, not six per voxel
     assert sum(seen) <= 2 * nx * (1 + ny + nz) < 6 * nx * ny * nz
+
+
+# The band.  The ball and disc factors take their closed forms only from 10
+# sigma inside to 12 sigma outside their wall; deeper inside they are 1.0,
+# farther outside 0, where a convex solid's field is at most ndtr(-12).
+
+FAR_BOUND = ndtr(-12.0)    # 1.8e-33
+
+
+def _full_ball(d, radius, sigma):
+    """The ball factor's closed form on every point, near and far wall."""
+    d = np.asarray(d, dtype=float)
+    up, um = (d + radius) / sigma, (d - radius) / sigma
+    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ndtr(-um) - ndtr(-up) + (sigma / d) * (phi(up) - phi(um))
+    center = ndtr(radius / sigma) - ndtr(-radius / sigma) - 2.0 * (radius / sigma) * phi(radius / sigma)
+    return np.where(d < 1e-9 * sigma, center, out)
+
+
+def _full_disc(r, radius, sigma):
+    """The disc factor's closed form on every point."""
+    return chndtr((radius / sigma) ** 2, 2.0, (np.asarray(r, dtype=float) / sigma) ** 2)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([(shapes._ball_factor, _full_ball), (shapes._disc_factor, _full_disc)]),
+       st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+def test_round_factors_take_their_closed_form_on_the_band(factors, ratio, shares):
+    banded, full = factors
+    radius = ratio * SIGMA
+    # distances from the axis or center out to 40 sigma past the wall, a
+    # few of them on the band's edges, at the center and a subnormal step off it
+    t = np.array([u * (radius + 40 * SIGMA) for u in shares]
+                 + [0.0, 5e-324, max(radius - 10 * SIGMA, 0.0), radius + 12 * SIGMA])
+    got = banded(t, radius, SIGMA)
+    with np.errstate(over="ignore"):    # sigma / d of a subnormal d, which the center replaces
+        want = full(t, radius, SIGMA)
+    far = t > radius + 12 * SIGMA
+    assert np.array_equal(got[~far], want[~far])
+    assert np.all(got[far] == 0.0) and np.all(want[far] <= FAR_BOUND)
+    # deeper inside the full form is 1.0 itself
+    assert np.all(want[t < radius - 10 * SIGMA] == 1.0)
+
+
+def _unbanded(monkeypatch):
+    """Make the round factors take their closed form on every point."""
+    monkeypatch.setattr(shapes, "_near_wall",
+                        lambda t, radius, sigma, closed_form: closed_form(np.asarray(t, float)))
+    monkeypatch.setattr(shapes, "_FAR_WALL", math.inf)
+
+
+_wide = st.floats(2.0, 12.0).map(lambda u: u * SIGMA)
+
+
+@st.composite
+def banded_bodies(draw):
+    kind = draw(st.sampled_from(("sphere", "shell", "rod", "tilted", "gapped")))
+    center = draw(_sub_cell)
+    a, b = draw(_wide), draw(_wide)
+    axis = draw(st.sampled_from(["x", "y", "z", (0.3, 0.5, 0.8), (-0.6, 0.2, 0.7)]
+                                if kind != "tilted" else [(0.3, 0.5, 0.8), (0.1, 0.9, 0.2)]))
+    if kind in ("sphere", "shell"):
+        spec, inner = Sphere(a, center=center), a
+    elif kind == "gapped":
+        spec = GappedCylinder(a, 6 * b, 2, b * draw(st.floats(0.2, 0.8)),
+                              axis=axis, center=center)
+        inner = min(a, spec.segments()[0] / 2)
+    else:
+        spec, inner = Cylinder(a, 2 * b, axis=axis, center=center), min(a, b)
+    if kind == "shell":
+        spec = replace(spec, cavities=(Sphere(inner * draw(st.floats(0.3, 0.95)), center=center),))
+    elif draw(st.booleans()):
+        # an off-center cavity
+        r = inner * draw(st.floats(0.2, 0.4))
+        shift = np.asarray(center) + (inner - r) * 0.8 * np.array(draw(st.sampled_from(
+            [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8), (0.48, -0.6, 0.64)])))
+        spec = replace(spec, cavities=(Sphere(r, center=tuple(shift)),))
+    return spec
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(banded_bodies())
+def test_banded_raster_moves_only_far_outside_a_solid(spec):
+    # a wide margin, so that every grid has voxels far outside
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA, padding=8 * SIGMA)
+    with pytest.MonkeyPatch.context() as mp:
+        _unbanded(mp)
+        full = rasterize_smoothed_density(spec, RHO, SIGMA, padding=8 * SIGMA).values
+    moved = grid.values != full
+    points = _grid_points(grid)
+    solids = [replace(spec, cavities=()), *spec.cavities]
+    far = np.any([signed_distance(solid, points) > 12 * SIGMA for solid in solids], axis=0)
+    assert moved.any() and np.all(far[moved])
+    # one dropped term of at most ndtr(-12) rho, and the rounding of the value
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(grid.values - full) <= FAR_BOUND * RHO * (1 + 4 * eps) + 4 * eps * np.abs(full))
+    if isinstance(spec, Sphere):
+        # more than 12 sigma outside the ball every solid's factor is 0
+        assert np.all(grid.values[signed_distance(solids[0], points) > 12 * SIGMA] == 0.0)
+
+
+def test_x_axis_rod_takes_its_disc_factor_once_per_raster(monkeypatch):
+    seen = []
+
+    def counted(*args):
+        seen.append(np.size(args[2]))
+        return chndtr(*args)
+
+    monkeypatch.setattr(shapes, "chndtr", counted)
+    spec = Cylinder(8 * SIGMA, 30 * SIGMA, axis="x", center=(0.1 * SIGMA, -0.2 * SIGMA, 0.0))
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+    nx, ny, nz = grid.dims
+    # at most one value per (y, z) line, not one per voxel
+    assert 0 < sum(seen) <= ny * nz < nx * ny * nz
+    assert np.array_equal(grid.values, smoothed_density(spec, RHO, SIGMA, _grid_points(grid)))

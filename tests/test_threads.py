@@ -1,7 +1,7 @@
 """The threads of the grid oracles.
 
 An array of 2^20 values or more is split in two: the closed-form
-raster's x-planes, and the transforms of the spectrum and of the
+raster's planes, and the transforms of the spectrum and of the
 filtered raster, take two threads, and a mode sum takes the blocks of a
 spectrum cut to the ball its Gaussian leaves standing (at most 0.70 of
 the modes of the benchmark's sphere and plate) in two runs; that
@@ -120,8 +120,9 @@ def test_user_threads_get_the_serial_values(grids):
     Sphere(4 * SIGMA, center=(0.3 * SIGMA, -0.2 * SIGMA, 0.1 * SIGMA)),
     Box((5 * SIGMA, 7 * SIGMA, 6 * SIGMA), cavities=(Sphere(SIGMA),)),
     Cylinder(3 * SIGMA, 9 * SIGMA, axis=(1.0, 2.0, 3.0)),
+    Cylinder(3 * SIGMA, 9 * SIGMA, axis="x"),
     EllipticCylinder(4 * SIGMA, 3 * SIGMA, 8 * SIGMA),
-], ids=["sphere", "box-with-cavity", "tilted-cylinder", "elliptic-filtered"])
+], ids=["sphere", "box-with-cavity", "tilted-cylinder", "x-axis-cylinder", "elliptic-filtered"])
 def test_halves_keep_the_bits_of_one_block(spec):
     # every array split in halves, as from 2^20 values on
     one = rasterize_smoothed_density(spec, RHO, SIGMA)
