@@ -43,25 +43,29 @@ its z columns, the low two thirds and then the rest, each transformed in
 rfftn's own axis order and squared before the next (:func:`_parts`), so
 no more than two thirds of the complex half spectrum is held at once and
 each mode keeps the bits of the one transform.  The record holds P in
-dense blocks (:func:`_blocks`).  Below 2^20 values P is one block; a
-larger P is cut to the ball |k| < r outside which the Gaussian leaves at
-most 2^-60 of sum P and of sum P |k|^2, some 0.6-0.7 of its modes on
-sigma/2 grids, and only the blocks that cover the ball are held.  Each
-weight is a short sum of per-axis products, so one kernel,
-:func:`_mode_sum`, reads each block once and contracts its x
-and y axes with a few rows of x factors and of y factors: one matrix
-product with the block's x rows and a second with its y rows, added
-into the result at its z columns, so no array of a spectrum plane's
-size is made.  P itself takes two halves of y rows from 2^20 values
-on, and a cut record two runs of blocks, one per thread.  Each caller
-ends over z with vectors of nz' values.  The weights are
+blocks of x pencils, and the sum over x of what it holds of each (y, z)
+column (:func:`_blocks`).  Below 2^20 values P is one block, every
+pencil whole; a larger P is cut to the ball |k| < r outside which the
+Gaussian leaves at most 2^-60 of sum P and of sum P |k|^2.  In the
+order of |k_x| the ball's modes of a column are a prefix, its pencil,
+and the columns of each pass are grouped by pencil length into dense
+blocks: 0.53-0.56 of the modes on sigma/2 grids, where the ball has
+0.50.  Each weight is a short sum of per-axis products, so one kernel,
+:func:`_mode_sum`, reads each block once: one matrix product of a few
+rows of x factors with its pencils, written into its columns of one
+(rows, ny nz') array, and then one product of that array with a few
+rows of y factors, so no array of a spectrum plane's size is made.  P
+itself takes two halves of its columns from 2^20 values on, and a cut
+record two runs of blocks, one per thread.  Each caller ends over z
+with vectors of nz' values.  The weights are
 
 * k o k, the derivative symbol's outer product, in
   :func:`gradient_outer_integral`,
 * k o k / D(k)^2, D the separable transform of the supersampled cell
   average, in the DFT route of :func:`kspace_outer_integral`,
 * 1 - cos(k . delta), as -Re of e^{i k . delta} - 1 split by axis, in
-  :func:`decoherence_function`.
+  :func:`decoherence_function`, whose terms without an x phase read the
+  column sums instead of a row of ones.
 """
 
 import math
@@ -115,9 +119,9 @@ _RADIAL_CHUNK = 128  # radial nodes per form-factor call of the k-space ladder
 
 # power spectra of the two most recently used value contents, least
 # recently used first: ([weak references to the value arrays known to
-# hold those bits], the blocks of P).  An entry goes when the last of its
-# arrays dies.  The lock is reentrant because a weak reference's callback
-# can run in any thread, including one that holds it.
+# hold those bits], (the blocks of P, their column sums)).  An entry goes
+# when the last of its arrays dies.  The lock is reentrant because a weak
+# reference's callback can run in any thread, including one that holds it.
 _SPECTRA = []
 _SPECTRA_LOCK = threading.RLock()
 
@@ -144,18 +148,21 @@ def _same_bits(a, b):
 
 # the share of each of its sums that a cut spectrum may leave out
 _TAIL = 2.0**-60
-# a cut spectrum's blocks: groups of y rows by |k_y| and steps of z columns
-_Y_GROUPS, _Z_STEPS = 6, 3
+# the most groups, by the length of their x pencils, of the columns of
+# each pass over a cut spectrum's z columns
+_GROUPS = 8
 
-# one dense block of P: its values at the x and y indices (slices, or
-# index arrays with the + and - frequencies together) and z slice of the
-# half spectrum
-_Block = namedtuple("_Block", "x y z values")
+# one group of x pencils of P: the x indices they share (a slice, or the
+# + and then the - frequencies of least |k_x|), their columns (a slice or
+# the indices y nz' + z of the half spectrum) and the dense (x, columns)
+# array of P's values there
+_Block = namedtuple("_Block", "x columns values")
 
 # what every Parseval sum reads: the blocks of P = w_z |F|^2 of a grid's
 # half spectrum F (one rfftn, or two passes over its z columns) that hold
-# every mode the sums need, and the grid
-_Spectrum = namedtuple("_Spectrum", "blocks spacing dims margin")
+# every mode the sums need, the (ny, nz') sums over x of each column's
+# held values, and the grid
+_Spectrum = namedtuple("_Spectrum", "blocks sums spacing dims margin")
 
 
 def _squared(F, nz, z0=0):
@@ -207,8 +214,8 @@ def _parts(values, gain=None):
         if gain is not None:
             gain(F, slice(None))
         return [_squared(F, n[2])]
-    parts, step, edges = [], max(1, _SLAB // (n[1] * m)), sorted({0, (2 * m + 2) // 3, m})
-    for z in (slice(a, b) for a, b in zip(edges, edges[1:])):
+    parts, step = [], max(1, _SLAB // (n[1] * m))
+    for z in _passes(m):
         F = np.empty((n[0], n[1], z.stop - z.start), complex)
         for i in range(0, n[0], step):
             F[i:i + step] = sfft.rfft(values[i:i + step], axis=2, workers=workers)[:, :, z]
@@ -220,25 +227,40 @@ def _parts(values, gain=None):
     return parts
 
 
+def _passes(m):
+    """The z columns of each pass over a half spectrum of ``m`` z columns:
+    the low two thirds, then the rest."""
+    edges = sorted({0, (2 * m + 2) // 3, m})
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _blocks(parts, dims):
-    """The blocks of a record of the half spectrum P of a grid of ``dims``,
-    from the parts of P that tile its z columns in order (:func:`_parts`).
-    The list is emptied, so that each part dies as soon as no block that
-    is still to be gathered reads it.
+    """The blocks and column sums of a record of the half spectrum P of a
+    grid of ``dims``, from the parts of P that tile its z columns in order
+    (:func:`_parts`).  The list is emptied, so that each part dies as soon
+    as its blocks are gathered.
 
     A P of fewer than ``_PARALLEL_SIZE`` values is one block, P itself.
     A larger one is cut to a ball |k| < r: sum P and sum P |k|^2 are
     tallied over shells of the width of the grid's smallest wavenumber
-    step, one x-plane of the parts at a time in P's own element order,
-    and r is the smallest shell edge past which both tails are at most
-    ``_TAIL`` (2^-60) of their totals.  Each sum's weight is bounded by a
-    multiple of 1 or of |k|^2, so no sum moves by more than 2^-60 of its
-    scale (13 times that on the DFT route, whose 1 / D^2 is at most
-    1.53^6).  The y rows inside the ball, grouped by |k_y|, and its z
-    columns, in steps, make the blocks: each holds the x planes that its
-    inner corner (least |k_y|, least k_z) has inside the ball, as one
-    contiguous array.  They are gathered in descending z, and a part
-    is let go once the blocks left lie below its columns.  Tails that are
+    step, in increasing |k_x|, the planes of +k_x and -k_x added (they
+    share their shells), so the tally reads the same values in the same
+    order whatever parts P comes in, and r is the smallest shell edge
+    past which both tails are at most ``_TAIL`` (2^-60) of their totals.
+    Each sum's weight is bounded by a multiple of 1 or of |k|^2, so no
+    sum moves by more than 2^-60 of its scale (13 times that on the DFT
+    route, whose 1 / D^2 is at most 1.53^6).  In the order of |k_x| the modes of each (y, z) column that
+    lie inside the ball are a prefix, the x pencil of the column, whose
+    length one search over the distinct k_x^2 counts.  The columns of
+    each pass (:func:`_passes`, whatever parts P comes in, so that two
+    passes give the record of one transform) are grouped by that length
+    (:func:`_ranges`, ``_GROUPS`` groups at most), and a group is held as
+    one contiguous array of the x of its longest pencil, gathered from
+    P's two x ranges of the + and the - frequencies: shorter pencils are
+    padded with P's own values, each mode is held once at most, and
+    columns wholly outside the ball are left out.  Each group's column
+    sums are taken as it is gathered.  The parts are gathered in
+    descending z and each is let go once its groups are.  Tails that are
     not finite, or a ball that holds every mode (white noise), leave P
     whole, so those sums keep their bits and a grid that is not finite
     still raises.
@@ -247,7 +269,9 @@ def _blocks(parts, dims):
         P = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
         parts.clear()
         P.flags.writeable = False
-        return [_Block(slice(None), slice(None), slice(None), P)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = P.sum(axis=0)
+        return [_Block(slice(None), slice(None), P.reshape(dims[0], -1))], sums
 
     if sum(p.size for p in parts) < voxel._PARALLEL_SIZE:
         return whole()
@@ -255,16 +279,20 @@ def _blocks(parts, dims):
     step = 2.0 * np.pi / max(dims)
 
     def shell(k2):  # of kx^2 + (ky^2 + kz^2), which rounds up as any term grows
-        return (np.sqrt(k2) / step).astype(np.intp)
+        k = np.sqrt(k2)
+        k /= step
+        return k.astype(np.intp)
 
     yz2 = ky2[:, None] + kz2
-    top = int(shell(kx2.max() + yz2.max()))    # the shell of the farthest mode
+    u, counts = np.unique(kx2, return_counts=True)    # the distinct k_x^2, increasing
+    top = int(shell(u[-1] + yz2.max()))    # the shell of the farthest mode
     tally = np.zeros((2, top + 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, x2 in enumerate(kx2):
-            p = np.concatenate([q[i] for q in parts], axis=1) if len(parts) > 1 else parts[0][i]
+        for x2 in u:    # the planes of +k_x and -k_x share their shells: one tally
             k2 = x2 + yz2
             s = shell(k2).ravel()
+            planes = np.flatnonzero(kx2 == x2)
+            p = np.concatenate([q[planes].sum(axis=0) for q in parts], axis=1)
             tally[0] += np.bincount(s, p.ravel(), top + 2)
             tally[1] += np.bincount(s, (p * k2).ravel(), top + 2)
     tails = np.cumsum(tally[:, ::-1], axis=1)[:, ::-1]    # tails[:, n]: shells n and on
@@ -273,37 +301,54 @@ def _blocks(parts, dims):
     r = max(1, int(np.argmax(np.all(tails <= _TAIL * tails[:, :1], axis=0))))
     if r > top:
         return whole()
-    rank = np.minimum(np.arange(dims[1]), dims[1] - np.arange(dims[1]))  # |k_y| in steps
-    rows = shell(ky2) < r
+    # each column's pencil: the number of x whose k_x^2 is one of the j
+    # least distinct values, j found from the bound (r step)^2 - ky^2 - kz^2
+    # and mended by one step where that bound rounds across a value
+    def inside(j):
+        return shell(u[np.clip(j, 0, len(u) - 1)] + yz2) < r
+
+    j = np.searchsorted(u, (r * step) ** 2 - yz2)
+    j += (j < len(u)) & inside(j)
+    j -= (j > 0) & ~inside(j - 1)
+    length = np.concatenate([[0], np.cumsum(counts)])[j]
+    nx, nz = dims[0], yz2.shape[1]
     cuts = []
-    for g0, g1 in _ranges(rank[rows].max() + 1, _Y_GROUPS):
-        y = np.flatnonzero(rows & (rank >= g0) & (rank < g1))
-        for z0, z1 in _ranges(np.count_nonzero(shell(kz2) < r), _Z_STEPS):
-            # y[0], the group's first + frequency, has its least |k_y|
-            x = np.flatnonzero(shell(kx2 + (ky2[y[0]] + kz2[z0])) < r)
-            if x.size:
-                cuts.append((x, y, z0, z1))
+    for z in _passes(nz):
+        local = length[:, z].ravel()
+        for g0, g1 in _ranges(local.max() + 1, _GROUPS):
+            columns = np.flatnonzero((local >= max(g0, 1)) & (local < g1))
+            if columns.size:
+                y, zc = np.divmod(columns, z.stop - z.start)
+                cuts.append((z.start, y, zc + z.start, local[columns].max()))
     if len(cuts) < 2:
         return whole()
     starts = np.cumsum([0] + [p.shape[2] for p in parts])
-    blocks = [None] * len(cuts)
-    for j in sorted(range(len(cuts)), key=lambda j: -cuts[j][2]):
-        x, y, z0, z1 = cuts[j]
-        while starts[len(parts) - 1] >= z1:
-            parts.pop()
-        pieces = [p[:, :, max(z0, a) - a:min(z1, b) - a][np.ix_(x, y)]
-                  for p, a, b in zip(parts, starts, starts[1:]) if a < z1 and z0 < b]
-        values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=2)
-        del pieces
-        blocks[j] = _Block(x, y, slice(z0, z1), values)
+    blocks, sums = [None] * len(cuts), np.zeros(yz2.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in reversed(range(len(cuts))):
+            z0, y, z, n = cuts[i]
+            while starts[len(parts) - 1] > z0:
+                parts.pop()
+            part = parts[-1]
+            columns = y * part.shape[2] + z - starts[len(parts) - 1]
+            part = part.reshape(nx, -1)
+            plus, minus = (n + 1) // 2, n // 2    # the x of least |k_x|: 0, 1, -1, 2, -2, ...
+            values = np.empty((n, columns.size))
+            np.take(part[:plus], columns, axis=1, out=values[:plus], mode="clip")
+            np.take(part[nx - minus:], columns, axis=1, out=values[plus:], mode="clip")
+            del part
+            columns = y * nz + z
+            sums.flat[columns] = values.sum(axis=0)
+            blocks[i] = _Block(np.r_[0:plus, nx - minus:nx], columns, values)
     parts.clear()
-    return blocks
+    return blocks, sums
 
 
 def _ranges(n, parts):
     """Up to ``parts`` ranges of 0..n, from edges at n sqrt(i / parts):
-    they narrow toward the ball's rim, where the x planes that a block
-    needs fall off fastest.  Rounding may close some; they are left out."""
+    they narrow toward n, as the columns of a ball crowd toward its long
+    pencils (some L columns have a pencil of length L).  Rounding may
+    close some; they are left out."""
     edges = np.unique((n * np.sqrt(np.arange(parts + 1) / parts)).round().astype(int))
     return zip(edges[:-1], edges[1:])
 
@@ -315,9 +360,9 @@ def _power(grid: VoxelGrid):
 
     P depends on the values alone, not on the grid's origin, spacing or
     margin, and so does its cut, which counts wavenumbers in steps, so
-    the blocks are kept per value content: those of the two most
-    recently used contents are held, each with weak references to the
-    arrays known to hold its bits.  An array is looked up by identity,
+    the blocks and their column sums are kept per value content: those of
+    the two most recently used contents are held, each with weak
+    references to the arrays known to hold its bits.  An array is looked up by identity,
     then compared bit for bit with one live array of each held spectrum
     (:func:`_same_bits`); a match joins that spectrum without a
     transform.  A spectrum is freed when the last of its arrays dies, and
@@ -340,14 +385,14 @@ def _power(grid: VoxelGrid):
                     break
         if entry is not None:
             _SPECTRA[:] = [e for e in _SPECTRA if e is not entry] + [entry]
-            return _Spectrum(entry[1], grid.spacing, grid.dims, grid.margin)
+            return _Spectrum(*entry[1], grid.spacing, grid.dims, grid.margin)
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
     values.flags.writeable = False
-    blocks = _blocks(_parts(values.astype(float, copy=False)), values.shape)
+    held = _blocks(_parts(values.astype(float, copy=False)), values.shape)
     with _SPECTRA_LOCK:
-        _SPECTRA.append(([weakref.ref(values, _forget)], blocks))
+        _SPECTRA.append(([weakref.ref(values, _forget)], held))
         del _SPECTRA[:-2]
-    return _Spectrum(blocks, grid.spacing, grid.dims, grid.margin)
+    return _Spectrum(*held, grid.spacing, grid.dims, grid.margin)
 
 
 def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
@@ -367,18 +412,18 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     parts = _parts(voxel.supersampled_fraction(spec, dims, origin, spacing),
                    _gain(dims, density, sigma, spacing))
-    return _Spectrum(_blocks(parts, dims), spacing, dims, padding)
+    return _Spectrum(*_blocks(parts, dims), spacing, dims, padding)
 
 
 def _runs(blocks):
     """The blocks of a mode sum in runs, one per thread: P itself in its
-    halves of y rows (:func:`_halves`: two from ``_PARALLEL_SIZE``
+    halves of columns (:func:`_halves`: two from ``_PARALLEL_SIZE``
     values on), and a cut spectrum's blocks in two runs of about equal
     size.  The runs depend on the record alone."""
     if len(blocks) == 1:
-        P = blocks[0].values
-        return [[_Block(slice(None), slice(lo, hi), slice(None), P[:, lo:hi])]
-                for lo, hi in _halves(P.shape[1], P.size)]
+        x, _, values = blocks[0]
+        return [[_Block(x, slice(lo, hi), values[:, lo:hi])]
+                for lo, hi in _halves(values.shape[1], values.size)]
     ends = np.cumsum([b.values.size for b in blocks])
     half = 1 + int(np.argmin(np.abs(ends[:-1] - ends[-1] / 2)))
     return [blocks[:half], blocks[half:]]
@@ -388,25 +433,24 @@ def _mode_sum(spectrum: _Spectrum, xrows, yrows):
     """R[m, a, kz] = (h^3 / N) sum over kx, ky of xrows[m, kx] yrows[a, ky] P[kx, ky, kz].
 
     h is the grid spacing, N the number of voxels and P the record's
-    spectrum, read block by block: each block meets its x rows in one
-    matrix product, whose (m, y rows, z columns) result meets its y rows
-    in a second, added into R at the block's z columns, so no array of a
-    spectrum plane's size is made.  The blocks go in the runs of
-    :func:`_runs`, one per thread, added in order, so the result does not
-    depend on the number of cores.
+    spectrum, read block by block: each block's x pencils meet their x
+    rows in one matrix product, written into the block's columns of one
+    (m, ny nz') array, which then meets the y rows in one more product,
+    so no array of a spectrum plane's size is made.  The blocks go in the
+    runs of :func:`_runs`, one per thread; each column is written by one
+    product alone, so the result does not depend on the runs, nor on the
+    number of cores.
     """
     xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
-    shape = (len(xrows), len(yrows), spectrum.dims[2] // 2 + 1)
+    ny, nz = spectrum.dims[1], spectrum.dims[2] // 2 + 1
+    X = np.zeros((len(xrows), ny * nz))
 
     def run(blocks):
-        R = np.zeros(shape)
-        for x, y, z, values in blocks:
-            nx, ny, nz = values.shape
-            xsum = (xrows[:, x] @ values.reshape(nx, ny * nz)).reshape(len(xrows), ny, nz)
-            R[:, :, z] += yrows[:, y] @ xsum
-        return R
+        for x, columns, values in blocks:
+            X[:, columns] = xrows[:, x] @ values
 
-    return sum(_spread(run, _runs(spectrum.blocks)))
+    _spread(run, _runs(spectrum.blocks))
+    return yrows @ X.reshape(len(xrows), ny, nz)
 
 
 def _outer_sum(spectrum: _Spectrum, s, g=(1.0, 1.0, 1.0)):
@@ -646,9 +690,11 @@ def decoherence_function(grid: VoxelGrid, delta, params: CslParams):
     The shifted-field correlation is evaluated through the DFT phase
     ramp, which is exact for the sigma-smooth field at any sub-cell
     displacement.  Its sum of P (1 - cos(k . delta)) is -Re of
-    the sum of P (e^{i k . delta} - 1), split by axis: the x and y phases
-    are the rows of :func:`_mode_sum`, the z phases a contraction of its
-    result over z, and every e^{i theta} - 1 is formed as
+    the sum of P (e^{i k . delta} - 1), split by axis: the real and
+    imaginary parts of e^{i k_x delta_x} - 1 are the two x rows of
+    :func:`_mode_sum` and the y phases its y rows, the terms without an x
+    phase take the record's column sums, the z phases are a contraction
+    over z, and every e^{i theta} - 1 is formed as
     2i sin(theta/2) e^{i theta/2}.  So no 1 - cos cancels:
     the result agrees with the per-mode sum of 2 sin^2(k . delta / 2) to
     rounding at any |delta|, where a per-mode 1 - cos is off by some
@@ -678,9 +724,11 @@ def _decoherence(field, delta, params: CslParams):
         # e^{i(a+b+c)} - 1 = (e^{ia} - 1) e^{i(b+c)} + (e^{ib} - 1) e^{ic} + (e^{ic} - 1)
         a, b, c = (k * d for k, d in zip(_wavenumbers(spectrum.dims, spectrum.spacing), delta))
         ea, eb, eb1 = _expm1i(a), np.exp(1j * b), _expm1i(b)
-        R = _mode_sum(spectrum, np.stack([ea.real, ea.imag, np.ones_like(a)]),
-                      np.stack([eb.real, eb.imag, eb1.real, eb1.imag, np.ones_like(b)]))
-        # sums over x and y of P ((e^{ia} - 1) e^{ib} + e^{ib} - 1), and of P
-        S = R[0, 0] - R[1, 1] + R[2, 2] + 1j * (R[0, 1] + R[1, 0] + R[2, 3])
-        integral = -(S @ np.exp(1j * c) + R[2, 4] @ _expm1i(c)).real
+        R = _mode_sum(spectrum, np.stack([ea.real, ea.imag]), np.stack([eb.real, eb.imag]))
+        # the sums over x and y of P (e^{ib} - 1) and of P, from the column sums
+        scale = spectrum.spacing**3 / math.prod(spectrum.dims)
+        Q = scale * np.stack([eb1.real, eb1.imag, np.ones_like(b)]) @ spectrum.sums
+        # sums over x and y of P ((e^{ia} - 1) e^{ib} + e^{ib} - 1)
+        S = R[0, 0] - R[1, 1] + Q[0] + 1j * (R[0, 1] + R[1, 0] + Q[1])
+        integral = -(S @ np.exp(1j * c) + Q[2] @ _expm1i(c)).real
     return _finite(pref * (2.0 * np.pi) ** 3 * integral, "the decoherence function")

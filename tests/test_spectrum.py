@@ -13,11 +13,14 @@ all go through one mode-sum kernel; on small random grids, singleton
 axes included, each is checked against the same sum taken mode by mode
 over numpy's own transform, in one block and in two halves.  A spectrum
 cut to the ball its Gaussian leaves standing (the cut's threshold,
-read at call time, lowered below small grids) gives each sum of the
-whole spectrum mode by mode to 1e-13, and white noise is not cut.  A
-spectrum of 2^20 values or more is built in two passes over its z
-columns; its record is, block for block and bit for bit, the record of
-one rfftn of the same values, and it is built once per value content.
+read at call time, lowered below small grids) holds the ball in x
+pencils of P's own values, with their sums over x, and gives each sum
+of the whole spectrum mode by mode to 1e-13, a shift along y or z
+alone, which reads only the column sums, included; white noise is not
+cut.  A spectrum of 2^20 values or more is built in two passes over
+its z columns; its record is, block for block and bit for bit, the
+record of one rfftn of the same values, and it is built once per value
+content.
 """
 
 import gc
@@ -143,30 +146,60 @@ def cut():
     out = {}
     for name, spec in bodies.items():
         whole = _body_spectrum(spec, RHO, SIGMA)
-        (P,) = (b.values for b in whole.blocks)
+        ((_, _, P),) = whole.blocks
+        P = P.reshape(*whole.dims[:2], -1)
         with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
-            record = whole._replace(blocks=integrals._blocks([P], whole.dims))
+            blocks, sums = integrals._blocks([P], whole.dims)
+        record = whole._replace(blocks=blocks, sums=sums)
         assert 1 < len(record.blocks) and sum(b.values.size for b in record.blocks) < P.size
         out[name] = P, record
     return out
 
 
+def _held(P, record):
+    """How many times each mode of P is held by the record's blocks,
+    asserting that the blocks hold P's own values."""
+    flat = P.reshape(P.shape[0], -1)
+    kept = np.zeros(flat.shape, dtype=int)
+    for x, columns, values in record.blocks:
+        at = np.ix_(x, columns)
+        assert np.array_equal(values, flat[at])
+        kept[at] += 1
+    return kept.reshape(P.shape)
+
+
 @pytest.mark.parametrize("body", CUT)
 def test_cut_leaves_out_at_most_its_tails(cut, body):
-    # the blocks hold P's own values, each mode once, and what they leave
-    # out is at most 2^-60 of sum P and of sum P |k|^2
+    # the blocks hold P's own values, each mode once at most, every mode of
+    # the ball |k| < r, r the least shell edge past which the tails of sum
+    # P and of sum P |k|^2 are at most 2^-60 of their totals, and what they
+    # leave out is at most 2^-60 of both sums
     P, record = cut[body]
     n = record.dims
-    kept = np.zeros(P.shape, dtype=int)
-    for x, y, z, values in record.blocks:
-        at = np.ix_(x, y, np.arange(P.shape[2])[z])
-        assert np.array_equal(values, P[at])
-        kept[at] += 1
+    kept = _held(P, record)
     assert kept.max() == 1
-    k2 = sum(k**2 for k in np.meshgrid(np.fft.fftfreq(n[0]), np.fft.fftfreq(n[1]),
-                                       np.fft.rfftfreq(n[2]), indexing="ij"))
+    k2 = sum(k**2 for k in np.meshgrid(*(2 * np.pi * f for f in (
+        np.fft.fftfreq(n[0]), np.fft.fftfreq(n[1]), np.fft.rfftfreq(n[2]))), indexing="ij"))
+    shell = (np.sqrt(k2) / (2 * np.pi / max(n))).astype(int)
+    tails = np.array([[np.sum((P * w)[shell >= s]) for s in range(shell.max() + 2)]
+                      for w in (1.0, k2)])
+    r = int(np.argmax(np.all(tails <= 2.0**-60 * tails[:, :1], axis=0)))
+    assert r > 0 and np.all(kept[shell < r] == 1)
     for weight in (1.0, k2):
         assert np.sum((P * weight)[kept == 0]) <= 2.0**-60 * (1 + 1e-9) * np.sum(P * weight)
+
+
+@pytest.mark.parametrize("body", CUT)
+def test_column_sums_are_the_sums_of_the_held_values(cut, body):
+    # each column's sum over x of what the blocks hold of it, 0 where they
+    # hold nothing
+    P, record = cut[body]
+    held = np.where(_held(P, record) > 0, P, 0.0)
+    assert np.allclose(record.sums, held.sum(axis=0), rtol=1e-15, atol=0)
+    assert np.all(record.sums[~held.any(axis=0)] == 0)
+    flat = record.sums.ravel()
+    for _, columns, values in record.blocks:
+        assert np.array_equal(flat[columns], values.sum(axis=0))
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -200,12 +233,31 @@ def test_cut_spectrum_sums_match_dense_per_mode_sums(cut, body, direction, log_m
     assert integrals._decoherence(record, delta, PARAMS) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("magnitude", MAGNITUDES)
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("body", CUT)
+def test_shift_along_y_or_z_alone_reads_the_column_sums(cut, body, axis, magnitude):
+    # every x row of the blocks' product is 0, so the sum is the column sums'
+    P, record = cut[body]
+    n, h = record.dims, record.spacing
+    k = 2 * np.pi * (np.fft.fftfreq(n[1], h)[:, None] if axis == 1 else np.fft.rfftfreq(n[2], h))
+    delta = np.zeros(3)
+    delta[axis] = -magnitude * SIGMA
+    want = PREF * (2 * np.pi) ** 3 * h**3 / math.prod(n) * np.sum(
+        P * 2.0 * np.sin(k * delta[axis] / 2.0) ** 2)
+    assert integrals._decoherence(record, delta, PARAMS) == pytest.approx(want, rel=1e-13)
+
+
 def test_white_noise_keeps_every_mode_in_one_block():
-    # no shell of a flat spectrum is negligible, so nothing is cut
+    # no shell of a flat spectrum is negligible, so nothing is cut: the one
+    # block is P itself, every x pencil whole
     values = RHO * np.random.default_rng(7).standard_normal((24, 20, 18))
     with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
         record = integrals._power(VoxelGrid(np.zeros(3), SIGMA / 2, values))
-    assert [b.values.shape for b in record.blocks] == [(24, 20, 10)]
+    assert [(b.x, b.columns, b.values.shape) for b in record.blocks] == [
+        (slice(None), slice(None), (24, 200))]
+    assert record.sums.shape == (20, 10)
+    assert np.array_equal(record.sums.ravel(), record.blocks[0].values.sum(axis=0))
 
 
 def _blob(n=48):
@@ -423,8 +475,8 @@ def test_lookup_builds_no_full_size_temporary():
 
 
 def _one_transform_record(values, gain=None):
-    """The blocks of the record of one scipy.fft.rfftn of ``values``,
-    times the filter's gain (density, gx, gy, gz) where given."""
+    """The blocks and column sums of the record of one scipy.fft.rfftn of
+    ``values``, times the filter's gain (density, gx, gy, gz) where given."""
     F = scipy.fft.rfftn(values)
     if gain is not None:
         density, gx, gy, gz = gain
@@ -439,14 +491,17 @@ def _one_transform_record(values, gain=None):
 
 
 def _same_record(got, want):
-    """Block for block: the same indices, and values equal bit for bit."""
+    """Block for block: the same indices, and values equal bit for bit,
+    and so are the column sums."""
     def index(i):
         return (i.start, i.stop, i.step) if isinstance(i, slice) else i.tolist()
 
+    (got, got_sums), (want, want_sums) = got, want
     return len(got) == len(want) and all(
-        index(g.x) == index(w.x) and index(g.y) == index(w.y) and index(g.z) == index(w.z)
+        index(g.x) == index(w.x) and index(g.columns) == index(w.columns)
         and g.values.shape == w.values.shape and g.values.tobytes() == w.values.tobytes()
-        for g, w in zip(got, want))
+        for g, w in zip(got, want)) and (
+        got_sums.shape == want_sums.shape and got_sums.tobytes() == want_sums.tobytes())
 
 
 def _sampled_record(spec, spacing=SIGMA / 2):
@@ -456,7 +511,7 @@ def _sampled_record(spec, spacing=SIGMA / 2):
     dims, origin = voxel._grid_geometry(spec, spacing, voxel.DEFAULT_PADDING_SIGMA * SIGMA)
     gain = (np.exp(-0.5 * (SIGMA * k) ** 2) for k in voxel._wavenumbers(dims, spacing))
     fraction = voxel.supersampled_fraction(spec, dims, origin, spacing)
-    return record.blocks, _one_transform_record(fraction, (RHO, *gain))
+    return (record.blocks, record.sums), _one_transform_record(fraction, (RHO, *gain))
 
 
 SMALL_BODIES = {"sphere": Sphere(4 * SIGMA, center=(0.3 * SIGMA, -0.2 * SIGMA, 0.1 * SIGMA)),
@@ -505,7 +560,7 @@ def test_large_records_are_those_of_one_transform(body):
         parts = integrals._parts(values)
         assert len(parts) == 2
         got, want = integrals._blocks(parts, values.shape), _one_transform_record(values)
-    assert len(got) > 1
+    assert len(got[0]) > 1
     assert _same_record(got, want)
 
 
