@@ -233,8 +233,6 @@ _SETTINGS = {
     "format": _Setting(_one_of("json", "csv"), dict.fromkeys(_ALL, "json"),
                        "report format: json or csv"),
     "origin": _Setting(_vector("length"), {"tensors": None}, "rotational tensor origin"),
-    "inertia_convention": _Setting(_one_of("standard", "second_moment"), {"rates": "standard"},
-                                   "standard or second_moment"),
     "tolerance": _Setting(_quantity("dimensionless", 0), {"validate": 0.01}, "max relative error"),
     "spacing": _Setting(_quantity("length"), {"validate": lambda s: s / 2.0},
                         "voxel spacing; default sigma/2"),
@@ -402,8 +400,7 @@ def _cmd_rates(shape, params, options):
     density = options["density"]
     patches, _, s, s_rot, origin = _body_tensors(shape, options["resolution"])
     props = mass_properties(shape, density)
-    rep = rate_report(s, s_rot, props, density, params,
-                      inertia_convention=options["inertia_convention"])
+    rep = rate_report(s, s_rot, props, density, params)
     results = {
         "dephasing_matrix": rep.dephasing.matrix,
         "angular_dephasing_coefficients": rep.angular_coefficients,

@@ -1,16 +1,22 @@
 """Collapse-noise dephasing and heating rates of rigid homogeneous bodies.
 
-All rates share the coupling prefactor
+Every rate follows from one Lindblad term, d<p_i p_j>/dt = 2 hbar^2
+Lambda_ij with Lambda = c S, S the translational surface tensor and
 
     c = 2 pi lambda sigma^2 rho^2 / m_N^2        [1 / (s m^4)]
 
-with lambda the collapse rate, sigma the localization length, rho the
-material density and m_N the nucleon mass.  Positional dephasing is the
-quadratic form of the displacement with c * S (S the translational
-surface tensor); angular dephasing uses c times the axial rotational
-strength.  Heating rates carry an explicit hbar^2 so that all three are
-in watts and the sphere ratio Gamma_cm / Gamma_total = 3 (sigma/R)^4
-comes out exactly.
+(lambda the collapse rate, sigma the localization length, rho the
+material density, m_N the nucleon mass).  A displacement delta dephases
+at delta . Lambda . delta, and the center of mass heats at
+hbar^2 tr Lambda / M = hbar^2 c A / M, since tr S = A, the full boundary
+area.  The same form, d<L_i L_j>/dt = 2 hbar^2 c S_rot,ij with L = I omega,
+gives the rotational heating hbar^2 c tr(I^-1 S_rot), I the inertia tensor
+about the centroid, and the angular dephasing c s_rot d_phi^2 about a
+principal axis of S_rot.  Heating rates are in watts.  The total heating
+3 hbar^2 lambda M / (2 m_N^2 sigma^2), whose 3/2 acceptance criterion 07
+pins, is twice the free-nucleon heating that this term implies (Lambda =
+lambda / (4 sigma^2) per nucleon and axis); the number is left as it is
+until ROADMAP item 26 settles it.
 """
 
 import math
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
+from .errors import DegenerateDimension, SingularInertia, ValidityWarning
 from .geometry.patches import _array, _scalar
 from .tensors import _psd, clamp_psd, principal_axes
 
@@ -147,11 +153,9 @@ def total_heating_rate(mass, params: CslParams) -> float:
 def rotational_heating_rate(rotational_tensor, inertia, density, params: CslParams) -> float:
     """Rotational heating power (W): hbar^2 c Tr(I^-1 S_rot).
 
-    ``inertia`` is the mass-weighted tensor about the centroid — normally
-    the standard inertia tensor; callers may pass the second-moment
-    tensor instead to follow the alternative bookkeeping convention.  A
-    tensor that is not finite, real and 3x3, or a rotational tensor that is
-    not PSD, raises :class:`DegenerateDimension`.
+    ``inertia`` is the inertia tensor about the centroid.  A tensor that
+    is not finite, real and 3x3, or a rotational tensor that is not PSD,
+    raises :class:`DegenerateDimension`.
     """
     inertia, s_rot = _array("inertia", inertia, (3, 3)), _psd("tensor", rotational_tensor)[0]
     vals = np.linalg.eigvalsh(0.5 * (inertia + inertia.T))
@@ -179,25 +183,15 @@ class RateReport:
 
 
 def rate_report(surface_tensor, rotational_tensor, mass_props, density,
-                params: CslParams, inertia_convention="standard") -> RateReport:
-    """Assemble every rate from the two surface tensors and bulk properties.
-
-    ``inertia_convention`` selects the tensor entering the rotational
-    heating: ``"standard"`` uses the inertia tensor, ``"second_moment"``
-    the mass-weighted second moment (the alternative reading of the
-    rotational formula).
-    """
-    tensors = {"standard": mass_props.inertia, "second_moment": mass_props.second_moment}
-    if inertia_convention not in tensors:
-        raise ConfigError(f"unknown inertia convention {inertia_convention!r}")
-    inert = tensors[inertia_convention]
+                params: CslParams) -> RateReport:
+    """Assemble every rate from the two surface tensors and bulk properties."""
     dm = dephasing_matrix(surface_tensor, density, params)
     c = dephasing_prefactor(density, params)
     s_rot = clamp_psd(rotational_tensor)
     vals, vecs = principal_axes(s_rot)
     gamma_cm = com_heating_rate(mass_props.area, mass_props.mass, density, params)
     gamma_tot = total_heating_rate(mass_props.mass, params)
-    gamma_rot = rotational_heating_rate(s_rot, inert, density, params)
+    gamma_rot = rotational_heating_rate(s_rot, mass_props.inertia, density, params)
     return RateReport(
         dephasing=dm,
         angular_coefficients=c * vals,

@@ -143,13 +143,6 @@ class TriangleMesh:
                 "triangle winding is inconsistent between neighbors"
             )
 
-    def is_watertight(self):
-        try:
-            self._check_topology()
-        except (NonWatertightMesh, InvertedOrientation):
-            return False
-        return True
-
     # -- per-face quantities -------------------------------------------
 
     def corners(self):
@@ -178,18 +171,6 @@ class TriangleMesh:
         """Signed volume from the signed tetrahedron sum."""
         p0, p1, p2 = self.corners()
         return float(np.einsum("ij,ij->", p0, np.cross(p1, p2)) / 6.0)
-
-    def volume_divergence(self):
-        """Signed volume via the divergence theorem, V = (1/3) sum c.n dS.
-
-        Algebraically equal to :meth:`volume`; kept as an independent
-        accumulation for cross-checking.
-        """
-        cr = self.face_cross()  # n * 2A
-        centroids = (self.vertices[self.faces[:, 0]]
-                     + self.vertices[self.faces[:, 1]]
-                     + self.vertices[self.faces[:, 2]]) / 3.0
-        return float(np.einsum("ij,ij->", centroids, cr) / 6.0)
 
     def integral_moments(self):
         """Return (volume, first moment, second moment) about the origin.

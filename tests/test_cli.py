@@ -108,13 +108,6 @@ class TestRates:
         frac = report["results"]["com_heating_fraction"]
         assert frac == pytest.approx(3 * (1e-7 / 1e-6) ** 4, rel=1e-12)
 
-    def test_inertia_convention_flag(self, capsys):
-        a = run_json(capsys, "rates", "--shape", CYL_X, "--density", "1000")
-        b = run_json(capsys, "rates", "--shape", CYL_X, "--density", "1000",
-                     "--inertia-convention", "second_moment")
-        assert (a["results"]["rotational_heating_watts"]
-                != b["results"]["rotational_heating_watts"])
-
 
 class TestValidate:
     def test_large_sphere_passes(self, capsys):
@@ -595,8 +588,7 @@ SMALL = '{"type":"sphere","radius":"3 um"}'
 EVERY_SETTING = {
     "tensors": ["--shape", CYL_X, "--density", "2 g/cm^3", "--resolution", "12",
                 "--origin", "2 um,0,0"],
-    "rates": ["--shape", CYL_X, "--density", "1000", "--resolution", "12",
-              "--inertia-convention", "second_moment"],
+    "rates": ["--shape", CYL_X, "--density", "1000", "--resolution", "12"],
     "validate": ["--shape", SMALL, "--sigma", "1 um", "--density", "2000", "--resolution", "12",
                  "--tolerance", "0.5", "--spacing", "0.4 um", "--padding", "7 um",
                  "--max-voxels", "200000"],
@@ -609,8 +601,8 @@ EVERY_SETTING = {
 
 @pytest.mark.parametrize("command", EVERY_SETTING)
 def test_report_config_reproduces_the_run(capsys, tmp_path, command):
-    # rates lost its inertia convention, validate its tolerance, spacing and
-    # padding, and tensors and dephasing did not echo --origin and --exact
+    # validate lost its tolerance, spacing and padding, and tensors and
+    # dephasing did not echo --origin and --exact
     argv = [command, *EVERY_SETTING[command]]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -631,6 +623,8 @@ def test_report_config_reproduces_the_run(capsys, tmp_path, command):
     # the sweep settings live in the sweep block, and take no other key there
     ("sweep", {"variable": "R", "values": [1e-6]}, "values"),
     ("sweep", {"sweep": {"variable": "R", "values": [1e-6], "valus": [2e-6]}}, "valus"),
+    # a config of an older version is refused, not run on the inertia tensor
+    ("rates", {"inertia_convention": "standard"}, "inertia_convention"),
 ])
 def test_unknown_config_key_is_a_usage_error(capsys, tmp_path, command, doc, named):
     # each used to exit 0 with the default in its place

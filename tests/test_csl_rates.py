@@ -17,7 +17,7 @@ from cslsurf.csl import (
     superposition_dephasing_rate,
     total_heating_rate,
 )
-from cslsurf.errors import ConfigError, DegenerateDimension, SingularInertia, ValidityWarning
+from cslsurf.errors import DegenerateDimension, SingularInertia, ValidityWarning
 from cslsurf.geometry import (
     Box,
     ConeCappedCylinder,
@@ -248,25 +248,6 @@ class TestReportAndInvariance:
         assert (com_heating_rate(mp.area, mp.mass, rho, PARAMS)
                 <= total_heating_rate(mp.mass, PARAMS))
 
-    def test_report_conventions_differ_when_inertia_does(self):
-        # for a rod the second-moment bookkeeping pairs the transverse
-        # rotational strength with the small transverse second moment
-        # M R^2/4 instead of the perpendicular inertia M (3R^2 + L^2)/12,
-        # blowing the rate up by exactly (3R^2 + L^2) / (3R^2)
-        rho = 1100.0
-        R, L = 0.05e-6, 2e-6
-        spec = Cylinder(R, L, axis="x")
-        p = quadrature(spec, resolution=24)
-        mp = mass_properties(spec, rho)
-        s, s_rot = surface_tensor(p), rotational_surface_tensor(p, mp.centroid)
-        std = rate_report(s, s_rot, mp, rho, PARAMS, inertia_convention="standard")
-        alt = rate_report(s, s_rot, mp, rho, PARAMS, inertia_convention="second_moment")
-        expected_blowup = (3 * R**2 + L**2) / (3 * R**2)
-        assert (alt.rotational_heating / std.rotational_heating
-                == pytest.approx(expected_blowup, rel=1e-9))
-        with pytest.raises(ValueError):
-            rate_report(s, s_rot, mp, rho, PARAMS, inertia_convention="bogus")
-
 
 @pytest.mark.parametrize("name", ["collapse_rate", "localization_length", "nucleon_mass", "hbar"])
 def test_params_reject_an_infinite_field(name):
@@ -287,12 +268,3 @@ def test_prefactor_rejects_a_density_that_overflows(rho):
 def test_angular_coefficient_rejects_unusable_strength_typed(strength):
     with pytest.raises(DegenerateDimension):
         angular_dephasing_coefficient(strength, 1000.0, PARAMS)
-
-
-def test_unknown_inertia_convention_is_a_config_error():
-    spec = Sphere(1e-6)
-    p = quadrature(spec, resolution=8)
-    mp = mass_properties(spec, 1000.0)
-    s, s_rot = surface_tensor(p), rotational_surface_tensor(p, mp.centroid)
-    with pytest.raises(ConfigError):
-        rate_report(s, s_rot, mp, 1000.0, PARAMS, inertia_convention="bogus")
