@@ -54,10 +54,9 @@ blocks: 0.53-0.56 of the modes on sigma/2 grids, where the ball has
 :func:`_mode_sum`, reads each block once: one matrix product of a few
 rows of x factors with its pencils, written into its columns of one
 (rows, ny nz') array, and then one product of that array with a few
-rows of y factors, so no array of a spectrum plane's size is made.  P
-itself takes two halves of its columns from 2^20 values on, and a cut
-record two runs of blocks, one per thread.  Each caller ends over z
-with vectors of nz' values.  The weights are
+rows of y factors, so no array of a spectrum plane's size is made, all
+on the caller's thread.  Each caller ends over z with vectors of nz'
+values.  The weights are
 
 * k o k, the derivative symbol's outer product, in
   :func:`gradient_outer_integral`,
@@ -97,9 +96,7 @@ from .voxel import (
     _gain,
     _grid_geometry,
     _grid_lengths,
-    _halves,
     _sampled,
-    _spread,
     _wavenumbers,
     _workers,
     rasterize_smoothed_density,
@@ -353,6 +350,13 @@ def _ranges(n, parts):
     return zip(edges[:-1], edges[1:])
 
 
+def _freeze(values):
+    """Make ``values`` read-only, and each array on its ``.base`` chain."""
+    while isinstance(values, np.ndarray):
+        values.flags.writeable = False
+        values = values.base
+
+
 def _power(grid: VoxelGrid):
     """The spectrum record of the grid's values: their P (:func:`_parts`,
     one rfftn, or two passes over its z columns from 2^20 values on), cut
@@ -367,9 +371,12 @@ def _power(grid: VoxelGrid):
     (:func:`_same_bits`); a match joins that spectrum without a
     transform.  A spectrum is freed when the last of its arrays dies, and
     a miss evicts before it transforms.  An array that is transformed or
-    joins a spectrum is made read-only: an in-place edit raises instead
-    of leaving a stale spectrum, and a new array assigned to
-    ``grid.values`` is looked up afresh.
+    joins a spectrum is made read-only, and so is every array on its
+    ``.base`` chain (:func:`_freeze`): an in-place edit of the values or
+    of an array they view raises instead of leaving a stale spectrum, and
+    a new array assigned to ``grid.values`` is looked up afresh.  numpy
+    does not track views, so a writeable view of those arrays taken
+    before the first oracle call stays writeable and must not be edited.
     """
     values = grid.values
     with _SPECTRA_LOCK:
@@ -379,7 +386,7 @@ def _power(grid: VoxelGrid):
                 # holding one of its arrays keeps the entry alive while it is compared
                 held = next((a for a in (ref() for ref in candidate[0]) if a is not None), None)
                 if held is not None and _same_bits(held, values):
-                    values.flags.writeable = False
+                    _freeze(values)
                     candidate[0].append(weakref.ref(values, _forget))
                     entry = candidate
                     break
@@ -387,7 +394,7 @@ def _power(grid: VoxelGrid):
             _SPECTRA[:] = [e for e in _SPECTRA if e is not entry] + [entry]
             return _Spectrum(*entry[1], grid.spacing, grid.dims, grid.margin)
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
-    values.flags.writeable = False
+    _freeze(values)
     held = _blocks(_parts(values.astype(float, copy=False)), values.shape)
     with _SPECTRA_LOCK:
         _SPECTRA.append(([weakref.ref(values, _forget)], held))
@@ -415,41 +422,21 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
     return _Spectrum(*_blocks(parts, dims), spacing, dims, padding)
 
 
-def _runs(blocks):
-    """The blocks of a mode sum in runs, one per thread: P itself in its
-    halves of columns (:func:`_halves`: two from ``_PARALLEL_SIZE``
-    values on), and a cut spectrum's blocks in two runs of about equal
-    size.  The runs depend on the record alone."""
-    if len(blocks) == 1:
-        x, _, values = blocks[0]
-        return [[_Block(x, slice(lo, hi), values[:, lo:hi])]
-                for lo, hi in _halves(values.shape[1], values.size)]
-    ends = np.cumsum([b.values.size for b in blocks])
-    half = 1 + int(np.argmin(np.abs(ends[:-1] - ends[-1] / 2)))
-    return [blocks[:half], blocks[half:]]
-
-
 def _mode_sum(spectrum: _Spectrum, xrows, yrows):
     """R[m, a, kz] = (h^3 / N) sum over kx, ky of xrows[m, kx] yrows[a, ky] P[kx, ky, kz].
 
     h is the grid spacing, N the number of voxels and P the record's
-    spectrum, read block by block: each block's x pencils meet their x
-    rows in one matrix product, written into the block's columns of one
-    (m, ny nz') array, which then meets the y rows in one more product,
-    so no array of a spectrum plane's size is made.  The blocks go in the
-    runs of :func:`_runs`, one per thread; each column is written by one
-    product alone, so the result does not depend on the runs, nor on the
-    number of cores.
+    spectrum, read block by block on the caller's thread: each block's x
+    pencils meet their x rows in one matrix product, written into the
+    block's columns of one (m, ny nz') array, which then meets the y rows
+    in one more product, so no array of a spectrum plane's size is made.
+    The threads of each product are the BLAS's own.
     """
     xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
     ny, nz = spectrum.dims[1], spectrum.dims[2] // 2 + 1
     X = np.zeros((len(xrows), ny * nz))
-
-    def run(blocks):
-        for x, columns, values in blocks:
-            X[:, columns] = xrows[:, x] @ values
-
-    _spread(run, _runs(spectrum.blocks))
+    for x, columns, values in spectrum.blocks:
+        X[:, columns] = xrows[:, x] @ values
     return yrows @ X.reshape(len(xrows), ny, nz)
 
 

@@ -57,12 +57,11 @@ gives the filter's transforms and the oracles' spectrum transforms
 ``workers`` threads.  It also marks the spectra that the oracles build
 in two passes over their z columns (two thirds, then the rest, so no
 pass holds the whole complex spectrum) and cut to the ball their
-Gaussian leaves standing, whose blocks of x pencils a mode sum takes in
-two runs, and splits an uncut one into two halves of its (y, z)
-columns.  The halves and runs depend on the array alone, and each
-column of a mode sum is written by one product, so no output depends
-on the number of cores.  Work sent to the pool calls no public
-function, and a forked child starts without its parent's pool.
+Gaussian leaves standing; a mode sum reads them on the caller's thread,
+whose matrix products take the BLAS's own threads.  The halves depend
+on the array alone, so no output depends on the number of cores.  Work
+sent to the pool calls no public function, and a forked child starts
+without its parent's pool.
 
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
@@ -146,11 +145,10 @@ DEFAULT_MAX_VOXELS = 512**3
 # grid-aligned facet could pass
 _SUPERSAMPLE = 4
 # an array of this many values or more is split in two halves for the
-# threads: the closed-form raster's planes, the transforms of the spectrum
-# and the filter, and a mode sum's spectrum (an uncut one's columns, a cut
-# one's blocks), which is also built in two passes over its z columns and
-# cut to a ball of x pencils from this size on (read at call time, as
-# voxel._PARALLEL_SIZE)
+# threads: the closed-form raster's planes and the transforms of the
+# spectrum and the filter; a spectrum is also built in two passes over its
+# z columns and cut to a ball of x pencils from this size on (read at call
+# time, as voxel._PARALLEL_SIZE)
 _PARALLEL_SIZE = 1 << 20
 
 

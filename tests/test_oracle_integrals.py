@@ -663,8 +663,9 @@ def test_grid_values_that_are_not_finite_raise(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
 def test_grid_values_that_are_not_finite_raise_in_halves(bad, monkeypatch):
-    # split in halves, as from 2^20 values on: the pool's thread takes the
-    # caller's floating-point error handling
+    # built as from 2^20 values on, in two passes over its z columns with a
+    # worker per core: tails that are not finite leave the spectrum whole,
+    # and its mode sum, on the caller's thread, still raises
     monkeypatch.setattr(voxel, "_PARALLEL_SIZE", 1)
     test_grid_values_that_are_not_finite_raise(bad)
 

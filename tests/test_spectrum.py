@@ -4,7 +4,8 @@ Each value content is transformed once: the spectra of the two most
 recently used contents are held, an array equal bit for bit to a held
 one (a grid re-read from its file, a copy) takes that spectrum without
 a transform, a spectrum lives until the last of its arrays dies, and an
-array that is transformed or takes a held spectrum is read-only.
+array that is transformed or takes a held spectrum is read-only, and so
+is the array it views.
 ``decoherence_function`` sums 1 - cos(k . delta) over that spectrum as
 separable phase contractions, checked here against the per-mode sum of
 2 sin^2(k . delta / 2), which has no cancellation at small shifts.  The
@@ -423,6 +424,23 @@ def test_array_that_takes_a_held_spectrum_is_read_only():
     decoherence_function(VoxelGrid(grid.origin, grid.spacing, copy), DELTA, PARAMS)
     with pytest.raises(ValueError):
         copy[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["transformed", "joined"])
+def test_array_the_values_view_is_read_only(held):
+    # an edit through the array that the values view once raised nothing:
+    # the next call returned the spectrum of the old bits
+    values = _blob(30).values
+    if held:
+        decoherence_function(VoxelGrid(np.zeros(3), SIGMA / 2, values.copy()), DELTA, PARAMS)
+    base = np.zeros((40,) + values.shape[1:])
+    base[5:35] = values
+    grid = VoxelGrid(np.zeros(3), SIGMA / 2, base[5:35])
+    assert grid.values.base is base
+    decoherence_function(grid, DELTA, PARAMS)
+    with pytest.raises(ValueError):
+        base[10:20] *= 3.0
+    assert np.array_equal(grid.values, values)
 
 
 def test_spectrum_lives_until_its_last_array_dies():

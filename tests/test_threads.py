@@ -2,18 +2,17 @@
 
 An array of 2^20 values or more is split in two: the closed-form
 raster's planes, and the transforms of the spectrum and of the
-filtered raster, take two threads, and a mode sum takes the blocks of a
-spectrum cut to the ball its Gaussian leaves standing (x pencils
-grouped by length, at most 0.60 of the modes of the benchmark's sphere
-and plate) in two runs; that spectrum is built in two passes over its z
-columns, so its build holds at most 0.70 of the complex half spectrum.
-The halves and runs depend on the array alone, and each column of a
-mode sum is written by one product, so every output is the same bit for
-bit on one core and on two, and in one run or two; a raster's halves
-keep the bits of one block (the mode sums' halves and blocks are
-checked against dense sums in ``test_spectrum.py``); the pool is
-private, a forked child starts without it, and a mode sum makes no
-array of a spectrum plane's size.
+filtered raster, take two threads.  That spectrum is built in two
+passes over its z columns, so its build holds at most 0.70 of the
+complex half spectrum, and cut to the ball its Gaussian leaves standing
+(x pencils grouped by length, at most 0.60 of the modes of the
+benchmark's sphere and plate).  A mode sum reads those blocks on the
+caller's thread, never on the pool, and makes no array of a spectrum
+plane's size.  The halves depend on the array alone, so every output is
+the same bit for bit on one core and on two; a raster's halves keep the
+bits of one block (the mode sums' blocks are checked against dense sums
+in ``test_spectrum.py``); the pool is private, and a forked child starts
+without it.
 """
 
 import hashlib
@@ -32,7 +31,13 @@ import pytest
 
 from cslsurf.csl import CslParams
 from cslsurf.geometry import Box, Cylinder, EllipticCylinder, Sphere
-from cslsurf.oracle import decoherence_function, integrals, rasterize_smoothed_density, voxel
+from cslsurf.oracle import (
+    decoherence_function,
+    gradient_outer_integral,
+    integrals,
+    rasterize_smoothed_density,
+    voxel,
+)
 
 SIGMA = 1e-7
 RHO = 1800.0
@@ -77,18 +82,22 @@ def test_held_spectrum_keeps_at_most_six_tenths_of_its_modes(grids, body):
     assert sum(b.values.size for b in blocks) <= 0.60 * n[0] * n[1] * (n[2] // 2 + 1)
 
 
-def test_mode_sum_does_not_depend_on_its_runs(grids):
-    # each column is written by one product, so the sphere's groups in one
-    # run give the bits of the two runs that the threads take
-    spectrum = integrals._power(grids["sphere"])
-    n = spectrum.dims
-    rng = np.random.default_rng(5)
-    xrows, yrows = rng.standard_normal((3, n[0])), rng.standard_normal((4, n[1]))
-    two = integrals._mode_sum(spectrum, xrows, yrows)
-    assert len(integrals._runs(spectrum.blocks)) == 2
-    with mock.patch.object(integrals, "_runs", lambda blocks: [list(blocks)]):
-        one = integrals._mode_sum(spectrum, xrows, yrows)
-    assert two.shape == (3, 4, n[2] // 2 + 1) and two.tobytes() == one.tobytes()
+def _barred(*args):
+    raise AssertionError("a mode sum reached the pool")
+
+
+def test_mode_sum_runs_on_the_callers_thread(grids):
+    # the pool takes no mode sum: with two cores and every way to the pool
+    # barred, the held sphere's gradient and decoherence values keep their bits
+    grid = grids["sphere"]
+    before = [gradient_outer_integral(grid).tobytes()]
+    before += [decoherence_function(grid, d, PARAMS).hex() for d in DELTAS]
+    with mock.patch.object(voxel, "_cores", lambda: 2), \
+            mock.patch.object(voxel, "_POOL", mock.Mock(submit=_barred)), \
+            mock.patch.object(voxel, "_spread", _barred):
+        after = [gradient_outer_integral(grid).tobytes()]
+        after += [decoherence_function(grid, d, PARAMS).hex() for d in DELTAS]
+    assert after == before
 
 
 def test_spectrum_build_holds_at_most_two_thirds_of_the_transform(grids):
