@@ -36,7 +36,8 @@ value content once and keeps the spectra of the two most recently used
 value contents, so a scan of many oracle calls on one grid, or on grids
 whose values are equal bit for bit (a grid and its re-read file), pays
 for one transform; the values of a transformed or matched grid are
-read-only.  :func:`_body_spectrum` makes it of a body: a sampled body's
+read-only, and so is the array that owns their memory.
+:func:`_body_spectrum` makes it of a body: a sampled body's
 P is its filter's spectrum squared, one fill and one transform.  Below
 2^20 values P comes of one rfftn; a larger P is built in two passes over
 its z columns, the low two thirds and then the rest, each transformed in
@@ -50,13 +51,17 @@ Gaussian leaves at most 2^-60 of sum P and of sum P |k|^2.  In the
 order of |k_x| the ball's modes of a column are a prefix, its pencil,
 and the columns of each pass are grouped by pencil length into dense
 blocks: 0.53-0.56 of the modes on sigma/2 grids, where the ball has
-0.50.  Each weight is a short sum of per-axis products, so one kernel,
+0.50.  The blocks' columns, one after the other, make one column
+order: each block holds a slice of it, and a gather map sends each
+(y, z) column to its place there, or past its end where no block holds
+it.  Each weight is a short sum of per-axis products, so one kernel,
 :func:`_mode_sum`, reads each block once: one matrix product of a few
-rows of x factors with its pencils, written into its columns of one
-(rows, ny nz') array, and then one product of that array with a few
-rows of y factors, so no array of a spectrum plane's size is made, all
-on the caller's thread.  Each caller ends over z with vectors of nz'
-values.  The weights are
+rows of x factors with its pencils, written into the block's slice of
+one (rows, held columns + 1) array, whose last column is zero; each
+row of that array is gathered into a (ny, nz') plane by the map and
+meets a few rows of y factors in one more product, all on the caller's
+thread, so beside that array one plane at a time is made.  Each caller
+ends over z with vectors of nz' values.  The weights are
 
 * k o k, the derivative symbol's outer product, in
   :func:`gradient_outer_integral`,
@@ -116,7 +121,8 @@ _RADIAL_CHUNK = 128  # radial nodes per form-factor call of the k-space ladder
 
 # power spectra of the two most recently used value contents, least
 # recently used first: ([weak references to the value arrays known to
-# hold those bits], (the blocks of P, their column sums)).  An entry goes
+# hold those bits], (the blocks of P, their column sums, their gather
+# map)).  An entry goes
 # when the last of its arrays dies.  The lock is reentrant because a weak
 # reference's callback can run in any thread, including one that holds it.
 _SPECTRA = []
@@ -150,16 +156,19 @@ _TAIL = 2.0**-60
 _GROUPS = 8
 
 # one group of x pencils of P: the x indices they share (a slice, or the
-# + and then the - frequencies of least |k_x|), their columns (a slice or
-# the indices y nz' + z of the half spectrum) and the dense (x, columns)
-# array of P's values there
+# + and then the - frequencies of least |k_x|), their columns (the slice
+# [lo, hi) of the record's column order that they fill, or slice(None)
+# where the block is the whole of P) and the dense (x, columns) array of
+# P's values there
 _Block = namedtuple("_Block", "x columns values")
 
 # what every Parseval sum reads: the blocks of P = w_z |F|^2 of a grid's
 # half spectrum F (one rfftn, or two passes over its z columns) that hold
 # every mode the sums need, the (ny, nz') sums over x of each column's
-# held values, and the grid
-_Spectrum = namedtuple("_Spectrum", "blocks sums spacing dims margin")
+# held values, the read-only (ny, nz') gather map (each column's place in
+# the blocks' column order, the number of held columns where no block
+# holds it; None where one block is the whole of P), and the grid
+_Spectrum = namedtuple("_Spectrum", "blocks sums place spacing dims margin")
 
 
 def _squared(F, nz, z0=0):
@@ -232,10 +241,10 @@ def _passes(m):
 
 
 def _blocks(parts, dims):
-    """The blocks and column sums of a record of the half spectrum P of a
-    grid of ``dims``, from the parts of P that tile its z columns in order
-    (:func:`_parts`).  The list is emptied, so that each part dies as soon
-    as its blocks are gathered.
+    """The blocks, column sums and gather map of a record of the half
+    spectrum P of a grid of ``dims``, from the parts of P that tile its z
+    columns in order (:func:`_parts`).  The list is emptied, so that each
+    part dies as soon as its blocks are gathered.
 
     A P of fewer than ``_PARALLEL_SIZE`` values is one block, P itself.
     A larger one is cut to a ball |k| < r: sum P and sum P |k|^2 are
@@ -255,12 +264,16 @@ def _blocks(parts, dims):
     one contiguous array of the x of its longest pencil, gathered from
     P's two x ranges of the + and the - frequencies: shorter pencils are
     padded with P's own values, each mode is held once at most, and
-    columns wholly outside the ball are left out.  Each group's column
-    sums are taken as it is gathered.  The parts are gathered in
+    columns wholly outside the ball are left out.  The groups' columns,
+    one group after another, are one column order: each block is given
+    its slice of it, and the read-only gather map, of the shape of the
+    column sums, each column's place in it, or the number of held columns
+    where no block holds it.  Each group's column sums are taken as it is
+    gathered.  The parts are gathered in
     descending z and each is let go once its groups are.  Tails that are
     not finite, or a ball that holds every mode (white noise), leave P
-    whole, so those sums keep their bits and a grid that is not finite
-    still raises.
+    whole, one block with no gather map, so those sums keep their bits
+    and a grid that is not finite still raises.
     """
     def whole():
         P = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
@@ -268,7 +281,7 @@ def _blocks(parts, dims):
         P.flags.writeable = False
         with np.errstate(over="ignore", invalid="ignore"):
             sums = P.sum(axis=0)
-        return [_Block(slice(None), slice(None), P.reshape(dims[0], -1))], sums
+        return [_Block(slice(None), slice(None), P.reshape(dims[0], -1))], sums, None
 
     if sum(p.size for p in parts) < voxel._PARALLEL_SIZE:
         return whole()
@@ -320,7 +333,9 @@ def _blocks(parts, dims):
     if len(cuts) < 2:
         return whole()
     starts = np.cumsum([0] + [p.shape[2] for p in parts])
+    edges = np.cumsum([0] + [y.size for _, y, _, _ in cuts]).tolist()    # each block's slice
     blocks, sums = [None] * len(cuts), np.zeros(yz2.shape)
+    place = np.full(yz2.shape, edges[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(len(cuts))):
             z0, y, z, n = cuts[i]
@@ -336,9 +351,11 @@ def _blocks(parts, dims):
             del part
             columns = y * nz + z
             sums.flat[columns] = values.sum(axis=0)
-            blocks[i] = _Block(np.r_[0:plus, nx - minus:nx], columns, values)
+            place.flat[columns] = np.arange(edges[i], edges[i + 1])
+            blocks[i] = _Block(np.r_[0:plus, nx - minus:nx], slice(edges[i], edges[i + 1]), values)
     parts.clear()
-    return blocks, sums
+    place.flags.writeable = False
+    return blocks, sums, place
 
 
 def _ranges(n, parts):
@@ -351,7 +368,8 @@ def _ranges(n, parts):
 
 
 def _freeze(values):
-    """Make ``values`` read-only, and each array on its ``.base`` chain."""
+    """Make ``values`` read-only, and each array on its ``.base`` chain:
+    numpy collapses that chain to the array that owns the memory."""
     while isinstance(values, np.ndarray):
         values.flags.writeable = False
         values = values.base
@@ -371,12 +389,14 @@ def _power(grid: VoxelGrid):
     (:func:`_same_bits`); a match joins that spectrum without a
     transform.  A spectrum is freed when the last of its arrays dies, and
     a miss evicts before it transforms.  An array that is transformed or
-    joins a spectrum is made read-only, and so is every array on its
-    ``.base`` chain (:func:`_freeze`): an in-place edit of the values or
-    of an array they view raises instead of leaving a stale spectrum, and
-    a new array assigned to ``grid.values`` is looked up afresh.  numpy
-    does not track views, so a writeable view of those arrays taken
-    before the first oracle call stays writeable and must not be edited.
+    joins a spectrum is made read-only, and so is the array that owns its
+    memory (:func:`_freeze`; numpy's ``.base`` leads straight to it): an
+    in-place edit of either raises instead of leaving a stale spectrum,
+    and a new array assigned to ``grid.values`` is looked up afresh.
+    numpy does not track views, so any other view of that memory stays
+    writeable, whenever it was taken (before the first oracle call or
+    after it), and an edit through it leaves the spectrum stale: such a
+    view must not be edited.
     """
     values = grid.values
     with _SPECTRA_LOCK:
@@ -427,17 +447,31 @@ def _mode_sum(spectrum: _Spectrum, xrows, yrows):
 
     h is the grid spacing, N the number of voxels and P the record's
     spectrum, read block by block on the caller's thread: each block's x
-    pencils meet their x rows in one matrix product, written into the
-    block's columns of one (m, ny nz') array, which then meets the y rows
-    in one more product, so no array of a spectrum plane's size is made.
-    The threads of each product are the BLAS's own.
+    pencils meet their x rows in one matrix product, written straight
+    into the block's slice of one (m, held columns + 1) array whose last
+    column is zero.  Each row of that array is then gathered by the
+    record's map into one (ny, nz') plane, which meets the y rows in one
+    more product, so beside that array one plane at a time is made.
+    A record of one block is its own column order: its product meets the
+    y rows as it is.  Each block's product and each row's y product is
+    the same BLAS call, on the same values, as when the products were
+    scattered into a zeroed (m, ny nz') array, so the sums keep those
+    bits.  The threads of each product are the BLAS's own.
     """
     xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
     ny, nz = spectrum.dims[1], spectrum.dims[2] // 2 + 1
-    X = np.zeros((len(xrows), ny * nz))
+    if spectrum.place is None:
+        ((x, _, values),) = spectrum.blocks
+        return yrows @ (xrows[:, x] @ values).reshape(len(xrows), ny, nz)
+    held = spectrum.blocks[-1].columns.stop
+    X = np.empty((len(xrows), held + 1))
+    X[:, held] = 0.0
     for x, columns, values in spectrum.blocks:
-        X[:, columns] = xrows[:, x] @ values
-    return yrows @ X.reshape(len(xrows), ny, nz)
+        np.matmul(xrows[:, x], values, out=X[:, columns])
+    R = np.empty((len(xrows), len(yrows), nz))
+    for row, out in zip(X, R):
+        np.matmul(yrows, row[spectrum.place], out=out)
+    return R
 
 
 def _outer_sum(spectrum: _Spectrum, s, g=(1.0, 1.0, 1.0)):

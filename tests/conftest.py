@@ -23,3 +23,16 @@ def cube_stl_ascii():
 @pytest.fixture
 def cube_stl_binary():
     return mesh_to_stl(box_mesh(1.0, 1.0, 1.0))
+
+
+def held_columns(record):
+    """The (y, z) columns, as indices y nz' + z of the half spectrum, of each
+    block of a spectrum record, read from its gather map: all of them where
+    the record is one block.  Each block holds the slice of the column order
+    that its ``columns`` names; the map sends a held column to its place in
+    that order and every other column past it."""
+    blocks, place = record[0], record[2]
+    if place is None:
+        return [slice(None)]
+    order = np.argsort(place, axis=None, kind="stable")
+    return [order[b.columns] for b in blocks]

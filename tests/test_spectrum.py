@@ -37,6 +37,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import held_columns
 from cslsurf.csl import CslParams
 from cslsurf.geometry import Box, ConeCappedCylinder, Cylinder, EllipticCylinder, Sphere
 from cslsurf.oracle import (decoherence_function, integrals, rasterize_smoothed_density,
@@ -150,8 +151,8 @@ def cut():
         ((_, _, P),) = whole.blocks
         P = P.reshape(*whole.dims[:2], -1)
         with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
-            blocks, sums = integrals._blocks([P], whole.dims)
-        record = whole._replace(blocks=blocks, sums=sums)
+            blocks, sums, place = integrals._blocks([P], whole.dims)
+        record = whole._replace(blocks=blocks, sums=sums, place=place)
         assert 1 < len(record.blocks) and sum(b.values.size for b in record.blocks) < P.size
         out[name] = P, record
     return out
@@ -162,7 +163,7 @@ def _held(P, record):
     asserting that the blocks hold P's own values."""
     flat = P.reshape(P.shape[0], -1)
     kept = np.zeros(flat.shape, dtype=int)
-    for x, columns, values in record.blocks:
+    for (x, _, values), columns in zip(record.blocks, held_columns(record)):
         at = np.ix_(x, columns)
         assert np.array_equal(values, flat[at])
         kept[at] += 1
@@ -199,8 +200,37 @@ def test_column_sums_are_the_sums_of_the_held_values(cut, body):
     assert np.allclose(record.sums, held.sum(axis=0), rtol=1e-15, atol=0)
     assert np.all(record.sums[~held.any(axis=0)] == 0)
     flat = record.sums.ravel()
-    for _, columns, values in record.blocks:
-        assert np.array_equal(flat[columns], values.sum(axis=0))
+    for (_, _, values), columns in zip(record.blocks, held_columns(record)):
+        assert flat[columns].tobytes() == values.sum(axis=0).tobytes()
+
+
+def _check_layout(record):
+    """The blocks' column slices tile [0, held) in block order, and the gather
+    map sends the held columns one to one onto [0, held) and every other
+    column to the zero column at held; the map is read-only, and so are
+    the slices."""
+    blocks, sums, place = record[:3]
+    edges = [0]
+    for b in blocks:
+        assert isinstance(b.columns, slice) and b.columns.step is None
+        assert b.columns.start == edges[-1] < b.columns.stop
+        assert b.values.shape[1] == b.columns.stop - b.columns.start
+        edges.append(b.columns.stop)
+        with pytest.raises(AttributeError):
+            b.columns.start = 0
+    held = edges[-1]
+    assert place.shape == sums.shape and place.dtype == np.intp
+    inside = place < held
+    assert np.array_equal(np.sort(place[inside]), np.arange(held))
+    assert np.all(place[~inside] == held)
+    assert not place.flags.writeable
+    with pytest.raises(ValueError):
+        place[0, 0] = 0
+
+
+@pytest.mark.parametrize("body", CUT)
+def test_blocks_take_slices_of_one_column_order(cut, body):
+    _check_layout(cut[body][1])
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -257,6 +287,7 @@ def test_white_noise_keeps_every_mode_in_one_block():
         record = integrals._power(VoxelGrid(np.zeros(3), SIGMA / 2, values))
     assert [(b.x, b.columns, b.values.shape) for b in record.blocks] == [
         (slice(None), slice(None), (24, 200))]
+    assert record.place is None
     assert record.sums.shape == (20, 10)
     assert np.array_equal(record.sums.ravel(), record.blocks[0].values.sum(axis=0))
 
@@ -443,6 +474,22 @@ def test_array_the_values_view_is_read_only(held):
     assert np.array_equal(grid.values, values)
 
 
+def test_only_the_values_and_the_owner_of_their_memory_are_made_read_only():
+    # numpy collapses .base to the array that owns the memory, so an array
+    # between the two stays writeable, and so does any view of it, taken
+    # before the first call or after it
+    flat = np.zeros(40 * 30 * 30)
+    between = flat.reshape(40, 30, 30)
+    between[5:35] = _blob(30).values
+    grid = VoxelGrid(np.zeros(3), SIGMA / 2, between[5:35])
+    before = between[10:20]
+    assert grid.values.base is flat
+    decoherence_function(grid, DELTA, PARAMS)
+    after = between[10:20]
+    assert [a.flags.writeable for a in (grid.values, flat, between, before, after)] == [
+        False, False, True, True, True]
+
+
 def test_spectrum_lives_until_its_last_array_dies():
     gc.collect()
     tracemalloc.start()
@@ -509,17 +556,20 @@ def _one_transform_record(values, gain=None):
 
 
 def _same_record(got, want):
-    """Block for block: the same indices, and values equal bit for bit,
-    and so are the column sums."""
+    """Block for block: the same x indices and column slices, and values
+    equal bit for bit, and so are the column sums and the gather maps."""
     def index(i):
         return (i.start, i.stop, i.step) if isinstance(i, slice) else i.tolist()
 
-    (got, got_sums), (want, want_sums) = got, want
+    def same(a, b):
+        return a is b is None or (a is not None and b is not None and a.shape == b.shape
+                                  and a.dtype == b.dtype and a.tobytes() == b.tobytes())
+
+    (got, got_sums, got_place), (want, want_sums, want_place) = got, want
     return len(got) == len(want) and all(
         index(g.x) == index(w.x) and index(g.columns) == index(w.columns)
-        and g.values.shape == w.values.shape and g.values.tobytes() == w.values.tobytes()
-        for g, w in zip(got, want)) and (
-        got_sums.shape == want_sums.shape and got_sums.tobytes() == want_sums.tobytes())
+        and same(g.values, w.values) for g, w in zip(got, want)) and (
+        same(got_sums, want_sums) and same(got_place, want_place))
 
 
 def _sampled_record(spec, spacing=SIGMA / 2):
@@ -529,7 +579,7 @@ def _sampled_record(spec, spacing=SIGMA / 2):
     dims, origin = voxel._grid_geometry(spec, spacing, voxel.DEFAULT_PADDING_SIGMA * SIGMA)
     gain = (np.exp(-0.5 * (SIGMA * k) ** 2) for k in voxel._wavenumbers(dims, spacing))
     fraction = voxel.supersampled_fraction(spec, dims, origin, spacing)
-    return (record.blocks, record.sums), _one_transform_record(fraction, (RHO, *gain))
+    return record[:3], _one_transform_record(fraction, (RHO, *gain))
 
 
 SMALL_BODIES = {"sphere": Sphere(4 * SIGMA, center=(0.3 * SIGMA, -0.2 * SIGMA, 0.1 * SIGMA)),
@@ -580,6 +630,7 @@ def test_large_records_are_those_of_one_transform(body):
         got, want = integrals._blocks(parts, values.shape), _one_transform_record(values)
     assert len(got[0]) > 1
     assert _same_record(got, want)
+    _check_layout(got)
 
 
 def test_large_spectrum_is_built_once_per_value_content(monkeypatch, tmp_path):

@@ -7,8 +7,11 @@ passes over its z columns, so its build holds at most 0.70 of the
 complex half spectrum, and cut to the ball its Gaussian leaves standing
 (x pencils grouped by length, at most 0.60 of the modes of the
 benchmark's sphere and plate).  A mode sum reads those blocks on the
-caller's thread, never on the pool, and makes no array of a spectrum
-plane's size.  The halves depend on the array alone, so every output is
+caller's thread, never on the pool: each block's product is written
+into its slice of one array of the held columns, whose rows are
+gathered into a spectrum plane one at a time, and it keeps the bits of
+the products scattered into a plane-sized array (a copy of that kernel
+is kept here).  The halves depend on the array alone, so every output is
 the same bit for bit on one core and on two; a raster's halves keep the
 bits of one block (the mode sums' blocks are checked against dense sums
 in ``test_spectrum.py``); the pool is private, and a forked child starts
@@ -17,6 +20,7 @@ without it.
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -29,6 +33,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import held_columns
 from cslsurf.csl import CslParams
 from cslsurf.geometry import Box, Cylinder, EllipticCylinder, Sphere
 from cslsurf.oracle import (
@@ -38,6 +43,7 @@ from cslsurf.oracle import (
     rasterize_smoothed_density,
     voxel,
 )
+from cslsurf.oracle.voxel import VoxelGrid
 
 SIGMA = 1e-7
 RHO = 1800.0
@@ -58,8 +64,10 @@ def grids():
 
 @pytest.mark.parametrize("body, limit", [("plate", 1.0), ("sphere", 0.375)])
 def test_mode_sum_makes_no_plane_sized_array(grids, body, limit):
-    # the parent's (3, ny, nz') x product and its complex copies peaked at
-    # 2.0 MiB on the plate and 0.74 MiB on the sphere
+    # the x sums of the held columns and one gathered (ny, nz') plane: 0.73
+    # MiB on the plate and 0.24 MiB on the sphere; all rows gathered at once
+    # peaked past 1.0 MiB on the plate, and a (3, ny, nz') x product with
+    # its complex copies at 2.0 and 0.74 MiB
     grid = grids[body]
     decoherence_function(grid, DELTAS[1], PARAMS)       # the spectrum is held
     tracemalloc.start()
@@ -80,6 +88,50 @@ def test_held_spectrum_keeps_at_most_six_tenths_of_its_modes(grids, body):
     blocks = integrals._power(grids[body]).blocks
     assert len(blocks) > 1
     assert sum(b.values.size for b in blocks) <= 0.60 * n[0] * n[1] * (n[2] // 2 + 1)
+
+
+def _scatter_sum(spectrum, xrows, yrows):
+    """The mode sum as each block's product scattered into its (y, z)
+    columns of one zeroed (m, ny nz') array, then met by the y rows."""
+    xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
+    ny, nz = spectrum.dims[1], spectrum.dims[2] // 2 + 1
+    X = np.zeros((len(xrows), ny * nz))
+    for (x, _, values), columns in zip(spectrum.blocks, held_columns(spectrum)):
+        X[:, columns] = xrows[:, x] @ values
+    return yrows @ X.reshape(len(xrows), ny, nz)
+
+
+@pytest.mark.parametrize("body", ["sphere", "plate", "sampled", "white-noise"])
+def test_mode_sum_keeps_the_bits_of_the_scatter(grids, body):
+    # the rows of the gradient, the DFT route and three decoherence values,
+    # on the held sphere and plate (16 blocks each), a sampled body's record
+    # cut below 2^20 values, and white noise, which is one block
+    if body in grids:
+        record = integrals._power(grids[body])
+    else:
+        with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
+            if body == "sampled":
+                record = integrals._body_spectrum(
+                    EllipticCylinder(4 * SIGMA, 3 * SIGMA, 8 * SIGMA), RHO, SIGMA)
+            else:
+                values = RHO * np.random.default_rng(7).standard_normal((24, 20, 18))
+                record = integrals._power(VoxelGrid(np.zeros(3), SIGMA / 2, values))
+    assert (len(record.blocks) == 1) == (body == "white-noise")
+    rows, mode_sum = [], integrals._mode_sum
+
+    def recorded(spectrum, xrows, yrows):
+        rows.append((xrows, yrows))
+        return mode_sum(spectrum, xrows, yrows)
+
+    with mock.patch.object(integrals, "_mode_sum", recorded):
+        integrals._gradient(record)
+        integrals._kspace_fft(record)
+        for d in DELTAS:
+            integrals._decoherence(record, d, PARAMS)
+    assert [(len(x), len(y)) for x, y in rows] == [(3, 3), (3, 3)] + [(2, 2)] * 3
+    for xrows, yrows in rows:
+        got, want = mode_sum(record, xrows, yrows), _scatter_sum(record, xrows, yrows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _barred(*args):
