@@ -157,9 +157,8 @@ _GROUPS = 8
 
 # one group of x pencils of P: the x indices they share (a slice, or the
 # + and then the - frequencies of least |k_x|), their columns (the slice
-# [lo, hi) of the record's column order that they fill, or slice(None)
-# where the block is the whole of P) and the dense (x, columns) array of
-# P's values there
+# [lo, hi) of the record's column order that they fill) and the dense
+# (x, columns) array of P's values there
 _Block = namedtuple("_Block", "x columns values")
 
 # what every Parseval sum reads: the blocks of P = w_z |F|^2 of a grid's
@@ -167,7 +166,7 @@ _Block = namedtuple("_Block", "x columns values")
 # every mode the sums need, the (ny, nz') sums over x of each column's
 # held values, the read-only (ny, nz') gather map (each column's place in
 # the blocks' column order, the number of held columns where no block
-# holds it; None where one block is the whole of P), and the grid
+# holds it), and the grid
 _Spectrum = namedtuple("_Spectrum", "blocks sums place spacing dims margin")
 
 
@@ -272,8 +271,9 @@ def _blocks(parts, dims):
     gathered.  The parts are gathered in
     descending z and each is let go once its groups are.  Tails that are
     not finite, or a ball that holds every mode (white noise), leave P
-    whole, one block with no gather map, so those sums keep their bits
-    and a grid that is not finite still raises.
+    whole: one block of every column, in order, whose gather map sends
+    each column to its own index, so those sums keep their bits and a
+    grid that is not finite still raises.
     """
     def whole():
         P = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
@@ -281,7 +281,9 @@ def _blocks(parts, dims):
         P.flags.writeable = False
         with np.errstate(over="ignore", invalid="ignore"):
             sums = P.sum(axis=0)
-        return [_Block(slice(None), slice(None), P.reshape(dims[0], -1))], sums, None
+        place = np.arange(sums.size).reshape(sums.shape)
+        place.flags.writeable = False
+        return [_Block(slice(None), slice(0, sums.size), P.reshape(dims[0], -1))], sums, place
 
     if sum(p.size for p in parts) < voxel._PARALLEL_SIZE:
         return whole()
@@ -452,17 +454,13 @@ def _mode_sum(spectrum: _Spectrum, xrows, yrows):
     column is zero.  Each row of that array is then gathered by the
     record's map into one (ny, nz') plane, which meets the y rows in one
     more product, so beside that array one plane at a time is made.
-    A record of one block is its own column order: its product meets the
-    y rows as it is.  Each block's product and each row's y product is
-    the same BLAS call, on the same values, as when the products were
-    scattered into a zeroed (m, ny nz') array, so the sums keep those
-    bits.  The threads of each product are the BLAS's own.
+    Each block's product and each row's y product is the same BLAS call,
+    on the same values, as when the products were scattered into a
+    zeroed (m, ny nz') array, so the sums keep those bits.  The threads
+    of each product are the BLAS's own.
     """
     xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
-    ny, nz = spectrum.dims[1], spectrum.dims[2] // 2 + 1
-    if spectrum.place is None:
-        ((x, _, values),) = spectrum.blocks
-        return yrows @ (xrows[:, x] @ values).reshape(len(xrows), ny, nz)
+    nz = spectrum.dims[2] // 2 + 1
     held = spectrum.blocks[-1].columns.stop
     X = np.empty((len(xrows), held + 1))
     X[:, held] = 0.0

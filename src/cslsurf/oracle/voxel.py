@@ -49,19 +49,18 @@ read the same factors, so in-band and interior values keep the bits of
 the full closed form, and a value moves only more than 12 sigma outside
 a solid, by at most ndtr(-12) rho.
 
-A grid of 2^20 voxels or more walks its planes in two halves: the
-caller's thread takes the first and a private pool, one thread per
-further core the process may run on, the second.  A plane is the same
-numbers on either thread, so the grid keeps its bits.  The same rule
-gives the filter's transforms and the oracles' spectrum transforms
-``workers`` threads.  It also marks the spectra that the oracles build
-in two passes over their z columns (two thirds, then the rest, so no
-pass holds the whole complex spectrum) and cut to the ball their
-Gaussian leaves standing; a mode sum reads them on the caller's thread,
-whose matrix products take the BLAS's own threads.  The halves depend
-on the array alone, so no output depends on the number of cores.  Work
-sent to the pool calls no public function, and a forked child starts
-without its parent's pool.
+A grid of 2^20 voxels or more walks its planes in two halves where the
+process may run on more than one core: the caller's thread takes the
+first, and one helper thread, started for the call and joined before it
+returns, the second.  A plane is the same numbers on either thread, so
+the grid keeps its bits.  The same rule gives the filter's transforms
+and the oracles' spectrum transforms one worker per core.  It also marks
+the spectra that the oracles build in two passes over their z columns
+(two thirds, then the rest, so no pass holds the whole complex
+spectrum) and cut to the ball their Gaussian leaves standing; a mode
+sum reads them on the caller's thread, whose matrix products take the
+BLAS's own threads.  The halves depend on the array alone, so no output
+depends on the number of cores.  The helper calls no public function.
 
 The supersampled indicator is the share of a 4x4x4 subsample lattice
 per voxel that lies in the material, composed from per-voxel counts
@@ -90,13 +89,7 @@ line with a subsample in a window, one that lies in a face or grazes
 the surface, takes the solid's inside test at each subsample, on the
 broadcast axes of its row and column, which is what ``contains``
 computes on the gathered points, so the counts are exactly the pointwise
-ones.  Against the three-level cull this replaced (blocks and voxels
-culled by the solid's clearance, then the 64 subsamples of each voxel
-of the band), the elliptic and cone-capped cylinders of the
-``validate_sampled`` benchmark fill bit for bit in 0.35 and 0.46 of
-the time (2.2 and 5.0 ms against 6.4 and 12.4 ms, median of 11
-interleaved fills, 2 cores).
-Each run adds its share of subsamples to the voxel where it
+ones.  Each run adds its share of subsamples to the voxel where it
 starts and takes it off where it stops, and one pass over the x-planes
 turns the shares of a voxel column's ss^2 lines into its counts, with
 no pass over the subsamples.  Each cavity's counts are subtracted from
@@ -111,7 +104,6 @@ for every shape, so the fraction is always a count over 64.
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,57 +155,41 @@ def _cores():
     return os.cpu_count() or 1
 
 
-# the pool of the threads beside the caller's, made on first use; a forked
-# child has none of its parent's threads, so it starts without a pool
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool():
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _halves(n, size):
-    """The (start, stop) ranges of 0..n that an array of ``size`` values is
-    split into: two halves from ``_PARALLEL_SIZE`` values on, else one."""
-    return [(0, n // 2), (n // 2, n)] if size >= _PARALLEL_SIZE else [(0, n)]
-
-
 def _workers(size):
     """The threads of a transform of ``size`` values."""
     return _cores() if size >= _PARALLEL_SIZE else 1
 
 
-def _spread(fn, parts):
-    """``[fn(part) for part in parts]``: the first part on the caller's
-    thread and the others on the pool, under the caller's floating-point
-    error handling, where there is more than one core.  ``fn`` must call
-    no public function (the benchmark's tracer, which wraps them, is not
-    thread-safe), and the parts must not depend on the number of cores,
-    so that neither does the result."""
-    global _POOL
-    if len(parts) == 1 or _cores() == 1:
-        return [fn(part) for part in parts]
-    errors = np.geterr()
+def _split(fn, n, size):
+    """``fn(0, n)`` for an array of ``size`` values.  From
+    ``_PARALLEL_SIZE`` values on, where there is more than one core, the
+    call is split in two halves: ``fn(0, n // 2)`` on the caller's thread
+    and ``fn(n // 2, n)`` on one helper thread, under the caller's
+    floating-point error handling; the helper is joined before this
+    returns, and an exception of either half is raised once both have
+    ended.  ``fn`` must call no public function (the benchmark's tracer,
+    which wraps them, is not thread-safe), and the halves depend on ``n``
+    alone, so the result does not depend on the number of cores."""
+    if size < _PARALLEL_SIZE or _cores() == 1:
+        fn(0, n)
+        return
+    errors, failed = np.geterr(), []
 
-    def run(part):
-        with np.errstate(**errors):
-            return fn(part)
+    def second():
+        try:
+            with np.errstate(**errors):
+                fn(n // 2, n)
+        except BaseException as exc:    # raised on the caller's thread
+            failed.append(exc)
 
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_cores() - 1, thread_name_prefix="cslsurf")
-        futures = [_POOL.submit(run, part) for part in parts[1:]]
+    helper = threading.Thread(target=second, name="cslsurf-raster")
+    helper.start()
     try:
-        first = fn(parts[0])
+        fn(0, n // 2)
     finally:
-        wait(futures)
-    return [first] + [future.result() for future in futures]
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass
@@ -263,11 +239,14 @@ def read_grid(path):
     """Read a grid written by :func:`write_grid`.
 
     Version-1 files carry no margin, so a shift guard on them could not
-    hold; they raise :class:`ParseError`, as does a header whose spacing,
-    origin or margin :class:`VoxelGrid` rejects.
+    hold; they raise :class:`ParseError`, as does a first line that is
+    not ASCII or has no newline within its first 1024 bytes (a header
+    takes at most about 200), and a header whose spacing, origin or
+    margin :class:`VoxelGrid` rejects.
     """
     with open(Path(path), "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        line = fh.readline(1024)
+        header = line.decode().split() if line.isascii() and line.endswith(b"\n") else []
         if len(header) != 10 or header[:2] != ["cslgrid", "2"]:
             raise ParseError("not a cslgrid 2 file (version 1 carries no grid margin)")
         try:
@@ -436,13 +415,13 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
         columns = (origin[c] + spacing * np.arange(dims[c]))[None, :]
         stack = np.moveaxis(values, walk, 0)    # a view: stack[i] is plane i
 
-        def planes(span):
-            for i in range(*span):
+        def planes(start, stop):
+            for i in range(start, stop):
                 axes = [rows, columns]
                 axes.insert(walk, np.full((1, 1), origin[walk] + spacing * i))
                 stack[i] = _density(solids, density, sigma, *axes)
 
-        _spread(planes, _halves(dims[walk], values.size))
+        _split(planes, dims[walk], values.size)
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 

@@ -32,7 +32,5 @@ def held_columns(record):
     that its ``columns`` names; the map sends a held column to its place in
     that order and every other column past it."""
     blocks, place = record[0], record[2]
-    if place is None:
-        return [slice(None)]
     order = np.argsort(place, axis=None, kind="stable")
     return [order[b.columns] for b in blocks]

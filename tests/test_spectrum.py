@@ -281,13 +281,14 @@ def test_shift_along_y_or_z_alone_reads_the_column_sums(cut, body, axis, magnitu
 
 def test_white_noise_keeps_every_mode_in_one_block():
     # no shell of a flat spectrum is negligible, so nothing is cut: the one
-    # block is P itself, every x pencil whole
+    # block is P itself, every x pencil whole and every column in order
     values = RHO * np.random.default_rng(7).standard_normal((24, 20, 18))
     with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
         record = integrals._power(VoxelGrid(np.zeros(3), SIGMA / 2, values))
     assert [(b.x, b.columns, b.values.shape) for b in record.blocks] == [
-        (slice(None), slice(None), (24, 200))]
-    assert record.place is None
+        (slice(None), slice(0, 200), (24, 200))]
+    assert np.array_equal(record.place, np.arange(200).reshape(20, 10))
+    _check_layout(record)
     assert record.sums.shape == (20, 10)
     assert np.array_equal(record.sums.ravel(), record.blocks[0].values.sum(axis=0))
 
@@ -562,8 +563,7 @@ def _same_record(got, want):
         return (i.start, i.stop, i.step) if isinstance(i, slice) else i.tolist()
 
     def same(a, b):
-        return a is b is None or (a is not None and b is not None and a.shape == b.shape
-                                  and a.dtype == b.dtype and a.tobytes() == b.tobytes())
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     (got, got_sums, got_place), (want, want_sums, want_place) = got, want
     return len(got) == len(want) and all(

@@ -1,21 +1,23 @@
 """The threads of the grid oracles.
 
 An array of 2^20 values or more is split in two: the closed-form
-raster's planes, and the transforms of the spectrum and of the
-filtered raster, take two threads.  That spectrum is built in two
+raster's planes, the second half on one helper thread that ends with the
+call, and the transforms of the spectrum and of the filtered raster,
+which take two workers.  That spectrum is built in two
 passes over its z columns, so its build holds at most 0.70 of the
 complex half spectrum, and cut to the ball its Gaussian leaves standing
 (x pencils grouped by length, at most 0.60 of the modes of the
 benchmark's sphere and plate).  A mode sum reads those blocks on the
-caller's thread, never on the pool: each block's product is written
+caller's thread: each block's product is written
 into its slice of one array of the held columns, whose rows are
 gathered into a spectrum plane one at a time, and it keeps the bits of
 the products scattered into a plane-sized array (a copy of that kernel
 is kept here).  The halves depend on the array alone, so every output is
 the same bit for bit on one core and on two; a raster's halves keep the
 bits of one block (the mode sums' blocks are checked against dense sums
-in ``test_spectrum.py``); the pool is private, and a forked child starts
-without it.
+in ``test_spectrum.py``); no thread outlives a raster, an exception of
+the helper's half reaches the caller, and a forked child rasters with
+its parent's bits.
 """
 
 import hashlib
@@ -135,21 +137,30 @@ def test_mode_sum_keeps_the_bits_of_the_scatter(grids, body):
 
 
 def _barred(*args):
-    raise AssertionError("a mode sum reached the pool")
+    raise AssertionError("a mode sum reached the raster's split")
 
 
 def test_mode_sum_runs_on_the_callers_thread(grids):
-    # the pool takes no mode sum: with two cores and every way to the pool
-    # barred, the held sphere's gradient and decoherence values keep their bits
+    # with two cores and the split barred, every mode sum of the held
+    # sphere's gradient and decoherence values runs on the caller's thread,
+    # starts no thread and keeps its bits
     grid = grids["sphere"]
     before = [gradient_outer_integral(grid).tobytes()]
     before += [decoherence_function(grid, d, PARAMS).hex() for d in DELTAS]
+    threads, mode_sum, alive = [], integrals._mode_sum, threading.enumerate()
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return mode_sum(*args)
+
     with mock.patch.object(voxel, "_cores", lambda: 2), \
-            mock.patch.object(voxel, "_POOL", mock.Mock(submit=_barred)), \
-            mock.patch.object(voxel, "_spread", _barred):
+            mock.patch.object(voxel, "_split", _barred), \
+            mock.patch.object(integrals, "_mode_sum", recorded):
         after = [gradient_outer_integral(grid).tobytes()]
         after += [decoherence_function(grid, d, PARAMS).hex() for d in DELTAS]
     assert after == before
+    assert len(threads) == 1 + len(DELTAS) and set(threads) == {threading.get_ident()}
+    assert threading.enumerate() == alive
 
 
 def test_spectrum_build_holds_at_most_two_thirds_of_the_transform(grids):
@@ -168,7 +179,7 @@ def test_spectrum_build_holds_at_most_two_thirds_of_the_transform(grids):
 
 
 def test_user_threads_get_the_serial_values(grids):
-    # more user threads than cores, each sharing the one pool, switching often
+    # more user threads than cores, each with its own helper, switching often
     grid = grids["sphere"]
     expected = [decoherence_function(grid, d, PARAMS) for d in DELTAS]
     results, failures = {}, []
@@ -217,13 +228,67 @@ def _raster_digest(queue):
     queue.put(_digest(rasterize_smoothed_density(Sphere(20 * SIGMA), RHO, SIGMA).values))
 
 
-@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_forked_child_builds_its_own_pool():
-    # a child that kept its parent's pool waited forever on threads it does not have
-    grid = rasterize_smoothed_density(Sphere(20 * SIGMA), RHO, SIGMA)
+def _split_raster(spec, runs, density=None):
+    """The raster of ``spec``, split as on two cores.  ``runs`` records, by
+    thread, the x of the first plane that it took through ``_density``
+    (``density`` where given), also where the raster raises."""
+    real = density or voxel._density
+
+    def recorded(solids, rho, sigma, x, y, z):
+        runs.setdefault(threading.current_thread(), x.item())
+        return real(solids, rho, sigma, x, y, z)
+
+    with mock.patch.object(voxel, "_cores", lambda: 2), \
+            mock.patch.object(voxel, "_density", recorded):
+        return rasterize_smoothed_density(spec, RHO, SIGMA)
+
+
+def _helpers(runs):
+    """The threads of ``runs`` other than the caller's."""
+    return [t for t in runs if t is not threading.current_thread()]
+
+
+def test_split_raster_leaves_no_thread():
+    # the second half runs on a helper thread that ends with the call, so
+    # no thread the raster started is left alive
+    alive, runs = threading.enumerate(), {}
+    grid = _split_raster(Sphere(20 * SIGMA), runs)
     assert grid.values.size >= voxel._PARALLEL_SIZE
-    if voxel._cores() > 1:
-        assert voxel._POOL is not None
+    (helper,) = _helpers(runs)
+    assert runs[threading.current_thread()] == grid.origin[0]
+    assert runs[helper] == grid.origin[0] + grid.spacing * (grid.dims[0] // 2)
+    assert not helper.is_alive() and threading.enumerate() == alive
+    assert _digest(grid.values) == _digest(
+        rasterize_smoothed_density(Sphere(20 * SIGMA), RHO, SIGMA).values)
+
+
+def test_helpers_exception_reaches_the_caller():
+    # a plane of the second half raises on the helper; the caller's half
+    # runs to its end first, and the helper is gone when the caller sees it
+    spec, done, density = Sphere(20 * SIGMA), [], voxel._density
+    dims, origin = voxel._grid_geometry(spec, SIGMA / 2, voxel.DEFAULT_PADDING_SIGMA * SIGMA)
+    half = origin[0] + SIGMA / 2 * (dims[0] // 2)
+
+    def failing(solids, rho, sigma, x, y, z):
+        if x.item() >= half:
+            raise RuntimeError("a plane of the second half")
+        done.append(x.item())
+        return density(solids, rho, sigma, x, y, z)
+
+    alive, runs = threading.enumerate(), {}
+    with pytest.raises(RuntimeError, match="second half"):
+        _split_raster(spec, runs, failing)
+    assert len(done) == dims[0] // 2
+    (helper,) = _helpers(runs)
+    assert not helper.is_alive() and threading.enumerate() == alive
+
+
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_rasters_with_the_parents_bits():
+    # a child forked after a split raster makes the same grid, bit for bit
+    runs = {}
+    grid = _split_raster(Sphere(20 * SIGMA), runs)
+    assert grid.values.size >= voxel._PARALLEL_SIZE and len(_helpers(runs)) == 1
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
     child = context.Process(target=_raster_digest, args=(queue,))

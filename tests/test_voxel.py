@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,27 @@ class TestRasterize:
         path.write_bytes(b"cslgrid 1 1 1 1 1e-07 0 0 0\n" + np.zeros(1).tobytes())
         with pytest.raises(ParseError, match="margin"):
             read_grid(path)
+
+    def test_non_ascii_header_rejected(self, tmp_path):
+        # a UnicodeDecodeError is no CslsurfError
+        path = tmp_path / "bad.cslgrid"
+        path.write_bytes(b"\xff\xfe garbage\n" + np.zeros(8).tobytes())
+        with pytest.raises(ParseError, match="cslgrid 2"):
+            read_grid(path)
+
+    def test_header_without_newline_is_not_read_whole(self, tmp_path):
+        # 4 MiB with no newline: the header is read to 1 KiB at most, where
+        # an unbounded readline held the whole line and its decoded copy
+        path = tmp_path / "bad.cslgrid"
+        path.write_bytes(b"cslgrid 2 " + b"1" * (4 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="cslgrid 2"):
+                read_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
     @pytest.mark.parametrize("header, values", [
