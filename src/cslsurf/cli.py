@@ -56,6 +56,7 @@ from .geometry import (
 )
 from .geometry.mesh import _path_format
 from .geometry.patches import _scalar
+from .geometry.shapes import _has_form_factor
 from .oracle import (
     DEFAULT_MAX_VOXELS,
     kspace_outer_integral,
@@ -422,7 +423,8 @@ def _cmd_validate(shape, params, options):
     s = surface_tensor(patches)
     surf = surface_formula_outer_integral(s, density, sigma)
     # the raster's spectrum first, so its grid check runs before a k-space
-    # ladder that may take seconds, and a DFT route reads it too
+    # ladder that may take seconds; a body without a form factor takes
+    # the gradient sum of it as its k-space tensor, which kspace_route names
     spectrum = _body_spectrum(shape, density, sigma, options["spacing"], options["padding"],
                               options["max_voxels"])
     grad = _gradient(spectrum)
@@ -441,6 +443,7 @@ def _cmd_validate(shape, params, options):
         "surface_formula": surf,
         "gradient_integral": grad,
         "kspace_integral": kint,
+        "kspace_route": "form factor" if _has_form_factor(shape) else "gradient spectrum",
         "pairwise_relative_errors": pairs,
         "tolerance": tol,
         "grid_dims": list(spectrum.dims),

@@ -512,7 +512,7 @@ class _Solid:
     cone-capped cylinder and meshes) are None where the shape has none;
     the oracles then take the next path of their rule (the raster:
     the filtered supersampled indicator; the k-space integral: the DFT
-    route, which reads that raster).  A shape with ``_smoothed_unit`` has
+    route, the gradient sum of that raster's spectrum).  A shape with ``_smoothed_unit`` has
     ``_unit_form_factor`` too, so a body takes the DFT route only when it
     takes the filtered raster.  ``_kspace_local(sigma)``, the one
     hook that sees cavities, picks the k-space rule of a body with a form

@@ -8,9 +8,9 @@ the body form factor,
 equals (2 pi)^3 times the volume integral of grad(mu_sigma) o
 grad(mu_sigma), and for bodies much larger than sigma collapses to
 (2 pi)^3 rho^2 / (2 sqrt(pi) sigma) times the surface tensor.  The three
-routes here are mutually independent, but for one thing: on a sampled
-body the two grid routes share one spectrum and differ only by the
-deconvolution of the cell average.
+routes here are mutually independent, but for one thing: a sampled body
+has no form factor, and its k-space tensor is the gradient sum of its
+one spectrum.
 
 * :func:`gradient_outer_integral` differentiates a rasterized smoothed
   field spectrally, with the exact derivative symbol,
@@ -21,16 +21,16 @@ deconvolution of the cell average.
   shell or ball, one radial integral for a bare rod) or, where the hook
   declines, a radial x angular ladder in world axes.  A body without a form
   factor is one without a closed-form field, so it has a filtered
-  raster, and its DFT route reads that raster's spectrum,
+  raster, and its DFT route is the gradient sum of that raster's spectrum,
 * :func:`surface_formula_outer_integral` applies the closed-form surface
   scaling.
 
 :func:`decoherence_function` evaluates the full (non-quadratic)
 positional dephasing rate from the field autocorrelation.
 
-The gradient route, the DFT route and the decoherence function are all
-Parseval sums over the power spectrum P = w |F(k)|^2 of a gridded field,
-each with its own mode weight, read from one record (``_Spectrum``) of P
+The gradient route and the decoherence function are Parseval sums over
+the power spectrum P = w |F(k)|^2 of a gridded field, each with its own
+mode weight, read from one record (``_Spectrum``) of P
 and its grid.  :func:`_power` makes it of a grid: it transforms each
 value content once and keeps the spectra of the two most recently used
 value contents, so a scan of many oracle calls on one grid, or on grids
@@ -64,9 +64,8 @@ thread, so beside that array one plane at a time is made.  Each caller
 ends over z with vectors of nz' values.  The weights are
 
 * k o k, the derivative symbol's outer product, in
-  :func:`gradient_outer_integral`,
-* k o k / D(k)^2, D the separable transform of the supersampled cell
-  average, in the DFT route of :func:`kspace_outer_integral`,
+  :func:`gradient_outer_integral` and the DFT route of
+  :func:`kspace_outer_integral`,
 * 1 - cos(k . delta), as -Re of e^{i k . delta} - 1 split by axis, in
   :func:`decoherence_function`, whose terms without an x phase read the
   column sums instead of a row of ones.
@@ -95,7 +94,6 @@ from ..geometry.shapes import (
 from ..tensors import _psd
 from . import voxel
 from .voxel import (
-    _SUPERSAMPLE,
     DEFAULT_MAX_VOXELS,
     VoxelGrid,
     _gain,
@@ -253,12 +251,12 @@ def _blocks(parts, dims):
     order whatever parts P comes in, and r is the smallest shell edge
     past which both tails are at most ``_TAIL`` (2^-60) of their totals.
     Each sum's weight is bounded by a multiple of 1 or of |k|^2, so no
-    sum moves by more than 2^-60 of its scale (13 times that on the DFT
-    route, whose 1 / D^2 is at most 1.53^6).  In the order of |k_x| the modes of each (y, z) column that
-    lie inside the ball are a prefix, the x pencil of the column, whose
-    length one search over the distinct k_x^2 counts.  The columns of
-    each pass (:func:`_passes`, whatever parts P comes in, so that two
-    passes give the record of one transform) are grouped by that length
+    sum moves by more than 2^-60 of its scale.  In the order of |k_x| the
+    modes of each (y, z) column that lie inside the ball are a prefix, the
+    x pencil of the column, whose length one search over the distinct
+    k_x^2 counts.  The columns of each pass (:func:`_passes`, whatever
+    parts P comes in, so that two passes give the record of one
+    transform) are grouped by that length
     (:func:`_ranges`, ``_GROUPS`` groups at most), and a group is held as
     one contiguous array of the x of its longest pencil, gathered from
     P's two x ranges of the + and the - frequencies: shorter pencils are
@@ -432,11 +430,15 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
     spectrum squared where it lies, which is the raster's round trip to
     rounding, and cut.  Its P is that of the fill, with the filter's gain
     applied to each part as :func:`_parts` builds it (one rfftn, or two
-    passes over the z columns), and the fill dies before the cut."""
+    passes over the z columns), and the fill dies before the cut.  Any
+    other body's raster is transformed and cut as :func:`_power` would,
+    but outside its cache: the raster dies with the call, so it neither
+    evicts a held spectrum nor is held."""
     spec = build_shape(spec)
     if not _sampled(spec):
-        return _power(rasterize_smoothed_density(spec, density, sigma, spacing, padding,
-                                                 max_voxels))
+        grid = rasterize_smoothed_density(spec, density, sigma, spacing, padding, max_voxels)
+        return _Spectrum(*_blocks(_parts(grid.values), grid.dims), grid.spacing, grid.dims,
+                         grid.margin)
     density, sigma, spacing, padding = _grid_lengths(density, sigma, spacing, padding)
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     parts = _parts(voxel.supersampled_fraction(spec, dims, origin, spacing),
@@ -472,10 +474,10 @@ def _mode_sum(spectrum: _Spectrum, xrows, yrows):
     return R
 
 
-def _outer_sum(spectrum: _Spectrum, s, g=(1.0, 1.0, 1.0)):
-    """(h^3 / N) sum over modes of P gx gy gz s o s for per-axis factors s and g."""
-    X, Y, Z = (gi * np.stack([np.ones_like(si), si, si * si]) for si, gi in zip(s, g))
-    R = _mode_sum(spectrum, X, Y)    # R[i, j] sums P gx sx^i gy sy^j over x and y
+def _outer_sum(spectrum: _Spectrum, s):
+    """(h^3 / N) sum over modes of P s o s for per-axis factors s."""
+    X, Y, Z = (np.stack([np.ones_like(si), si, si * si]) for si in s)
+    R = _mode_sum(spectrum, X, Y)    # R[i, j] sums P sx^i sy^j over x and y
     xx, xy, xz = R[2, 0] @ Z[0], R[1, 1] @ Z[0], R[1, 0] @ Z[1]
     yy, yz, zz = R[0, 2] @ Z[0], R[0, 1] @ Z[1], R[0, 0] @ Z[2]
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
@@ -493,10 +495,14 @@ def gradient_outer_integral(grid: VoxelGrid):
     The derivatives take their exact symbols through the DFT, so on a
     closed-form raster the error is the aliasing of the smooth field, far
     below the 0.5 percent budget at sigma/2 spacing (4e-16 to 5e-15 of the
-    exact tensor).  A sampled raster is the supersampled fraction, a
-    4-point cell average per axis that the filter does not deconvolve, so
-    its tensor is 0.4 to 1.9 percent off at sigma/2.  Grid values that are
-    not finite raise :class:`DegenerateDimension`.
+    exact tensor).  A sampled raster is the supersampled fraction with its
+    4-point cell average deconvolved in the filter: at sigma/2 its tensor
+    is 6e-5 to 7.3e-4 off on elliptic rods of 4 to 12 sigma on generic
+    tilted axes, and about 1 to 1.8 percent off where planar walls lie on
+    planes of the subsample lattice (parallel to a grid axis, as on a rod
+    along z or a box mesh, or normal to a low-index direction such as
+    (1, 1, 1)), whose aliasing the deconvolution does not remove.  Grid
+    values that are not finite raise :class:`DegenerateDimension`.
     """
     return _gradient(_power(grid))
 
@@ -615,14 +621,14 @@ def kspace_outer_integral(spec, density, sigma, *, _spectrum=None):
       precision).
 
     A body without one also has a solid without a closed-form field, so
-    it takes the filtered raster, and its DFT route is the Parseval sum
-    of that raster's power spectrum with the cell average deconvolved
-    (:func:`_kspace_fft`).  The spectrum is the filter's own, squared
-    where it lies (:func:`_body_spectrum` on the default grid: one fill,
-    one rfftn and no real-space grid), or ``_spectrum``: the record of
-    the same body, density and sigma that the caller has already made on
-    a grid of its choice, so one fill and one transform serve both grid
-    oracles.
+    it takes the filtered raster, which deconvolves the fill's cell
+    average, and its DFT route is the gradient sum of that raster's power
+    spectrum (:func:`_gradient`), not a second oracle.  The spectrum is
+    the filter's own, squared where it lies (:func:`_body_spectrum` on the
+    default grid: one fill, one rfftn and no real-space grid), or
+    ``_spectrum``: the record of the same body, density and sigma that the
+    caller has already made on a grid of its choice, so one fill and one
+    transform serve both grid oracles.
 
     ``density`` and ``sigma`` must be positive and finite, and so must
     density^2 and the tensor, on every route
@@ -633,8 +639,8 @@ def kspace_outer_integral(spec, density, sigma, *, _spectrum=None):
     spec = build_shape(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         if not _has_form_factor(spec):
-            spectrum = _body_spectrum(spec, density, sigma) if _spectrum is None else _spectrum
-            return _finite(_kspace_fft(spectrum), "the k-space tensor")
+            return _gradient(_body_spectrum(spec, density, sigma) if _spectrum is None
+                             else _spectrum)
         local = spec._kspace_local(sigma)
         if local is None:
             mu = form_factor(_about_center(spec))
@@ -667,28 +673,6 @@ def _about_center(spec):
         return spec
     return replace(spec, center=(0.0, 0.0, 0.0), cavities=tuple(
         replace(cav, center=np.asarray(cav.center) - shift) for cav in spec.cavities))
-
-
-def _kspace_fft(spectrum: _Spectrum):
-    """DFT route: the Parseval sum of the filtered raster's power spectrum.
-
-    The raster's transform is the Gaussian's gain G = exp(-k^2 sigma^2 / 2)
-    times the density times the transform of the supersampled fraction,
-    so P k o k over D(k)^2, D the transform of the ss-point cell average,
-    is the damped |mu|^2 k o k of the raw indicator: only the cell average
-    is deconvolved.  D has no zeros for |k| <= pi / h.
-    """
-    h, ss = spectrum.spacing, _SUPERSAMPLE
-
-    def deconvolution(k):
-        num = np.sin(k * h / 2.0)
-        den = ss * np.sin(k * h / (2.0 * ss))
-        dirichlet = np.where(np.abs(k) < 1e-300, 1.0, num / np.where(den == 0, 1.0, den))
-        return 1.0 / dirichlet**2
-
-    # |mu_hat|^2 dk = |h^3 F|^2 (2 pi)^3 / (ntot h^3) = (2 pi)^3 (h^3/ntot) |F|^2
-    k = _wavenumbers(spectrum.dims, h)
-    return (2.0 * np.pi) ** 3 * _outer_sum(spectrum, k, [deconvolution(ki) for ki in k])
 
 
 # ---------------------------------------------------------------------------

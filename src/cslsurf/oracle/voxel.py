@@ -9,11 +9,12 @@ none (cone-capped and elliptic cylinders, meshes), the supersampled
 indicator filtered on the grid, which has no point evaluator; neither
 reads a distance.  The filter is applied in the spectrum: one
 rfftn of the indicator and the product with the Gaussian's gain
-exp(-k^2 sigma^2 / 2) on the grid's wavenumbers (:func:`_filter_spectrum`),
-so the grid is periodic, as it is for every oracle transform; the
-zero-field margin keeps the wrapped tails below ~1e-8 rho, and the gain
-of 1 at k = 0 keeps the fill's mass.  The raster takes one irfftn of
-that spectrum; a body's grid oracles square it where it lies, from 2^20
+exp(-k^2 sigma^2 / 2) over D(k), the transform of the fill's cell
+average, on the grid's wavenumbers (:func:`_filter_spectrum`), so the
+grid is periodic, as it is for every oracle transform; the zero-field
+margin keeps the wrapped tails below ~1e-8 rho, and the gain of 1 at
+k = 0 keeps the fill's mass.  The raster takes one irfftn of that
+spectrum; a body's grid oracles square it where it lies, from 2^20
 values on built in two passes over its z columns, each of which takes
 the gain (:func:`_gain`) on its own columns.
 
@@ -442,9 +443,14 @@ def _filter_spectrum(spec, dims, origin, density, sigma, spacing):
 def _gain(dims, density, sigma, spacing):
     """The filter of a grid of ``dims``: a function that multiplies the
     columns z of its half spectrum, held in F, in place by ``density`` and
-    the separable gain exp(-k^2 sigma^2 / 2) on the grid's angular
-    wavenumbers, so that a part of the columns takes the bits of the whole."""
-    gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) for k in _wavenumbers(dims, spacing))
+    the separable gain exp(-k^2 sigma^2 / 2) / D(k) on the grid's angular
+    wavenumbers, so that a part of the columns takes the bits of the whole.
+    D(k) = sin(k h / 2) / (ss sin(k h / 2 ss)), the transform of the fill's
+    ss-point cell average (h the spacing), is 1 at k = 0 and has no zero
+    for |k| <= pi / h, where 1 / D is at most 1.53."""
+    ss = _SUPERSAMPLE
+    gx, gy, gz = (np.exp(-0.5 * (sigma * k) ** 2) * np.sinc(k * spacing / (2 * np.pi * ss))
+                  / np.sinc(k * spacing / (2 * np.pi)) for k in _wavenumbers(dims, spacing))
 
     def apply(F, z):
         F *= (density * gx)[:, None, None]

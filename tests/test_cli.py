@@ -162,8 +162,9 @@ class TestValidate:
 
 
     def test_benchmark_cone_oracles_agree(self, capsys):
-        # the gradient integral reads the filtered raster of the exact
-        # indicator, the k-space integral the DFT route of the same fill
+        # the cone has no form factor, so its k-space integral is the
+        # gradient sum of its one deconvolved spectrum: the two agree by
+        # construction, and the gate checks the surface formula against it
         s = 1e-7
         cone = json.dumps({"type": "cone_capped_cylinder", "radius": 6 * s,
                            "length": 12 * s, "apex_angle": math.radians(60.0)})
@@ -173,6 +174,33 @@ class TestValidate:
         assert code in (0, 2), err
         errors = json.loads(out)["results"]["pairwise_relative_errors"]
         assert errors["gradient_vs_kspace"] <= 0.025
+
+    @pytest.mark.parametrize("shape, route", [
+        ('{"type":"cone_capped_cylinder","radius":"0.6 um","length":"1.2 um",'
+         '"apex_angle":"60 deg"}', "gradient spectrum"),
+        ("mesh", "gradient spectrum"),
+        ('{"type":"sphere","radius":"0.6 um"}', "form factor"),
+    ], ids=["cone", "mesh", "sphere"])
+    def test_report_names_its_kspace_route(self, capsys, tmp_path, shape, route):
+        # a body without a form factor takes the gradient sum of its own
+        # spectrum as its k-space tensor, so its gradient_vs_kspace is 0.0 by
+        # construction and the report says so; the config still reproduces
+        # the report byte for byte
+        if shape == "mesh":
+            path = tmp_path / "box.stl"
+            path.write_bytes(mesh_to_stl(box_mesh(0.83e-6, 0.71e-6, 0.62e-6)))
+            body = ["--mesh", str(path)]
+        else:
+            body = ["--shape", shape]
+        code, out, err = run(capsys, "validate", *body, "--tolerance", "0.5")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["results"]["kspace_route"] == route
+        pair = report["results"]["pairwise_relative_errors"]["gradient_vs_kspace"]
+        assert (pair == 0.0) == (route == "gradient spectrum")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(report["config"]))
+        assert run(capsys, "validate", "--config", str(config)) == (code, out, "")
 
     def test_x_axis_rod_writes_its_report(self, capsys):
         # the spherical ladder did not converge on this rod in six rungs, so

@@ -9,9 +9,9 @@ is the array it views.
 ``decoherence_function`` sums 1 - cos(k . delta) over that spectrum as
 separable phase contractions, checked here against the per-mode sum of
 2 sin^2(k . delta / 2), which has no cancellation at small shifts.  The
-gradient integral, the DFT route's weight and the decoherence function
-all go through one mode-sum kernel; on small random grids, singleton
-axes included, each is checked against the same sum taken mode by mode
+gradient integral and the decoherence function both go through one
+mode-sum kernel; on small random grids, singleton axes included, each
+is checked against the same sum taken mode by mode
 over numpy's own transform, in one block and in two halves.  A spectrum
 cut to the ball its Gaussian leaves standing (the cut's threshold,
 read at call time, lowered below small grids) holds the ball in x
@@ -115,20 +115,16 @@ def test_mode_sums_match_dense_per_mode_sums(shape, seed, direction, log_magnitu
     ref = _Reference(grid)
     scale = (2 * np.pi) ** 3 * h**3 / grid.values.size
 
-    def dense(s, g=1.0):
-        return scale * np.array([[np.sum(ref.power * g * si * sj) for sj in s] for si in s])
+    def dense(s):
+        return scale * np.array([[np.sum(ref.power * si * sj) for sj in s] for si in s])
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    gain = [np.exp(-(k * SIGMA) ** 2) / (1.0 + (k * h) ** 2) for k in ref.k]
-    k1, g1 = [k.ravel() for k in ref.k], [g.ravel() for g in gain]
     delta = 10.0**log_magnitude * SIGMA * np.asarray(direction) / np.linalg.norm(direction)
     for split in (voxel._PARALLEL_SIZE, 1):
         with mock.patch.object(voxel, "_PARALLEL_SIZE", split):
             assert close(integrals.gradient_outer_integral(grid), dense(ref.k))
-            assert close((2 * np.pi) ** 3 * integrals._outer_sum(integrals._power(grid), k1, g1),
-                         dense(ref.k, gain[0] * gain[1] * gain[2]))
             assert decoherence_function(grid, delta, PARAMS) == pytest.approx(ref(delta),
                                                                              rel=1e-13)
 
@@ -240,7 +236,7 @@ def test_blocks_take_slices_of_one_column_order(cut, body):
        log_magnitude=st.floats(-3.0, math.log10(4.0)))
 def test_cut_spectrum_sums_match_dense_per_mode_sums(cut, body, direction, log_magnitude):
     """The blocks of a cut record against the whole P it was cut from,
-    mode by mode: the gradient, the DFT route and the decoherence function."""
+    mode by mode: the gradient and the decoherence function."""
     P, record = cut[body]
     n, h = record.dims, record.spacing
     k = (2 * np.pi * np.fft.fftfreq(n[0], h)[:, None, None],
@@ -254,10 +250,7 @@ def test_cut_spectrum_sums_match_dense_per_mode_sums(cut, body, direction, log_m
     def close(got, want):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    # the squared transform of the 4-point cell average, sin(x) / (4 sin(x / 4))
-    d2 = [(np.sinc(ki * h / (2 * np.pi)) / np.sinc(ki * h / (8 * np.pi))) ** 2 for ki in k]
     assert close(integrals._gradient(record), dense(1.0))
-    assert close(integrals._kspace_fft(record), dense(1.0 / (d2[0] * d2[1] * d2[2])))
     delta = 10.0**log_magnitude * SIGMA * np.asarray(direction) / np.linalg.norm(direction)
     phase = sum(ki * di for ki, di in zip(k, delta))
     want = PREF * scale * np.sum(P * 2.0 * np.sin(phase / 2.0) ** 2)
@@ -448,6 +441,22 @@ def test_contents_compare_bit_for_bit(transforms):
     assert len(transforms) == 2
 
 
+def test_body_record_skips_the_grid_cache(transforms):
+    # a closed-form body's record transforms its raster outside the cache:
+    # it evicts neither held grid spectrum, and is the record that _power
+    # makes of the same raster, bit for bit
+    grids = [_blob(40), _blob(36)]
+    for grid in grids:
+        decoherence_function(grid, DELTA, PARAMS)
+    record = _body_spectrum(Sphere(6 * SIGMA), RHO, SIGMA)
+    assert len(transforms) == 3
+    for grid in grids:
+        decoherence_function(grid, DELTA, PARAMS)
+    assert len(transforms) == 3
+    want = integrals._power(rasterize_smoothed_density(Sphere(6 * SIGMA), RHO, SIGMA))
+    assert _same_record(record[:3], want[:3])
+
+
 def test_array_that_takes_a_held_spectrum_is_read_only():
     grid = _blob(42)
     decoherence_function(grid, DELTA, PARAMS)
@@ -574,10 +583,12 @@ def _same_record(got, want):
 
 def _sampled_record(spec, spacing=SIGMA / 2):
     """The record of a sampled body, and the one of one rfftn of its fill
-    times its filter's gain."""
+    times its filter's gain: the Gaussian's over D, the transform of the
+    4-point cell average, sin(x) / (4 sin(x / 4)) at x = k h / 2."""
     record = _body_spectrum(spec, RHO, SIGMA, spacing=spacing)
     dims, origin = voxel._grid_geometry(spec, spacing, voxel.DEFAULT_PADDING_SIGMA * SIGMA)
-    gain = (np.exp(-0.5 * (SIGMA * k) ** 2) for k in voxel._wavenumbers(dims, spacing))
+    gain = (np.exp(-0.5 * (SIGMA * k) ** 2) * np.sinc(k * spacing / (2 * np.pi) / 4)
+            / np.sinc(k * spacing / (2 * np.pi)) for k in voxel._wavenumbers(dims, spacing))
     fraction = voxel.supersampled_fraction(spec, dims, origin, spacing)
     return record[:3], _one_transform_record(fraction, (RHO, *gain))
 

@@ -105,7 +105,7 @@ def _scatter_sum(spectrum, xrows, yrows):
 
 @pytest.mark.parametrize("body", ["sphere", "plate", "sampled", "white-noise"])
 def test_mode_sum_keeps_the_bits_of_the_scatter(grids, body):
-    # the rows of the gradient, the DFT route and three decoherence values,
+    # the rows of the gradient and of three decoherence values,
     # on the held sphere and plate (16 blocks each), a sampled body's record
     # cut below 2^20 values, and white noise, which is one block
     if body in grids:
@@ -127,10 +127,9 @@ def test_mode_sum_keeps_the_bits_of_the_scatter(grids, body):
 
     with mock.patch.object(integrals, "_mode_sum", recorded):
         integrals._gradient(record)
-        integrals._kspace_fft(record)
         for d in DELTAS:
             integrals._decoherence(record, d, PARAMS)
-    assert [(len(x), len(y)) for x, y in rows] == [(3, 3), (3, 3)] + [(2, 2)] * 3
+    assert [(len(x), len(y)) for x, y in rows] == [(3, 3)] + [(2, 2)] * 3
     for xrows, yrows in rows:
         got, want = mode_sum(record, xrows, yrows), _scatter_sum(record, xrows, yrows)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
