@@ -34,9 +34,19 @@ on n n': a box's erf factors, a cylinder's axial factor, and its disc
 factor, which reads the two world axes across its own and so takes one
 row per plane.  Those are the numbers a matrix product gives, and a
 product of broadcast factors is the product of the same factors per
-voxel, so such grids are bit for bit the point evaluator's values.  A
-tilted axis sums products in a fixed order, which may round
-differently from a matrix product.
+voxel, so the voxels such a raster evaluates are bit for bit the point
+evaluator's values.  A tilted axis sums products in a fixed order, which
+may round differently from a matrix product.
+
+A body that is mirror-symmetric about its grid's centre in each axis is
+told so by its shape alone (:func:`_mirrored`): every solid a sphere, a
+box, or a circular or gapped cylinder on a named axis, each centred on
+the grid's centre.  Its raster evaluates only the low octant, the planes,
+rows and columns of index up to (n - 1) / 2, and copies every other
+voxel from its mirror image, so the grid equals its mirror image bit for
+bit, which the oracles read as the octant route of its spectrum.  Its
+values move from the whole evaluation's by rounding.  Every other body
+is evaluated on every voxel.
 
 A round wall's field differs from 0 or 1 only near it: the ball's and
 the disc's factors take their closed form (two ``ndtr`` and two
@@ -50,10 +60,10 @@ read the same factors, so in-band and interior values keep the bits of
 the full closed form, and a value moves only more than 12 sigma outside
 a solid, by at most ndtr(-12) rho.
 
-A grid of 2^20 voxels or more walks its planes in two halves where the
-process may run on more than one core: the caller's thread takes the
-first, and one helper thread, started for the call and joined before it
-returns, the second.  A plane is the same numbers on either thread, so
+A raster that evaluates 2^20 points or more walks its planes in two
+halves where the process may run on more than one core: the caller's
+thread takes the first, and one helper thread, started for the call and
+joined before it returns, the second.  A plane is the same numbers on either thread, so
 the grid keeps its bits.  The same rule gives the filter's transforms
 and the oracles' spectrum transforms one worker per core.  It also marks
 the spectra that the oracles build in two passes over their z columns
@@ -122,6 +132,10 @@ from ..errors import (
 )
 from ..geometry.patches import _array, _scalar
 from ..geometry.shapes import (
+    Box,
+    Cylinder,
+    GappedCylinder,
+    Sphere,
     _local_axes,
     _point_axes,
     bounding_box,
@@ -137,9 +151,10 @@ DEFAULT_MAX_VOXELS = 512**3
 # even, so that no subsample sits exactly on a cell center where a
 # grid-aligned facet could pass
 _SUPERSAMPLE = 4
-# an array of this many values or more is split in two halves for the
-# threads: the closed-form raster's planes and the transforms of the
-# spectrum and the filter; a spectrum is also built in two passes over its
+# a raster that evaluates this many points or more, and a transform of
+# this many values or more, is split in two halves for the threads: the
+# closed-form raster's planes and the transforms of the spectrum and the
+# filter; a spectrum is also built in two passes over its
 # z columns and cut to a ball of x pencils from this size on (read at call
 # time, as voxel._PARALLEL_SIZE)
 _PARALLEL_SIZE = 1 << 20
@@ -162,8 +177,8 @@ def _workers(size):
 
 
 def _split(fn, n, size):
-    """``fn(0, n)`` for an array of ``size`` values.  From
-    ``_PARALLEL_SIZE`` values on, where there is more than one core, the
+    """``fn(0, n)`` for a call that evaluates ``size`` points.  From
+    ``_PARALLEL_SIZE`` points on, where there is more than one core, the
     call is split in two halves: ``fn(0, n // 2)`` on the caller's thread
     and ``fn(n // 2, n)`` on one helper thread, under the caller's
     floating-point error handling; the helper is joined before this
@@ -388,13 +403,17 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
     the others as (n, 1) and (1, n')), along x unless a solid's local z
     is x, so temporaries stay plane-sized and a factor that depends on
     one world axis is taken once per value of that axis; on named axes
-    the grid is bit for bit :func:`smoothed_density` at its points.  A
+    the voxels it evaluates are bit for bit :func:`smoothed_density` at
+    their points.  A body that is mirror-symmetric about the grid's centre
+    (:func:`_mirrored`) is evaluated on the low octant, indices up to (n -
+    1) / 2 on each axis, and every other voxel is its mirror voxel's copy,
+    so the grid equals its mirror image bit for bit.  A
     ball or disc factor takes its closed form only on the band from 10
     sigma inside to 12 sigma outside its wall, and is 1.0 deeper in and 0
     farther out, so a voxel more than 12 sigma outside a solid may read up
-    to ndtr(-12) rho = 1.8e-33 rho below the full closed form.  A grid of
-    2^20 voxels or more takes its planes in two halves, on two threads,
-    with the same bits.  Any other body takes the
+    to ndtr(-12) rho = 1.8e-33 rho below the full closed form.  A raster
+    that evaluates 2^20 points or more takes its planes in two halves, on
+    two threads, with the same bits.  Any other body takes the
     supersampled indicator, filtered in the spectrum of the periodic grid
     (:func:`_filter_spectrum`) and brought back by one irfftn.
     """
@@ -412,18 +431,44 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
         walk = next((a for a in range(3)
                      if all(abs(solid._frame[a, 2]) != 1.0 for solid in solids)), 0)
         b, c = (a for a in range(3) if a != walk)
-        rows = (origin[b] + spacing * np.arange(dims[b]))[:, None]
-        columns = (origin[c] + spacing * np.arange(dims[c]))[None, :]
+        # the indices evaluated on each axis: all, or those <= (n - 1) / 2
+        mirrored = _mirrored(spec)
+        low = [(n + 1) // 2 if mirrored else n for n in dims]
+        rows = (origin[b] + spacing * np.arange(low[b]))[:, None]
+        columns = (origin[c] + spacing * np.arange(low[c]))[None, :]
         stack = np.moveaxis(values, walk, 0)    # a view: stack[i] is plane i
+        if mirrored:    # each index's own, or its mirror image's where that is evaluated
+            fold = np.ix_(*(np.minimum(np.arange(dims[a]), dims[a] - 1 - np.arange(dims[a]))
+                            for a in (b, c)))
 
         def planes(start, stop):
             for i in range(start, stop):
                 axes = [rows, columns]
                 axes.insert(walk, np.full((1, 1), origin[walk] + spacing * i))
-                stack[i] = _density(solids, density, sigma, *axes)
+                stack[i][:low[b], :low[c]] = _density(solids, density, sigma, *axes)
+                if mirrored:
+                    stack[i] = stack[i][fold]
+                    stack[dims[walk] - 1 - i] = stack[i]
 
-        _split(planes, dims[walk], values.size)
+        _split(planes, low[walk], math.prod(low))
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
+
+
+def _mirrored(spec):
+    """Whether the body is mirror-symmetric about its grid's centre in each
+    axis, from its shape alone: every solid a sphere, a box (always
+    axis-aligned), or a circular or gapped cylinder on a named axis, each
+    centred on the middle of the body's bounding box (the grid's centre,
+    ``mid`` of :func:`_grid_geometry`) to within 4 eps of the box's largest
+    |coordinate| on each axis."""
+    lo, hi = bounding_box(spec)
+    mid = 0.5 * (lo + hi)
+    slack = 4.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    return all(
+        (type(solid) in (Sphere, Box) or (type(solid) in (Cylinder, GappedCylinder)
+                                          and np.isin(np.abs(solid._frame), (0.0, 1.0)).all()))
+        and np.all(np.abs(np.asarray(solid.center) - mid) <= slack)
+        for solid in (spec, *spec.cavities))
 
 
 def _sampled(spec):

@@ -179,7 +179,10 @@ class TestValidate:
         ('{"type":"cone_capped_cylinder","radius":"0.6 um","length":"1.2 um",'
          '"apex_angle":"60 deg"}', "gradient spectrum"),
         ("mesh", "gradient spectrum"),
-        ('{"type":"sphere","radius":"0.6 um"}', "form factor"),
+        # a cavity off its center: the octant route's gradient of a bare
+        # sphere is its closed-form k-space tensor to the last bit
+        ('{"type":"sphere","radius":"0.6 um","cavities":[{"type":"sphere",'
+         '"radius":"0.2 um","center":["0.1 um",0,0]}]}', "form factor"),
     ], ids=["cone", "mesh", "sphere"])
     def test_report_names_its_kspace_route(self, capsys, tmp_path, shape, route):
         # a body without a form factor takes the gradient sum of its own

@@ -727,20 +727,23 @@ def test_grid_values_that_are_not_finite_raise_in_halves(bad, monkeypatch):
 
 def test_one_fft_per_oracle_call(monkeypatch):
     # one transform per grid, whatever the number of oracle calls on it; the
-    # per-grid FFT counts of the benchmark tracer read scipy.fft.rfftn calls
+    # per-grid FFT counts of the benchmark tracer read scipy.fft.rfftn calls,
+    # and a grid that equals its mirror image takes one dctn of its octant
     A, B, C = (rasterize_smoothed_density(Sphere(r * SIGMA), RHO, SIGMA) for r in (4, 3, 2))
     L = 4.3 * SIGMA
     calls = []
-    rfftn = scipy.fft.rfftn
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rfftn(*args, **kwargs)
+    def counted(transform):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return transform(*args, **kwargs)
+        return call
 
     def decohere(grid, x=0.3):
         return decoherence_function(grid, np.array([x * SIGMA, 0, 0]), PARAMS)
 
-    monkeypatch.setattr(scipy.fft, "rfftn", counted)
+    for name in ("rfftn", "dctn"):
+        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
     gradient_outer_integral(A)
     for x in (0.01, 0.3, 2.0):
         decohere(A, x)

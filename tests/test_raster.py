@@ -1,10 +1,14 @@
 """The closed-form raster evaluates each solid on broadcast local axes.
 
 On a named axis (x, y or z) every local coordinate is one world axis, so
-the grid must be the point evaluator's values at the grid points bit for
-bit, and each 1-D factor is taken once per axis value, not once per voxel.
-On a tilted axis the local coordinates are sums of products and may round
-differently from a matrix product.
+the voxels the raster evaluates must be the point evaluator's values at
+the grid points bit for bit, and each 1-D factor is taken once per axis
+value, not once per voxel.  A body that is mirror-symmetric about its
+grid's centre is evaluated on the low half of each axis, the indices up
+to (n - 1) / 2, and every other voxel is its mirror voxel bit for bit;
+any other body is evaluated on every voxel, as one full walk of the
+planes evaluates it.  On a tilted axis the local coordinates are sums of
+products and may round differently from a matrix product.
 """
 
 import math
@@ -16,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chndtr, ndtr
 
-from cslsurf.geometry import Box, Cylinder, GappedCylinder, Sphere
+from cslsurf.geometry import Box, Cylinder, EllipticCylinder, GappedCylinder, Sphere
 from cslsurf.geometry import shapes
 from cslsurf.geometry.shapes import local_frame, signed_distance
-from cslsurf.oracle import rasterize_smoothed_density, smoothed_density
+from cslsurf.oracle import rasterize_smoothed_density, smoothed_density, voxel
 
 SIGMA = 1e-7
 RHO = 2000.0
@@ -47,10 +51,15 @@ def named_axis_solids(draw):
         spec = GappedCylinder(a, 6 * b, 2, b * draw(st.floats(0.2, 0.8)),
                               axis=axis, center=center)
         inner = min(a, spec.segments()[0] / 2)
+    mirrored = True
     if draw(st.booleans()):
-        cavity = Sphere(inner * draw(st.floats(0.2, 0.6)), center=center)
+        # a cavity at the body's center, or one a tenth of a spacing off it
+        mirrored = draw(st.booleans())
+        at = np.asarray(center) + (0.0 if mirrored else 0.05 * SIGMA) * np.array(
+            draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])))
+        cavity = Sphere(inner * draw(st.floats(0.2, 0.6)), center=tuple(at))
         spec = replace(spec, cavities=(cavity,))
-    return spec
+    return spec, mirrored
 
 
 def _grid_points(grid):
@@ -58,11 +67,32 @@ def _grid_points(grid):
     return np.stack([X, Y, Z], axis=-1)
 
 
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _assert_point_evaluator(spec, grid, mirrored):
+    """The voxels the raster evaluates are the point evaluator's at their
+    points bit for bit: the low half of each axis, indices up to (n - 1) /
+    2, of a mirror-symmetric body, whose every other voxel is its mirror
+    voxel bit for bit, and every voxel of any other body."""
+    want = smoothed_density(spec, RHO, SIGMA, _grid_points(grid))
+    assert voxel._mirrored(spec) == mirrored
+    if not mirrored:
+        assert np.array_equal(grid.values, want)
+        return
+    low = tuple(slice(0, (n + 1) // 2) for n in grid.dims)
+    assert np.array_equal(grid.values[low], want[low])
+    for axis in range(3):
+        assert np.array_equal(_bits(grid.values), _bits(np.flip(grid.values, axis)))
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(named_axis_solids())
-def test_named_axis_grid_is_the_point_evaluator(spec):
+def test_named_axis_grid_is_the_point_evaluator(body):
+    spec, mirrored = body
     grid = rasterize_smoothed_density(spec, RHO, SIGMA, padding=PADDING)
-    assert np.array_equal(grid.values, smoothed_density(spec, RHO, SIGMA, _grid_points(grid)))
+    _assert_point_evaluator(spec, grid, mirrored)
 
 
 TILTED = [
@@ -84,6 +114,59 @@ def test_tilted_grid_agrees_with_the_matrix_frame(spec):
         p = (points - np.asarray(solid.center)) @ local_frame(solid)
         want = want + sign * solid._smoothed_unit(p[..., 0], p[..., 1], p[..., 2], SIGMA)
     assert np.max(np.abs(grid.values - RHO * want)) <= TILTED_BOUND * RHO
+
+
+def _every_plane(spec, grid):
+    """The closed-form raster as it was before any body was mirrored: the
+    fields of the solids on the broadcast axes of every x-plane."""
+    x, y, z = grid.axes()
+    solids = (spec, *spec.cavities)
+    return np.stack([voxel._density(solids, RHO, SIGMA, np.full((1, 1), xi), y[:, None],
+                                    z[None, :]) for xi in x])
+
+
+ASYMMETRIC = TILTED + [
+    Sphere(4 * SIGMA, cavities=(Sphere(SIGMA, center=(SIGMA, 0.5 * SIGMA, 0.0)),)),
+    Cylinder(3 * SIGMA, 8 * SIGMA, axis="x", cavities=(Sphere(SIGMA, center=(SIGMA, 0.0, 0.0)),)),
+    Box((4 * SIGMA, 5 * SIGMA, 3 * SIGMA), cavities=(Sphere(SIGMA, center=(0.0, 0.0, 5e-4 * SIGMA)),)),
+]
+
+
+@pytest.mark.parametrize("spec", ASYMMETRIC, ids=["tilted-cylinder", "tilted-gapped",
+                                                  "tilted-cavity", "sphere-off-center-cavity",
+                                                  "x-rod-off-center-cavity",
+                                                  "box-cavity-1e-3-spacing-off"])
+def test_raster_of_a_body_without_mirror_symmetry_evaluates_every_voxel(spec):
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA, padding=PADDING)
+    assert not voxel._mirrored(spec)
+    assert grid.values.tobytes() == _every_plane(spec, grid).tobytes()
+
+
+FAR = (3e-3, -2e-3, 1e-3)     # a million sigma from the origin
+
+
+@pytest.mark.parametrize("spec, mirrored", [
+    (Sphere(4 * SIGMA, center=(0.3 * SIGMA, 0.0, 0.1 * SIGMA)), True),
+    (Sphere(4 * SIGMA, center=FAR, cavities=(Sphere(2 * SIGMA, center=FAR),)), True),
+    (Box((4 * SIGMA, 5 * SIGMA, 3 * SIGMA), center=FAR), True),
+    (Cylinder(2 * SIGMA, 6 * SIGMA, axis=(0.0, -1.0, 0.0)), True),
+    (GappedCylinder(2 * SIGMA, 9 * SIGMA, 2, SIGMA, axis="x",
+                    cavities=(Sphere(0.5 * SIGMA),)), True),
+    (Sphere(4 * SIGMA, center=FAR, cavities=(Sphere(2 * SIGMA, center=(
+        FAR[0], FAR[1], FAR[2] + 5e-4 * SIGMA)),)), False),
+    (Cylinder(2 * SIGMA, 6 * SIGMA, axis=(0.0, 0.6, 0.8)), False),
+    (Box((4 * SIGMA, 5 * SIGMA, 3 * SIGMA), cavities=(Cylinder(SIGMA, SIGMA, axis=(1, 1, 0)),)),
+     False),
+    (EllipticCylinder(2 * SIGMA, 2 * SIGMA, 6 * SIGMA), False),
+], ids=["sphere", "far-shell", "far-box", "y-rod", "x-gapped-cavity", "far-shell-cavity-off",
+        "tilted-rod", "box-tilted-cavity", "elliptic"])
+def test_mirrored_bodies_are_told_by_their_shape(spec, mirrored):
+    # every solid a sphere, box, or round or gapped rod on a named axis,
+    # centred on the grid's centre to within 4 eps of the largest |coordinate|
+    assert voxel._mirrored(spec) == mirrored
+    if mirrored:
+        grid = rasterize_smoothed_density(spec, RHO, SIGMA, padding=PADDING)
+        _assert_point_evaluator(spec, grid, True)
 
 
 def test_box_erf_factors_come_from_the_axes(monkeypatch):
@@ -214,4 +297,4 @@ def test_x_axis_rod_takes_its_disc_factor_once_per_raster(monkeypatch):
     nx, ny, nz = grid.dims
     # at most one value per (y, z) line, not one per voxel
     assert 0 < sum(seen) <= ny * nz < nx * ny * nz
-    assert np.array_equal(grid.values, smoothed_density(spec, RHO, SIGMA, _grid_points(grid)))
+    _assert_point_evaluator(spec, grid, True)

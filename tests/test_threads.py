@@ -1,9 +1,10 @@
 """The threads of the grid oracles.
 
-An array of 2^20 values or more is split in two: the closed-form
-raster's planes, the second half on one helper thread that ends with the
-call, and the transforms of the spectrum and of the filtered raster,
-which take two workers.  That spectrum is built in two
+A raster that evaluates 2^20 points or more is split in two: the
+closed-form raster's planes, the second half on one helper thread that
+ends with the call (a mirror-symmetric body evaluates its octant alone,
+and may fall below that), and so is a transform of 2^20 values or more,
+which takes two workers.  A half spectrum of that size is built in two
 passes over its z columns, so its build holds at most 0.70 of the
 complex half spectrum, and cut to the ball its Gaussian leaves standing
 (x pencils grouped by length, at most 0.60 of the modes of the
@@ -64,17 +65,27 @@ def grids():
     return out
 
 
+@pytest.fixture(scope="module")
+def cut(grids):
+    """The records of the half spectra of those grids, cut (their own
+    records take the octant, as they equal their mirror images)."""
+    return {name: integrals._Spectrum(*integrals._blocks(integrals._parts(grid.values), grid.dims),
+                                      grid.spacing, grid.dims, grid.margin)
+            for name, grid in grids.items()}
+
+
+@pytest.mark.parametrize("route", ["cut", "octant"])
 @pytest.mark.parametrize("body, limit", [("plate", 1.0), ("sphere", 0.375)])
-def test_mode_sum_makes_no_plane_sized_array(grids, body, limit):
+def test_mode_sum_makes_no_plane_sized_array(grids, cut, body, limit, route):
     # the x sums of the held columns and one gathered (ny, nz') plane: 0.73
     # MiB on the plate and 0.24 MiB on the sphere; all rows gathered at once
     # peaked past 1.0 MiB on the plate, and a (3, ny, nz') x product with
     # its complex copies at 2.0 and 0.74 MiB
-    grid = grids[body]
-    decoherence_function(grid, DELTAS[1], PARAMS)       # the spectrum is held
+    record = cut[body] if route == "cut" else integrals._power(grids[body])
+    assert (record.place is None) == (route == "octant")
     tracemalloc.start()
     try:
-        decoherence_function(grid, DELTAS[1], PARAMS)
+        integrals._decoherence(record, DELTAS[1], PARAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -82,14 +93,22 @@ def test_mode_sum_makes_no_plane_sized_array(grids, body, limit):
 
 
 @pytest.mark.parametrize("body", ["sphere", "plate"])
-def test_held_spectrum_keeps_at_most_six_tenths_of_its_modes(grids, body):
+def test_held_spectrum_keeps_at_most_six_tenths_of_its_modes(cut, body):
     # the ball that the Gaussian leaves standing, in x pencils grouped by
     # length: 55.3% and 52.6% of the half spectrum's modes (66.4% and 64.0%
     # in y/z blocks; the whole spectrum was held before)
-    n = grids[body].dims
-    blocks = integrals._power(grids[body]).blocks
+    n = cut[body].dims
+    blocks = cut[body].blocks
     assert len(blocks) > 1
     assert sum(b.values.size for b in blocks) <= 0.60 * n[0] * n[1] * (n[2] // 2 + 1)
+
+
+@pytest.mark.parametrize("body", ["sphere", "plate"])
+def test_octant_holds_less_than_half_of_the_cut_record(grids, cut, body):
+    # 3.2 and 5.0 MiB on the octant, against 7.2 and 10.6 MiB cut
+    held = [sum(b.values.nbytes for b in record.blocks)
+            for record in (integrals._power(grids[body]), cut[body])]
+    assert held[0] < 0.5 * held[1]
 
 
 def _scatter_sum(spectrum, xrows, yrows):
@@ -104,12 +123,12 @@ def _scatter_sum(spectrum, xrows, yrows):
 
 
 @pytest.mark.parametrize("body", ["sphere", "plate", "sampled", "white-noise"])
-def test_mode_sum_keeps_the_bits_of_the_scatter(grids, body):
+def test_mode_sum_keeps_the_bits_of_the_scatter(cut, body):
     # the rows of the gradient and of three decoherence values,
-    # on the held sphere and plate (16 blocks each), a sampled body's record
+    # on the cut sphere and plate (16 blocks each), a sampled body's record
     # cut below 2^20 values, and white noise, which is one block
-    if body in grids:
-        record = integrals._power(grids[body])
+    if body in cut:
+        record = cut[body]
     else:
         with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
             if body == "sampled":
@@ -223,8 +242,13 @@ def _digest(values):
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
+# a 108^3 grid of 2^20 values or more, all evaluated: its cavity is off
+# its center, so it is not mirrored (a mirrored raster evaluates an octant)
+SPLIT = Sphere(20 * SIGMA, cavities=(Sphere(5 * SIGMA, center=(3 * SIGMA, 0.0, 0.0)),))
+
+
 def _raster_digest(queue):
-    queue.put(_digest(rasterize_smoothed_density(Sphere(20 * SIGMA), RHO, SIGMA).values))
+    queue.put(_digest(rasterize_smoothed_density(SPLIT, RHO, SIGMA).values))
 
 
 def _split_raster(spec, runs, density=None):
@@ -251,20 +275,28 @@ def test_split_raster_leaves_no_thread():
     # the second half runs on a helper thread that ends with the call, so
     # no thread the raster started is left alive
     alive, runs = threading.enumerate(), {}
-    grid = _split_raster(Sphere(20 * SIGMA), runs)
+    grid = _split_raster(SPLIT, runs)
     assert grid.values.size >= voxel._PARALLEL_SIZE
     (helper,) = _helpers(runs)
     assert runs[threading.current_thread()] == grid.origin[0]
     assert runs[helper] == grid.origin[0] + grid.spacing * (grid.dims[0] // 2)
     assert not helper.is_alive() and threading.enumerate() == alive
-    assert _digest(grid.values) == _digest(
-        rasterize_smoothed_density(Sphere(20 * SIGMA), RHO, SIGMA).values)
+    assert _digest(grid.values) == _digest(rasterize_smoothed_density(SPLIT, RHO, SIGMA).values)
+
+
+def test_split_is_keyed_on_the_points_evaluated():
+    # the 108^3 grid of a bare 20 sigma sphere evaluates its 54^3 octant,
+    # below 2^20 points, on the caller's thread alone
+    runs = {}
+    grid = _split_raster(Sphere(20 * SIGMA), runs)
+    assert grid.values.size >= voxel._PARALLEL_SIZE > (grid.dims[0] // 2) ** 3
+    assert list(runs) == [threading.current_thread()]
 
 
 def test_helpers_exception_reaches_the_caller():
     # a plane of the second half raises on the helper; the caller's half
     # runs to its end first, and the helper is gone when the caller sees it
-    spec, done, density = Sphere(20 * SIGMA), [], voxel._density
+    spec, done, density = SPLIT, [], voxel._density
     dims, origin = voxel._grid_geometry(spec, SIGMA / 2, voxel.DEFAULT_PADDING_SIGMA * SIGMA)
     half = origin[0] + SIGMA / 2 * (dims[0] // 2)
 
@@ -286,7 +318,7 @@ def test_helpers_exception_reaches_the_caller():
 def test_forked_child_rasters_with_the_parents_bits():
     # a child forked after a split raster makes the same grid, bit for bit
     runs = {}
-    grid = _split_raster(Sphere(20 * SIGMA), runs)
+    grid = _split_raster(SPLIT, runs)
     assert grid.values.size >= voxel._PARALLEL_SIZE and len(_helpers(runs)) == 1
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
