@@ -62,7 +62,7 @@ from .oracle import (
     kspace_outer_integral,
     surface_formula_outer_integral,
 )
-from .oracle.integrals import _body_spectrum, _decoherence, _gradient
+from .oracle.integrals import _body_spectrum, _decoherence, _gradient, _on_octant
 from .oracle.voxel import DEFAULT_PADDING_SIGMA
 from .tensors import (
     axial_rotational_strength,
@@ -417,6 +417,15 @@ def _cmd_rates(shape, params, options):
     return results, None, EXIT_OK
 
 
+def _spectrum_route(spectrum):
+    """The route of a body's spectrum record, ``"octant"`` or ``"half
+    spectrum"``, and the share of that route's modes (one per triple of
+    held wavenumbers) that its blocks hold."""
+    return {"spectrum_route": "octant" if _on_octant(spectrum) else "half spectrum",
+            "held_mode_share": (sum(b.values.size for b in spectrum.blocks)
+                                / math.prod(len(k) for k in spectrum.k))}
+
+
 def _cmd_validate(shape, params, options):
     density, tol, sigma = options["density"], options["tolerance"], params.localization_length
     patches = quadrature(shape, resolution=options["resolution"])
@@ -444,6 +453,7 @@ def _cmd_validate(shape, params, options):
         "gradient_integral": grad,
         "kspace_integral": kint,
         "kspace_route": "form factor" if _has_form_factor(shape) else "gradient spectrum",
+        **_spectrum_route(spectrum),
         "pairwise_relative_errors": pairs,
         "tolerance": tol,
         "grid_dims": list(spectrum.dims),
@@ -523,6 +533,7 @@ def _cmd_dephasing(shape, params, options):
         results["quadratic_vs_exact_relative"] = (
             abs(rate - exact) / exact if exact else 0.0
         )
+        results.update(_spectrum_route(spectrum))
     return results, None, EXIT_OK
 
 

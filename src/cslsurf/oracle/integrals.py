@@ -46,35 +46,36 @@ is such a grid by construction, and so is its re-read file) takes the
 octant route (:func:`_octant`): its transform has the modulus of the
 type-II DCT of its upper octant, so P is the square of one ``dctn`` of
 that octant, on the modes 0 <= k < n/2 of each axis, times their
-multiplicities (1 at k = 0, 2 elsewhere; the Nyquist modes are 0).  It is
-held whole, an eighth of the grid's bytes, in column slices of one dense
-array with no gather map, and every weight is even in each k_i, so the
-gradient is diagonal and the decoherence weight is 1 - cos a cos b cos c.
-Its sums move from the whole route's by rounding.  Every other grid takes
-the whole route, below.  Below
-2^20 values P comes of one rfftn; a larger P is built in two passes over
-its z columns, the low two thirds and then the rest, each transformed in
-rfftn's own axis order and squared before the next (:func:`_parts`), so
-no more than two thirds of the complex half spectrum is held at once and
-each mode keeps the bits of the one transform.  The record holds P in
-blocks of x pencils, and the sum over x of what it holds of each (y, z)
-column (:func:`_blocks`).  Below 2^20 values P is one block, every
-pencil whole; a larger P is cut to the ball |k| < r outside which the
-Gaussian leaves at most 2^-60 of sum P and of sum P |k|^2.  In the
-order of |k_x| the ball's modes of a column are a prefix, its pencil,
-and the columns of each pass are grouped by pencil length into dense
-blocks: 0.53-0.56 of the modes on sigma/2 grids, where the ball has
-0.50.  The blocks' columns, one after the other, make one column
-order: each block holds a slice of it, and a gather map sends each
-(y, z) column to its place there, or past its end where no block holds
-it.  Each weight is a short sum of per-axis products, so one kernel,
-:func:`_mode_sum`, reads each block once: one matrix product of a few
-rows of x factors with its pencils, written into the block's slice of
-one (rows, held columns + 1) array, whose last column is zero; each
-row of that array is gathered into a (ny, nz') plane by the map and
+multiplicities (1 at k = 0, 2 elsewhere; the Nyquist modes are 0).  Every
+weight is even in each k_i, so the gradient is diagonal and the
+decoherence weight is 1 - cos a cos b cos c.  Its sums move from the
+half-spectrum route's by rounding.  Every other grid takes the half
+spectrum: below 2^20 values P comes of one rfftn; a larger P is built in
+two passes over its z columns, the low two thirds and then the rest,
+each transformed in rfftn's own axis order and squared before the next
+(:func:`_parts`), so no more than two thirds of the complex half
+spectrum is held at once and each mode keeps the bits of the one
+transform.  The record holds P, on either route, in blocks of x pencils,
+the sum over x of what it holds of each (y, z) column, and the
+wavenumbers of the modes it is held on (:func:`_blocks`,
+:func:`_modes`).  Where the grid's half spectrum has fewer than 2^20
+values P is one block, every pencil whole; a larger P is cut to the ball
+|k| < r outside which the Gaussian leaves at most 2^-60 of sum P and of
+sum P |k|^2.  In the order of |k_x| the ball's modes of a column are a
+prefix, its pencil, and the columns of each pass are grouped by pencil
+length into dense blocks of at most 4096 columns: 0.53-0.56 of the half
+spectrum's modes on sigma/2 grids, where the ball has 0.50, and 0.54-0.57
+of an octant's.  The blocks' columns, one after the other, make one
+column order: each block holds a slice of it, and a gather map sends
+each (y, z) column to its place there, or past its end where no block
+holds it.  Each weight is a short sum of per-axis products, so one
+kernel, :func:`_mode_sum`, reads each block once: one matrix product of
+a few rows of x factors with its pencils, written into the block's
+slice of one (rows, held columns + 1) array, whose last column is zero;
+each row of that array is gathered into a (y, z) plane by the map and
 meets a few rows of y factors in one more product, all on the caller's
 thread, so beside that array one plane at a time is made.  Each caller
-ends over z with vectors of nz' values.  The weights are
+ends over z with vectors of one value per held z mode.  The weights are
 
 * k o k, the derivative symbol's outer product, in
   :func:`gradient_outer_integral` and the DFT route of
@@ -86,6 +87,7 @@ ends over z with vectors of nz' values.  The weights are
   2 sin^2 of the half angle.
 """
 
+import functools
 import math
 import threading
 import weakref
@@ -134,8 +136,7 @@ _RADIAL_CHUNK = 128  # radial nodes per form-factor call of the k-space ladder
 
 # power spectra of the two most recently used value contents, least
 # recently used first: ([weak references to the value arrays known to
-# hold those bits], (the blocks of P, their column sums, their gather
-# map)).  An entry goes
+# hold those bits], the record of the first of them).  An entry goes
 # when the last of its arrays dies.  The lock is reentrant because a weak
 # reference's callback can run in any thread, including one that holds it.
 _SPECTRA = []
@@ -167,26 +168,29 @@ _TAIL = 2.0**-60
 # the most groups, by the length of their x pencils, of the columns of
 # each pass over a cut spectrum's z columns
 _GROUPS = 8
-# the most columns of an octant record's block: one matrix product over
-# all the plate's 18,225 columns took 8 ms where its slices took 0.25 ms
-# with two BLAS threads, and 0.38 against 0.30 ms with one
+# the most columns of a cut record's block: one matrix product over all
+# the plate's 18,225 octant columns took 8 ms where its slices took 0.25
+# ms with two BLAS threads, and 0.38 against 0.30 ms with one
 _COLUMNS = 4096
 
-# one group of x pencils of P: the x indices they share (a slice, or the
-# + and then the - frequencies of least |k_x|), their columns (the slice
+# one group of x pencils of P: the x indices they share (the x of least
+# |k_x|, a slice where they lead P's x axis, as on an octant, else the +
+# and then the - frequencies of rfftn's order), their columns (the slice
 # [lo, hi) of the record's column order that they fill) and the dense
 # (x, columns) array of P's values there
 _Block = namedtuple("_Block", "x columns values")
 
-# what every Parseval sum reads: the blocks of P = w_z |F|^2 of a grid's
-# half spectrum F (one rfftn, or two passes over its z columns) that hold
-# every mode the sums need, the (ny, nz') sums over x of each column's
-# held values, the read-only (ny, nz') gather map (each column's place in
-# the blocks' column order, the number of held columns where no block
-# holds it), and the grid; or, on an octant (:func:`_octant`), blocks that
-# are column slices of P on the modes 0 <= k < n/2 of each axis, in order,
-# their (ny/2, nz/2) column sums, and no gather map (None)
-_Spectrum = namedtuple("_Spectrum", "blocks sums place spacing dims margin")
+# what every Parseval sum reads: the blocks of P (:func:`_blocks`) that
+# hold every mode the sums need, the sums over x of each (y, z) column's
+# held values, the read-only gather map (each column's place in the
+# blocks' column order, the number of held columns where no block holds
+# it), the read-only angular wavenumbers of the x, y and z modes that P
+# is held on (:func:`_modes`), and the grid.  P is w_z |F|^2 of a grid's
+# half spectrum F (one rfftn, or two passes over its z columns), on
+# rfftn's modes, or on an octant (:func:`_octant`) the square of a DCT on
+# the modes 0 <= k < n/2 of each axis, times their multiplicities: the
+# record holds n/2 x wavenumbers there, not n (:func:`_on_octant`)
+_Spectrum = namedtuple("_Spectrum", "blocks sums place k spacing dims margin")
 
 
 def _squared(F, nz, z0=0):
@@ -258,41 +262,47 @@ def _passes(m):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _blocks(parts, dims):
-    """The blocks, column sums and gather map of a record of the half
-    spectrum P of a grid of ``dims``, from the parts of P that tile its z
-    columns in order (:func:`_parts`).  The list is emptied, so that each
-    part dies as soon as its blocks are gathered.
+def _blocks(parts, dims, k):
+    """The blocks, column sums and gather map of a record of the spectrum
+    P of a grid of ``dims``, from the parts of P that tile its z columns
+    in order (:func:`_parts`, or the one octant of :func:`_octant`), held
+    on the modes whose per-axis angular wavenumbers at unit spacing are
+    ``k`` (:func:`_modes`): rfftn's, or the octant's 0 <= k < n/2.  The
+    list is emptied, so that each part dies as soon as its blocks are
+    gathered.
 
-    A P of fewer than ``_PARALLEL_SIZE`` values is one block, P itself.
-    A larger one is cut to a ball |k| < r: sum P and sum P |k|^2 are
+    A grid whose half spectrum has fewer than ``_PARALLEL_SIZE`` values
+    is held whole, on either route, so the same grids are cut on both.
+    A larger P is cut to a ball |k| < r: sum P and sum P |k|^2 are
     tallied over shells of the width of the grid's smallest wavenumber
     step, in increasing |k_x|, the planes of +k_x and -k_x added (they
     share their shells), so the tally reads the same values in the same
     order whatever parts P comes in, and r is the smallest shell edge
     past which both tails are at most ``_TAIL`` (2^-60) of their totals.
-    Each sum's weight is bounded by a multiple of 1 or of |k|^2, so no
-    sum moves by more than 2^-60 of its scale.  In the order of |k_x| the
-    modes of each (y, z) column that lie inside the ball are a prefix, the
-    x pencil of the column, whose length one search over the distinct
-    k_x^2 counts.  The columns of each pass (:func:`_passes`, whatever
-    parts P comes in, so that two passes give the record of one
-    transform) are grouped by that length
-    (:func:`_ranges`, ``_GROUPS`` groups at most), and a group is held as
-    one contiguous array of the x of its longest pencil, gathered from
-    P's two x ranges of the + and the - frequencies: shorter pencils are
-    padded with P's own values, each mode is held once at most, and
-    columns wholly outside the ball are left out.  The groups' columns,
-    one group after another, are one column order: each block is given
-    its slice of it, and the read-only gather map, of the shape of the
-    column sums, each column's place in it, or the number of held columns
-    where no block holds it.  Each group's column sums are taken as it is
-    gathered.  The parts are gathered in
-    descending z and each is let go once its groups are.  Tails that are
-    not finite, or a ball that holds every mode (white noise), leave P
-    whole: one block of every column, in order, whose gather map sends
-    each column to its own index, so those sums keep their bits and a
-    grid that is not finite still raises.
+    An octant's P carries each mode's multiplicity, so these are the
+    whole spectrum's tails.  Each sum's weight is bounded by a multiple of
+    1 or of |k|^2, so no sum moves by more than 2^-60 of its scale.  In
+    the order of |k_x| (0, 1, -1, 2, -2, ... in rfftn's order, 0, 1, 2,
+    ... on an octant) the modes of each (y, z) column that lie inside
+    the ball are a prefix, the x pencil of the column, whose length one
+    search over the distinct k_x^2 counts.  The columns of each pass
+    (:func:`_passes`, whatever parts P comes in, so that two passes give
+    the record of one transform) are grouped by that length
+    (:func:`_ranges`, ``_GROUPS`` groups at most), a group is sliced into
+    runs of at most ``_COLUMNS`` columns, and each run is held as one
+    contiguous array of the x of its longest pencil, gathered from P's x
+    ranges of the + and the - frequencies: shorter pencils are padded
+    with P's own values, each mode is held once at most, and columns
+    wholly outside the ball are left out.  The runs' columns, one after
+    another, are one column order: each block is given its slice of it,
+    and the read-only gather map, of the shape of the column sums, each
+    column's place in it, or the number of held columns where no block
+    holds it.  Each run's column sums are taken as it is gathered.  The
+    parts are gathered in descending z and each is let go once its runs
+    are.  Tails that are not finite, or a ball that holds every mode
+    (white noise), leave P whole: one block of every column, in order,
+    whose gather map sends each column to its own index, so those sums
+    keep their bits and a grid that is not finite still raises.
     """
     def whole():
         P = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
@@ -302,11 +312,12 @@ def _blocks(parts, dims):
             sums = P.sum(axis=0)
         place = np.arange(sums.size).reshape(sums.shape)
         place.flags.writeable = False
-        return [_Block(slice(None), slice(0, sums.size), P.reshape(dims[0], -1))], sums, place
+        return [_Block(slice(None), slice(0, sums.size), P.reshape(len(P), -1))], sums, place
 
-    if sum(p.size for p in parts) < voxel._PARALLEL_SIZE:
+    if dims[0] * dims[1] * (dims[2] // 2 + 1) < voxel._PARALLEL_SIZE:
         return whole()
-    kx2, ky2, kz2 = (k * k for k in _wavenumbers(dims, 1.0))
+    kx, ky, kz = k
+    kx2, ky2, kz2 = kx * kx, ky * ky, kz * kz
     step = 2.0 * np.pi / max(dims)
 
     def shell(k2):  # of kx^2 + (ky^2 + kz^2), which rounds up as any term grows
@@ -342,15 +353,18 @@ def _blocks(parts, dims):
     j += (j < len(u)) & inside(j)
     j -= (j > 0) & ~inside(j - 1)
     length = np.concatenate([[0], np.cumsum(counts)])[j]
-    nx, nz = dims[0], yz2.shape[1]
+    # of a pencil's n x, those of k_x >= 0 lead P's x axis and the rest end it
+    ahead = np.concatenate([[0], np.cumsum(kx[np.argsort(kx2, kind="stable")] >= 0)])
+    nx, nz = len(kx), yz2.shape[1]
     cuts = []
     for z in _passes(nz):
         local = length[:, z].ravel()
         for g0, g1 in _ranges(local.max() + 1, _GROUPS):
             columns = np.flatnonzero((local >= max(g0, 1)) & (local < g1))
-            if columns.size:
-                y, zc = np.divmod(columns, z.stop - z.start)
-                cuts.append((z.start, y, zc + z.start, local[columns].max()))
+            for c in range(0, columns.size, _COLUMNS):
+                run = columns[c:c + _COLUMNS]
+                y, zc = np.divmod(run, z.stop - z.start)
+                cuts.append((z.start, y, zc + z.start, local[run].max()))
     if len(cuts) < 2:
         return whole()
     starts = np.cumsum([0] + [p.shape[2] for p in parts])
@@ -365,7 +379,8 @@ def _blocks(parts, dims):
             part = parts[-1]
             columns = y * part.shape[2] + z - starts[len(parts) - 1]
             part = part.reshape(nx, -1)
-            plus, minus = (n + 1) // 2, n // 2    # the x of least |k_x|: 0, 1, -1, 2, -2, ...
+            plus = int(ahead[n])
+            minus = n - plus
             values = np.empty((n, columns.size))
             np.take(part[:plus], columns, axis=1, out=values[:plus], mode="clip")
             np.take(part[nx - minus:], columns, axis=1, out=values[plus:], mode="clip")
@@ -373,7 +388,8 @@ def _blocks(parts, dims):
             columns = y * nz + z
             sums.flat[columns] = values.sum(axis=0)
             place.flat[columns] = np.arange(edges[i], edges[i + 1])
-            blocks[i] = _Block(np.r_[0:plus, nx - minus:nx], slice(edges[i], edges[i + 1]), values)
+            x = np.r_[0:plus, nx - minus:nx] if minus else slice(0, plus)
+            blocks[i] = _Block(x, slice(edges[i], edges[i + 1]), values)
     parts.clear()
     place.flags.writeable = False
     return blocks, sums, place
@@ -400,17 +416,18 @@ def _power(grid: VoxelGrid):
     """The spectrum record of the grid's values (:func:`_record`): P of the
     octant of a grid that equals its mirror image, else their P
     (:func:`_parts`, one rfftn, or two passes over its z columns from 2^20
-    values on), cut by :func:`_blocks`.
+    values on), either cut by :func:`_blocks`.
 
     P depends on the values alone, not on the grid's origin, spacing or
     margin, and so does its cut, which counts wavenumbers in steps, so
-    the blocks and their column sums are kept per value content: those of
-    the two most recently used contents are held, each with weak
-    references to the arrays known to hold its bits.  An array is looked up by identity,
+    the records are kept per value content: those of the two most
+    recently used contents are held, each with weak references to the
+    arrays known to hold its bits.  An array is looked up by identity,
     then compared bit for bit with one live array of each held spectrum
     (:func:`_same_bits`); a match joins that spectrum without a
-    transform.  A spectrum is freed when the last of its arrays dies, and
-    a miss evicts before it transforms.  An array that is transformed or
+    transform, and its record takes the grid's spacing, margin and
+    wavenumbers (:func:`_modes`).  A spectrum is freed when the last of
+    its arrays dies, and a miss evicts before it transforms.  An array that is transformed or
     joins a spectrum is made read-only, and so is the array that owns its
     memory (:func:`_freeze`; numpy's ``.base`` leads straight to it): an
     in-place edit of either raises instead of leaving a stale spectrum,
@@ -434,12 +451,14 @@ def _power(grid: VoxelGrid):
                     break
         if entry is not None:
             _SPECTRA[:] = [e for e in _SPECTRA if e is not entry] + [entry]
-            return _Spectrum(*entry[1], grid.spacing, grid.dims, grid.margin)
+            held = entry[1]
+            return held._replace(k=_modes(grid.dims, grid.spacing, _on_octant(held)),
+                                 spacing=grid.spacing, margin=grid.margin)
         del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
     _freeze(values)
     record = _record(grid)
     with _SPECTRA_LOCK:
-        _SPECTRA.append(([weakref.ref(values, _forget)], record[:3]))
+        _SPECTRA.append(([weakref.ref(values, _forget)], record))
         del _SPECTRA[:-2]
     return record
 
@@ -449,10 +468,30 @@ def _record(grid: VoxelGrid):
     octant (:func:`_octant`) where every axis is even and the values equal
     their mirror image in each axis bit for bit (:func:`_symmetric`), else
     P of the half spectrum (:func:`_parts`), cut by :func:`_blocks`."""
-    values = grid.values.astype(float, copy=False)
-    if all(n % 2 == 0 for n in values.shape) and _symmetric(values):
-        return _Spectrum(*_octant(values), grid.spacing, grid.dims, grid.margin)
-    return _Spectrum(*_blocks(_parts(values), grid.dims), grid.spacing, grid.dims, grid.margin)
+    values, dims = grid.values.astype(float, copy=False), grid.dims
+    octant = all(n % 2 == 0 for n in dims) and _symmetric(values)
+    parts = [_octant(values)] if octant else _parts(values)
+    return _Spectrum(*_blocks(parts, dims, _modes(dims, 1.0, octant)),
+                     _modes(dims, grid.spacing, octant), grid.spacing, dims, grid.margin)
+
+
+@functools.lru_cache(maxsize=16)
+def _modes(dims, spacing, octant):
+    """The read-only angular wavenumbers of the x, y and z modes that a
+    record of a grid of ``dims`` and ``spacing`` holds: those of rfftn's
+    axes, or on an octant the first n/2 of each.  They are made once per
+    grid shape, spacing and route, not once per sum."""
+    k = _wavenumbers(dims, spacing)
+    if octant:
+        k = tuple(ki[:n // 2] for ki, n in zip(k, dims))
+    for ki in k:
+        ki.flags.writeable = False
+    return k
+
+
+def _on_octant(spectrum: _Spectrum):
+    """Whether a record holds P on the octant: n/2 x modes, not rfftn's n."""
+    return len(spectrum.k[0]) < spectrum.dims[0]
 
 
 def _symmetric(values):
@@ -468,17 +507,15 @@ def _symmetric(values):
 
 
 def _octant(values):
-    """The blocks, column sums and gather map (None) of the octant record
-    of a grid whose axes are even and whose values equal their mirror
-    image.  Such a grid's transform is real up to each axis's phase, and
-    its modulus at k and -k is the type-II DCT of the upper half, the
-    indices from n/2 on, at k: so P is the square of one ``dctn`` of the
-    upper octant (:func:`_workers` of its size), on the modes 0 <= k < n/2
-    of each axis, times their multiplicities, 1 at k = 0 and 2 elsewhere;
-    the Nyquist modes are exactly 0.  It is held as one dense array, every
-    pencil whole, whose blocks are slices of ``_COLUMNS`` columns of it,
-    read as they lie: the sums weigh each mode by an even function of each
-    k_i, so the octant gives them all."""
+    """The read-only P on the octant of a grid whose axes are even and whose
+    values equal their mirror image.  Such a grid's transform is real up
+    to each axis's phase, and its modulus at k and -k is the type-II DCT
+    of the upper half, the indices from n/2 on, at k: so P is the square
+    of one ``dctn`` of the upper octant (:func:`_workers` of its size), on
+    the modes 0 <= k < n/2 of each axis, times their multiplicities, 1 at
+    k = 0 and 2 elsewhere; the Nyquist modes are exactly 0.  The sums
+    weigh each mode by an even function of each k_i, so the octant gives
+    them all; :func:`_blocks` cuts it as it cuts a half spectrum."""
     h = [n // 2 for n in values.shape]
     P = sfft.dctn(values[h[0]:, h[1]:, h[2]:], type=2, workers=_workers(math.prod(h)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -486,11 +523,8 @@ def _octant(values):
         P[1:] *= 2.0
         P[:, 1:] *= 2.0
         P[:, :, 1:] *= 2.0
-        sums = P.sum(axis=0)
     P.flags.writeable = False
-    P = P.reshape(h[0], -1)
-    return [_Block(slice(None), slice(j, min(j + _COLUMNS, sums.size)), P[:, j:j + _COLUMNS])
-            for j in range(0, sums.size, _COLUMNS)], sums, None
+    return P
 
 
 def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
@@ -513,45 +547,36 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
     dims, origin = _grid_geometry(spec, spacing, padding, max_voxels)
     parts = _parts(voxel.supersampled_fraction(spec, dims, origin, spacing),
                    _gain(dims, density, sigma, spacing))
-    return _Spectrum(*_blocks(parts, dims), spacing, dims, padding)
+    return _Spectrum(*_blocks(parts, dims, _modes(dims, 1.0, False)),
+                     _modes(dims, spacing, False), spacing, dims, padding)
 
 
 def _mode_sum(spectrum: _Spectrum, xrows, yrows):
     """R[m, a, kz] = (h^3 / N) sum over kx, ky of xrows[m, kx] yrows[a, ky] P[kx, ky, kz].
 
     h is the grid spacing, N the number of voxels and P the record's
-    spectrum, read block by block on the caller's thread: each block's x
-    pencils meet their x rows in one matrix product, written straight
-    into the block's slice of one (m, held columns + 1) array whose last
-    column is zero.  Each row of that array is then gathered by the
-    record's map into one (ny, nz') plane, which meets the y rows in one
-    more product, so beside that array one plane at a time is made; on
-    an octant record, which has no map, the row is that plane as it lies.
+    spectrum, on the modes the record holds (:func:`_modes`; the rows are
+    of those modes), read block by block on the caller's thread: each
+    block's x pencils meet their x rows in one matrix product, written
+    straight into the block's slice of one (m, held columns + 1) array
+    whose last column is zero.  Each row of that array is then gathered
+    by the record's map into one (y, z) plane, which meets the y rows in
+    one more product, so beside that array one plane at a time is made.
     Each block's product and each row's y product is the same BLAS call,
     on the same values, as when the products were scattered into a
-    zeroed (m, ny nz') array, so the sums keep those bits.  The threads
+    zeroed plane-sized array, so the sums keep those bits.  The threads
     of each product are the BLAS's own.
     """
     xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
-    shape, place = spectrum.sums.shape, spectrum.place
     held = spectrum.blocks[-1].columns.stop
     X = np.empty((len(xrows), held + 1))
     X[:, held] = 0.0
     for x, columns, values in spectrum.blocks:
         np.matmul(xrows[:, x], values, out=X[:, columns])
-    R = np.empty((len(xrows), len(yrows), shape[1]))
+    R = np.empty((len(xrows), len(yrows), spectrum.sums.shape[1]))
     for row, out in zip(X, R):
-        np.matmul(yrows, row[:held].reshape(shape) if place is None else row[place], out=out)
+        np.matmul(yrows, row[spectrum.place], out=out)
     return R
-
-
-def _modes(spectrum: _Spectrum):
-    """The angular wavenumbers of the x, y and z modes that the record
-    holds: those of rfftn's axes, or on an octant the first n/2 of each."""
-    k = _wavenumbers(spectrum.dims, spectrum.spacing)
-    if spectrum.place is None:
-        return tuple(ki[:n // 2] for ki, n in zip(k, spectrum.dims))
-    return k
 
 
 def _outer_sum(spectrum: _Spectrum, s):
@@ -593,8 +618,8 @@ def gradient_outer_integral(grid: VoxelGrid):
 def _gradient(spectrum: _Spectrum):
     """:func:`gradient_outer_integral` of the grid of a spectrum record."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = (2.0 * np.pi) ** 3 * _outer_sum(spectrum, _modes(spectrum))
-    if spectrum.place is None:    # the octant's mirror images cancel each k_i k_j, i != j
+        G = (2.0 * np.pi) ** 3 * _outer_sum(spectrum, spectrum.k)
+    if _on_octant(spectrum):    # the octant's mirror images cancel each k_i k_j, i != j
         G = np.diag(np.diag(G))
     return _finite(G, "the gradient integral")
 
@@ -812,8 +837,8 @@ def _decoherence(field, delta, params: CslParams):
     pref = (params.collapse_rate * params.localization_length**3
             / (math.pi**1.5 * params.nucleon_mass**2))
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = (k * d for k, d in zip(_modes(spectrum), delta))
-        if spectrum.place is None:
+        a, b, c = (k * d for k, d in zip(spectrum.k, delta))
+        if _on_octant(spectrum):
             # on the octant the mirror images sum 1 - cos(a + b + c) to
             # 1 - cos a cos b cos c = (1 - cos a) + cos a (1 - cos b) + cos a cos b (1 - cos c)
             va, vb, vc = (2.0 * np.sin(t / 2.0) ** 2 for t in (a, b, c))

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from cslsurf.geometry import box_mesh, mesh_to_stl
+from cslsurf.oracle import integrals
 
 
 @pytest.fixture
@@ -34,3 +35,9 @@ def held_columns(record):
     blocks, place = record[0], record[2]
     order = np.argsort(place, axis=None, kind="stable")
     return [order[b.columns] for b in blocks]
+
+
+def half_blocks(parts, dims):
+    """``integrals._blocks`` of parts of a grid's half spectrum, held on
+    rfftn's modes."""
+    return integrals._blocks(parts, dims, integrals._modes(dims, 1.0, False))

@@ -205,6 +205,34 @@ class TestValidate:
         config.write_text(json.dumps(report["config"]))
         assert run(capsys, "validate", "--config", str(config)) == (code, out, "")
 
+    @pytest.mark.parametrize("command", ["validate", "dephasing"])
+    @pytest.mark.parametrize("shape, route, cut", [
+        ('{"type":"sphere","radius":"3 um"}', "octant", True),
+        ('{"type":"sphere","radius":"0.6 um"}', "octant", False),
+        ('{"type":"sphere","radius":"0.6 um","cavities":[{"type":"sphere",'
+         '"radius":"0.2 um","center":["0.1 um",0,0]}]}', "half spectrum", False),
+        ('{"type":"cone_capped_cylinder","radius":"0.6 um","length":"1.2 um",'
+         '"apex_angle":"60 deg"}', "half spectrum", False),
+    ], ids=["sphere-150", "sphere", "holed-sphere", "cone"])
+    def test_report_names_its_spectrum_route(self, capsys, tmp_path, command, shape, route, cut):
+        # a grid that equals its mirror image takes the octant, any other
+        # the half spectrum; a grid whose half spectrum has 2^20 values or
+        # more is cut to the ball its Gaussian leaves standing (57.1% of the
+        # 150^3 sphere's octant modes), a smaller one is held whole; the
+        # config still reproduces the report byte for byte
+        extra = (["--tolerance", "0.5"] if command == "validate"
+                 else ["--density", "1000", "--delta", "10 nm,0,0", "--exact"])
+        code, out, err = run(capsys, command, "--shape", shape, *extra)
+        assert code == 0, err
+        report = json.loads(out)
+        results = report["results"]
+        assert results["spectrum_route"] == route
+        share = results["held_mode_share"]
+        assert (0.0 < share <= 0.60) if cut else share == 1.0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(report["config"]))
+        assert run(capsys, command, "--config", str(config)) == (code, out, "")
+
     def test_x_axis_rod_writes_its_report(self, capsys):
         # the spherical ladder did not converge on this rod in six rungs, so
         # validate wrote no report; the surface formula misses the caps'

@@ -725,6 +725,27 @@ def test_grid_values_that_are_not_finite_raise_in_halves(bad, monkeypatch):
     test_grid_values_that_are_not_finite_raise(bad)
 
 
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_mirrored_grid_values_that_are_not_finite_raise(bad, cut, monkeypatch):
+    # an even-axis grid that equals its mirror image, a bad value in each
+    # mirror image of one voxel: it takes the octant, held whole or with the
+    # cut's threshold lowered below it, and the cut keeps the bad mode
+    values = np.zeros((8, 10, 12))
+    for value, index in ((RHO, (3, 4, 5)), (bad, (1, 2, 3))):
+        for i in itertools.product(*((j, n - 1 - j) for j, n in zip(index, values.shape))):
+            values[i] = value
+    grid = VoxelGrid(np.zeros(3), SIGMA / 2, values, margin=2 * SIGMA)
+    if cut:
+        monkeypatch.setattr(voxel, "_PARALLEL_SIZE", 1)
+    assert integrals._on_octant(integrals._record(grid))
+    calls = [lambda: gradient_outer_integral(grid),
+             lambda: decoherence_function(grid, [0.1 * SIGMA, 0.0, 0.0], PARAMS)]
+    for call in calls:
+        with pytest.raises(DegenerateDimension, match="not finite"):
+            call()
+
+
 def test_one_fft_per_oracle_call(monkeypatch):
     # one transform per grid, whatever the number of oracle calls on it; the
     # per-grid FFT counts of the benchmark tracer read scipy.fft.rfftn calls,

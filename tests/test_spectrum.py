@@ -24,7 +24,9 @@ record of one rfftn of the same values, and it is built once per value
 content.  A grid whose axes are all even and whose values equal their
 mirror image bit for bit takes the octant record, one dctn of its upper
 octant: its gradient and decoherence sums match the dense per-mode sums
-to 1e-12, and a grid re-read from its file takes it too; a grid one bit
+to 1e-12, held whole or cut to the same ball as a half spectrum they
+match the uncut octant's dense sums to 1e-15, and a grid re-read from
+its file takes it too; a grid one bit
 off, with an odd axis, with a cavity off centre or with a tilted rod
 keeps the whole record bit for bit.
 """
@@ -42,7 +44,7 @@ import scipy.fft
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import held_columns
+from conftest import half_blocks, held_columns
 from cslsurf.csl import CslParams
 from cslsurf.geometry import (Box, ConeCappedCylinder, Cylinder, EllipticCylinder,
                               GappedCylinder, Sphere)
@@ -157,9 +159,11 @@ def cut():
             # the half spectrum's P, also where the record of the grid takes the octant
             grid = rasterize_smoothed_density(spec, RHO, SIGMA)
             (P,) = integrals._parts(grid.values)
-            whole = integrals._Spectrum(None, None, None, grid.spacing, grid.dims, grid.margin)
+            whole = integrals._Spectrum(None, None, None,
+                                        integrals._modes(grid.dims, grid.spacing, False),
+                                        grid.spacing, grid.dims, grid.margin)
         with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
-            blocks, sums, place = integrals._blocks([P], whole.dims)
+            blocks, sums, place = half_blocks([P], whole.dims)
         record = whole._replace(blocks=blocks, sums=sums, place=place)
         assert 1 < len(record.blocks) and sum(b.values.size for b in record.blocks) < P.size
         out[name] = P, record
@@ -573,7 +577,7 @@ def _one_transform_record(values, gain=None):
     z = np.arange(F.shape[2])
     with np.errstate(over="ignore", invalid="ignore"):
         P = (F.real**2 + F.imag**2) * np.where((z == 0) | (2 * z == nz), 1.0, 2.0)
-    return integrals._blocks([P], values.shape)
+    return half_blocks([P], values.shape)
 
 
 def _same_record(got, want):
@@ -588,9 +592,8 @@ def _same_record(got, want):
     (got, got_sums, got_place), (want, want_sums, want_place) = got, want
     return len(got) == len(want) and all(
         index(g.x) == index(w.x) and index(g.columns) == index(w.columns)
-        and same(g.values, w.values) for g, w in zip(got, want)) and same(got_sums, want_sums) and (
-        got_place is want_place is None or (got_place is not None and want_place is not None
-                                            and same(got_place, want_place)))
+        and same(g.values, w.values) for g, w in zip(got, want)) and same(
+        got_sums, want_sums) and same(got_place, want_place)
 
 
 def _sampled_record(spec, spacing=SIGMA / 2):
@@ -634,7 +637,7 @@ def test_passes_give_the_record_of_one_transform(shape, seed, smooth, slab, body
                 values = rasterize_smoothed_density(SMALL_BODIES[body], RHO, SIGMA).values
             parts = integrals._parts(values)
             assert len(parts) == (2 if values.shape[2] >= 4 else 1)
-            got, want = integrals._blocks(parts, values.shape), _one_transform_record(values)
+            got, want = half_blocks(parts, values.shape), _one_transform_record(values)
     assert _same_record(got, want)
 
 
@@ -650,7 +653,7 @@ def test_large_records_are_those_of_one_transform(body):
         assert values.shape[0] * values.shape[1] * (values.shape[2] // 2 + 1) >= 2**20
         parts = integrals._parts(values)
         assert len(parts) == 2
-        got, want = integrals._blocks(parts, values.shape), _one_transform_record(values)
+        got, want = half_blocks(parts, values.shape), _one_transform_record(values)
     assert len(got[0]) > 1
     assert _same_record(got, want)
     _check_layout(got)
@@ -718,7 +721,7 @@ def test_octant_sums_match_dense_per_mode_sums(spec, direction, log_magnitude):
     # exactly 0, and the decoherence function at 0.01 to 4 sigma
     grid = rasterize_smoothed_density(spec, RHO, SIGMA)
     record = integrals._record(grid)
-    assert record.place is None
+    assert integrals._on_octant(record)
     ref = _Reference(grid)
     scale = (2 * np.pi) ** 3 * grid.spacing**3 / grid.values.size
     dense = scale * np.array([[np.sum(ref.power * ki * kj) for kj in ref.k] for ki in ref.k])
@@ -729,20 +732,54 @@ def test_octant_sums_match_dense_per_mode_sums(spec, direction, log_magnitude):
     assert integrals._decoherence(record, delta, PARAMS) == pytest.approx(ref(delta), rel=1e-12)
 
 
+@settings(max_examples=30, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(spec=mirrored_bodies(),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       log_magnitude=st.floats(-2.0, math.log10(4.0)))
+def test_cut_octant_sums_match_the_uncut_octants_dense_sums(spec, direction, log_magnitude):
+    # the octant held whole and cut to the Gaussian's ball (the cut's
+    # threshold lowered below the grid) against the dense per-mode sums
+    # over the uncut octant's P: the gradient's diagonal, its off-diagonal
+    # entries exactly 0, and the decoherence function at 0.01 to 4 sigma
+    grid = rasterize_smoothed_density(spec, RHO, SIGMA)
+    whole = integrals._record(grid)
+    with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
+        cut = integrals._record(grid)
+    assert integrals._on_octant(whole) and integrals._on_octant(cut)
+    assert len(whole.blocks) == 1 < len(cut.blocks)
+    assert sum(b.values.size for b in cut.blocks) < whole.blocks[0].values.size
+    P = integrals._octant(grid.values)
+    k = np.meshgrid(*whole.k, indexing="ij")
+    scale = (2 * np.pi) ** 3 * grid.spacing**3 / grid.values.size
+    gradient = scale * np.array([np.sum(P * ki * ki) for ki in k])
+    delta = 10.0**log_magnitude * SIGMA * np.asarray(direction) / np.linalg.norm(direction)
+    a, b, c = (ki * di for ki, di in zip(k, delta))
+    va, vb, vc = (2.0 * np.sin(t / 2.0) ** 2 for t in (a, b, c))
+    want = PREF * scale * np.sum(P * (va + np.cos(a) * (vb + np.cos(b) * vc)))
+    for record in (whole, cut):
+        G = integrals._gradient(record)
+        assert np.all(G[~np.eye(3, dtype=bool)] == 0.0)
+        assert np.abs(np.diag(G) - gradient).max() <= 1e-15 * gradient.max()
+        assert integrals._decoherence(record, delta, PARAMS) == pytest.approx(want, rel=1e-15)
+
+
 def test_octant_holds_the_half_spectrum_on_its_modes():
     # P of the octant is |F|^2 of the whole grid on the modes 0 <= k < n/2
-    # of each axis, times 1 at k = 0 and 2 elsewhere per axis, in one dense
-    # array of which each block is a column slice; F is 0 at Nyquist
+    # of each axis, times 1 at k = 0 and 2 elsewhere per axis; below 2^20
+    # values of the half spectrum it is held whole, one block of every
+    # column in order; F is 0 at Nyquist
     grid = rasterize_smoothed_density(Box((5 * SIGMA, 7 * SIGMA, 6 * SIGMA)), RHO, SIGMA)
     n = grid.dims
     h = [m // 2 for m in n]
     record = integrals._record(grid)
-    assert record.place is None and record.sums.shape == (h[1], h[2])
-    P = record.blocks[0].values.base.reshape(h)
-    assert all(b.values.base is record.blocks[0].values.base for b in record.blocks)
-    assert [b.columns for b in record.blocks] == [
-        slice(j, min(j + integrals._COLUMNS, h[1] * h[2]))
-        for j in range(0, h[1] * h[2], integrals._COLUMNS)]
+    assert integrals._on_octant(record) and record.sums.shape == (h[1], h[2])
+    assert [len(k) for k in record.k] == h
+    ((x, columns, values),) = record.blocks
+    assert x == slice(None) and columns == slice(0, h[1] * h[2])
+    assert np.array_equal(record.place, np.arange(h[1] * h[2]).reshape(h[1], h[2]))
+    P = values.reshape(h)
     F2 = np.abs(np.fft.fftn(grid.values)) ** 2
     w = [np.where(np.arange(m) == 0, 1.0, 2.0) for m in h]
     want = F2[:h[0], :h[1], :h[2]] * w[0][:, None, None] * w[1][:, None] * w[2]
@@ -784,8 +821,8 @@ def test_grid_that_is_not_an_octant_keeps_the_whole_record(body, cut):
     size = 1 if cut else voxel._PARALLEL_SIZE
     with mock.patch.object(voxel, "_PARALLEL_SIZE", size):
         record = integrals._record(VoxelGrid(np.zeros(3), SIGMA / 2, values, margin=SIGMA))
-        want = integrals._blocks(integrals._parts(values), values.shape)
-    assert record.place is not None and (len(record.blocks) > 1) == cut
+        want = half_blocks(integrals._parts(values), values.shape)
+    assert not integrals._on_octant(record) and (len(record.blocks) > 1) == cut
     assert _same_record(record[:3], want)
 
 
@@ -794,6 +831,6 @@ def test_reread_grid_keeps_the_octant(transforms, tmp_path):
                                           center=(0.3 * SIGMA, 0.0, 0.0)), RHO, SIGMA)
     write_grid(grid, tmp_path / "box.cslgrid")
     reread = read_grid(tmp_path / "box.cslgrid")
-    assert integrals._record(reread).place is None
+    assert integrals._on_octant(integrals._record(reread))
     assert decoherence_function(reread, DELTA, PARAMS) == decoherence_function(grid, DELTA, PARAMS)
     assert transforms == [tuple(n // 2 for n in grid.dims)] * 2

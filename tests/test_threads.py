@@ -8,7 +8,8 @@ which takes two workers.  A half spectrum of that size is built in two
 passes over its z columns, so its build holds at most 0.70 of the
 complex half spectrum, and cut to the ball its Gaussian leaves standing
 (x pencils grouped by length, at most 0.60 of the modes of the
-benchmark's sphere and plate).  A mode sum reads those blocks on the
+benchmark's sphere and plate), and so is the octant of a grid that
+equals its mirror image (at most 0.60 of the octant's modes).  A mode sum reads those blocks on the
 caller's thread: each block's product is written
 into its slice of one array of the held columns, whose rows are
 gathered into a spectrum plane one at a time, and it keeps the bits of
@@ -36,7 +37,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import held_columns
+from conftest import half_blocks, held_columns
 from cslsurf.csl import CslParams
 from cslsurf.geometry import Box, Cylinder, EllipticCylinder, Sphere
 from cslsurf.oracle import (
@@ -69,7 +70,8 @@ def grids():
 def cut(grids):
     """The records of the half spectra of those grids, cut (their own
     records take the octant, as they equal their mirror images)."""
-    return {name: integrals._Spectrum(*integrals._blocks(integrals._parts(grid.values), grid.dims),
+    return {name: integrals._Spectrum(*half_blocks(integrals._parts(grid.values), grid.dims),
+                                      integrals._modes(grid.dims, grid.spacing, False),
                                       grid.spacing, grid.dims, grid.margin)
             for name, grid in grids.items()}
 
@@ -82,7 +84,7 @@ def test_mode_sum_makes_no_plane_sized_array(grids, cut, body, limit, route):
     # peaked past 1.0 MiB on the plate, and a (3, ny, nz') x product with
     # its complex copies at 2.0 and 0.74 MiB
     record = cut[body] if route == "cut" else integrals._power(grids[body])
-    assert (record.place is None) == (route == "octant")
+    assert integrals._on_octant(record) == (route == "octant")
     tracemalloc.start()
     try:
         integrals._decoherence(record, DELTAS[1], PARAMS)
@@ -104,8 +106,21 @@ def test_held_spectrum_keeps_at_most_six_tenths_of_its_modes(cut, body):
 
 
 @pytest.mark.parametrize("body", ["sphere", "plate"])
+def test_octant_keeps_at_most_six_tenths_of_its_modes(grids, body):
+    # the same ball, cut from the octant in x pencils grouped by length and
+    # sliced to at most 4096 columns: 57.1% and 54.4% of the octant's modes
+    # (all of them were held before)
+    record = integrals._power(grids[body])
+    assert integrals._on_octant(record) and len(record.blocks) > 1
+    assert all(b.values.shape[1] <= integrals._COLUMNS for b in record.blocks)
+    held = sum(b.values.size for b in record.blocks)
+    assert held <= 0.60 * math.prod(n // 2 for n in record.dims)
+
+
+@pytest.mark.parametrize("body", ["sphere", "plate"])
 def test_octant_holds_less_than_half_of_the_cut_record(grids, cut, body):
-    # 3.2 and 5.0 MiB on the octant, against 7.2 and 10.6 MiB cut
+    # 1.8 and 2.7 MiB on the cut octant, against 7.2 and 10.6 MiB of the
+    # cut half spectrum
     held = [sum(b.values.nbytes for b in record.blocks)
             for record in (integrals._power(grids[body]), cut[body])]
     assert held[0] < 0.5 * held[1]
@@ -115,20 +130,24 @@ def _scatter_sum(spectrum, xrows, yrows):
     """The mode sum as each block's product scattered into its (y, z)
     columns of one zeroed (m, ny nz') array, then met by the y rows."""
     xrows = spectrum.spacing**3 / math.prod(spectrum.dims) * xrows
-    ny, nz = spectrum.dims[1], spectrum.dims[2] // 2 + 1
+    ny, nz = spectrum.sums.shape
     X = np.zeros((len(xrows), ny * nz))
     for (x, _, values), columns in zip(spectrum.blocks, held_columns(spectrum)):
         X[:, columns] = xrows[:, x] @ values
     return yrows @ X.reshape(len(xrows), ny, nz)
 
 
-@pytest.mark.parametrize("body", ["sphere", "plate", "sampled", "white-noise"])
-def test_mode_sum_keeps_the_bits_of_the_scatter(cut, body):
+@pytest.mark.parametrize("body", ["sphere", "plate", "sphere-octant", "plate-octant", "sampled",
+                                  "white-noise"])
+def test_mode_sum_keeps_the_bits_of_the_scatter(grids, cut, body):
     # the rows of the gradient and of three decoherence values,
-    # on the cut sphere and plate (16 blocks each), a sampled body's record
-    # cut below 2^20 values, and white noise, which is one block
+    # on the cut sphere and plate (16 blocks each), on their cut octants
+    # (16 blocks each), a sampled body's record cut below 2^20 values, and
+    # white noise, which is one block
     if body in cut:
         record = cut[body]
+    elif body.endswith("-octant"):
+        record = integrals._power(grids[body.split("-")[0]])
     else:
         with mock.patch.object(voxel, "_PARALLEL_SIZE", 1):
             if body == "sampled":
@@ -148,7 +167,8 @@ def test_mode_sum_keeps_the_bits_of_the_scatter(cut, body):
         integrals._gradient(record)
         for d in DELTAS:
             integrals._decoherence(record, d, PARAMS)
-    assert [(len(x), len(y)) for x, y in rows] == [(3, 3)] + [(2, 2)] * 3
+    rows_y = 3 if integrals._on_octant(record) else 2
+    assert [(len(x), len(y)) for x, y in rows] == [(3, 3)] + [(2, rows_y)] * 3
     for xrows, yrows in rows:
         got, want = mode_sum(record, xrows, yrows), _scatter_sum(record, xrows, yrows)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -189,7 +209,7 @@ def test_spectrum_build_holds_at_most_two_thirds_of_the_transform(grids):
     nbytes = n[0] * n[1] * (n[2] // 2 + 1) * 16
     tracemalloc.start()
     try:
-        integrals._blocks(integrals._parts(grids["sphere"].values), n)
+        half_blocks(integrals._parts(grids["sphere"].values), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
