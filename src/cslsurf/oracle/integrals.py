@@ -31,12 +31,11 @@ positional dephasing rate from the field autocorrelation.
 The gradient route and the decoherence function are Parseval sums over
 the power spectrum P = w |F(k)|^2 of a gridded field, each with its own
 mode weight, read from one record (``_Spectrum``) of P
-and its grid.  :func:`_power` makes it of a grid: it transforms each
-value content once and keeps the spectra of the two most recently used
-value contents, so a scan of many oracle calls on one grid, or on grids
-whose values are equal bit for bit (a grid and its re-read file), pays
-for one transform; the values of a transformed or matched grid are
-read-only, and so is the array that owns their memory.
+and its grid.  :func:`_power` gives a grid's: the grid owns its values,
+read-only, and holds its record, built on its first oracle call, so a
+scan of many oracle calls on one grid pays for one transform, and the
+record dies with the grid.  Grids of equal values (a grid and its
+re-read file) build equal records, bit for bit.
 :func:`_body_spectrum` makes it of a body: a sampled body's
 P is its filter's spectrum squared, one fill and one transform.
 
@@ -87,10 +86,7 @@ ends over z with vectors of one value per held z mode.  The weights are
   2 sin^2 of the half angle.
 """
 
-import functools
 import math
-import threading
-import weakref
 from collections import namedtuple
 from dataclasses import replace
 
@@ -132,35 +128,6 @@ _RADIAL_CHUNK = 128  # radial nodes per form-factor call of the k-space ladder
 
 # ---------------------------------------------------------------------------
 # spectral mode sums over a grid
-
-
-# power spectra of the two most recently used value contents, least
-# recently used first: ([weak references to the value arrays known to
-# hold those bits], the record of the first of them).  An entry goes
-# when the last of its arrays dies.  The lock is reentrant because a weak
-# reference's callback can run in any thread, including one that holds it.
-_SPECTRA = []
-_SPECTRA_LOCK = threading.RLock()
-
-
-def _forget(ref):
-    with _SPECTRA_LOCK:
-        for refs, _ in _SPECTRA:
-            refs[:] = [r for r in refs if r is not ref]
-        _SPECTRA[:] = [entry for entry in _SPECTRA if entry[0]]
-
-
-def _same_bits(a, b):
-    """Whether two arrays of one shape and dtype hold the same bits.
-
-    They are compared one x-plane at a time as unsigned integers, so no
-    full-size temporary is built, the first differing plane ends the
-    comparison, and NaNs and signed zeros compare by their bits."""
-    if (a.shape != b.shape or a.dtype != b.dtype
-            or a.dtype.kind not in "biuf" or a.dtype.itemsize not in (1, 2, 4, 8)):
-        return False
-    bits = np.dtype(f"u{a.dtype.itemsize}")
-    return all(np.array_equal(p.view(bits), q.view(bits)) for p, q in zip(a, b))
 
 
 # the share of each of its sums that a cut spectrum may leave out
@@ -404,83 +371,37 @@ def _ranges(n, parts):
     return zip(edges[:-1], edges[1:])
 
 
-def _freeze(values):
-    """Make ``values`` read-only, and each array on its ``.base`` chain:
-    numpy collapses that chain to the array that owns the memory."""
-    while isinstance(values, np.ndarray):
-        values.flags.writeable = False
-        values = values.base
-
-
 def _power(grid: VoxelGrid):
-    """The spectrum record of the grid's values (:func:`_record`): P of the
-    octant of a grid that equals its mirror image, else their P
-    (:func:`_parts`, one rfftn, or two passes over its z columns from 2^20
-    values on), either cut by :func:`_blocks`.
-
-    P depends on the values alone, not on the grid's origin, spacing or
-    margin, and so does its cut, which counts wavenumbers in steps, so
-    the records are kept per value content: those of the two most
-    recently used contents are held, each with weak references to the
-    arrays known to hold its bits.  An array is looked up by identity,
-    then compared bit for bit with one live array of each held spectrum
-    (:func:`_same_bits`); a match joins that spectrum without a
-    transform, and its record takes the grid's spacing, margin and
-    wavenumbers (:func:`_modes`).  A spectrum is freed when the last of
-    its arrays dies, and a miss evicts before it transforms.  An array that is transformed or
-    joins a spectrum is made read-only, and so is the array that owns its
-    memory (:func:`_freeze`; numpy's ``.base`` leads straight to it): an
-    in-place edit of either raises instead of leaving a stale spectrum,
-    and a new array assigned to ``grid.values`` is looked up afresh.
-    numpy does not track views, so any other view of that memory stays
-    writeable, whenever it was taken (before the first oracle call or
-    after it), and an edit through it leaves the spectrum stale: such a
-    view must not be edited.
-    """
-    values = grid.values
-    with _SPECTRA_LOCK:
-        entry = next((e for e in _SPECTRA if any(ref() is values for ref in e[0])), None)
-        if entry is None:
-            for candidate in list(_SPECTRA):
-                # holding one of its arrays keeps the entry alive while it is compared
-                held = next((a for a in (ref() for ref in candidate[0]) if a is not None), None)
-                if held is not None and _same_bits(held, values):
-                    _freeze(values)
-                    candidate[0].append(weakref.ref(values, _forget))
-                    entry = candidate
-                    break
-        if entry is not None:
-            _SPECTRA[:] = [e for e in _SPECTRA if e is not entry] + [entry]
-            held = entry[1]
-            return held._replace(k=_modes(grid.dims, grid.spacing, _on_octant(held)),
-                                 spacing=grid.spacing, margin=grid.margin)
-        del _SPECTRA[:-1]      # evict first: one held spectrum at most beside F
-    _freeze(values)
-    record = _record(grid)
-    with _SPECTRA_LOCK:
-        _SPECTRA.append(([weakref.ref(values, _forget)], record))
-        del _SPECTRA[:-2]
-    return record
+    """The grid's spectrum record (:func:`_record`), built on its first
+    oracle call and held by the grid, whose values are read-only, so every
+    later sum on the grid reads it and it dies with the grid.  Two threads
+    that make the first call at once may each build it; the records are
+    equal bit for bit, and the grid keeps one."""
+    if grid._spectrum is None:
+        object.__setattr__(grid, "_spectrum", _record(grid))
+    return grid._spectrum
 
 
 def _record(grid: VoxelGrid):
-    """:func:`_power`'s record of the grid, made afresh and not held: on the
-    octant (:func:`_octant`) where every axis is even and the values equal
-    their mirror image in each axis bit for bit (:func:`_symmetric`), else
-    P of the half spectrum (:func:`_parts`), cut by :func:`_blocks`."""
-    values, dims = grid.values.astype(float, copy=False), grid.dims
+    """The spectrum record of the grid's values, made afresh: on the octant
+    (:func:`_octant`) where every axis is even and the values equal their
+    mirror image in each axis bit for bit (:func:`_symmetric`), else P of
+    the half spectrum (:func:`_parts`, one rfftn, or two passes over its z
+    columns from 2^20 values on), either cut by :func:`_blocks`.  P, its
+    cut and its sums depend on the values alone, so grids of equal values
+    (a grid and its re-read file) hold them equal bit for bit."""
+    values, dims = grid.values, grid.dims
     octant = all(n % 2 == 0 for n in dims) and _symmetric(values)
     parts = [_octant(values)] if octant else _parts(values)
     return _Spectrum(*_blocks(parts, dims, _modes(dims, 1.0, octant)),
                      _modes(dims, grid.spacing, octant), grid.spacing, dims, grid.margin)
 
 
-@functools.lru_cache(maxsize=16)
 def _modes(dims, spacing, octant):
     """The read-only angular wavenumbers of the x, y and z modes that a
     record of a grid of ``dims`` and ``spacing`` holds: those of rfftn's
     axes, or on an octant the first n/2 of each.  They are made once per
-    grid shape, spacing and route, not once per sum."""
+    record, not once per sum."""
     k = _wavenumbers(dims, spacing)
     if octant:
         k = tuple(ki[:n // 2] for ki, n in zip(k, dims))
@@ -496,14 +417,21 @@ def _on_octant(spectrum: _Spectrum):
 
 def _symmetric(values):
     """Whether the grid's values equal their mirror image in each axis bit
-    for bit: one pass over the x-planes of the low half, each compared as
-    unsigned integers with its mirror plane and with itself reversed in y
-    and in z, so NaNs and signed zeros compare by their bits and the first
-    plane that differs ends the pass."""
+    for bit, compared as unsigned integers, so NaNs and signed zeros
+    compare by their bits: each x-plane of the low half with its mirror
+    plane, then each plane of the low x half (the middle one included)
+    with itself reversed in y over its low y half, then their low y rows
+    (the middle one included) with themselves reversed in z over their low
+    z half.  A grid that passes the first is its x mirror image, so the
+    second covers every plane, and the third every row.  That reads about
+    1.75 grids, one plane-sized comparison at a time, and the first
+    comparison that differs ends the pass."""
     bits = values.view(np.uint64)
-    n = len(bits)
-    return all(np.array_equal(p, bits[n - 1 - i]) and np.array_equal(p, p[::-1])
-               and np.array_equal(p, p[:, ::-1]) for i, p in enumerate(bits[:(n + 1) // 2]))
+    (nx, ny, _), (hx, hy, hz) = bits.shape, [n // 2 for n in bits.shape]
+    low = bits[:nx - hx]
+    return (all(np.array_equal(bits[i], bits[nx - 1 - i]) for i in range(hx))
+            and all(np.array_equal(p[:hy], p[::-1][:hy]) for p in low)
+            and all(np.array_equal(p[:ny - hy, :hz], p[:ny - hy, ::-1][:, :hz]) for p in low))
 
 
 def _octant(values):
@@ -536,9 +464,8 @@ def _body_spectrum(spec, density, sigma, spacing=None, padding=None,
     rounding, and cut.  Its P is that of the fill, with the filter's gain
     applied to each part as :func:`_parts` builds it (one rfftn, or two
     passes over the z columns), and the fill dies before the cut.  Any
-    other body's record is :func:`_record` of its raster, outside
-    :func:`_power`'s cache: the raster dies with the call, so it neither
-    evicts a held spectrum nor is held."""
+    other body's record is :func:`_record` of its raster, which dies with
+    the call."""
     spec = build_shape(spec)
     if not _sampled(spec):
         return _record(rasterize_smoothed_density(spec, density, sigma, spacing, padding,

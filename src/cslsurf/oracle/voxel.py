@@ -115,7 +115,7 @@ for every shape, so the fraction is always a count over 64.
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -208,22 +208,42 @@ def _split(fn, n, size):
         raise failed[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VoxelGrid:
-    """Regular scalar field: values[i, j, k] at origin + (i, j, k) * spacing."""
+    """Regular scalar field: values[i, j, k] at origin + (i, j, k) * spacing.
+
+    The grid owns its values, read-only: an array that owns its memory and
+    is read-only (a raster's, :func:`read_grid`'s) is taken as it is, and
+    must stay read-only; any other is copied once, so no caller's array
+    changes its flags and no edit of one reaches the grid.  The grid is
+    frozen: assigning to a field raises, and ``dataclasses.replace``, a
+    copy and a pickle build a fresh grid through the constructor.  It also
+    holds its spectrum record, which the oracles build on first use and
+    which dies with the grid."""
 
     origin: np.ndarray    # (3,) m, position of values[0, 0, 0]
     spacing: float        # m, uniform
     values: np.ndarray    # (nx, ny, nz)
     margin: float = 0.0   # zero-field padding width around the body, m
+    # the oracles' spectrum record of the values, built on first use
+    _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.origin = _array("origin", self.origin, (3,))
-        self.spacing = _scalar("spacing", self.spacing, 0.0, open=True)
-        self.margin = _scalar("margin", self.margin, 0.0)
-        self.values = _array("values", self.values, (None, None, None), finite=False)
-        if self.values.size == 0:
-            raise DegenerateDimension(f"values must have no empty axis, got {self.values.shape}")
+        checked = {"origin": _array("origin", self.origin, (3,)),
+                   "spacing": _scalar("spacing", self.spacing, 0.0, open=True),
+                   "margin": _scalar("margin", self.margin, 0.0),
+                   "values": _array("values", self.values, (None, None, None), finite=False)}
+        values = checked["values"]
+        if values.size == 0:
+            raise DegenerateDimension(f"values must have no empty axis, got {values.shape}")
+        if values.flags.writeable or not values.flags.owndata:
+            checked["values"] = values = values.copy()
+            values.flags.writeable = False
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return VoxelGrid, (self.origin, self.spacing, self.values, self.margin)
 
     @property
     def dims(self):
@@ -279,6 +299,7 @@ def read_grid(path):
         values = np.empty((nx, ny, nz), dtype="<f8")
         if fh.readinto(values) != size:
             raise ParseError("grid data ended early")
+    values.flags.writeable = False    # handed over to the grid, not copied
     try:
         return VoxelGrid(np.array(origin), spacing, values, margin)
     except DegenerateDimension as exc:
@@ -451,6 +472,7 @@ def rasterize_smoothed_density(spec, density, sigma, spacing=None, padding=None,
                     stack[dims[walk] - 1 - i] = stack[i]
 
         _split(planes, low[walk], math.prod(low))
+    values.flags.writeable = False    # handed over to the grid, not copied
     return VoxelGrid(origin=origin, spacing=spacing, values=values, margin=padding)
 
 
